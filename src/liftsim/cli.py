@@ -49,10 +49,35 @@ from .dist import align_domains, statistical_distance
 from .verify import CorpusSpec, default_corpus_spec, run_corpus
 
 
+def _parse(what: str, parse, text: str):
+    """parse(text); malformed input is a LiftsimError, i.e. exit code 2, not 1."""
+    try:
+        return parse(text)
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise LiftsimError(f"malformed {what}: {type(e).__name__}: {e}") from None
+
+
+def _load(what: str, parse, path: str):
+    """Parse the file at `path`; an unreadable file is a LiftsimError too."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise LiftsimError(f"cannot read {what} {path}: {e}") from None
+    return _parse(what, parse, text)
+
+
 def _load_gadget(spec: str):
     if spec in BUILTIN_NAMES or spec.startswith("rand:"):
-        return builtin_gadget(spec)
-    return gadget_from_json(Path(spec).read_text())
+        return _parse("gadget spec", builtin_gadget, spec)
+    return _load("gadget file", gadget_from_json, spec)
+
+
+def _parse_protocol(text: str):
+    """(mixture or None, protocol run first) from a protocol file of either kind."""
+    if '"components"' in text:
+        mixture = randomized_protocol_from_json(text)
+        return mixture, mixture.components[0][1]
+    return None, protocol_from_json(text)
 
 
 def _print_frac(label: str, value: Fraction) -> None:
@@ -81,26 +106,20 @@ def cmd_gadget_analyze(args) -> int:
 def _params_from_args(args, b: int, n: int) -> LiftingParams:
     kw = {}
     if args.eps is not None:
-        kw["eps"] = parse_frac(args.eps)
+        kw["eps"] = _parse("--eps", parse_frac, args.eps)
         kw["nonstandard"] = True
     return LiftingParams(
-        eta=parse_frac(args.eta), c=parse_frac(args.c), h=parse_frac(args.h),
-        b=b, n=n, mode=args.mode, **kw)
+        eta=_parse("--eta", parse_frac, args.eta), c=_parse("--c", parse_frac, args.c),
+        h=_parse("--h", parse_frac, args.h), b=b, n=n, mode=args.mode, **kw)
 
 
 def cmd_lift(args) -> int:
-    text = Path(args.protocol).read_text()
-    mixture = None
-    if '"components"' in text:
-        mixture = randomized_protocol_from_json(text)
-        proto = mixture.components[0][1]
-    else:
-        proto = protocol_from_json(text)
+    mixture, proto = _load("protocol file", _parse_protocol, args.protocol)
     g = _load_gadget(args.gadget)
     if g.b != proto.b:
         raise LiftsimError(
             f"gadget block length {g.b} does not match protocol block length {proto.b}")
-    z = int(args.z, 2)
+    z = _parse("--z", lambda text: int(text, 2), args.z)
     params = _params_from_args(args, proto.b, proto.n)
     if mixture is not None and args.mode != "rand":
         raise LiftsimError("randomized protocol files need --mode rand")
@@ -174,7 +193,7 @@ def cmd_lift(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.spec:
-        spec = CorpusSpec.from_json(Path(args.spec).read_text())
+        spec = _load("corpus spec", CorpusSpec.from_json, args.spec)
     else:
         spec = default_corpus_spec(scale=args.scale)
     if args.seed is not None:
@@ -188,7 +207,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_dt(args) -> int:
-    problem = problem_from_json(Path(args.problem).read_text())
+    problem = _load("search problem file", problem_from_json, args.problem)
     depth, tree = brute_force_Ddt(problem, n_limit=args.budget_n)
     print(f"deterministic query complexity: {depth}")
     print(f"tree depth: {tree.depth()}  query complexity: {tree.query_complexity()}")
@@ -228,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--enumerate", action="store_true",
                    help="exact output distribution, error-halt mass, TV to reference")
     l.add_argument("--budget-branches", type=int, default=10 ** 6)
-    l.add_argument("--jobs", type=int, default=1,
-                   help="reserved; the desk-scale engines are sequential")
     l.add_argument("--out", help="write the run trace as JSON")
     l.set_defaults(func=cmd_lift)
 

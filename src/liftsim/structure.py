@@ -5,18 +5,26 @@ entry per coordinate of the set under discussion (the free coordinates, in
 the simulation).  All scans are exhaustive with canonical enumeration order
 (subsets by size then lexicographically) and exact comparisons; instance
 sizes are guarded by explicit budgets.
+
+The leaking and sparsifying scans make one pattern pass per value: each y in
+Y's support gets its gadget output pattern against x and an integer weight
+over one common total, and every (coordinate set, bit pattern) probability
+is a weight sum over those rows.  No scan is pruned.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dist import DistributionTable, ZERO, project
+from .dist import DistributionTable, ZERO, project, subsets_by_size
 from .errors import BudgetError, DomainError
-from .exact import cmp_pow2, cmp_products
+from .exact import cmp_pow2, cmp_products, exact_log2
 from .gadgets import Gadget
 
 __all__ = [
@@ -88,12 +96,6 @@ class Restriction:
         )
 
 
-def _subsets(k: int, nonempty: bool = True):
-    start = 1 if nonempty else 0
-    for r in range(start, k + 1):
-        yield from combinations(range(k), r)
-
-
 def _guard(k: int, limit: int, what: str) -> None:
     if k > limit:
         raise BudgetError(what, k, limit)
@@ -117,7 +119,7 @@ def is_dense(x: DistributionTable, delta: Fraction, b: int) -> DensityWitness:
     """
     delta = Fraction(delta)
     k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
-    for coords in _subsets(k):
+    for coords in subsets_by_size(k, nonempty=True):
         p = project(x, coords).maxprob()
         if cmp_pow2(p, delta * b * len(coords)) > 0:
             return DensityWitness(delta, coords, p)
@@ -169,7 +171,7 @@ class StructureRefusal:
 def _worst_marginal(x: DistributionTable, k: int):
     """The (maxprob, |I|) pair minimizing log2(1/p)/(b|I|), compared exactly."""
     worst = None
-    for coords in _subsets(k):
+    for coords in subsets_by_size(k, nonempty=True):
         p = project(x, coords).maxprob()
         size = len(coords)
         if worst is None:
@@ -237,9 +239,9 @@ def is_structured(
         # exact sup on one side when its worst marginal is a power of two
         for other, swap in ((y, False), (x, True)):
             p, s = wy if swap else wx
-            exact_bits = _dyadic_log(p)
-            if exact_bits is not None:
-                d_exact = Fraction(exact_bits, b * s)
+            log_p = exact_log2(p)
+            if log_p is not None:
+                d_exact = -log_p / (b * s)
                 d_other = tau - d_exact
                 if d_exact > 0 and d_other > 0 and is_dense(other, d_other, b).dense:
                     dx, dy = (d_other, d_exact) if swap else (d_exact, d_other)
@@ -249,14 +251,6 @@ def is_structured(
         "tau is reachable only in the limit; no rational split found at the "
         f"working resolution 2^-{resolution_bits + 20}",
     )
-
-
-def _dyadic_log(p: Fraction) -> Optional[int]:
-    """k such that p = 2**(-k), when p is a power of two."""
-    num, den = p.numerator, p.denominator
-    if num & (num - 1) == 0 and den & (den - 1) == 0:
-        return den.bit_length() - num.bit_length()
-    return None
 
 
 # -- density restoration -------------------------------------------------------
@@ -273,7 +267,7 @@ def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
     k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
     violating = [
         coords
-        for coords in _subsets(k)
+        for coords in subsets_by_size(k, nonempty=True)
         if cmp_pow2(project(x, coords).maxprob(), delta * b * len(coords)) > 0
     ]
     if not violating:
@@ -341,12 +335,35 @@ class Verdict:
     witness: tuple | None = None
 
 
-def _pattern_prob(g: Gadget, x_val, y: DistributionTable, coords, bits) -> Fraction:
-    total = ZERO
-    for t in y.support():
-        if all(g.eval(x_val[i], t[i]) == z for i, z in zip(coords, bits)):
-            total += y.mass[t]
-    return total
+def _pattern_rows(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget):
+    """One pass over Y's support for a fixed x: (pattern, weight, y) rows and their total.
+
+    Bit k-1-i of a pattern is g(x_i, y_i); weights are integers over one
+    common total (the lcm of the support's mass denominators), so pattern
+    probabilities are weight sums over the total.
+    """
+    side = g.side
+    if any(not 0 <= v < side for v in x_val):
+        raise DomainError(f"inputs must lie in [0, {side})")
+    cols = [dict(enumerate(g.table[v * side:(v + 1) * side])) for v in x_val]
+    support = [(t, m) for t, m in y.mass.items() if m]  # Y's support, in domain order
+    total = lcm(*(m.denominator for _, m in support))
+    rows = []
+    for t, m in support:
+        pat = 0
+        for i, col in enumerate(cols):
+            bit = col.get(t[i])
+            if bit is None:
+                raise DomainError(f"inputs must lie in [0, {side})")
+            pat = pat << 1 | bit
+        rows.append((pat, m.numerator * (total // m.denominator), t))
+    return rows, total
+
+
+def _cube(coords: Tuple[int, ...], k: int):
+    """(bits, pattern) for every assignment to coords, in product order."""
+    for bits in product((0, 1), repeat=len(coords)):
+        yield bits, sum(z << (k - 1 - i) for i, z in zip(coords, bits))
 
 
 def is_leaking(
@@ -358,10 +375,19 @@ def is_leaking(
     """Some output pattern is less than half as likely as uniform would allow."""
     k = len(x_val)
     _guard(k, coord_limit, "leaking scan free coordinates")
-    for coords in _subsets(k):
-        bound = Fraction(1, 1 << (len(coords) + 1))
-        for bits in product((0, 1), repeat=len(coords)):
-            if _pattern_prob(g, x_val, y, coords, bits) < bound:
+    rows, total = _pattern_rows(x_val, y, g)
+    hist = [0] * (1 << k)
+    for pat, w, _ in rows:
+        hist[pat] += w
+    for coords in subsets_by_size(k, nonempty=True):
+        mask = sum(1 << (k - 1 - i) for i in coords)
+        marg: Dict[int, int] = defaultdict(int)
+        for pat, w in enumerate(hist):
+            marg[pat & mask] += w
+        shift = len(coords) + 1
+        for bits, pat in _cube(coords, k):
+            # Pr[pattern] < 2**-(|S|+1)
+            if marg[pat] << shift < total:
                 return Verdict(True, (coords, bits))
     return Verdict(False)
 
@@ -375,27 +401,40 @@ def is_sparsifying(
     b: int,
     coord_limit: int = SCAN_COORD_LIMIT,
 ) -> Verdict:
-    """Conditioning on some output pattern destroys more density than eps allows."""
+    """Conditioning on some output pattern destroys more density than eps allows.
+
+    The witness is (coords, bits, violating set relative to the remaining
+    coordinates, its conditioned max-probability), as is_dense reports it.
+    """
     delta_y, eps = Fraction(delta_y), Fraction(eps)
     k = len(x_val)
     _guard(k, coord_limit, "sparsifying scan free coordinates")
     level = delta_y - eps
-    for coords in _subsets(k):
+    rows, _ = _pattern_rows(x_val, y, g)
+    for coords in subsets_by_size(k, nonempty=True):
         rest = tuple(i for i in range(k) if i not in coords)
-        for bits in product((0, 1), repeat=len(coords)):
-            if _pattern_prob(g, x_val, y, coords, bits) == 0:
+        if not rest:
+            continue  # nothing left to lose density
+        subs = [
+            (sub, itemgetter(*(rest[j] for j in sub)), level * b * len(sub))
+            for sub in subsets_by_size(len(rest), nonempty=True)
+        ]
+        mask = sum(1 << (k - 1 - i) for i in coords)
+        groups: Dict[int, list] = {}
+        for pat, w, t in rows:
+            groups.setdefault(pat & mask, []).append((w, t))
+        for bits, pat in _cube(coords, k):
+            group = groups.get(pat)
+            if group is None:
                 continue  # cannot condition on a null pattern
-            cond = y.condition(
-                lambda t, c=coords, z=bits: all(
-                    g.eval(x_val[i], t[i]) == zz for i, zz in zip(c, z)
-                )
-            )
-            if not rest:
-                continue  # nothing left to lose density
-            reduced = project(cond, rest)
-            witness = is_dense(reduced, level, b)
-            if not witness.dense:
-                return Verdict(True, (coords, bits, witness.violating_set, witness.witness_maxprob))
+            weight = sum(w for w, _ in group)
+            for sub, key, q in subs:
+                marg: Dict[object, int] = defaultdict(int)
+                for w, t in group:
+                    marg[key(t)] += w
+                p = Fraction(max(marg.values()), weight)
+                if cmp_pow2(p, q) > 0:
+                    return Verdict(True, (coords, bits, sub, p))
     return Verdict(False)
 
 
@@ -417,7 +456,7 @@ def is_skewing(
     delta_y, eps = Fraction(delta_y), Fraction(eps)
     k = len(x_val)
     _guard(k, coord_limit, "skewing scan free coordinates")
-    for coords_i in _subsets(k):
+    for coords_i in subsets_by_size(k, nonempty=True):
         others = [i for i in range(k) if i not in coords_i]
         for jsize in range(1, len(others) + 1):
             for coords_j in combinations(others, jsize):
@@ -465,7 +504,7 @@ def is_biasing(
         raise DomainError("the ambient dimension must be at least 2")
     k = len(x_val)
     _guard(k, coord_limit, "biasing scan free coordinates")
-    for coords_s in _subsets(k):
+    for coords_s in subsets_by_size(k, nonempty=True):
         ssize = len(coords_s)
         bias_bound = Fraction(1, 2 * (2 * n) ** ssize)
         others = [i for i in range(k) if i not in coords_s]

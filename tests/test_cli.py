@@ -86,6 +86,40 @@ def test_lift_randomized_protocol_file(files, capsys):
     assert code == 2 and "--mode rand" in err
 
 
+def _no_b_protocol(root):
+    doc = json.loads((root / "proto.json").read_text())
+    del doc["b"]
+    (root / "no_b.json").write_text(json.dumps(doc))
+    return root / "no_b.json"
+
+
+def _bad_json(root):
+    (root / "bad.json").write_text("{not json")
+    return root / "bad.json"
+
+
+# One case per class of malformed input: each is a LiftsimError (exit 2, one
+# "error:" line), never a traceback with exit 1, which means "counterexamples".
+MALFORMED = {
+    "gadget-spec-field": lambda root: ["gadget", "analyze", "--gadget", "rand:x:1"],
+    "verify-spec-not-json": lambda root: ["verify", str(_bad_json(root))],
+    "protocol-missing-key": lambda root: [
+        "lift", "--protocol", str(_no_b_protocol(root)), "--gadget", "ip2", "--z", "01"],
+    "protocol-file-missing": lambda root: [
+        "lift", "--protocol", str(root / "absent.json"), "--gadget", "ip2", "--z", "01"],
+    "lift-z-not-bits": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(files, capsys, case):
+    code, out, err = run_cli(MALFORMED[case](files), capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
 def test_lift_dimension_mismatch(files, capsys):
     code, _, err = run_cli(["lift", "--protocol", str(files / "proto.json"),
                             "--gadget", "xor1", "--z", "01"], capsys)

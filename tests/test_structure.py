@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from liftsim.structure import (
     Restriction,
     StructureCertificate,
     StructureRefusal,
+    Verdict,
     dangerous_probability,
     density_restoring_fix,
     density_restoring_partition,
@@ -281,3 +282,113 @@ def test_biasing_condition_counterexample_documented():
     for eps in (F(1, 4), F(1, 2)):
         for c in (F(1, 2), F(2), F(16)):
             assert not is_biasing(x, y, AND, delta_y, eps, 1, c, 2).flagged
+
+
+# -- oracle sweep: the one-pass scans against the per-pattern reference -------
+
+def _oracle_pattern_prob(g, x_val, y, coords, bits):
+    total = F(0)
+    for t in y.support():
+        if all(g.eval(x_val[i], t[i]) == z for i, z in zip(coords, bits)):
+            total += y.mass[t]
+    return total
+
+
+def _oracle_subsets(k):
+    for r in range(1, k + 1):
+        yield from combinations(range(k), r)
+
+
+def oracle_is_leaking(x_val, y, g, coord_limit=3):
+    """Re-walks Y's support with Fraction sums for every (coords, bits)."""
+    k = len(x_val)
+    if k > coord_limit:
+        raise BudgetError("leaking scan free coordinates", k, coord_limit)
+    for coords in _oracle_subsets(k):
+        bound = F(1, 1 << (len(coords) + 1))
+        for bits in product((0, 1), repeat=len(coords)):
+            if _oracle_pattern_prob(g, x_val, y, coords, bits) < bound:
+                return Verdict(True, (coords, bits))
+    return Verdict(False)
+
+
+def oracle_is_sparsifying(x_val, y, g, delta_y, eps, b, coord_limit=3):
+    """Conditions and projects a DistributionTable for every (coords, bits)."""
+    delta_y, eps = F(delta_y), F(eps)
+    k = len(x_val)
+    if k > coord_limit:
+        raise BudgetError("sparsifying scan free coordinates", k, coord_limit)
+    level = delta_y - eps
+    for coords in _oracle_subsets(k):
+        rest = tuple(i for i in range(k) if i not in coords)
+        for bits in product((0, 1), repeat=len(coords)):
+            if _oracle_pattern_prob(g, x_val, y, coords, bits) == 0:
+                continue
+            cond = y.condition(
+                lambda t, c=coords, z=bits: all(
+                    g.eval(x_val[i], t[i]) == zz for i, zz in zip(c, z)
+                )
+            )
+            if not rest:
+                continue
+            witness = is_dense(project(cond, rest), level, b)
+            if not witness.dense:
+                return Verdict(True, (coords, bits, witness.violating_set,
+                                      witness.witness_maxprob))
+    return Verdict(False)
+
+
+def _weighted_table(rng, universe):
+    """Integer weights on the whole universe; zero-weight elements stay in the domain."""
+    dense = rng.random() < 0.7
+    weights = {t: rng.randrange(1, 4) if dense else rng.randrange(4) for t in universe}
+    if not any(weights.values()):
+        weights[universe[0]] = 1
+    return DistributionTable.from_weights(weights)
+
+
+# (delta_y, eps): dyadic, non-dyadic (5/12, 2/3) and non-positive (0, -1/6) levels
+_LEVELS = ((F(1), F(1, 4)), (F(1, 2), F(1, 4)), (F(2, 3), F(1, 4)),
+           (F(1), F(1, 3)), (F(1, 2), F(1, 2)), (F(1, 3), F(1, 2)))
+
+
+def test_dangerous_scans_match_oracle():
+    rng = random.Random(2)
+    gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip2")]
+    gadgets += [builtin_gadget(f"rand:2:{s}") for s in (3, 8)]
+    cases = [(g, k, 3) for g in gadgets for k in range(4)]
+    cases += [(g, 4, 4) for g in gadgets if g.b == 1]
+    seen = {"leaking": 0, "sparsifying": 0, "safe": 0}
+    compared = 0
+    for g, k, limit in cases:
+        universe = list(product(range(g.side), repeat=k))
+        for _ in range(3):
+            y = _weighted_table(rng, universe)
+            xs = universe if len(universe) <= 8 else rng.sample(universe, 6)
+            for x in xs:
+                leak = is_leaking(x, y, g, limit)
+                assert leak == oracle_is_leaking(x, y, g, limit), (g, x, y)
+                for delta_y, eps in _LEVELS:
+                    args = (x, y, g, delta_y, eps, g.b, limit)
+                    spars = is_sparsifying(*args)
+                    assert spars == oracle_is_sparsifying(*args), (g, x, y, delta_y, eps)
+                    assert is_dangerous(*args) == (leak.flagged or spars.flagged)
+                    seen["leaking" if leak.flagged else
+                         "sparsifying" if spars.flagged else "safe"] += 1
+                    compared += 1
+    # every verdict class is exercised, so agreement is not vacuous
+    assert compared > 1500 and min(seen.values()) >= 100, seen
+
+
+def test_dangerous_scans_reject_out_of_range_values():
+    y = DistributionTable.uniform(list(product(range(4), repeat=2)))
+    for x in ((4, 0), (0, -1)):
+        with pytest.raises(DomainError):
+            is_leaking(x, y, IP2)
+        with pytest.raises(DomainError):
+            is_sparsifying(x, y, IP2, F(1), F(1, 4), 2)
+        with pytest.raises(DomainError):
+            is_dangerous(x, y, IP2, F(1), F(1, 4), 2)
+    y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
+    with pytest.raises(DomainError):
+        is_leaking((0, 1), y_bad, XOR)
