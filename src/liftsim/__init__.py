@@ -40,9 +40,7 @@ from .gadgets import (
     random_gadget,
     rectangle_discrepancy,
     sampling_check,
-    xor_extractor_check,
     xor_power,
-    xor_sampling_check,
 )
 from .protocols import (
     ProtocolTree,

@@ -66,6 +66,14 @@ def _load(what: str, parse, path: str):
     return _parse(what, parse, text)
 
 
+def _write(what: str, path: str, text: str) -> None:
+    """Write `text` to `path`; an unwritable path is a LiftsimError (exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise LiftsimError(f"cannot write {what} {path}: {e}") from None
+
+
 def _load_gadget(spec: str):
     if spec in BUILTIN_NAMES or spec.startswith("rand:"):
         return _parse("gadget spec", builtin_gadget, spec)
@@ -98,7 +106,7 @@ def cmd_gadget_analyze(args) -> int:
               f"disc(g^xor{m})={frac_str(r.value)} <= {frac_str(r.upper)}  "
               f"sandwich={'holds' if r.sandwich_holds else 'VIOLATED'}")
     if args.out:
-        Path(args.out).write_text(gadget_to_json(g))
+        _write("gadget table", args.out, gadget_to_json(g))
         print(f"gadget table written to {args.out}")
     return 0
 
@@ -186,7 +194,7 @@ def cmd_lift(args) -> int:
             "trunc_scaled_by_b": params.trunc_scaled_by_b,
             "density_witness_bits": params.density_witness_bits,
         }
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2))
+        _write("trace", args.out, json.dumps(doc, sort_keys=True, indent=2))
         print(f"trace written to {args.out}")
     return 0
 
@@ -201,7 +209,7 @@ def cmd_verify(args) -> int:
     report = run_corpus(spec)
     print(report.to_table())
     if args.out:
-        Path(args.out).write_text(report.to_json())
+        _write("report", args.out, report.to_json())
         print(f"report written to {args.out}")
     return 0 if report.ok else 1
 
@@ -212,7 +220,7 @@ def cmd_oracle_dt(args) -> int:
     print(f"deterministic query complexity: {depth}")
     print(f"tree depth: {tree.depth()}  query complexity: {tree.query_complexity()}")
     if args.out:
-        Path(args.out).write_text(tree_to_json(tree))
+        _write("optimal tree", args.out, tree_to_json(tree))
         print(f"optimal tree written to {args.out}")
     return 0
 

@@ -25,16 +25,14 @@ __all__ = [
     "Gadget",
     "Rectangle",
     "DiscrepancyResult",
+    "blocks_of",
     "xor_power",
-    "eval_blocks",
     "rectangle_discrepancy",
     "discrepancy",
     "check_xor_lemma",
     "XorLemmaReport",
     "extractor_check",
     "sampling_check",
-    "xor_extractor_check",
-    "xor_sampling_check",
     "random_gadget",
     "builtin_gadget",
     "BUILTIN_NAMES",
@@ -99,9 +97,10 @@ class Rectangle:
         return not self.a or not self.b
 
 
-def _split_blocks(v: int, m: int, b: int) -> Tuple[int, ...]:
+def blocks_of(v: int, n: int, b: int) -> Tuple[int, ...]:
+    """The n b-bit blocks of v, first block most significant."""
     mask = (1 << b) - 1
-    return tuple((v >> (b * (m - 1 - i))) & mask for i in range(m))
+    return tuple((v >> (b * (n - 1 - i))) & mask for i in range(n))
 
 
 def xor_power(g: Gadget, m: int) -> Gadget:
@@ -113,22 +112,15 @@ def xor_power(g: Gadget, m: int) -> Gadget:
     side = 1 << (g.b * m)
     table = []
     for x in range(side):
-        xs = _split_blocks(x, m, g.b)
+        xs = blocks_of(x, m, g.b)
         for y in range(side):
-            ys = _split_blocks(y, m, g.b)
+            ys = blocks_of(y, m, g.b)
             acc = 0
             for xi, yi in zip(xs, ys):
                 acc ^= g.eval(xi, yi)
             table.append(acc)
     name = f"{g.name}^xor{m}" if g.name else f"xor^{m}"
     return Gadget(g.b * m, table, name=name)
-
-
-def eval_blocks(g: Gadget, xs: Sequence[int], ys: Sequence[int]) -> Tuple[int, ...]:
-    """Coordinatewise outputs g(x_i, y_i) on equal-length block tuples."""
-    if len(xs) != len(ys):
-        raise DomainError("block tuples must have equal length")
-    return tuple(g.eval(x, y) for x, y in zip(xs, ys))
 
 
 def _sign_row(g: Gadget, x: int) -> Tuple[int, ...]:
@@ -281,17 +273,23 @@ def extractor_check(
     y: DistributionTable,
     eta: Fraction,
     lam: Fraction,
+    m: int = 1,
     disc_value: Fraction | None = None,
 ) -> ExtractorReport:
-    """Low discrepancy plus joint min-entropy (2-eta+lam)*log|domain| forces
-    bias(g(X,Y)) <= |domain|^(-lam); all quantities exact."""
+    """Low discrepancy of g plus joint min-entropy (2-eta+lam)*b*m forces
+    bias(g^xor m(X,Y)) <= 2^(-lam*b*m); all quantities exact.
+
+    With m > 1 copies (the XOR-power corollary) the entropy threshold gains
+    6 bits per copy.
+    """
     eta, lam = Fraction(eta), Fraction(lam)
-    s = g.b
+    b = g.b
     disc = discrepancy(g).value if disc_value is None else disc_value
-    disc_ok = cmp_pow2(disc, eta * s) <= 0
-    entropy_ok = _entropy_sum_at_least(x, y, (2 - eta + lam) * s)
-    bv = _joint_bias(g, x, y)
-    bound_bits = lam * s
+    disc_ok = cmp_pow2(disc, eta * b) <= 0
+    entropy_ok = _entropy_sum_at_least(
+        x, y, (2 - eta + lam) * m * b + (6 * m if m > 1 else 0))
+    bv = _joint_bias(xor_power(g, m), x, y)
+    bound_bits = lam * b * m
     return ExtractorReport(disc_ok, entropy_ok, bv, bound_bits, cmp_pow2(bv, bound_bits) <= 0)
 
 
@@ -319,64 +317,27 @@ def sampling_check(
     gamma: Fraction,
     lam: Fraction,
     eta: Fraction,
+    m: int = 1,
     disc_value: Fraction | None = None,
 ) -> SamplingReport:
-    """Bounds the X-mass of values whose conditional bias exceeds the
-    extractor threshold; the bad mass must stay strictly below |domain|^(-gamma)."""
-    gamma, lam, eta = Fraction(gamma), Fraction(lam), Fraction(eta)
-    s = g.b
-    disc = discrepancy(g).value if disc_value is None else disc_value
-    disc_ok = cmp_pow2(disc, eta * s) <= 0
-    entropy_ok = _entropy_sum_at_least(x, y, (2 - eta + gamma + lam) * s + 1)
-    bad = ZERO
-    for a in x.support():
-        if cmp_pow2(_conditional_bias(g, a, y), lam * s) > 0:
-            bad += x.mass[a]
-    bound_bits = gamma * s
-    return SamplingReport(disc_ok, entropy_ok, bad, bound_bits, cmp_pow2(bad, bound_bits) < 0)
+    """Bounds the X-mass of values whose conditional bias under g^xor m
+    exceeds the extractor threshold 2^(-lam*b*m); the bad mass must stay
+    strictly below 2^(-gamma*b*m).
 
-
-def xor_extractor_check(
-    g: Gadget,
-    m: int,
-    x: DistributionTable,
-    y: DistributionTable,
-    eta: Fraction,
-    lam: Fraction,
-    disc_value: Fraction | None = None,
-) -> ExtractorReport:
-    """Extractor corollary for the XOR power: entropy threshold gains 6/b and
-    the conclusion bound scales with the number of copies."""
-    eta, lam = Fraction(eta), Fraction(lam)
-    b = g.b
-    disc = discrepancy(g).value if disc_value is None else disc_value
-    disc_ok = cmp_pow2(disc, eta * b) <= 0
-    gx = xor_power(g, m)
-    entropy_ok = _entropy_sum_at_least(x, y, (2 + Fraction(6, b) - eta + lam) * m * b)
-    bv = _joint_bias(gx, x, y)
-    bound_bits = lam * b * m
-    return ExtractorReport(disc_ok, entropy_ok, bv, bound_bits, cmp_pow2(bv, bound_bits) <= 0)
-
-
-def xor_sampling_check(
-    g: Gadget,
-    m: int,
-    x: DistributionTable,
-    y: DistributionTable,
-    gamma: Fraction,
-    lam: Fraction,
-    eta: Fraction,
-    disc_value: Fraction | None = None,
-) -> SamplingReport:
+    The entropy threshold is (2-eta+gamma+lam)*b*m plus 1 bit, or plus 7 bits
+    per copy for the XOR-power corollary (m > 1).
+    """
     gamma, lam, eta = Fraction(gamma), Fraction(lam), Fraction(eta)
     b = g.b
     disc = discrepancy(g).value if disc_value is None else disc_value
     disc_ok = cmp_pow2(disc, eta * b) <= 0
+    entropy_ok = _entropy_sum_at_least(
+        x, y, (2 - eta + gamma + lam) * m * b + (7 * m if m > 1 else 1))
     gx = xor_power(g, m)
-    entropy_ok = _entropy_sum_at_least(x, y, (2 + Fraction(7, b) - eta + gamma + lam) * m * b)
+    bias_bits = lam * b * m
     bad = ZERO
     for a in x.support():
-        if cmp_pow2(_conditional_bias(gx, a, y), lam * b * m) > 0:
+        if cmp_pow2(_conditional_bias(gx, a, y), bias_bits) > 0:
             bad += x.mass[a]
     bound_bits = gamma * b * m
     return SamplingReport(disc_ok, entropy_ok, bad, bound_bits, cmp_pow2(bad, bound_bits) < 0)

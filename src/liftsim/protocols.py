@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from .dist import DistributionTable
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .errors import DomainError, InvariantError, LiftsimError
-from .gadgets import Gadget
+from .gadgets import Gadget, blocks_of
 
 __all__ = [
     "PLeaf",
@@ -25,13 +25,12 @@ __all__ = [
     "ProtocolTree",
     "RandomizedProtocol",
     "run_protocol",
+    "round_message",
     "message_distribution",
     "assert_prefix_free",
     "kraft_heavy_message",
     "canonical_protocol",
     "complexity",
-    "blocks_of",
-    "index_of_blocks",
     "protocol_to_json",
     "protocol_from_json",
     "randomized_protocol_to_json",
@@ -74,18 +73,6 @@ class ProtocolTree:
     @property
     def input_size(self) -> int:
         return 1 << (self.b * self.n)
-
-
-def blocks_of(v: int, n: int, b: int) -> Tuple[int, ...]:
-    mask = (1 << b) - 1
-    return tuple((v >> (b * (n - 1 - i))) & mask for i in range(n))
-
-
-def index_of_blocks(blocks: Sequence[int], b: int) -> int:
-    v = 0
-    for blk in blocks:
-        v = (v << b) | blk
-    return v
 
 
 def run_protocol(p: ProtocolTree, x: int, y: int):
@@ -131,6 +118,18 @@ def assert_prefix_free(messages: Sequence[str]) -> None:
             raise InvariantError(f"message set is not prefix-free: {a!r} prefixes {b!r}")
 
 
+def round_message(node: PNode, v: int):
+    """(bits the speaker of `node` sends on input v in this round, end node)."""
+    speaker = node.speaker
+    cur = node
+    msg = []
+    while isinstance(cur, PNode) and cur.speaker == speaker:
+        bit = cur.bits[v]
+        msg.append(str(bit))
+        cur = cur.children[bit]
+    return "".join(msg), cur
+
+
 def message_distribution(p: ProtocolTree, node: PNode, x: DistributionTable):
     """Distribution over the speaker's maximal same-speaker messages from `node`.
 
@@ -139,19 +138,12 @@ def message_distribution(p: ProtocolTree, node: PNode, x: DistributionTable):
     """
     if not isinstance(node, PNode):
         raise DomainError("message distribution needs an internal node")
-    speaker = node.speaker
     masses: Dict[str, Fraction] = {}
     ends: Dict[str, object] = {}
     for v in x.support():
-        cur = node
-        msg = []
-        while isinstance(cur, PNode) and cur.speaker == speaker:
-            bit = cur.bits[v]
-            msg.append(str(bit))
-            cur = cur.children[bit]
-        w = "".join(msg)
+        w, end = round_message(node, v)
+        ends[w] = end
         masses[w] = masses.get(w, Fraction(0)) + x.mass[v]
-        ends[w] = cur
     if not masses:
         raise DomainError("empty support at this node")
     assert_prefix_free(list(masses))

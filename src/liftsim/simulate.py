@@ -1,7 +1,11 @@
 """Round-by-round extraction of decision trees from communication protocols.
 
 Both engines walk the protocol one round (maximal same-speaker segment) at a
-time while maintaining a rectangle of surviving inputs:
+time while maintaining a rectangle X x Y of surviving inputs, held as the pair
+(X inputs, Y inputs) and indexed by side (0 for speaker A, 1 for B).  Every
+step shrinks one side: the speaker's (dangerous values, message, density fix
+or partition class) or the silent one (conditioning on the gadget outputs).
+A step that would empty its side leaves the rectangle as it was.  The steps:
 
   deterministic: discard dangerous values, follow a Kraft-heavy message, fix
   a maximal density-violating block set, query those coordinates, condition
@@ -29,16 +33,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dist import DistributionTable, ZERO, project
 from .errors import BudgetError, DomainError, LiftsimError
 from .exact import cmp_pow2, cmp_products, exact_log2, frac_str
-from .gadgets import Gadget
+from .gadgets import Gadget, blocks_of
 from .protocols import (
     PLeaf,
     PNode,
     ProtocolTree,
     RandomizedProtocol,
-    blocks_of,
     complexity,
     kraft_heavy_message,
     message_distribution,
+    round_message,
     run_protocol,
 )
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
@@ -236,11 +240,21 @@ def compose_eval(g: Gadget, x: int, y: int, n: int) -> int:
     return z
 
 
+def _side(speaker: str) -> int:
+    """Index of the speaker's side in the rectangle: 0 for A (X), 1 for B (Y)."""
+    return 0 if speaker == "A" else 1
+
+
+def _free_key(v: int, free: Tuple[int, ...], n: int, b: int) -> Tuple[int, ...]:
+    """The blocks of input v at the coordinates `free`, in that order."""
+    blocks = blocks_of(v, n, b)
+    return tuple(blocks[i] for i in free)
+
+
 def _free_marginal(inputs: Sequence[int], free: Tuple[int, ...], n: int, b: int) -> DistributionTable:
     weights: Dict[Tuple[int, ...], int] = {}
     for v in inputs:
-        blocks = blocks_of(v, n, b)
-        key = tuple(blocks[i] for i in free)
+        key = _free_key(v, free, n, b)
         weights[key] = weights.get(key, 0) + 1
     return DistributionTable.from_weights(weights)
 
@@ -255,25 +269,24 @@ class _DangerCache:
     """Memoizes the dangerous-value classification across rounds and branches."""
 
     def __init__(self, g: Gadget, params: LiftingParams):
-        self.g = g
-        self.gt = g.transpose()
+        # by speaker side: the gadget with the speaker's block as first input
+        self.gadgets = (g, g.transpose())
         self.params = params
         self.contexts: Dict[tuple, tuple] = {}
 
-    def context(self, speaker: str, silent: Tuple[int, ...], free: Tuple[int, ...]):
-        key = (speaker, silent, free)
+    def context(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
+        key = (side, silent, free)
         ctx = self.contexts.get(key)
         if ctx is None:
             p = self.params
             silent_free = _free_marginal(silent, free, p.n, p.b)
             delta_w = max_density(silent_free, p.b, p.density_witness_bits)[0]
-            gad = self.g if speaker == "A" else self.gt
-            ctx = (silent_free, delta_w, gad, {})
+            ctx = (silent_free, delta_w, self.gadgets[side], {})
             self.contexts[key] = ctx
         return ctx
 
-    def dangerous(self, speaker: str, silent: Tuple[int, ...], free: Tuple[int, ...], value) -> bool:
-        silent_free, delta_w, gad, memo = self.context(speaker, silent, free)
+    def dangerous(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...], value) -> bool:
+        silent_free, delta_w, gad, memo = self.context(side, silent, free)
         hit = memo.get(value)
         if hit is None:
             p = self.params
@@ -283,37 +296,35 @@ class _DangerCache:
         return hit
 
 
-def _message_of(node: PNode, v: int) -> str:
-    speaker = node.speaker
-    cur = node
-    bits = []
-    while isinstance(cur, PNode) and cur.speaker == speaker:
-        bit = cur.bits[v]
-        bits.append(str(bit))
-        cur = cur.children[bit]
-    return "".join(bits)
-
-
 class _Engine:
     """Shared state and steps for one simulation run."""
 
     def __init__(self, p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                  cache: Optional[_DangerCache] = None,
-                 state: Optional[dict] = None, rho: Optional[Restriction] = None):
+                 sets: Optional[Tuple[tuple, tuple]] = None,
+                 rho: Optional[Restriction] = None):
         _check_dims(p, g, z, params)
         self.p = p
-        self.g = g
         self.z = z
         self.params = params
         self.cache = cache or _DangerCache(g, params)
         full = tuple(range(p.input_size))
-        self.state = state if state is not None else {"xset": full, "yset": full}
+        self.sets = sets if sets is not None else (full, full)
         self.rho = rho if rho is not None else Restriction.all_free(p.n)
         self.transcript: List[str] = []
         self.rounds: List[RoundRecord] = []
         self.queries: List[Tuple[int, ...]] = []
 
     # -- step helpers ---------------------------------------------------------
+
+    def restrict(self, side: int, keep) -> bool:
+        """Keep the inputs of one side that satisfy `keep`.  When none would
+        remain, the rectangle is left unchanged and the step returns False."""
+        kept = tuple(filter(keep, self.sets[side]))
+        if not kept:
+            return False
+        self.sets = (kept, self.sets[1]) if side == 0 else (self.sets[0], kept)
+        return True
 
     def begin_round(self, node: PNode) -> RoundRecord:
         rec = RoundRecord(index=len(self.rounds) + 1, speaker=node.speaker,
@@ -325,9 +336,8 @@ class _Engine:
 
     def snapshot(self, free: Tuple[int, ...]):
         n, b = self.params.n, self.params.b
-        return (len(free),
-                _maxp_free(self.state["xset"], free, n, b),
-                _maxp_free(self.state["yset"], free, n, b))
+        xset, yset = self.sets
+        return (len(free), _maxp_free(xset, free, n, b), _maxp_free(yset, free, n, b))
 
     def _density_invariant(self, rec: RoundRecord) -> None:
         free = rec.free_before
@@ -336,10 +346,9 @@ class _Engine:
             rec.flags["invariant_silent_dense"] = True
             return
         pr = self.params
-        spk = self.state["xset"] if rec.speaker == "A" else self.state["yset"]
-        sil = self.state["yset"] if rec.speaker == "A" else self.state["xset"]
-        spk_m = _free_marginal(spk, free, pr.n, pr.b)
-        sil_m = _free_marginal(sil, free, pr.n, pr.b)
+        side = _side(rec.speaker)
+        spk_m = _free_marginal(self.sets[side], free, pr.n, pr.b)
+        sil_m = _free_marginal(self.sets[1 - side], free, pr.n, pr.b)
         rec.flags["invariant_speaker_dense"] = is_dense(spk_m, pr.delta - pr.eps, pr.b).dense
         rec.flags["invariant_silent_dense"] = is_dense(sil_m, pr.delta, pr.b).dense
 
@@ -349,42 +358,33 @@ class _Engine:
         if not free:
             rec.snapshots["after_discard"] = self.snapshot(free)
             return True
-        speaker = rec.speaker
-        spk_key = "xset" if speaker == "A" else "yset"
-        silent = self.state["yset" if speaker == "A" else "xset"]
-        _, delta_w, _, _ = self.cache.context(speaker, silent, free)
+        side = _side(rec.speaker)
+        spk_set, silent = self.sets[side], self.sets[1 - side]
+        _, delta_w, _, _ = self.cache.context(side, silent, free)
         rec.delta_witness = delta_w
         n, b = self.params.n, self.params.b
-        spk_set = self.state[spk_key]
-        value_of = {v: tuple(blocks_of(v, n, b)[i] for i in free) for v in spk_set}
+        value_of = {v: _free_key(v, free, n, b) for v in spk_set}
         distinct = sorted(set(value_of.values()))
         bad = {val for val in distinct
-               if self.cache.dangerous(speaker, silent, free, val)}
-        kept = tuple(v for v in spk_set if value_of[v] not in bad)
+               if self.cache.dangerous(side, silent, free, val)}
+        ok = self.restrict(side, lambda v: value_of[v] not in bad)
         rec.dangerous_values = tuple(sorted(bad))
-        rec.discarded_mass = Fraction(len(spk_set) - len(kept), len(spk_set))
-        if not kept:
-            rec.snapshots["after_discard"] = self.snapshot(free)
-            return False
-        self.state[spk_key] = kept
+        left = len(self.sets[side]) if ok else 0
+        rec.discarded_mass = Fraction(len(spk_set) - left, len(spk_set))
         rec.snapshots["after_discard"] = self.snapshot(free)
-        return True
+        return ok
 
     def message_table(self, node: PNode):
-        spk_key = "xset" if node.speaker == "A" else "yset"
-        table, ends = message_distribution(
-            self.p, node, DistributionTable.uniform(self.state[spk_key]))
-        return table, ends
+        return message_distribution(
+            self.p, node, DistributionTable.uniform(self.sets[_side(node.speaker)]))
 
     def take_message(self, node: PNode, rec: RoundRecord, message: str,
                      p_message: Fraction, end_node) -> object:
-        spk_key = "xset" if node.speaker == "A" else "yset"
         rec.message = message
         rec.p_message = p_message
         rec.flags["kraft_heavy"] = p_message * (1 << len(message)) >= 1
         self.transcript.append(message)
-        self.state[spk_key] = tuple(
-            v for v in self.state[spk_key] if _message_of(node, v) == message)
+        self.restrict(_side(node.speaker), lambda v: round_message(node, v)[0] == message)
         rec.snapshots["after_message"] = self.snapshot(rec.free_before)
         return end_node
 
@@ -394,15 +394,23 @@ class _Engine:
         abs_coords = tuple(free[i] for i in rel_coords)
         rec.query_coords = abs_coords
         rec.fixed_value = tuple(value)
-        if not abs_coords:
-            rec.snapshots["after_fix"] = self.snapshot(free)
-            return
-        spk_key = "xset" if rec.speaker == "A" else "yset"
+        if abs_coords:
+            n, b = self.params.n, self.params.b
+            self.restrict(_side(rec.speaker),
+                          lambda v: _free_key(v, abs_coords, n, b) == rec.fixed_value)
+        rec.snapshots["after_fix"] = self.snapshot(free)
+
+    def apply_class(self, rec: RoundRecord, part) -> None:
+        """Rand step 4: condition the speaker on a density-restoring class."""
+        rec.class_index = part.index
+        rec.p_class = part.prob
+        rec.p_geq = part.p_geq
         n, b = self.params.n, self.params.b
-        sel = dict(zip(abs_coords, value))
-        self.state[spk_key] = tuple(
-            v for v in self.state[spk_key]
-            if all(blocks_of(v, n, b)[i] == bv for i, bv in sel.items()))
+        members = set(part.members)
+        free = rec.free_before
+        self.restrict(_side(rec.speaker), lambda v: _free_key(v, free, n, b) in members)
+        rec.query_coords = tuple(free[i] for i in part.coords)
+        rec.fixed_value = tuple(part.value)
         rec.snapshots["after_fix"] = self.snapshot(free)
 
     def query_and_condition(self, rec: RoundRecord):
@@ -417,35 +425,28 @@ class _Engine:
         if not abs_coords:
             rec.snapshots["end"] = self.snapshot(self.rho.free())
             return True
-        silent_key = "yset" if rec.speaker == "A" else "xset"
-        silent = self.state[silent_key]
-        kept = []
-        for w in silent:
+        side = _side(rec.speaker)
+        gad = self.cache.gadgets[side]
+        checks = tuple(zip(abs_coords, rec.fixed_value, zbits))
+
+        def keep(w):
             wb = blocks_of(w, n, b)
-            ok = True
-            for coord, xb, bit in zip(abs_coords, rec.fixed_value, zbits):
-                out = (self.g.eval(xb, wb[coord]) if rec.speaker == "A"
-                       else self.g.eval(wb[coord], xb))
-                if out != bit:
-                    ok = False
-                    break
-            if ok:
-                kept.append(w)
-        rec.step5_prob = Fraction(len(kept), len(silent))
+            return all(gad.eval(xb, wb[coord]) == bit for coord, xb, bit in checks)
+
+        silent_size = len(self.sets[1 - side])
+        ok = self.restrict(1 - side, keep)
+        rec.step5_prob = Fraction(len(self.sets[1 - side]) if ok else 0, silent_size)
         rec.flags["nonleaking_event"] = rec.step5_prob * (1 << (len(abs_coords) + 1)) >= 1
-        if not kept:
-            rec.snapshots["end"] = self.snapshot(self.rho.free())
-            return False
-        self.state[silent_key] = tuple(kept)
         rec.snapshots["end"] = self.snapshot(self.rho.free())
-        return True
+        return ok
 
     def result(self, status: str, violation=None, output=None,
                k_product: Optional[Fraction] = None) -> SimResult:
+        xset, yset = self.sets
         return SimResult(
             status=status, violation=violation, transcript="".join(self.transcript),
             output=output, rho=self.rho.cells, queries=tuple(self.queries),
-            depth=len(self.rounds), xset=self.state["xset"], yset=self.state["yset"],
+            depth=len(self.rounds), xset=xset, yset=yset,
             rounds=self.rounds, k_product=k_product)
 
 
@@ -469,7 +470,7 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
         table, ends = eng.message_table(node)
         message = kraft_heavy_message(table)
         node = eng.take_message(node, rec, message, table.mass[message], ends[message])
-        marg = _free_marginal(eng.state["xset" if rec.speaker == "A" else "yset"],
+        marg = _free_marginal(eng.sets[_side(rec.speaker)],
                               rec.free_before, params.n, params.b) if rec.free_before else None
         if marg is not None:
             rel_coords, value, _ = density_restoring_fix(marg, params.delta, params.b)
@@ -502,31 +503,15 @@ def _sample(rng: random.Random, items):
 
 
 def _partition_for(eng: _Engine, rec: RoundRecord, partition_memo: dict):
-    spk_key = "xset" if rec.speaker == "A" else "yset"
-    key = (spk_key, eng.state[spk_key], rec.free_before)
+    side = _side(rec.speaker)
+    key = (side, eng.sets[side], rec.free_before)
     parts = partition_memo.get(key)
     if parts is None:
-        marg = _free_marginal(eng.state[spk_key], rec.free_before,
+        marg = _free_marginal(eng.sets[side], rec.free_before,
                               eng.params.n, eng.params.b)
         parts = density_restoring_partition(marg, eng.params.delta, eng.params.b)
         partition_memo[key] = parts
     return parts
-
-
-def _apply_class(eng: _Engine, rec: RoundRecord, part) -> None:
-    rec.class_index = part.index
-    rec.p_class = part.prob
-    rec.p_geq = part.p_geq
-    spk_key = "xset" if rec.speaker == "A" else "yset"
-    n, b = eng.params.n, eng.params.b
-    members = set(part.members)
-    free = rec.free_before
-    eng.state[spk_key] = tuple(
-        v for v in eng.state[spk_key]
-        if tuple(blocks_of(v, n, b)[i] for i in free) in members)
-    rec.query_coords = tuple(free[i] for i in part.coords)
-    rec.fixed_value = tuple(part.value)
-    rec.snapshots["after_fix"] = eng.snapshot(free)
 
 
 def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
@@ -559,7 +544,7 @@ def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
         if rec.free_before:
             parts = _partition_for(eng, rec, partition_memo)
             part = _sample(rng, [(pt, pt.prob) for pt in parts])
-            _apply_class(eng, rec, part)
+            eng.apply_class(rec, part)
             if eng.params.trunc_cmp(part.p_geq) < 0:
                 rec.flags["trunc_halt"] = True
                 return eng.result("error_halt_truncation",
@@ -605,7 +590,7 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
     def add(key: str, prob: Fraction) -> None:
         outcomes[key] = outcomes.get(key, ZERO) + prob
 
-    def walk(node, state, rho, transcript: str, k_product: Fraction, prob: Fraction):
+    def walk(node, sets, rho, transcript: str, k_product: Fraction, prob: Fraction):
         nonlocal branches
         branches += 1
         if branches > branch_limit:
@@ -613,19 +598,19 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
         if isinstance(node, PLeaf):
             add(transcript, prob)
             return
-        eng = _Engine(p, g, z, params, cache=cache, state=dict(state), rho=rho)
+        eng = _Engine(p, g, z, params, cache=cache, sets=sets, rho=rho)
         eng.transcript = [transcript]
         rec = eng.begin_round(node)
         if not eng.discard_dangerous(rec):
             add(f"{VIOLATION_PREFIX}step1>", prob)
             return
         table, ends = eng.message_table(node)
-        base_state = dict(eng.state)
+        base_sets = eng.sets
         for message in table.domain:
             p_msg = table.mass[message]
             if p_msg == 0:
                 continue
-            eng.state = dict(base_state)
+            eng.sets = base_sets
             eng.transcript = [transcript]
             rec_m = RoundRecord(index=rec.index, speaker=rec.speaker,
                                 free_before=rec.free_before)
@@ -637,13 +622,13 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
                 continue
             if rec.free_before:
                 parts = _partition_for(eng, rec_m, partition_memo)
-                msg_state = dict(eng.state)
+                msg_sets = eng.sets
                 for part in parts:
-                    eng.state = dict(msg_state)
+                    eng.sets = msg_sets
                     eng.rho = rho
                     rec_c = RoundRecord(index=rec.index, speaker=rec.speaker,
                                         free_before=rec.free_before)
-                    _apply_class(eng, rec_c, part)
+                    eng.apply_class(rec_c, part)
                     prob3 = prob2 * part.prob
                     if params.trunc_cmp(part.p_geq) < 0:
                         add(ERROR_TRUNCATION, prob3)
@@ -652,13 +637,12 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
                     if not eng.query_and_condition(rec_c):
                         add(f"{VIOLATION_PREFIX}step7>", prob3)
                         continue
-                    walk(nxt, eng.state, eng.rho, transcript + message, k2, prob3)
+                    walk(nxt, eng.sets, eng.rho, transcript + message, k2, prob3)
             else:
-                walk(nxt, eng.state, rho, transcript + message, k2, prob2)
+                walk(nxt, eng.sets, rho, transcript + message, k2, prob2)
 
     full = tuple(range(p.input_size))
-    walk(p.root, {"xset": full, "yset": full}, Restriction.all_free(p.n),
-         "", Fraction(1), Fraction(1))
+    walk(p.root, (full, full), Restriction.all_free(p.n), "", Fraction(1), Fraction(1))
     return DistributionTable(outcomes)
 
 

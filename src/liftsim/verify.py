@@ -50,8 +50,6 @@ from .gadgets import (
     discrepancy,
     extractor_check,
     sampling_check,
-    xor_extractor_check,
-    xor_sampling_check,
 )
 from .protocols import canonical_protocol, complexity, kraft_heavy_message
 from .simulate import (
@@ -419,12 +417,46 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
+        """Parse a spec; each section must be an object whose keys and value
+        types are those of the same section in `default_corpus_spec()`."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise LiftsimError("corpus spec must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
             raise LiftsimError(f"unknown corpus spec keys: {sorted(unknown)}")
+        if type(doc.get("seed", 0)) is not int:
+            raise LiftsimError("corpus spec key 'seed' must be an integer")
+        shipped = default_corpus_spec()
+        for section, params in doc.items():
+            template = getattr(shipped, section)
+            if params is None or not isinstance(template, dict):
+                continue
+            if not isinstance(params, dict):
+                raise LiftsimError(f"corpus spec section {section!r} must be an object")
+            for key, value in params.items():
+                if key not in template:
+                    raise LiftsimError(f"unknown key {key!r} in corpus spec section "
+                                       f"{section!r}; expected {sorted(template)}")
+                if not _fits(value, template[key]):
+                    raise LiftsimError(f"corpus spec value {section}.{key} = "
+                                       f"{json.dumps(value)} does not have the shipped "
+                                       f"form {json.dumps(template[key])}")
         return cls(**doc)
+
+
+def _fits(value, template) -> bool:
+    """Whether `value` has the JSON shape of `template`: the same type and,
+    for a list, elements shaped like the template's elements (a list of one
+    element type, e.g. [1, 2, 3]) or its positions (a mixed one, ["ip2", 1])."""
+    if type(value) is not type(template):
+        return False
+    if not isinstance(template, list) or not template:
+        return True
+    if len({type(t) for t in template}) == 1:
+        return all(_fits(v, template[0]) for v in value)
+    return len(value) == len(template) and all(map(_fits, value, template))
 
 
 def default_corpus_spec(scale: int = 1) -> CorpusSpec:
@@ -571,11 +603,11 @@ def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[Sectio
         disc_v = discrepancy(g).value
         for x in flats2:
             for y in flats2:
-                r = xor_extractor_check(g, 2, x, y, Fraction(1, 2), Fraction(1, 4),
-                                        disc_value=disc_v)
+                r = extractor_check(g, x, y, Fraction(1, 2), Fraction(1, 4), m=2,
+                                    disc_value=disc_v)
                 rep_e.record(_ext_instance(f"b1-xor2/{g.name}", r))
-                rs = xor_sampling_check(g, 2, x, y, Fraction(1, 4), Fraction(1, 4),
-                                        Fraction(1, 2), disc_value=disc_v)
+                rs = sampling_check(g, x, y, Fraction(1, 4), Fraction(1, 4),
+                                    Fraction(1, 2), m=2, disc_value=disc_v)
                 rep_s.record(_ext_instance(f"b1-xor2/{g.name}", rs))
     # seeded flat pairs at b=2
     rng = random.Random(f"{seed}/extractor-b2")

@@ -39,8 +39,6 @@ from liftsim.gadgets import (
     discrepancy,
     extractor_check,
     sampling_check,
-    xor_extractor_check,
-    xor_sampling_check,
 )
 from liftsim.protocols import canonical_protocol, complexity, kraft_heavy_message, run_protocol
 from liftsim.simulate import (
@@ -197,9 +195,9 @@ def test_criterion_04_extractor_sampling():
                   for r in range(1, 5) for s in combinations(range(4), r)]
         for x in flats2:
             for y in flats2:
-                tally(xor_extractor_check(g, 2, x, y, F(1, 2), F(1, 4), disc_value=dv))
-                tally(xor_sampling_check(g, 2, x, y, F(1, 4), F(1, 4), F(1, 2),
-                                         disc_value=dv))
+                tally(extractor_check(g, x, y, F(1, 2), F(1, 4), m=2, disc_value=dv))
+                tally(sampling_check(g, x, y, F(1, 4), F(1, 4), F(1, 2), m=2,
+                                     disc_value=dv))
     rng = random.Random("acceptance/extractor-b2")
     ip2 = builtin_gadget("ip2")
     dv = discrepancy(ip2).value

@@ -98,6 +98,11 @@ def _bad_json(root):
     return root / "bad.json"
 
 
+def _spec(root, name, doc):
+    (root / f"spec_{name}.json").write_text(json.dumps(doc))
+    return root / f"spec_{name}.json"
+
+
 # One case per class of malformed input: each is a LiftsimError (exit 2, one
 # "error:" line), never a traceback with exit 1, which means "counterexamples".
 MALFORMED = {
@@ -109,6 +114,16 @@ MALFORMED = {
         "lift", "--protocol", str(root / "absent.json"), "--gadget", "ip2", "--z", "01"],
     "lift-z-not-bits": lambda root: [
         "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "2"],
+    "verify-spec-value-type": lambda root: [
+        "verify", str(_spec(root, "value_type", {"fourier": {"count": "x"}}))],
+    "verify-spec-section-not-object": lambda root: [
+        "verify", str(_spec(root, "section_not_object", {"fourier": 5}))],
+    "verify-spec-unknown-param": lambda root: [
+        "verify", str(_spec(root, "unknown_param", {"fourier": {"cnt": 5}}))],
+    "verify-spec-seed-not-int": lambda root: [
+        "verify", str(_spec(root, "seed_not_int", {"seed": "1"}))],
+    "out-dir-missing": lambda root: [
+        "gadget", "analyze", "--gadget", "xor1", "--out", str(root / "absent" / "x.json")],
 }
 
 

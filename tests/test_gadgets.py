@@ -18,9 +18,7 @@ from liftsim.gadgets import (
     random_gadget,
     rectangle_discrepancy,
     sampling_check,
-    xor_extractor_check,
     xor_power,
-    xor_sampling_check,
 )
 
 AND = builtin_gadget("and1")
@@ -183,9 +181,9 @@ def test_extractor_sampling_implications_exhaustive_b2():
 def test_xor_corollary_checks_run():
     u = DistributionTable.uniform([(0, 0), (1, 1)])
     u = DistributionTable.uniform(range(4))
-    r = xor_extractor_check(XOR, 2, u, u, F(1, 2), F(1, 4))
+    r = extractor_check(XOR, u, u, F(1, 2), F(1, 4), m=2)
     assert r.implication_holds
-    rs = xor_sampling_check(XOR, 2, u, u, F(1, 4), F(1, 4), F(1, 2))
+    rs = sampling_check(XOR, u, u, F(1, 4), F(1, 4), F(1, 2), m=2)
     assert rs.implication_holds
 
 

@@ -125,19 +125,22 @@ def test_deterministic_end_to_end_certifies():
 
 
 def test_rectangle_invariant():
-    proto = canonical_instance(parity_problem(2), IP2)
-    params = det_params(2, 2)
-    for z in range(4):
-        res = lift_deterministic(proto, IP2, z, params)
-        fixed = [(i, int(ch)) for i, ch in enumerate(res.rho) if ch != "*"]
-        for x in res.xset:
-            for y in res.yset:
-                t, _, _ = run_protocol(proto, x, y)
-                assert t.startswith(res.transcript) or res.transcript.startswith(t)
-                for i, bit in fixed:
-                    xi = (x >> (2 * (1 - i))) & 3
-                    yi = (y >> (2 * (1 - i))) & 3
-                    assert IP2.eval(xi, yi) == bit
+    # rand:2:2 is not symmetric, so it tells g(x, y) from g(y, x) when the
+    # silent side is conditioned on the gadget outputs.
+    for g in (IP2, builtin_gadget("rand:2:2")):
+        proto = canonical_instance(parity_problem(2), g)
+        params = det_params(2, 2)
+        for z in range(4):
+            res = lift_deterministic(proto, g, z, params)
+            fixed = [(i, int(ch)) for i, ch in enumerate(res.rho) if ch != "*"]
+            for x in res.xset:
+                for y in res.yset:
+                    t, _, _ = run_protocol(proto, x, y)
+                    assert t.startswith(res.transcript) or res.transcript.startswith(t)
+                    for i, bit in fixed:
+                        xi = (x >> (2 * (1 - i))) & 3
+                        yi = (y >> (2 * (1 - i))) & 3
+                        assert g.eval(xi, yi) == bit
 
 
 def test_depth_invariant_and_tree_extraction():
@@ -336,3 +339,32 @@ def test_truncation_halt_positive_mass():
     dist = enumerate_output_distribution(p, parity4, 0b00, params)
     assert dist.prob(ERROR_TRUNCATION) == F(1, 256)
     assert dist.prob(ERROR_K) == 0
+
+
+def test_step1_violation_leaves_rectangle_unchanged():
+    # Bob's bit keeps y in {01, 10}; against that Y every value of Alice's
+    # at eps = 1/8, delta = 1/4 is dangerous, so step 1 of round 2 would
+    # empty X.  The run stops there and reports X unchanged, both in the
+    # snapshot after the failed step and in the final rectangle.
+    alice = PNode("A", (0, 0, 1, 1), (PLeaf(0), PLeaf(0)))
+    p = ProtocolTree(2, 1, PNode("B", (1, 0, 0, 1), (alice, PLeaf(1))))
+
+    def params(mode):
+        return LiftingParams(eta=1, c=2, h=1, b=1, n=2, mode=mode,
+                             eps=F(1, 8), delta=F(1, 4), nonstandard=True)
+
+    def assert_step1_violation(res):
+        assert res.status == "invariant_violation"
+        assert res.violation.startswith("step1")
+        rec = res.rounds[1]
+        assert rec.index == 2 and rec.discarded_mass == 1
+        assert rec.dangerous_values == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert rec.snapshots["after_discard"] == (2, F(1, 4), F(1, 2))
+        assert res.xset == (0, 1, 2, 3) and res.yset == (1, 2)
+
+    for z in range(4):
+        assert_step1_violation(lift_deterministic(p, XOR, z, params("det")))
+        assert_step1_violation(lift_randomized(p, XOR, z, params("rand"), seed=1))
+        assert lift_randomized(p, XOR, z, params("rand"), seed=0).status == "done"
+        dist = enumerate_output_distribution(p, XOR, z, params("rand"))
+        assert dist.mass == {"1": F(1, 2), "<VIOLATION:step1>": F(1, 2)}
