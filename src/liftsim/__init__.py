@@ -28,7 +28,14 @@ from .dtrees import (
     run_tree,
     solves,
 )
-from .errors import BudgetError, DomainError, InvariantError, LiftsimError, NullEventError
+from .errors import (
+    BudgetError,
+    DomainError,
+    FormatError,
+    InvariantError,
+    LiftsimError,
+    NullEventError,
+)
 from .exact import cmp_pow2, cmp_products, frac_decimal, frac_str, log2_bounds
 from .gadgets import (
     Gadget,

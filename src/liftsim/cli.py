@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dtrees import brute_force_Ddt, problem_from_json, tree_to_json
-from .errors import LiftsimError
+from .errors import LiftsimError, malformed
 from .exact import frac_decimal, frac_str, parse_frac
 from .gadgets import (
     BUILTIN_NAMES,
@@ -45,16 +45,14 @@ from .simulate import (
     lift_randomized_protocol,
     reference_distribution,
 )
-from .dist import align_domains, statistical_distance
+from .dist import DistributionTable, align_domains, statistical_distance
 from .verify import CorpusSpec, default_corpus_spec, run_corpus
 
 
 def _parse(what: str, parse, text: str):
-    """parse(text); malformed input is a LiftsimError, i.e. exit code 2, not 1."""
-    try:
+    """parse(text); malformed input is a FormatError, i.e. exit code 2, not 1."""
+    with malformed(what):
         return parse(text)
-    except (LookupError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise LiftsimError(f"malformed {what}: {type(e).__name__}: {e}") from None
 
 
 def _load(what: str, parse, path: str):
@@ -170,13 +168,8 @@ def cmd_lift(args) -> int:
             _print_frac("error-halt mass (truncation)", err_t)
             _print_frac("2^-b bound", Fraction(1, 1 << proto.b))
             if mixture is not None:
-                mixed = {}
-                for w, comp in mixture.components:
-                    r = reference_distribution(comp, g, z)
-                    for key in r.domain:
-                        mixed[key] = mixed.get(key, Fraction(0)) + w * r.mass[key]
-                from .dist import DistributionTable
-                ref = DistributionTable(mixed)
+                ref = DistributionTable.mixture(
+                    (w, reference_distribution(comp, g, z)) for w, comp in mixture.components)
             else:
                 ref = reference_distribution(proto, g, z)
             a, bb = align_domains(dist, ref)

@@ -1,8 +1,12 @@
 """Exact probability tables, min-entropy, statistical distance, Fourier tools.
 
-A :class:`DistributionTable` carries an ordered domain and exact rational
-masses summing to one.  Two element conventions are used throughout the
-library:
+A :class:`DistributionTable` carries an ordered domain and integer weights
+over one integer total: the probability of x is ``weights[x] / total``.
+The tables the simulations and scans build are count tables over a
+rectangle, or marginals and conditionings of one, so ``project``,
+``condition``, ``support`` and ``maxprob`` run on ints; a
+:class:`~fractions.Fraction` is built only when a probability leaves the API.  Two element conventions are used
+throughout the library:
 
 * boolean cubes {0,1}^m: elements are ints in [0, 2^m); bit i of the string
   (1-indexed, leftmost first in written form) is bit (m-1-i) of the int, so
@@ -15,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DomainError, NullEventError
-from .exact import cmp_pow2, sign
+from .exact import cmp_pow2
 
 __all__ = [
     "DistributionTable",
@@ -35,121 +41,181 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+_first = itemgetter(0)
+
+
+def _integer_weights(values: Mapping) -> Tuple[dict, int]:
+    """(int weights in domain order, scale): each exact rational value times
+    the lcm `scale` of their denominators, which is 1 when all are ints."""
+    items = sorted(values.items(), key=_first)
+    scale = 1
+    if not all(type(v) is int for _, v in items):
+        items = [(k, Fraction(v)) for k, v in items]
+        scale = lcm(*(f.denominator for _, f in items))
+        items = [(k, f.numerator * (scale // f.denominator)) for k, f in items]
+    weights = dict(items)
+    if len(weights) != len(items):
+        raise DomainError("domain elements must be distinct")
+    if weights and min(weights.values()) < 0:
+        bad = next(k for k, w in weights.items() if w < 0)
+        raise DomainError(f"negative mass at {bad!r}")
+    return weights, scale
+
+
+def _table(weights: dict, total: int) -> "DistributionTable":
+    """A table from nonnegative int weights, already in domain order, summing to `total`."""
+    d = object.__new__(DistributionTable)
+    d.domain = tuple(weights)
+    d.weights = weights
+    d.total = total
+    return d
 
 
 class DistributionTable:
-    """Exact probability mass function over an ordered finite domain."""
+    """Exact probability mass function over an ordered finite domain.
 
-    __slots__ = ("domain", "mass")
+    `weights` maps each domain element to an int >= 0 and `total` is their
+    (positive) sum.  Two tables are equal when they have the same domain and
+    the same probabilities, whatever their totals.
+    """
+
+    __slots__ = ("domain", "weights", "total")
 
     def __init__(self, masses: Mapping):
-        items = sorted(masses.items(), key=lambda kv: kv[0])
-        domain = tuple(k for k, _ in items)
-        if len(set(domain)) != len(domain):
-            raise DomainError("domain elements must be distinct")
-        table = {}
-        total = ZERO
-        for k, v in items:
-            v = Fraction(v)
-            if v < 0:
-                raise DomainError(f"negative mass at {k!r}")
-            table[k] = v
-            total += v
-        if total != 1:
-            raise DomainError(f"masses must sum to 1 exactly, got {total}")
-        self.domain = domain
-        self.mass = table
+        """From exact rational masses summing to 1 (ints, Fractions, or
+        anything `Fraction` accepts), held over the lcm of their denominators."""
+        weights, total = _integer_weights(masses)
+        weight_sum = sum(weights.values())
+        if weight_sum != total:
+            raise DomainError(
+                f"masses must sum to 1 exactly, got {Fraction(weight_sum, total)}")
+        self.domain = tuple(weights)
+        self.weights = weights
+        self.total = total
 
     @classmethod
     def uniform(cls, domain: Iterable) -> "DistributionTable":
-        dom = list(domain)
+        dom = sorted(domain)
         if not dom:
             raise DomainError("uniform distribution needs a nonempty domain")
-        p = Fraction(1, len(dom))
-        return cls({x: p for x in dom})
+        weights = dict.fromkeys(dom, 1)
+        if len(weights) != len(dom):
+            raise DomainError("domain elements must be distinct")
+        return _table(weights, len(dom))
 
     @classmethod
     def point(cls, element, domain: Iterable = ()) -> "DistributionTable":
-        masses = {x: ZERO for x in domain}
-        masses[element] = ONE
-        return cls(masses)
+        return cls.from_weights({**dict.fromkeys(domain, 0), element: 1})
 
     @classmethod
     def from_weights(cls, weights: Mapping) -> "DistributionTable":
-        total = sum(Fraction(w) for w in weights.values())
+        """The table proportional to nonnegative weights (ints or exact
+        rationals); int weights are kept as they are, over their sum."""
+        weights, _ = _integer_weights(weights)
+        total = sum(weights.values())
         if total <= 0:
             raise DomainError("weights must have positive total")
-        return cls({k: Fraction(w) / total for k, w in weights.items()})
+        return _table(weights, total)
+
+    @classmethod
+    def mixture(cls, components: Iterable) -> "DistributionTable":
+        """sum_i w_i * d_i over the union of the domains, for (w_i, d_i)
+        pairs whose exact weights w_i sum to 1."""
+        parts = [(Fraction(w) / d.total, d) for w, d in components]
+        scale = lcm(*(f.denominator for f, _ in parts))
+        weights: dict = {}
+        for f, d in parts:
+            k = f.numerator * (scale // f.denominator)
+            for x, w in d.weights.items():
+                weights[x] = weights.get(x, 0) + k * w
+        table = cls.from_weights(weights)
+        if table.total != scale:
+            raise DomainError("mixture weights must sum to 1 exactly")
+        return table
+
+    @property
+    def mass(self) -> dict:
+        """element -> probability as a Fraction; a new dict on every read."""
+        total = self.total
+        return {x: Fraction(w, total) for x, w in self.weights.items()}
 
     def __len__(self) -> int:
         return len(self.domain)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DistributionTable)
-            and self.domain == other.domain
-            and self.mass == other.mass
-        )
+        if not isinstance(other, DistributionTable) or self.domain != other.domain:
+            return False
+        t1, t2, w2 = self.total, other.total, other.weights
+        return all(w * t2 == w2[x] * t1 for x, w in self.weights.items())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v}" for k, v in self.mass.items())
         return f"DistributionTable({{{inner}}})"
 
     def prob(self, element) -> Fraction:
-        return self.mass.get(element, ZERO)
+        return Fraction(self.weights.get(element, 0), self.total)
 
     def support(self) -> Tuple:
-        return tuple(x for x in self.domain if self.mass[x] > 0)
+        return tuple(x for x, w in self.weights.items() if w)
 
     def maxprob(self) -> Fraction:
-        return max(self.mass.values())
+        return Fraction(max(self.weights.values()), self.total)
 
     def event_prob(self, event: Callable) -> Fraction:
-        return sum((self.mass[x] for x in self.domain if event(x)), ZERO)
+        return Fraction(sum(w for x, w in self.weights.items() if event(x)), self.total)
 
     def condition(self, event) -> "DistributionTable":
         """Condition on an event (predicate or collection of elements)."""
         if not callable(event):
-            members = set(event)
-            event = members.__contains__
-        kept = [x for x in self.domain if event(x)]
-        total = sum((self.mass[x] for x in kept), ZERO)
+            event = set(event).__contains__
+        kept = {x: w for x, w in self.weights.items() if event(x)}
+        total = sum(kept.values())
         if total == 0:
             raise NullEventError("conditioning on null event")
-        return DistributionTable({x: self.mass[x] / total for x in kept})
+        return _table(kept, total)
 
 
 def project(d: DistributionTable, coords: Sequence[int]) -> DistributionTable:
     """Marginal of a tuple-element table onto the given coordinates (sorted)."""
     coords = tuple(sorted(coords))
+    if len(coords) == 1:
+        i = coords[0]
+
+        def key(x):
+            return (x[i],)
+    elif coords:
+        key = itemgetter(*coords)
+    else:
+        def key(x):
+            return ()
     out: dict = {}
-    for x in d.domain:
-        key = tuple(x[i] for i in coords)
-        out[key] = out.get(key, ZERO) + d.mass[x]
-    return DistributionTable(out)
+    get = out.get
+    for x, w in d.weights.items():
+        k = key(x)
+        out[k] = get(k, 0) + w
+    return _table(dict(sorted(out.items(), key=_first)), d.total)
 
 
 def statistical_distance(d1: DistributionTable, d2: DistributionTable) -> Fraction:
     """Exact total variation distance (half the L1 distance)."""
     if d1.domain != d2.domain:
         raise DomainError("statistical distance requires identical domains")
-    return sum((abs(d1.mass[x] - d2.mass[x]) for x in d1.domain), ZERO) / 2
+    t1, t2, w2 = d1.total, d2.total, d2.weights
+    return Fraction(sum(abs(w * t2 - w2[x] * t1) for x, w in d1.weights.items()), 2 * t1 * t2)
 
 
 def align_domains(d1: DistributionTable, d2: DistributionTable):
     """Extend both tables with zero mass onto the union domain."""
     union = sorted(set(d1.domain) | set(d2.domain))
-    e1 = DistributionTable({x: d1.prob(x) for x in union})
-    e2 = DistributionTable({x: d2.prob(x) for x in union})
-    return e1, e2
+    return tuple(_table({x: d.weights.get(x, 0) for x in union}, d.total) for d in (d1, d2))
 
 
 def bias(d: DistributionTable) -> Fraction:
     """|Pr[V=0] - Pr[V=1]| for a table over a subset of {0,1}."""
     if not set(d.domain) <= {0, 1}:
         raise DomainError("bias requires a boolean domain")
-    return abs(d.prob(0) - d.prob(1))
+    return Fraction(abs(d.weights.get(0, 0) - d.weights.get(1, 0)), d.total)
 
 
 def min_entropy_at_least(d: DistributionTable, q: Fraction) -> bool:
@@ -179,11 +245,8 @@ def fourier_coefficient(d: DistributionTable, m: int, coords: Iterable[int]) -> 
     the XOR of the selected bits, and the empty set gives exactly 2**(-m).
     """
     smask = _coords_to_mask(coords, m)
-    total = ZERO
-    for z in d.domain:
-        mu = d.mass[z]
-        total += -mu if _parity(z, smask) else mu
-    return total / (1 << m)
+    signed = sum(-w if _parity(z, smask) else w for z, w in d.weights.items())
+    return Fraction(signed, d.total << m)
 
 
 def fourier_inversion(coeffs: Mapping[Tuple[int, ...], Fraction], m: int) -> DistributionTable:
@@ -201,8 +264,8 @@ def fourier_inversion(coeffs: Mapping[Tuple[int, ...], Fraction], m: int) -> Dis
 def xor_bias(d: DistributionTable, m: int, coords: Iterable[int]) -> Fraction:
     """Exact bias of the XOR of the selected bits."""
     smask = _coords_to_mask(coords, m)
-    p0 = sum((d.mass[z] for z in d.domain if not _parity(z, smask)), ZERO)
-    return abs(2 * p0 - 1)
+    w0 = sum(w for z, w in d.weights.items() if not _parity(z, smask))
+    return Fraction(abs(2 * w0 - d.total), d.total)
 
 
 def subsets_by_size(k: int, nonempty: bool = False):
@@ -274,6 +337,5 @@ def vazirani_minentropy_check(d: DistributionTable, m: int, t: int) -> VaziraniR
             hypothesis = False
             worst = ("bias", coords, bv, bound)
             break
-    p = d.maxprob()
-    conclusion = sign(p * (1 << (m - 1)) - m ** t) <= 0
+    conclusion = max(d.weights.values()) << (m - 1) <= m ** t * d.total
     return VaziraniReport(hypothesis, conclusion, worst)

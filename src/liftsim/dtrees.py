@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .errors import BudgetError, DomainError, LiftsimError
+from .errors import BudgetError, DomainError, FormatError, malformed
 
 __all__ = [
     "DLeaf",
@@ -240,16 +240,14 @@ def problem_to_json(p: SearchProblem) -> str:
 
 
 def problem_from_json(text: str) -> SearchProblem:
-    try:
+    with malformed("search problem file"):
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise LiftsimError(f"search problem file is not valid JSON: {e}") from None
-    n = int(doc["n"])
-    outputs = list(doc["outputs"])
-    table = [frozenset()] * (1 << n)
-    for key, vals in doc["table"].items():
-        z = int(key, 2)
-        table[z] = frozenset(int(v) for v in vals)
+        n = int(doc["n"])
+        outputs = list(doc["outputs"])
+        table = [frozenset()] * (1 << n)
+        for key, vals in doc["table"].items():
+            z = int(key, 2)
+            table[z] = frozenset(int(v) for v in vals)
     return SearchProblem(n, outputs, table)
 
 
@@ -272,10 +270,11 @@ def _tree_node_from_obj(obj):
     queries = tuple(int(q) for q in obj["queries"])
     children = tuple(_tree_node_from_obj(c) for c in obj["children"])
     if len(children) != 1 << len(queries):
-        raise LiftsimError("decision tree node degree does not match its query set")
+        raise FormatError("decision tree node degree does not match its query set")
     return DNode(queries, children)
 
 
 def tree_from_json(text: str) -> ParallelDecisionTree:
-    doc = json.loads(text)
-    return ParallelDecisionTree(int(doc["n"]), _tree_node_from_obj(doc["tree"]))
+    with malformed("decision tree file"):
+        doc = json.loads(text)
+        return ParallelDecisionTree(int(doc["n"]), _tree_node_from_obj(doc["tree"]))

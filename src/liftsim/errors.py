@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from contextlib import contextmanager
+
 
 class LiftsimError(Exception):
     """Base class for all library errors."""
@@ -7,6 +9,10 @@ class LiftsimError(Exception):
 
 class DomainError(LiftsimError):
     """Mismatched or invalid domains (e.g. comparing distributions over different supports)."""
+
+
+class FormatError(LiftsimError):
+    """Malformed input text: a file or field that does not parse into its object."""
 
 
 class NullEventError(LiftsimError):
@@ -25,3 +31,12 @@ class BudgetError(LiftsimError):
 
 class InvariantError(LiftsimError):
     """An internal invariant that is a theorem was violated; indicates a bug or bad input."""
+
+
+@contextmanager
+def malformed(what: str):
+    """Re-raise what parsing `what` raises for bad input as a FormatError."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as e:
+        raise FormatError(f"malformed {what}: {type(e).__name__}: {e}") from None

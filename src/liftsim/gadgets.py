@@ -15,10 +15,11 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
-from .dist import DistributionTable, ZERO
-from .errors import BudgetError, DomainError, LiftsimError
+from .dist import DistributionTable
+from .errors import BudgetError, DomainError, FormatError, LiftsimError, malformed
 from .exact import cmp_pow2
 
 __all__ = [
@@ -104,23 +105,31 @@ def blocks_of(v: int, n: int, b: int) -> Tuple[int, ...]:
 
 
 def xor_power(g: Gadget, m: int) -> Gadget:
-    """Parity of m independent copies, as a gadget on b*m-bit blocks."""
+    """Parity of m independent copies, as a gadget on b*m-bit blocks.
+
+    Powers are memoised by the base gadget's value and name (a Gadget is
+    unhashable), so callers share the returned gadget and must not mutate it.
+    """
     if m < 1:
         raise DomainError("xor power needs m >= 1")
     if m == 1:
         return g
-    side = 1 << (g.b * m)
-    table = []
-    for x in range(side):
-        xs = blocks_of(x, m, g.b)
-        for y in range(side):
-            ys = blocks_of(y, m, g.b)
+    return _xor_power(g.b, g.table, g.name, m)
+
+
+@lru_cache(maxsize=32)
+def _xor_power(b: int, table: Tuple[int, ...], name: str, m: int) -> Gadget:
+    side_b = 1 << b
+    blocks = [blocks_of(v, m, b) for v in range(1 << (b * m))]
+    out = []
+    for xs in blocks:
+        rows = [xi * side_b for xi in xs]
+        for ys in blocks:
             acc = 0
-            for xi, yi in zip(xs, ys):
-                acc ^= g.eval(xi, yi)
-            table.append(acc)
-    name = f"{g.name}^xor{m}" if g.name else f"xor^{m}"
-    return Gadget(g.b * m, table, name=name)
+            for row, yi in zip(rows, ys):
+                acc ^= table[row + yi]
+            out.append(acc)
+    return Gadget(b * m, out, name=f"{name}^xor{m}" if name else f"xor^{m}")
 
 
 def _sign_row(g: Gadget, x: int) -> Tuple[int, ...]:
@@ -251,20 +260,21 @@ def _entropy_sum_at_least(x: DistributionTable, y: DistributionTable, bits: Frac
     return cmp_pow2(x.maxprob() * y.maxprob(), bits) <= 0
 
 
+def _zero_weight(g: Gadget, a: int, y: DistributionTable) -> int:
+    """Y's weight on {c : g(a, c) = 0}, over y.total."""
+    row = a * g.side
+    table = g.table
+    return sum(w for c, w in y.weights.items() if w and table[row + c] == 0)
+
+
 def _joint_bias(g: Gadget, x: DistributionTable, y: DistributionTable) -> Fraction:
-    p0 = ZERO
-    for a in x.support():
-        row = a * g.side
-        for c in y.support():
-            if g.table[row + c] == 0:
-                p0 += x.mass[a] * y.mass[c]
-    return abs(2 * p0 - 1)
+    w0 = sum(w * _zero_weight(g, a, y) for a, w in x.weights.items() if w)
+    total = x.total * y.total
+    return Fraction(abs(2 * w0 - total), total)
 
 
 def _conditional_bias(g: Gadget, a: int, y: DistributionTable) -> Fraction:
-    row = a * g.side
-    p0 = sum((y.mass[c] for c in y.support() if g.table[row + c] == 0), ZERO)
-    return abs(2 * p0 - 1)
+    return Fraction(abs(2 * _zero_weight(g, a, y) - y.total), y.total)
 
 
 def extractor_check(
@@ -335,10 +345,9 @@ def sampling_check(
         x, y, (2 - eta + gamma + lam) * m * b + (7 * m if m > 1 else 1))
     gx = xor_power(g, m)
     bias_bits = lam * b * m
-    bad = ZERO
-    for a in x.support():
-        if cmp_pow2(_conditional_bias(gx, a, y), bias_bits) > 0:
-            bad += x.mass[a]
+    bad = Fraction(sum(w for a, w in x.weights.items()
+                       if w and cmp_pow2(_conditional_bias(gx, a, y), bias_bits) > 0),
+                   x.total)
     bound_bits = gamma * b * m
     return SamplingReport(disc_ok, entropy_ok, bad, bound_bits, cmp_pow2(bad, bound_bits) < 0)
 
@@ -396,20 +405,18 @@ def gadget_to_json(g: Gadget) -> str:
 
 
 def gadget_from_json(text: str) -> Gadget:
-    try:
+    with malformed("gadget file"):
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise LiftsimError(f"gadget file is not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or "b" not in doc or "rows" not in doc:
-        raise LiftsimError("gadget file must be an object with keys 'b' and 'rows'")
-    b = int(doc["b"])
-    side = 1 << b
-    rows = doc["rows"]
-    if len(rows) != side:
-        raise LiftsimError(f"expected {side} rows, got {len(rows)}")
-    table = []
-    for i, row in enumerate(rows):
-        if len(row) != side or any(ch not in "01" for ch in row):
-            raise LiftsimError(f"row {i} must be a bitstring of length {side}")
-        table.extend(int(ch) for ch in row)
+        if not isinstance(doc, dict) or "b" not in doc or "rows" not in doc:
+            raise FormatError("gadget file must be an object with keys 'b' and 'rows'")
+        b = int(doc["b"])
+        side = 1 << b
+        rows = doc["rows"]
+        if len(rows) != side:
+            raise FormatError(f"expected {side} rows, got {len(rows)}")
+        table = []
+        for i, row in enumerate(rows):
+            if len(row) != side or any(ch not in "01" for ch in row):
+                raise FormatError(f"row {i} must be a bitstring of length {side}")
+            table.extend(int(ch) for ch in row)
     return Gadget(b, table)

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .dist import DistributionTable
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
-from .errors import DomainError, InvariantError, LiftsimError
+from .errors import DomainError, FormatError, InvariantError, malformed
 from .gadgets import Gadget, blocks_of
 
 __all__ = [
@@ -138,16 +138,17 @@ def message_distribution(p: ProtocolTree, node: PNode, x: DistributionTable):
     """
     if not isinstance(node, PNode):
         raise DomainError("message distribution needs an internal node")
-    masses: Dict[str, Fraction] = {}
+    weights: Dict[str, int] = {}
     ends: Dict[str, object] = {}
-    for v in x.support():
-        w, end = round_message(node, v)
-        ends[w] = end
-        masses[w] = masses.get(w, Fraction(0)) + x.mass[v]
-    if not masses:
+    for v, weight in x.weights.items():
+        if weight:
+            w, end = round_message(node, v)
+            ends[w] = end
+            weights[w] = weights.get(w, 0) + weight
+    if not weights:
         raise DomainError("empty support at this node")
-    assert_prefix_free(list(masses))
-    return DistributionTable(masses), ends
+    assert_prefix_free(list(weights))
+    return DistributionTable.from_weights(weights), ends
 
 
 def kraft_heavy_message(d: DistributionTable) -> str:
@@ -156,9 +157,11 @@ def kraft_heavy_message(d: DistributionTable) -> str:
     Existence is a theorem for prefix-free supports, so a miss raises an
     invariant error rather than returning a sentinel.
     """
-    support = [w for w in d.domain if d.mass[w] > 0]
+    weights, total = d.weights, d.total
+    support = d.support()
     assert_prefix_free(support)
-    qualifiers = [w for w in support if d.mass[w] * (1 << len(w)) >= 1]
+    # Pr[w] >= 2**(-|w|), on integers
+    qualifiers = [w for w in support if weights[w] << len(w) >= total]
     if not qualifiers:
         raise InvariantError("no Kraft-heavy message; support cannot be prefix-free")
     return min(qualifiers, key=lambda w: (len(w), w))
@@ -252,23 +255,22 @@ def _node_from_obj(obj, size: int):
         return PLeaf(obj["leaf"])
     speaker = obj["speaker"]
     if speaker not in ("A", "B"):
-        raise LiftsimError(f"speaker must be 'A' or 'B', got {speaker!r}")
+        raise FormatError(f"speaker must be 'A' or 'B', got {speaker!r}")
     bits = tuple(int(v) for v in obj["bit_map"])
     if len(bits) != size or any(v not in (0, 1) for v in bits):
-        raise LiftsimError(f"bit_map must list {size} bits")
+        raise FormatError(f"bit_map must list {size} bits")
     children = obj["children"]
     if len(children) != 2:
-        raise LiftsimError("internal nodes need exactly two children")
+        raise FormatError("internal nodes need exactly two children")
     return PNode(speaker, bits, tuple(_node_from_obj(c, size) for c in children))
 
 
 def protocol_from_json(text: str) -> ProtocolTree:
-    try:
+    with malformed("protocol file"):
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise LiftsimError(f"protocol file is not valid JSON: {e}") from None
-    n, b = int(doc["n"]), int(doc["b"])
-    return ProtocolTree(n, b, _node_from_obj(doc["tree"], 1 << (b * n)))
+        n, b = int(doc["n"]), int(doc["b"])
+        root = _node_from_obj(doc["tree"], 1 << (b * n))
+    return ProtocolTree(n, b, root)
 
 
 def randomized_protocol_to_json(rp: RandomizedProtocol) -> str:
@@ -280,10 +282,11 @@ def randomized_protocol_to_json(rp: RandomizedProtocol) -> str:
 
 
 def randomized_protocol_from_json(text: str) -> RandomizedProtocol:
-    doc = json.loads(text)
-    comps = []
-    for item in doc["components"]:
-        w = Fraction(item["weight"])
-        p = protocol_from_json(json.dumps(item["protocol"]))
-        comps.append((w, p))
+    with malformed("randomized protocol file"):
+        doc = json.loads(text)
+        comps = []
+        for item in doc["components"]:
+            w = Fraction(item["weight"])
+            p = protocol_from_json(json.dumps(item["protocol"]))
+            comps.append((w, p))
     return RandomizedProtocol(tuple(comps))

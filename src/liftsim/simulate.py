@@ -469,13 +469,13 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
                               "step1: every surviving value is dangerous")
         table, ends = eng.message_table(node)
         message = kraft_heavy_message(table)
-        node = eng.take_message(node, rec, message, table.mass[message], ends[message])
+        node = eng.take_message(node, rec, message, table.prob(message), ends[message])
         marg = _free_marginal(eng.sets[_side(rec.speaker)],
                               rec.free_before, params.n, params.b) if rec.free_before else None
         if marg is not None:
             rel_coords, value, _ = density_restoring_fix(marg, params.delta, params.b)
             if rel_coords:
-                rec.heavy_value_prob = project(marg, rel_coords).mass[tuple(value)]
+                rec.heavy_value_prob = project(marg, rel_coords).prob(tuple(value))
                 rec.flags["heavy_value"] = cmp_pow2(
                     rec.heavy_value_prob,
                     params.delta * params.b * len(rel_coords)) > 0
@@ -533,10 +533,11 @@ def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                               "step1: every surviving value is dangerous",
                               k_product=k_product)
         table, ends = eng.message_table(node)
-        items = [(w, table.mass[w]) for w in table.domain if table.mass[w] > 0]
+        items = [(w, table.prob(w)) for w in table.support()]
         message = _sample(rng, items)
-        k_product *= table.mass[message]
-        node = eng.take_message(node, rec, message, table.mass[message], ends[message])
+        p_msg = table.prob(message)
+        k_product *= p_msg
+        node = eng.take_message(node, rec, message, p_msg, ends[message])
         # step 3: halt when K = sum log(1/p_M) exceeds C + b
         if cmp_pow2(k_product, Fraction(cap_c + params.b)) < 0:
             rec.flags["k_halt"] = True
@@ -606,10 +607,8 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
             return
         table, ends = eng.message_table(node)
         base_sets = eng.sets
-        for message in table.domain:
-            p_msg = table.mass[message]
-            if p_msg == 0:
-                continue
+        for message in table.support():
+            p_msg = table.prob(message)
             eng.sets = base_sets
             eng.transcript = [transcript]
             rec_m = RoundRecord(index=rec.index, speaker=rec.speaker,
@@ -650,12 +649,9 @@ def enumerate_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
                                   params: LiftingParams,
                                   branch_limit: int = ENUM_BRANCH_LIMIT) -> DistributionTable:
     """Exact mixture of per-component enumerations."""
-    mix: Dict[str, Fraction] = {}
-    for w, proto in rp.components:
-        dist = enumerate_output_distribution(proto, g, z, params, branch_limit)
-        for key in dist.domain:
-            mix[key] = mix.get(key, ZERO) + w * dist.mass[key]
-    return DistributionTable(mix)
+    return DistributionTable.mixture(
+        (w, enumerate_output_distribution(proto, g, z, params, branch_limit))
+        for w, proto in rp.components)
 
 
 def reference_distribution(p: ProtocolTree, g: Gadget, z: int,
@@ -665,17 +661,15 @@ def reference_distribution(p: ProtocolTree, g: Gadget, z: int,
     if 2 * b * n > fiber_limit_bits:
         raise BudgetError("preimage enumeration input bits", 2 * b * n, fiber_limit_bits)
     size = p.input_size
-    masses: Dict[str, int] = {}
-    count = 0
+    counts: Dict[str, int] = {}
     for x in range(size):
         for y in range(size):
             if compose_eval(g, x, y, n) == z:
                 t, _, _ = run_protocol(p, x, y)
-                masses[t] = masses.get(t, 0) + 1
-                count += 1
-    if count == 0:
+                counts[t] = counts.get(t, 0) + 1
+    if not counts:
         raise LiftsimError(f"z = {z:0{n}b} has no preimage under the composed map")
-    return DistributionTable({t: Fraction(c, count) for t, c in masses.items()})
+    return DistributionTable.from_weights(counts)
 
 
 def certify_transcript(result: SimResult, p: ProtocolTree, g: Gadget, z: int):

@@ -18,11 +18,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dist import DistributionTable, ZERO, project, subsets_by_size
+from .dist import DistributionTable, project, subsets_by_size
 from .errors import BudgetError, DomainError
 from .exact import cmp_pow2, cmp_products, exact_log2
 from .gadgets import Gadget
@@ -275,12 +274,12 @@ def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
     top = max(len(c) for c in violating)
     coords = min(c for c in violating if len(c) == top)
     marg = project(x, coords)
-    heavy = marg.maxprob()
-    value = min(v for v in marg.domain if marg.mass[v] == heavy)
+    heavy = max(marg.weights.values())
+    value = min(v for v, w in marg.weights.items() if w == heavy)
     rest = tuple(i for i in range(k) if i not in coords)
     sel = dict(zip(coords, value))
     cond = x.condition(lambda t: all(t[i] == v for i, v in sel.items()))
-    reduced = project(cond, rest) if rest else DistributionTable({(): Fraction(1)})
+    reduced = project(cond, rest) if rest else DistributionTable.point(())
     return coords, value, reduced
 
 
@@ -317,9 +316,10 @@ def density_restoring_partition(
             )
         else:
             members = residual.support()
-        prob = sum((x.mass[t] for t in members), ZERO)
+        prob = Fraction(sum(x.weights[t] for t in members), x.total)
         parts.append(DensityPart(j, coords, value, members, prob, p_geq))
-        remaining = [t for t in residual.support() if t not in set(members)]
+        member_set = set(members)
+        remaining = [t for t in residual.support() if t not in member_set]
         if not remaining:
             break
         p_geq -= prob
@@ -338,26 +338,26 @@ class Verdict:
 def _pattern_rows(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget):
     """One pass over Y's support for a fixed x: (pattern, weight, y) rows and their total.
 
-    Bit k-1-i of a pattern is g(x_i, y_i); weights are integers over one
-    common total (the lcm of the support's mass denominators), so pattern
-    probabilities are weight sums over the total.
+    Bit k-1-i of a pattern is g(x_i, y_i); weights and total are Y's own
+    integer weights and total, so pattern probabilities are weight sums over
+    the total.
     """
     side = g.side
     if any(not 0 <= v < side for v in x_val):
         raise DomainError(f"inputs must lie in [0, {side})")
     cols = [dict(enumerate(g.table[v * side:(v + 1) * side])) for v in x_val]
-    support = [(t, m) for t, m in y.mass.items() if m]  # Y's support, in domain order
-    total = lcm(*(m.denominator for _, m in support))
     rows = []
-    for t, m in support:
+    for t, w in y.weights.items():  # Y's support, in domain order
+        if not w:
+            continue
         pat = 0
         for i, col in enumerate(cols):
             bit = col.get(t[i])
             if bit is None:
                 raise DomainError(f"inputs must lie in [0, {side})")
             pat = pat << 1 | bit
-        rows.append((pat, m.numerator * (total // m.denominator), t))
-    return rows, total
+        rows.append((pat, w, t))
+    return rows, y.total
 
 
 def _cube(coords: Tuple[int, ...], k: int):
@@ -462,15 +462,16 @@ def is_skewing(
             for coords_j in combinations(others, jsize):
                 yj_marg = project(y, coords_j)
                 for yj in yj_marg.support():
-                    pj = yj_marg.mass[yj]
+                    pj = yj_marg.prob(yj)
                     cond = y.condition(
                         lambda t, cj=coords_j, v=yj: all(t[i] == vv for i, vv in zip(cj, v))
                     )
-                    out_mass: Dict[Tuple[int, ...], Fraction] = {}
-                    for t in cond.support():
-                        pat = tuple(g.eval(x_val[i], t[i]) for i in coords_i)
-                        out_mass[pat] = out_mass.get(pat, ZERO) + cond.mass[t]
-                    maxp = max(out_mass.values())
+                    out_weight: Dict[Tuple[int, ...], int] = {}
+                    for t, w in cond.weights.items():
+                        if w:
+                            pat = tuple(g.eval(x_val[i], t[i]) for i in coords_i)
+                            out_weight[pat] = out_weight.get(pat, 0) + w
+                    maxp = Fraction(max(out_weight.values()), cond.total)
                     q = (
                         Fraction(len(coords_i))
                         - eps * b * len(coords_j)
@@ -514,7 +515,7 @@ def is_biasing(
             for coords_j in combinations(others, jsize):
                 yj_marg = project(y, coords_j)
                 for yj in yj_marg.support():
-                    candidates.append((coords_j, yj, yj_marg.mass[yj]))
+                    candidates.append((coords_j, yj, yj_marg.prob(yj)))
         for coords_j, yj, pj in candidates:
             size_ok = (
                 cmp_products(
@@ -533,14 +534,15 @@ def is_biasing(
                 )
             else:
                 cond = y
-            p0 = ZERO
-            for t in cond.support():
-                parity = 0
-                for i in coords_s:
-                    parity ^= g.eval(x_val[i], t[i])
-                if parity == 0:
-                    p0 += cond.mass[t]
-            bias_val = abs(2 * p0 - 1)
+            w0 = 0
+            for t, w in cond.weights.items():
+                if w:
+                    parity = 0
+                    for i in coords_s:
+                        parity ^= g.eval(x_val[i], t[i])
+                    if parity == 0:
+                        w0 += w
+            bias_val = Fraction(abs(2 * w0 - cond.total), cond.total)
             if bias_val > bias_bound:
                 return Verdict(True, (coords_s, coords_j, yj, bias_val, bias_bound))
     return Verdict(False)
@@ -571,8 +573,8 @@ def dangerous_probability(
     coord_limit: int = SCAN_COORD_LIMIT,
 ) -> Fraction:
     """Exact X-mass of dangerous values."""
-    total = ZERO
-    for x_val in x.support():
-        if is_dangerous(x_val, y, g, delta_y, eps, b, coord_limit):
-            total += x.mass[x_val]
-    return total
+    weight = 0
+    for x_val, w in x.weights.items():
+        if w and is_dangerous(x_val, y, g, delta_y, eps, b, coord_limit):
+            weight += w
+    return Fraction(weight, x.total)

@@ -41,7 +41,7 @@ from .dtrees import (
     parity_problem,
     solves,
 )
-from .errors import LiftsimError
+from .errors import FormatError, LiftsimError, malformed
 from .exact import cmp_pow2, cmp_products, frac_str
 from .gadgets import (
     Gadget,
@@ -151,13 +151,16 @@ def check_multiplicative_uniformity(
     worst = ZERO
     if free:
         size = len(free)
+        x_rows = [(xv, w) for xv, w in xf.weights.items() if w]
+        y_rows = [(yv, w) for yv, w in yf.weights.items() if w]
+        total = xf.total * yf.total
         for bits in product((0, 1), repeat=size):
-            prob = ZERO
-            for xv in xf.support():
-                for yv in yf.support():
+            weight = 0
+            for xv, wx in x_rows:
+                for yv, wy in y_rows:
                     if all(g.eval(xv[i], yv[i]) == bit for i, bit in enumerate(bits)):
-                        prob += xf.mass[xv] * yf.mass[yv]
-            deviation = abs(prob * (1 << size) - 1)
+                        weight += wx * wy
+            deviation = Fraction(abs((weight << size) - total), total)
             worst = max(worst, deviation)
     conclusion = cmp_pow2(worst, gamma * b) <= 0
     verdict = "FAIL" if hypothesis and not conclusion else ("pass" if hypothesis else "vacuous")
@@ -206,14 +209,13 @@ def check_uniform_marginals(
     ]
     if not pairs:
         raise LiftsimError("empty preimage intersection; the lemma does not apply")
-    fiber_x: Dict[Tuple[int, ...], Fraction] = {v: ZERO for v in x.domain}
-    fiber_y: Dict[Tuple[int, ...], Fraction] = {v: ZERO for v in y.domain}
-    share = Fraction(1, len(pairs))
+    fiber_x: Dict[Tuple[int, ...], int] = dict.fromkeys(x.domain, 0)
+    fiber_y: Dict[Tuple[int, ...], int] = dict.fromkeys(y.domain, 0)
     for xv, yv in pairs:
-        fiber_x[xv] += share
-        fiber_y[yv] += share
-    dist_x = statistical_distance(x, DistributionTable(fiber_x))
-    dist_y = statistical_distance(y, DistributionTable(fiber_y))
+        fiber_x[xv] += 1
+        fiber_y[yv] += 1
+    dist_x = statistical_distance(x, DistributionTable.from_weights(fiber_x))
+    dist_y = statistical_distance(y, DistributionTable.from_weights(fiber_y))
     worst = max(dist_x, dist_y)
     conclusion = cmp_pow2(worst, gamma * b) <= 0
     verdict = "FAIL" if hypothesis and not conclusion else ("pass" if hypothesis else "vacuous")
@@ -279,8 +281,7 @@ def seeded_distribution(rng: random.Random, domain: Sequence, max_weight: int = 
         weights = [rng.randrange(max_weight + 1) for _ in domain]
         if any(weights):
             break
-    total = sum(weights)
-    return DistributionTable({d: Fraction(w, total) for d, w in zip(domain, weights)})
+    return DistributionTable.from_weights(dict(zip(domain, weights)))
 
 
 def near_uniform_distribution(rng: random.Random, m: int) -> DistributionTable:
@@ -288,8 +289,7 @@ def near_uniform_distribution(rng: random.Random, m: int) -> DistributionTable:
     strictest Vazirani threshold at m <= 4."""
     base = 1 << 24
     weights = [base + rng.randrange(4) for _ in range(1 << m)]
-    total = sum(weights)
-    return DistributionTable({z: Fraction(w, total) for z, w in enumerate(weights)})
+    return DistributionTable.from_weights(dict(enumerate(weights)))
 
 
 def seeded_support(rng: random.Random, universe: Sequence, min_size: int = 1):
@@ -419,30 +419,31 @@ class CorpusSpec:
     def from_json(cls, text: str) -> "CorpusSpec":
         """Parse a spec; each section must be an object whose keys and value
         types are those of the same section in `default_corpus_spec()`."""
-        doc = json.loads(text)
+        with malformed("corpus spec"):
+            doc = json.loads(text)
         if not isinstance(doc, dict):
-            raise LiftsimError("corpus spec must be a JSON object")
+            raise FormatError("corpus spec must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
-            raise LiftsimError(f"unknown corpus spec keys: {sorted(unknown)}")
+            raise FormatError(f"unknown corpus spec keys: {sorted(unknown)}")
         if type(doc.get("seed", 0)) is not int:
-            raise LiftsimError("corpus spec key 'seed' must be an integer")
+            raise FormatError("corpus spec key 'seed' must be an integer")
         shipped = default_corpus_spec()
         for section, params in doc.items():
             template = getattr(shipped, section)
             if params is None or not isinstance(template, dict):
                 continue
             if not isinstance(params, dict):
-                raise LiftsimError(f"corpus spec section {section!r} must be an object")
+                raise FormatError(f"corpus spec section {section!r} must be an object")
             for key, value in params.items():
                 if key not in template:
-                    raise LiftsimError(f"unknown key {key!r} in corpus spec section "
-                                       f"{section!r}; expected {sorted(template)}")
+                    raise FormatError(f"unknown key {key!r} in corpus spec section "
+                                      f"{section!r}; expected {sorted(template)}")
                 if not _fits(value, template[key]):
-                    raise LiftsimError(f"corpus spec value {section}.{key} = "
-                                       f"{json.dumps(value)} does not have the shipped "
-                                       f"form {json.dumps(template[key])}")
+                    raise FormatError(f"corpus spec value {section}.{key} = "
+                                      f"{json.dumps(value)} does not have the shipped "
+                                      f"form {json.dumps(template[key])}")
         return cls(**doc)
 
 
@@ -665,7 +666,7 @@ def _kraft_ok(d: DistributionTable) -> bool:
         w = kraft_heavy_message(d)
     except Exception:
         return False
-    return d.mass[w] * (1 << len(w)) >= 1
+    return d.weights[w] << len(w) >= d.total
 
 
 def _section_density(seed: int, count: int = 200) -> SectionReport:

@@ -6,9 +6,13 @@ from pathlib import Path
 import pytest
 
 from liftsim.cli import main
-from liftsim.dtrees import brute_force_Ddt, parity_problem, problem_to_json
-from liftsim.gadgets import builtin_gadget
-from liftsim.protocols import canonical_protocol, protocol_to_json
+from liftsim.dtrees import (brute_force_Ddt, parity_problem, problem_from_json,
+                            problem_to_json, tree_from_json)
+from liftsim.errors import FormatError
+from liftsim.gadgets import builtin_gadget, gadget_from_json
+from liftsim.protocols import (canonical_protocol, protocol_from_json, protocol_to_json,
+                               randomized_protocol_from_json)
+from liftsim.verify import CorpusSpec
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,9 @@ MALFORMED = {
         "verify", str(_spec(root, "seed_not_int", {"seed": "1"}))],
     "out-dir-missing": lambda root: [
         "gadget", "analyze", "--gadget", "xor1", "--out", str(root / "absent" / "x.json")],
+    "problem-table-not-object": lambda root: [
+        "oracle", "dt", "--problem", str(_spec(root, "problem", {"n": 1, "outputs": [0],
+                                                                 "table": []}))],
 }
 
 
@@ -133,6 +140,36 @@ def test_malformed_input_exits_2(files, capsys, case):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in out + err
+
+
+# Called as a library, every loader reports malformed text as a FormatError
+# (a LiftsimError), never as a raw KeyError, ValueError or JSONDecodeError.
+LOADER_INPUTS = {
+    "problem_from_json": (problem_from_json, (
+        "{}", "not json", '{"n": 1, "outputs": [0], "table": []}',
+        '{"n": "x", "outputs": [], "table": {}}')),
+    "tree_from_json": (tree_from_json, (
+        "{}", "[1]", '{"n": 1, "tree": {"queries": ["q"], "children": []}}',
+        '{"n": 1, "tree": {"queries": [0], "children": [{"leaf": 0}]}}')),
+    "protocol_from_json": (protocol_from_json, (
+        "{}", "not json", '{"n": 1, "b": 1, "tree": {"speaker": "A"}}',
+        '{"n": 1, "b": 1, "tree": {"speaker": "C"}}')),
+    "randomized_protocol_from_json": (randomized_protocol_from_json, (
+        "{}", "not json", '{"components": [{"weight": "x"}]}',
+        '{"components": [{"weight": "1", "protocol": {}}]}')),
+    "CorpusSpec.from_json": (CorpusSpec.from_json, (
+        "not json", "[]", '{"fourier": {"cnt": 5}}')),
+    "gadget_from_json": (gadget_from_json, (
+        "not json", '{"b": "x", "rows": []}', '{"b": 1, "rows": 5}')),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_INPUTS))
+def test_library_loaders_raise_format_error(loader):
+    parse, texts = LOADER_INPUTS[loader]
+    for text in texts:
+        with pytest.raises(FormatError):
+            parse(text)
 
 
 def test_lift_dimension_mismatch(files, capsys):

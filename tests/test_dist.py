@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -173,3 +173,183 @@ def test_vazirani_implications_never_fail():
         for t in (1, 2):
             r = vazirani_minentropy_check(d, m, t)
             assert r.implication_holds
+
+
+# -- the integer core against a Fraction-per-element reference ------------------
+
+class RefTable:
+    """One Fraction per element, as the tables were stored before the integer core."""
+
+    def __init__(self, masses):
+        self.mass = {k: F(v) for k, v in sorted(masses.items(), key=lambda kv: kv[0])}
+        if any(v < 0 for v in self.mass.values()) or sum(self.mass.values()) != 1:
+            raise DomainError("not a distribution")
+
+    @classmethod
+    def from_weights(cls, weights):
+        total = sum(F(w) for w in weights.values())
+        return cls({k: F(w) / total for k, w in weights.items()})
+
+    def support(self):
+        return tuple(x for x, p in self.mass.items() if p)
+
+    def maxprob(self):
+        return max(self.mass.values())
+
+    def prob(self, x):
+        return self.mass.get(x, F(0))
+
+    def event_prob(self, event):
+        return sum((p for x, p in self.mass.items() if event(x)), F(0))
+
+    def condition(self, event):
+        kept = {x: p for x, p in self.mass.items() if event(x)}
+        pe = sum(kept.values(), F(0))
+        if pe == 0:
+            raise NullEventError("null event")
+        return RefTable({x: p / pe for x, p in kept.items()})
+
+    def project(self, coords):
+        out = {}
+        for x, p in self.mass.items():
+            key = tuple(x[i] for i in coords)
+            out[key] = out.get(key, F(0)) + p
+        return RefTable(out)
+
+
+def _agrees(d, ref):
+    return d.domain == tuple(ref.mass) and d.mass == ref.mass and d.total > 0
+
+
+def _random_case(rng, k):
+    """(elements, int weights) over a tuple domain for k = 1..3, an int domain for k = 0."""
+    if k:
+        universe = list(product(range(rng.choice((2, 3, 4))), repeat=k))
+    else:
+        universe = list(range(rng.randrange(1, 20)))
+    elems = rng.sample(universe, rng.randrange(1, len(universe) + 1))
+    weights = [rng.choice((0, 0, 1, 2, 3, 7, 12, 10 ** 9 + 7)) for _ in elems]
+    if not any(weights):
+        weights[rng.randrange(len(weights))] = rng.randrange(1, 5)
+    return elems, weights
+
+
+def _builds(rng, elems, weights):
+    """The same distribution entered three ways: int weights, rational
+    weights, and exact masses summing to 1."""
+    scale = F(rng.randrange(1, 9), rng.randrange(1, 9))
+    total = sum(weights)
+    yield dict(zip(elems, weights)), DistributionTable.from_weights(dict(zip(elems, weights)))
+    rational = {x: w * scale for x, w in zip(elems, weights)}
+    yield rational, DistributionTable.from_weights(rational)
+    masses = {x: F(w, total) for x, w in zip(elems, weights)}
+    yield masses, DistributionTable(masses)
+
+
+def test_integer_core_matches_fraction_reference():
+    rng = random.Random(4242)
+    tables = 0
+    for case in range(180):
+        k = case % 4
+        elems, weights = _random_case(rng, k)
+        for raw, d in _builds(rng, elems, weights):
+            tables += 1
+            ref = RefTable.from_weights(raw)
+            assert _agrees(d, ref)
+            assert d.support() == ref.support()
+            assert d.maxprob() == ref.maxprob()
+            for x in list(d.domain) + ["absent"]:
+                assert d.prob(x) == ref.prob(x)
+            chosen = set(rng.sample(d.domain, rng.randrange(len(d.domain) + 1)))
+            assert d.event_prob(chosen.__contains__) == ref.event_prob(chosen.__contains__)
+            for event in (chosen, chosen.__contains__):
+                if ref.event_prob(chosen.__contains__) == 0:
+                    with pytest.raises(NullEventError):
+                        d.condition(event)
+                else:
+                    assert _agrees(d.condition(event), ref.condition(chosen.__contains__))
+            u = DistributionTable.uniform(d.domain)
+            assert statistical_distance(d, u) == sum(
+                abs(p - F(1, len(d))) for p in ref.mass.values()) / 2
+            if not k:  # int elements below 20 are points of {0,1}^5
+                for coords in ((0,), (1, 4), (0, 2, 3)):
+                    mask = sum(1 << (4 - i) for i in coords)
+                    p0 = ref.event_prob(lambda z: (z & mask).bit_count() % 2 == 0)
+                    assert xor_bias(d, 5, coords) == abs(2 * p0 - 1)
+                    assert fourier_coefficient(d, 5, coords) == (2 * p0 - 1) / 32
+            if k:
+                for r in range(k + 1):
+                    for coords in combinations(range(k), r):
+                        assert _agrees(project(d, coords), ref.project(coords))
+                        # coordinates are taken in sorted order
+                        assert project(d, coords[::-1]) == project(d, coords)
+    assert tables >= 500
+
+
+def test_equality_is_by_value_across_totals():
+    a = DistributionTable.from_weights({"a": 2, "b": 2})
+    b = DistributionTable.from_weights({"a": 1, "b": 1})
+    assert (a.total, b.total) == (4, 2)
+    assert a == b == DistributionTable.uniform(["a", "b"])
+    assert a == DistributionTable({"a": F(1, 2), "b": F(1, 2)})
+    assert a != DistributionTable.from_weights({"a": 1, "b": 3})
+    assert a != DistributionTable.from_weights({"a": 1, "b": 1, "c": 0})  # other domain
+    assert a != {"a": F(1, 2), "b": F(1, 2)}
+    # conditioning and projection keep the parent's weights, not a reduced copy
+    d = DistributionTable.from_weights({(0, 0): 6, (0, 1): 2, (1, 1): 4})
+    assert project(d, (0,)).weights == {(0,): 8, (1,): 4}
+    assert project(d, (0,)) == DistributionTable({(0,): F(2, 3), (1,): F(1, 3)})
+    assert d.condition({(0, 0), (0, 1)}).total == 8
+
+
+def test_mass_is_a_computed_view():
+    d = DistributionTable.from_weights({0: 3, 1: 1, 2: 0})
+    view = d.mass
+    assert view == {0: F(3, 4), 1: F(1, 4), 2: F(0)}
+    view[0] = F(1)
+    assert d.mass == {0: F(3, 4), 1: F(1, 4), 2: F(0)}
+    assert d.mass is not d.mass
+    assert repr(d) == "DistributionTable({0: 3/4, 1: 1/4, 2: 0})"
+
+
+def test_mixture_matches_reference():
+    rng = random.Random(99)
+    for _ in range(50):
+        parts = []
+        for _ in range(rng.randrange(1, 4)):
+            elems, weights = _random_case(rng, rng.randrange(4))
+            parts.append(DistributionTable.from_weights(dict(zip(elems, weights))))
+        raw = [rng.randrange(1, 6) for _ in parts]
+        ws = [F(w, sum(raw)) for w in raw]
+        if len({type(d.domain[0]) for d in parts}) > 1:
+            continue  # int and tuple elements do not share one ordered domain
+        expected = {}
+        for w, d in zip(ws, parts):
+            for x, p in d.mass.items():
+                expected[x] = expected.get(x, F(0)) + w * p
+        mixed = DistributionTable.mixture(zip(ws, parts))
+        assert _agrees(mixed, RefTable(expected))
+    with pytest.raises(DomainError):
+        DistributionTable.mixture([(F(1, 2), DistributionTable.point(0))])
+
+
+def test_invalid_tables_raise():
+    with pytest.raises(DomainError):
+        DistributionTable({0: F(1, 2), 1: F(-1, 4), 2: F(3, 4)})  # negative mass
+    with pytest.raises(DomainError):
+        DistributionTable({0: F(1, 2), 1: F(1, 3)})  # sums to 5/6
+    with pytest.raises(DomainError):
+        DistributionTable({})
+    with pytest.raises(DomainError):
+        DistributionTable.from_weights({0: 0, 1: 0})
+    with pytest.raises(DomainError):
+        DistributionTable.from_weights({0: 3, 1: -1})
+    with pytest.raises(DomainError):
+        DistributionTable.from_weights({0: F(1, 2), 1: F(-1, 3)})
+    with pytest.raises(DomainError):
+        DistributionTable.uniform([])
+    d = DistributionTable.from_weights({0: 1, 1: 0, 2: 1})
+    with pytest.raises(NullEventError):
+        d.condition({1})
+    with pytest.raises(NullEventError):
+        d.condition(lambda z: z > 5)

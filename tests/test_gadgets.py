@@ -108,6 +108,51 @@ def test_xor_power():
     assert a2.table == IP2.table      # AND xor AND on two blocks is ip2
 
 
+def fresh_xor_power(g, m):
+    """Reference build, one g.eval per copy and cell, never memoised."""
+    side = 1 << (g.b * m)
+    mask = g.side - 1
+    table = []
+    for x in range(side):
+        for y in range(side):
+            acc = 0
+            for i in range(m):
+                shift = g.b * (m - 1 - i)
+                acc ^= g.eval((x >> shift) & mask, (y >> shift) & mask)
+            table.append(acc)
+    return Gadget(g.b * m, table, name=f"{g.name}^xor{m}" if g.name else f"xor^{m}")
+
+
+def test_xor_power_memo_equals_fresh_build(monkeypatch):
+    import liftsim.gadgets as gadgets
+
+    cases = [(g, m) for g in (AND, OR, XOR, random_gadget(1, 5), Gadget(1, [0, 1, 1, 1]))
+             for m in (2, 3)] + [(IP2, 2), (random_gadget(2, 9), 2)]
+    for g, m in cases:
+        first = xor_power(g, m)
+        assert xor_power(g, m) is first  # built once
+        ref = fresh_xor_power(g, m)
+        assert first == ref and first.name == ref.name
+    # ip1 and and1 share a table; each keeps its own name
+    assert xor_power(builtin_gadget("ip1"), 2).name == "ip1^xor2"
+    assert xor_power(AND, 2).name == "and1^xor2"
+    assert xor_power(Gadget(1, XOR.table), 2).name == "xor^2"
+
+    # the checkers report the same on memoised and freshly built powers
+    flats = [DistributionTable.uniform(s) for s in ((0, 1, 2), (1, 3), tuple(range(4)))]
+    flats.append(DistributionTable.from_weights({0: 3, 1: 0, 2: 1, 3: 4}))
+    args = [(g, x, y) for g in (AND, XOR, random_gadget(1, 5)) for x in flats for y in flats]
+
+    def reports():
+        return [(extractor_check(g, x, y, F(1, 2), F(1, 4), m=2),
+                 sampling_check(g, x, y, F(1, 4), F(1, 4), F(1, 2), m=2))
+                for g, x, y in args]
+
+    memoised = reports()
+    monkeypatch.setattr(gadgets, "xor_power", fresh_xor_power)
+    assert reports() == memoised
+
+
 def test_check_xor_lemma_examples():
     r = check_xor_lemma(AND, 1)
     assert r.lower == r.value == F(1, 2) and r.sandwich_holds

@@ -176,3 +176,22 @@ def test_default_spec_shape():
     spec = default_corpus_spec()
     assert spec.fourier["count"] >= 1000
     assert spec.kraft["max_len"] == 4
+
+
+# The scale-10 default corpus report at seed 2024, pinned byte for byte (the
+# same digest and FAIL count as the verify_corpus entry of
+# perfbench/golden.json).  A refactor that changes any verdict, measured value
+# or instance order changes this digest.
+SCALE10_REPORT_SHA256 = "58356490abac1a9ad0ed9c1ac3ff8e1d0a2e3d7020c65932b812a88871045ba1"
+SCALE10_BIASING_FAILS = 39
+
+
+def test_default_corpus_report_digest_pinned():
+    import hashlib
+
+    spec = default_corpus_spec(scale=10)
+    spec.seed = 2024
+    report = run_corpus(spec)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == SCALE10_REPORT_SHA256
+    fails = {s.name: s.fails for s in report.sections if s.fails}
+    assert fails == {"claim_biasing_condition": SCALE10_BIASING_FAILS}
