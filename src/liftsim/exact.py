@@ -5,9 +5,9 @@ threshold is of the form ``2**(-q)`` (or more generally a product of integer
 bases raised to rational exponents).  Those thresholds are irrational in
 general and are never materialized; instead comparisons are decided exactly:
 
-* integer exponents: plain Fraction comparison;
-* small exponent denominators: clear the root by raising both sides
-  (``p <= 2**(-a/d)  <=>  p**d <= 2**(-a)``, both sides nonnegative);
+* integer exponents and small exponent denominators: clear the root by
+  raising both sides, on integers (``num/den <= 2**(-a/d)  <=>
+  num**d * 2**a <= den**d``, both sides nonnegative);
 * huge dyadic denominators (e.g. density witnesses with 2**-12 resolution):
   certified interval arithmetic on log2, with the cleared-power comparison as
   a last-resort exact fallback.  ``2**q`` is rational only for integer ``q``,
@@ -115,19 +115,20 @@ def log2_bounds(x: Fraction, frac_bits: int) -> Tuple[Fraction, Fraction]:
 
 
 def cmp_pow2(p: Fraction, q: Fraction) -> int:
-    """Sign of p - 2**(-q), exactly, for p >= 0 and rational q."""
-    p = Fraction(p)
-    q = Fraction(q)
-    if p < 0:
+    """Sign of p - 2**(-q), exactly, for p >= 0 and rational q.
+
+    ints and Fractions are used as they are; other exact inputs (e.g. str)
+    go through ``Fraction`` first.
+    """
+    if not isinstance(p, (int, Fraction)):
+        p = Fraction(p)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    if p.numerator < 0:
         raise ValueError("cmp_pow2 expects a nonnegative left-hand side")
-    if p == 0:
+    if p.numerator == 0:
         return -1
-    d = q.denominator
-    if d == 1:
-        a = q.numerator
-        target = Fraction(1, 1 << a) if a >= 0 else Fraction(1 << -a)
-        return sign(p - target)
-    if d <= _DIRECT_DENOM_LIMIT:
+    if q.denominator <= _DIRECT_DENOM_LIMIT:
         return _cmp_pow2_cleared(p, q)
     # log2(p) vs -q; equality impossible since 2**q is irrational here
     target = -q
@@ -141,12 +142,11 @@ def cmp_pow2(p: Fraction, q: Fraction) -> int:
 
 
 def _cmp_pow2_cleared(p: Fraction, q: Fraction) -> int:
-    # p vs 2^(-a/d)  <=>  p^d vs 2^(-a), monotone since both sides >= 0
+    # num/den vs 2^(-a/d)  <=>  num^d * 2^a vs den^d, monotone since both
+    # sides are >= 0
     a, d = q.numerator, q.denominator
-    lhs = p ** d
-    if a >= 0:
-        return sign(lhs * (1 << a) - 1)
-    return sign(lhs - (1 << -a))
+    num, den = p.numerator ** d, p.denominator ** d
+    return sign((num << a) - den) if a >= 0 else sign(num - (den << -a))
 
 
 def cmp_products(

@@ -4,15 +4,19 @@ Discrepancy is maximized by exhaustive enumeration over all combinatorial
 rectangles.  Sides are subsets of the 2^s-element input domain, represented
 as bitmasks (bit i = i-th domain element in lexicographic order); rectangles
 are ordered by (A mask, B mask) and the reported witness is the first
-maximizer in that order.  The inner loop is pure integer arithmetic; the
-enumeration is a deterministic fold, so it could be split across workers
-without changing the result.
+maximizer in that order.  The scan is word-parallel and integer-only: the
+column sums of every subset of the first rows are packed one byte per
+column into a single int, so one big-int step per subset of the remaining
+rows scores all of them at once (bytes.translate splits each sum into its
+positive and negative part, shift-and-add folds sum the fields, one
+struct.unpack reads them out).
 """
 
 from __future__ import annotations
 
 import json
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +31,7 @@ __all__ = [
     "Rectangle",
     "DiscrepancyResult",
     "blocks_of",
+    "block_table",
     "xor_power",
     "rectangle_discrepancy",
     "discrepancy",
@@ -104,6 +109,12 @@ def blocks_of(v: int, n: int, b: int) -> Tuple[int, ...]:
     return tuple((v >> (b * (n - 1 - i))) & mask for i in range(n))
 
 
+@lru_cache(maxsize=16)
+def block_table(n: int, b: int) -> Tuple[Tuple[int, ...], ...]:
+    """``blocks_of(v, n, b)`` for every n*b-bit v, indexed by v (memoised)."""
+    return tuple(blocks_of(v, n, b) for v in range(1 << (n * b)))
+
+
 def xor_power(g: Gadget, m: int) -> Gadget:
     """Parity of m independent copies, as a gadget on b*m-bit blocks.
 
@@ -120,7 +131,7 @@ def xor_power(g: Gadget, m: int) -> Gadget:
 @lru_cache(maxsize=32)
 def _xor_power(b: int, table: Tuple[int, ...], name: str, m: int) -> Gadget:
     side_b = 1 << b
-    blocks = [blocks_of(v, m, b) for v in range(1 << (b * m))]
+    blocks = block_table(m, b)
     out = []
     for xs in blocks:
         rows = [xi * side_b for xi in xs]
@@ -130,10 +141,6 @@ def _xor_power(b: int, table: Tuple[int, ...], name: str, m: int) -> Gadget:
                 acc ^= table[row + yi]
             out.append(acc)
     return Gadget(b * m, out, name=f"{name}^xor{m}" if name else f"xor^{m}")
-
-
-def _sign_row(g: Gadget, x: int) -> Tuple[int, ...]:
-    return tuple(1 - 2 * g.table[x * g.side + y] for y in range(g.side))
 
 
 def rectangle_discrepancy(g: Gadget, rect: Rectangle) -> Fraction:
@@ -163,59 +170,98 @@ def _mask_to_tuple(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+# Rows split: the first _LO rows form the subsets scored together in one
+# packed word, the remaining rows are walked one subset per step.
+_LO = 10
+# Column sums are stored biased by 64, one byte each; after bytes.translate a
+# byte holds max(c, 0) (_POS) or max(-c, 0) (_NEG).
+_BIAS = 64
+_POS = bytes(max(c - _BIAS, 0) for c in range(256))
+_NEG = bytes(max(_BIAS - c, 0) for c in range(256))
+
+
 def discrepancy(g: Gadget, side_limit: int = RECT_SIDE_LIMIT) -> DiscrepancyResult:
     """Exact maximum rectangle discrepancy with a canonical witness.
 
-    For each side A (Gray-code walk keeping column sums incremental) the best
-    opposing side is the set of columns whose sums share a sign; the first
-    maximizer in (A, B) mask order is reported.
+    For a side A the best opposing side B is the set of columns whose sums
+    over A share a sign, so val(A) = max(pos, neg), the summed positive and
+    negated negative column sums.  The witness is the first maximizer in
+    (A mask, B mask) order: the smallest maximizing A, with B the columns of
+    the larger of pos and neg, or the smaller of the two masks on a tie.
+    Results are memoised by (b, table); the budget check is made every call.
     """
-    n = g.side
-    if n > side_limit:
-        raise BudgetError("rectangle enumeration side domain", n, side_limit)
-    rows = [_sign_row(g, x) for x in range(n)]
-    col = [0] * n
-    best_num = -1
-    best_pair = None  # (a_mask, b_mask)
+    if g.side > side_limit:
+        raise BudgetError("rectangle enumeration side domain", g.side, side_limit)
+    return _discrepancy(g.b, g.table)
 
-    prev = 0
-    for k in range(1 << n):
-        gray = k ^ (k >> 1)
-        diff = gray ^ prev
-        if diff:
-            x = diff.bit_length() - 1
-            row = rows[x]
-            if gray & diff:
-                for y in range(n):
-                    col[y] += row[y]
-            else:
-                for y in range(n):
-                    col[y] -= row[y]
-        prev = gray
 
-        pos = neg = 0
-        pos_mask = neg_mask = 0
-        for y in range(n):
-            c = col[y]
-            if c > 0:
-                pos += c
-                pos_mask |= 1 << y
-            elif c < 0:
-                neg -= c
-                neg_mask |= 1 << y
-        if pos > neg:
-            val, bmask = pos, pos_mask
-        elif neg > pos:
-            val, bmask = neg, neg_mask
-        else:
-            val, bmask = pos, min(pos_mask, neg_mask)
-        if val > best_num or (val == best_num and (gray, bmask) < best_pair):
-            best_num = val
-            best_pair = (gray, bmask)
+@lru_cache(maxsize=32)
+def _discrepancy(b: int, table: Tuple[int, ...]) -> DiscrepancyResult:
+    n = 1 << b
+    # signed column-sum word of each row: sum over y of (+-1) * 256**y
+    row_word = [sum((1 - 2 * table[x * n + y]) << (8 * y) for y in range(n))
+                for x in range(n)]
+    lo = min(_LO, n)
+    count = 1 << lo
 
-    a_mask, b_mask = best_pair
-    rect = Rectangle(_mask_to_tuple(a_mask), _mask_to_tuple(b_mask))
-    return DiscrepancyResult(Fraction(best_num, n * n), rect)
+    # One n-byte field per low subset L (field L at byte L*n) holding the
+    # biased column sums over L: the bias in every field plus, for each low
+    # row x, its word in the fields whose L contains x.  |c| <= n keeps every
+    # byte in [0, 255] for n <= 64, so adding a high subset's signed word to
+    # each field never carries across bytes.
+    field = b"\1" + bytes(n - 1)
+    rep = int.from_bytes(field * count, "little")
+    lo_all = sum(_BIAS << (8 * y) for y in range(n)) * rep
+    for x in range(lo):
+        run = 1 << x
+        member = int.from_bytes((bytes(n * run) + field * run) * (count >> (x + 1)), "little")
+        lo_all += row_word[x] * member
+    size = count * n
+    # Field sums: add byte pairs into 16-bit lanes, then fold lanes (each sum
+    # is at most n*n, well inside 16 bits) until lane 0 holds the field total.
+    pairs = int.from_bytes(b"\xff\0" * (size // 2), "little")
+    folds = [s for s in (16, 32, 64, 128, 256) if s < 8 * n]
+    totals = struct.Struct("<" + f"H{n - 2}x" * count).unpack
+
+    def field_sums(raw: bytes, signs: bytes) -> Tuple[int, ...]:
+        v = int.from_bytes(raw.translate(signs), "little")
+        v = (v & pairs) + ((v >> 8) & pairs)
+        for s in folds:
+            v += v >> s
+        return totals(v.to_bytes(size, "little"))
+
+    # A mask = (h << lo) | L, so h then L ascending is A-mask order and the
+    # first index of the best value in the first h reaching it is the
+    # smallest maximizing A.
+    best, best_a = -1, 0
+    for h in range(1 << (n - lo)):
+        word = sum(row_word[lo + i] for i in range(n - lo) if h >> i & 1)
+        raw = (lo_all + word * rep).to_bytes(size, "little")
+        pos, neg = field_sums(raw, _POS), field_sums(raw, _NEG)
+        top_pos, top_neg = max(pos), max(neg)
+        top = max(top_pos, top_neg)
+        if top > best:
+            best = top
+            first = min(pos.index(top) if top_pos == top else count,
+                        neg.index(top) if top_neg == top else count)
+            best_a = (h << lo) | first
+
+    # Each A is scored once, so B is built only for the winning A.
+    pos_sum = neg_sum = pos_mask = neg_mask = 0
+    for y in range(n):
+        c = sum(1 - 2 * table[x * n + y] for x in range(n) if best_a >> x & 1)
+        if c > 0:
+            pos_sum += c
+            pos_mask |= 1 << y
+        elif c < 0:
+            neg_sum -= c
+            neg_mask |= 1 << y
+    if pos_sum != neg_sum:
+        b_mask = pos_mask if pos_sum > neg_sum else neg_mask
+    else:
+        b_mask = min(pos_mask, neg_mask)
+    rect = Rectangle(_mask_to_tuple(best_a), _mask_to_tuple(b_mask))
+    return DiscrepancyResult(Fraction(best, n * n), rect)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from .dist import DistributionTable
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .errors import DomainError, FormatError, InvariantError, malformed
-from .gadgets import Gadget, blocks_of
+from .gadgets import Gadget, block_table
 
 __all__ = [
     "PLeaf",
@@ -176,8 +176,7 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
     """
     n, b = tree.n, g.b
     size = 1 << (b * n)
-    x_blocks = [blocks_of(v, n, b) for v in range(size)]
-    y_blocks = x_blocks
+    x_blocks = y_blocks = block_table(n, b)
 
     def _query_chain(dnode: DNode, coords, k: int, partial: Tuple[int, ...]):
         if not coords:  # degenerate pass-through node, communicates nothing

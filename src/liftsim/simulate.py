@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dist import DistributionTable, ZERO, project
 from .errors import BudgetError, DomainError, LiftsimError
 from .exact import cmp_pow2, cmp_products, exact_log2, frac_str
-from .gadgets import Gadget, blocks_of
+from .gadgets import Gadget, block_table, blocks_of
 from .protocols import (
     PLeaf,
     PNode,
@@ -245,16 +245,16 @@ def _side(speaker: str) -> int:
     return 0 if speaker == "A" else 1
 
 
-def _free_key(v: int, free: Tuple[int, ...], n: int, b: int) -> Tuple[int, ...]:
-    """The blocks of input v at the coordinates `free`, in that order."""
-    blocks = blocks_of(v, n, b)
+def _free_key(blocks: Tuple[int, ...], free: Tuple[int, ...]) -> Tuple[int, ...]:
+    """An input's blocks (a `block_table` row) at the coordinates `free`."""
     return tuple(blocks[i] for i in free)
 
 
 def _free_marginal(inputs: Sequence[int], free: Tuple[int, ...], n: int, b: int) -> DistributionTable:
+    table = block_table(n, b)
     weights: Dict[Tuple[int, ...], int] = {}
     for v in inputs:
-        key = _free_key(v, free, n, b)
+        key = _free_key(table[v], free)
         weights[key] = weights.get(key, 0) + 1
     return DistributionTable.from_weights(weights)
 
@@ -308,6 +308,7 @@ class _Engine:
         self.z = z
         self.params = params
         self.cache = cache or _DangerCache(g, params)
+        self.blocks = block_table(params.n, params.b)
         full = tuple(range(p.input_size))
         self.sets = sets if sets is not None else (full, full)
         self.rho = rho if rho is not None else Restriction.all_free(p.n)
@@ -362,8 +363,8 @@ class _Engine:
         spk_set, silent = self.sets[side], self.sets[1 - side]
         _, delta_w, _, _ = self.cache.context(side, silent, free)
         rec.delta_witness = delta_w
-        n, b = self.params.n, self.params.b
-        value_of = {v: _free_key(v, free, n, b) for v in spk_set}
+        blocks = self.blocks
+        value_of = {v: _free_key(blocks[v], free) for v in spk_set}
         distinct = sorted(set(value_of.values()))
         bad = {val for val in distinct
                if self.cache.dangerous(side, silent, free, val)}
@@ -395,9 +396,9 @@ class _Engine:
         rec.query_coords = abs_coords
         rec.fixed_value = tuple(value)
         if abs_coords:
-            n, b = self.params.n, self.params.b
+            blocks = self.blocks
             self.restrict(_side(rec.speaker),
-                          lambda v: _free_key(v, abs_coords, n, b) == rec.fixed_value)
+                          lambda v: _free_key(blocks[v], abs_coords) == rec.fixed_value)
         rec.snapshots["after_fix"] = self.snapshot(free)
 
     def apply_class(self, rec: RoundRecord, part) -> None:
@@ -405,17 +406,17 @@ class _Engine:
         rec.class_index = part.index
         rec.p_class = part.prob
         rec.p_geq = part.p_geq
-        n, b = self.params.n, self.params.b
+        blocks = self.blocks
         members = set(part.members)
         free = rec.free_before
-        self.restrict(_side(rec.speaker), lambda v: _free_key(v, free, n, b) in members)
+        self.restrict(_side(rec.speaker), lambda v: _free_key(blocks[v], free) in members)
         rec.query_coords = tuple(free[i] for i in part.coords)
         rec.fixed_value = tuple(part.value)
         rec.snapshots["after_fix"] = self.snapshot(free)
 
     def query_and_condition(self, rec: RoundRecord):
         """Steps 4-5 (det) / 6-7 (rand): query z and condition the silent side."""
-        n, b = self.params.n, self.params.b
+        n = self.params.n
         abs_coords = rec.query_coords
         zbits = tuple((self.z >> (n - 1 - i)) & 1 for i in abs_coords)
         if abs_coords:
@@ -428,9 +429,10 @@ class _Engine:
         side = _side(rec.speaker)
         gad = self.cache.gadgets[side]
         checks = tuple(zip(abs_coords, rec.fixed_value, zbits))
+        blocks = self.blocks
 
         def keep(w):
-            wb = blocks_of(w, n, b)
+            wb = blocks[w]
             return all(gad.eval(xb, wb[coord]) == bit for coord, xb, bit in checks)
 
         silent_size = len(self.sets[1 - side])

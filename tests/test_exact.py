@@ -34,6 +34,49 @@ def test_cmp_pow2_fractional_exponent():
     assert cmp_pow2(F(5, 7), F(1, 3)) in (-1, 1)
 
 
+def _cmp_pow2_old_formula(p, q):
+    """The formula cmp_pow2 used before its integer fast path: wrap both
+    arguments in Fraction; an integer exponent compares p with the Fraction
+    2**(-a), any other clears the root (p**d vs 2**(-a))."""
+    p, q = F(p), F(q)
+    if p == 0:
+        return -1
+    a, d = q.numerator, q.denominator
+    if d == 1:
+        target = F(1, 1 << a) if a >= 0 else F(1 << -a)
+        return (p > target) - (p < target)
+    rhs = F(1, 1 << a) if a >= 0 else F(1 << -a)
+    lhs = p ** d
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def test_cmp_pow2_matches_old_formula_seeded():
+    rng = random.Random(2024)
+    cases = 0
+    for _ in range(3000):
+        a = rng.randrange(-40, 41)
+        d = rng.choice((1, 1, 1, 2, 3, 7, 64, 65, 1000))
+        q = F(a, d)
+        if rng.random() < 0.4:
+            # on or next to the threshold 2**(-q) when q is an integer
+            base = F(1, 1 << a) if a >= 0 else F(1 << -a)
+            p = base + rng.choice((0, 0, F(1, 1 << 50), -F(1, 1 << 50)))
+        else:
+            p = F(rng.randrange(0, 5000), rng.randrange(1, 5000))
+        for pp in (p, p.numerator) if p.denominator == 1 else (p,):
+            for qq in (q, q.numerator) if d == 1 else (q, str(q)):
+                assert cmp_pow2(pp, qq) == _cmp_pow2_old_formula(pp, qq), (pp, qq)
+                cases += 1
+    assert cases > 3000
+    # ints, bools and strings are exact inputs too
+    assert cmp_pow2(1, 0) == 0 and cmp_pow2(True, -1) == -1
+    assert cmp_pow2("3/8", "3/2") == 1 and cmp_pow2(3, F(-3, 2)) == 1
+    # zero is below every threshold, also on the interval path
+    assert cmp_pow2(0, F(1, 1000)) == -1 and cmp_pow2(F(0), F(-7, 3)) == -1
+    with pytest.raises(ValueError):
+        cmp_pow2(-1, 2)
+
+
 def test_cmp_pow2_interval_path_agrees_with_cleared():
     rng = random.Random(7)
     for _ in range(500):

@@ -1,12 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
+from liftsim import gadgets
 from liftsim.dist import DistributionTable
 from liftsim.errors import BudgetError, DomainError, LiftsimError
 from liftsim.gadgets import (
+    BUILTIN_NAMES,
+    DiscrepancyResult,
     Gadget,
     Rectangle,
     builtin_gadget,
@@ -28,7 +33,12 @@ IP2 = builtin_gadget("ip2")
 
 
 def naive_discrepancy(g):
-    """Independent oracle: direct enumeration of every (A, B) subset pair."""
+    """Independent oracle: direct enumeration of every (A, B) subset pair.
+
+    Pairs are visited in (A mask, B mask) order and only a strictly larger
+    value replaces the best, so the rectangle returned is the first maximizer
+    in that order: the canonical witness `discrepancy` must report.
+    """
     n = g.side
     best = F(-1)
     best_rect = None
@@ -66,17 +76,121 @@ def test_discrepancy_examples():
     assert discrepancy(IP2).value == F(5, 16)
 
 
+def gray_code_discrepancy(g):
+    """Reference scan: one Gray-code step per row subset A, column sums kept
+    incrementally, B read off the signs of the column sums; the first
+    maximizer in (A mask, B mask) order is kept."""
+    n = g.side
+    rows = [[1 - 2 * g.table[x * n + y] for y in range(n)] for x in range(n)]
+    col = [0] * n
+    best_num = -1
+    best_pair = None
+    prev = 0
+    for k in range(1 << n):
+        gray = k ^ (k >> 1)
+        diff = gray ^ prev
+        if diff:
+            row = rows[diff.bit_length() - 1]
+            step = 1 if gray & diff else -1
+            for y in range(n):
+                col[y] += step * row[y]
+        prev = gray
+        pos = neg = pos_mask = neg_mask = 0
+        for y in range(n):
+            c = col[y]
+            if c > 0:
+                pos += c
+                pos_mask |= 1 << y
+            elif c < 0:
+                neg -= c
+                neg_mask |= 1 << y
+        if pos > neg:
+            val, bmask = pos, pos_mask
+        elif neg > pos:
+            val, bmask = neg, neg_mask
+        else:
+            val, bmask = pos, min(pos_mask, neg_mask)
+        if val > best_num or (val == best_num and (gray, bmask) < best_pair):
+            best_num = val
+            best_pair = (gray, bmask)
+    a_mask, b_mask = best_pair
+    rect = Rectangle(tuple(i for i in range(n) if a_mask >> i & 1),
+                     tuple(i for i in range(n) if b_mask >> i & 1))
+    return DiscrepancyResult(F(best_num, n * n), rect)
+
+
+def constant_gadget(b, bit):
+    return Gadget(b, [bit] * (1 << (2 * b)), name=f"const{bit}:{b}")
+
+
 def test_discrepancy_against_naive_oracle():
-    rng = random.Random(42)
-    gadgets = [AND, OR, XOR, builtin_gadget("ip1")]
+    # every b=1 table, seeded b=2 tables and constant b=2 tables: value and
+    # witness equal the first maximizer over all (A, B) pairs
+    gadgets = [AND, OR, XOR, builtin_gadget("ip1"), IP2]
+    gadgets += [Gadget(1, [t >> i & 1 for i in range(4)]) for t in range(16)]
     gadgets += [random_gadget(1, s) for s in range(6)]
     gadgets += [random_gadget(2, s) for s in range(4)]
+    gadgets += [constant_gadget(2, 0), constant_gadget(2, 1)]
     for g in gadgets:
         fast = discrepancy(g)
         slow_value, slow_rect = naive_discrepancy(g)
         assert fast.value == slow_value
+        assert fast.argmax == Rectangle(*slow_rect), g
         # the witness re-evaluates to the maximum
         assert rectangle_discrepancy(g, fast.argmax) == fast.value
+
+
+def test_discrepancy_matches_gray_code_oracle():
+    # exact (value, argmax) equality with the one-subset-per-step scan
+    rng = random.Random(11)
+    gadgets = [builtin_gadget(name) for name in BUILTIN_NAMES]
+    gadgets += [random_gadget(b, s) for b in (1, 2, 3) for s in range(8)]
+    # tie-heavy tables: constant, nearly constant, and ip4 = ip2 xor ip2
+    gadgets += [constant_gadget(b, bit) for b in (2, 3, 4) for bit in (0, 1)]
+    gadgets += [Gadget(b, [int(rng.random() < p) for _ in range(1 << (2 * b))])
+                for b in (2, 3) for p in (0.1, 0.9)]
+    gadgets.append(xor_power(IP2, 2))
+    gadgets += [builtin_gadget(f"rand:4:{s}") for s in (5, 77, 150, 254)]
+    for g in gadgets:
+        assert discrepancy(g) == gray_code_discrepancy(g), g
+
+
+# (value, witness) sha256 of discrepancy(rand:4:s), as pinned for the
+# gadget_disc_b4 workload in perfbench/golden.json: a change of the witness
+# or of its tie rule fails here.
+DISC_B4_PINS = {
+    0: "2ee6b7c82ab037c7d365b5be97c8f7010481f444f388a3967d0f2c1df85a3ff4",
+    1: "f4475fcb257b50f2ad19667bfb60d35171e4df36e2195c69718e0b69579ac5b5",
+    2: "3794fbdde3406a4babff15eb893c37ecb4314d3970521cd786046e3c3d323814",
+    3: "7330ba61308dab2a1e813b2e4c483733d3820bcd3842626f4aa7423b76d0c51e",
+    42: "520759c2d6e4baf957f355d9ce256dd2074a6e53b5cd1d494c48e3c7a8dcd951",
+    100: "4fc86e9309f9d430264f19e20d367558934d3339adf099b7dbb13e1177da3cb5",
+    200: "47762ff367154ff3ee3fd49ce2bede3170c8d2452de88b160f83645c01fe8a10",
+    255: "2891906dddcf0427a308ee2aec312a1395c910bfd82e0281cff11146eff27c66",
+}
+
+
+def test_discrepancy_b4_witness_digests_pinned():
+    from liftsim.exact import frac_str
+    for s, pinned in DISC_B4_PINS.items():
+        res = discrepancy(builtin_gadget(f"rand:4:{s}"))
+        text = json.dumps([frac_str(res.value), list(res.argmax.a), list(res.argmax.b)])
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned, s
+
+
+def test_discrepancy_memoised_by_table():
+    gadgets._discrepancy.cache_clear()
+    g = random_gadget(3, 4)
+    first = discrepancy(g)
+    # same table under another name, and the XOR lemma at m=1: no new scan
+    assert discrepancy(Gadget(g.b, g.table, name="copy")) is first
+    report = check_xor_lemma(g, 1)
+    assert report.disc_base == report.value == first.value
+    info = gadgets._discrepancy.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # the budget is checked on every call, cached or not
+    with pytest.raises(BudgetError):
+        discrepancy(g, side_limit=4)
 
 
 def test_discrepancy_permutation_invariance():
