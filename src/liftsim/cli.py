@@ -33,8 +33,10 @@ from .gadgets import (
 )
 from .protocols import protocol_from_json, randomized_protocol_from_json
 from .simulate import (
+    DENSITY_WITNESS_BITS,
     ERROR_K,
     ERROR_TRUNCATION,
+    TRUNC_SCALED_BY_B,
     LiftingParams,
     certify_transcript,
     enumerate_output_distribution,
@@ -184,8 +186,8 @@ def cmd_lift(args) -> int:
             "h": frac_str(params.h), "eps": frac_str(params.eps),
             "delta": frac_str(params.delta), "tau": frac_str(params.tau),
             "b": params.b, "n": params.n,
-            "trunc_scaled_by_b": params.trunc_scaled_by_b,
-            "density_witness_bits": params.density_witness_bits,
+            "trunc_scaled_by_b": TRUNC_SCALED_BY_B,
+            "density_witness_bits": DENSITY_WITNESS_BITS,
         }
         _write("trace", args.out, json.dumps(doc, sort_keys=True, indent=2))
         print(f"trace written to {args.out}")

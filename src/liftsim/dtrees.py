@@ -105,9 +105,6 @@ class SearchProblem:
                 raise DomainError("table entries must index into the output list")
         self.table = table
 
-    def solutions(self, z: int) -> frozenset:
-        return self.table[z]
-
     def allows(self, z: int, output) -> bool:
         try:
             idx = self.outputs.index(output)

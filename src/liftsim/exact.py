@@ -114,16 +114,18 @@ def log2_bounds(x: Fraction, frac_bits: int) -> Tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _rational(v):
+    """ints and Fractions as they are; other exact inputs (e.g. str) as a Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 def cmp_pow2(p: Fraction, q: Fraction) -> int:
     """Sign of p - 2**(-q), exactly, for p >= 0 and rational q.
 
     ints and Fractions are used as they are; other exact inputs (e.g. str)
     go through ``Fraction`` first.
     """
-    if not isinstance(p, (int, Fraction)):
-        p = Fraction(p)
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+    p, q = _rational(p), _rational(q)
     if p.numerator < 0:
         raise ValueError("cmp_pow2 expects a nonnegative left-hand side")
     if p.numerator == 0:
@@ -158,13 +160,12 @@ def cmp_products(
     """Sign of a*prod(base**exp) - b*prod(base**exp), all exact.
 
     Coefficients must be nonnegative rationals; bases positive integers;
-    exponents rationals.  Used for every inequality whose cleared form mixes
-    powers of 2 with powers of n.
+    exponents rationals (all taken as in cmp_pow2).  Used for every
+    inequality whose cleared form mixes powers of 2 with powers of n.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    a_pows = [(int(base), Fraction(exp)) for base, exp in a_pows]
-    b_pows = [(int(base), Fraction(exp)) for base, exp in b_pows]
+    a, b = _rational(a), _rational(b)
+    a_pows = [(int(base), _rational(exp)) for base, exp in a_pows]
+    b_pows = [(int(base), _rational(exp)) for base, exp in b_pows]
     if a < 0 or b < 0:
         raise ValueError("cmp_products expects nonnegative coefficients")
     for base, _ in a_pows + b_pows:
@@ -176,14 +177,15 @@ def cmp_products(
         return -1
     if b == 0:
         return 1
-    # single side: ratio r = a/b, compare log2(r) + sum(e*log2(base)) vs 0
+    # single side: ratio num/den = a/b, compare log2(ratio) + sum(e*log2(base)) vs 0
     terms = [(base, exp) for base, exp in a_pows if base != 1 and exp != 0]
     terms += [(base, -exp) for base, exp in b_pows if base != 1 and exp != 0]
-    ratio = a / b
+    num, den = a.numerator * b.denominator, a.denominator * b.numerator
     denoms = [exp.denominator for _, exp in terms]
     d = lcm(*denoms) if denoms else 1
     if d <= _DIRECT_DENOM_LIMIT:
-        return _cmp_products_cleared(ratio, terms, d)
+        return _cmp_products_cleared(num, den, terms, d)
+    ratio = Fraction(num, den)
     for bits in _BITS_SCHEDULE:
         lo, hi = log2_bounds(ratio, bits)
         for base, exp in terms:
@@ -196,18 +198,19 @@ def cmp_products(
             return -1
         if lo > 0:
             return 1
-    return _cmp_products_cleared(ratio, terms, d)
+    return _cmp_products_cleared(num, den, terms, d)
 
 
-def _cmp_products_cleared(ratio: Fraction, terms, d: int) -> int:
-    lhs = ratio ** d
-    rhs = Fraction(1)
+def _cmp_products_cleared(num: int, den: int, terms, d: int) -> int:
+    # (num/den) * prod(base^(k/d)) vs 1  <=>  num^d * prod(base^k, k >= 0)
+    # vs den^d * prod(base^-k, k < 0), on integers
+    lhs, rhs = num ** d, den ** d
     for base, exp in terms:
-        k = int(exp * d)
+        k = exp.numerator * (d // exp.denominator)
         if k >= 0:
-            lhs *= Fraction(base) ** k
+            lhs *= base ** k
         else:
-            rhs *= Fraction(base) ** (-k)
+            rhs *= base ** -k
     return sign(lhs - rhs)
 
 

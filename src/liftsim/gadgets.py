@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 RECT_SIDE_LIMIT = 16
+# Largest block length whose 4^b-entry table is built from a spec or a file.
+BLOCK_LENGTH_LIMIT = 8
 
 
 class Gadget:
@@ -400,8 +402,15 @@ def sampling_check(
 
 # -- construction -------------------------------------------------------------
 
+def _check_block_length(b: int) -> None:
+    """Refuse a block length past BLOCK_LENGTH_LIMIT before its table is built."""
+    if b > BLOCK_LENGTH_LIMIT:
+        raise BudgetError("gadget block length", b, BLOCK_LENGTH_LIMIT)
+
+
 def random_gadget(b: int, seed: int) -> Gadget:
     """Independent fair table bits from a seeded generator; reproducible."""
+    _check_block_length(b)
     rng = random.Random(seed)
     side = 1 << b
     table = [rng.getrandbits(1) for _ in range(side * side)]
@@ -409,6 +418,7 @@ def random_gadget(b: int, seed: int) -> Gadget:
 
 
 def _ip_gadget(b: int) -> Gadget:
+    _check_block_length(b)
     side = 1 << b
     table = [(x & y).bit_count() & 1 for x in range(side) for y in range(side)]
     return Gadget(b, table, name=f"ip{b}")
@@ -456,6 +466,7 @@ def gadget_from_json(text: str) -> Gadget:
         if not isinstance(doc, dict) or "b" not in doc or "rows" not in doc:
             raise FormatError("gadget file must be an object with keys 'b' and 'rows'")
         b = int(doc["b"])
+        _check_block_length(b)
         side = 1 << b
         rows = doc["rows"]
         if len(rows) != side:

@@ -82,6 +82,8 @@ VIOLATION_PREFIX = "<VIOLATION:"
 ENUM_BRANCH_LIMIT = 10 ** 6
 FIBER_LIMIT_BITS = 18
 DENSITY_WITNESS_BITS = 12
+# The step-5 truncation threshold exponent is eta*b/8 (eta/8 when False).
+TRUNC_SCALED_BY_B = True
 
 
 @dataclass
@@ -104,8 +106,6 @@ class LiftingParams:
     delta: Optional[Fraction] = None
     tau: Optional[Fraction] = None
     nonstandard: bool = False
-    trunc_scaled_by_b: bool = True
-    density_witness_bits: int = DENSITY_WITNESS_BITS
 
     def __post_init__(self):
         self.eta = Fraction(self.eta)
@@ -142,7 +142,7 @@ class LiftingParams:
 
     def trunc_cmp(self, p_geq: Fraction) -> int:
         """Sign of p_geq minus the step-5 truncation threshold, exact."""
-        exponent = self.eta * self.b / 8 if self.trunc_scaled_by_b else self.eta / 8
+        exponent = self.eta * self.b / 8 if TRUNC_SCALED_BY_B else self.eta / 8
         return cmp_products(p_geq, (), Fraction(1, 16 * self.n * self.b), [(2, -exponent)])
 
 
@@ -280,7 +280,7 @@ class _DangerCache:
         if ctx is None:
             p = self.params
             silent_free = _free_marginal(silent, free, p.n, p.b)
-            delta_w = max_density(silent_free, p.b, p.density_witness_bits)[0]
+            delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
             ctx = (silent_free, delta_w, self.gadgets[side], {})
             self.contexts[key] = ctx
         return ctx

@@ -6,10 +6,13 @@ the simulation).  All scans are exhaustive with canonical enumeration order
 (subsets by size then lexicographically) and exact comparisons; instance
 sizes are guarded by explicit budgets.
 
-The leaking and sparsifying scans make one pattern pass per value: each y in
-Y's support gets its gadget output pattern against x and an integer weight
-over one common total, and every (coordinate set, bit pattern) probability
-is a weight sum over those rows.  No scan is pruned.
+All four dangerous-value scans (leaking, sparsifying, skewing, biasing) make
+one pattern pass per value: each y in Y's support gets its gadget output
+pattern against x and an integer weight over one common total, and every
+probability a scan tests (of a bit pattern, of a Y_J value, of a parity) is
+a weight sum over those rows.  No scan is pruned.  Density questions read
+the marginals of one lazy generator; max_density and the structure search
+need only the worst marginal.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -111,18 +114,56 @@ class DensityWitness:
         return self.violating_set is None
 
 
+def _marginals(x: DistributionTable):
+    """(coords, project(x, coords)) for every nonempty coordinate set, lazily,
+    in subsets_by_size order."""
+    k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
+    for coords in subsets_by_size(k, nonempty=True):
+        yield coords, project(x, coords)
+
+
 def is_dense(x: DistributionTable, delta: Fraction, b: int) -> DensityWitness:
     """Exact check that every projection has min-entropy >= delta*b*|I|.
 
     Returns the first violating set in (size, lex) order, or a clean witness.
     """
     delta = Fraction(delta)
-    k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
-    for coords in subsets_by_size(k, nonempty=True):
-        p = project(x, coords).maxprob()
+    for coords, marg in _marginals(x):
+        p = marg.maxprob()
         if cmp_pow2(p, delta * b * len(coords)) > 0:
             return DensityWitness(delta, coords, p)
     return DensityWitness(delta)
+
+
+def _worst_marginal(x: DistributionTable):
+    """The (maxprob, |I|) pair minimizing log2(1/p)/(b|I|), compared exactly;
+    the first such pair in subsets_by_size order, or None for k = 0."""
+    worst = None
+    for coords, marg in _marginals(x):
+        p, size = marg.maxprob(), len(coords)
+        # p^ws > wp^size  <=>  log(1/p)/size < log(1/wp)/ws
+        if worst is None or p ** worst[1] > worst[0] ** size:
+            worst = (p, size)
+    return worst
+
+
+def _density_bracket(worst, b: int, resolution_bits: int) -> Tuple[Fraction, Fraction]:
+    """max_density's bracket from the worst marginal (p, s) alone: for delta >= 0,
+    x is delta-dense iff p <= 2**(-delta*b*s), so lo = m/2^r for the largest
+    m <= 2^r passing that test (found bit by bit) and hi = lo + 2^-r if m < 2^r."""
+    one = Fraction(1)
+    if worst is None:
+        return one, one  # k = 0: vacuously dense at every level
+    p, s = worst
+    if cmp_pow2(p, b * s) <= 0:
+        return one, one
+    top = 1 << resolution_bits
+    m = 0
+    for bit in reversed(range(resolution_bits)):
+        trial = m | 1 << bit
+        if cmp_pow2(p, Fraction(trial * b * s, top)) <= 0:
+            m = trial
+    return Fraction(m, top), Fraction(m + 1, top)
 
 
 def max_density(
@@ -130,27 +171,14 @@ def max_density(
     b: int,
     resolution_bits: int = DENSITY_RESOLUTION_BITS,
 ) -> Tuple[Fraction, Fraction]:
-    """Bracket sup{delta : x is delta-dense} by binary search.
+    """Bracket sup{delta : x is delta-dense}, which is log2(1/p)/(b*s) for the
+    worst marginal (p, s), by exact comparisons on that one marginal.
 
-    Membership tests are exact; the returned (lo, hi) satisfy: x is lo-dense,
-    and either hi = lo (sup attained exactly) or x is not hi-dense, with
-    hi - lo <= 2**-resolution_bits.
+    The returned (lo, hi) satisfy: x is lo-dense, and either hi = lo = 1 (x is
+    1-dense or has no coordinates) or x is not hi-dense and
+    hi - lo = 2**-resolution_bits.
     """
-    k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
-    if k == 0:
-        return Fraction(1), Fraction(1)  # vacuously dense at every level
-    one = Fraction(1)
-    if is_dense(x, one, b).dense:
-        return one, one
-    lo, hi = Fraction(0), one
-    step = Fraction(1, 1 << resolution_bits)
-    while hi - lo > step:
-        mid = (lo + hi) / 2
-        if is_dense(x, mid, b).dense:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _density_bracket(_worst_marginal(x), b, resolution_bits)
 
 
 @dataclass
@@ -167,22 +195,6 @@ class StructureRefusal:
     detail: str = ""
 
 
-def _worst_marginal(x: DistributionTable, k: int):
-    """The (maxprob, |I|) pair minimizing log2(1/p)/(b|I|), compared exactly."""
-    worst = None
-    for coords in subsets_by_size(k, nonempty=True):
-        p = project(x, coords).maxprob()
-        size = len(coords)
-        if worst is None:
-            worst = (p, size)
-            continue
-        wp, ws = worst
-        # p^ws > wp^size  <=>  log(1/p)/size < log(1/wp)/ws
-        if cmp_products(p ** ws, (), wp ** size, ()) > 0:
-            worst = (p, size)
-    return worst
-
-
 def is_structured(
     x: DistributionTable,
     y: DistributionTable,
@@ -191,14 +203,15 @@ def is_structured(
     g: Gadget,
     x_full: Optional[DistributionTable] = None,
     y_full: Optional[DistributionTable] = None,
-    resolution_bits: int = DENSITY_RESOLUTION_BITS,
 ):
     """Search for a structure certificate at threshold tau.
 
     `x`, `y` are the free-block marginals; when the full-input tables are
     supplied, fixed-block consistency with the gadget is verified as well.
-    The density-sum feasibility test is exact; the witnessing split is found
-    by bracket refinement (certificate deltas are dyadic rationals).
+    The density-sum feasibility test is exact.  The split comes from each
+    side's worst marginal: the max_density floors at resolution 2^-R, 2^-(R+10)
+    and 2^-(R+20), R = DENSITY_RESOLUTION_BITS, or, tried once after the first
+    rung, the exact supremum of a side whose worst marginal is a power of two.
     """
     tau = Fraction(tau)
     b = g.b
@@ -216,39 +229,39 @@ def is_structured(
     if k == 0:
         half = tau / 2
         return StructureCertificate(rho, half, half, tau)
-    wx = _worst_marginal(x, k)
-    wy = _worst_marginal(y, k)
+    wx = _worst_marginal(x)
+    wy = _worst_marginal(y)
     (px, sx), (py, sy) = wx, wy
     if px == 1 or py == 1:
         return StructureRefusal("density", "a free marginal is constant (density sup is 0)")
-    if tau <= 0:
-        # any positive split works; take the bracket floors
-        dx = max_density(x, b, resolution_bits)[0]
-        dy = max_density(y, b, resolution_bits)[0]
-        return StructureCertificate(rho, dx, dy, tau)
-    # feasibility: sup_x + sup_y >= tau  <=>  px^sy * py^sx <= 2^(-tau*b*sx*sy)
+    # feasibility: sup_x + sup_y >= tau  <=>  px^sy * py^sx <= 2^(-tau*b*sx*sy);
+    # always true for tau <= 0, where the first rung's floors are taken as they are
     feasible = cmp_pow2(px ** sy * py ** sx, tau * b * sx * sy)
     if feasible > 0:
         return StructureRefusal("density sum", "max densities cannot reach tau")
-    for bits in (resolution_bits, resolution_bits + 10, resolution_bits + 20):
-        lo_x, _ = max_density(x, b, bits)
-        lo_y, _ = max_density(y, b, bits)
-        if lo_x > 0 and lo_y > 0 and lo_x + lo_y >= tau:
+    bits = DENSITY_RESOLUTION_BITS
+    for rung in (bits, bits + 10, bits + 20):
+        lo_x = _density_bracket(wx, b, rung)[0]
+        lo_y = _density_bracket(wy, b, rung)[0]
+        if tau <= 0 or (lo_x > 0 and lo_y > 0 and lo_x + lo_y >= tau):
             return StructureCertificate(rho, lo_x, lo_y, tau)
-        # exact sup on one side when its worst marginal is a power of two
-        for other, swap in ((y, False), (x, True)):
-            p, s = wy if swap else wx
+        if rung != bits:
+            continue
+        # exact sup on one side when its worst marginal is a power of two;
+        # it does not depend on the resolution, so it is tried once
+        for (p, s), (p_other, s_other), swap in ((wx, wy, False), (wy, wx, True)):
             log_p = exact_log2(p)
             if log_p is not None:
                 d_exact = -log_p / (b * s)
                 d_other = tau - d_exact
-                if d_exact > 0 and d_other > 0 and is_dense(other, d_other, b).dense:
+                # the other side is d_other-dense iff its worst marginal is
+                if d_exact > 0 and d_other > 0 and cmp_pow2(p_other, d_other * b * s_other) <= 0:
                     dx, dy = (d_other, d_exact) if swap else (d_exact, d_other)
                     return StructureCertificate(rho, dx, dy, tau)
     return StructureRefusal(
         "density sum",
         "tau is reachable only in the limit; no rational split found at the "
-        f"working resolution 2^-{resolution_bits + 20}",
+        f"working resolution 2^-{bits + 20}",
     )
 
 
@@ -263,19 +276,17 @@ def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
     remainder is delta-dense (asserted by the caller's tests).
     """
     delta = Fraction(delta)
-    k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
-    violating = [
-        coords
-        for coords in subsets_by_size(k, nonempty=True)
-        if cmp_pow2(project(x, coords).maxprob(), delta * b * len(coords)) > 0
-    ]
-    if not violating:
+    top = None  # the first violating set of the largest size, and its marginal
+    for coords, marg in _marginals(x):
+        if (top is None or len(coords) > len(top[0])) and cmp_pow2(
+                marg.maxprob(), delta * b * len(coords)) > 0:
+            top = coords, marg
+    if top is None:
         return (), (), x
-    top = max(len(c) for c in violating)
-    coords = min(c for c in violating if len(c) == top)
-    marg = project(x, coords)
+    coords, marg = top
     heavy = max(marg.weights.values())
     value = min(v for v, w in marg.weights.items() if w == heavy)
+    k = len(x.domain[0])
     rest = tuple(i for i in range(k) if i not in coords)
     sel = dict(zip(coords, value))
     cond = x.condition(lambda t: all(t[i] == v for i, v in sel.items()))
@@ -360,6 +371,11 @@ def _pattern_rows(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget):
     return rows, y.total
 
 
+def _mask(coords: Tuple[int, ...], k: int) -> int:
+    """The pattern bits of coords: bit k-1-i for coordinate i."""
+    return sum(1 << (k - 1 - i) for i in coords)
+
+
 def _cube(coords: Tuple[int, ...], k: int):
     """(bits, pattern) for every assignment to coords, in product order."""
     for bits in product((0, 1), repeat=len(coords)):
@@ -380,7 +396,7 @@ def is_leaking(
     for pat, w, _ in rows:
         hist[pat] += w
     for coords in subsets_by_size(k, nonempty=True):
-        mask = sum(1 << (k - 1 - i) for i in coords)
+        mask = _mask(coords, k)
         marg: Dict[int, int] = defaultdict(int)
         for pat, w in enumerate(hist):
             marg[pat & mask] += w
@@ -419,7 +435,7 @@ def is_sparsifying(
             (sub, itemgetter(*(rest[j] for j in sub)), level * b * len(sub))
             for sub in subsets_by_size(len(rest), nonempty=True)
         ]
-        mask = sum(1 << (k - 1 - i) for i in coords)
+        mask = _mask(coords, k)
         groups: Dict[int, list] = {}
         for pat, w, t in rows:
             groups.setdefault(pat & mask, []).append((w, t))
@@ -438,6 +454,15 @@ def is_sparsifying(
     return Verdict(False)
 
 
+def _slices(rows, coords_j: Tuple[int, ...]):
+    """Pattern rows split by their Y value on coords_j, in y_J order:
+    (y_J, w_J, [(pattern, weight), ...]); the empty coords_j gives one slice."""
+    parts: Dict[tuple, list] = {}
+    for pat, w, t in rows:
+        parts.setdefault(tuple(t[i] for i in coords_j), []).append((pat, w))
+    return [(yj, sum(w for _, w in part), part) for yj, part in sorted(parts.items())]
+
+
 def is_skewing(
     x_val: Tuple[int, ...],
     y: DistributionTable,
@@ -451,35 +476,27 @@ def is_skewing(
 
     The excess-entropy term of y_J never materializes; the defining identity
     turns the test into: maxprob(g^I(x_I, Y_I) | Y_J = y_J) * Pr[Y_J = y_J]
-    > 2**(-|I| + eps*b*|J| - 1 - delta_y*b*|J|).
+    > 2**(-|I| + eps*b*|J| - 1 - delta_y*b*|J|).  With w_J the weight of
+    y_J and maxw its heaviest pattern on I, the product is maxw / total.
     """
     delta_y, eps = Fraction(delta_y), Fraction(eps)
     k = len(x_val)
     _guard(k, coord_limit, "skewing scan free coordinates")
+    rows, total = _pattern_rows(x_val, y, g)
     for coords_i in subsets_by_size(k, nonempty=True):
-        others = [i for i in range(k) if i not in coords_i]
-        for jsize in range(1, len(others) + 1):
-            for coords_j in combinations(others, jsize):
-                yj_marg = project(y, coords_j)
-                for yj in yj_marg.support():
-                    pj = yj_marg.prob(yj)
-                    cond = y.condition(
-                        lambda t, cj=coords_j, v=yj: all(t[i] == vv for i, vv in zip(cj, v))
-                    )
-                    out_weight: Dict[Tuple[int, ...], int] = {}
-                    for t, w in cond.weights.items():
-                        if w:
-                            pat = tuple(g.eval(x_val[i], t[i]) for i in coords_i)
-                            out_weight[pat] = out_weight.get(pat, 0) + w
-                    maxp = Fraction(max(out_weight.values()), cond.total)
-                    q = (
-                        Fraction(len(coords_i))
-                        - eps * b * len(coords_j)
-                        + 1
-                        + delta_y * b * len(coords_j)
-                    )
-                    if cmp_pow2(maxp * pj, q) > 0:
-                        return Verdict(True, (coords_i, coords_j, yj, maxp, pj))
+        mask = _mask(coords_i, k)
+        for coords_j in subsets_by_size(k, nonempty=True):
+            if _mask(coords_j, k) & mask:
+                continue  # J must avoid I
+            q = len(coords_i) - eps * b * len(coords_j) + 1 + delta_y * b * len(coords_j)
+            for yj, wj, part in _slices(rows, coords_j):
+                out: Dict[int, int] = defaultdict(int)
+                for pat, w in part:
+                    out[pat & mask] += w
+                maxw = max(out.values())
+                if cmp_pow2(Fraction(maxw, total), q) > 0:
+                    return Verdict(True, (coords_i, coords_j, yj,
+                                          Fraction(maxw, wj), Fraction(wj, total)))
     return Verdict(False)
 
 
@@ -498,53 +515,31 @@ def is_biasing(
 
     The size bound is tested in the fully cleared form
     n**|S| * 2**(delta_y*b*|J|) * Pr[Y_J = y_J] >= 4 * n**(c*eps*|J|);
-    the empty J uses probability 1 and |J| = 0.
+    the empty J comes first and uses probability 1 and |J| = 0.  The XOR over
+    S of a row is the parity of its pattern bits on S.
     """
     delta_y, eps, c = Fraction(delta_y), Fraction(eps), Fraction(c)
     if n < 2:
         raise DomainError("the ambient dimension must be at least 2")
     k = len(x_val)
     _guard(k, coord_limit, "biasing scan free coordinates")
+    rows, total = _pattern_rows(x_val, y, g)
     for coords_s in subsets_by_size(k, nonempty=True):
         ssize = len(coords_s)
+        mask = _mask(coords_s, k)
         bias_bound = Fraction(1, 2 * (2 * n) ** ssize)
-        others = [i for i in range(k) if i not in coords_s]
-        # candidate (J, y_J) pairs, starting with the empty set
-        candidates: List[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction]] = [((), (), Fraction(1))]
-        for jsize in range(1, len(others) + 1):
-            for coords_j in combinations(others, jsize):
-                yj_marg = project(y, coords_j)
-                for yj in yj_marg.support():
-                    candidates.append((coords_j, yj, yj_marg.prob(yj)))
-        for coords_j, yj, pj in candidates:
-            size_ok = (
-                cmp_products(
-                    pj,
-                    [(n, Fraction(ssize)), (2, delta_y * b * len(coords_j))],
-                    Fraction(4),
-                    [(n, c * eps * len(coords_j))],
-                )
-                >= 0
-            )
-            if not size_ok:
-                continue
-            if coords_j:
-                cond = y.condition(
-                    lambda t, cj=coords_j, v=yj: all(t[i] == vv for i, vv in zip(cj, v))
-                )
-            else:
-                cond = y
-            w0 = 0
-            for t, w in cond.weights.items():
-                if w:
-                    parity = 0
-                    for i in coords_s:
-                        parity ^= g.eval(x_val[i], t[i])
-                    if parity == 0:
-                        w0 += w
-            bias_val = Fraction(abs(2 * w0 - cond.total), cond.total)
-            if bias_val > bias_bound:
-                return Verdict(True, (coords_s, coords_j, yj, bias_val, bias_bound))
+        for coords_j in subsets_by_size(k):
+            if _mask(coords_j, k) & mask:
+                continue  # J must avoid S
+            a_pows = [(n, ssize), (2, delta_y * b * len(coords_j))]
+            b_pows = [(n, c * eps * len(coords_j))]
+            for yj, wj, part in _slices(rows, coords_j):
+                if cmp_products(Fraction(wj, total), a_pows, 4, b_pows) < 0:
+                    continue  # the size bound fails
+                odd = sum(w for pat, w in part if (pat & mask).bit_count() & 1)
+                bias_val = Fraction(abs(wj - 2 * odd), wj)
+                if bias_val > bias_bound:
+                    return Verdict(True, (coords_s, coords_j, yj, bias_val, bias_bound))
     return Verdict(False)
 
 

@@ -110,6 +110,24 @@ class LemmaInstance:
     detail: str = ""
 
 
+def _verdict(hypothesis: bool, conclusion: bool) -> str:
+    """'FAIL' when the hypothesis holds and the conclusion does not;
+    'pass' when both hold; 'vacuous' when the hypothesis fails."""
+    if not hypothesis:
+        return "vacuous"
+    return "pass" if conclusion else "FAIL"
+
+
+def _bounded_instance(hypothesis: bool, measured: Fraction, bits: Fraction) -> LemmaInstance:
+    """The lemma checkers' conclusion: the measured quantity is at most 2^-bits."""
+    return LemmaInstance(
+        instance="",
+        verdict=_verdict(hypothesis, cmp_pow2(measured, bits) <= 0),
+        measured=frac_str(measured),
+        bound=f"2^-({frac_str(bits)})",
+    )
+
+
 def _regime_ok(b: int, n: int, c: Fraction, eta: Fraction, g: Gadget,
                disc_value: Fraction) -> bool:
     """Shared preamble: n >= 2, b >= c*log2(n), disc(g) <= 2^(-eta*b)."""
@@ -162,14 +180,7 @@ def check_multiplicative_uniformity(
                         weight += wx * wy
             deviation = Fraction(abs((weight << size) - total), total)
             worst = max(worst, deviation)
-    conclusion = cmp_pow2(worst, gamma * b) <= 0
-    verdict = "FAIL" if hypothesis and not conclusion else ("pass" if hypothesis else "vacuous")
-    return LemmaInstance(
-        instance="",
-        verdict=verdict,
-        measured=frac_str(worst),
-        bound=f"2^-({frac_str(gamma * b)})",
-    )
+    return _bounded_instance(hypothesis, worst, gamma * b)
 
 
 def check_uniform_marginals(
@@ -217,14 +228,7 @@ def check_uniform_marginals(
     dist_x = statistical_distance(x, DistributionTable.from_weights(fiber_x))
     dist_y = statistical_distance(y, DistributionTable.from_weights(fiber_y))
     worst = max(dist_x, dist_y)
-    conclusion = cmp_pow2(worst, gamma * b) <= 0
-    verdict = "FAIL" if hypothesis and not conclusion else ("pass" if hypothesis else "vacuous")
-    return LemmaInstance(
-        instance="",
-        verdict=verdict,
-        measured=frac_str(worst),
-        bound=f"2^-({frac_str(gamma * b)})",
-    )
+    return _bounded_instance(hypothesis, worst, gamma * b)
 
 
 def check_main_lemma(
@@ -263,14 +267,7 @@ def check_main_lemma(
         measured = dangerous_probability(xf, yf, g, delta_w, eps, b)
     else:
         measured = ZERO
-    conclusion = cmp_pow2(measured, gamma * b) <= 0
-    verdict = "FAIL" if hypothesis and not conclusion else ("pass" if hypothesis else "vacuous")
-    return LemmaInstance(
-        instance="",
-        verdict=verdict,
-        measured=frac_str(measured),
-        bound=f"2^-({frac_str(gamma * b)})",
-    )
+    return _bounded_instance(hypothesis, measured, gamma * b)
 
 
 # -- seeded generators -----------------------------------------------------------
@@ -462,6 +459,8 @@ def _fits(value, template) -> bool:
 
 def default_corpus_spec(scale: int = 1) -> CorpusSpec:
     """The shipped desk-scale corpus; scale > 1 shrinks the seeded sweeps."""
+    if scale < 1:
+        raise LiftsimError(f"corpus scale must be at least 1, got {scale}")
     return CorpusSpec(
         seed=2024,
         fourier={"count": max(1000 // scale, 50)},
@@ -538,15 +537,11 @@ def _section_vazirani(seed: int, count: int = 1000) -> SectionReport:
         for eps in eps_grid:
             r = vazirani_uniformity_check(d, m, eps)
             rep.record(LemmaInstance(
-                f"vazirani-uniformity/{k}/m={m}/eps={eps}",
-                "FAIL" if (r.hypothesis and not r.conclusion)
-                else ("pass" if r.hypothesis else "vacuous")))
+                f"vazirani-uniformity/{k}/m={m}/eps={eps}", _verdict(r.hypothesis, r.conclusion)))
         for t in (1, 2):
             r = vazirani_minentropy_check(d, m, t)
             rep.record(LemmaInstance(
-                f"vazirani-minentropy/{k}/m={m}/t={t}",
-                "FAIL" if (r.hypothesis and not r.conclusion)
-                else ("pass" if r.hypothesis else "vacuous")))
+                f"vazirani-minentropy/{k}/m={m}/t={t}", _verdict(r.hypothesis, r.conclusion)))
     return rep
 
 
@@ -629,16 +624,10 @@ def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[Sectio
 
 
 def _ext_instance(tag: str, r) -> LemmaInstance:
-    if r.hypothesis and not r.conclusion:
-        verdict = "FAIL"
-    elif r.hypothesis:
-        verdict = "pass"
-    else:
-        verdict = "vacuous"
     measured = getattr(r, "bias", None)
     if measured is None:
         measured = getattr(r, "bad_mass", None)
-    return LemmaInstance(tag, verdict,
+    return LemmaInstance(tag, _verdict(r.hypothesis, r.conclusion),
                          measured=frac_str(measured) if measured is not None else None,
                          bound=f"2^-({frac_str(r.bound_bits)})")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,29 @@ def test_lift_det(files, capsys):
     assert "certification: x=" in out
     doc = json.loads((files / "trace.json").read_text())
     assert doc["rho"] == "10"
+
+
+# sha256 of the `lift --out` traces of the fixture protocol (parity of 2 bits,
+# ip2), det at z=10 and rand seed 4 at z=01; the params block records
+# trunc_scaled_by_b and density_witness_bits.
+TRACE_SHA256 = {
+    "det": ("d35776766d558eb172c8261c965f6fa3e9bb252d93df479f43da717492c1fe7d",
+            ["--z", "10"]),
+    "rand": ("259062b3fddd6511b38679c8a25d4aac494498191a9a0f42fe83a55fa6c16a00",
+             ["--z", "01", "--mode", "rand", "--seed", "4"]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_SHA256))
+def test_lift_trace_digest_pinned(files, capsys, mode):
+    digest, args = TRACE_SHA256[mode]
+    out = files / f"pinned_{mode}.json"
+    code, _, _ = run_cli(["lift", "--protocol", str(files / "proto.json"),
+                          "--gadget", "ip2", *args, "--out", str(out)], capsys)
+    assert code == 0
+    params = json.loads(out.read_text())["params"]
+    assert params["trunc_scaled_by_b"] is True and params["density_witness_bits"] == 12
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_lift_rand_enumerate(files, capsys):
@@ -128,6 +152,11 @@ MALFORMED = {
         "verify", str(_spec(root, "seed_not_int", {"seed": "1"}))],
     "out-dir-missing": lambda root: [
         "gadget", "analyze", "--gadget", "xor1", "--out", str(root / "absent" / "x.json")],
+    "verify-scale-zero": lambda root: ["verify", "--scale", "0"],
+    "verify-scale-negative": lambda root: ["verify", "--scale", "-3"],
+    "gadget-block-too-long": lambda root: ["gadget", "analyze", "--gadget", "rand:40:1"],
+    "gadget-file-block-too-long": lambda root: [
+        "gadget", "analyze", "--gadget", str(_spec(root, "long_block", {"b": 40, "rows": []}))],
     "problem-table-not-object": lambda root: [
         "oracle", "dt", "--problem", str(_spec(root, "problem", {"n": 1, "outputs": [0],
                                                                  "table": []}))],

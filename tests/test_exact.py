@@ -120,6 +120,69 @@ def test_cmp_products_mixed_bases():
     assert cmp_products(F(1), [(3, F(1, 2))], F(1), [(5, F(1, 4))]) == want
 
 
+def _cmp_products_old_formula(a, a_pows, b, b_pows=()):
+    """cmp_products before it ran on integers: every argument wrapped in
+    Fraction, the cleared form raised as Fractions."""
+    a, b = F(a), F(b)
+    a_pows = [(int(base), F(exp)) for base, exp in a_pows]
+    b_pows = [(int(base), F(exp)) for base, exp in b_pows]
+    if a == 0 and b == 0:
+        return 0
+    if a == 0:
+        return -1
+    if b == 0:
+        return 1
+    terms = [(base, exp) for base, exp in a_pows if base != 1 and exp != 0]
+    terms += [(base, -exp) for base, exp in b_pows if base != 1 and exp != 0]
+    ratio = a / b
+    denoms = [exp.denominator for _, exp in terms]
+    d = math.lcm(*denoms) if denoms else 1
+    lhs, rhs = ratio ** d, F(1)
+    for base, exp in terms:
+        k = int(exp * d)
+        if k >= 0:
+            lhs *= F(base) ** k
+        else:
+            rhs *= F(base) ** (-k)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def test_cmp_products_matches_old_formula_seeded():
+    rng = random.Random(2025)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for _ in range(3000):
+        def coef():
+            if rng.random() < 0.1:
+                return 0
+            return F(rng.randrange(1, 500), rng.randrange(1, 500))
+
+        def pows():
+            return [(rng.choice((1, 2, 2, 3, 5, 6)),
+                     F(rng.randrange(-12, 13), rng.choice((1, 1, 2, 3, 4, 12, 100))))
+                    for _ in range(rng.randrange(3))]
+
+        a, a_pows, b, b_pows = coef(), pows(), coef(), pows()
+        if rng.random() < 0.3:
+            b, b_pows = a, list(a_pows)  # equal sides
+            if rng.random() < 0.5:
+                b += F(1, 1 << 40)  # and just above
+        want = _cmp_products_old_formula(a, a_pows, b, b_pows)
+        signs[want] += 1
+        # int and str forms of the same values give the same sign
+        forms = [(a, a_pows, b, b_pows),
+                 (str(a), [(base, str(e)) for base, e in a_pows], str(b), b_pows)]
+        if F(a).denominator == 1 == F(b).denominator:
+            forms.append((int(a), [(base, e.numerator) if e.denominator == 1 else (base, e)
+                                   for base, e in a_pows], int(b), b_pows))
+        for args in forms:
+            assert cmp_products(*args) == want, args
+    assert min(signs.values()) >= 300, signs
+    with pytest.raises(ValueError):
+        cmp_products(-1, (), 1)
+    with pytest.raises(ValueError):
+        cmp_products(1, [(0, 1)], 1)
+
+
 def test_frac_rendering():
     assert frac_str(F(3, 4)) == "3/4"
     assert frac_str(F(5)) == "5"

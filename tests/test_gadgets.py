@@ -212,6 +212,19 @@ def test_discrepancy_budget():
         discrepancy(g, side_limit=4)
 
 
+def test_block_length_budget_before_any_table():
+    # each construction path refuses a long block before drawing its table
+    limit = gadgets.BLOCK_LENGTH_LIMIT
+    assert limit >= 6
+    for build in (lambda b: random_gadget(b, 1), gadgets._ip_gadget,
+                  lambda b: builtin_gadget(f"rand:{b}:1"),
+                  lambda b: gadget_from_json(json.dumps({"b": b, "rows": []}))):
+        for b in (limit + 1, 40, 10 ** 12):
+            with pytest.raises(BudgetError):
+                build(b)
+    assert gadgets._ip_gadget(6).side == 64  # the b=6 tier still builds
+
+
 def test_xor_power():
     assert xor_power(XOR, 1) is XOR
     g2 = xor_power(XOR, 2)

@@ -6,7 +6,7 @@ import pytest
 
 from liftsim.dist import DistributionTable, project
 from liftsim.errors import BudgetError, DomainError
-from liftsim.exact import cmp_pow2, cmp_products
+from liftsim.exact import cmp_pow2, cmp_products, exact_log2
 from liftsim.gadgets import builtin_gadget, random_gadget
 from liftsim.structure import (
     Restriction,
@@ -392,3 +392,244 @@ def test_dangerous_scans_reject_out_of_range_values():
     y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
     with pytest.raises(DomainError):
         is_leaking((0, 1), y_bad, XOR)
+
+
+# -- oracle sweep: skewing and biasing on the pattern rows against the
+# -- project/condition/eval scans they replace -------------------------------
+
+def oracle_is_skewing(x_val, y, g, delta_y, eps, b, coord_limit=3):
+    """Projects Y onto J and conditions on every y_J, evaluating g row by row."""
+    delta_y, eps = F(delta_y), F(eps)
+    k = len(x_val)
+    if k > coord_limit:
+        raise BudgetError("skewing scan free coordinates", k, coord_limit)
+    for coords_i in _oracle_subsets(k):
+        others = [i for i in range(k) if i not in coords_i]
+        for jsize in range(1, len(others) + 1):
+            for coords_j in combinations(others, jsize):
+                yj_marg = project(y, coords_j)
+                for yj in yj_marg.support():
+                    pj = yj_marg.prob(yj)
+                    cond = y.condition(
+                        lambda t, cj=coords_j, v=yj: all(t[i] == vv for i, vv in zip(cj, v)))
+                    out_weight = {}
+                    for t, w in cond.weights.items():
+                        if w:
+                            pat = tuple(g.eval(x_val[i], t[i]) for i in coords_i)
+                            out_weight[pat] = out_weight.get(pat, 0) + w
+                    maxp = F(max(out_weight.values()), cond.total)
+                    q = (F(len(coords_i)) - eps * b * len(coords_j) + 1
+                         + delta_y * b * len(coords_j))
+                    if cmp_pow2(maxp * pj, q) > 0:
+                        return Verdict(True, (coords_i, coords_j, yj, maxp, pj))
+    return Verdict(False)
+
+
+def oracle_is_biasing(x_val, y, g, delta_y, eps, b, c, n, coord_limit=3):
+    """Lists every (J, y_J) candidate by projection, then conditions Y on it."""
+    delta_y, eps, c = F(delta_y), F(eps), F(c)
+    if n < 2:
+        raise DomainError("the ambient dimension must be at least 2")
+    k = len(x_val)
+    if k > coord_limit:
+        raise BudgetError("biasing scan free coordinates", k, coord_limit)
+    for coords_s in _oracle_subsets(k):
+        ssize = len(coords_s)
+        bias_bound = F(1, 2 * (2 * n) ** ssize)
+        others = [i for i in range(k) if i not in coords_s]
+        candidates = [((), (), F(1))]
+        for jsize in range(1, len(others) + 1):
+            for coords_j in combinations(others, jsize):
+                yj_marg = project(y, coords_j)
+                for yj in yj_marg.support():
+                    candidates.append((coords_j, yj, yj_marg.prob(yj)))
+        for coords_j, yj, pj in candidates:
+            if cmp_products(pj, [(n, F(ssize)), (2, delta_y * b * len(coords_j))],
+                            F(4), [(n, c * eps * len(coords_j))]) < 0:
+                continue
+            cond = y.condition(
+                lambda t, cj=coords_j, v=yj: all(t[i] == vv for i, vv in zip(cj, v)))
+            w0 = 0
+            for t, w in cond.weights.items():
+                if w:
+                    parity = 0
+                    for i in coords_s:
+                        parity ^= g.eval(x_val[i], t[i])
+                    if parity == 0:
+                        w0 += w
+            bias_val = F(abs(2 * w0 - cond.total), cond.total)
+            if bias_val > bias_bound:
+                return Verdict(True, (coords_s, coords_j, yj, bias_val, bias_bound))
+    return Verdict(False)
+
+
+# (delta_y, eps, c): dyadic and non-dyadic levels, eps*b above and below 1
+_BIAS_LEVELS = ((F(1), F(1, 4), F(2)), (F(1, 2), F(1, 8), F(1, 2)),
+                (F(2, 3), F(1, 3), F(1)), (F(1), F(1), F(16)),
+                (F(3, 4), F(1, 16), F(1, 4)), (F(1, 2), F(1), F(4)))
+
+
+def test_skewing_and_biasing_match_oracle():
+    rng = random.Random(6)
+    gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "or1", "ip1", "ip2")]
+    gadgets += [builtin_gadget(f"rand:2:{s}") for s in (3, 8)]
+    gadgets += [builtin_gadget(f"rand:1:{s}") for s in (2, 9)]
+    seen = {"skewing": 0, "not skewing": 0, "biasing": 0, "not biasing": 0}
+    for g in gadgets:
+        for k in (2, 3):
+            universe = list(product(range(g.side), repeat=k))
+            tables = [DistributionTable.uniform(universe),
+                      DistributionTable.uniform(rng.sample(universe, len(universe) // 2))]
+            tables += [_weighted_table(rng, universe) for _ in range(2)]
+            for y in tables:
+                for x in rng.sample(universe, min(len(universe), 4)):
+                    for delta_y, eps, c in _BIAS_LEVELS:
+                        args = (x, y, g, delta_y, eps, g.b)
+                        skew = is_skewing(*args)
+                        assert skew == oracle_is_skewing(*args), (g, x, y, delta_y, eps)
+                        bias = is_biasing(*args, c, 2 + k % 2)
+                        assert bias == oracle_is_biasing(*args, c, 2 + k % 2), (g, x, y, c)
+                        seen["skewing" if skew.flagged else "not skewing"] += 1
+                        seen["biasing" if bias.flagged else "not biasing"] += 1
+    # every verdict class of both scans is exercised, so agreement is not vacuous
+    assert min(seen.values()) >= 100, seen
+
+
+# -- oracle sweep: max_density and is_structured from the worst marginal ------
+
+def oracle_is_dense(x, delta, b):
+    delta = F(delta)
+    k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
+    for coords in _oracle_subsets(k):
+        p = project(x, coords).maxprob()
+        if cmp_pow2(p, delta * b * len(coords)) > 0:
+            return False
+    return True
+
+
+def oracle_max_density(x, b, resolution_bits=20):
+    """Bisection on delta with one full density scan per step."""
+    k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
+    if k == 0 or oracle_is_dense(x, F(1), b):
+        return F(1), F(1)
+    lo, hi = F(0), F(1)
+    while hi - lo > F(1, 1 << resolution_bits):
+        mid = (lo + hi) / 2
+        if oracle_is_dense(x, mid, b):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _oracle_worst_marginal(x, k):
+    worst = None
+    for coords in _oracle_subsets(k):
+        p = project(x, coords).maxprob()
+        size = len(coords)
+        if worst is None or cmp_products(p ** worst[1], (), worst[0] ** size, ()) > 0:
+            worst = (p, size)
+    return worst
+
+
+def oracle_is_structured(x, y, rho, tau, g, x_full=None, y_full=None, resolution_bits=20):
+    """Re-brackets both densities by bisection on every rung and retries the
+    exact supremum after each rung."""
+    tau = F(tau)
+    b = g.b
+    if x_full is not None and y_full is not None:
+        for xv in x_full.support():
+            for yv in y_full.support():
+                for i in rho.fixed():
+                    if g.eval(xv[i], yv[i]) != int(rho.cells[i]):
+                        return StructureRefusal(
+                            "fixed-block consistency",
+                            f"g(x_{i}, y_{i}) != rho_{i} on support pair {xv}, {yv}")
+    k = len(rho.free())
+    if k == 0:
+        return StructureCertificate(rho, tau / 2, tau / 2, tau)
+    wx, wy = _oracle_worst_marginal(x, k), _oracle_worst_marginal(y, k)
+    (px, sx), (py, sy) = wx, wy
+    if px == 1 or py == 1:
+        return StructureRefusal("density", "a free marginal is constant (density sup is 0)")
+    if tau <= 0:
+        return StructureCertificate(rho, oracle_max_density(x, b, resolution_bits)[0],
+                                    oracle_max_density(y, b, resolution_bits)[0], tau)
+    if cmp_pow2(px ** sy * py ** sx, tau * b * sx * sy) > 0:
+        return StructureRefusal("density sum", "max densities cannot reach tau")
+    for bits in (resolution_bits, resolution_bits + 10, resolution_bits + 20):
+        lo_x, _ = oracle_max_density(x, b, bits)
+        lo_y, _ = oracle_max_density(y, b, bits)
+        if lo_x > 0 and lo_y > 0 and lo_x + lo_y >= tau:
+            return StructureCertificate(rho, lo_x, lo_y, tau)
+        for other, swap in ((y, False), (x, True)):
+            p, s = wy if swap else wx
+            log_p = exact_log2(p)
+            if log_p is not None:
+                d_exact = -log_p / (b * s)
+                d_other = tau - d_exact
+                if d_exact > 0 and d_other > 0 and oracle_is_dense(other, d_other, b):
+                    dx, dy = (d_other, d_exact) if swap else (d_exact, d_other)
+                    return StructureCertificate(rho, dx, dy, tau)
+    return StructureRefusal(
+        "density sum",
+        "tau is reachable only in the limit; no rational split found at the "
+        f"working resolution 2^-{resolution_bits + 20}")
+
+
+def test_max_density_matches_bisection_oracle():
+    rng = random.Random(12)
+    tables = [DistributionTable.point(()), U3]
+    for n, b in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
+        cube = list(product(range(1 << b), repeat=n))
+        tables.append(DistributionTable.uniform(cube))  # 1-dense
+        tables.append(DistributionTable.point(cube[-1], domain=cube))  # constant
+        # a constant first coordinate
+        tables.append(DistributionTable.uniform([t for t in cube if t[0] == 0]))
+        for _ in range(60):
+            tables.append(rand_block_table(rng, n, b))
+            tables.append(DistributionTable.uniform(
+                rng.sample(cube, rng.randrange(1, len(cube) + 1))))
+    assert len(tables) >= 300
+    for d in tables:
+        b = 2 if d.domain[0] and max(max(t) for t in d.domain) > 1 else 1
+        for bits in (12, 20):
+            assert max_density(d, b, bits) == oracle_max_density(d, b, bits), (d, b, bits)
+
+
+def test_is_structured_matches_oracle(monkeypatch):
+    import liftsim.verify as verify
+
+    calls = []
+
+    def recording(*args, **kw):
+        calls.append((args, kw))
+        return is_structured(*args, **kw)
+
+    monkeypatch.setattr(verify, "is_structured", recording)
+    for seed in (2024, 1, 2, 3, 4, 5):
+        verify._section_structure_lemmas(seed, count=40)
+    monkeypatch.undo()
+    # the inputs of test_certificate_reverification_sweep, and tau <= 0
+    rng = random.Random(41)
+    for _ in range(30):
+        n, b = rng.choice([(2, 1), (2, 2)])
+        x, y = rand_block_table(rng, n, b), rand_block_table(rng, n, b)
+        for tau in (F(1, 4), F(1, 2), F(1), F(0), F(-1, 2)):
+            calls.append(((x, y, Restriction.all_free(n), tau, XOR if b == 1 else IP2), {}))
+    # an exact-supremum split that a later rung would replace by a dyadic one,
+    # and a side whose floor is 0 at the first rung under tau = 0
+    half = DistributionTable.uniform([(0, 0), (1, 1)])  # sup is exactly 1/2
+    tau = F(1, 2) + max_density(U3, 1)[0] + F(1, 1 << 30)
+    assert is_structured(half, U3, Restriction.all_free(2), tau, XOR).delta_x == F(1, 2)
+    calls.append(((half, U3, Restriction.all_free(2), tau, XOR), {}))
+    near_const = DistributionTable.from_weights({(0, 0): 10 ** 7, (1, 1): 1})
+    calls.append(((near_const, U3, Restriction.all_free(2), F(0), XOR), {}))
+    assert len(calls) >= 800
+    kinds = set()
+    for args, kw in calls:
+        got = is_structured(*args, **kw)
+        want = oracle_is_structured(*args, **kw)
+        assert type(got) is type(want) and got == want, (args, got, want)
+        kinds.add(getattr(got, "reason", "certificate"))
+    assert kinds == {"certificate", "density", "density sum"}, kinds
