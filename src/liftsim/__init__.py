@@ -71,6 +71,7 @@ from .simulate import (
     reference_distribution,
 )
 from .structure import (
+    DangerScan,
     Restriction,
     dangerous_probability,
     density_restoring_fix,

@@ -279,6 +279,9 @@ class XorLemmaReport:
 def check_xor_lemma(g: Gadget, m: int, side_limit: int = RECT_SIDE_LIMIT) -> XorLemmaReport:
     """disc(g)^m <= disc(xor-power) <= (64*disc(g))^m, upper clamped at 1."""
     base = discrepancy(g, side_limit).value
+    # 2^(b*m) > side_limit: refuse the power's side before building its table
+    if m >= 1 and g.b * m >= side_limit.bit_length():
+        raise BudgetError("rectangle enumeration side domain", f"2^{g.b * m}", side_limit)
     value = discrepancy(xor_power(g, m), side_limit).value
     lower = base ** m
     upper = min(Fraction(1), (64 * base) ** m)

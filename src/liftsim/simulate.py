@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,10 +49,10 @@ from .protocols import (
 )
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .structure import (
+    DangerScan,
     Restriction,
     density_restoring_fix,
     density_restoring_partition,
-    is_dangerous,
     is_dense,
     max_density,
 )
@@ -245,18 +247,15 @@ def _side(speaker: str) -> int:
     return 0 if speaker == "A" else 1
 
 
-def _free_key(blocks: Tuple[int, ...], free: Tuple[int, ...]) -> Tuple[int, ...]:
-    """An input's blocks (a `block_table` row) at the coordinates `free`."""
-    return tuple(blocks[i] for i in free)
+@lru_cache(maxsize=64)
+def _free_keys(n: int, b: int, free: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Every input's blocks at the coordinates `free`, indexed by input (memoised)."""
+    return tuple(tuple(blocks[i] for i in free) for blocks in block_table(n, b))
 
 
 def _free_marginal(inputs: Sequence[int], free: Tuple[int, ...], n: int, b: int) -> DistributionTable:
-    table = block_table(n, b)
-    weights: Dict[Tuple[int, ...], int] = {}
-    for v in inputs:
-        key = _free_key(table[v], free)
-        weights[key] = weights.get(key, 0) + 1
-    return DistributionTable.from_weights(weights)
+    keys = _free_keys(n, b, free)
+    return DistributionTable.from_weights(Counter(map(keys.__getitem__, inputs)))
 
 
 def _maxp_free(inputs: Sequence[int], free: Tuple[int, ...], n: int, b: int) -> Fraction:
@@ -266,34 +265,27 @@ def _maxp_free(inputs: Sequence[int], free: Tuple[int, ...], n: int, b: int) -> 
 
 
 class _DangerCache:
-    """Memoizes the dangerous-value classification across rounds and branches."""
+    """One dangerous-value scan per (speaker side, silent inputs, free
+    coordinates), shared across rounds and branches."""
 
     def __init__(self, g: Gadget, params: LiftingParams):
         # by speaker side: the gadget with the speaker's block as first input
         self.gadgets = (g, g.transpose())
         self.params = params
-        self.contexts: Dict[tuple, tuple] = {}
+        self.contexts: Dict[tuple, Tuple[Fraction, DangerScan]] = {}
 
     def context(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
+        """(density witness of the silent side, its DangerScan)."""
         key = (side, silent, free)
         ctx = self.contexts.get(key)
         if ctx is None:
             p = self.params
             silent_free = _free_marginal(silent, free, p.n, p.b)
             delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
-            ctx = (silent_free, delta_w, self.gadgets[side], {})
-            self.contexts[key] = ctx
+            scan = DangerScan(silent_free, self.gadgets[side], delta_w, p.eps, p.b,
+                              coord_limit=len(free))
+            ctx = self.contexts[key] = (delta_w, scan)
         return ctx
-
-    def dangerous(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...], value) -> bool:
-        silent_free, delta_w, gad, memo = self.context(side, silent, free)
-        hit = memo.get(value)
-        if hit is None:
-            p = self.params
-            hit = is_dangerous(value, silent_free, gad, delta_w, p.eps, p.b,
-                               coord_limit=max(len(free), 1))
-            memo[value] = hit
-        return hit
 
 
 class _Engine:
@@ -308,7 +300,6 @@ class _Engine:
         self.z = z
         self.params = params
         self.cache = cache or _DangerCache(g, params)
-        self.blocks = block_table(params.n, params.b)
         full = tuple(range(p.input_size))
         self.sets = sets if sets is not None else (full, full)
         self.rho = rho if rho is not None else Restriction.all_free(p.n)
@@ -361,14 +352,10 @@ class _Engine:
             return True
         side = _side(rec.speaker)
         spk_set, silent = self.sets[side], self.sets[1 - side]
-        _, delta_w, _, _ = self.cache.context(side, silent, free)
-        rec.delta_witness = delta_w
-        blocks = self.blocks
-        value_of = {v: _free_key(blocks[v], free) for v in spk_set}
-        distinct = sorted(set(value_of.values()))
-        bad = {val for val in distinct
-               if self.cache.dangerous(side, silent, free, val)}
-        ok = self.restrict(side, lambda v: value_of[v] not in bad)
+        rec.delta_witness, scan = self.cache.context(side, silent, free)
+        keys = _free_keys(self.params.n, self.params.b, free)
+        bad = {val for val in set(map(keys.__getitem__, spk_set)) if scan.dangerous(val)}
+        ok = self.restrict(side, lambda v: keys[v] not in bad)
         rec.dangerous_values = tuple(sorted(bad))
         left = len(self.sets[side]) if ok else 0
         rec.discarded_mass = Fraction(len(spk_set) - left, len(spk_set))
@@ -396,9 +383,8 @@ class _Engine:
         rec.query_coords = abs_coords
         rec.fixed_value = tuple(value)
         if abs_coords:
-            blocks = self.blocks
-            self.restrict(_side(rec.speaker),
-                          lambda v: _free_key(blocks[v], abs_coords) == rec.fixed_value)
+            keys = _free_keys(self.params.n, self.params.b, abs_coords)
+            self.restrict(_side(rec.speaker), lambda v: keys[v] == rec.fixed_value)
         rec.snapshots["after_fix"] = self.snapshot(free)
 
     def apply_class(self, rec: RoundRecord, part) -> None:
@@ -406,10 +392,10 @@ class _Engine:
         rec.class_index = part.index
         rec.p_class = part.prob
         rec.p_geq = part.p_geq
-        blocks = self.blocks
         members = set(part.members)
         free = rec.free_before
-        self.restrict(_side(rec.speaker), lambda v: _free_key(blocks[v], free) in members)
+        keys = _free_keys(self.params.n, self.params.b, free)
+        self.restrict(_side(rec.speaker), lambda v: keys[v] in members)
         rec.query_coords = tuple(free[i] for i in part.coords)
         rec.fixed_value = tuple(part.value)
         rec.snapshots["after_fix"] = self.snapshot(free)
@@ -428,12 +414,11 @@ class _Engine:
             return True
         side = _side(rec.speaker)
         gad = self.cache.gadgets[side]
-        checks = tuple(zip(abs_coords, rec.fixed_value, zbits))
-        blocks = self.blocks
+        keys = _free_keys(self.params.n, self.params.b, abs_coords)
+        checks = tuple(zip(rec.fixed_value, zbits))
 
         def keep(w):
-            wb = blocks[w]
-            return all(gad.eval(xb, wb[coord]) == bit for coord, xb, bit in checks)
+            return all(gad.eval(xb, yb) == bit for yb, (xb, bit) in zip(keys[w], checks))
 
         silent_size = len(self.sets[1 - side])
         ok = self.restrict(1 - side, keep)

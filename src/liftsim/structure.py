@@ -10,23 +10,27 @@ All four dangerous-value scans (leaking, sparsifying, skewing, biasing) make
 one pattern pass per value: each y in Y's support gets its gadget output
 pattern against x and an integer weight over one common total, and every
 probability a scan tests (of a bit pattern, of a Y_J value, of a parity) is
-a weight sum over those rows.  No scan is pruned.  Density questions read
-the marginals of one lazy generator; max_density and the structure search
-need only the worst marginal.
+a weight sum over those rows.  No scan is pruned.  DangerScan, the
+contraction core, classifies many x against one Y: on each set C it
+contracts Y's weights with the gadget's output rows one coordinate at a
+time, for every x_C at once, and answers each x by lookups keyed by
+(C, x_C).  Density questions read the marginals of one lazy generator;
+max_density and the structure search need only the worst marginal.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dist import DistributionTable, project, subsets_by_size
 from .errors import BudgetError, DomainError
-from .exact import cmp_pow2, cmp_products, exact_log2
+from .exact import cmp_pow2, cmp_products, exact_log2, log2_bounds
 from .gadgets import Gadget
 
 __all__ = [
@@ -45,6 +49,7 @@ __all__ = [
     "is_skewing",
     "is_biasing",
     "is_dangerous",
+    "DangerScan",
     "dangerous_probability",
     "SCAN_COORD_LIMIT",
 ]
@@ -150,7 +155,9 @@ def _worst_marginal(x: DistributionTable):
 def _density_bracket(worst, b: int, resolution_bits: int) -> Tuple[Fraction, Fraction]:
     """max_density's bracket from the worst marginal (p, s) alone: for delta >= 0,
     x is delta-dense iff p <= 2**(-delta*b*s), so lo = m/2^r for the largest
-    m <= 2^r passing that test (found bit by bit) and hi = lo + 2^-r if m < 2^r."""
+    m <= 2^r passing that test, m = floor(2^r * log2(1/p) / (b*s)), and
+    hi = lo + 2^-r if m < 2^r.  m is read off certified bounds on log2(p);
+    only a candidate the bounds leave open is tested exactly."""
     one = Fraction(1)
     if worst is None:
         return one, one  # k = 0: vacuously dense at every level
@@ -158,11 +165,10 @@ def _density_bracket(worst, b: int, resolution_bits: int) -> Tuple[Fraction, Fra
     if cmp_pow2(p, b * s) <= 0:
         return one, one
     top = 1 << resolution_bits
-    m = 0
-    for bit in reversed(range(resolution_bits)):
-        trial = m | 1 << bit
-        if cmp_pow2(p, Fraction(trial * b * s, top)) <= 0:
-            m = trial
+    lo, hi = log2_bounds(p, resolution_bits + 2)
+    floor, m = max(-hi * top // (b * s), 0), min(-lo * top // (b * s), top - 1)
+    while m > floor and cmp_pow2(p, Fraction(m * b * s, top)) > 0:
+        m -= 1
     return Fraction(m, top), Fraction(m + 1, top)
 
 
@@ -558,6 +564,102 @@ def is_dangerous(
     return is_sparsifying(x_val, y, g, delta_y, eps, b, coord_limit).flagged
 
 
+class DangerScan:
+    """The leaking and sparsifying verdicts of every x against one Y.
+
+    On a coordinate set C both scans read only Y's weights grouped by
+    (x_C, output pattern on C, y_rest), so the verdicts on C are computed for
+    every x_C at once and looked up per x, walking the sets in (size, lex)
+    order.  Same verdicts and errors as is_leaking, is_sparsifying and
+    is_dangerous, which stay the witness-returning reference.
+    """
+
+    def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
+                 eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT):
+        rows = {t: w for t, w in y.weights.items() if w}
+        self.k = k = len(next(iter(rows)))
+        _guard(k, coord_limit, "leaking scan free coordinates")
+        self.side = side = g.side
+        if any(not 0 <= v < side for t in rows for v in t):
+            raise DomainError(f"inputs must lie in [0, {side})")
+        self.total = y.total
+        self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
+        level = (Fraction(delta_y) - Fraction(eps)) * b
+        self._sparsifies = lru_cache(maxsize=None)(
+            lambda heavy, weight, size: cmp_pow2(Fraction(heavy, weight), level * size) > 0)
+        self.sets = list(subsets_by_size(k, nonempty=True))
+        self.tables = {(): {((), 0): rows}}
+        self.verdicts: Dict[tuple, Dict[tuple, int]] = {}
+
+    def _table(self, coords: Tuple[int, ...]) -> dict:
+        """{(x_C, pattern): {y_rest: weight}} for C = coords: the table of C
+        minus its last coordinate c, contracted on c with the gadget's output
+        rows for every x_c at once (pattern bits in C order)."""
+        table = self.tables.get(coords)
+        if table is None:
+            prev = self._table(coords[:-1])
+            at = coords[-1] - len(coords) + 1  # c's place among y_rest
+            table = {}
+            for (xs, pat), ws in prev.items():
+                split = [(yr[at], yr[:at] + yr[at + 1:], w) for yr, w in ws.items()]
+                for xc, out in enumerate(self.outputs):
+                    parts: Tuple[dict, dict] = ({}, {})
+                    for yc, rest, w in split:
+                        part = parts[out[yc]]
+                        part[rest] = part.get(rest, 0) + w
+                    for bit, part in enumerate(parts):
+                        if part:
+                            table[xs + (xc,), pat << 1 | bit] = part
+            self.tables[coords] = table
+        return table
+
+    def _verdicts_on(self, coords: Tuple[int, ...]) -> Dict[tuple, int]:
+        """{x_C: bit 0 leaking on C, bit 1 sparsifying on C} for every x_C."""
+        found = self.verdicts.get(coords)
+        if found is None:
+            size, table = len(coords), self._table(coords)
+            subs = [(itemgetter(*sub), len(sub))
+                    for sub in subsets_by_size(self.k - size, nonempty=True)]
+            # fewer than 2^|C| patterns with weight: a null pattern leaks
+            found = {xs: int(count < 1 << size)
+                     for xs, count in Counter(xs for xs, _ in table).items()}
+            for (xs, _), ws in table.items():
+                weight = sum(ws.values())
+                if weight << (size + 1) < self.total:  # Pr[pattern] < 2**-(|C|+1)
+                    found[xs] |= 1
+                if not found[xs] & 2 and any(
+                        self._sparsifies(_heaviest(ws, key), weight, sub_size)
+                        for key, sub_size in subs):
+                    found[xs] |= 2
+            self.verdicts[coords] = found
+        return found
+
+    def _any(self, x_val: Tuple[int, ...], mask: int) -> bool:
+        if len(x_val) != self.k:
+            raise DomainError(f"x has {len(x_val)} coordinates, Y has {self.k}")
+        if any(not 0 <= v < self.side for v in x_val):
+            raise DomainError(f"inputs must lie in [0, {self.side})")
+        return any(self._verdicts_on(c)[tuple(map(x_val.__getitem__, c))] & mask
+                   for c in self.sets)
+
+    def leaking(self, x_val: Tuple[int, ...]) -> bool:
+        return self._any(x_val, 1)
+
+    def sparsifying(self, x_val: Tuple[int, ...]) -> bool:
+        return self._any(x_val, 2)
+
+    def dangerous(self, x_val: Tuple[int, ...]) -> bool:
+        return self._any(x_val, 3)
+
+
+def _heaviest(ws: Dict[tuple, int], key) -> int:
+    """The largest weight of one key(y_rest) value."""
+    marg: Dict[object, int] = defaultdict(int)
+    for yr, w in ws.items():
+        marg[key(yr)] += w
+    return max(marg.values())
+
+
 def dangerous_probability(
     x: DistributionTable,
     y: DistributionTable,
@@ -568,8 +670,6 @@ def dangerous_probability(
     coord_limit: int = SCAN_COORD_LIMIT,
 ) -> Fraction:
     """Exact X-mass of dangerous values."""
-    weight = 0
-    for x_val, w in x.weights.items():
-        if w and is_dangerous(x_val, y, g, delta_y, eps, b, coord_limit):
-            weight += w
+    scan = DangerScan(y, g, delta_y, eps, b, coord_limit)
+    weight = sum(w for x_val, w in x.weights.items() if w and scan.dangerous(x_val))
     return Fraction(weight, x.total)

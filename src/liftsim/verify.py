@@ -41,7 +41,7 @@ from .dtrees import (
     parity_problem,
     solves,
 )
-from .errors import FormatError, LiftsimError, malformed
+from .errors import DomainError, FormatError, LiftsimError, malformed
 from .exact import cmp_pow2, cmp_products, frac_str
 from .gadgets import (
     Gadget,
@@ -62,15 +62,14 @@ from .simulate import (
     lift_randomized,
 )
 from .structure import (
+    DangerScan,
     Restriction,
     dangerous_probability,
     density_restoring_fix,
     density_restoring_partition,
     is_biasing,
     is_dense,
-    is_leaking,
     is_skewing,
-    is_sparsifying,
     is_structured,
     max_density,
     StructureCertificate,
@@ -273,9 +272,19 @@ def check_main_lemma(
 # -- seeded generators -----------------------------------------------------------
 
 def seeded_distribution(rng: random.Random, domain: Sequence, max_weight: int = 16) -> DistributionTable:
-    """Random rational masses (zeros allowed, not all zero)."""
+    """Random rational masses (zeros allowed, not all zero): each weight is
+    ``rng.randrange(max_weight + 1)``, drawn by randrange's own getrandbits loop."""
+    if max_weight < 1:
+        raise DomainError("max_weight must be at least 1")
+    bound = max_weight + 1
+    bits, getrandbits = bound.bit_length(), rng.getrandbits
     while True:
-        weights = [rng.randrange(max_weight + 1) for _ in domain]
+        weights = []
+        for _ in domain:
+            w = getrandbits(bits)
+            while w >= bound:
+                w = getrandbits(bits)
+            weights.append(w)
         if any(weights):
             break
     return DistributionTable.from_weights(dict(zip(domain, weights)))
@@ -729,9 +738,10 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
             y = DistributionTable.uniform(supp)
             delta_y = max_density(y, b)[0]
             for eps in eps_grid:
+                scan = DangerScan(y, g, delta_y, eps, b)
                 for x_val in universe:
-                    leak = is_leaking(x_val, y, g).flagged
-                    spars = is_sparsifying(x_val, y, g, delta_y, eps, b).flagged
+                    leak = scan.leaking(x_val)
+                    spars = scan.sparsifying(x_val)
                     dangerous = leak or spars
                     tag = f"{gname}/supp{s_idx}/eps={eps}/x={x_val}"
                     # claim 1: dangerous and not leaking => skewing

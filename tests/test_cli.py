@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,26 @@ def test_malformed_input_exits_2(files, capsys, case):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in out + err
+
+
+def test_xor_power_refused_before_its_table(capsys, monkeypatch):
+    # the side 2^(b*m) is refused before xor_power builds 4^(b*m) entries
+    import liftsim.gadgets as gadgets
+
+    def never(g, m):
+        raise AssertionError(f"xor_power table built for m={m}")
+
+    monkeypatch.setattr(gadgets, "xor_power", never)
+    for m in (5, 9, 16):
+        start = time.perf_counter()
+        code, _, err = run_cli(["gadget", "analyze", "--gadget", "xor1",
+                                "--xor-power", str(m)], capsys)
+        assert code == 2 and time.perf_counter() - start < 1
+        assert err == f"error: rectangle enumeration side domain: size 2^{m} exceeds budget 16\n"
+    monkeypatch.undo()
+    # side 2^4 is the budget itself: still analysed
+    code, out, _ = run_cli(["gadget", "analyze", "--gadget", "xor1", "--xor-power", "4"], capsys)
+    assert code == 0 and "disc(g^xor4)=1/4" in out
 
 
 # Called as a library, every loader reports malformed text as a FormatError

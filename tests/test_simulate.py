@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,8 @@ from liftsim.dtrees import (
     solves,
 )
 from liftsim.errors import DomainError, LiftsimError
-from liftsim.gadgets import builtin_gadget
+from liftsim import simulate
+from liftsim.gadgets import blocks_of, builtin_gadget
 from liftsim.protocols import (
     PLeaf,
     PNode,
@@ -42,6 +44,7 @@ from liftsim.simulate import (
     lift_randomized_protocol,
     reference_distribution,
 )
+from liftsim.structure import DangerScan, is_dangerous, is_leaking
 
 XOR = builtin_gadget("xor1")
 IP2 = builtin_gadget("ip2")
@@ -339,6 +342,7 @@ def test_truncation_halt_positive_mass():
     dist = enumerate_output_distribution(p, parity4, 0b00, params)
     assert dist.prob(ERROR_TRUNCATION) == F(1, 256)
     assert dist.prob(ERROR_K) == 0
+    assert dist.mass == {"0": F(15, 16), "1": F(15, 256), ERROR_TRUNCATION: F(1, 256)}
 
 
 def test_step1_violation_leaves_rectangle_unchanged():
@@ -368,3 +372,60 @@ def test_step1_violation_leaves_rectangle_unchanged():
         assert lift_randomized(p, XOR, z, params("rand"), seed=0).status == "done"
         dist = enumerate_output_distribution(p, XOR, z, params("rand"))
         assert dist.mass == {"1": F(1, 2), "<VIOLATION:step1>": F(1, 2)}
+
+
+def _bits(text):
+    return tuple(int(ch) for ch in text)
+
+
+def test_discard_step_matches_per_value_scans(monkeypatch):
+    # Every value the engines classify gets the verdict of the per-value
+    # is_dangerous against the same silent marginal.  In round 2 of the ip2
+    # protocol below (found by a seeded search over random two-round
+    # protocols), the values (1, 2) and (3, 3) are sparsifying but not
+    # leaking, so the sparsifying half of the scan decides part of the trace.
+    seen = Counter()
+
+    class Checked(DangerScan):
+        def __init__(self, y, g, delta_y, eps, b, coord_limit):
+            super().__init__(y, g, delta_y, eps, b, coord_limit)
+            self.args = (y, g, delta_y, eps, b, coord_limit)
+
+        def dangerous(self, x_val):
+            got = super().dangerous(x_val)
+            y, g, delta_y, eps, b, limit = self.args
+            assert got == is_dangerous(x_val, y, g, delta_y, eps, b, limit), x_val
+            leak = is_leaking(x_val, y, g, limit).flagged
+            seen["leaking" if leak else "sparsifying only" if got else "safe"] += 1
+            return got
+
+    monkeypatch.setattr(simulate, "DangerScan", Checked)
+    p = ProtocolTree(2, 2, PNode("A", _bits("0100000111100101"), (
+        PNode("B", _bits("0110011100011000"), (PLeaf(1), PLeaf(0))),
+        PNode("B", _bits("0111001000101011"), (PLeaf(1), PLeaf(1))))))
+    params = LiftingParams(eta=1, c=2, h=1, b=2, n=2, mode="det",
+                           eps=F(1, 4), delta=F(1, 4), nonstandard=True)
+    res = lift_deterministic(p, IP2, 0b01, params)
+    assert res.status == "done"
+    assert {(1, 2), (3, 3)} <= set(res.rounds[1].dangerous_values)
+    assert seen["sparsifying only"] == 2
+    for z in range(4):
+        lift_deterministic(p, IP2, z, params)
+    _, tree = brute_force_Ddt(parity_problem(3))
+    lift_deterministic(canonical_protocol(tree, IP2), IP2, 0b101, det_params(2, 3))
+    assert min(seen.values()) >= 10, seen
+
+
+def test_fix_on_a_proper_subset_of_the_free_blocks():
+    # B's message leaves five inputs; the fix conditions them on block 1
+    # alone (the free set is (0, 1)), keeping the three whose block 1 is 3.
+    p = ProtocolTree(2, 2, PNode("B", _bits("0000010100011101"), (PLeaf(1), PLeaf(0))))
+    params = LiftingParams(eta=1, c=2, h=1, b=2, n=2, mode="det",
+                           eps=F(1, 4), delta=F(1, 2), nonstandard=True)
+    for z in range(4):
+        res = lift_deterministic(p, IP2, z, params)
+        rec = res.rounds[0]
+        assert (rec.free_before, rec.query_coords, rec.fixed_value) == ((0, 1), (1,), (3,))
+        assert rec.snapshots["after_message"][2] == F(1, 5)
+        assert rec.snapshots["after_fix"][2] == F(1, 3)
+        assert [blocks_of(v, 2, 2) for v in res.yset] == [(1, 3), (2, 3), (3, 3)]

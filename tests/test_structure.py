@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -7,8 +8,10 @@ import pytest
 from liftsim.dist import DistributionTable, project
 from liftsim.errors import BudgetError, DomainError
 from liftsim.exact import cmp_pow2, cmp_products, exact_log2
-from liftsim.gadgets import builtin_gadget, random_gadget
+from liftsim.gadgets import Gadget, builtin_gadget, random_gadget
 from liftsim.structure import (
+    SCAN_COORD_LIMIT,
+    DangerScan,
     Restriction,
     StructureCertificate,
     StructureRefusal,
@@ -287,10 +290,10 @@ def test_biasing_condition_counterexample_documented():
 # -- oracle sweep: the one-pass scans against the per-pattern reference -------
 
 def _oracle_pattern_prob(g, x_val, y, coords, bits):
-    total = F(0)
+    total, mass = F(0), y.mass
     for t in y.support():
         if all(g.eval(x_val[i], t[i]) == z for i, z in zip(coords, bits)):
-            total += y.mass[t]
+            total += mass[t]
     return total
 
 
@@ -392,6 +395,85 @@ def test_dangerous_scans_reject_out_of_range_values():
     y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
     with pytest.raises(DomainError):
         is_leaking((0, 1), y_bad, XOR)
+
+
+# -- the contraction core: DangerScan against the oracles and is_dangerous ----
+
+def _zero_weight_table(rng, universe):
+    """Weights in {0, 1, 2} on the whole universe, at least one positive."""
+    weights = {t: rng.randrange(3) for t in universe}
+    weights[rng.choice(universe)] += 1
+    return DistributionTable.from_weights(weights)
+
+
+def test_danger_scan_matches_oracles():
+    rng = random.Random(11)
+    gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip2", "rand:2:5", "rand:3:4")]
+    cases = [(g, k) for g in gadgets for k in range(4) if g.b < 3 or k < 3]
+    cases += [(g, 4) for g in gadgets if g.b == 1]
+    seen = Counter()
+    for g, k in cases:
+        universe = list(product(range(g.side), repeat=k))
+        limit = max(k, SCAN_COORD_LIMIT)
+        for make in (_weighted_table, _zero_weight_table):
+            y = make(rng, universe)
+            xs = universe if len(universe) <= 6 else rng.sample(universe, 6)
+            for delta_y, eps in _LEVELS[::2] if k == 4 else _LEVELS:
+                scan = DangerScan(y, g, delta_y, eps, g.b, limit)
+                for x in xs:
+                    args = (x, y, g, delta_y, eps, g.b, limit)
+                    leak, spars = scan.leaking(x), scan.sparsifying(x)
+                    assert leak == oracle_is_leaking(x, y, g, limit).flagged, (g, x, y)
+                    assert spars == oracle_is_sparsifying(*args).flagged, (g, x, y, delta_y, eps)
+                    assert scan.dangerous(x) == is_dangerous(*args) == (leak or spars)
+                    seen["leaking" if leak else "not leaking"] += 1
+                    seen["sparsifying" if spars else "not sparsifying"] += 1
+                    seen[f"k={k}"] += 1
+    # both values of both flags and every k are exercised, so agreement is not vacuous
+    assert min(seen[c] for c in ("leaking", "not leaking", "sparsifying",
+                                 "not sparsifying")) >= 100, seen
+    assert min(seen[f"k={k}"] for k in range(5)) >= 30, seen
+
+
+def test_danger_scan_errors_match_the_scans():
+    y = DistributionTable.uniform(list(product(range(4), repeat=2)))
+    scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
+    for x in ((4, 0), (0, -1), (0,), (0, 0, 0)):
+        for query in (scan.leaking, scan.sparsifying, scan.dangerous):
+            with pytest.raises(DomainError):
+                query(x)
+    y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
+    with pytest.raises(DomainError):
+        DangerScan(y_bad, XOR, F(1), F(1, 4), 1)
+    with pytest.raises(DomainError):
+        dangerous_probability(y_bad, y_bad, XOR, F(1), F(1, 4), 1)
+    # a zero-weight element is not in Y's support, whatever its value
+    y_zero = DistributionTable.from_weights({(0, 0): 1, (0, 1): 1, (2, 1): 0})
+    for x in product((0, 1), repeat=2):
+        assert DangerScan(y_zero, AND, F(1), F(1, 4), 1).leaking(x) == \
+            is_leaking(x, y_zero, AND).flagged
+    # the budget refusal of is_dangerous, raised when the scan is built
+    big = DistributionTable.uniform(list(product((0, 1), repeat=4)))
+    with pytest.raises(BudgetError) as got:
+        DangerScan(big, AND, F(1), F(1, 4), 1)
+    with pytest.raises(BudgetError) as want:
+        is_dangerous((0, 0, 0, 0), big, AND, F(1), F(1, 4), 1)
+    assert (got.value.what, got.value.size, got.value.limit) == \
+        (want.value.what, want.value.size, want.value.limit)
+    with pytest.raises(BudgetError):
+        dangerous_probability(big, big, AND, F(1), F(1, 4), 1)
+    assert DangerScan(big, AND, F(1), F(1, 4), 1, coord_limit=4).leaking((0, 0, 0, 0))
+
+
+def test_danger_scan_ip6_mass():
+    # b = 6, n = 2, X = Y uniform: the mass the per-value scans give (one
+    # is_dangerous call per value, about 40 s), and a sample of those calls
+    ip6 = Gadget(6, [(x & y).bit_count() & 1 for x in range(64) for y in range(64)])
+    u = DistributionTable.uniform(list(product(range(64), repeat=2)))
+    assert dangerous_probability(u, u, ip6, F(1), F(1, 2), 6) == F(127, 4096)
+    scan = DangerScan(u, ip6, F(1), F(1, 2), 6)
+    for x in [(0, 0), (0, 63), (63, 63)] + random.Random(6).sample(u.domain, 5):
+        assert scan.dangerous(x) == is_dangerous(x, u, ip6, F(1), F(1, 2), 6), x
 
 
 # -- oracle sweep: skewing and biasing on the pattern rows against the

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from liftsim.dist import DistributionTable
-from liftsim.errors import LiftsimError
+from liftsim.errors import DomainError, LiftsimError
 from liftsim.gadgets import builtin_gadget, discrepancy
 from liftsim.structure import Restriction
 from liftsim.verify import (
@@ -98,6 +98,27 @@ def test_seeded_distribution_deterministic():
     d1 = seeded_distribution(random.Random("x"), [0, 1, 2])
     d2 = seeded_distribution(random.Random("x"), [0, 1, 2])
     assert d1 == d2
+
+
+def test_seeded_distribution_draws_match_randrange():
+    # the inlined rejection loop draws what Random.randrange(max_weight + 1)
+    # draws, all-zero redraws included, and leaves the generator in the same state
+    for seed in (0, 1, 2024, "x/kraft", 77):
+        for max_weight in (1, 2, 3, 7, 16, 31, 100):
+            for size in (1, 2, 12):
+                domain = list(range(size))
+                ref = random.Random(seed)
+                while True:
+                    want = [ref.randrange(max_weight + 1) for _ in domain]
+                    if any(want):
+                        break
+                rng = random.Random(seed)
+                d = seeded_distribution(rng, domain, max_weight)
+                assert [d.weights[v] for v in domain] == want, (seed, max_weight, size)
+                assert rng.getstate() == ref.getstate()
+    for max_weight in (0, -1):
+        with pytest.raises(DomainError):
+            seeded_distribution(random.Random(0), [0, 1], max_weight)
 
 
 def test_small_corpus_runs_and_is_deterministic():
