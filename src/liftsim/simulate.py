@@ -115,6 +115,8 @@ class LiftingParams:
         self.h = Fraction(self.h)
         if self.mode not in ("det", "rand"):
             raise DomainError("mode must be 'det' or 'rand'")
+        if self.eta <= 0 or self.c <= 0:
+            raise DomainError("eta and c must be positive")
         overridden = self.eps is not None or self.delta is not None or self.tau is not None
         if overridden and not self.nonstandard:
             raise DomainError("explicit eps/delta/tau require nonstandard=True")

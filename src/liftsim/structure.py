@@ -13,9 +13,11 @@ probability a scan tests (of a bit pattern, of a Y_J value, of a parity) is
 a weight sum over those rows.  No scan is pruned.  DangerScan, the
 contraction core, classifies many x against one Y: on each set C it
 contracts Y's weights with the gadget's output rows one coordinate at a
-time, for every x_C at once, and answers each x by lookups keyed by
-(C, x_C).  Density questions read the marginals of one lazy generator;
-max_density and the structure search need only the worst marginal.
+time, for every x_C at once, and answers each x's leaking, sparsifying,
+dangerous and biasing verdicts by lookups keyed by (C, x_C).  The per-value
+scans stay as the witness-returning reference.  Density questions read the
+marginals of one lazy generator; max_density and the structure search need
+only the worst marginal.
 """
 
 from __future__ import annotations
@@ -221,16 +223,14 @@ def is_structured(
     """
     tau = Fraction(tau)
     b = g.b
-    if x_full is not None and y_full is not None:
-        fixed = rho.fixed()
-        for xv in x_full.support():
-            for yv in y_full.support():
-                for i in fixed:
-                    if g.eval(xv[i], yv[i]) != int(rho.cells[i]):
-                        return StructureRefusal(
-                            "fixed-block consistency",
-                            f"g(x_{i}, y_{i}) != rho_{i} on support pair {xv}, {yv}",
-                        )
+    if x_full is not None and y_full is not None and rho.fixed():
+        pair = _inconsistent_pair(x_full, y_full, rho, g)
+        if pair is not None:
+            xv, yv, i = pair
+            return StructureRefusal(
+                "fixed-block consistency",
+                f"g(x_{i}, y_{i}) != rho_{i} on support pair {xv}, {yv}",
+            )
     k = len(rho.free())
     if k == 0:
         half = tau / 2
@@ -269,6 +269,28 @@ def is_structured(
         "tau is reachable only in the limit; no rational split found at the "
         f"working resolution 2^-{bits + 20}",
     )
+
+
+def _inconsistent_pair(x_full: DistributionTable, y_full: DistributionTable,
+                       rho: Restriction, g: Gadget):
+    """The first (x, y, i) with g(x_i, y_i) != rho_i, walking the support pairs
+    and then the fixed coordinates in order, or None.  Each fixed coordinate is
+    first tested on its distinct (x_i, y_i) values; pairs are walked only from
+    the first x that has a contradicting y_i, to name the same witness."""
+    xs, ys = x_full.support(), y_full.support()
+    fixed = [(i, int(rho.cells[i])) for i in rho.fixed()]
+    bad = []  # per fixed coordinate: the x_i some support y_i contradicts rho_i with
+    for i, bit in fixed:
+        y_vals = {yv[i] for yv in ys}
+        bad.append({a for a in {xv[i] for xv in xs}
+                    if any(g.eval(a, v) != bit for v in y_vals)})
+    for xv in xs:
+        if any(xv[i] in b for (i, _), b in zip(fixed, bad)):
+            for yv in ys:
+                for i, bit in fixed:
+                    if g.eval(xv[i], yv[i]) != bit:
+                        return xv, yv, i
+    return None
 
 
 # -- density restoration -------------------------------------------------------
@@ -565,13 +587,15 @@ def is_dangerous(
 
 
 class DangerScan:
-    """The leaking and sparsifying verdicts of every x against one Y.
+    """The leaking, sparsifying and biasing verdicts of every x against one Y.
 
-    On a coordinate set C both scans read only Y's weights grouped by
+    On a coordinate set C the three scans read only Y's weights grouped by
     (x_C, output pattern on C, y_rest), so the verdicts on C are computed for
     every x_C at once and looked up per x, walking the sets in (size, lex)
-    order.  Same verdicts and errors as is_leaking, is_sparsifying and
-    is_dangerous, which stay the witness-returning reference.
+    order.  Biasing also reads the size bound, which depends only on
+    (|S|, |J|, w_J) and is decided once per value of that triple.  Same
+    verdicts and errors as is_leaking, is_sparsifying, is_dangerous and
+    is_biasing, which stay the witness-returning reference.
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
@@ -584,12 +608,15 @@ class DangerScan:
             raise DomainError(f"inputs must lie in [0, {side})")
         self.total = y.total
         self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
-        level = (Fraction(delta_y) - Fraction(eps)) * b
+        self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), b
+        level = (self.delta_y - self.eps) * b
         self._sparsifies = lru_cache(maxsize=None)(
             lambda heavy, weight, size: cmp_pow2(Fraction(heavy, weight), level * size) > 0)
+        self._sized = lru_cache(maxsize=None)(self._size_bound)
         self.sets = list(subsets_by_size(k, nonempty=True))
         self.tables = {(): {((), 0): rows}}
         self.verdicts: Dict[tuple, Dict[tuple, int]] = {}
+        self.biased: Dict[tuple, set] = {}
 
     def _table(self, coords: Tuple[int, ...]) -> dict:
         """{(x_C, pattern): {y_rest: weight}} for C = coords: the table of C
@@ -634,11 +661,14 @@ class DangerScan:
             self.verdicts[coords] = found
         return found
 
-    def _any(self, x_val: Tuple[int, ...], mask: int) -> bool:
+    def _check(self, x_val: Tuple[int, ...]) -> None:
         if len(x_val) != self.k:
             raise DomainError(f"x has {len(x_val)} coordinates, Y has {self.k}")
         if any(not 0 <= v < self.side for v in x_val):
             raise DomainError(f"inputs must lie in [0, {self.side})")
+
+    def _any(self, x_val: Tuple[int, ...], mask: int) -> bool:
+        self._check(x_val)
         return any(self._verdicts_on(c)[tuple(map(x_val.__getitem__, c))] & mask
                    for c in self.sets)
 
@@ -650,6 +680,60 @@ class DangerScan:
 
     def dangerous(self, x_val: Tuple[int, ...]) -> bool:
         return self._any(x_val, 3)
+
+    def biasing(self, x_val: Tuple[int, ...], c: Fraction, n: int) -> bool:
+        """is_biasing(x_val, y, g, delta_y, eps, b, c, n, coord_limit).flagged."""
+        if n < 2:
+            raise DomainError("the ambient dimension must be at least 2")
+        self._check(x_val)
+        c = Fraction(c)
+        return any(tuple(map(x_val.__getitem__, s)) in self._biased_on(s, c, n)
+                   for s in self.sets)
+
+    def _size_bound(self, c: Fraction, n: int, s_size: int, j_size: int, wj: int) -> bool:
+        """is_biasing's size bound on (|S|, |J|, w_J), the same cmp_products call."""
+        a_pows = [(n, s_size), (2, self.delta_y * self.b * j_size)]
+        b_pows = [(n, c * self.eps * j_size)]
+        return cmp_products(Fraction(wj, self.total), a_pows, 4, b_pows) >= 0
+
+    def _biased_on(self, coords: Tuple[int, ...], c: Fraction, n: int) -> set:
+        """The x_S, S = coords, with a (J, y_J) that passes the size bound and
+        has |w_J - 2*odd| * 2(2n)^|S| > w_J, odd the weight of the rows whose
+        pattern on S has odd parity."""
+        found = self.biased.get((c, n, coords))
+        if found is None:
+            size, table = len(coords), self._table(coords)
+            scale = 2 * (2 * n) ** size
+            rest = tuple(i for i in range(self.k) if i not in coords)
+            whole: Dict[tuple, int] = defaultdict(int)  # Y's weight of each y_rest
+            for t, w in self.tables[()][(), 0].items():
+                whole[tuple(t[i] for i in rest)] += w
+            odd: Dict[tuple, Dict[tuple, int]] = {}
+            for (xs, pat), ws in table.items():
+                acc = odd.setdefault(xs, {})
+                if pat.bit_count() & 1:
+                    for yr, w in ws.items():
+                        acc[yr] = acc.get(yr, 0) + w
+            found = set()
+            for sub in subsets_by_size(len(rest)):  # J, as places in y_rest
+                key = itemgetter(*sub) if sub else lambda yr: ()
+                w_j: Dict[object, int] = defaultdict(int)
+                for yr, w in whole.items():
+                    w_j[key(yr)] += w
+                sized = [(yj, wj) for yj, wj in w_j.items()
+                         if self._sized(c, n, size, len(sub), wj)]
+                if not sized:
+                    continue
+                for xs, acc in odd.items():
+                    if xs in found:
+                        continue
+                    odd_j: Dict[object, int] = defaultdict(int)
+                    for yr, w in acc.items():
+                        odd_j[key(yr)] += w
+                    if any(abs(wj - 2 * odd_j[yj]) * scale > wj for yj, wj in sized):
+                        found.add(xs)
+            self.biased[c, n, coords] = found
+        return found
 
 
 def _heaviest(ws: Dict[tuple, int], key) -> int:

@@ -67,7 +67,6 @@ from .structure import (
     dangerous_probability,
     density_restoring_fix,
     density_restoring_partition,
-    is_biasing,
     is_dense,
     is_skewing,
     is_structured,
@@ -753,7 +752,7 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
                     else:
                         rep_skew.record(LemmaInstance(f"skewing/{tag}", "vacuous"))
                     # claim 2: not biasing => not dangerous
-                    biasing = is_biasing(x_val, y, g, delta_y, eps, b, c_param, n).flagged
+                    biasing = scan.biasing(x_val, c_param, n)
                     if not biasing:
                         rep_bias.record(LemmaInstance(
                             f"biasing/{tag}",

@@ -158,6 +158,18 @@ MALFORMED = {
     "gadget-block-too-long": lambda root: ["gadget", "analyze", "--gadget", "rand:40:1"],
     "gadget-file-block-too-long": lambda root: [
         "gadget", "analyze", "--gadget", str(_spec(root, "long_block", {"b": 40, "rows": []}))],
+    "lift-eta-zero": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--eta", "0"],
+    "lift-c-zero": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--c", "0"],
+    "lift-c-negative-det": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--c", "-2"],
+    "lift-c-negative-rand": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--mode", "rand", "--c", "-2"],
     "problem-table-not-object": lambda root: [
         "oracle", "dt", "--problem", str(_spec(root, "problem", {"n": 1, "outputs": [0],
                                                                  "table": []}))],

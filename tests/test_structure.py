@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -465,6 +466,56 @@ def test_danger_scan_errors_match_the_scans():
     assert DangerScan(big, AND, F(1), F(1, 4), 1, coord_limit=4).leaking((0, 0, 0, 0))
 
 
+def test_danger_scan_biasing_matches_is_biasing():
+    rng = random.Random(13)
+    gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip1", "ip2", "rand:2:5")]
+    cases = [(g, k, SCAN_COORD_LIMIT) for g in gadgets for k in (2, 3)]
+    cases += [(g, 4, 4) for g in gadgets if g.b == 1]
+    seen = Counter()
+    for g, k, limit in cases:
+        universe = list(product(range(g.side), repeat=k))
+        for _ in range(2):
+            y = _weighted_table(rng, universe)
+            xs = universe if len(universe) <= 4 else rng.sample(universe, 4)
+            for delta_y, eps in _LEVELS[::2]:
+                scan = DangerScan(y, g, delta_y, eps, g.b, limit)
+                for c, n in product((F(1, 2), F(2), F(16)), (2, 3, 4)):
+                    for x in xs:
+                        want = is_biasing(x, y, g, delta_y, eps, g.b, c, n, limit).flagged
+                        assert scan.biasing(x, c, n) == want, (g, x, y, delta_y, eps, c, n)
+                        seen["biasing" if want else "not biasing"] += 1
+    # both verdicts are exercised, so agreement is not vacuous
+    assert min(seen.values()) >= 100, seen
+    # on the threshold: for S = {0, 1} and the empty J, |w - 2 odd| * 2(2n)^|S|
+    # = 2 * 32 = 64 = w, and no other (S, J) passes the size bound: not biasing
+    y = DistributionTable.from_weights({(0, 0): 17, (0, 1): 16, (1, 0): 15, (1, 1): 16})
+    scan = DangerScan(y, XOR, F(1), F(1, 4), 1)
+    for x in product((0, 1), repeat=2):
+        assert not scan.biasing(x, F(2), 2)
+        assert not is_biasing(x, y, XOR, F(1), F(1, 4), 1, F(2), 2).flagged
+    # at n = 3 the empty J fails the size bound for |S| = 1 and J = {1} passes it
+    y = DistributionTable.from_weights({(0, 0): 1, (0, 1): 3, (1, 0): 0, (1, 1): 4})
+    assert DangerScan(y, AND, F(1), F(1, 4), 1).biasing((1, 0), F(1, 2), 3)
+    assert is_biasing((1, 0), y, AND, F(1), F(1, 4), 1, F(1, 2), 3).witness[:2] == ((0,), (1,))
+    # the errors of is_biasing: n < 2, then x's length and range
+    y = DistributionTable.uniform(list(product(range(4), repeat=2)))
+    scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
+    for x, n in (((0, 0), 1), ((4, 0), 2), ((0, -1), 2), ((4, 0), 1)):
+        with pytest.raises(DomainError) as got:
+            scan.biasing(x, F(2), n)
+        with pytest.raises(DomainError) as want:
+            is_biasing(x, y, IP2, F(1), F(1, 4), 2, F(2), n)
+        assert str(got.value) == str(want.value)
+    for x in ((0,), (0, 0, 0)):
+        with pytest.raises(DomainError):
+            scan.biasing(x, F(2), 2)
+    big = DistributionTable.uniform(list(product((0, 1), repeat=4)))
+    with pytest.raises(BudgetError):
+        DangerScan(big, AND, F(1), F(1, 4), 1)
+    with pytest.raises(BudgetError):
+        is_biasing((0, 0, 0, 0), big, AND, F(1), F(1, 4), 1, F(2), 2)
+
+
 def test_danger_scan_ip6_mass():
     # b = 6, n = 2, X = Y uniform: the mass the per-value scans give (one
     # is_dangerous call per value, about 40 s), and a sample of those calls
@@ -657,6 +708,53 @@ def oracle_is_structured(x, y, rho, tau, g, x_full=None, y_full=None, resolution
         "density sum",
         "tau is reachable only in the limit; no rational split found at the "
         f"working resolution 2^-{resolution_bits + 20}")
+
+
+def test_fixed_block_consistency_names_the_first_pair():
+    # the refusal names the first (x, y, i) of the oracle's walk over every
+    # support pair; zero-weight elements are not in the support
+    x_full = DistributionTable.uniform([(1, 0, 1), (1, 1, 0), (1, 1, 1)])
+    y_full = DistributionTable.from_weights({(0, 0, 0): 0, (1, 0, 1): 1, (1, 1, 1): 1})
+    rho = Restriction("1*1")
+    args = (project(x_full, (1,)), project(y_full, (1,)), rho, F(1), AND)
+    ref = is_structured(*args, x_full=x_full, y_full=y_full)
+    assert ref == StructureRefusal(
+        "fixed-block consistency",
+        "g(x_2, y_2) != rho_2 on support pair (1, 1, 0), (1, 0, 1)")
+    assert ref == oracle_is_structured(*args, x_full=x_full, y_full=y_full)
+    rng = random.Random(17)
+    kinds = Counter()
+    for _ in range(300):
+        n, g = rng.choice((2, 3)), rng.choice((AND, XOR))
+        cube = list(product((0, 1), repeat=n))
+        x_full, y_full = _weighted_table(rng, cube), _weighted_table(rng, cube)
+        rho = Restriction("".join(rng.choice("01**") for _ in range(n)))
+        free = rho.free()
+        x, y = ((project(x_full, free), project(y_full, free)) if free else
+                (DistributionTable.point(()), DistributionTable.point(())))
+        got = is_structured(x, y, rho, F(1, 2), g, x_full=x_full, y_full=y_full)
+        assert got == oracle_is_structured(x, y, rho, F(1, 2), g, x_full, y_full), (rho, got)
+        kinds[getattr(got, "reason", "certificate")] += 1
+    assert kinds["fixed-block consistency"] >= 50 and len(kinds) >= 3, kinds
+
+
+def test_fixed_block_consistency_at_b6():
+    # b = 6, n = 2, X = Y uniform: no fixed coordinate, so no pair is walked
+    # (16.7 M of them, about 2 s, when they were)
+    ip6 = Gadget(6, [(x & y).bit_count() & 1 for x in range(64) for y in range(64)])
+    u = DistributionTable.uniform(list(product(range(64), repeat=2)))
+    start = time.perf_counter()
+    cert = is_structured(u, u, Restriction.all_free(2), F(11, 6), ip6, x_full=u, y_full=u)
+    assert time.perf_counter() - start < 0.5
+    assert cert == is_structured(u, u, Restriction.all_free(2), F(11, 6), ip6)
+    # block 0 fixed to 1 and consistent: x_0 in {1, 3}, y_0 = 1 mod 4
+    x_full = DistributionTable.uniform([(a, v) for a in (1, 3) for v in range(64)])
+    y_full = DistributionTable.uniform([(a, v) for a in range(1, 64, 4) for v in range(64)])
+    args = (project(x_full, (1,)), project(y_full, (1,)), Restriction("1*"), F(3, 2), ip6)
+    start = time.perf_counter()
+    cert = is_structured(*args, x_full=x_full, y_full=y_full)
+    assert time.perf_counter() - start < 0.5
+    assert isinstance(cert, StructureCertificate) and cert == is_structured(*args)
 
 
 def test_max_density_matches_bisection_oracle():
