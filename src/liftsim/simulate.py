@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dist import DistributionTable, ZERO, project
 from .errors import BudgetError, DomainError, LiftsimError
@@ -255,26 +255,66 @@ def _free_keys(n: int, b: int, free: Tuple[int, ...]) -> Tuple[Tuple[int, ...], 
     return tuple(tuple(blocks[i] for i in free) for blocks in block_table(n, b))
 
 
-def _free_marginal(inputs: Sequence[int], free: Tuple[int, ...], n: int, b: int) -> DistributionTable:
-    keys = _free_keys(n, b, free)
-    return DistributionTable.from_weights(Counter(map(keys.__getitem__, inputs)))
+class _EngineCache:
+    """Everything the engines read that depends only on (gadget, eps, delta,
+    b, n) and one side's inputs, each entry built once and shared across
+    the rounds, branches, runs and inputs z of whoever holds the cache.  It
+    lives as long as its holder (there is no process-wide cache), and the
+    engines refuse one built for another gadget or other (eps, delta, b, n).
 
-
-def _maxp_free(inputs: Sequence[int], free: Tuple[int, ...], n: int, b: int) -> Fraction:
-    if not free:
-        return Fraction(1)
-    return _free_marginal(inputs, free, n, b).maxprob()
-
-
-class _DangerCache:
-    """One dangerous-value scan per (speaker side, silent inputs, free
-    coordinates), shared across rounds and branches."""
+      marginals:  (inputs, free) -> the inputs' marginal on the free coordinates
+      maxprobs:   (inputs, free) -> its maxprob
+      densities:  (inputs, free, delta) -> whether it is delta-dense
+      partitions: (inputs, free) -> its density-restoring partition
+      contexts:   (speaker side, silent inputs, free) -> the silent side's
+                  density witness and its DangerScan against the speaker's gadget
+    """
 
     def __init__(self, g: Gadget, params: LiftingParams):
         # by speaker side: the gadget with the speaker's block as first input
         self.gadgets = (g, g.transpose())
         self.params = params
+        self.key = _cache_key(g, params)
+        self.marginals: Dict[tuple, DistributionTable] = {}
+        self.maxprobs: Dict[tuple, Fraction] = {}
+        self.densities: Dict[tuple, bool] = {}
+        self.partitions: Dict[tuple, list] = {}
         self.contexts: Dict[tuple, Tuple[Fraction, DangerScan]] = {}
+
+    def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
+        key = (inputs, free)
+        marg = self.marginals.get(key)
+        if marg is None:
+            keys = _free_keys(self.params.n, self.params.b, free)
+            marg = DistributionTable.from_weights(Counter(map(keys.__getitem__, inputs)))
+            self.marginals[key] = marg
+        return marg
+
+    def maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
+        if not free:
+            return Fraction(1)
+        key = (inputs, free)
+        p = self.maxprobs.get(key)
+        if p is None:
+            p = self.maxprobs[key] = self.marginal(inputs, free).maxprob()
+        return p
+
+    def dense(self, inputs: Tuple[int, ...], free: Tuple[int, ...], delta: Fraction) -> bool:
+        key = (inputs, free, delta)
+        verdict = self.densities.get(key)
+        if verdict is None:
+            verdict = self.densities[key] = is_dense(
+                self.marginal(inputs, free), delta, self.params.b).dense
+        return verdict
+
+    def partition(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
+        """The partition depends on the marginal alone, not on whose it is."""
+        key = (inputs, free)
+        parts = self.partitions.get(key)
+        if parts is None:
+            parts = self.partitions[key] = density_restoring_partition(
+                self.marginal(inputs, free), self.params.delta, self.params.b)
+        return parts
 
     def context(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
         """(density witness of the silent side, its DangerScan)."""
@@ -282,7 +322,7 @@ class _DangerCache:
         ctx = self.contexts.get(key)
         if ctx is None:
             p = self.params
-            silent_free = _free_marginal(silent, free, p.n, p.b)
+            silent_free = self.marginal(silent, free)
             delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
             scan = DangerScan(silent_free, self.gadgets[side], delta_w, p.eps, p.b,
                               coord_limit=len(free))
@@ -290,18 +330,35 @@ class _DangerCache:
         return ctx
 
 
+def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
+    """What every entry of an engine cache depends on."""
+    return g.table, params.eps, params.delta, params.b, params.n
+
+
+def _cache_for(g: Gadget, params: LiftingParams,
+               cache: Optional[_EngineCache]) -> _EngineCache:
+    """`cache`, or a new one when None; a cache built for another gadget or
+    other (eps, delta, b, n) is refused, since its entries would be wrong."""
+    if cache is None:
+        return _EngineCache(g, params)
+    if cache.key != _cache_key(g, params):
+        raise DomainError("the engine cache was built for another gadget "
+                          "or other (eps, delta, b, n)")
+    return cache
+
+
 class _Engine:
     """Shared state and steps for one simulation run."""
 
     def __init__(self, p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
-                 cache: Optional[_DangerCache] = None,
+                 cache: Optional[_EngineCache] = None,
                  sets: Optional[Tuple[tuple, tuple]] = None,
                  rho: Optional[Restriction] = None):
         _check_dims(p, g, z, params)
         self.p = p
         self.z = z
         self.params = params
-        self.cache = cache or _DangerCache(g, params)
+        self.cache = _cache_for(g, params, cache)
         full = tuple(range(p.input_size))
         self.sets = sets if sets is not None else (full, full)
         self.rho = rho if rho is not None else Restriction.all_free(p.n)
@@ -329,9 +386,8 @@ class _Engine:
         return rec
 
     def snapshot(self, free: Tuple[int, ...]):
-        n, b = self.params.n, self.params.b
         xset, yset = self.sets
-        return (len(free), _maxp_free(xset, free, n, b), _maxp_free(yset, free, n, b))
+        return (len(free), self.cache.maxprob(xset, free), self.cache.maxprob(yset, free))
 
     def _density_invariant(self, rec: RoundRecord) -> None:
         free = rec.free_before
@@ -341,10 +397,10 @@ class _Engine:
             return
         pr = self.params
         side = _side(rec.speaker)
-        spk_m = _free_marginal(self.sets[side], free, pr.n, pr.b)
-        sil_m = _free_marginal(self.sets[1 - side], free, pr.n, pr.b)
-        rec.flags["invariant_speaker_dense"] = is_dense(spk_m, pr.delta - pr.eps, pr.b).dense
-        rec.flags["invariant_silent_dense"] = is_dense(sil_m, pr.delta, pr.b).dense
+        rec.flags["invariant_speaker_dense"] = self.cache.dense(
+            self.sets[side], free, pr.delta - pr.eps)
+        rec.flags["invariant_silent_dense"] = self.cache.dense(
+            self.sets[1 - side], free, pr.delta)
 
     def discard_dangerous(self, rec: RoundRecord) -> bool:
         """Step 1: returns False when the speaker's set empties."""
@@ -363,6 +419,10 @@ class _Engine:
         rec.discarded_mass = Fraction(len(spk_set) - left, len(spk_set))
         rec.snapshots["after_discard"] = self.snapshot(free)
         return ok
+
+    def partition(self, rec: RoundRecord):
+        """Rand step 4: the speaker's density-restoring partition."""
+        return self.cache.partition(self.sets[_side(rec.speaker)], rec.free_before)
 
     def message_table(self, node: PNode):
         return message_distribution(
@@ -447,7 +507,7 @@ def _check_dims(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams):
 
 
 def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
-                       cache: Optional[_DangerCache] = None) -> SimResult:
+                       cache: Optional[_EngineCache] = None) -> SimResult:
     """Deterministic five-step simulation of one protocol run on input z."""
     eng = _Engine(p, g, z, params, cache=cache)
     node = p.root
@@ -459,9 +519,8 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
         table, ends = eng.message_table(node)
         message = kraft_heavy_message(table)
         node = eng.take_message(node, rec, message, table.prob(message), ends[message])
-        marg = _free_marginal(eng.sets[_side(rec.speaker)],
-                              rec.free_before, params.n, params.b) if rec.free_before else None
-        if marg is not None:
+        if rec.free_before:
+            marg = eng.cache.marginal(eng.sets[_side(rec.speaker)], rec.free_before)
             rel_coords, value, _ = density_restoring_fix(marg, params.delta, params.b)
             if rel_coords:
                 rec.heavy_value_prob = project(marg, rel_coords).prob(tuple(value))
@@ -491,29 +550,16 @@ def _sample(rng: random.Random, items):
     return items[-1][0]
 
 
-def _partition_for(eng: _Engine, rec: RoundRecord, partition_memo: dict):
-    side = _side(rec.speaker)
-    key = (side, eng.sets[side], rec.free_before)
-    parts = partition_memo.get(key)
-    if parts is None:
-        marg = _free_marginal(eng.sets[side], rec.free_before,
-                              eng.params.n, eng.params.b)
-        parts = density_restoring_partition(marg, eng.params.delta, eng.params.b)
-        partition_memo[key] = parts
-    return parts
-
-
 def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
-                    seed: int = 0) -> SimResult:
+                    seed: int = 0, cache: Optional[_EngineCache] = None) -> SimResult:
     """Sampled randomized simulation (messages and partition classes drawn
     from a deterministic seeded source); K is tracked as an exact product."""
     if params.mode != "rand":
         raise DomainError("lift_randomized needs randomized-mode parameters")
     rng = random.Random(seed)
-    eng = _Engine(p, g, z, params)
+    eng = _Engine(p, g, z, params, cache=cache)
     cap_c, _ = complexity(p)
     k_product = Fraction(1)
-    partition_memo: dict = {}
     node = p.root
     while isinstance(node, PNode):
         rec = eng.begin_round(node)
@@ -532,7 +578,7 @@ def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
             rec.flags["k_halt"] = True
             return eng.result("error_halt_k", "step3: K exceeded C+b", k_product=k_product)
         if rec.free_before:
-            parts = _partition_for(eng, rec, partition_memo)
+            parts = eng.partition(rec)
             part = _sample(rng, [(pt, pt.prob) for pt in parts])
             eng.apply_class(rec, part)
             if eng.params.trunc_cmp(part.p_geq) < 0:
@@ -562,7 +608,8 @@ def lift_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
 
 def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
                                   params: LiftingParams,
-                                  branch_limit: int = ENUM_BRANCH_LIMIT) -> DistributionTable:
+                                  branch_limit: int = ENUM_BRANCH_LIMIT,
+                                  cache: Optional[_EngineCache] = None) -> DistributionTable:
     """Exact output distribution of the randomized simulation.
 
     Branches over every message and partition class with its exact
@@ -572,8 +619,7 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
     if params.mode != "rand":
         raise DomainError("enumeration needs randomized-mode parameters")
     cap_c, _ = complexity(p)
-    cache = _DangerCache(g, params)
-    partition_memo: dict = {}
+    cache = _cache_for(g, params, cache)
     outcomes: Dict[str, Fraction] = {}
     branches = 0
 
@@ -609,7 +655,7 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
                 add(ERROR_K, prob2)
                 continue
             if rec.free_before:
-                parts = _partition_for(eng, rec_m, partition_memo)
+                parts = eng.partition(rec_m)
                 msg_sets = eng.sets
                 for part in parts:
                     eng.sets = msg_sets
@@ -638,8 +684,9 @@ def enumerate_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
                                   params: LiftingParams,
                                   branch_limit: int = ENUM_BRANCH_LIMIT) -> DistributionTable:
     """Exact mixture of per-component enumerations."""
+    cache = _EngineCache(g, params)
     return DistributionTable.mixture(
-        (w, enumerate_output_distribution(proto, g, z, params, branch_limit))
+        (w, enumerate_output_distribution(proto, g, z, params, branch_limit, cache))
         for w, proto in rp.components)
 
 
@@ -682,7 +729,7 @@ def extract_parallel_tree(p: ProtocolTree, g: Gadget, params: LiftingParams) -> 
     depth is the number of simulated rounds.
     """
     n = p.n
-    cache = _DangerCache(g, params)
+    cache = _EngineCache(g, params)
     runs = {}
     for z in range(1 << n):
         res = lift_deterministic(p, g, z, params, cache=cache)
@@ -742,55 +789,54 @@ class LedgerReport:
 
 def _dval(snapshot, b: int) -> Fraction:
     free_count, mpx, mpy = snapshot
-    return Fraction(4) ** (b * free_count) * mpx * mpy
+    return Fraction(mpx.numerator * mpy.numerator << 2 * b * free_count,
+                    mpx.denominator * mpy.denominator)
 
 
 def ledger_assertions(result: SimResult, params: LiftingParams) -> LedgerReport:
     """Recompute every deficiency delta from the trace and check the bounds.
 
     Deficiency is 2b|free| - H_inf(X_free) - H_inf(Y_free); it is carried in
-    the cleared form 4^(b|free|) * maxp_x * maxp_y, so every clause is an
-    exact rational comparison.  Conditional clauses are checked only when
-    their recorded preconditions hold; failed preconditions are reported.
+    the cleared form 4^(b|free|) * maxp_x * maxp_y, computed once per
+    snapshot of a round, so every clause is an exact rational comparison.
+    Conditional clauses are checked only when their recorded preconditions
+    hold; failed preconditions are reported.
     """
     b = params.b
     delta = params.delta
     rounds_out: List[RoundLedger] = []
     nonneg = True
     for rec in result.rounds:
-        snaps = rec.snapshots
+        dvals = {name: _dval(snap, b) for name, snap in rec.snapshots.items()}
         checks: Dict[str, Optional[bool]] = {}
         pre: Dict[str, bool] = {}
-        for name in ("start", "after_discard", "after_message", "after_fix",
-                     "after_query", "end"):
-            if name in snaps and snaps[name] is not None:
-                if _dval(snaps[name], b) < 1:
-                    nonneg = False
-        if "after_discard" in snaps and "start" in snaps:
-            d0, d1 = _dval(snaps["start"], b), _dval(snaps["after_discard"], b)
+        if any(d < 1 for d in dvals.values()):
+            nonneg = False
+        if "after_discard" in dvals and "start" in dvals:
+            d0, d1 = dvals["start"], dvals["after_discard"]
             pre["discard_at_most_half"] = rec.discarded_mass * 2 <= 1
             checks["discard_increase_le_1_bit"] = (
                 d1 <= 2 * d0 if pre["discard_at_most_half"] else None)
-        if "after_message" in snaps and "after_discard" in snaps:
-            d1, d2 = _dval(snaps["after_discard"], b), _dval(snaps["after_message"], b)
+        if "after_message" in dvals and "after_discard" in dvals:
+            d1, d2 = dvals["after_discard"], dvals["after_message"]
             if params.mode == "det":
                 pre["kraft_heavy"] = bool(rec.flags.get("kraft_heavy"))
                 checks["message_increase_le_len"] = (
                     d2 <= d1 * (1 << len(rec.message)) if pre["kraft_heavy"] else None)
             else:
                 checks["message_increase_le_log"] = d2 * rec.p_message <= d1
-            if "start" in snaps:
-                d0 = _dval(snaps["start"], b)
+            if "start" in dvals:
+                d0 = dvals["start"]
                 if pre.get("discard_at_most_half"):
                     checks["steps12_increase_le_log_plus_1"] = (
                         d2 * rec.p_message <= 2 * d0)
-        if rec.query_coords and "after_message" in snaps and "end" in snaps:
+        if rec.query_coords and "after_message" in dvals and "end" in dvals:
             isize = len(rec.query_coords)
-            d2 = _dval(snaps["after_message"], b)
-            d5 = _dval(snaps["end"], b)
+            d2 = dvals["after_message"]
+            d5 = dvals["end"]
             pre["nonleaking_event"] = bool(rec.flags.get("nonleaking_event"))
-            if "after_fix" in snaps:
-                d3 = _dval(snaps["after_fix"], b)
+            if "after_fix" in dvals:
+                d3 = dvals["after_fix"]
                 if params.mode == "det":
                     pre["heavy_value"] = bool(rec.flags.get("heavy_value", True))
                     checks["fix_increase_lt_delta_b_I"] = (
@@ -800,9 +846,9 @@ def ledger_assertions(result: SimResult, params: LiftingParams) -> LedgerReport:
                     checks["partition_increase_bound"] = (
                         cmp_products(d3 * rec.p_geq, (), d2, [(2, delta * b * isize)]) <= 0
                         if rec.p_geq is not None else None)
-            if "after_query" in snaps and "after_fix" in snaps:
-                d3 = _dval(snaps["after_fix"], b)
-                d4 = _dval(snaps["after_query"], b)
+            if "after_query" in dvals and "after_fix" in dvals:
+                d3 = dvals["after_fix"]
+                d4 = dvals["after_query"]
                 checks["query_decrease_ge_b_I"] = (
                     cmp_products(d4, [(2, Fraction(b * isize))], d3, ()) <= 0)
             if params.mode == "det":

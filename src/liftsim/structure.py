@@ -379,8 +379,11 @@ def _pattern_rows(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget):
 
     Bit k-1-i of a pattern is g(x_i, y_i); weights and total are Y's own
     integer weights and total, so pattern probabilities are weight sums over
-    the total.
+    the total.  x must have Y's number of coordinates, as DangerScan requires.
     """
+    k = len(next(t for t, w in y.weights.items() if w))
+    if len(x_val) != k:
+        raise DomainError(f"x has {len(x_val)} coordinates, Y has {k}")
     side = g.side
     if any(not 0 <= v < side for v in x_val):
         raise DomainError(f"inputs must lie in [0, {side})")

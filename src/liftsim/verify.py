@@ -55,6 +55,7 @@ from .protocols import canonical_protocol, complexity, kraft_heavy_message
 from .simulate import (
     ERROR_K,
     LiftingParams,
+    _EngineCache,
     certify_transcript,
     enumerate_output_distribution,
     ledger_assertions,
@@ -819,6 +820,7 @@ def _section_lifting(seed: int, gadget: str = "ip2", rand_seeds: int = 3) -> Lis
     n = 2
     det = LiftingParams.standard(b=b, n=n, mode="det")
     rnd = LiftingParams.standard(b=b, n=n, mode="rand")
+    det_cache, rnd_cache = _EngineCache(g, det), _EngineCache(g, rnd)
 
     d3, t3 = brute_force_Ddt(parity_problem(3))
     rep_orc.record(LemmaInstance("oracle/parity3",
@@ -835,7 +837,7 @@ def _section_lifting(seed: int, gadget: str = "ip2", rand_seeds: int = 3) -> Lis
             "pass" if ok and cap_c <= depth * (b + 1) else "FAIL",
             measured=str(cap_c), bound=f"{depth}*(b+1)={depth * (b + 1)}"))
         for z in range(1 << n):
-            res = lift_deterministic(proto, g, z, det)
+            res = lift_deterministic(proto, g, z, det, cache=det_cache)
             tag = f"det/{pname}/z={z:02b}"
             if res.status == "done":
                 cert = certify_transcript(res, proto, g, z)
@@ -852,14 +854,14 @@ def _section_lifting(seed: int, gadget: str = "ip2", rand_seeds: int = 3) -> Lis
             rep_led.record(LemmaInstance(
                 f"ledger/{tag}", "pass" if led.ok else "FAIL"))
 
-            dist = enumerate_output_distribution(proto, g, z, rnd)
+            dist = enumerate_output_distribution(proto, g, z, rnd, cache=rnd_cache)
             err_mass = dist.prob(ERROR_K)
             bound = Fraction(1, 1 << b)
             rep_err.record(LemmaInstance(
                 f"rand/{pname}/z={z:02b}", "pass" if err_mass < bound else "FAIL",
                 measured=frac_str(err_mass), bound=frac_str(bound)))
             for sd in range(rand_seeds):
-                rres = lift_randomized(proto, g, z, rnd, seed=sd)
+                rres = lift_randomized(proto, g, z, rnd, seed=sd, cache=rnd_cache)
                 rled = ledger_assertions(rres, rnd)
                 rep_led.record(LemmaInstance(
                     f"ledger/rand/{pname}/z={z:02b}/seed={sd}",

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -44,7 +45,14 @@ from liftsim.simulate import (
     lift_randomized_protocol,
     reference_distribution,
 )
-from liftsim.structure import DangerScan, is_dangerous, is_leaking
+from liftsim.structure import (
+    DangerScan,
+    density_restoring_partition,
+    is_dangerous,
+    is_dense,
+    is_leaking,
+    max_density,
+)
 
 XOR = builtin_gadget("xor1")
 IP2 = builtin_gadget("ip2")
@@ -414,6 +422,125 @@ def test_discard_step_matches_per_value_scans(monkeypatch):
     _, tree = brute_force_Ddt(parity_problem(3))
     lift_deterministic(canonical_protocol(tree, IP2), IP2, 0b101, det_params(2, 3))
     assert min(seen.values()) >= 10, seen
+
+
+def test_shared_engine_cache_matches_fresh_caches(monkeypatch):
+    # One engine cache per (gadget, params), held across every run, problem
+    # and z, gives exactly the traces, distributions and ledgers of a fresh
+    # cache per run and of a cache that keeps nothing (every entry rebuilt
+    # at each use), and builds each (side, silent, free) DangerScan once.
+    # The canonical protocols speak A first and their mirrors B first, so
+    # both sides scan the same (silent, free); rand:2:2 is not symmetric,
+    # so the two sides' scans differ.
+    built = Counter()
+
+    class Counted(DangerScan):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built["scans"] += 1
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    def keeps_nothing(g, params):
+        cache = simulate._EngineCache(g, params)
+        for name, value in list(vars(cache).items()):
+            if isinstance(value, dict):
+                setattr(cache, name, Forgetful())
+        return cache
+
+    def mirror(node):
+        if isinstance(node, PLeaf):
+            return node
+        return PNode("B" if node.speaker == "A" else "A", node.bits,
+                     tuple(map(mirror, node.children)))
+
+    def runs(protocols, g, det, rnd, det_cache, rnd_cache):
+        out = []
+        for proto in protocols:
+            for z in range(4):
+                res = lift_deterministic(proto, g, z, det, cache=det_cache)
+                out += [res.to_json(), ledger_assertions(res, det)]
+                dist = enumerate_output_distribution(proto, g, z, rnd, cache=rnd_cache)
+                out.append((dist, dist.weights, dist.total))
+                for seed in range(3):
+                    rres = lift_randomized(proto, g, z, rnd, seed=seed, cache=rnd_cache)
+                    out += [rres.to_json(), ledger_assertions(rres, rnd)]
+        return out
+
+    monkeypatch.setattr(simulate, "DangerScan", Counted)
+    det, rnd = det_params(2, 2), rand_params(2, 2)
+    for name in ("ip2", "rand:2:2"):
+        g = builtin_gadget(name)
+        assert (g.transpose() == g) == (name == "ip2")
+        canonical = [canonical_instance(problem, g) for problem in (
+            parity_problem(2), first_bit_problem(2), find_one_problem(2), index_problem(2))]
+        protocols = canonical + [ProtocolTree(2, 2, mirror(p.root)) for p in canonical]
+        rebuilt = runs(protocols, g, det, rnd, keeps_nothing(g, det), keeps_nothing(g, rnd))
+        built.clear()
+        assert runs(protocols, g, det, rnd, None, None) == rebuilt
+        fresh_scans = built.pop("scans")
+        det_cache, rnd_cache = simulate._EngineCache(g, det), simulate._EngineCache(g, rnd)
+        assert runs(protocols, g, det, rnd, det_cache, rnd_cache) == rebuilt
+        assert built["scans"] == len(det_cache.contexts) + len(rnd_cache.contexts)
+        assert fresh_scans > 10 * built["scans"], (fresh_scans, built)
+        assert {side for side, _, _ in rnd_cache.contexts} == {0, 1}
+
+
+def test_engine_cache_entries_match_direct_computation():
+    # Each entry equals what it stands for, asked in a seeded order that
+    # revisits (inputs, free) with the side or the density level changed.
+    rng = random.Random(3)
+    g = builtin_gadget("rand:2:2")
+    params = det_params(2, 2)
+    cache = simulate._EngineCache(g, params)
+    sets = [tuple(sorted(rng.sample(range(16), k))) for k in (1, 3, 6, 16) for _ in range(2)]
+    seen = Counter()
+    for _ in range(150):
+        inputs, free = rng.choice(sets), rng.choice([(0,), (1,), (0, 1)])
+        marg = DistributionTable.from_weights(
+            Counter(tuple(blocks_of(v, 2, 2)[i] for i in free) for v in inputs))
+        got = cache.marginal(inputs, free)
+        assert (got.weights, got.total) == (marg.weights, marg.total)
+        assert cache.maxprob(inputs, free) == marg.maxprob()
+        delta = rng.choice([F(1, 4), F(1, 2), F(1)])
+        dense = cache.dense(inputs, free, delta)
+        assert dense == is_dense(marg, delta, 2).dense
+        assert cache.partition(inputs, free) == density_restoring_partition(marg, params.delta, 2)
+        side = rng.randrange(2)
+        witness, scan = cache.context(side, inputs, free)
+        assert witness == max_density(marg, 2, simulate.DENSITY_WITNESS_BITS)[0]
+        gad = g.transpose() if side else g
+        for x in product(range(4), repeat=len(free)):
+            assert scan.dangerous(x) == is_dangerous(x, marg, gad, witness, params.eps, 2,
+                                                     len(free))
+        seen["dense" if dense else "not dense"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_foreign_engine_cache_is_refused():
+    # A cache holds scans, partitions and marginals for one gadget and one
+    # (eps, delta, b, n); handed to a run with another, it used to be read
+    # silently (a different trace for every z on ip2 with a rand:2:5 cache).
+    proto = canonical_instance(parity_problem(2), IP2)
+    det, rnd = det_params(2, 2), rand_params(2, 2)
+    foreign = (simulate._EngineCache(builtin_gadget("rand:2:5"), det),
+               simulate._EngineCache(IP2, det_params(2, 2, h=F(1, 2))),
+               simulate._EngineCache(IP2, rand_params(2, 2, eta=F(1, 2))))
+    for cache in foreign:
+        for z in range(4):
+            with pytest.raises(DomainError):
+                lift_deterministic(proto, IP2, z, det, cache=cache)
+            with pytest.raises(DomainError):
+                lift_randomized(proto, IP2, z, rnd, cache=cache)
+            with pytest.raises(DomainError):
+                enumerate_output_distribution(proto, IP2, z, rnd, cache=cache)
+    # an equal gadget table and equal (eps, delta, b, n) are accepted
+    cache = simulate._EngineCache(builtin_gadget("ip2"), rnd)
+    for z in range(4):
+        assert lift_deterministic(proto, IP2, z, det, cache=cache).to_json() == \
+            lift_deterministic(proto, IP2, z, det).to_json()
 
 
 def test_fix_on_a_proper_subset_of_the_free_blocks():

@@ -398,6 +398,26 @@ def test_dangerous_scans_reject_out_of_range_values():
         is_leaking((0, 1), y_bad, XOR)
 
 
+def test_dangerous_scans_reject_a_wrong_length_x():
+    # every per-value scan raises DangerScan's error for an x shorter or
+    # longer than Y; a short x used to get a verdict, a long one an IndexError
+    y = DistributionTable.uniform(list(product(range(4), repeat=2)))
+    scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
+    levels = (F(1), F(1, 4), 2)
+    for x in ((1,), (1, 1, 1)):
+        with pytest.raises(DomainError) as want:
+            scan.dangerous(x)
+        assert str(want.value) == f"x has {len(x)} coordinates, Y has 2"
+        for call in (lambda: is_leaking(x, y, IP2),
+                     lambda: is_sparsifying(x, y, IP2, *levels),
+                     lambda: is_skewing(x, y, IP2, *levels),
+                     lambda: is_biasing(x, y, IP2, *levels, F(2), 2),
+                     lambda: is_dangerous(x, y, IP2, *levels)):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+
 # -- the contraction core: DangerScan against the oracles and is_dangerous ----
 
 def _zero_weight_table(rng, universe):
