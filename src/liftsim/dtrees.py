@@ -261,11 +261,14 @@ def tree_to_json(tree: ParallelDecisionTree) -> str:
     return json.dumps({"n": tree.n, "tree": _tree_node_to_obj(tree.root)}, sort_keys=True)
 
 
-def _tree_node_from_obj(obj):
+def _tree_node_from_obj(obj, n: int):
     if "leaf" in obj:
         return DLeaf(obj["leaf"])
     queries = tuple(int(q) for q in obj["queries"])
-    children = tuple(_tree_node_from_obj(c) for c in obj["children"])
+    if any(not 0 <= q < n for q in queries) or len(set(queries)) != len(queries):
+        raise FormatError(f"decision tree node queries {list(queries)} are not "
+                          f"distinct coordinates in [0, {n})")
+    children = tuple(_tree_node_from_obj(c, n) for c in obj["children"])
     if len(children) != 1 << len(queries):
         raise FormatError("decision tree node degree does not match its query set")
     return DNode(queries, children)
@@ -274,4 +277,5 @@ def _tree_node_from_obj(obj):
 def tree_from_json(text: str) -> ParallelDecisionTree:
     with malformed("decision tree file"):
         doc = json.loads(text)
-        return ParallelDecisionTree(int(doc["n"]), _tree_node_from_obj(doc["tree"]))
+        n = int(doc["n"])
+        return ParallelDecisionTree(n, _tree_node_from_obj(doc["tree"], n))

@@ -6,27 +6,24 @@ the simulation).  All scans are exhaustive with canonical enumeration order
 (subsets by size then lexicographically) and exact comparisons; instance
 sizes are guarded by explicit budgets.
 
-All four dangerous-value scans (leaking, sparsifying, skewing, biasing) make
-one pattern pass per value: each y in Y's support gets its gadget output
-pattern against x and an integer weight over one common total, and every
-probability a scan tests (of a bit pattern, of a Y_J value, of a parity) is
-a weight sum over those rows.  No scan is pruned.  DangerScan, the
-contraction core, classifies many x against one Y: on each set C it
-contracts Y's weights with the gadget's output rows one coordinate at a
-time, for every x_C at once, and answers each x's leaking, sparsifying,
-dangerous and biasing verdicts by lookups keyed by (C, x_C).  The per-value
-scans stay as the witness-returning reference.  Density questions read the
-marginals of one lazy generator; max_density and the structure search need
-only the worst marginal.
+The four dangerous-value scans (leaking, sparsifying, skewing, biasing) have
+one implementation, DangerScan: each is a function of (C, x_C) that reads
+Y's weights contracted with the gadget's output rows of x_C and returns its
+first witness on the set C; a query walks the sets C in (size, lex) order.
+Everything is memoised per (C, x_C), so classifying many x against one Y
+shares their common work, and the per-value is_* functions read one scan
+each.  No scan is pruned.  Density questions read the marginals of one lazy
+generator; max_density and the structure search need only the worst
+marginal.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import chain, product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -92,6 +89,8 @@ class Restriction:
     def fix(self, coords: Sequence[int], bits: Sequence[int]) -> "Restriction":
         cells = list(self.cells)
         for i, bit in zip(coords, bits):
+            if not 0 <= i < len(cells):
+                raise DomainError(f"coordinate {i} is outside [0, {len(cells)})")
             if cells[i] != "*":
                 raise DomainError(f"coordinate {i} is already fixed")
             cells[i] = str(bit)
@@ -374,236 +373,60 @@ class Verdict:
     witness: tuple | None = None
 
 
-def _pattern_rows(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget):
-    """One pass over Y's support for a fixed x: (pattern, weight, y) rows and their total.
+def _places(places: Tuple[int, ...]):
+    """t -> the tuple of t's entries at places, by one C-level getter."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    i = places[0] if places else 0
+    return itemgetter(slice(i, i + len(places)))
 
-    Bit k-1-i of a pattern is g(x_i, y_i); weights and total are Y's own
-    integer weights and total, so pattern probabilities are weight sums over
-    the total.  x must have Y's number of coordinates, as DangerScan requires.
-    """
-    k = len(next(t for t, w in y.weights.items() if w))
+
+@lru_cache(maxsize=None)
+def _others(k: int, coords: Tuple[int, ...]) -> List[tuple]:
+    """(J as places among the coordinates outside C, their getter, J) for
+    every J avoiding C = coords, in (size, lex) order, the empty J first."""
+    rest = tuple(i for i in range(k) if i not in coords)
+    return [(sub, _places(sub), tuple(rest[i] for i in sub))
+            for sub in subsets_by_size(len(rest))]
+
+
+def _sums(items, key) -> Dict[tuple, int]:
+    """{key(t): the sum of its w} over the (t, w) items."""
+    out: Dict[tuple, int] = defaultdict(int)
+    for t, w in items:
+        out[key(t)] += w
+    return out
+
+
+def _check_x(x_val: Tuple[int, ...], k: int, side: int) -> None:
     if len(x_val) != k:
         raise DomainError(f"x has {len(x_val)} coordinates, Y has {k}")
-    side = g.side
     if any(not 0 <= v < side for v in x_val):
         raise DomainError(f"inputs must lie in [0, {side})")
-    cols = [dict(enumerate(g.table[v * side:(v + 1) * side])) for v in x_val]
-    rows = []
-    for t, w in y.weights.items():  # Y's support, in domain order
-        if not w:
-            continue
-        pat = 0
-        for i, col in enumerate(cols):
-            bit = col.get(t[i])
-            if bit is None:
-                raise DomainError(f"inputs must lie in [0, {side})")
-            pat = pat << 1 | bit
-        rows.append((pat, w, t))
-    return rows, y.total
 
 
-def _mask(coords: Tuple[int, ...], k: int) -> int:
-    """The pattern bits of coords: bit k-1-i for coordinate i."""
-    return sum(1 << (k - 1 - i) for i in coords)
-
-
-def _cube(coords: Tuple[int, ...], k: int):
-    """(bits, pattern) for every assignment to coords, in product order."""
-    for bits in product((0, 1), repeat=len(coords)):
-        yield bits, sum(z << (k - 1 - i) for i, z in zip(coords, bits))
-
-
-def is_leaking(
-    x_val: Tuple[int, ...],
-    y: DistributionTable,
-    g: Gadget,
-    coord_limit: int = SCAN_COORD_LIMIT,
-) -> Verdict:
-    """Some output pattern is less than half as likely as uniform would allow."""
-    k = len(x_val)
-    _guard(k, coord_limit, "leaking scan free coordinates")
-    rows, total = _pattern_rows(x_val, y, g)
-    hist = [0] * (1 << k)
-    for pat, w, _ in rows:
-        hist[pat] += w
-    for coords in subsets_by_size(k, nonempty=True):
-        mask = _mask(coords, k)
-        marg: Dict[int, int] = defaultdict(int)
-        for pat, w in enumerate(hist):
-            marg[pat & mask] += w
-        shift = len(coords) + 1
-        for bits, pat in _cube(coords, k):
-            # Pr[pattern] < 2**-(|S|+1)
-            if marg[pat] << shift < total:
-                return Verdict(True, (coords, bits))
-    return Verdict(False)
-
-
-def is_sparsifying(
-    x_val: Tuple[int, ...],
-    y: DistributionTable,
-    g: Gadget,
-    delta_y: Fraction,
-    eps: Fraction,
-    b: int,
-    coord_limit: int = SCAN_COORD_LIMIT,
-) -> Verdict:
-    """Conditioning on some output pattern destroys more density than eps allows.
-
-    The witness is (coords, bits, violating set relative to the remaining
-    coordinates, its conditioned max-probability), as is_dense reports it.
-    """
-    delta_y, eps = Fraction(delta_y), Fraction(eps)
-    k = len(x_val)
-    _guard(k, coord_limit, "sparsifying scan free coordinates")
-    level = delta_y - eps
-    rows, _ = _pattern_rows(x_val, y, g)
-    for coords in subsets_by_size(k, nonempty=True):
-        rest = tuple(i for i in range(k) if i not in coords)
-        if not rest:
-            continue  # nothing left to lose density
-        subs = [
-            (sub, itemgetter(*(rest[j] for j in sub)), level * b * len(sub))
-            for sub in subsets_by_size(len(rest), nonempty=True)
-        ]
-        mask = _mask(coords, k)
-        groups: Dict[int, list] = {}
-        for pat, w, t in rows:
-            groups.setdefault(pat & mask, []).append((w, t))
-        for bits, pat in _cube(coords, k):
-            group = groups.get(pat)
-            if group is None:
-                continue  # cannot condition on a null pattern
-            weight = sum(w for w, _ in group)
-            for sub, key, q in subs:
-                marg: Dict[object, int] = defaultdict(int)
-                for w, t in group:
-                    marg[key(t)] += w
-                p = Fraction(max(marg.values()), weight)
-                if cmp_pow2(p, q) > 0:
-                    return Verdict(True, (coords, bits, sub, p))
-    return Verdict(False)
-
-
-def _slices(rows, coords_j: Tuple[int, ...]):
-    """Pattern rows split by their Y value on coords_j, in y_J order:
-    (y_J, w_J, [(pattern, weight), ...]); the empty coords_j gives one slice."""
-    parts: Dict[tuple, list] = {}
-    for pat, w, t in rows:
-        parts.setdefault(tuple(t[i] for i in coords_j), []).append((pat, w))
-    return [(yj, sum(w for _, w in part), part) for yj, part in sorted(parts.items())]
-
-
-def is_skewing(
-    x_val: Tuple[int, ...],
-    y: DistributionTable,
-    g: Gadget,
-    delta_y: Fraction,
-    eps: Fraction,
-    b: int,
-    coord_limit: int = SCAN_COORD_LIMIT,
-) -> Verdict:
-    """Conditioning on some Y_J value skews the gadget outputs on I.
-
-    The excess-entropy term of y_J never materializes; the defining identity
-    turns the test into: maxprob(g^I(x_I, Y_I) | Y_J = y_J) * Pr[Y_J = y_J]
-    > 2**(-|I| + eps*b*|J| - 1 - delta_y*b*|J|).  With w_J the weight of
-    y_J and maxw its heaviest pattern on I, the product is maxw / total.
-    """
-    delta_y, eps = Fraction(delta_y), Fraction(eps)
-    k = len(x_val)
-    _guard(k, coord_limit, "skewing scan free coordinates")
-    rows, total = _pattern_rows(x_val, y, g)
-    for coords_i in subsets_by_size(k, nonempty=True):
-        mask = _mask(coords_i, k)
-        for coords_j in subsets_by_size(k, nonempty=True):
-            if _mask(coords_j, k) & mask:
-                continue  # J must avoid I
-            q = len(coords_i) - eps * b * len(coords_j) + 1 + delta_y * b * len(coords_j)
-            for yj, wj, part in _slices(rows, coords_j):
-                out: Dict[int, int] = defaultdict(int)
-                for pat, w in part:
-                    out[pat & mask] += w
-                maxw = max(out.values())
-                if cmp_pow2(Fraction(maxw, total), q) > 0:
-                    return Verdict(True, (coords_i, coords_j, yj,
-                                          Fraction(maxw, wj), Fraction(wj, total)))
-    return Verdict(False)
-
-
-def is_biasing(
-    x_val: Tuple[int, ...],
-    y: DistributionTable,
-    g: Gadget,
-    delta_y: Fraction,
-    eps: Fraction,
-    b: int,
-    c: Fraction,
-    n: int,
-    coord_limit: int = SCAN_COORD_LIMIT,
-) -> Verdict:
-    """Some qualifying (S, J, y_J) has a conditional XOR bias above threshold.
-
-    The size bound is tested in the fully cleared form
-    n**|S| * 2**(delta_y*b*|J|) * Pr[Y_J = y_J] >= 4 * n**(c*eps*|J|);
-    the empty J comes first and uses probability 1 and |J| = 0.  The XOR over
-    S of a row is the parity of its pattern bits on S.
-    """
-    delta_y, eps, c = Fraction(delta_y), Fraction(eps), Fraction(c)
+def _check_ambient(n: int) -> None:
     if n < 2:
         raise DomainError("the ambient dimension must be at least 2")
-    k = len(x_val)
-    _guard(k, coord_limit, "biasing scan free coordinates")
-    rows, total = _pattern_rows(x_val, y, g)
-    for coords_s in subsets_by_size(k, nonempty=True):
-        ssize = len(coords_s)
-        mask = _mask(coords_s, k)
-        bias_bound = Fraction(1, 2 * (2 * n) ** ssize)
-        for coords_j in subsets_by_size(k):
-            if _mask(coords_j, k) & mask:
-                continue  # J must avoid S
-            a_pows = [(n, ssize), (2, delta_y * b * len(coords_j))]
-            b_pows = [(n, c * eps * len(coords_j))]
-            for yj, wj, part in _slices(rows, coords_j):
-                if cmp_products(Fraction(wj, total), a_pows, 4, b_pows) < 0:
-                    continue  # the size bound fails
-                odd = sum(w for pat, w in part if (pat & mask).bit_count() & 1)
-                bias_val = Fraction(abs(wj - 2 * odd), wj)
-                if bias_val > bias_bound:
-                    return Verdict(True, (coords_s, coords_j, yj, bias_val, bias_bound))
-    return Verdict(False)
-
-
-def is_dangerous(
-    x_val: Tuple[int, ...],
-    y: DistributionTable,
-    g: Gadget,
-    delta_y: Fraction,
-    eps: Fraction,
-    b: int,
-    coord_limit: int = SCAN_COORD_LIMIT,
-) -> bool:
-    """Leaking or sparsifying; the set the simulation discards."""
-    if is_leaking(x_val, y, g, coord_limit).flagged:
-        return True
-    return is_sparsifying(x_val, y, g, delta_y, eps, b, coord_limit).flagged
 
 
 class DangerScan:
-    """The leaking, sparsifying and biasing verdicts of every x against one Y.
+    """The leaking, sparsifying, skewing and biasing scans of every x against one Y.
 
-    On a coordinate set C the three scans read only Y's weights grouped by
-    (x_C, output pattern on C, y_rest), so the verdicts on C are computed for
-    every x_C at once and looked up per x, walking the sets in (size, lex)
-    order.  Biasing also reads the size bound, which depends only on
-    (|S|, |J|, w_J) and is decided once per value of that triple.  Same
-    verdicts and errors as is_leaking, is_sparsifying, is_dangerous and
-    is_biasing, which stay the witness-returning reference.
+    Each scan is one function of (C, x_C) that returns its first witness on
+    the set C, or None.  It reads one table, Y's weights contracted with the
+    gadget's output rows of x_C: {pattern on C: {y_rest: weight}}, built from
+    the table of C minus its last coordinate.  `witness` walks the sets C in
+    (size, lex) order to the first witness, so witnesses come in the order
+    of the definitions: C, then patterns in product order, then J in (size,
+    lex) order, then y_J sorted.  Tables, witnesses, Y's marginals and the
+    biasing size bound are memoised, so many x share the work of their
+    common (C, x_C).
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
                  eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT):
-        rows = {t: w for t, w in y.weights.items() if w}
+        self.rows = rows = {t: w for t, w in y.weights.items() if w}
         self.k = k = len(next(iter(rows)))
         _guard(k, coord_limit, "leaking scan free coordinates")
         self.side = side = g.side
@@ -612,139 +435,212 @@ class DangerScan:
         self.total = y.total
         self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
         self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), b
-        level = (self.delta_y - self.eps) * b
-        self._sparsifies = lru_cache(maxsize=None)(
-            lambda heavy, weight, size: cmp_pow2(Fraction(heavy, weight), level * size) > 0)
-        self._sized = lru_cache(maxsize=None)(self._size_bound)
+        self.level = level = (self.delta_y - self.eps) * b
         self.sets = list(subsets_by_size(k, nonempty=True))
-        self.tables = {(): {((), 0): rows}}
-        self.verdicts: Dict[tuple, Dict[tuple, int]] = {}
-        self.biased: Dict[tuple, set] = {}
+        memo = lru_cache(maxsize=None)
+        self._sparsifies = memo(
+            lambda heavy, weight, size: cmp_pow2(Fraction(heavy, weight), level * size) > 0)
+        self._table, self._split = memo(self._table), memo(self._split)
+        self._reads: Dict[tuple, object] = {}
 
-    def _table(self, coords: Tuple[int, ...]) -> dict:
-        """{(x_C, pattern): {y_rest: weight}} for C = coords: the table of C
-        minus its last coordinate c, contracted on c with the gadget's output
-        rows for every x_c at once (pattern bits in C order)."""
-        table = self.tables.get(coords)
-        if table is None:
-            prev = self._table(coords[:-1])
-            at = coords[-1] - len(coords) + 1  # c's place among y_rest
-            table = {}
-            for (xs, pat), ws in prev.items():
-                split = [(yr[at], yr[:at] + yr[at + 1:], w) for yr, w in ws.items()]
-                for xc, out in enumerate(self.outputs):
-                    parts: Tuple[dict, dict] = ({}, {})
-                    for yc, rest, w in split:
-                        part = parts[out[yc]]
-                        part[rest] = part.get(rest, 0) + w
-                    for bit, part in enumerate(parts):
-                        if part:
-                            table[xs + (xc,), pat << 1 | bit] = part
-            self.tables[coords] = table
+    def _table(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> dict:
+        """{pattern: {y_rest: weight}} of x_C = xs on C = coords: the table of C
+        minus its last coordinate c, contracted on c with x_c's output row
+        (patterns are bit tuples in C order, in product order)."""
+        if not coords:
+            return {(): self.rows}
+        out, table = self.outputs[xs[-1]], {}
+        for pat, split in self._split(coords, xs[:-1]):
+            parts: Tuple[dict, dict] = ({}, {})
+            for yc, rest, w in split:
+                part = parts[out[yc]]
+                part[rest] = part.get(rest, 0) + w
+            for bit, part in enumerate(parts):
+                if part:
+                    table[pat + (bit,)] = part
         return table
 
-    def _verdicts_on(self, coords: Tuple[int, ...]) -> Dict[tuple, int]:
-        """{x_C: bit 0 leaking on C, bit 1 sparsifying on C} for every x_C."""
-        found = self.verdicts.get(coords)
-        if found is None:
-            size, table = len(coords), self._table(coords)
-            subs = [(itemgetter(*sub), len(sub))
-                    for sub in subsets_by_size(self.k - size, nonempty=True)]
-            # fewer than 2^|C| patterns with weight: a null pattern leaks
-            found = {xs: int(count < 1 << size)
-                     for xs, count in Counter(xs for xs, _ in table).items()}
-            for (xs, _), ws in table.items():
-                weight = sum(ws.values())
-                if weight << (size + 1) < self.total:  # Pr[pattern] < 2**-(|C|+1)
-                    found[xs] |= 1
-                if not found[xs] & 2 and any(
-                        self._sparsifies(_heaviest(ws, key), weight, sub_size)
-                        for key, sub_size in subs):
-                    found[xs] |= 2
-            self.verdicts[coords] = found
-        return found
+    def _split(self, coords: Tuple[int, ...], prefix: Tuple[int, ...]) -> List[tuple]:
+        """The table of (coords[:-1], prefix) as [(pattern, [(y_c, y_rest
+        without y_c, weight)])], c = coords[-1]; shared by every x_c."""
+        at = coords[-1] - len(coords) + 1  # c's place among y_rest
+        return [(pat, [(yr[at], yr[:at] + yr[at + 1:], w) for yr, w in ws.items()])
+                for pat, ws in self._table(coords[:-1], prefix).items()]
 
-    def _check(self, x_val: Tuple[int, ...]) -> None:
-        if len(x_val) != self.k:
-            raise DomainError(f"x has {len(x_val)} coordinates, Y has {self.k}")
-        if any(not 0 <= v < self.side for v in x_val):
-            raise DomainError(f"inputs must lie in [0, {self.side})")
-
-    def _any(self, x_val: Tuple[int, ...], mask: int) -> bool:
-        self._check(x_val)
-        return any(self._verdicts_on(c)[tuple(map(x_val.__getitem__, c))] & mask
-                   for c in self.sets)
-
-    def leaking(self, x_val: Tuple[int, ...]) -> bool:
-        return self._any(x_val, 1)
-
-    def sparsifying(self, x_val: Tuple[int, ...]) -> bool:
-        return self._any(x_val, 2)
-
-    def dangerous(self, x_val: Tuple[int, ...]) -> bool:
-        return self._any(x_val, 3)
-
-    def biasing(self, x_val: Tuple[int, ...], c: Fraction, n: int) -> bool:
-        """is_biasing(x_val, y, g, delta_y, eps, b, c, n, coord_limit).flagged."""
-        if n < 2:
-            raise DomainError("the ambient dimension must be at least 2")
-        self._check(x_val)
-        c = Fraction(c)
-        return any(tuple(map(x_val.__getitem__, s)) in self._biased_on(s, c, n)
-                   for s in self.sets)
-
-    def _size_bound(self, c: Fraction, n: int, s_size: int, j_size: int, wj: int) -> bool:
-        """is_biasing's size bound on (|S|, |J|, w_J), the same cmp_products call."""
+    def _fits(self, c: Fraction, n: int, s_size: int, j_size: int, wj: int) -> bool:
+        """Biasing's size bound n**|S| * 2**(delta_y*b*|J|) * w_J/total
+        >= 4 * n**(c*eps*|J|)."""
         a_pows = [(n, s_size), (2, self.delta_y * self.b * j_size)]
         b_pows = [(n, c * self.eps * j_size)]
         return cmp_products(Fraction(wj, self.total), a_pows, 4, b_pows) >= 0
 
-    def _biased_on(self, coords: Tuple[int, ...], c: Fraction, n: int) -> set:
-        """The x_S, S = coords, with a (J, y_J) that passes the size bound and
-        has |w_J - 2*odd| * 2(2n)^|S| > w_J, odd the weight of the rows whose
+    def _sized(self, c: Fraction, n: int, s_size: int, coords_j: Tuple[int, ...]) -> List[tuple]:
+        """The (y_J, w_J) of Y on J = coords_j, y_J sorted, that pass the size bound."""
+        marg, fits = _sums(self.rows.items(), _places(coords_j)), self._read("fits")
+        return [(yj, wj) for yj, wj in sorted(marg.items())
+                if fits(c, n, s_size, len(coords_j), wj)]
+
+    def _leaking(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
+        """(C, bits) of the first pattern with Pr < 2**-(|C|+1), null ones included."""
+        table = self._table(coords, xs)
+        for bits in product((0, 1), repeat=len(coords)):
+            ws = table.get(bits)
+            if ws is None or sum(ws.values()) << (len(coords) + 1) < self.total:
+                return coords, bits
+        return None
+
+    def _sparsifying(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
+        """(C, bits, J, p) of the first pattern that, conditioned on, leaves a set J
+        of the other coordinates (as places among them) with maxprob
+        p > 2**-((delta_y - eps)*b*|J|)."""
+        for pat, ws in self._table(coords, xs).items():
+            weight = sum(ws.values())
+            for sub, key, _ in _others(self.k, coords)[1:]:
+                heavy = max(_sums(ws.items(), key).values())
+                if self._sparsifies(heavy, weight, len(sub)):
+                    return coords, pat, sub, Fraction(heavy, weight)
+        return None
+
+    def _skewing(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
+        """(I, J, y_J, maxprob of the pattern on I given y_J, Pr[Y_J = y_J]) of
+        the first nonempty J avoiding I = coords and y_J with maxprob * Pr[y_J]
+        > 2**(-|I| + eps*b*|J| - 1 - delta_y*b*|J|): the defining inequality
+        with the excess-entropy term of y_J cleared."""
+        table = self._table(coords, xs)
+        for sub, key, coords_j in _others(self.k, coords)[1:]:
+            heavy, whole = {}, defaultdict(int)  # per y_J: the heaviest pattern's weight, w_J
+            for ws in table.values():
+                for yj, w in _sums(ws.items(), key).items():
+                    heavy[yj], whole[yj] = max(heavy.get(yj, 0), w), whole[yj] + w
+            q = len(coords) + 1 + self.level * len(sub)
+            for yj, wj in sorted(whole.items()):
+                if cmp_pow2(Fraction(heavy[yj], self.total), q) > 0:
+                    return (coords, coords_j, yj, Fraction(heavy[yj], wj),
+                            Fraction(wj, self.total))
+        return None
+
+    def _biasing(self, c: Fraction, n: int,
+                 coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
+        """(S, J, y_J, bias, bound) of the first J avoiding S = coords (the empty
+        J first) and y_J that pass the size bound with bias = |w_J - 2*odd| / w_J
+        > bound = 1/(2(2n)^|S|), odd the weight given y_J of the rows whose
         pattern on S has odd parity."""
-        found = self.biased.get((c, n, coords))
-        if found is None:
-            size, table = len(coords), self._table(coords)
-            scale = 2 * (2 * n) ** size
-            rest = tuple(i for i in range(self.k) if i not in coords)
-            whole: Dict[tuple, int] = defaultdict(int)  # Y's weight of each y_rest
-            for t, w in self.tables[()][(), 0].items():
-                whole[tuple(t[i] for i in rest)] += w
-            odd: Dict[tuple, Dict[tuple, int]] = {}
-            for (xs, pat), ws in table.items():
-                acc = odd.setdefault(xs, {})
-                if pat.bit_count() & 1:
-                    for yr, w in ws.items():
-                        acc[yr] = acc.get(yr, 0) + w
-            found = set()
-            for sub in subsets_by_size(len(rest)):  # J, as places in y_rest
-                key = itemgetter(*sub) if sub else lambda yr: ()
-                w_j: Dict[object, int] = defaultdict(int)
-                for yr, w in whole.items():
-                    w_j[key(yr)] += w
-                sized = [(yj, wj) for yj, wj in w_j.items()
-                         if self._sized(c, n, size, len(sub), wj)]
-                if not sized:
-                    continue
-                for xs, acc in odd.items():
-                    if xs in found:
-                        continue
-                    odd_j: Dict[object, int] = defaultdict(int)
-                    for yr, w in acc.items():
-                        odd_j[key(yr)] += w
-                    if any(abs(wj - 2 * odd_j[yj]) * scale > wj for yj, wj in sized):
-                        found.add(xs)
-            self.biased[c, n, coords] = found
-        return found
+        scale, sized_on = 2 * (2 * n) ** len(coords), self._read("sized", c, n)
+        odd = [ws.items() for pat, ws in self._table(coords, xs).items() if sum(pat) & 1]
+        for _, key, coords_j in _others(self.k, coords):
+            sized = sized_on(len(coords), coords_j)
+            odd_j = _sums(chain.from_iterable(odd), key) if sized else {}
+            for yj, wj in sized:
+                gap = abs(wj - 2 * odd_j.get(yj, 0))
+                if gap * scale > wj:
+                    return coords, coords_j, yj, Fraction(gap, wj), Fraction(1, scale)
+        return None
+
+    def _dangerous(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
+        """The leaking witness on C, else the sparsifying one."""
+        return self._read("leaking")(coords, xs) or self._read("sparsifying")(coords, xs)
+
+    def _read(self, name: str, *args):
+        """The method _<name> with args bound first, memoised, made at its first
+        use: a scan's function of (C, x_C) (biasing's one per (c, n)), or the
+        biasing size bound and its sized marginals."""
+        read = self._reads.get((name, *args))
+        if read is None:
+            read = self._reads[name, *args] = lru_cache(maxsize=None)(
+                partial(getattr(self, "_" + name), *args))
+        return read
+
+    def witness(self, scan: str, x_val: Tuple[int, ...], *args) -> Optional[tuple]:
+        """The first witness of `scan` for x, as is_<scan> reports it, or None:
+        "leaking", "sparsifying", "skewing", "biasing" (which takes (c, n)), or
+        "dangerous", the first leaking or sparsifying witness by set."""
+        if scan not in ("leaking", "sparsifying", "skewing", "biasing", "dangerous"):
+            raise DomainError(f"unknown scan {scan!r}")
+        if scan == "biasing":
+            c, n = args
+            _check_ambient(n)
+            args = Fraction(c), n
+        _check_x(x_val, self.k, self.side)
+        read = self._read(scan, *args)
+        for coords in self.sets:
+            found = read(coords, tuple(map(x_val.__getitem__, coords)))
+            if found is not None:
+                return found
+        return None
+
+    def leaking(self, x_val: Tuple[int, ...]) -> bool:
+        return self.witness("leaking", x_val) is not None
+
+    def sparsifying(self, x_val: Tuple[int, ...]) -> bool:
+        return self.witness("sparsifying", x_val) is not None
+
+    def skewing(self, x_val: Tuple[int, ...]) -> bool:
+        return self.witness("skewing", x_val) is not None
+
+    def biasing(self, x_val: Tuple[int, ...], c: Fraction, n: int) -> bool:
+        return self.witness("biasing", x_val, c, n) is not None
+
+    def dangerous(self, x_val: Tuple[int, ...]) -> bool:
+        """Leaking or sparsifying; the set the simulation discards."""
+        return self.witness("dangerous", x_val) is not None
 
 
-def _heaviest(ws: Dict[tuple, int], key) -> int:
-    """The largest weight of one key(y_rest) value."""
-    marg: Dict[object, int] = defaultdict(int)
-    for yr, w in ws.items():
-        marg[key(yr)] += w
-    return max(marg.values())
+def _verdict(scan: str, x_val: Tuple[int, ...], y: DistributionTable, g: Gadget,
+             delta_y: Fraction, eps: Fraction, b: int, coord_limit: int, *args) -> Verdict:
+    """A per-value call: one DangerScan of Y read for x, after the call's checks
+    in order: the budget on len(x) (a dangerous scan's is the leaking scan's),
+    x's length against Y's, then the ranges."""
+    what = "leaking" if scan == "dangerous" else scan
+    _guard(len(x_val), coord_limit, f"{what} scan free coordinates")
+    _check_x(x_val, len(next(t for t, w in y.weights.items() if w)), g.side)
+    found = DangerScan(y, g, delta_y, eps, b, coord_limit).witness(scan, x_val, *args)
+    return Verdict(found is not None, found)
+
+
+def is_leaking(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget,
+               coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+    """Some output pattern is less than half as likely as uniform would allow."""
+    return _verdict("leaking", x_val, y, g, 0, 0, g.b, coord_limit)
+
+
+def is_sparsifying(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
+                   eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+    """Conditioning on some output pattern destroys more density than eps allows.
+
+    The witness is (coords, bits, violating set relative to the remaining
+    coordinates, its conditioned max-probability), as is_dense reports it.
+    """
+    return _verdict("sparsifying", x_val, y, g, delta_y, eps, b, coord_limit)
+
+
+def is_skewing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
+               eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+    """Conditioning on some Y_J value skews the gadget outputs on I.
+
+    The witness is (I, J, y_J, maxprob(g^I(x_I, Y_I) | Y_J = y_J),
+    Pr[Y_J = y_J]).
+    """
+    return _verdict("skewing", x_val, y, g, delta_y, eps, b, coord_limit)
+
+
+def is_biasing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
+               eps: Fraction, b: int, c: Fraction, n: int,
+               coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+    """Some qualifying (S, J, y_J) has a conditional XOR bias above threshold.
+
+    The size bound is tested in the fully cleared form
+    n**|S| * 2**(delta_y*b*|J|) * Pr[Y_J = y_J] >= 4 * n**(c*eps*|J|);
+    the empty J comes first and uses probability 1 and |J| = 0.  The witness
+    is (S, J, y_J, bias, bound).
+    """
+    _check_ambient(n)
+    return _verdict("biasing", x_val, y, g, delta_y, eps, b, coord_limit, c, n)
+
+
+def is_dangerous(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
+                 eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT) -> bool:
+    """Leaking or sparsifying; the set the simulation discards."""
+    return _verdict("dangerous", x_val, y, g, delta_y, eps, b, coord_limit).flagged
 
 
 def dangerous_probability(

@@ -69,7 +69,6 @@ from .structure import (
     density_restoring_fix,
     density_restoring_partition,
     is_dense,
-    is_skewing,
     is_structured,
     max_density,
     StructureCertificate,
@@ -740,13 +739,11 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
             for eps in eps_grid:
                 scan = DangerScan(y, g, delta_y, eps, b)
                 for x_val in universe:
-                    leak = scan.leaking(x_val)
-                    spars = scan.sparsifying(x_val)
-                    dangerous = leak or spars
+                    leak, dangerous = scan.leaking(x_val), scan.dangerous(x_val)
                     tag = f"{gname}/supp{s_idx}/eps={eps}/x={x_val}"
                     # claim 1: dangerous and not leaking => skewing
                     if dangerous and not leak:
-                        skew = is_skewing(x_val, y, g, delta_y, eps, b).flagged
+                        skew = scan.skewing(x_val)
                         rep_skew.record(LemmaInstance(
                             f"skewing/{tag}", "pass" if skew else "FAIL",
                             detail="sparsifying but not skewing" if not skew else ""))

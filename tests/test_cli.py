@@ -212,7 +212,12 @@ LOADER_INPUTS = {
         '{"n": "x", "outputs": [], "table": {}}')),
     "tree_from_json": (tree_from_json, (
         "{}", "[1]", '{"n": 1, "tree": {"queries": ["q"], "children": []}}',
-        '{"n": 1, "tree": {"queries": [0], "children": [{"leaf": 0}]}}')),
+        '{"n": 1, "tree": {"queries": [0], "children": [{"leaf": 0}]}}',
+        # query coordinates outside [0, n) or repeated in one node
+        '{"n": 2, "tree": {"queries": [5], "children": [{"leaf": 0}, {"leaf": 1}]}}',
+        '{"n": 2, "tree": {"queries": [-1], "children": [{"leaf": 0}, {"leaf": 1}]}}',
+        '{"n": 2, "tree": {"queries": [0, 0], "children": '
+        '[{"leaf": 0}, {"leaf": 1}, {"leaf": 1}, {"leaf": 0}]}}')),
     "protocol_from_json": (protocol_from_json, (
         "{}", "not json", '{"n": 1, "b": 1, "tree": {"speaker": "A"}}',
         '{"n": 1, "b": 1, "tree": {"speaker": "C"}}')),

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from scan_oracles import oracle_is_leaking, oracle_is_sparsifying
 
 from liftsim.dist import DistributionTable, align_domains, statistical_distance
 from liftsim.dtrees import (
@@ -34,6 +35,8 @@ from liftsim.simulate import (
     ERROR_K,
     ERROR_TRUNCATION,
     LiftingParams,
+    RoundRecord,
+    SimResult,
     certify_transcript,
     compose_eval,
     enumerate_output_distribution,
@@ -50,7 +53,6 @@ from liftsim.structure import (
     density_restoring_partition,
     is_dangerous,
     is_dense,
-    is_leaking,
     max_density,
 )
 
@@ -269,6 +271,28 @@ def test_ledger_assertions_randomized():
             assert rep.ok, rep
 
 
+def test_ledger_deficiency_clause_fails_on_one_snapshot():
+    """deficiency_nonnegative is False as soon as one snapshot of one round
+    has 4^(b|free|) * maxp_x * maxp_y < 1.
+
+    No trace the engines make gets there: a marginal over |free| blocks of b
+    bits has maxprob >= 2^(-b|free|) on each side, so every snapshot's value
+    is >= 1.  The result is built by hand, with a maxprob of 1/32 on 16
+    values, and with one snapshot at exactly 1 beside the one below 1, so a
+    clause that needs every snapshot below 1 (all for any) would pass it.
+    """
+    params = det_params(2, 2)
+    rec = RoundRecord(1, "A", (0, 1), snapshots={
+        "start": (2, F(1, 16), F(1, 16)),  # 4^4 / 256 = 1
+        "end": (2, F(1, 32), F(1, 16))})   # 4^4 / 512 = 1/2
+    res = SimResult("done", None, "", 0, "**", (), 0, (), (), [rec])
+    rep = ledger_assertions(res, params)
+    assert not rep.deficiency_nonnegative and not rep.ok
+    assert [rl.checks for rl in rep.rounds] == [{}]  # the clause alone decides
+    rec.snapshots["end"] = (2, F(1, 16), F(1, 16))
+    assert ledger_assertions(res, params).ok
+
+
 def test_enumeration_branch_budget():
     from liftsim.errors import BudgetError
     proto = canonical_instance(parity_problem(2), IP2)
@@ -387,8 +411,8 @@ def _bits(text):
 
 
 def test_discard_step_matches_per_value_scans(monkeypatch):
-    # Every value the engines classify gets the verdict of the per-value
-    # is_dangerous against the same silent marginal.  In round 2 of the ip2
+    # Every value the engines classify gets the verdict of the brute-force
+    # per-value oracles against the same silent marginal.  In round 2 of the ip2
     # protocol below (found by a seeded search over random two-round
     # protocols), the values (1, 2) and (3, 3) are sparsifying but not
     # leaking, so the sparsifying half of the scan decides part of the trace.
@@ -402,8 +426,9 @@ def test_discard_step_matches_per_value_scans(monkeypatch):
         def dangerous(self, x_val):
             got = super().dangerous(x_val)
             y, g, delta_y, eps, b, limit = self.args
-            assert got == is_dangerous(x_val, y, g, delta_y, eps, b, limit), x_val
-            leak = is_leaking(x_val, y, g, limit).flagged
+            leak = oracle_is_leaking(x_val, y, g, limit).flagged
+            spars = oracle_is_sparsifying(x_val, y, g, delta_y, eps, b, limit).flagged
+            assert got == (leak or spars), x_val
             seen["leaking" if leak else "sparsifying only" if got else "safe"] += 1
             return got
 

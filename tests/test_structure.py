@@ -2,9 +2,16 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import product
 
 import pytest
+from scan_oracles import (
+    oracle_is_biasing,
+    oracle_is_leaking,
+    oracle_is_skewing,
+    oracle_is_sparsifying,
+    oracle_subsets,
+)
 
 from liftsim.dist import DistributionTable, project
 from liftsim.errors import BudgetError, DomainError
@@ -16,7 +23,6 @@ from liftsim.structure import (
     Restriction,
     StructureCertificate,
     StructureRefusal,
-    Verdict,
     dangerous_probability,
     density_restoring_fix,
     density_restoring_partition,
@@ -56,6 +62,11 @@ def test_restriction():
         r2.fix((0,), (0,))
     with pytest.raises(DomainError):
         Restriction("0x1")
+    # a coordinate outside [0, n) is refused: -2 used to fix cell 0 of '*1',
+    # and 2 raised a raw IndexError
+    for i in (-2, -1, 2, 5):
+        with pytest.raises(DomainError):
+            Restriction("*1").fix((i,), (0,))
 
 
 def test_is_dense_examples():
@@ -288,59 +299,7 @@ def test_biasing_condition_counterexample_documented():
             assert not is_biasing(x, y, AND, delta_y, eps, 1, c, 2).flagged
 
 
-# -- oracle sweep: the one-pass scans against the per-pattern reference -------
-
-def _oracle_pattern_prob(g, x_val, y, coords, bits):
-    total, mass = F(0), y.mass
-    for t in y.support():
-        if all(g.eval(x_val[i], t[i]) == z for i, z in zip(coords, bits)):
-            total += mass[t]
-    return total
-
-
-def _oracle_subsets(k):
-    for r in range(1, k + 1):
-        yield from combinations(range(k), r)
-
-
-def oracle_is_leaking(x_val, y, g, coord_limit=3):
-    """Re-walks Y's support with Fraction sums for every (coords, bits)."""
-    k = len(x_val)
-    if k > coord_limit:
-        raise BudgetError("leaking scan free coordinates", k, coord_limit)
-    for coords in _oracle_subsets(k):
-        bound = F(1, 1 << (len(coords) + 1))
-        for bits in product((0, 1), repeat=len(coords)):
-            if _oracle_pattern_prob(g, x_val, y, coords, bits) < bound:
-                return Verdict(True, (coords, bits))
-    return Verdict(False)
-
-
-def oracle_is_sparsifying(x_val, y, g, delta_y, eps, b, coord_limit=3):
-    """Conditions and projects a DistributionTable for every (coords, bits)."""
-    delta_y, eps = F(delta_y), F(eps)
-    k = len(x_val)
-    if k > coord_limit:
-        raise BudgetError("sparsifying scan free coordinates", k, coord_limit)
-    level = delta_y - eps
-    for coords in _oracle_subsets(k):
-        rest = tuple(i for i in range(k) if i not in coords)
-        for bits in product((0, 1), repeat=len(coords)):
-            if _oracle_pattern_prob(g, x_val, y, coords, bits) == 0:
-                continue
-            cond = y.condition(
-                lambda t, c=coords, z=bits: all(
-                    g.eval(x_val[i], t[i]) == zz for i, zz in zip(c, z)
-                )
-            )
-            if not rest:
-                continue
-            witness = is_dense(project(cond, rest), level, b)
-            if not witness.dense:
-                return Verdict(True, (coords, bits, witness.violating_set,
-                                      witness.witness_maxprob))
-    return Verdict(False)
-
+# -- oracle sweep: leaking and sparsifying against the brute-force oracles ----
 
 def _weighted_table(rng, universe):
     """Integer weights on the whole universe; zero-weight elements stay in the domain."""
@@ -444,9 +403,16 @@ def test_danger_scan_matches_oracles():
                 for x in xs:
                     args = (x, y, g, delta_y, eps, g.b, limit)
                     leak, spars = scan.leaking(x), scan.sparsifying(x)
-                    assert leak == oracle_is_leaking(x, y, g, limit).flagged, (g, x, y)
-                    assert spars == oracle_is_sparsifying(*args).flagged, (g, x, y, delta_y, eps)
-                    assert scan.dangerous(x) == is_dangerous(*args) == (leak or spars)
+                    want_leak = oracle_is_leaking(x, y, g, limit)
+                    want_spars = oracle_is_sparsifying(*args)
+                    assert leak == want_leak.flagged, (g, x, y)
+                    assert spars == want_spars.flagged, (g, x, y, delta_y, eps)
+                    dangerous = want_leak.flagged or want_spars.flagged
+                    assert scan.dangerous(x) == is_dangerous(*args) == dangerous
+                    # the first leaking or sparsifying witness by set
+                    found = scan.witness("dangerous", x)
+                    assert (found is not None) == dangerous
+                    assert found in (None, want_leak.witness, want_spars.witness)
                     seen["leaking" if leak else "not leaking"] += 1
                     seen["sparsifying" if spars else "not sparsifying"] += 1
                     seen[f"k={k}"] += 1
@@ -463,6 +429,8 @@ def test_danger_scan_errors_match_the_scans():
         for query in (scan.leaking, scan.sparsifying, scan.dangerous):
             with pytest.raises(DomainError):
                 query(x)
+    with pytest.raises(DomainError):
+        scan.witness("table", (0, 0))
     y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
     with pytest.raises(DomainError):
         DangerScan(y_bad, XOR, F(1), F(1, 4), 1)
@@ -501,9 +469,10 @@ def test_danger_scan_biasing_matches_is_biasing():
                 scan = DangerScan(y, g, delta_y, eps, g.b, limit)
                 for c, n in product((F(1, 2), F(2), F(16)), (2, 3, 4)):
                     for x in xs:
-                        want = is_biasing(x, y, g, delta_y, eps, g.b, c, n, limit).flagged
-                        assert scan.biasing(x, c, n) == want, (g, x, y, delta_y, eps, c, n)
-                        seen["biasing" if want else "not biasing"] += 1
+                        want = oracle_is_biasing(x, y, g, delta_y, eps, g.b, c, n, limit)
+                        assert scan.biasing(x, c, n) == want.flagged, (g, x, y, delta_y, eps, c, n)
+                        assert scan.witness("biasing", x, c, n) == want.witness
+                        seen["biasing" if want.flagged else "not biasing"] += 1
     # both verdicts are exercised, so agreement is not vacuous
     assert min(seen.values()) >= 100, seen
     # on the threshold: for S = {0, 1} and the empty J, |w - 2 odd| * 2(2n)^|S|
@@ -537,84 +506,19 @@ def test_danger_scan_biasing_matches_is_biasing():
 
 
 def test_danger_scan_ip6_mass():
-    # b = 6, n = 2, X = Y uniform: the mass the per-value scans give (one
-    # is_dangerous call per value, about 40 s), and a sample of those calls
+    # b = 6, n = 2, X = Y uniform: the dangerous mass (the 127 values with a
+    # zero block), and a sample of the values against the brute-force oracles
     ip6 = Gadget(6, [(x & y).bit_count() & 1 for x in range(64) for y in range(64)])
     u = DistributionTable.uniform(list(product(range(64), repeat=2)))
     assert dangerous_probability(u, u, ip6, F(1), F(1, 2), 6) == F(127, 4096)
     scan = DangerScan(u, ip6, F(1), F(1, 2), 6)
     for x in [(0, 0), (0, 63), (63, 63)] + random.Random(6).sample(u.domain, 5):
-        assert scan.dangerous(x) == is_dangerous(x, u, ip6, F(1), F(1, 2), 6), x
+        want = (oracle_is_leaking(x, u, ip6).flagged
+                or oracle_is_sparsifying(x, u, ip6, F(1), F(1, 2), 6).flagged)
+        assert scan.dangerous(x) == want, x
 
 
-# -- oracle sweep: skewing and biasing on the pattern rows against the
-# -- project/condition/eval scans they replace -------------------------------
-
-def oracle_is_skewing(x_val, y, g, delta_y, eps, b, coord_limit=3):
-    """Projects Y onto J and conditions on every y_J, evaluating g row by row."""
-    delta_y, eps = F(delta_y), F(eps)
-    k = len(x_val)
-    if k > coord_limit:
-        raise BudgetError("skewing scan free coordinates", k, coord_limit)
-    for coords_i in _oracle_subsets(k):
-        others = [i for i in range(k) if i not in coords_i]
-        for jsize in range(1, len(others) + 1):
-            for coords_j in combinations(others, jsize):
-                yj_marg = project(y, coords_j)
-                for yj in yj_marg.support():
-                    pj = yj_marg.prob(yj)
-                    cond = y.condition(
-                        lambda t, cj=coords_j, v=yj: all(t[i] == vv for i, vv in zip(cj, v)))
-                    out_weight = {}
-                    for t, w in cond.weights.items():
-                        if w:
-                            pat = tuple(g.eval(x_val[i], t[i]) for i in coords_i)
-                            out_weight[pat] = out_weight.get(pat, 0) + w
-                    maxp = F(max(out_weight.values()), cond.total)
-                    q = (F(len(coords_i)) - eps * b * len(coords_j) + 1
-                         + delta_y * b * len(coords_j))
-                    if cmp_pow2(maxp * pj, q) > 0:
-                        return Verdict(True, (coords_i, coords_j, yj, maxp, pj))
-    return Verdict(False)
-
-
-def oracle_is_biasing(x_val, y, g, delta_y, eps, b, c, n, coord_limit=3):
-    """Lists every (J, y_J) candidate by projection, then conditions Y on it."""
-    delta_y, eps, c = F(delta_y), F(eps), F(c)
-    if n < 2:
-        raise DomainError("the ambient dimension must be at least 2")
-    k = len(x_val)
-    if k > coord_limit:
-        raise BudgetError("biasing scan free coordinates", k, coord_limit)
-    for coords_s in _oracle_subsets(k):
-        ssize = len(coords_s)
-        bias_bound = F(1, 2 * (2 * n) ** ssize)
-        others = [i for i in range(k) if i not in coords_s]
-        candidates = [((), (), F(1))]
-        for jsize in range(1, len(others) + 1):
-            for coords_j in combinations(others, jsize):
-                yj_marg = project(y, coords_j)
-                for yj in yj_marg.support():
-                    candidates.append((coords_j, yj, yj_marg.prob(yj)))
-        for coords_j, yj, pj in candidates:
-            if cmp_products(pj, [(n, F(ssize)), (2, delta_y * b * len(coords_j))],
-                            F(4), [(n, c * eps * len(coords_j))]) < 0:
-                continue
-            cond = y.condition(
-                lambda t, cj=coords_j, v=yj: all(t[i] == vv for i, vv in zip(cj, v)))
-            w0 = 0
-            for t, w in cond.weights.items():
-                if w:
-                    parity = 0
-                    for i in coords_s:
-                        parity ^= g.eval(x_val[i], t[i])
-                    if parity == 0:
-                        w0 += w
-            bias_val = F(abs(2 * w0 - cond.total), cond.total)
-            if bias_val > bias_bound:
-                return Verdict(True, (coords_s, coords_j, yj, bias_val, bias_bound))
-    return Verdict(False)
-
+# -- oracle sweep: skewing and biasing against the brute-force oracles --------
 
 # (delta_y, eps, c): dyadic and non-dyadic levels, eps*b above and below 1
 _BIAS_LEVELS = ((F(1), F(1, 4), F(2)), (F(1, 2), F(1, 8), F(1, 2)),
@@ -640,6 +544,9 @@ def test_skewing_and_biasing_match_oracle():
                         args = (x, y, g, delta_y, eps, g.b)
                         skew = is_skewing(*args)
                         assert skew == oracle_is_skewing(*args), (g, x, y, delta_y, eps)
+                        scan = DangerScan(y, g, delta_y, eps, g.b)
+                        assert scan.skewing(x) == skew.flagged, (g, x, y, delta_y, eps)
+                        assert scan.witness("skewing", x) == skew.witness
                         bias = is_biasing(*args, c, 2 + k % 2)
                         assert bias == oracle_is_biasing(*args, c, 2 + k % 2), (g, x, y, c)
                         seen["skewing" if skew.flagged else "not skewing"] += 1
@@ -653,7 +560,7 @@ def test_skewing_and_biasing_match_oracle():
 def oracle_is_dense(x, delta, b):
     delta = F(delta)
     k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
-    for coords in _oracle_subsets(k):
+    for coords in oracle_subsets(k):
         p = project(x, coords).maxprob()
         if cmp_pow2(p, delta * b * len(coords)) > 0:
             return False
@@ -677,7 +584,7 @@ def oracle_max_density(x, b, resolution_bits=20):
 
 def _oracle_worst_marginal(x, k):
     worst = None
-    for coords in _oracle_subsets(k):
+    for coords in oracle_subsets(k):
         p = project(x, coords).maxprob()
         size = len(coords)
         if worst is None or cmp_products(p ** worst[1], (), worst[0] ** size, ()) > 0:
