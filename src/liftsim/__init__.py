@@ -36,7 +36,7 @@ from .errors import (
     LiftsimError,
     NullEventError,
 )
-from .exact import cmp_pow2, cmp_products, frac_decimal, frac_str, log2_bounds
+from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_decimal, frac_str, log2_bounds
 from .gadgets import (
     Gadget,
     Rectangle,
@@ -74,6 +74,7 @@ from .structure import (
     DangerScan,
     Restriction,
     dangerous_probability,
+    density_restoring_choice,
     density_restoring_fix,
     density_restoring_partition,
     is_biasing,

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DomainError, NullEventError
-from .exact import cmp_pow2
+from .exact import _rational, cmp_pow2
 
 __all__ = [
     "DistributionTable",
@@ -249,16 +249,47 @@ def fourier_coefficient(d: DistributionTable, m: int, coords: Iterable[int]) -> 
     return Fraction(signed, d.total << m)
 
 
+def _walsh(values: list) -> list:
+    """In place: values[s] becomes sum_z values[z] * (-1)**popcount(z & s) for
+    every s in [0, 2^m) (the fast Walsh-Hadamard butterfly), on ints."""
+    h, size = 1, len(values)
+    while h < size:
+        for start in range(0, size, 2 * h):
+            for i in range(start, start + h):
+                a, b = values[i], values[i + h]
+                values[i], values[i + h] = a + b, a - b
+        h *= 2
+    return values
+
+
+def _signed_weights(d: DistributionTable, m: int) -> list:
+    """Per mask s in [0, 2^m): the even-parity minus the odd-parity weight of
+    z & s over d, i.e. 2*w0 - total for the XOR of the bits in s."""
+    full = (1 << m) - 1
+    folded = [0] * (1 << m)
+    for z, w in d.weights.items():
+        folded[z & full] += w
+    return _walsh(folded)
+
+
 def fourier_inversion(coeffs: Mapping[Tuple[int, ...], Fraction], m: int) -> DistributionTable:
-    """Rebuild the mass function from all 2^m coefficients."""
+    """Rebuild the mass function from all 2^m coefficients, on integers: each
+    coefficient over one lcm of their denominators, summed per z with the
+    character's sign."""
     masks = {coords: _coords_to_mask(coords, m) for coords in coeffs}
-    masses = {}
-    for z in range(1 << m):
-        v = ZERO
-        for coords, c in coeffs.items():
-            v += -c if _parity(z, masks[coords]) else c
-        masses[z] = v
-    return DistributionTable(masses)
+    coeffs = {coords: _rational(c) for coords, c in coeffs.items()}
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    cleared = [0] * (1 << m)
+    for coords, c in coeffs.items():
+        cleared[masks[coords]] += c.numerator * (scale // c.denominator)
+    masses = _walsh(cleared)  # mass of z = masses[z] / scale
+    for z, v in enumerate(masses):
+        if v < 0:
+            raise DomainError(f"negative mass at {z!r}")
+    if sum(masses) != scale:
+        raise DomainError(f"masses must sum to 1 exactly, got {Fraction(sum(masses), scale)}")
+    common = gcd(scale, *masses)
+    return _table({z: v // common for z, v in enumerate(masses)}, scale // common)
 
 
 def xor_bias(d: DistributionTable, m: int, coords: Iterable[int]) -> Fraction:
@@ -293,26 +324,30 @@ def vazirani_uniformity_check(d: DistributionTable, m: int, eps: Fraction) -> Va
 
     hypothesis: bias(xor over S) <= eps * (2m)**(-|S|) for every nonempty S;
     conclusion: every point mass lies in [(1-eps), (1+eps)] * 2**(-m).
+    Both are decided on integer weights; the witness is built as Fractions.
     """
     eps = Fraction(eps)
+    num, den = eps.numerator, eps.denominator
+    total = d.total
+    signed = _signed_weights(d, m)
     hypothesis = True
     worst = None
     for coords in subsets_by_size(m, nonempty=True):
-        bound = eps * Fraction(1, (2 * m) ** len(coords))
-        bv = xor_bias(d, m, coords)
-        if bv > bound:
+        gap, scale = abs(signed[_coords_to_mask(coords, m)]), (2 * m) ** len(coords)
+        if gap * scale * den > num * total:
             hypothesis = False
-            if worst is None:
-                worst = ("bias", coords, bv, bound)
-    base = Fraction(1, 1 << m)
-    lo, hi = (1 - eps) * base, (1 + eps) * base
+            worst = ("bias", coords, Fraction(gap, total), eps * Fraction(1, scale))
+            break
+    # (1-eps) * 2**-m <= w/total <= (1+eps) * 2**-m, times den * total * 2**m
+    lo, hi = (den - num) * total, (den + num) * total
     conclusion = True
     for z in range(1 << m):
-        p = d.prob(z)
-        if not lo <= p <= hi:
+        w = d.weights.get(z, 0)
+        if not lo <= (w * den) << m <= hi:
             conclusion = False
             if worst is None:
-                worst = ("mass", z, p, (lo, hi))
+                base = Fraction(1, 1 << m)
+                worst = ("mass", z, Fraction(w, total), ((1 - eps) * base, (1 + eps) * base))
             break
     return VaziraniReport(hypothesis, conclusion, worst)
 
@@ -320,22 +355,24 @@ def vazirani_uniformity_check(d: DistributionTable, m: int, eps: Fraction) -> Va
 def vazirani_minentropy_check(d: DistributionTable, m: int, t: int) -> VaziraniReport:
     """Small XOR biases on large sets force high min-entropy.
 
-    hypothesis: bias(xor over S) <= (2m)**(-|S|) for every S with |S| >= t;
+    hypothesis: bias(xor over S) <= (2m)**(-|S|) for every S with |S| >= t,
+    tested as |2*w0 - total| * (2m)**|S| <= total;
     conclusion: min-entropy >= m - t*log2(m) - 1, tested in the cleared form
     maxprob * 2**(m-1) <= m**t (exact integers).
     """
     if t < 1:
         raise ValueError("t must be at least 1")
+    total = d.total
+    signed = _signed_weights(d, m)
     hypothesis = True
     worst = None
     for coords in subsets_by_size(m, nonempty=True):
         if len(coords) < t:
             continue
-        bound = Fraction(1, (2 * m) ** len(coords))
-        bv = xor_bias(d, m, coords)
-        if bv > bound:
+        gap, scale = abs(signed[_coords_to_mask(coords, m)]), (2 * m) ** len(coords)
+        if gap * scale > total:
             hypothesis = False
-            worst = ("bias", coords, bv, bound)
+            worst = ("bias", coords, Fraction(gap, total), Fraction(1, scale))
             break
-    conclusion = max(d.weights.values()) << (m - 1) <= m ** t * d.total
+    conclusion = max(d.weights.values()) << (m - 1) <= m ** t * total
     return VaziraniReport(hypothesis, conclusion, worst)

@@ -236,15 +236,29 @@ def problem_to_json(p: SearchProblem) -> str:
     return json.dumps({"n": p.n, "outputs": list(p.outputs), "table": table}, sort_keys=True)
 
 
+def _unique_keys(pairs) -> dict:
+    """json.loads object hook: the object as a dict, refusing a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise FormatError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def problem_from_json(text: str) -> SearchProblem:
+    """Parse a search problem; its table keys must be distinct n-bit strings,
+    as problem_to_json writes them."""
     with malformed("search problem file"):
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         n = int(doc["n"])
         outputs = list(doc["outputs"])
         table = [frozenset()] * (1 << n)
         for key, vals in doc["table"].items():
-            z = int(key, 2)
-            table[z] = frozenset(int(v) for v in vals)
+            # the key problem_to_json writes: n binary digits (one "0" at n = 0)
+            if not key or key.strip("01") or format(int(key, 2), f"0{n}b") != key:
+                raise FormatError(f"table key {key!r} is not a {n}-bit string")
+            table[int(key, 2)] = frozenset(int(v) for v in vals)
     return SearchProblem(n, outputs, table)
 
 

@@ -1,9 +1,11 @@
 """Exact comparisons of rationals against powers with rational exponents.
 
-Every probability in this library is a `fractions.Fraction`, and every
-threshold is of the form ``2**(-q)`` (or more generally a product of integer
-bases raised to rational exponents).  Those thresholds are irrational in
-general and are never materialized; instead comparisons are decided exactly:
+Probabilities reach these comparisons as integer ratios: ``cmp_pow2_ratio``
+takes a weight and a total as they are (not reduced), and ``cmp_pow2`` is the
+same test on a ``fractions.Fraction``.  Every threshold is of the form
+``2**(-q)`` (or more generally a product of integer bases raised to rational
+exponents).  Those thresholds are irrational in general and are never
+materialized; instead comparisons are decided exactly:
 
 * integer exponents and small exponent denominators: clear the root by
   raising both sides, on integers (``num/den <= 2**(-a/d)  <=>
@@ -26,6 +28,7 @@ __all__ = [
     "exact_log2",
     "log2_bounds",
     "cmp_pow2",
+    "cmp_pow2_ratio",
     "cmp_products",
     "frac_str",
     "frac_decimal",
@@ -125,29 +128,40 @@ def cmp_pow2(p: Fraction, q: Fraction) -> int:
     ints and Fractions are used as they are; other exact inputs (e.g. str)
     go through ``Fraction`` first.
     """
-    p, q = _rational(p), _rational(q)
-    if p.numerator < 0:
+    p = _rational(p)
+    return cmp_pow2_ratio(p.numerator, p.denominator, q)
+
+
+def cmp_pow2_ratio(num: int, den: int, q: Fraction) -> int:
+    """Sign of num/den - 2**(-q), exactly, for ints num >= 0 and den > 0 that
+    need not be in lowest terms, and rational q (taken as in cmp_pow2).
+
+    Decided on integers; a Fraction is built only on the interval path.
+    """
+    if num < 0 or den <= 0:
         raise ValueError("cmp_pow2 expects a nonnegative left-hand side")
-    if p.numerator == 0:
+    if num == 0:
         return -1
+    q = _rational(q)
     if q.denominator <= _DIRECT_DENOM_LIMIT:
-        return _cmp_pow2_cleared(p, q)
-    # log2(p) vs -q; equality impossible since 2**q is irrational here
-    target = -q
+        return _cmp_pow2_cleared(num, den, q)
+    # log2(num/den) vs -q; equality impossible since 2**q is irrational here
+    p, target = Fraction(num, den), -q
     for bits in _BITS_SCHEDULE:
         lo, hi = log2_bounds(p, bits)
         if hi < target:
             return -1
         if lo > target:
             return 1
-    return _cmp_pow2_cleared(p, q)
+    return _cmp_pow2_cleared(p.numerator, p.denominator, q)
 
 
-def _cmp_pow2_cleared(p: Fraction, q: Fraction) -> int:
+def _cmp_pow2_cleared(num: int, den: int, q: Fraction) -> int:
     # num/den vs 2^(-a/d)  <=>  num^d * 2^a vs den^d, monotone since both
     # sides are >= 0
     a, d = q.numerator, q.denominator
-    num, den = p.numerator ** d, p.denominator ** d
+    if d != 1:
+        num, den = num ** d, den ** d
     return sign((num << a) - den) if a >= 0 else sign(num - (den << -a))
 
 

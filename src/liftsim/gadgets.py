@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .dist import DistributionTable
 from .errors import BudgetError, DomainError, FormatError, LiftsimError, malformed
-from .exact import cmp_pow2
+from .exact import _rational, cmp_pow2_ratio
 
 __all__ = [
     "Gadget",
@@ -307,8 +307,40 @@ class ExtractorReport:
         return (not self.hypothesis) or self.conclusion
 
 
-def _entropy_sum_at_least(x: DistributionTable, y: DistributionTable, bits: Fraction) -> bool:
-    return cmp_pow2(x.maxprob() * y.maxprob(), bits) <= 0
+def _entropy_ok(x: DistributionTable, y: DistributionTable, bits: Fraction) -> bool:
+    """maxprob(X) * maxprob(Y) <= 2**(-bits), on the weights."""
+    return cmp_pow2_ratio(max(x.weights.values()) * max(y.weights.values()),
+                          x.total * y.total, bits) <= 0
+
+
+def _ratio(v) -> Tuple[int, int]:
+    """(numerator, denominator) of an exact rational: a memo key that hashes
+    as ints, where a Fraction's hash costs a modular inverse."""
+    v = _rational(v)
+    return v.numerator, v.denominator
+
+
+@lru_cache(maxsize=256)
+def _disc_ok(disc: Tuple[int, int], eta: Tuple[int, int], b: int) -> bool:
+    """disc(g) <= 2**(-eta*b), for disc and eta given by _ratio."""
+    return cmp_pow2_ratio(*disc, Fraction(*eta) * b) <= 0
+
+
+@lru_cache(maxsize=256)
+def _extractor_bits(eta: Tuple[int, int], lam: Tuple[int, int], m: int,
+                    b: int) -> Tuple[Fraction, Fraction]:
+    """extractor_check's (entropy threshold, bias bound) exponents."""
+    eta, lam = Fraction(*eta), Fraction(*lam)
+    return (2 - eta + lam) * m * b + (6 * m if m > 1 else 0), lam * b * m
+
+
+@lru_cache(maxsize=256)
+def _sampling_bits(gamma: Tuple[int, int], lam: Tuple[int, int], eta: Tuple[int, int],
+                   m: int, b: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """sampling_check's (entropy threshold, bias threshold, bad-mass bound) exponents."""
+    gamma, lam, eta = Fraction(*gamma), Fraction(*lam), Fraction(*eta)
+    return ((2 - eta + gamma + lam) * m * b + (7 * m if m > 1 else 1),
+            lam * b * m, gamma * b * m)
 
 
 def _zero_weight(g: Gadget, a: int, y: DistributionTable) -> int:
@@ -316,16 +348,6 @@ def _zero_weight(g: Gadget, a: int, y: DistributionTable) -> int:
     row = a * g.side
     table = g.table
     return sum(w for c, w in y.weights.items() if w and table[row + c] == 0)
-
-
-def _joint_bias(g: Gadget, x: DistributionTable, y: DistributionTable) -> Fraction:
-    w0 = sum(w * _zero_weight(g, a, y) for a, w in x.weights.items() if w)
-    total = x.total * y.total
-    return Fraction(abs(2 * w0 - total), total)
-
-
-def _conditional_bias(g: Gadget, a: int, y: DistributionTable) -> Fraction:
-    return Fraction(abs(2 * _zero_weight(g, a, y) - y.total), y.total)
 
 
 def extractor_check(
@@ -341,17 +363,19 @@ def extractor_check(
     bias(g^xor m(X,Y)) <= 2^(-lam*b*m); all quantities exact.
 
     With m > 1 copies (the XOR-power corollary) the entropy threshold gains
-    6 bits per copy.
+    6 bits per copy.  Every test is decided on integer weights.
     """
-    eta, lam = Fraction(eta), Fraction(lam)
     b = g.b
     disc = discrepancy(g).value if disc_value is None else disc_value
-    disc_ok = cmp_pow2(disc, eta * b) <= 0
-    entropy_ok = _entropy_sum_at_least(
-        x, y, (2 - eta + lam) * m * b + (6 * m if m > 1 else 0))
-    bv = _joint_bias(xor_power(g, m), x, y)
-    bound_bits = lam * b * m
-    return ExtractorReport(disc_ok, entropy_ok, bv, bound_bits, cmp_pow2(bv, bound_bits) <= 0)
+    eta = _ratio(eta)
+    entropy_bits, bound_bits = _extractor_bits(eta, _ratio(lam), m, b)
+    gx = xor_power(g, m)
+    w0 = sum(w * _zero_weight(gx, a, y) for a, w in x.weights.items() if w)
+    total = x.total * y.total
+    gap = abs(2 * w0 - total)  # bias = gap / total
+    return ExtractorReport(_disc_ok(_ratio(disc), eta, b), _entropy_ok(x, y, entropy_bits),
+                           Fraction(gap, total), bound_bits,
+                           cmp_pow2_ratio(gap, total, bound_bits) <= 0)
 
 
 @dataclass
@@ -386,21 +410,20 @@ def sampling_check(
     strictly below 2^(-gamma*b*m).
 
     The entropy threshold is (2-eta+gamma+lam)*b*m plus 1 bit, or plus 7 bits
-    per copy for the XOR-power corollary (m > 1).
+    per copy for the XOR-power corollary (m > 1).  Each value's conditional
+    bias |2*w0 - total_y| / total_y is compared on integers.
     """
-    gamma, lam, eta = Fraction(gamma), Fraction(lam), Fraction(eta)
     b = g.b
     disc = discrepancy(g).value if disc_value is None else disc_value
-    disc_ok = cmp_pow2(disc, eta * b) <= 0
-    entropy_ok = _entropy_sum_at_least(
-        x, y, (2 - eta + gamma + lam) * m * b + (7 * m if m > 1 else 1))
-    gx = xor_power(g, m)
-    bias_bits = lam * b * m
-    bad = Fraction(sum(w for a, w in x.weights.items()
-                       if w and cmp_pow2(_conditional_bias(gx, a, y), bias_bits) > 0),
-                   x.total)
-    bound_bits = gamma * b * m
-    return SamplingReport(disc_ok, entropy_ok, bad, bound_bits, cmp_pow2(bad, bound_bits) < 0)
+    eta = _ratio(eta)
+    entropy_bits, bias_bits, bound_bits = _sampling_bits(_ratio(gamma), _ratio(lam), eta, m, b)
+    gx, y_total = xor_power(g, m), y.total
+    bad = sum(w for a, w in x.weights.items()
+              if w and cmp_pow2_ratio(abs(2 * _zero_weight(gx, a, y) - y_total),
+                                      y_total, bias_bits) > 0)
+    return SamplingReport(_disc_ok(_ratio(disc), eta, b), _entropy_ok(x, y, entropy_bits),
+                          Fraction(bad, x.total), bound_bits,
+                          cmp_pow2_ratio(bad, x.total, bound_bits) < 0)
 
 
 # -- construction -------------------------------------------------------------

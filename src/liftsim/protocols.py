@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dist import DistributionTable
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
@@ -29,6 +29,7 @@ __all__ = [
     "message_distribution",
     "assert_prefix_free",
     "kraft_heavy_message",
+    "kraft_heavy_pick",
     "canonical_protocol",
     "complexity",
     "protocol_to_json",
@@ -157,14 +158,22 @@ def kraft_heavy_message(d: DistributionTable) -> str:
     Existence is a theorem for prefix-free supports, so a miss raises an
     invariant error rather than returning a sentinel.
     """
-    weights, total = d.weights, d.total
-    support = d.support()
-    assert_prefix_free(support)
-    # Pr[w] >= 2**(-|w|), on integers
-    qualifiers = [w for w in support if weights[w] << len(w) >= total]
-    if not qualifiers:
+    assert_prefix_free(d.support())
+    heavy = kraft_heavy_pick(d.weights.items(), d.total)
+    if heavy is None:
         raise InvariantError("no Kraft-heavy message; support cannot be prefix-free")
-    return min(qualifiers, key=lambda w: (len(w), w))
+    return heavy
+
+
+def kraft_heavy_pick(weighted: Iterable[Tuple[str, int]], total: int) -> Optional[str]:
+    """The shortest, then lexicographically first, message w of the (w, weight)
+    pairs with weight * 2**|w| >= total (Pr[w] >= 2**(-|w|) on integers), or
+    None.  Prefix-freeness is the caller's to check."""
+    best = None
+    for w, weight in weighted:
+        if weight << len(w) >= total and (best is None or (len(w), w) < (len(best), best)):
+            best = w
+    return best
 
 
 def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:

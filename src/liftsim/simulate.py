@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .dist import DistributionTable, ZERO, project
 from .errors import BudgetError, DomainError, LiftsimError
-from .exact import cmp_pow2, cmp_products, exact_log2, frac_str
+from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, exact_log2, frac_str
 from .gadgets import Gadget, block_table, blocks_of
 from .protocols import (
     PLeaf,
@@ -51,7 +51,7 @@ from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .structure import (
     DangerScan,
     Restriction,
-    density_restoring_fix,
+    density_restoring_choice,
     density_restoring_partition,
     is_dense,
     max_density,
@@ -145,9 +145,17 @@ class LiftingParams:
         return cls(eta=eta, c=c, h=h, b=b, n=n, mode=mode, **kw)
 
     def trunc_cmp(self, p_geq: Fraction) -> int:
-        """Sign of p_geq minus the step-5 truncation threshold, exact."""
-        exponent = self.eta * self.b / 8 if TRUNC_SCALED_BY_B else self.eta / 8
-        return cmp_products(p_geq, (), Fraction(1, 16 * self.n * self.b), [(2, -exponent)])
+        """Sign of p_geq minus the step-5 truncation threshold
+        2**(-exponent) / (16*n*b), exact: p_geq * 16*n*b against 2**(-exponent)."""
+        scale, exponent = _trunc_threshold(self.eta, self.b, self.n, TRUNC_SCALED_BY_B)
+        return cmp_pow2_ratio(scale * p_geq.numerator, p_geq.denominator, exponent)
+
+
+@lru_cache(maxsize=64)
+def _trunc_threshold(eta: Fraction, b: int, n: int, scaled_by_b: bool) -> Tuple[int, Fraction]:
+    """trunc_cmp's (16*n*b, exponent), keyed by the values it reads, so a
+    params object changed after a call never reads a stale entry."""
+    return 16 * n * b, (eta * b if scaled_by_b else eta) / 8
 
 
 @dataclass
@@ -521,7 +529,7 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
         node = eng.take_message(node, rec, message, table.prob(message), ends[message])
         if rec.free_before:
             marg = eng.cache.marginal(eng.sets[_side(rec.speaker)], rec.free_before)
-            rel_coords, value, _ = density_restoring_fix(marg, params.delta, params.b)
+            rel_coords, value = density_restoring_choice(marg, params.delta, params.b)
             if rel_coords:
                 rec.heavy_value_prob = project(marg, rel_coords).prob(tuple(value))
                 rec.flags["heavy_value"] = cmp_pow2(

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dist import DistributionTable, project, subsets_by_size
 from .errors import BudgetError, DomainError
-from .exact import cmp_pow2, cmp_products, exact_log2, log2_bounds
+from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, exact_log2, log2_bounds
 from .gadgets import Gadget
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "is_dense",
     "max_density",
     "is_structured",
+    "density_restoring_choice",
     "density_restoring_fix",
     "density_restoring_partition",
     "is_leaking",
@@ -135,9 +136,9 @@ def is_dense(x: DistributionTable, delta: Fraction, b: int) -> DensityWitness:
     """
     delta = Fraction(delta)
     for coords, marg in _marginals(x):
-        p = marg.maxprob()
-        if cmp_pow2(p, delta * b * len(coords)) > 0:
-            return DensityWitness(delta, coords, p)
+        heavy = max(marg.weights.values())
+        if cmp_pow2_ratio(heavy, marg.total, delta * b * len(coords)) > 0:
+            return DensityWitness(delta, coords, Fraction(heavy, marg.total))
     return DensityWitness(delta)
 
 
@@ -294,6 +295,22 @@ def _inconsistent_pair(x_full: DistributionTable, y_full: DistributionTable,
 
 # -- density restoration -------------------------------------------------------
 
+def density_restoring_choice(x: DistributionTable, delta: Fraction, b: int):
+    """(coords, value) of density_restoring_fix, without the conditioned
+    remainder: ((), ()) when x is delta-dense."""
+    delta = Fraction(delta)
+    top = None  # the first violating set of the largest size, and its marginal
+    for coords, marg in _marginals(x):
+        if (top is None or len(coords) > len(top[0])) and cmp_pow2_ratio(
+                max(marg.weights.values()), marg.total, delta * b * len(coords)) > 0:
+            top = coords, marg
+    if top is None:
+        return (), ()
+    coords, marg = top
+    heavy = max(marg.weights.values())
+    return coords, min(v for v, w in marg.weights.items() if w == heavy)
+
+
 def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
     """Pick a maximal density-violating set and its heavy value.
 
@@ -302,17 +319,9 @@ def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
     then the heaviest value, lexicographically first.  The conditioned
     remainder is delta-dense (asserted by the caller's tests).
     """
-    delta = Fraction(delta)
-    top = None  # the first violating set of the largest size, and its marginal
-    for coords, marg in _marginals(x):
-        if (top is None or len(coords) > len(top[0])) and cmp_pow2(
-                marg.maxprob(), delta * b * len(coords)) > 0:
-            top = coords, marg
-    if top is None:
+    coords, value = density_restoring_choice(x, delta, b)
+    if not coords:
         return (), (), x
-    coords, marg = top
-    heavy = max(marg.weights.values())
-    value = min(v for v, w in marg.weights.items() if w == heavy)
     k = len(x.domain[0])
     rest = tuple(i for i in range(k) if i not in coords)
     sel = dict(zip(coords, value))
@@ -346,7 +355,7 @@ def density_restoring_partition(
     j = 0
     while True:
         j += 1
-        coords, value, _ = density_restoring_fix(residual, delta, b)
+        coords, value = density_restoring_choice(residual, delta, b)
         if coords:
             sel = dict(zip(coords, value))
             members = tuple(
@@ -439,7 +448,7 @@ class DangerScan:
         self.sets = list(subsets_by_size(k, nonempty=True))
         memo = lru_cache(maxsize=None)
         self._sparsifies = memo(
-            lambda heavy, weight, size: cmp_pow2(Fraction(heavy, weight), level * size) > 0)
+            lambda heavy, weight, size: cmp_pow2_ratio(heavy, weight, level * size) > 0)
         self._table, self._split = memo(self._table), memo(self._split)
         self._reads: Dict[tuple, object] = {}
 
@@ -514,7 +523,7 @@ class DangerScan:
                     heavy[yj], whole[yj] = max(heavy.get(yj, 0), w), whole[yj] + w
             q = len(coords) + 1 + self.level * len(sub)
             for yj, wj in sorted(whole.items()):
-                if cmp_pow2(Fraction(heavy[yj], self.total), q) > 0:
+                if cmp_pow2_ratio(heavy[yj], self.total, q) > 0:
                     return (coords, coords_j, yj, Fraction(heavy[yj], wj),
                             Fraction(wj, self.total))
         return None

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .dist import (
     DistributionTable,
@@ -41,7 +41,7 @@ from .dtrees import (
     parity_problem,
     solves,
 )
-from .errors import DomainError, FormatError, LiftsimError, malformed
+from .errors import DomainError, FormatError, InvariantError, LiftsimError, malformed
 from .exact import cmp_pow2, cmp_products, frac_str
 from .gadgets import (
     Gadget,
@@ -51,7 +51,7 @@ from .gadgets import (
     extractor_check,
     sampling_check,
 )
-from .protocols import canonical_protocol, complexity, kraft_heavy_message
+from .protocols import assert_prefix_free, canonical_protocol, complexity, kraft_heavy_pick
 from .simulate import (
     ERROR_K,
     LiftingParams,
@@ -85,6 +85,7 @@ __all__ = [
     "run_corpus",
     "default_corpus_spec",
     "seeded_distribution",
+    "seeded_weights",
     "seeded_support",
     "all_prefix_free_codes",
 ]
@@ -270,22 +271,29 @@ def check_main_lemma(
 
 # -- seeded generators -----------------------------------------------------------
 
-def seeded_distribution(rng: random.Random, domain: Sequence, max_weight: int = 16) -> DistributionTable:
-    """Random rational masses (zeros allowed, not all zero): each weight is
-    ``rng.randrange(max_weight + 1)``, drawn by randrange's own getrandbits loop."""
+def seeded_weights(rng: random.Random, count: int, max_weight: int = 16) -> List[int]:
+    """`count` int weights in [0, max_weight], not all zero: each is
+    ``rng.randrange(max_weight + 1)``, drawn by randrange's own getrandbits
+    loop, and an all-zero draw is redrawn whole."""
     if max_weight < 1:
         raise DomainError("max_weight must be at least 1")
     bound = max_weight + 1
     bits, getrandbits = bound.bit_length(), rng.getrandbits
     while True:
         weights = []
-        for _ in domain:
+        for _ in range(count):
             w = getrandbits(bits)
             while w >= bound:
                 w = getrandbits(bits)
             weights.append(w)
         if any(weights):
-            break
+            return weights
+
+
+def seeded_distribution(rng: random.Random, domain: Sequence, max_weight: int = 16) -> DistributionTable:
+    """Random rational masses (zeros allowed, not all zero): the table of
+    ``seeded_weights`` over the domain, in its order."""
+    weights = seeded_weights(rng, len(domain), max_weight)
     return DistributionTable.from_weights(dict(zip(domain, weights)))
 
 
@@ -352,8 +360,14 @@ class SectionReport:
         return self.total > 0 and self.vacuous == self.total
 
     def record(self, inst: LemmaInstance) -> None:
+        self.count(inst.verdict, lambda: inst)
+
+    def count(self, verdict: str, render: Callable[[], LemmaInstance]) -> None:
+        """Record one verdict; `render` builds its LemmaInstance (names and
+        measured/bound strings), called only for a FAIL."""
         self.total += 1
-        if inst.verdict == "FAIL":
+        if verdict == "FAIL":
+            inst = render()
             self.fails += 1
             self.counterexamples.append({
                 "instance": inst.instance,
@@ -361,7 +375,7 @@ class SectionReport:
                 "bound": inst.bound,
                 "detail": inst.detail,
             })
-        elif inst.verdict == "vacuous":
+        elif verdict == "vacuous":
             self.vacuous += 1
         else:
             self.passes += 1
@@ -525,10 +539,9 @@ def _section_fourier(seed: int, count: int = 1000) -> SectionReport:
                     ok = False
                 if coords == () and coef != Fraction(1, 1 << m):
                     ok = False
-        if fourier_inversion(coeffs, m) != DistributionTable(
-                {z: d.prob(z) for z in range(1 << m)}):
+        if fourier_inversion(coeffs, m) != d:  # d's domain is range(2^m)
             ok = False
-        rep.record(LemmaInstance(f"fourier/{k}/m={m}", "pass" if ok else "FAIL"))
+        rep.count("pass" if ok else "FAIL", lambda: LemmaInstance(f"fourier/{k}/m={m}", "FAIL"))
     return rep
 
 
@@ -544,12 +557,12 @@ def _section_vazirani(seed: int, count: int = 1000) -> SectionReport:
             d = seeded_distribution(rng, list(range(1 << m)))
         for eps in eps_grid:
             r = vazirani_uniformity_check(d, m, eps)
-            rep.record(LemmaInstance(
-                f"vazirani-uniformity/{k}/m={m}/eps={eps}", _verdict(r.hypothesis, r.conclusion)))
+            rep.count(_verdict(r.hypothesis, r.conclusion), lambda: LemmaInstance(
+                f"vazirani-uniformity/{k}/m={m}/eps={eps}", "FAIL"))
         for t in (1, 2):
             r = vazirani_minentropy_check(d, m, t)
-            rep.record(LemmaInstance(
-                f"vazirani-minentropy/{k}/m={m}/t={t}", _verdict(r.hypothesis, r.conclusion)))
+            rep.count(_verdict(r.hypothesis, r.conclusion), lambda: LemmaInstance(
+                f"vazirani-minentropy/{k}/m={m}/t={t}", "FAIL"))
     return rep
 
 
@@ -587,7 +600,7 @@ def _flat_tables(universe_size: int):
 def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[SectionReport]:
     rep_e = SectionReport("discrepancy_extractor")
     rep_s = SectionReport("discrepancy_sampling")
-    grid = (Fraction(1, 4), Fraction(1, 2))
+    quarter, half = grid = (Fraction(1, 4), Fraction(1, 2))
     b1_gadgets = [builtin_gadget(n) for n in ("and1", "or1", "xor1", "ip1")]
     flats1 = list(_flat_tables(2))
     for g in b1_gadgets:
@@ -597,22 +610,20 @@ def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[Sectio
                 for eta in grid:
                     for lam in grid:
                         r = extractor_check(g, x, y, eta, lam, disc_value=disc_v)
-                        rep_e.record(_ext_instance(f"b1/{g.name}", r))
+                        _record_ext(rep_e, f"b1/{g.name}", r)
                         for gam in grid:
                             rs = sampling_check(g, x, y, gam, lam, eta, disc_value=disc_v)
-                            rep_s.record(_ext_instance(f"b1/{g.name}", rs))
+                            _record_ext(rep_s, f"b1/{g.name}", rs)
     # xor-power corollaries at b=1, two copies, exhaustive flat pairs
     flats2 = list(_flat_tables(4))
     for g in b1_gadgets:
         disc_v = discrepancy(g).value
         for x in flats2:
             for y in flats2:
-                r = extractor_check(g, x, y, Fraction(1, 2), Fraction(1, 4), m=2,
-                                    disc_value=disc_v)
-                rep_e.record(_ext_instance(f"b1-xor2/{g.name}", r))
-                rs = sampling_check(g, x, y, Fraction(1, 4), Fraction(1, 4),
-                                    Fraction(1, 2), m=2, disc_value=disc_v)
-                rep_s.record(_ext_instance(f"b1-xor2/{g.name}", rs))
+                r = extractor_check(g, x, y, half, quarter, m=2, disc_value=disc_v)
+                _record_ext(rep_e, f"b1-xor2/{g.name}", r)
+                rs = sampling_check(g, x, y, quarter, quarter, half, m=2, disc_value=disc_v)
+                _record_ext(rep_s, f"b1-xor2/{g.name}", rs)
     # seeded flat pairs at b=2
     rng = random.Random(f"{seed}/extractor-b2")
     ip2 = builtin_gadget("ip2")
@@ -625,19 +636,24 @@ def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[Sectio
         y = DistributionTable.uniform(ys)
         eta, lam, gam = (rng.choice(grid) for _ in range(3))
         r = extractor_check(ip2, x, y, eta, lam, disc_value=disc_v)
-        rep_e.record(_ext_instance(f"b2/{k}", r))
+        _record_ext(rep_e, f"b2/{k}", r)
         rs = sampling_check(ip2, x, y, gam, lam, eta, disc_value=disc_v)
-        rep_s.record(_ext_instance(f"b2/{k}", rs))
+        _record_ext(rep_s, f"b2/{k}", rs)
     return [rep_e, rep_s]
 
 
-def _ext_instance(tag: str, r) -> LemmaInstance:
-    measured = getattr(r, "bias", None)
-    if measured is None:
-        measured = getattr(r, "bad_mass", None)
-    return LemmaInstance(tag, _verdict(r.hypothesis, r.conclusion),
-                         measured=frac_str(measured) if measured is not None else None,
-                         bound=f"2^-({frac_str(r.bound_bits)})")
+def _record_ext(rep: SectionReport, tag: str, r) -> None:
+    """One extractor or sampling verdict; measured and bound are rendered
+    only for a FAIL."""
+    def render() -> LemmaInstance:
+        measured = getattr(r, "bias", None)
+        if measured is None:
+            measured = getattr(r, "bad_mass", None)
+        return LemmaInstance(tag, "FAIL",
+                             measured=frac_str(measured) if measured is not None else None,
+                             bound=f"2^-({frac_str(r.bound_bits)})")
+
+    rep.count(_verdict(r.hypothesis, r.conclusion), render)
 
 
 def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> SectionReport:
@@ -645,25 +661,33 @@ def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> Secti
     rng = random.Random(f"{seed}/kraft")
     codes = list(all_prefix_free_codes(max_len))
     rep.info["codes"] = len(codes)
-    small = [c for c in codes if max(len(w) for w in c) <= 3]
     for code in codes:
-        d = seeded_distribution(rng, sorted(code))
-        ok = _kraft_ok(d)
-        rep.record(LemmaInstance(f"kraft/{'|'.join(code)}", "pass" if ok else "FAIL"))
-    for code in small:
-        for _ in range(assignments - 1):
-            d = seeded_distribution(rng, sorted(code))
-            ok = _kraft_ok(d)
-            rep.record(LemmaInstance(f"kraft-small/{'|'.join(code)}", "pass" if ok else "FAIL"))
+        _kraft_sweep(rep, rng, code, 1, "kraft")
+    for code in codes:
+        if max(len(w) for w in code) <= 3:
+            _kraft_sweep(rep, rng, code, assignments - 1, "kraft-small")
     return rep
 
 
-def _kraft_ok(d: DistributionTable) -> bool:
+def _kraft_sweep(rep: SectionReport, rng: random.Random, code: Sequence[str],
+                 draws: int, label: str) -> None:
+    """`draws` seeded weightings of one code, each a pass iff some message is
+    Kraft-heavy.  Prefix-freeness is asserted once for the code, since every
+    support drawn on it is a subset; a code that is not prefix-free makes every
+    draw a FAIL."""
+    messages = sorted(code)
     try:
-        w = kraft_heavy_message(d)
-    except Exception:
-        return False
-    return d.weights[w] << len(w) >= d.total
+        assert_prefix_free(messages)
+        prefix_free = True
+    except InvariantError:
+        prefix_free = False
+    def render() -> LemmaInstance:
+        return LemmaInstance(f"{label}/{'|'.join(code)}", "FAIL")
+
+    for _ in range(draws):
+        weights = seeded_weights(rng, len(messages))
+        ok = prefix_free and kraft_heavy_pick(zip(messages, weights), sum(weights)) is not None
+        rep.count("pass" if ok else "FAIL", render)
 
 
 def _section_density(seed: int, count: int = 200) -> SectionReport:

@@ -128,7 +128,11 @@ def _bad_json(root):
 
 
 def _spec(root, name, doc):
-    (root / f"spec_{name}.json").write_text(json.dumps(doc))
+    return _text(root, name, json.dumps(doc))
+
+
+def _text(root, name, text):
+    (root / f"spec_{name}.json").write_text(text)
     return root / f"spec_{name}.json"
 
 
@@ -173,6 +177,12 @@ MALFORMED = {
     "problem-table-not-object": lambda root: [
         "oracle", "dt", "--problem", str(_spec(root, "problem", {"n": 1, "outputs": [0],
                                                                  "table": []}))],
+    "problem-key-not-n-bits": lambda root: [
+        "oracle", "dt", "--problem", str(_spec(root, "short_key", {
+            "n": 2, "outputs": [0], "table": {"00": [0], "1": [0], "0010": [0], "11": [0]}}))],
+    "problem-key-duplicate": lambda root: [
+        "oracle", "dt", "--problem", str(_text(root, "dup_key", '{"n": 1, "outputs": [0, 1], '
+                                               '"table": {"0": [0], "1": [0], "1": [1]}}'))],
 }
 
 

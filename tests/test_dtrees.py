@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -22,7 +23,7 @@ from liftsim.dtrees import (
     tree_from_json,
     tree_to_json,
 )
-from liftsim.errors import BudgetError, DomainError
+from liftsim.errors import BudgetError, DomainError, FormatError
 
 
 def naive_Ddt(problem):
@@ -149,6 +150,23 @@ def test_problem_json_roundtrip():
         assert problem_to_json(q) == text
     with pytest.raises(DomainError):
         SearchProblem(1, ("a",), [frozenset(), frozenset({0})])
+
+
+def test_problem_from_json_rejects_keys_that_are_not_distinct_n_bit_strings():
+    good = {"00": [0], "01": [0], "10": [0], "11": [0]}
+    assert problem_from_json(json.dumps({"n": 2, "outputs": ["a"], "table": good})).n == 2
+    trivial = SearchProblem(0, ("a",), [frozenset({0})])
+    assert problem_to_json(problem_from_json(problem_to_json(trivial))) == problem_to_json(trivial)
+    # "1" and "0010" were read as inputs 01 and 10
+    tables = [{"00": [0], "1": [0], "0010": [0], "11": [0]},
+              {**good, "011": [0]}, {**good, " 01": [0]}, {**good, "+1": [0]}, {**good, "": [0]}]
+    for table in tables:
+        with pytest.raises(FormatError, match="is not a 2-bit string"):
+            problem_from_json(json.dumps({"n": 2, "outputs": ["a"], "table": table}))
+    # a repeated key named its input twice; the last one silently won
+    text = '{"n": 1, "outputs": ["a", "b"], "table": {"0": [0], "1": [0], "1": [1]}}'
+    with pytest.raises(FormatError, match="duplicate key '1'"):
+        problem_from_json(text)
 
 
 def test_tree_json_roundtrip():

@@ -82,7 +82,7 @@ def test_cmp_pow2_interval_path_agrees_with_cleared():
     for _ in range(500):
         p = F(rng.randrange(1, 3000), rng.randrange(1, 3000))
         q = F(rng.randrange(-30, 30), 2 ** rng.randrange(7, 14))
-        assert cmp_pow2(p, q) == _cmp_pow2_cleared(p, q)
+        assert cmp_pow2(p, q) == _cmp_pow2_cleared(p.numerator, p.denominator, q)
 
 
 def test_exact_log2():
