@@ -60,16 +60,19 @@ class ProtocolTree:
     def __post_init__(self):
         size = self.input_size
 
-        def check(node):
+        def walk(node, speaker) -> Tuple[int, int]:
+            """Check every bit map below node; (communication, round) complexity."""
             if isinstance(node, PLeaf):
-                return
+                return 0, 0
             if len(node.bits) != size:
                 raise DomainError(
                     f"bit map has {len(node.bits)} entries, expected {size}")
-            for child in node.children:
-                check(child)
+            s, (zero, one) = node.speaker, node.children
+            (c0, r0), (c1, r1) = walk(zero, s), walk(one, s)
+            return 1 + (c0 if c0 > c1 else c1), (s != speaker) + (r0 if r0 > r1 else r1)
 
-        check(self.root)
+        # the tree's one walk: complexity(p) reads it, however often it is asked
+        object.__setattr__(self, "_complexity", walk(self.root, None))
 
     @property
     def input_size(self) -> int:
@@ -96,20 +99,8 @@ def run_protocol(p: ProtocolTree, x: int, y: int):
 
 
 def complexity(p: ProtocolTree) -> Tuple[int, int]:
-    """(communication complexity in bits, round complexity)."""
-
-    def go(node, speaker) -> Tuple[int, int]:
-        if isinstance(node, PLeaf):
-            return 0, 0
-        extra_round = 0 if node.speaker == speaker else 1
-        best_c = best_r = 0
-        for child in node.children:
-            c, r = go(child, node.speaker)
-            best_c = max(best_c, c)
-            best_r = max(best_r, r)
-        return 1 + best_c, extra_round + best_r
-
-    return go(p.root, None)
+    """(communication complexity in bits, round complexity), walked when p was built."""
+    return p._complexity
 
 
 def assert_prefix_free(messages: Sequence[str]) -> None:

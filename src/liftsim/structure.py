@@ -12,9 +12,9 @@ Y's weights contracted with the gadget's output rows of x_C and returns its
 first witness on the set C; a query walks the sets C in (size, lex) order.
 Everything is memoised per (C, x_C), so classifying many x against one Y
 shares their common work, and the per-value is_* functions read one scan
-each.  No scan is pruned.  Density questions read the marginals of one lazy
-generator; max_density and the structure search need only the worst
-marginal.
+each.  No scan is pruned.  Density questions read integer counts per
+coordinate set, which the density-restoring partition builds once and carves
+down part by part; max_density and the structure search need the worst one.
 """
 
 from __future__ import annotations
@@ -121,12 +121,44 @@ class DensityWitness:
         return self.violating_set is None
 
 
-def _marginals(x: DistributionTable):
-    """(coords, project(x, coords)) for every nonempty coordinate set, lazily,
-    in subsets_by_size order."""
-    k = len(x.domain[0]) if x.domain and isinstance(x.domain[0], tuple) else 0
-    for coords in subsets_by_size(k, nonempty=True):
-        yield coords, project(x, coords)
+def _places(places: Tuple[int, ...]):
+    """t -> the tuple of t's entries at places, by one C-level getter."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    i = places[0] if places else 0
+    return itemgetter(slice(i, i + len(places)))
+
+
+def _sums(items, key) -> Dict[tuple, int]:
+    """{key(t): the sum of its w} over the (t, w) items."""
+    out: Dict[tuple, int] = defaultdict(int)
+    for t, w in items:
+        out[key(t)] += w
+    return out
+
+
+def _marginal_counts(x: DistributionTable, largest_first: bool = False):
+    """(k, rows, marginals): x's elements are k-tuples (k = 0 if none is a
+    tuple; DomainError if their lengths differ), rows its nonzero (t, w) in
+    domain order, and marginals lazily yields (coords, key, {key(t): weight})
+    per nonempty coordinate set in (size, lex) order or largest first, one
+    pass over the rows each; key(t) is project's tuple."""
+    shapes = {len(t) if isinstance(t, tuple) else -1 for t in x.domain}
+    if len(shapes) > 1:
+        raise DomainError(f"elements of different block counts: {sorted(shapes)}")
+    k, rows = max(shapes.pop(), 0), [(t, w) for t, w in x.weights.items() if w]
+    sets = sorted(subsets_by_size(k, nonempty=True), key=len, reverse=largest_first)
+    return k, rows, ((c, key, _sums(rows, key)) for c in sets for key in (_places(c),))
+
+
+def _violation(marginals, total: int, qs: List[Fraction]):
+    """(coords, key, value, heavy) of the first marginal whose heaviest count
+    is above total * 2^-qs[|coords|], value the least of its heaviest; or None."""
+    for coords, key, counts in marginals:
+        heavy = max(counts.values())
+        if cmp_pow2_ratio(heavy, total, qs[len(coords)]) > 0:
+            return coords, key, min(v for v, w in counts.items() if w == heavy), heavy
+    return None
 
 
 def is_dense(x: DistributionTable, delta: Fraction, b: int) -> DensityWitness:
@@ -135,23 +167,23 @@ def is_dense(x: DistributionTable, delta: Fraction, b: int) -> DensityWitness:
     Returns the first violating set in (size, lex) order, or a clean witness.
     """
     delta = Fraction(delta)
-    for coords, marg in _marginals(x):
-        heavy = max(marg.weights.values())
-        if cmp_pow2_ratio(heavy, marg.total, delta * b * len(coords)) > 0:
-            return DensityWitness(delta, coords, Fraction(heavy, marg.total))
-    return DensityWitness(delta)
+    k, _, marginals = _marginal_counts(x)
+    hit = _violation(marginals, x.total, [delta * b * s for s in range(k + 1)])
+    if hit is None:
+        return DensityWitness(delta)
+    return DensityWitness(delta, hit[0], Fraction(hit[3], x.total))
 
 
 def _worst_marginal(x: DistributionTable):
     """The (maxprob, |I|) pair minimizing log2(1/p)/(b|I|), compared exactly;
     the first such pair in subsets_by_size order, or None for k = 0."""
-    worst = None
-    for coords, marg in _marginals(x):
-        p, size = marg.maxprob(), len(coords)
-        # p^ws > wp^size  <=>  log(1/p)/size < log(1/wp)/ws
-        if worst is None or p ** worst[1] > worst[0] ** size:
-            worst = (p, size)
-    return worst
+    total, worst = x.total, None  # worst: (heaviest count, |I|)
+    for coords, _, counts in _marginal_counts(x)[2]:
+        h, s = max(counts.values()), len(coords)
+        # p = h/total: p^ws > wp^s  <=>  log(1/p)/s < log(1/wp)/ws
+        if worst is None or h ** worst[1] * total ** s > worst[0] ** s * total ** worst[1]:
+            worst = (h, s)
+    return None if worst is None else (Fraction(worst[0], total), worst[1])
 
 
 def _density_bracket(worst, b: int, resolution_bits: int) -> Tuple[Fraction, Fraction]:
@@ -298,17 +330,9 @@ def _inconsistent_pair(x_full: DistributionTable, y_full: DistributionTable,
 def density_restoring_choice(x: DistributionTable, delta: Fraction, b: int):
     """(coords, value) of density_restoring_fix, without the conditioned
     remainder: ((), ()) when x is delta-dense."""
-    delta = Fraction(delta)
-    top = None  # the first violating set of the largest size, and its marginal
-    for coords, marg in _marginals(x):
-        if (top is None or len(coords) > len(top[0])) and cmp_pow2_ratio(
-                max(marg.weights.values()), marg.total, delta * b * len(coords)) > 0:
-            top = coords, marg
-    if top is None:
-        return (), ()
-    coords, marg = top
-    heavy = max(marg.weights.values())
-    return coords, min(v for v, w in marg.weights.items() if w == heavy)
+    k, _, marginals = _marginal_counts(x, largest_first=True)
+    hit = _violation(marginals, x.total, [Fraction(delta) * b * s for s in range(k + 1)])
+    return ((), ()) if hit is None else (hit[0], hit[2])
 
 
 def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
@@ -349,29 +373,30 @@ def density_restoring_partition(
     coordinates delta-dense; the entropy loss of part j is bounded through
     p_{>=j}, which starts at 1 and strictly decreases.
     """
+    k, residual, marginals = _marginal_counts(x, largest_first=True)
+    marginals = list(marginals)  # built once, carved down with the residual
+    qs = [Fraction(delta) * b * s for s in range(k + 1)]
+    weight, p_geq = x.total, Fraction(1)
     parts: List[DensityPart] = []
-    residual = x
-    p_geq = Fraction(1)
-    j = 0
     while True:
-        j += 1
-        coords, value = density_restoring_choice(residual, delta, b)
-        if coords:
-            sel = dict(zip(coords, value))
-            members = tuple(
-                t for t in residual.support() if all(t[i] == v for i, v in sel.items())
-            )
+        hit = _violation(marginals, weight, qs)
+        if hit is None:
+            coords, value, members, residual = (), (), residual, []
         else:
-            members = residual.support()
-        prob = Fraction(sum(x.weights[t] for t in members), x.total)
-        parts.append(DensityPart(j, coords, value, members, prob, p_geq))
-        member_set = set(members)
-        remaining = [t for t in residual.support() if t not in member_set]
-        if not remaining:
-            break
+            coords, key, value, _ = hit
+            members = [r for r in residual if key(r[0]) == value]
+            residual = [r for r in residual if key(r[0]) != value]
+        carved = sum(w for _, w in members)
+        prob = Fraction(carved, x.total)
+        parts.append(DensityPart(len(parts) + 1, coords, value,
+                                 tuple(t for t, _ in members), prob, p_geq))
+        if not residual:
+            return parts
         p_geq -= prob
-        residual = residual.condition(set(remaining))
-    return parts
+        weight -= carved
+        for _, key, counts in marginals:
+            for t, w in members:
+                counts[key(t)] -= w
 
 
 # -- dangerous values ----------------------------------------------------------
@@ -382,14 +407,6 @@ class Verdict:
     witness: tuple | None = None
 
 
-def _places(places: Tuple[int, ...]):
-    """t -> the tuple of t's entries at places, by one C-level getter."""
-    if len(places) > 1:
-        return itemgetter(*places)
-    i = places[0] if places else 0
-    return itemgetter(slice(i, i + len(places)))
-
-
 @lru_cache(maxsize=None)
 def _others(k: int, coords: Tuple[int, ...]) -> List[tuple]:
     """(J as places among the coordinates outside C, their getter, J) for
@@ -397,14 +414,6 @@ def _others(k: int, coords: Tuple[int, ...]) -> List[tuple]:
     rest = tuple(i for i in range(k) if i not in coords)
     return [(sub, _places(sub), tuple(rest[i] for i in sub))
             for sub in subsets_by_size(len(rest))]
-
-
-def _sums(items, key) -> Dict[tuple, int]:
-    """{key(t): the sum of its w} over the (t, w) items."""
-    out: Dict[tuple, int] = defaultdict(int)
-    for t, w in items:
-        out[key(t)] += w
-    return out
 
 
 def _check_x(x_val: Tuple[int, ...], k: int, side: int) -> None:

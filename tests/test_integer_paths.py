@@ -11,7 +11,9 @@ from itertools import product
 
 import pytest
 
+import liftsim.dist as dist
 import liftsim.simulate as simulate
+import liftsim.structure as structure
 from fraction_oracles import (
     oracle_extractor_check,
     oracle_fourier_inversion,
@@ -324,7 +326,9 @@ def test_randomized_lifts_unchanged_under_the_fraction_trunc_cmp(monkeypatch):
     assert {-1, 1} <= set(signs)
 
 
-def test_density_partition_conditions_once_per_carved_part(monkeypatch):
+def test_density_partition_neither_conditions_nor_projects(monkeypatch):
+    """The partition carves its parts out of one set of integer counts: no
+    part costs a DistributionTable.condition or a dist.project."""
     rng = random.Random(8)
     tables = []
     for n, b in ((1, 1), (2, 1), (3, 1), (2, 2)):
@@ -332,23 +336,28 @@ def test_density_partition_conditions_once_per_carved_part(monkeypatch):
         for _ in range(8):
             d = seeded_distribution(rng, universe)
             tables.append((d.condition(d.support()), b))
-    calls = [0]
-    condition = DistributionTable.condition
+    calls = {"condition": 0, "project": 0}
+    condition, project = DistributionTable.condition, structure.project
 
-    def counted(self, event):
-        calls[0] += 1
+    def counted_condition(self, event):
+        calls["condition"] += 1
         return condition(self, event)
 
-    fixes = 0
+    def counted_project(d, coords):
+        calls["project"] += 1
+        return project(d, coords)
+
+    fixes = multi_part = 0
     for d, b in tables:
         for delta in (F(1, 2), F(3, 4), F(1)):
             coords, value, rest = density_restoring_fix(d, delta, b)
             assert density_restoring_choice(d, delta, b) == (coords, value)
             fixes += bool(coords)
-            monkeypatch.setattr(DistributionTable, "condition", counted)
-            calls[0] = 0
-            parts = density_restoring_partition(d, delta, b)
-            monkeypatch.setattr(DistributionTable, "condition", condition)
-            # one conditioning per residual carved after a part, none per fix
-            assert calls[0] == len(parts) - 1, (d, delta, b)
-    assert fixes > 20
+            with monkeypatch.context() as m:
+                m.setattr(DistributionTable, "condition", counted_condition)
+                m.setattr(structure, "project", counted_project)
+                m.setattr(dist, "project", counted_project)
+                parts = density_restoring_partition(d, delta, b)
+            multi_part += len(parts) > 1
+    assert calls == {"condition": 0, "project": 0}
+    assert fixes > 20 and multi_part > 20

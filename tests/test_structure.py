@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -5,6 +6,11 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from density_oracles import (
+    oracle_density_restoring_choice,
+    oracle_density_restoring_partition,
+    oracle_density_witness,
+)
 from scan_oracles import (
     oracle_is_biasing,
     oracle_is_leaking,
@@ -24,6 +30,7 @@ from liftsim.structure import (
     StructureCertificate,
     StructureRefusal,
     dangerous_probability,
+    density_restoring_choice,
     density_restoring_fix,
     density_restoring_partition,
     is_biasing,
@@ -35,6 +42,7 @@ from liftsim.structure import (
     is_structured,
     max_density,
 )
+from liftsim.verify import seeded_distribution
 
 AND = builtin_gadget("and1")
 XOR = builtin_gadget("xor1")
@@ -191,6 +199,59 @@ def test_density_restoring_partition_guarantees():
                 assert cmp_products(
                     lhs, (), maxp, [(2, delta * b * len(part.coords))]) <= 0
             assert sorted(covered) == list(d.support())
+
+
+def _density_sweep():
+    """Seeded tables over shapes up to (4, 2) and (3, 3), each with its
+    zero-weight rows kept and dropped; the two largest shapes once on the
+    full universe and then on seeded sub-supports.  Every other table has
+    few distinct weights, so that ties are common.  Yields (table, b)."""
+    rng = random.Random(12)
+    shapes = {(1, 1): 6, (2, 1): 6, (3, 1): 6, (4, 1): 4, (1, 2): 4, (2, 2): 6,
+              (3, 2): 4, (2, 3): 3, (4, 2): 4, (3, 3): 4}
+    for (n, b), count in shapes.items():
+        universe = list(product(range(1 << b), repeat=n))
+        for j in range(count):
+            domain = universe
+            if len(universe) > 64 and j:
+                domain = sorted(rng.sample(universe, rng.randrange(8, 65)))
+            d = seeded_distribution(rng, domain, max_weight=2 if j % 2 else 16)
+            yield d, b
+            yield d.condition(d.support()), b
+
+
+def test_density_core_matches_reprojecting_oracles():
+    deltas = (F(1, 4), F(1, 2), F(3, 4), F(1))
+    seen = Counter()
+    for d, b in _density_sweep():
+        for delta in deltas:
+            parts = density_restoring_partition(d, delta, b)
+            oracle = oracle_density_restoring_partition(d, delta, b)
+            assert [dataclasses.astuple(p) for p in parts] == [
+                dataclasses.astuple(p) for p in oracle], (d, delta, b)
+            choice = density_restoring_choice(d, delta, b)
+            assert choice == oracle_density_restoring_choice(d, delta, b)
+            w = is_dense(d, delta, b)
+            got = None if w.dense else (w.violating_set, w.witness_maxprob)
+            assert got == oracle_density_witness(d, delta, b)
+            seen["multi-part" if len(parts) > 1 else "one part"] += 1
+            seen["full set" if len(choice[0]) == len(d.domain[0]) else "partial set"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("call", ["is_dense", "max_density", "choice", "partition"])
+def test_density_refuses_mixed_length_tuples(call):
+    short_last = DistributionTable.uniform([(0, 0), (1,)])
+    long_last = DistributionTable.uniform([(0,), (0, 1)])
+    three = DistributionTable.uniform([(0,), (0, 1), (1, 1)])
+    run = {
+        "is_dense": lambda: [is_dense(d, 1, 1) for d in (short_last, long_last)],
+        "max_density": lambda: max_density(short_last, 1),
+        "choice": lambda: density_restoring_choice(three, F(1, 2), 1),
+        "partition": lambda: density_restoring_partition(three, F(1, 2), 1),
+    }[call]
+    with pytest.raises(DomainError, match="block counts"):
+        run()
 
 
 def test_is_leaking_examples():

@@ -5,9 +5,15 @@ from itertools import product
 
 import pytest
 
+import liftsim.protocols as protocols
+import liftsim.simulate as simulate
+import liftsim.verify as verify
 from liftsim.dist import DistributionTable
+from liftsim.dtrees import brute_force_Ddt
 from liftsim.errors import DomainError, LiftsimError
 from liftsim.gadgets import builtin_gadget, discrepancy
+from liftsim.protocols import canonical_protocol
+from liftsim.simulate import LiftingParams, enumerate_output_distribution, lift_randomized
 from liftsim.structure import Restriction
 from liftsim.verify import (
     CorpusSpec,
@@ -216,3 +222,77 @@ def test_default_corpus_report_digest_pinned():
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == SCALE10_REPORT_SHA256
     fails = {s.name: s.fails for s in report.sections if s.fails}
     assert fails == {"claim_biasing_condition": SCALE10_BIASING_FAILS}
+
+
+# The full default corpus report (what `liftsim verify --out` writes), pinned
+# byte for byte.  It runs the density section at 200 instances against 20 at
+# scale 10, so it guards every density verdict and partition the corpus makes.
+FULL_REPORT_SHA256 = "8f962e0121e17993704d7d263dd273a6df4813d54646f06b7059354cfb1b4f77"
+FULL_BIASING_FAILS = 240
+
+
+def test_full_default_corpus_report_digest_pinned():
+    import hashlib
+
+    report = run_corpus(default_corpus_spec())
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == FULL_REPORT_SHA256
+    fails = {s.name: s.fails for s in report.sections if s.fails}
+    assert fails == {"claim_biasing_condition": FULL_BIASING_FAILS}
+
+
+def oracle_complexity(p):
+    """The protocol walk complexity() made on every call before the tree
+    kept its validating walk's result."""
+
+    def go(node, speaker):
+        if isinstance(node, protocols.PLeaf):
+            return 0, 0
+        extra_round = 0 if node.speaker == speaker else 1
+        best_c = best_r = 0
+        for child in node.children:
+            c, r = go(child, node.speaker)
+            best_c = max(best_c, c)
+            best_r = max(best_r, r)
+        return 1 + best_c, extra_round + best_r
+
+    return go(p.root, None)
+
+
+def test_lifting_section_walks_each_protocol_once(monkeypatch):
+    built = []
+    post_init = protocols.ProtocolTree.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(protocols.ProtocolTree, "__post_init__", counted)
+    verify._section_lifting(2024)
+    # one protocol per shipped problem, walked once when it is built; every
+    # later complexity() call reads that walk's result
+    assert len(built) == len(verify.shipped_problems())
+    proto = built[0]
+    cost = protocols.complexity(proto)
+    assert cost == oracle_complexity(proto)
+    object.__setattr__(proto, "root", None)
+    assert protocols.complexity(proto) == cost
+
+
+def test_stored_complexity_leaves_randomized_lifts_unchanged(monkeypatch):
+    g = builtin_gadget("ip2")
+    params = LiftingParams.standard(b=g.b, n=2, mode="rand")
+
+    def outputs():
+        out = []
+        for _, problem in verify.shipped_problems():
+            proto = canonical_protocol(brute_force_Ddt(problem)[1], g)
+            assert protocols.complexity(proto) == oracle_complexity(proto)
+            for z in range(4):
+                out.append(enumerate_output_distribution(proto, g, z, params).weights)
+                out.extend(lift_randomized(proto, g, z, params, seed=sd).to_json()
+                           for sd in range(3))
+        return out
+
+    got = outputs()
+    monkeypatch.setattr(simulate, "complexity", oracle_complexity)
+    assert outputs() == got
