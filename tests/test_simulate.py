@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -581,3 +582,62 @@ def test_fix_on_a_proper_subset_of_the_free_blocks():
         assert rec.snapshots["after_message"][2] == F(1, 5)
         assert rec.snapshots["after_fix"][2] == F(1, 3)
         assert [blocks_of(v, 2, 2) for v in res.yset] == [(1, 3), (2, 3), (3, 3)]
+
+
+RANDOMIZED_PIN = "a034831e9a8146ae99a4adcbd75c7d5f6e4675e9854b08771d012a0575680315"
+
+
+def test_randomized_engines_pinned():
+    # Sampled traces, exact enumerations and mixtures of both randomized
+    # engines, hashed: the shipped ip2 n=2 problems for every z, the parity-3
+    # ip2 n=3 protocol, and the truncation, K-halt and step-1 protocols of the
+    # tests above.  Seed 68 is the first seed whose sampled run of the
+    # 241/15 split ends in a truncation halt (none of seeds 0-67 does).
+    from liftsim.gadgets import Gadget
+    lines, statuses, keys = [], Counter(), set()
+
+    def record(res, params):
+        statuses[res.status] += 1
+        lines.extend((res.to_json(), repr((res.xset, res.yset, res.component)),
+                      repr(ledger_assertions(res, params))))
+
+    def enumerated(dist):
+        keys.update(k for k, w in dist.weights.items() if w)
+        lines.append(repr((list(dist.weights.items()), dist.total)))
+
+    def runs(proto, g, params, zs, seeds):
+        cache = simulate._EngineCache(g, params)
+        for z in zs:
+            enumerated(enumerate_output_distribution(proto, g, z, params, cache=cache))
+            for seed in seeds:
+                record(lift_randomized(proto, g, z, params, seed=seed, cache=cache), params)
+
+    shipped = [canonical_instance(problem, IP2) for problem in (
+        parity_problem(2), index_problem(2), first_bit_problem(2), find_one_problem(2))]
+    for proto in shipped:
+        runs(proto, IP2, rand_params(2, 2), range(4), range(5))
+    runs(canonical_instance(parity_problem(3), IP2), IP2, rand_params(2, 3), range(8), (0, 1))
+    parity4 = Gadget(4, [(x ^ y).bit_count() & 1 for x in range(16) for y in range(16)])
+    split = ProtocolTree(2, 4, PNode("A", tuple(0 if v < 241 else 1 for v in range(256)),
+                                     (PLeaf("big"), PLeaf("small"))))
+    runs(split, parity4, LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode="rand",
+                                       delta=F(2), nonstandard=True), (0,), (0, 68))
+    parity2 = Gadget(2, [(x ^ y).bit_count() & 1 for x in range(4) for y in range(4)])
+    rare = ProtocolTree(2, 2, PNode("A", tuple(1 if v == 15 else 0 for v in range(16)),
+                                    (PLeaf("common"), PLeaf("rare"))))
+    runs(rare, parity2, rand_params(2, 2), range(4), range(0, 60, 4))
+    alice = PNode("A", (0, 0, 1, 1), (PLeaf(0), PLeaf(0)))
+    step1 = ProtocolTree(2, 1, PNode("B", (1, 0, 0, 1), (alice, PLeaf(1))))
+    runs(step1, XOR, LiftingParams(eta=1, c=2, h=1, b=1, n=2, mode="rand", eps=F(1, 8),
+                                   delta=F(1, 4), nonstandard=True), range(4), (0, 1))
+    mix = RandomizedProtocol(((F(1, 3), shipped[0]), (F(2, 3), shipped[3])))
+    for z in range(4):
+        enumerated(enumerate_randomized_protocol(mix, IP2, z, rand_params(2, 2)))
+        for seed in range(4):
+            record(lift_randomized_protocol(mix, IP2, z, rand_params(2, 2), seed=seed),
+                   rand_params(2, 2))
+    assert set(statuses) == {"done", "error_halt_k", "error_halt_truncation",
+                             "invariant_violation"}, statuses
+    assert {ERROR_K, ERROR_TRUNCATION, "<VIOLATION:step1>"} <= keys
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (digest, len(lines)) == (RANDOMIZED_PIN, 583)
