@@ -11,10 +11,11 @@ A step that would empty its side leaves the rectangle as it was.  The steps:
   a maximal density-violating block set, query those coordinates, condition
   the silent side on the gadget outputs;
 
-  randomized: sample the message and a density-restoring partition class
-  instead, track the information total K as an exact product of message
-  probabilities, and halt with an error when K exceeds C+b or a sampled
-  class falls below the truncation threshold.
+  randomized: one walk branches on the message and on a density-restoring
+  partition class instead, tracks the information total K as an exact
+  product of message probabilities, and halts with an error when K exceeds
+  C+b or a class falls below the truncation threshold.  The sampler follows
+  one exact seeded draw per step; the enumerator follows every branch.
 
 Desk-scale parameters generally violate the asymptotic hypotheses; the
 engines run faithfully anyway and record every violated hypothesis in the
@@ -84,6 +85,7 @@ VIOLATION_PREFIX = "<VIOLATION:"
 ENUM_BRANCH_LIMIT = 10 ** 6
 FIBER_LIMIT_BITS = 18
 DENSITY_WITNESS_BITS = 12
+ONE = Fraction(1)
 # The step-5 truncation threshold exponent is eta*b/8 (eta/8 when False).
 TRUNC_SCALED_BY_B = True
 
@@ -167,7 +169,7 @@ class RoundRecord:
     dangerous_values: Tuple = ()
     discarded_mass: Fraction = ZERO
     message: str = ""
-    p_message: Fraction = Fraction(1)
+    p_message: Fraction = ONE
     heavy_value_prob: Optional[Fraction] = None   # det step 3 conditioning prob
     class_index: Optional[int] = None             # rand step 4 (1-based)
     p_class: Optional[Fraction] = None
@@ -300,7 +302,7 @@ class _EngineCache:
 
     def maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
         if not free:
-            return Fraction(1)
+            return ONE
         key = (inputs, free)
         p = self.maxprobs.get(key)
         if p is None:
@@ -356,23 +358,37 @@ def _cache_for(g: Gadget, params: LiftingParams,
 
 
 class _Engine:
-    """Shared state and steps for one simulation run."""
+    """State and steps of one simulation run; `fork` copies it for another branch."""
 
     def __init__(self, p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
-                 cache: Optional[_EngineCache] = None,
-                 sets: Optional[Tuple[tuple, tuple]] = None,
-                 rho: Optional[Restriction] = None):
-        _check_dims(p, g, z, params)
+                 cache: Optional[_EngineCache] = None):
+        if g.b != p.b or params.b != p.b or params.n != p.n:
+            raise DomainError("protocol, gadget and parameter dimensions disagree")
+        if not 0 <= z < (1 << p.n):
+            raise DomainError(f"z must be an {p.n}-bit value")
         self.p = p
         self.z = z
         self.params = params
         self.cache = _cache_for(g, params, cache)
         full = tuple(range(p.input_size))
-        self.sets = sets if sets is not None else (full, full)
-        self.rho = rho if rho is not None else Restriction.all_free(p.n)
+        self.sets = (full, full)
+        self.rho = Restriction.all_free(p.n)
         self.transcript: List[str] = []
         self.rounds: List[RoundRecord] = []
         self.queries: List[Tuple[int, ...]] = []
+
+    def fork(self) -> "_Engine":
+        """A copy for another branch of the round in progress (its record copied)."""
+        twin = object.__new__(_Engine)
+        twin.__dict__.update(self.__dict__)
+        twin.transcript = self.transcript.copy()
+        twin.queries = self.queries.copy()
+        rec = object.__new__(RoundRecord)
+        rec.__dict__.update(self.rounds[-1].__dict__)
+        rec.snapshots = dict(rec.snapshots)
+        rec.flags = dict(rec.flags)
+        twin.rounds = self.rounds[:-1] + [rec]
+        return twin
 
     # -- step helpers ---------------------------------------------------------
 
@@ -428,23 +444,17 @@ class _Engine:
         rec.snapshots["after_discard"] = self.snapshot(free)
         return ok
 
-    def partition(self, rec: RoundRecord):
-        """Rand step 4: the speaker's density-restoring partition."""
-        return self.cache.partition(self.sets[_side(rec.speaker)], rec.free_before)
-
     def message_table(self, node: PNode):
         return message_distribution(
             self.p, node, DistributionTable.uniform(self.sets[_side(node.speaker)]))
 
-    def take_message(self, node: PNode, rec: RoundRecord, message: str,
-                     p_message: Fraction, end_node) -> object:
+    def take_message(self, node: PNode, rec: RoundRecord, message: str, p_message: Fraction):
         rec.message = message
         rec.p_message = p_message
-        rec.flags["kraft_heavy"] = p_message * (1 << len(message)) >= 1
+        rec.flags["kraft_heavy"] = p_message.numerator << len(message) >= p_message.denominator
         self.transcript.append(message)
         self.restrict(_side(node.speaker), lambda v: round_message(node, v)[0] == message)
         rec.snapshots["after_message"] = self.snapshot(rec.free_before)
-        return end_node
 
     def fix_blocks(self, rec: RoundRecord, rel_coords, value) -> None:
         """Condition the speaker on a block assignment inside the free part."""
@@ -472,16 +482,16 @@ class _Engine:
 
     def query_and_condition(self, rec: RoundRecord):
         """Steps 4-5 (det) / 6-7 (rand): query z and condition the silent side."""
-        n = self.params.n
         abs_coords = rec.query_coords
-        zbits = tuple((self.z >> (n - 1 - i)) & 1 for i in abs_coords)
-        if abs_coords:
-            self.rho = self.rho.fix(abs_coords, zbits)
         self.queries.append(abs_coords)
-        rec.snapshots["after_query"] = self.snapshot(self.rho.free())
-        if not abs_coords:
-            rec.snapshots["end"] = self.snapshot(self.rho.free())
+        if not abs_coords:  # nothing queried or conditioned since the fix
+            rec.snapshots["after_query"] = rec.snapshots["end"] = rec.snapshots["after_fix"]
             return True
+        n = self.params.n
+        zbits = tuple((self.z >> (n - 1 - i)) & 1 for i in abs_coords)
+        self.rho = self.rho.fix(abs_coords, zbits)
+        free = self.rho.free()
+        rec.snapshots["after_query"] = self.snapshot(free)
         side = _side(rec.speaker)
         gad = self.cache.gadgets[side]
         keys = _free_keys(self.params.n, self.params.b, abs_coords)
@@ -492,9 +502,10 @@ class _Engine:
 
         silent_size = len(self.sets[1 - side])
         ok = self.restrict(1 - side, keep)
-        rec.step5_prob = Fraction(len(self.sets[1 - side]) if ok else 0, silent_size)
-        rec.flags["nonleaking_event"] = rec.step5_prob * (1 << (len(abs_coords) + 1)) >= 1
-        rec.snapshots["end"] = self.snapshot(self.rho.free())
+        kept = len(self.sets[1 - side]) if ok else 0
+        rec.step5_prob = Fraction(kept, silent_size)
+        rec.flags["nonleaking_event"] = kept << (len(abs_coords) + 1) >= silent_size
+        rec.snapshots["end"] = self.snapshot(free)
         return ok
 
     def result(self, status: str, violation=None, output=None,
@@ -505,13 +516,6 @@ class _Engine:
             output=output, rho=self.rho.cells, queries=tuple(self.queries),
             depth=len(self.rounds), xset=xset, yset=yset,
             rounds=self.rounds, k_product=k_product)
-
-
-def _check_dims(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams):
-    if g.b != p.b or params.b != p.b or params.n != p.n:
-        raise DomainError("protocol, gadget and parameter dimensions disagree")
-    if not 0 <= z < (1 << p.n):
-        raise DomainError(f"z must be an {p.n}-bit value")
 
 
 def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
@@ -526,7 +530,9 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
                               "step1: every surviving value is dangerous")
         table, ends = eng.message_table(node)
         message = kraft_heavy_message(table)
-        node = eng.take_message(node, rec, message, table.prob(message), ends[message])
+        eng.take_message(node, rec, message, table.prob(message))
+        node = ends[message]
+        rel_coords = value = ()
         if rec.free_before:
             marg = eng.cache.marginal(eng.sets[_side(rec.speaker)], rec.free_before)
             rel_coords, value = density_restoring_choice(marg, params.delta, params.b)
@@ -535,9 +541,7 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
                 rec.flags["heavy_value"] = cmp_pow2(
                     rec.heavy_value_prob,
                     params.delta * params.b * len(rel_coords)) > 0
-            eng.fix_blocks(rec, rel_coords, value)
-        else:
-            eng.fix_blocks(rec, (), ())
+        eng.fix_blocks(rec, rel_coords, value)
         if not eng.query_and_condition(rec):
             return eng.result("invariant_violation",
                               "step5: conditioning emptied the silent side")
@@ -547,68 +551,96 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
 # -- randomized engine ---------------------------------------------------------
 
 def _sample(rng: random.Random, items):
-    """Exact sampling from [(key, Fraction prob)] listed in canonical order."""
+    """Exact draw of one item from [(key, Fraction prob)] in canonical order."""
     denom = lcm(*[p.denominator for _, p in items])
     r = rng.randrange(denom)
-    acc = 0
-    for key, prob in items:
-        acc += int(prob * denom)
-        if r < acc:
-            return key
-    return items[-1][0]
+    for item in items:
+        r -= item[1].numerator * (denom // item[1].denominator)
+        if r < 0:
+            return item
+    return items[-1]
+
+
+def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
+                     cache: Optional[_EngineCache], pick, branch_limit: int):
+    """(probability, SimResult) for each run of the randomized simulation
+    that `pick` follows, depth first.  At each message step and each class
+    step, `pick` gets the step's (key, exact probability) items in canonical
+    order and returns the ones to follow; the engine is forked for all but
+    the last of them.  `branch_limit` caps the protocol nodes entered."""
+    if params.mode != "rand":
+        raise DomainError("the randomized simulation needs randomized-mode parameters")
+    cap = complexity(p)[0] + params.b
+    branches = 0
+
+    def walk(eng: _Engine, node, k_product: Fraction, prob: Fraction):
+        nonlocal branches
+        branches += 1
+        if branches > branch_limit:
+            raise BudgetError("randomized enumeration branches", branches, branch_limit)
+        if isinstance(node, PLeaf):
+            yield prob, eng.result("done", output=node.output, k_product=k_product)
+            return
+        rec = eng.begin_round(node)
+        if not eng.discard_dangerous(rec):
+            yield prob, eng.result("invariant_violation",
+                                   "step1: every surviving value is dangerous", k_product=k_product)
+            return
+        table, ends = eng.message_table(node)
+        messages = pick([(w, table.prob(w)) for w in table.support()])
+        for i, (message, p_msg) in enumerate(messages):
+            m_eng = eng.fork() if i < len(messages) - 1 else eng
+            rec = m_eng.rounds[-1]
+            m_eng.take_message(node, rec, message, p_msg)
+            k_msg, p_run = k_product * p_msg, prob * p_msg
+            # step 3: halt when K = sum log(1/p_M) exceeds C + b
+            if cmp_pow2(k_msg, cap) < 0:
+                rec.flags["k_halt"] = True
+                yield p_run, m_eng.result("error_halt_k", "step3: K exceeded C+b", k_product=k_msg)
+                continue
+            if rec.free_before:  # step 4: the speaker's density-restoring partition
+                parts = m_eng.cache.partition(m_eng.sets[_side(rec.speaker)], rec.free_before)
+                classes = pick([(part, part.prob) for part in parts])
+            else:  # no free coordinates: nothing to fix or draw
+                m_eng.fix_blocks(rec, (), ())
+                classes = [(None, None)]
+            for j, (part, p_part) in enumerate(classes):
+                c_eng = m_eng.fork() if j < len(classes) - 1 else m_eng
+                rec = c_eng.rounds[-1]
+                p_cls = p_run if part is None else p_run * p_part
+                if part is not None:
+                    c_eng.apply_class(rec, part)
+                    if params.trunc_cmp(part.p_geq) < 0:
+                        rec.flags["trunc_halt"] = True
+                        yield p_cls, c_eng.result(
+                            "error_halt_truncation",
+                            "step5: sampled class below truncation threshold", k_product=k_msg)
+                        continue
+                if not c_eng.query_and_condition(rec):
+                    yield p_cls, c_eng.result(
+                        "invariant_violation",
+                        "step7: conditioning emptied the silent side", k_product=k_msg)
+                    continue
+                yield from walk(c_eng, ends[message], k_msg, p_cls)
+
+    yield from walk(_Engine(p, g, z, params, cache=cache), p.root, ONE, ONE)
 
 
 def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                     seed: int = 0, cache: Optional[_EngineCache] = None) -> SimResult:
     """Sampled randomized simulation (messages and partition classes drawn
     from a deterministic seeded source); K is tracked as an exact product."""
-    if params.mode != "rand":
-        raise DomainError("lift_randomized needs randomized-mode parameters")
     rng = random.Random(seed)
-    eng = _Engine(p, g, z, params, cache=cache)
-    cap_c, _ = complexity(p)
-    k_product = Fraction(1)
-    node = p.root
-    while isinstance(node, PNode):
-        rec = eng.begin_round(node)
-        if not eng.discard_dangerous(rec):
-            return eng.result("invariant_violation",
-                              "step1: every surviving value is dangerous",
-                              k_product=k_product)
-        table, ends = eng.message_table(node)
-        items = [(w, table.prob(w)) for w in table.support()]
-        message = _sample(rng, items)
-        p_msg = table.prob(message)
-        k_product *= p_msg
-        node = eng.take_message(node, rec, message, p_msg, ends[message])
-        # step 3: halt when K = sum log(1/p_M) exceeds C + b
-        if cmp_pow2(k_product, Fraction(cap_c + params.b)) < 0:
-            rec.flags["k_halt"] = True
-            return eng.result("error_halt_k", "step3: K exceeded C+b", k_product=k_product)
-        if rec.free_before:
-            parts = eng.partition(rec)
-            part = _sample(rng, [(pt, pt.prob) for pt in parts])
-            eng.apply_class(rec, part)
-            if eng.params.trunc_cmp(part.p_geq) < 0:
-                rec.flags["trunc_halt"] = True
-                return eng.result("error_halt_truncation",
-                                  "step5: sampled class below truncation threshold",
-                                  k_product=k_product)
-        else:
-            eng.fix_blocks(rec, (), ())
-        if not eng.query_and_condition(rec):
-            return eng.result("invariant_violation",
-                              "step7: conditioning emptied the silent side",
-                              k_product=k_product)
-    return eng.result("done", output=node.output, k_product=k_product)
+    [(_, res)] = _randomized_runs(p, g, z, params, cache, lambda items: [_sample(rng, items)],
+                                  ENUM_BRANCH_LIMIT)
+    return res
 
 
 def lift_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
                              params: LiftingParams, seed: int = 0) -> SimResult:
     """Sample a deterministic component by weight, then run the simulation."""
     rng = random.Random(seed)
-    comp = _sample(rng, [(i, w) for i, (w, _) in enumerate(rp.components)])
-    _, proto = rp.components[comp]
+    (comp, proto), _ = _sample(rng, [((i, p), w) for i, (w, p) in enumerate(rp.components)])
     res = lift_randomized(proto, g, z, params, seed=rng.randrange(2 ** 32))
     res.component = comp
     return res
@@ -618,73 +650,18 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
                                   params: LiftingParams,
                                   branch_limit: int = ENUM_BRANCH_LIMIT,
                                   cache: Optional[_EngineCache] = None) -> DistributionTable:
-    """Exact output distribution of the randomized simulation.
-
-    Branches over every message and partition class with its exact
-    probability; outcomes are transcripts, the two error markers, or a
-    violation marker when the desk-scale regime empties a rectangle.
-    """
-    if params.mode != "rand":
-        raise DomainError("enumeration needs randomized-mode parameters")
-    cap_c, _ = complexity(p)
-    cache = _cache_for(g, params, cache)
+    """Exact output distribution of the randomized simulation: every run,
+    with its exact probability, keyed by its transcript, one of the two
+    error markers, or a violation marker naming the step that would have
+    emptied a rectangle (the desk-scale regime)."""
+    markers = {"error_halt_k": ERROR_K, "error_halt_truncation": ERROR_TRUNCATION}
     outcomes: Dict[str, Fraction] = {}
-    branches = 0
-
-    def add(key: str, prob: Fraction) -> None:
+    for prob, res in _randomized_runs(p, g, z, params, cache, list, branch_limit):
+        if res.status == "invariant_violation":
+            key = f"{VIOLATION_PREFIX}{res.violation.split(':')[0]}>"
+        else:
+            key = markers.get(res.status, res.transcript)
         outcomes[key] = outcomes.get(key, ZERO) + prob
-
-    def walk(node, sets, rho, transcript: str, k_product: Fraction, prob: Fraction):
-        nonlocal branches
-        branches += 1
-        if branches > branch_limit:
-            raise BudgetError("randomized enumeration branches", branches, branch_limit)
-        if isinstance(node, PLeaf):
-            add(transcript, prob)
-            return
-        eng = _Engine(p, g, z, params, cache=cache, sets=sets, rho=rho)
-        eng.transcript = [transcript]
-        rec = eng.begin_round(node)
-        if not eng.discard_dangerous(rec):
-            add(f"{VIOLATION_PREFIX}step1>", prob)
-            return
-        table, ends = eng.message_table(node)
-        base_sets = eng.sets
-        for message in table.support():
-            p_msg = table.prob(message)
-            eng.sets = base_sets
-            eng.transcript = [transcript]
-            rec_m = RoundRecord(index=rec.index, speaker=rec.speaker,
-                                free_before=rec.free_before)
-            nxt = eng.take_message(node, rec_m, message, p_msg, ends[message])
-            k2 = k_product * p_msg
-            prob2 = prob * p_msg
-            if cmp_pow2(k2, Fraction(cap_c + params.b)) < 0:
-                add(ERROR_K, prob2)
-                continue
-            if rec.free_before:
-                parts = eng.partition(rec_m)
-                msg_sets = eng.sets
-                for part in parts:
-                    eng.sets = msg_sets
-                    eng.rho = rho
-                    rec_c = RoundRecord(index=rec.index, speaker=rec.speaker,
-                                        free_before=rec.free_before)
-                    eng.apply_class(rec_c, part)
-                    prob3 = prob2 * part.prob
-                    if params.trunc_cmp(part.p_geq) < 0:
-                        add(ERROR_TRUNCATION, prob3)
-                        continue
-                    eng.queries = []
-                    if not eng.query_and_condition(rec_c):
-                        add(f"{VIOLATION_PREFIX}step7>", prob3)
-                        continue
-                    walk(nxt, eng.sets, eng.rho, transcript + message, k2, prob3)
-            else:
-                walk(nxt, eng.sets, rho, transcript + message, k2, prob2)
-
-    full = tuple(range(p.input_size))
-    walk(p.root, (full, full), Restriction.all_free(p.n), "", Fraction(1), Fraction(1))
     return DistributionTable(outcomes)
 
 

@@ -295,11 +295,81 @@ def test_ledger_deficiency_clause_fails_on_one_snapshot():
 
 
 def test_enumeration_branch_budget():
+    # The budget counts the protocol nodes the enumeration enters, leaves
+    # included: 37 for parity on z = 00 and 19 for find-one on z = 10.
     from liftsim.errors import BudgetError
-    proto = canonical_instance(parity_problem(2), IP2)
     params = rand_params(2, 2)
-    with pytest.raises(BudgetError):
-        enumerate_output_distribution(proto, IP2, 0, params, branch_limit=3)
+    for problem, z, nodes in ((parity_problem(2), 0b00, 37), (find_one_problem(2), 0b10, 19)):
+        proto = canonical_instance(problem, IP2)
+        for limit in (3, nodes - 1):
+            with pytest.raises(BudgetError) as err:
+                enumerate_output_distribution(proto, IP2, z, params, branch_limit=limit)
+            assert (err.value.size, err.value.limit) == (limit + 1, limit)
+        enumerate_output_distribution(proto, IP2, z, params, branch_limit=nodes)
+
+
+def test_randomized_engines_refuse_deterministic_params():
+    proto = canonical_instance(parity_problem(2), IP2)
+    mix = RandomizedProtocol(((F(1, 2), proto), (F(1, 2), proto)))
+    det = det_params(2, 2)
+    calls = (lambda: lift_randomized(proto, IP2, 0, det),
+             lambda: enumerate_output_distribution(proto, IP2, 0, det),
+             lambda: lift_randomized_protocol(mix, IP2, 0, det),
+             lambda: enumerate_randomized_protocol(mix, IP2, 0, det))
+    for call in calls:
+        with pytest.raises(DomainError, match="randomized-mode parameters"):
+            call()
+
+
+def test_step7_violation_leaves_rectangle_unchanged(monkeypatch):
+    # No known input empties the silent side when it is conditioned on the
+    # gadget outputs, so the branch is forced: every query step reports an
+    # empty silent side and changes nothing.  On one-round protocols every
+    # run that would have ended with its transcript then ends at step 7,
+    # and the K-halt and truncation masses stay where they were.
+    from liftsim.gadgets import Gadget
+    parity2 = Gadget(2, [(x ^ y).bit_count() & 1 for x in range(4) for y in range(4)])
+    parity4 = Gadget(4, [(x ^ y).bit_count() & 1 for x in range(16) for y in range(16)])
+    rare = ProtocolTree(2, 2, PNode("A", tuple(1 if v == 15 else 0 for v in range(16)),
+                                    (PLeaf("common"), PLeaf("rare"))))
+    split = ProtocolTree(2, 4, PNode("A", tuple(0 if v < 241 else 1 for v in range(256)),
+                                     (PLeaf("big"), PLeaf("small"))))
+
+    def split_params(mode):
+        return LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode=mode, delta=F(2), nonstandard=True)
+
+    cases = [(rare, parity2, rand_params(2, 2), det_params(2, 2)),
+             (split, parity4, split_params("rand"), split_params("det"))]
+    expected = []
+    for proto, g, rnd, _ in cases:
+        moved = Counter()
+        for key, prob in enumerate_output_distribution(proto, g, 0, rnd).mass.items():
+            moved[key if key.startswith("<") else "<VIOLATION:step7>"] += prob
+        expected.append(dict(moved))
+    assert expected[0] == {ERROR_K: F(1, 16), "<VIOLATION:step7>": F(15, 16)}
+    assert expected[1] == {ERROR_TRUNCATION: F(1, 256), "<VIOLATION:step7>": F(255, 256)}
+
+    before = []
+
+    def emptied(self, rec):
+        before.append(self.sets)
+        return False
+
+    monkeypatch.setattr(simulate._Engine, "query_and_condition", emptied)
+    for (proto, g, rnd, det), want in zip(cases, expected):
+        assert enumerate_output_distribution(proto, g, 0, rnd).mass == want
+        res = lift_deterministic(proto, g, 0, det)
+        assert (res.status, res.violation[:6]) == ("invariant_violation", "step5:")
+        assert (res.xset, res.yset) == before[-1]
+        for seed in range(3):
+            res = lift_randomized(proto, g, 0, rnd, seed=seed)
+            assert res.status == "invariant_violation"
+            assert res.violation == "step7: conditioning emptied the silent side"
+            assert (res.xset, res.yset) == before[-1]
+            # Alice's side is cut by the message and the class, Bob's is never conditioned
+            assert len(res.xset) < proto.input_size and len(res.yset) == proto.input_size
+            assert len(res.rounds) == 1 and "end" not in res.rounds[0].snapshots
+            assert ledger_assertions(res, rnd).rounds[0].index == 1
 
 
 def test_query_count_bookkeeping():
