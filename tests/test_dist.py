@@ -72,6 +72,28 @@ def test_project_examples():
     assert project(d2, (0,)) == DistributionTable.point((0,))
 
 
+def test_project_matches_brute_force_marginal():
+    # project's key convention: coordinates taken in sorted order whatever
+    # order they are given in, one-coordinate keys as 1-tuples, the empty set
+    # as (); zero-weight elements keep their keys in the domain, and the
+    # total is the input's.
+    rng = random.Random(14)
+    domain = list(product(range(3), repeat=3))
+    for _ in range(40):
+        weights = {t: rng.choice((0, 0, 1, 2, 5)) for t in domain}
+        weights[rng.choice(domain)] += 1
+        d = DistributionTable.from_weights(weights)
+        for coords in ((), (1,), (2,), (2, 0), (1, 2, 0), (0, 2), (0, 1, 2)):
+            order = sorted(coords)
+            brute = {}
+            for t, w in weights.items():
+                key = tuple(t[i] for i in order)
+                brute[key] = brute.get(key, 0) + w
+            got = project(d, coords)
+            assert got.domain == tuple(sorted(brute))
+            assert got.weights == brute and got.total == d.total
+
+
 def test_projection_entropy_bound():
     # maxprob(X_I) <= |complement alphabet| * maxprob(X), exactly
     rng = random.Random(6)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
@@ -24,6 +25,10 @@ from liftsim.dtrees import (
     tree_to_json,
 )
 from liftsim.errors import BudgetError, DomainError, FormatError
+from liftsim.gadgets import builtin_gadget
+from liftsim.protocols import canonical_protocol
+from liftsim.simulate import LiftingParams, extract_parallel_tree, lift_deterministic
+from liftsim.structure import Restriction
 
 
 def naive_Ddt(problem):
@@ -71,6 +76,42 @@ def test_run_tree_examples():
         out, queried = run_tree(t, z)
         assert out == str(z.bit_count() & 1)
         assert len(queried) == 2
+
+
+def _answers(bits, coords):
+    """The answer index of coords on the written bitstring of z."""
+    return int("0" + "".join(bits[i] for i in coords), 2)
+
+
+def test_z_bit_convention_matches_bitstrings():
+    # coordinate i of z is character i of format(z, f"0{n}b"), and a query
+    # set's answers index a node's children as the binary number they spell
+    for n in range(1, 5):
+        subsets = [c for r in range(n + 1) for c in combinations(range(n), r)]
+        for z in range(1 << n):
+            bits = format(z, f"0{n}b")
+            for coords in subsets:
+                node = DNode(coords, tuple(DLeaf(i) for i in range(1 << len(coords))))
+                assert run_tree(ParallelDecisionTree(n, node), z) == (_answers(bits, coords), coords)
+            for cells in product("01*", repeat=n):
+                agrees = all(c in ("*", bit) for c, bit in zip(cells, bits))
+                assert Restriction("".join(cells)).consistent_with(z) == agrees
+
+
+def test_extracted_tree_branches_on_bitstrings():
+    g = builtin_gadget("xor1")
+    for n in range(1, 5):
+        _, tree = brute_force_Ddt(find_one_problem(n))
+        proto = canonical_protocol(tree, g)
+        params = LiftingParams.standard(b=g.b, n=n, mode="det")
+        extracted = extract_parallel_tree(proto, g, params)
+        for z in range(1 << n):
+            bits, node, queries = format(z, f"0{n}b"), extracted.root, []
+            while isinstance(node, DNode):
+                queries.append(node.queries)
+                node = node.children[_answers(bits, node.queries)]
+            res = lift_deterministic(proto, g, z, params)
+            assert (node.output, tuple(queries)) == (res.output, res.queries)
 
 
 def test_solves_examples():

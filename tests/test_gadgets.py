@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -14,6 +14,8 @@ from liftsim.gadgets import (
     DiscrepancyResult,
     Gadget,
     Rectangle,
+    block_table,
+    blocks_of,
     builtin_gadget,
     check_xor_lemma,
     discrepancy,
@@ -223,6 +225,16 @@ def test_block_length_budget_before_any_table():
             with pytest.raises(BudgetError):
                 build(b)
     assert gadgets._ip_gadget(6).side == 64  # the b=6 tier still builds
+
+
+def test_block_table_is_the_product_of_block_values():
+    # the block universe: inputs in numeric order are block tuples in
+    # product order, first block most significant
+    for n in range(1, 4):
+        for b in range(1, 4):
+            table = block_table(n, b)
+            assert table == tuple(product(range(1 << b), repeat=n))
+            assert all(blocks_of(v, n, b) == t for v, t in enumerate(table))
 
 
 def test_xor_power():
