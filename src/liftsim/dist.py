@@ -17,11 +17,13 @@ throughout the library:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DomainError, NullEventError
 from .exact import _rational, cmp_pow2
@@ -176,24 +178,25 @@ class DistributionTable:
         return _table(kept, total)
 
 
+def _places(places: Tuple[int, ...]):
+    """t -> the tuple of t's entries at places, by one C-level getter."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    i = places[0] if places else 0
+    return itemgetter(slice(i, i + len(places)))
+
+
+def _sums(items, key) -> Dict[tuple, int]:
+    """{key(t): the sum of its w} over the (t, w) items."""
+    out: Dict[tuple, int] = defaultdict(int)
+    for t, w in items:
+        out[key(t)] += w
+    return out
+
+
 def project(d: DistributionTable, coords: Sequence[int]) -> DistributionTable:
     """Marginal of a tuple-element table onto the given coordinates (sorted)."""
-    coords = tuple(sorted(coords))
-    if len(coords) == 1:
-        i = coords[0]
-
-        def key(x):
-            return (x[i],)
-    elif coords:
-        key = itemgetter(*coords)
-    else:
-        def key(x):
-            return ()
-    out: dict = {}
-    get = out.get
-    for x, w in d.weights.items():
-        k = key(x)
-        out[k] = get(k, 0) + w
+    out = _sums(d.weights.items(), _places(tuple(sorted(coords))))
     return _table(dict(sorted(out.items(), key=_first)), d.total)
 
 
@@ -301,8 +304,6 @@ def xor_bias(d: DistributionTable, m: int, coords: Iterable[int]) -> Fraction:
 
 def subsets_by_size(k: int, nonempty: bool = False):
     """All subsets of range(k) as sorted tuples, ordered by (size, lex)."""
-    from itertools import combinations
-
     start = 1 if nonempty else 0
     for r in range(start, k + 1):
         yield from combinations(range(k), r)
@@ -319,6 +320,20 @@ class VaziraniReport:
         return (not self.hypothesis) or self.conclusion
 
 
+def _biased_set(signed: list, m: int, total: int, eps: Fraction, min_size: int):
+    """("bias", S, bias, bound) for the first S with |S| >= min_size, in
+    (size, lex) order, whose XOR bias |signed[S]| / total exceeds
+    bound = eps * (2m)**(-|S|), decided on integers; None if there is none."""
+    num, den = eps.numerator, eps.denominator
+    for coords in subsets_by_size(m, nonempty=True):
+        if len(coords) < min_size:
+            continue
+        gap, scale = abs(signed[_coords_to_mask(coords, m)]), (2 * m) ** len(coords)
+        if gap * scale * den > num * total:
+            return "bias", coords, Fraction(gap, total), eps * Fraction(1, scale)
+    return None
+
+
 def vazirani_uniformity_check(d: DistributionTable, m: int, eps: Fraction) -> VaziraniReport:
     """Small XOR biases force pointwise near-uniformity.
 
@@ -329,15 +344,8 @@ def vazirani_uniformity_check(d: DistributionTable, m: int, eps: Fraction) -> Va
     eps = Fraction(eps)
     num, den = eps.numerator, eps.denominator
     total = d.total
-    signed = _signed_weights(d, m)
-    hypothesis = True
-    worst = None
-    for coords in subsets_by_size(m, nonempty=True):
-        gap, scale = abs(signed[_coords_to_mask(coords, m)]), (2 * m) ** len(coords)
-        if gap * scale * den > num * total:
-            hypothesis = False
-            worst = ("bias", coords, Fraction(gap, total), eps * Fraction(1, scale))
-            break
+    worst = _biased_set(_signed_weights(d, m), m, total, eps, 1)
+    hypothesis = worst is None
     # (1-eps) * 2**-m <= w/total <= (1+eps) * 2**-m, times den * total * 2**m
     lo, hi = (den - num) * total, (den + num) * total
     conclusion = True
@@ -363,16 +371,6 @@ def vazirani_minentropy_check(d: DistributionTable, m: int, t: int) -> VaziraniR
     if t < 1:
         raise ValueError("t must be at least 1")
     total = d.total
-    signed = _signed_weights(d, m)
-    hypothesis = True
-    worst = None
-    for coords in subsets_by_size(m, nonempty=True):
-        if len(coords) < t:
-            continue
-        gap, scale = abs(signed[_coords_to_mask(coords, m)]), (2 * m) ** len(coords)
-        if gap * scale > total:
-            hypothesis = False
-            worst = ("bias", coords, Fraction(gap, total), Fraction(1, scale))
-            break
+    worst = _biased_set(_signed_weights(d, m), m, total, Fraction(1), t)
     conclusion = max(d.weights.values()) << (m - 1) <= m ** t * total
-    return VaziraniReport(hypothesis, conclusion, worst)
+    return VaziraniReport(worst is None, conclusion, worst)

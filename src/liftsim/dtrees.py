@@ -19,6 +19,8 @@ __all__ = [
     "ParallelDecisionTree",
     "SearchProblem",
     "RandomizedTree",
+    "z_bits",
+    "answer_index",
     "run_tree",
     "solves",
     "randomized_error",
@@ -46,12 +48,6 @@ class DNode:
     queries: Tuple[int, ...]          # sorted coordinate set queried in parallel
     children: Tuple[object, ...]      # 2^{|queries|} children, indexed by answers
 
-    def child_index(self, z: int, n: int) -> int:
-        idx = 0
-        for i in self.queries:
-            idx = (idx << 1) | ((z >> (n - 1 - i)) & 1)
-        return idx
-
 
 @dataclass(frozen=True)
 class ParallelDecisionTree:
@@ -75,6 +71,20 @@ class ParallelDecisionTree:
         return go(self.root)
 
 
+def z_bits(z: int, n: int, coords: Sequence[int]) -> Tuple[int, ...]:
+    """The bits of the n-bit input z at coords, in their order."""
+    return tuple((z >> (n - 1 - i)) & 1 for i in coords)
+
+
+def answer_index(z: int, n: int, coords: Sequence[int]) -> int:
+    """The answers of z to the queries coords as a child index: the binary
+    number they spell, first query most significant."""
+    idx = 0
+    for bit in z_bits(z, n, coords):
+        idx = (idx << 1) | bit
+    return idx
+
+
 def run_tree(tree: ParallelDecisionTree, z: int):
     """Deterministic descent; returns (output, tuple of queried coordinates)."""
     if not 0 <= z < (1 << tree.n):
@@ -83,7 +93,7 @@ def run_tree(tree: ParallelDecisionTree, z: int):
     queried = []
     while isinstance(node, DNode):
         queried.extend(node.queries)
-        node = node.children[node.child_index(z, tree.n)]
+        node = node.children[answer_index(z, tree.n, node.queries)]
     return node.output, tuple(queried)
 
 
@@ -201,7 +211,7 @@ def parity_problem(n: int) -> SearchProblem:
 
 def first_bit_problem(n: int) -> SearchProblem:
     outputs = ("0", "1")
-    table = [frozenset({(z >> (n - 1)) & 1}) for z in range(1 << n)]
+    table = [frozenset(z_bits(z, n, (0,))) for z in range(1 << n)]
     return SearchProblem(n, outputs, table)
 
 
@@ -210,9 +220,8 @@ def index_problem(n: int = 2) -> SearchProblem:
     outputs = ("0", "1")
     table = []
     for z in range(1 << n):
-        addr = (z >> (n - 1)) & 1
-        coord = min(addr, n - 1)
-        table.append(frozenset({(z >> (n - 1 - coord)) & 1}))
+        addr = z_bits(z, n, (0,))[0]
+        table.append(frozenset(z_bits(z, n, (min(addr, n - 1),))))
     return SearchProblem(n, outputs, table)
 
 
@@ -221,7 +230,7 @@ def find_one_problem(n: int) -> SearchProblem:
     outputs = tuple(str(i + 1) for i in range(n)) + ("none",)
     table = []
     for z in range(1 << n):
-        ones = {i for i in range(n) if (z >> (n - 1 - i)) & 1}
+        ones = {i for i, bit in enumerate(z_bits(z, n, range(n))) if bit}
         table.append(frozenset(ones) if ones else frozenset({n}))
     return SearchProblem(n, outputs, table)
 

@@ -136,7 +136,8 @@ def cmp_pow2_ratio(num: int, den: int, q: Fraction) -> int:
     """Sign of num/den - 2**(-q), exactly, for ints num >= 0 and den > 0 that
     need not be in lowest terms, and rational q (taken as in cmp_pow2).
 
-    Decided on integers; a Fraction is built only on the interval path.
+    Decided on integers; past _DIRECT_DENOM_LIMIT it is cmp_products'
+    interval path, num/den * 2**q against 1.
     """
     if num < 0 or den <= 0:
         raise ValueError("cmp_pow2 expects a nonnegative left-hand side")
@@ -145,15 +146,7 @@ def cmp_pow2_ratio(num: int, den: int, q: Fraction) -> int:
     q = _rational(q)
     if q.denominator <= _DIRECT_DENOM_LIMIT:
         return _cmp_pow2_cleared(num, den, q)
-    # log2(num/den) vs -q; equality impossible since 2**q is irrational here
-    p, target = Fraction(num, den), -q
-    for bits in _BITS_SCHEDULE:
-        lo, hi = log2_bounds(p, bits)
-        if hi < target:
-            return -1
-        if lo > target:
-            return 1
-    return _cmp_pow2_cleared(p.numerator, p.denominator, q)
+    return cmp_products(Fraction(num, den), ((2, q),), 1)
 
 
 def _cmp_pow2_cleared(num: int, den: int, q: Fraction) -> int:

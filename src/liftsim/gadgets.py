@@ -100,10 +100,6 @@ class Rectangle:
     a: Tuple[int, ...]
     b: Tuple[int, ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.a or not self.b
-
 
 def blocks_of(v: int, n: int, b: int) -> Tuple[int, ...]:
     """The n b-bit blocks of v, first block most significant."""

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .dist import DistributionTable, ZERO, project
+from .dist import DistributionTable, ZERO, _places, project
 from .errors import BudgetError, DomainError, LiftsimError
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, exact_log2, frac_str
 from .gadgets import Gadget, block_table, blocks_of
@@ -48,7 +48,7 @@ from .protocols import (
     round_message,
     run_protocol,
 )
-from .dtrees import DLeaf, DNode, ParallelDecisionTree
+from .dtrees import DLeaf, DNode, ParallelDecisionTree, answer_index, z_bits
 from .structure import (
     DangerScan,
     Restriction,
@@ -108,7 +108,6 @@ class LiftingParams:
     mode: str = "det"
     eps: Optional[Fraction] = None
     delta: Optional[Fraction] = None
-    tau: Optional[Fraction] = None
     nonstandard: bool = False
 
     def __post_init__(self):
@@ -119,9 +118,9 @@ class LiftingParams:
             raise DomainError("mode must be 'det' or 'rand'")
         if self.eta <= 0 or self.c <= 0:
             raise DomainError("eta and c must be positive")
-        overridden = self.eps is not None or self.delta is not None or self.tau is not None
+        overridden = self.eps is not None or self.delta is not None
         if overridden and not self.nonstandard:
-            raise DomainError("explicit eps/delta/tau require nonstandard=True")
+            raise DomainError("explicit eps/delta require nonstandard=True")
         if self.eps is None:
             if self.mode == "det":
                 self.eps = self.h / (self.c * self.eta)
@@ -137,9 +136,10 @@ class LiftingParams:
         if self.delta is None:
             self.delta = 1 - self.eta / 4 + self.eps / 2
         self.delta = Fraction(self.delta)
-        if self.tau is None:
-            self.tau = 2 * self.delta - self.eps
-        self.tau = Fraction(self.tau)
+
+    @property
+    def tau(self) -> Fraction:
+        return 2 * self.delta - self.eps
 
     @classmethod
     def standard(cls, b: int, n: int, mode: str = "det",
@@ -262,7 +262,7 @@ def _side(speaker: str) -> int:
 @lru_cache(maxsize=64)
 def _free_keys(n: int, b: int, free: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     """Every input's blocks at the coordinates `free`, indexed by input (memoised)."""
-    return tuple(tuple(blocks[i] for i in free) for blocks in block_table(n, b))
+    return tuple(map(_places(free), block_table(n, b)))
 
 
 class _EngineCache:
@@ -271,13 +271,16 @@ class _EngineCache:
     the rounds, branches, runs and inputs z of whoever holds the cache.  It
     lives as long as its holder (there is no process-wide cache), and the
     engines refuse one built for another gadget or other (eps, delta, b, n).
+    These methods are memoised per cache by lru_cache, so each one's
+    cache_info() counts its hits:
 
-      marginals:  (inputs, free) -> the inputs' marginal on the free coordinates
-      maxprobs:   (inputs, free) -> its maxprob
-      densities:  (inputs, free, delta) -> whether it is delta-dense
-      partitions: (inputs, free) -> its density-restoring partition
-      contexts:   (speaker side, silent inputs, free) -> the silent side's
-                  density witness and its DangerScan against the speaker's gadget
+      marginal(inputs, free):         the inputs' marginal on the free coordinates
+      _maxprob(inputs, free):         its maxprob, which maxprob reads when
+                                      some coordinate is free (1 otherwise)
+      dense(inputs, free, delta):     whether it is delta-dense
+      partition(inputs, free):        its density-restoring partition
+      context(side, silent, free):    the silent side's density witness and its
+                                      DangerScan against the speaker's gadget
     """
 
     def __init__(self, g: Gadget, params: LiftingParams):
@@ -285,59 +288,36 @@ class _EngineCache:
         self.gadgets = (g, g.transpose())
         self.params = params
         self.key = _cache_key(g, params)
-        self.marginals: Dict[tuple, DistributionTable] = {}
-        self.maxprobs: Dict[tuple, Fraction] = {}
-        self.densities: Dict[tuple, bool] = {}
-        self.partitions: Dict[tuple, list] = {}
-        self.contexts: Dict[tuple, Tuple[Fraction, DangerScan]] = {}
+        memo = lru_cache(maxsize=None)
+        self.marginal, self._maxprob = memo(self.marginal), memo(self._maxprob)
+        self.dense, self.partition = memo(self.dense), memo(self.partition)
+        self.context = memo(self.context)
 
     def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
-        key = (inputs, free)
-        marg = self.marginals.get(key)
-        if marg is None:
-            keys = _free_keys(self.params.n, self.params.b, free)
-            marg = DistributionTable.from_weights(Counter(map(keys.__getitem__, inputs)))
-            self.marginals[key] = marg
-        return marg
+        keys = _free_keys(self.params.n, self.params.b, free)
+        return DistributionTable.from_weights(Counter(map(keys.__getitem__, inputs)))
 
     def maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
-        if not free:
-            return ONE
-        key = (inputs, free)
-        p = self.maxprobs.get(key)
-        if p is None:
-            p = self.maxprobs[key] = self.marginal(inputs, free).maxprob()
-        return p
+        return self._maxprob(inputs, free) if free else ONE
+
+    def _maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
+        return self.marginal(inputs, free).maxprob()
 
     def dense(self, inputs: Tuple[int, ...], free: Tuple[int, ...], delta: Fraction) -> bool:
-        key = (inputs, free, delta)
-        verdict = self.densities.get(key)
-        if verdict is None:
-            verdict = self.densities[key] = is_dense(
-                self.marginal(inputs, free), delta, self.params.b).dense
-        return verdict
+        return is_dense(self.marginal(inputs, free), delta, self.params.b).dense
 
     def partition(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
         """The partition depends on the marginal alone, not on whose it is."""
-        key = (inputs, free)
-        parts = self.partitions.get(key)
-        if parts is None:
-            parts = self.partitions[key] = density_restoring_partition(
-                self.marginal(inputs, free), self.params.delta, self.params.b)
-        return parts
+        return density_restoring_partition(
+            self.marginal(inputs, free), self.params.delta, self.params.b)
 
     def context(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
         """(density witness of the silent side, its DangerScan)."""
-        key = (side, silent, free)
-        ctx = self.contexts.get(key)
-        if ctx is None:
-            p = self.params
-            silent_free = self.marginal(silent, free)
-            delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
-            scan = DangerScan(silent_free, self.gadgets[side], delta_w, p.eps, p.b,
-                              coord_limit=len(free))
-            ctx = self.contexts[key] = (delta_w, scan)
-        return ctx
+        p = self.params
+        silent_free = self.marginal(silent, free)
+        delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
+        return delta_w, DangerScan(silent_free, self.gadgets[side], delta_w, p.eps, p.b,
+                                   coord_limit=len(free))
 
 
 def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
@@ -487,8 +467,7 @@ class _Engine:
         if not abs_coords:  # nothing queried or conditioned since the fix
             rec.snapshots["after_query"] = rec.snapshots["end"] = rec.snapshots["after_fix"]
             return True
-        n = self.params.n
-        zbits = tuple((self.z >> (n - 1 - i)) & 1 for i in abs_coords)
+        zbits = z_bits(self.z, self.params.n, abs_coords)
         self.rho = self.rho.fix(abs_coords, zbits)
         free = self.rho.free()
         rec.snapshots["after_query"] = self.snapshot(free)
@@ -738,10 +717,7 @@ def extract_parallel_tree(p: ProtocolTree, g: Gadget, params: LiftingParams) -> 
                 raise LiftsimError("query sets diverged without an answer split")
         groups: Dict[int, List[int]] = {}
         for z in zs:
-            idx = 0
-            for i in coords:
-                idx = (idx << 1) | ((z >> (n - 1 - i)) & 1)
-            groups.setdefault(idx, []).append(z)
+            groups.setdefault(answer_index(z, n, coords), []).append(z)
         children = tuple(
             build_node(groups[i], round_idx + 1) for i in range(1 << len(coords)))
         return DNode(coords, children)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dist import DistributionTable, project, subsets_by_size
+from .dist import DistributionTable, _places, _sums, project, subsets_by_size
+from .dtrees import z_bits
 from .errors import BudgetError, DomainError
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, exact_log2, log2_bounds
 from .gadgets import Gadget
@@ -99,10 +99,8 @@ class Restriction:
 
     def consistent_with(self, z: int) -> bool:
         n = len(self.cells)
-        return all(
-            ch == "*" or int(ch) == ((z >> (n - 1 - i)) & 1)
-            for i, ch in enumerate(self.cells)
-        )
+        return all(ch == "*" or int(ch) == bit
+                   for ch, bit in zip(self.cells, z_bits(z, n, range(n))))
 
 
 def _guard(k: int, limit: int, what: str) -> None:
@@ -119,22 +117,6 @@ class DensityWitness:
     @property
     def dense(self) -> bool:
         return self.violating_set is None
-
-
-def _places(places: Tuple[int, ...]):
-    """t -> the tuple of t's entries at places, by one C-level getter."""
-    if len(places) > 1:
-        return itemgetter(*places)
-    i = places[0] if places else 0
-    return itemgetter(slice(i, i + len(places)))
-
-
-def _sums(items, key) -> Dict[tuple, int]:
-    """{key(t): the sum of its w} over the (t, w) items."""
-    out: Dict[tuple, int] = defaultdict(int)
-    for t, w in items:
-        out[key(t)] += w
-    return out
 
 
 def _marginal_counts(x: DistributionTable, largest_first: bool = False):

@@ -19,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .dist import (
@@ -29,6 +29,7 @@ from .dist import (
     fourier_inversion,
     project,
     statistical_distance,
+    subsets_by_size,
     vazirani_minentropy_check,
     vazirani_uniformity_check,
     xor_bias,
@@ -40,11 +41,13 @@ from .dtrees import (
     index_problem,
     parity_problem,
     solves,
+    z_bits,
 )
 from .errors import DomainError, FormatError, InvariantError, LiftsimError, malformed
 from .exact import cmp_pow2, cmp_products, frac_str
 from .gadgets import (
     Gadget,
+    block_table,
     builtin_gadget,
     check_xor_lemma,
     discrepancy,
@@ -127,15 +130,23 @@ def _bounded_instance(hypothesis: bool, measured: Fraction, bits: Fraction) -> L
     )
 
 
-def _regime_ok(b: int, n: int, c: Fraction, eta: Fraction, g: Gadget,
-               disc_value: Fraction) -> bool:
-    """Shared preamble: n >= 2, b >= c*log2(n), disc(g) <= 2^(-eta*b)."""
-    if n < 2:
-        return False
+def _structured(x: DistributionTable, y: DistributionTable, rho: Restriction, g: Gadget,
+                c: Fraction, eta: Fraction, tau_req: Fraction,
+                disc_value: Optional[Fraction]):
+    """The structure-lemma checkers' shared preamble: (X_free, Y_free, the
+    structure certificate at tau_req or its refusal, the regime clause
+    n >= 2, b >= c*log2(n), disc(g) <= 2^(-eta*b))."""
+    n, b = len(rho), g.b
+    disc_v = discrepancy(g).value if disc_value is None else disc_value
+    free = rho.free()
+    xf = project(x, free) if free else x
+    yf = project(y, free) if free else y
+    cert = is_structured(xf, yf, rho, tau_req, g, x_full=x, y_full=y)
     # b >= c*log2(n)  <=>  2^b >= n^c
-    if cmp_products(Fraction(1), [(2, Fraction(b))], Fraction(1), [(n, Fraction(c))]) < 0:
-        return False
-    return cmp_pow2(disc_value, eta * b) <= 0
+    regime = (n >= 2
+              and cmp_products(Fraction(1), [(2, Fraction(b))], Fraction(1), [(n, c)]) >= 0
+              and cmp_pow2(disc_v, eta * b) <= 0)
+    return xf, yf, cert, regime
 
 
 def check_multiplicative_uniformity(
@@ -153,21 +164,12 @@ def check_multiplicative_uniformity(
     """Structured inputs make every free output pattern multiplicatively close
     to uniform: Pr[g^I(X_I, Y_I) = z_I] in (1 +- 2^(-gamma*b)) * 2^(-|I|)."""
     gamma, eta, c = Fraction(gamma), Fraction(eta), Fraction(c)
-    n, b = len(rho), g.b
-    disc_v = discrepancy(g).value if disc_value is None else disc_value
-    free = rho.free()
-    xf = project(x, free) if free else x
-    yf = project(y, free) if free else y
-    tau_req = 2 + h / c - eta + gamma
-    cert = is_structured(xf, yf, rho, tau_req, g, x_full=x, y_full=y)
-    hypothesis = (
-        _regime_ok(b, n, c, eta, g, disc_v)
-        and rho.consistent_with(z)
-        and isinstance(cert, StructureCertificate)
-    )
+    xf, yf, cert, regime = _structured(x, y, rho, g, c, eta, 2 + h / c - eta + gamma,
+                                       disc_value)
+    hypothesis = regime and rho.consistent_with(z) and isinstance(cert, StructureCertificate)
     worst = ZERO
-    if free:
-        size = len(free)
+    size = len(rho.free())
+    if size:
         x_rows = [(xv, w) for xv, w in xf.weights.items() if w]
         y_rows = [(yv, w) for yv, w in yf.weights.items() if w]
         total = xf.total * yf.total
@@ -179,7 +181,7 @@ def check_multiplicative_uniformity(
                         weight += wx * wy
             deviation = Fraction(abs((weight << size) - total), total)
             worst = max(worst, deviation)
-    return _bounded_instance(hypothesis, worst, gamma * b)
+    return _bounded_instance(hypothesis, worst, gamma * g.b)
 
 
 def check_uniform_marginals(
@@ -197,25 +199,18 @@ def check_uniform_marginals(
     """Structured uniform X, Y are close to the marginals of the uniform
     distribution on the preimage of z inside their rectangle."""
     gamma, eta, c = Fraction(gamma), Fraction(eta), Fraction(c)
-    n, b = len(rho), g.b
-    disc_v = discrepancy(g).value if disc_value is None else disc_value
     x = DistributionTable.uniform(sorted(x_support))
     y = DistributionTable.uniform(sorted(y_support))
-    free = rho.free()
-    xf = project(x, free) if free else x
-    yf = project(y, free) if free else y
-    tau_req = 2 + h / c - eta + gamma
-    cert = is_structured(xf, yf, rho, tau_req, g, x_full=x, y_full=y)
-    hypothesis = (
-        _regime_ok(b, n, c, eta, g, disc_v)
-        and rho.consistent_with(z)
-        and isinstance(cert, StructureCertificate)
-    )
+    _, _, cert, regime = _structured(x, y, rho, g, c, eta, 2 + h / c - eta + gamma,
+                                     disc_value)
+    hypothesis = regime and rho.consistent_with(z) and isinstance(cert, StructureCertificate)
+    n = len(rho)
+    zb = z_bits(z, n, range(n))
     pairs = [
         (xv, yv)
         for xv in x.domain
         for yv in y.domain
-        if all(g.eval(xv[i], yv[i]) == ((z >> (n - 1 - i)) & 1) for i in range(n))
+        if all(g.eval(xv[i], yv[i]) == zb[i] for i in range(n))
     ]
     if not pairs:
         raise LiftsimError("empty preimage intersection; the lemma does not apply")
@@ -227,7 +222,7 @@ def check_uniform_marginals(
     dist_x = statistical_distance(x, DistributionTable.from_weights(fiber_x))
     dist_y = statistical_distance(y, DistributionTable.from_weights(fiber_y))
     worst = max(dist_x, dist_y)
-    return _bounded_instance(hypothesis, worst, gamma * b)
+    return _bounded_instance(hypothesis, worst, gamma * g.b)
 
 
 def check_main_lemma(
@@ -244,20 +239,11 @@ def check_main_lemma(
 ) -> LemmaInstance:
     """Structured inputs give dangerous values at most 2^(-gamma*b) mass."""
     gamma, eps, eta, c = Fraction(gamma), Fraction(eps), Fraction(eta), Fraction(c)
-    n, b = len(rho), g.b
-    disc_v = discrepancy(g).value if disc_value is None else disc_value
-    free = rho.free()
-    xf = project(x, free) if free else x
-    yf = project(y, free) if free else y
-    tau_req = 2 + h / (c * eps) - eta - gamma
-    cert = is_structured(xf, yf, rho, tau_req, g, x_full=x, y_full=y)
-    hypothesis = (
-        _regime_ok(b, n, c, eta, g, disc_v)
-        and 0 < gamma <= 1
-        and 0 < eps <= 1
-        and eps * b >= 4
-        and isinstance(cert, StructureCertificate)
-    )
+    b, free = g.b, rho.free()
+    xf, yf, cert, regime = _structured(x, y, rho, g, c, eta, 2 + h / (c * eps) - eta - gamma,
+                                       disc_value)
+    hypothesis = (regime and 0 < gamma <= 1 and 0 < eps <= 1 and eps * b >= 4
+                  and isinstance(cert, StructureCertificate))
     if free and isinstance(cert, StructureCertificate):
         measured = dangerous_probability(xf, yf, g, cert.delta_y, eps, b)
     elif free:
@@ -312,7 +298,7 @@ def seeded_support(rng: random.Random, universe: Sequence, min_size: int = 1):
 
 def seeded_dense_support(rng: random.Random, n: int, b: int):
     """Random support whose uniform distribution has positive max density."""
-    universe = list(product(range(1 << b), repeat=n))
+    universe = block_table(n, b)
     while True:
         supp = seeded_support(rng, universe, min_size=2)
         dist = DistributionTable.uniform(supp)
@@ -531,14 +517,13 @@ def _section_fourier(seed: int, count: int = 1000) -> SectionReport:
         d = seeded_distribution(rng, list(range(1 << m)))
         ok = True
         coeffs = {}
-        for r in range(m + 1):
-            for coords in combinations(range(m), r):
-                coef = fourier_coefficient(d, m, coords)
-                coeffs[coords] = coef
-                if abs(coef) * (1 << m) != xor_bias(d, m, coords):
-                    ok = False
-                if coords == () and coef != Fraction(1, 1 << m):
-                    ok = False
+        for coords in subsets_by_size(m):
+            coef = fourier_coefficient(d, m, coords)
+            coeffs[coords] = coef
+            if abs(coef) * (1 << m) != xor_bias(d, m, coords):
+                ok = False
+            if coords == () and coef != Fraction(1, 1 << m):
+                ok = False
         if fourier_inversion(coeffs, m) != d:  # d's domain is range(2^m)
             ok = False
         rep.count("pass" if ok else "FAIL", lambda: LemmaInstance(f"fourier/{k}/m={m}", "FAIL"))
@@ -591,10 +576,8 @@ def _section_xor_lemma(gadgets: Sequence[str], powers: Sequence[int],
 
 
 def _flat_tables(universe_size: int):
-    universe = list(range(universe_size))
-    for r in range(1, universe_size + 1):
-        for supp in combinations(universe, r):
-            yield DistributionTable.uniform(supp)
+    for supp in subsets_by_size(universe_size, nonempty=True):
+        yield DistributionTable.uniform(supp)
 
 
 def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[SectionReport]:
@@ -697,8 +680,7 @@ def _section_density(seed: int, count: int = 200) -> SectionReport:
     shapes = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
     for k in range(count):
         n, b = shapes[k % len(shapes)]
-        universe = list(product(range(1 << b), repeat=n))
-        d = seeded_distribution(rng, universe)
+        d = seeded_distribution(rng, block_table(n, b))
         # keep only the support; zero-mass rows do not matter for density
         d = d.condition(d.support())
         delta = deltas[k % len(deltas)]
@@ -755,7 +737,7 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
     for gname in ("xor1", "and1", "ip1", "ip2"):
         g = builtin_gadget(gname)
         b = g.b
-        universe = list(product(range(1 << b), repeat=n))
+        universe = block_table(n, b)
         for s_idx in range(supports):
             supp = seeded_dense_support(rng, n, b)
             y = DistributionTable.uniform(supp)

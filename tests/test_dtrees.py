@@ -11,6 +11,7 @@ from liftsim.dtrees import (
     ParallelDecisionTree,
     RandomizedTree,
     SearchProblem,
+    answer_index,
     brute_force_Ddt,
     find_one_problem,
     first_bit_problem,
@@ -23,6 +24,7 @@ from liftsim.dtrees import (
     solves,
     tree_from_json,
     tree_to_json,
+    z_bits,
 )
 from liftsim.errors import BudgetError, DomainError, FormatError
 from liftsim.gadgets import builtin_gadget
@@ -90,7 +92,9 @@ def test_z_bit_convention_matches_bitstrings():
         subsets = [c for r in range(n + 1) for c in combinations(range(n), r)]
         for z in range(1 << n):
             bits = format(z, f"0{n}b")
-            for coords in subsets:
+            for coords in subsets + [c[::-1] for c in subsets]:
+                assert z_bits(z, n, coords) == tuple(int(bits[i]) for i in coords)
+                assert answer_index(z, n, coords) == _answers(bits, coords)
                 node = DNode(coords, tuple(DLeaf(i) for i in range(1 << len(coords))))
                 assert run_tree(ParallelDecisionTree(n, node), z) == (_answers(bits, coords), coords)
             for cells in product("01*", repeat=n):

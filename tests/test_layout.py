@@ -1,0 +1,49 @@
+"""The input layout is written once.
+
+Input x is n blocks of b bits, and block i of x and y feeds bit i of
+z = g^n(x, y).  Each piece of that layout has one home, and the library's
+modules import it from there rather than spelling it out:
+
+* coordinate i of z is bit (n-1-i): ``dtrees.z_bits`` and ``dtrees.answer_index``;
+* subsets of coordinates in (size, lex) order: ``dist.subsets_by_size``;
+* the universe of block tuples: ``gadgets.block_table``.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "liftsim").glob("*.py"))
+
+
+def _lines_with(text: str, home: str = ""):
+    """file:line of every source line outside the module `home` containing `text`."""
+    return [f"{path.name}:{number}"
+            for path in SOURCES if path.name != home
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if text in line]
+
+
+def test_sources_found():
+    assert {"dist.py", "dtrees.py", "gadgets.py"} <= {path.name for path in SOURCES}
+
+
+def test_z_bit_shift_only_in_dtrees():
+    found = _lines_with(">> (n - 1 -", home="dtrees.py")
+    assert not found, f"read z's bits with dtrees.z_bits or answer_index: {found}"
+
+
+def test_combinations_imported_only_in_dist():
+    found = []
+    for path in SOURCES:
+        if path.name == "dist.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "combinations" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"enumerate subsets with dist.subsets_by_size: {found}"
+
+
+def test_block_universe_only_from_block_table():
+    found = _lines_with("product(range(1 <<")
+    assert not found, f"build the block universe with gadgets.block_table: {found}"

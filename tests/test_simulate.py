@@ -523,27 +523,25 @@ def test_discard_step_matches_per_value_scans(monkeypatch):
 def test_shared_engine_cache_matches_fresh_caches(monkeypatch):
     # One engine cache per (gadget, params), held across every run, problem
     # and z, gives exactly the traces, distributions and ledgers of a fresh
-    # cache per run and of a cache that keeps nothing (every entry rebuilt
-    # at each use), and builds each (side, silent, free) DangerScan once.
+    # cache per run and of a cache that keeps nothing (every memoised method
+    # replaced by the function it wraps, so each entry is rebuilt at each
+    # use), and builds each (side, silent, free) DangerScan once.
     # The canonical protocols speak A first and their mirrors B first, so
     # both sides scan the same (silent, free); rand:2:2 is not symmetric,
     # so the two sides' scans differ.
-    built = Counter()
+    built, scanned = Counter(), set()
 
     class Counted(DangerScan):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
+        def __init__(self, y, g, *args, **kw):
+            super().__init__(y, g, *args, **kw)
             built["scans"] += 1
-
-    class Forgetful(dict):
-        def __setitem__(self, key, value):
-            pass
+            scanned.add(g.name)
 
     def keeps_nothing(g, params):
         cache = simulate._EngineCache(g, params)
         for name, value in list(vars(cache).items()):
-            if isinstance(value, dict):
-                setattr(cache, name, Forgetful())
+            if hasattr(value, "cache_info"):
+                setattr(cache, name, value.__wrapped__)
         return cache
 
     def mirror(node):
@@ -578,10 +576,13 @@ def test_shared_engine_cache_matches_fresh_caches(monkeypatch):
         assert runs(protocols, g, det, rnd, None, None) == rebuilt
         fresh_scans = built.pop("scans")
         det_cache, rnd_cache = simulate._EngineCache(g, det), simulate._EngineCache(g, rnd)
+        scanned.clear()
         assert runs(protocols, g, det, rnd, det_cache, rnd_cache) == rebuilt
-        assert built["scans"] == len(det_cache.contexts) + len(rnd_cache.contexts)
+        contexts = [cache.context.cache_info() for cache in (det_cache, rnd_cache)]
+        assert built["scans"] == sum(info.currsize for info in contexts)
+        assert all(info.hits > 0 for info in contexts), contexts
         assert fresh_scans > 10 * built["scans"], (fresh_scans, built)
-        assert {side for side, _, _ in rnd_cache.contexts} == {0, 1}
+        assert scanned == {name, name + "^T"}
 
 
 def test_engine_cache_entries_match_direct_computation():
