@@ -86,7 +86,10 @@ def test_params_derivations():
     q = LiftingParams(eta=1, c=3, h=1, b=1, n=2, mode="rand",
                       eps=F(1, 3), nonstandard=True)
     assert q.eps == F(1, 3)
-    with pytest.raises(DomainError):
+    assert q.tau == 2 * q.delta - F(1, 3)         # tau is derived, never set
+    with pytest.raises(AttributeError):
+        q.tau = F(1)
+    with pytest.raises(DomainError, match="explicit eps/delta require nonstandard=True"):
         LiftingParams(eta=1, c=2, h=1, b=1, n=2, mode="det", eps=F(1, 3))
 
 
