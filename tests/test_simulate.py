@@ -21,7 +21,7 @@ from liftsim.dtrees import (
     solves,
 )
 from liftsim.errors import DomainError, LiftsimError
-from liftsim import simulate
+from liftsim import gadgets, simulate
 from liftsim.gadgets import blocks_of, builtin_gadget
 from liftsim.protocols import (
     PLeaf,
@@ -715,3 +715,20 @@ def test_randomized_engines_pinned():
     assert {ERROR_K, ERROR_TRUNCATION, "<VIOLATION:step1>"} <= keys
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (digest, len(lines)) == (RANDOMIZED_PIN, 583)
+
+
+IP3_ENUMERATION_PIN = "7f00759834f06393d35870d8cdbdcf4a452bcb337139f72a469863306a61d6f6"
+
+
+def test_ip3_enumeration_pinned():
+    # The exact enumeration past the corpus's b=2: parity-3 composed with
+    # ip3, n=3, z=0, standard randomized parameters.  Every one of the 343
+    # runs ends with its own transcript, each of weight 1 over a total of 343
+    # (no error mass); the weights are hashed in domain order.
+    g = gadgets._ip_gadget(3)
+    dist = enumerate_output_distribution(canonical_instance(parity_problem(3), g), g, 0,
+                                         rand_params(3, 3))
+    items = list(dist.weights.items())
+    assert (len(items), dist.total) == (343, 343)
+    digest = hashlib.sha256(repr((items, dist.total)).encode()).hexdigest()
+    assert digest == IP3_ENUMERATION_PIN
