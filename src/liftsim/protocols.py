@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .dist import DistributionTable
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
@@ -26,6 +26,7 @@ __all__ = [
     "RandomizedProtocol",
     "run_protocol",
     "round_message",
+    "split_by_message",
     "message_distribution",
     "assert_prefix_free",
     "kraft_heavy_message",
@@ -122,6 +123,25 @@ def round_message(node: PNode, v: int):
     return "".join(msg), cur
 
 
+def split_by_message(node: PNode, inputs: Sequence[int]):
+    """The speaker's inputs split by the message they send in the round that
+    starts at `node`, walking each of the round's nodes once with the inputs
+    that reach it: ({message: those inputs, in `inputs` order}, {message: end node})."""
+    speaker, parts, ends = node.speaker, {}, {}
+
+    def walk(cur, msg: str, vs) -> None:
+        if not (isinstance(cur, PNode) and cur.speaker == speaker):
+            parts[msg], ends[msg] = tuple(vs), cur
+            return
+        bits = cur.bits
+        for bit, part in enumerate(([v for v in vs if not bits[v]], [v for v in vs if bits[v]])):
+            if part:
+                walk(cur.children[bit], msg + "01"[bit], part)
+
+    walk(node, "", inputs)
+    return parts, ends
+
+
 def message_distribution(p: ProtocolTree, node: PNode, x: DistributionTable):
     """Distribution over the speaker's maximal same-speaker messages from `node`.
 
@@ -130,17 +150,13 @@ def message_distribution(p: ProtocolTree, node: PNode, x: DistributionTable):
     """
     if not isinstance(node, PNode):
         raise DomainError("message distribution needs an internal node")
-    weights: Dict[str, int] = {}
-    ends: Dict[str, object] = {}
-    for v, weight in x.weights.items():
-        if weight:
-            w, end = round_message(node, v)
-            ends[w] = end
-            weights[w] = weights.get(w, 0) + weight
-    if not weights:
+    parts, ends = split_by_message(node, x.support())
+    if not parts:
         raise DomainError("empty support at this node")
-    assert_prefix_free(list(weights))
-    return DistributionTable.from_weights(weights), ends
+    assert_prefix_free(list(parts))
+    weight = x.weights.__getitem__
+    return DistributionTable.from_weights(
+        {w: sum(map(weight, vs)) for w, vs in parts.items()}), ends
 
 
 def kraft_heavy_message(d: DistributionTable) -> str:

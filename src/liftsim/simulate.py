@@ -30,12 +30,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .dist import DistributionTable, ZERO, _places, project
 from .errors import BudgetError, DomainError, LiftsimError
-from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, exact_log2, frac_str
+from .exact import cmp_pow2, cmp_pow2_ratio, exact_log2, frac_str
 from .gadgets import Gadget, block_table, blocks_of
 from .protocols import (
     PLeaf,
@@ -44,9 +45,8 @@ from .protocols import (
     RandomizedProtocol,
     complexity,
     kraft_heavy_message,
-    message_distribution,
-    round_message,
     run_protocol,
+    split_by_message,
 )
 from .dtrees import DLeaf, DNode, ParallelDecisionTree, answer_index, z_bits
 from .structure import (
@@ -259,6 +259,11 @@ def _side(speaker: str) -> int:
     return 0 if speaker == "A" else 1
 
 
+def _select(inputs: Tuple[int, ...], keys, allowed) -> Tuple[int, ...]:
+    """The inputs v with keys[v] in `allowed`, in order."""
+    return tuple(compress(inputs, map(allowed.__contains__, map(keys.__getitem__, inputs))))
+
+
 @lru_cache(maxsize=64)
 def _free_keys(n: int, b: int, free: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     """Every input's blocks at the coordinates `free`, indexed by input (memoised)."""
@@ -281,6 +286,8 @@ class _EngineCache:
       partition(inputs, free):        its density-restoring partition
       context(side, silent, free):    the silent side's density witness and its
                                       DangerScan against the speaker's gadget
+      verdicts(side, silent, free):   that scan's dangerous(x_free), memoised per x_free
+      preimage(side, xb, bit):        the silent blocks (yb,) with gadget(xb, yb) = bit
     """
 
     def __init__(self, g: Gadget, params: LiftingParams):
@@ -291,7 +298,8 @@ class _EngineCache:
         memo = lru_cache(maxsize=None)
         self.marginal, self._maxprob = memo(self.marginal), memo(self._maxprob)
         self.dense, self.partition = memo(self.dense), memo(self.partition)
-        self.context = memo(self.context)
+        self.context, self.verdicts = memo(self.context), memo(self.verdicts)
+        self.preimage = memo(self.preimage)
 
     def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
         keys = _free_keys(self.params.n, self.params.b, free)
@@ -318,6 +326,13 @@ class _EngineCache:
         delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
         return delta_w, DangerScan(silent_free, self.gadgets[side], delta_w, p.eps, p.b,
                                    coord_limit=len(free))
+
+    def verdicts(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
+        return lru_cache(maxsize=None)(self.context(side, silent, free)[1].dangerous)
+
+    def preimage(self, side: int, xb: int, bit: int) -> frozenset:
+        g = self.gadgets[side]
+        return frozenset((yb,) for yb in range(g.side) if g.eval(xb, yb) == bit)
 
 
 def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
@@ -346,7 +361,6 @@ class _Engine:
             raise DomainError("protocol, gadget and parameter dimensions disagree")
         if not 0 <= z < (1 << p.n):
             raise DomainError(f"z must be an {p.n}-bit value")
-        self.p = p
         self.z = z
         self.params = params
         self.cache = _cache_for(g, params, cache)
@@ -372,10 +386,9 @@ class _Engine:
 
     # -- step helpers ---------------------------------------------------------
 
-    def restrict(self, side: int, keep) -> bool:
-        """Keep the inputs of one side that satisfy `keep`.  When none would
-        remain, the rectangle is left unchanged and the step returns False."""
-        kept = tuple(filter(keep, self.sets[side]))
+    def restrict(self, side: int, kept: Tuple[int, ...]) -> bool:
+        """Keep only the inputs `kept` of one side.  When none would remain,
+        the rectangle is left unchanged and the step returns False."""
         if not kept:
             return False
         self.sets = (kept, self.sets[1]) if side == 0 else (self.sets[0], kept)
@@ -414,26 +427,32 @@ class _Engine:
             return True
         side = _side(rec.speaker)
         spk_set, silent = self.sets[side], self.sets[1 - side]
-        rec.delta_witness, scan = self.cache.context(side, silent, free)
+        rec.delta_witness = self.cache.context(side, silent, free)[0]
         keys = _free_keys(self.params.n, self.params.b, free)
-        bad = {val for val in set(map(keys.__getitem__, spk_set)) if scan.dangerous(val)}
-        ok = self.restrict(side, lambda v: keys[v] not in bad)
+        vals = set(map(keys.__getitem__, spk_set))
+        bad = set(filter(self.cache.verdicts(side, silent, free), vals))
+        kept = _select(spk_set, keys, vals - bad)
         rec.dangerous_values = tuple(sorted(bad))
-        left = len(self.sets[side]) if ok else 0
-        rec.discarded_mass = Fraction(len(spk_set) - left, len(spk_set))
+        rec.discarded_mass = Fraction(len(spk_set) - len(kept), len(spk_set))
+        ok = self.restrict(side, kept)
         rec.snapshots["after_discard"] = self.snapshot(free)
         return ok
 
     def message_table(self, node: PNode):
-        return message_distribution(
-            self.p, node, DistributionTable.uniform(self.sets[_side(node.speaker)]))
+        """(message distribution, {message: the speaker's inputs sending it},
+        {message: end node}) of the round starting at `node`."""
+        parts, ends = split_by_message(node, self.sets[_side(node.speaker)])
+        return DistributionTable.from_weights(
+            {w: len(vs) for w, vs in parts.items()}), parts, ends
 
-    def take_message(self, node: PNode, rec: RoundRecord, message: str, p_message: Fraction):
+    def take_message(self, rec: RoundRecord, message: str, p_message: Fraction,
+                     inputs: Tuple[int, ...]):
+        """Step 2: the speaker keeps `inputs`, the ones sending `message`."""
         rec.message = message
         rec.p_message = p_message
         rec.flags["kraft_heavy"] = p_message.numerator << len(message) >= p_message.denominator
         self.transcript.append(message)
-        self.restrict(_side(node.speaker), lambda v: round_message(node, v)[0] == message)
+        self.restrict(_side(rec.speaker), inputs)
         rec.snapshots["after_message"] = self.snapshot(rec.free_before)
 
     def fix_blocks(self, rec: RoundRecord, rel_coords, value) -> None:
@@ -443,8 +462,9 @@ class _Engine:
         rec.query_coords = abs_coords
         rec.fixed_value = tuple(value)
         if abs_coords:
+            side = _side(rec.speaker)
             keys = _free_keys(self.params.n, self.params.b, abs_coords)
-            self.restrict(_side(rec.speaker), lambda v: keys[v] == rec.fixed_value)
+            self.restrict(side, _select(self.sets[side], keys, {rec.fixed_value}))
         rec.snapshots["after_fix"] = self.snapshot(free)
 
     def apply_class(self, rec: RoundRecord, part) -> None:
@@ -452,10 +472,9 @@ class _Engine:
         rec.class_index = part.index
         rec.p_class = part.prob
         rec.p_geq = part.p_geq
-        members = set(part.members)
-        free = rec.free_before
+        free, side = rec.free_before, _side(rec.speaker)
         keys = _free_keys(self.params.n, self.params.b, free)
-        self.restrict(_side(rec.speaker), lambda v: keys[v] in members)
+        self.restrict(side, _select(self.sets[side], keys, set(part.members)))
         rec.query_coords = tuple(free[i] for i in part.coords)
         rec.fixed_value = tuple(part.value)
         rec.snapshots["after_fix"] = self.snapshot(free)
@@ -472,18 +491,14 @@ class _Engine:
         free = self.rho.free()
         rec.snapshots["after_query"] = self.snapshot(free)
         side = _side(rec.speaker)
-        gad = self.cache.gadgets[side]
-        keys = _free_keys(self.params.n, self.params.b, abs_coords)
-        checks = tuple(zip(rec.fixed_value, zbits))
-
-        def keep(w):
-            return all(gad.eval(xb, yb) == bit for yb, (xb, bit) in zip(keys[w], checks))
-
-        silent_size = len(self.sets[1 - side])
-        ok = self.restrict(1 - side, keep)
-        kept = len(self.sets[1 - side]) if ok else 0
-        rec.step5_prob = Fraction(kept, silent_size)
-        rec.flags["nonleaking_event"] = kept << (len(abs_coords) + 1) >= silent_size
+        kept = self.sets[1 - side]
+        silent_size = len(kept)
+        for coord, xb, bit in zip(abs_coords, rec.fixed_value, zbits):
+            kept = _select(kept, _free_keys(self.params.n, self.params.b, (coord,)),
+                           self.cache.preimage(side, xb, bit))
+        ok = self.restrict(1 - side, kept)
+        rec.step5_prob = Fraction(len(kept), silent_size)
+        rec.flags["nonleaking_event"] = len(kept) << (len(abs_coords) + 1) >= silent_size
         rec.snapshots["end"] = self.snapshot(free)
         return ok
 
@@ -507,9 +522,9 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
         if not eng.discard_dangerous(rec):
             return eng.result("invariant_violation",
                               "step1: every surviving value is dangerous")
-        table, ends = eng.message_table(node)
+        table, senders, ends = eng.message_table(node)
         message = kraft_heavy_message(table)
-        eng.take_message(node, rec, message, table.prob(message))
+        eng.take_message(rec, message, table.prob(message), senders[message])
         node = ends[message]
         rel_coords = value = ()
         if rec.free_before:
@@ -565,12 +580,12 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
             yield prob, eng.result("invariant_violation",
                                    "step1: every surviving value is dangerous", k_product=k_product)
             return
-        table, ends = eng.message_table(node)
+        table, senders, ends = eng.message_table(node)
         messages = pick([(w, table.prob(w)) for w in table.support()])
         for i, (message, p_msg) in enumerate(messages):
             m_eng = eng.fork() if i < len(messages) - 1 else eng
             rec = m_eng.rounds[-1]
-            m_eng.take_message(node, rec, message, p_msg)
+            m_eng.take_message(rec, message, p_msg, senders[message])
             k_msg, p_run = k_product * p_msg, prob * p_msg
             # step 3: halt when K = sum log(1/p_M) exceeds C + b
             if cmp_pow2(k_msg, cap) < 0:
@@ -748,51 +763,73 @@ class LedgerReport:
         return self.deficiency_nonnegative and all(r.ok for r in self.rounds)
 
 
-def _dval(snapshot, b: int) -> Fraction:
-    free_count, mpx, mpy = snapshot
-    return Fraction(mpx.numerator * mpy.numerator << 2 * b * free_count,
-                    mpx.denominator * mpy.denominator)
+def _over(da, db, e) -> int:
+    """Sign of da/db - 2**e, for deficiency values held as int (num, den) pairs."""
+    return cmp_pow2_ratio(da[0] * db[1], da[1] * db[0], -e)
+
+
+def _times(d, p: Fraction):
+    """The (num, den) pair d times p."""
+    return d[0] * p.numerator, d[1] * p.denominator
+
+
+@lru_cache(maxsize=256)
+def _ledger_bounds(b: int, n: int, delta: Fraction, eta: Fraction, c: Fraction,
+                   eps: Fraction, isize: int) -> tuple:
+    """A round's exponents at |I| = isize, keyed by the values they read:
+    delta*b*|I|, the det and rand net decrease bounds, slack_ok, and the rand
+    bound under the alternative delta reading."""
+    # slack: 16nb * 2^(|I|+1) <= 2^((7/c)b|I| + (eta/8)b(|I|-1))
+    slack_rhs = (Fraction(7, 1) / c) * b * isize + eta * b * (isize - 1) / 8
+    delta_alt = 1 - eta / 8 + eps / 2
+    return (delta * b * isize, (1 - delta - Fraction(2, b)) * b * isize,
+            (1 - delta - eta / 8 - 7 / c) * b * isize,
+            cmp_pow2_ratio(16 * n * b << (isize + 1), 1, -slack_rhs) <= 0,
+            (1 - delta_alt - eta / 8 - 7 / c) * b * isize)
 
 
 def ledger_assertions(result: SimResult, params: LiftingParams) -> LedgerReport:
     """Recompute every deficiency delta from the trace and check the bounds.
 
     Deficiency is 2b|free| - H_inf(X_free) - H_inf(Y_free); it is carried in
-    the cleared form 4^(b|free|) * maxp_x * maxp_y, computed once per
-    snapshot of a round, so every clause is an exact rational comparison.
-    Conditional clauses are checked only when their recorded preconditions
-    hold; failed preconditions are reported.
+    the cleared form 4^(b|free|) * maxp_x * maxp_y, an int (num, den) pair
+    computed once per snapshot of a round, so every clause is decided by
+    cmp_pow2_ratio on ints.  Conditional clauses are checked only when their
+    recorded preconditions hold; failed preconditions are reported.
     """
     b = params.b
-    delta = params.delta
     rounds_out: List[RoundLedger] = []
     nonneg = True
     for rec in result.rounds:
-        dvals = {name: _dval(snap, b) for name, snap in rec.snapshots.items()}
+        dvals = {name: (mpx.numerator * mpy.numerator << 2 * b * free,
+                        mpx.denominator * mpy.denominator)
+                 for name, (free, mpx, mpy) in rec.snapshots.items()}
         checks: Dict[str, Optional[bool]] = {}
         pre: Dict[str, bool] = {}
-        if any(d < 1 for d in dvals.values()):
+        if any(num < den for num, den in dvals.values()):
             nonneg = False
         if "after_discard" in dvals and "start" in dvals:
             d0, d1 = dvals["start"], dvals["after_discard"]
             pre["discard_at_most_half"] = rec.discarded_mass * 2 <= 1
             checks["discard_increase_le_1_bit"] = (
-                d1 <= 2 * d0 if pre["discard_at_most_half"] else None)
+                _over(d1, d0, 1) <= 0 if pre["discard_at_most_half"] else None)
         if "after_message" in dvals and "after_discard" in dvals:
             d1, d2 = dvals["after_discard"], dvals["after_message"]
+            d2p = _times(d2, rec.p_message)
             if params.mode == "det":
                 pre["kraft_heavy"] = bool(rec.flags.get("kraft_heavy"))
                 checks["message_increase_le_len"] = (
-                    d2 <= d1 * (1 << len(rec.message)) if pre["kraft_heavy"] else None)
+                    _over(d2, d1, len(rec.message)) <= 0 if pre["kraft_heavy"] else None)
             else:
-                checks["message_increase_le_log"] = d2 * rec.p_message <= d1
+                checks["message_increase_le_log"] = _over(d2p, d1, 0) <= 0
             if "start" in dvals:
                 d0 = dvals["start"]
                 if pre.get("discard_at_most_half"):
-                    checks["steps12_increase_le_log_plus_1"] = (
-                        d2 * rec.p_message <= 2 * d0)
+                    checks["steps12_increase_le_log_plus_1"] = _over(d2p, d0, 1) <= 0
         if rec.query_coords and "after_message" in dvals and "end" in dvals:
             isize = len(rec.query_coords)
+            fix, det_bound, rand_bound, slack_ok, alt_bound = _ledger_bounds(
+                b, params.n, params.delta, params.eta, params.c, params.eps, isize)
             d2 = dvals["after_message"]
             d5 = dvals["end"]
             pre["nonleaking_event"] = bool(rec.flags.get("nonleaking_event"))
@@ -801,38 +838,27 @@ def ledger_assertions(result: SimResult, params: LiftingParams) -> LedgerReport:
                 if params.mode == "det":
                     pre["heavy_value"] = bool(rec.flags.get("heavy_value", True))
                     checks["fix_increase_lt_delta_b_I"] = (
-                        cmp_products(d3, (), d2, [(2, delta * b * isize)]) < 0
-                        if pre["heavy_value"] else None)
+                        _over(d3, d2, fix) < 0 if pre["heavy_value"] else None)
                 else:
                     checks["partition_increase_bound"] = (
-                        cmp_products(d3 * rec.p_geq, (), d2, [(2, delta * b * isize)]) <= 0
+                        _over(_times(d3, rec.p_geq), d2, fix) <= 0
                         if rec.p_geq is not None else None)
             if "after_query" in dvals and "after_fix" in dvals:
                 d3 = dvals["after_fix"]
                 d4 = dvals["after_query"]
-                checks["query_decrease_ge_b_I"] = (
-                    cmp_products(d4, [(2, Fraction(b * isize))], d3, ()) <= 0)
+                checks["query_decrease_ge_b_I"] = _over(d4, d3, -b * isize) <= 0
             if params.mode == "det":
-                bound = (1 - delta - Fraction(2, b)) * b * isize
                 applicable = pre.get("heavy_value", False) and pre["nonleaking_event"]
                 checks["net_decrease_det"] = (
-                    cmp_products(d5, [(2, bound)], d2, ()) <= 0 if applicable else None)
+                    _over(d5, d2, -det_bound) <= 0 if applicable else None)
             else:
                 pre["trunc_ok"] = (
                     rec.p_geq is not None and params.trunc_cmp(rec.p_geq) >= 0)
-                # slack: 16nb * 2^(|I|+1) <= 2^((7/c)b|I| + (eta/8)b(|I|-1))
-                slack_rhs = (Fraction(7, 1) / params.c) * b * isize \
-                    + params.eta * b * (isize - 1) / 8
-                pre["slack_ok"] = cmp_products(
-                    Fraction(16 * params.n * b * (1 << (isize + 1))), (),
-                    Fraction(1), [(2, slack_rhs)]) <= 0
-                bound = (1 - delta - params.eta / 8 - 7 / params.c) * b * isize
+                pre["slack_ok"] = slack_ok
                 applicable = pre["trunc_ok"] and pre["nonleaking_event"] and pre["slack_ok"]
                 checks["net_decrease_rand"] = (
-                    cmp_products(d5, [(2, bound)], d2, ()) <= 0 if applicable else None)
-                delta_alt = 1 - params.eta / 8 + params.eps / 2
-                bound_alt = (1 - delta_alt - params.eta / 8 - 7 / params.c) * b * isize
+                    _over(d5, d2, -rand_bound) <= 0 if applicable else None)
                 checks["net_decrease_rand_alt_delta_reading"] = (
-                    cmp_products(d5, [(2, bound_alt)], d2, ()) <= 0 if applicable else None)
+                    _over(d5, d2, -alt_bound) <= 0 if applicable else None)
         rounds_out.append(RoundLedger(rec.index, checks, pre))
     return LedgerReport(rounds_out, nonneg)

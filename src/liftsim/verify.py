@@ -44,7 +44,7 @@ from .dtrees import (
     z_bits,
 )
 from .errors import DomainError, FormatError, InvariantError, LiftsimError, malformed
-from .exact import cmp_pow2, cmp_products, frac_str
+from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_str
 from .gadgets import (
     Gadget,
     block_table,
@@ -697,33 +697,33 @@ def _density_postconditions(d: DistributionTable, delta: Fraction, b: int):
         return False, "conditioned remainder is not dense"
     if not coords and not is_dense(d, delta, b).dense:
         return False, "empty fix on a non-dense input"
-    parts = density_restoring_partition(d, delta, b)
     covered = []
-    p_geq = Fraction(1)
-    maxp_full = d.maxprob()
+    total, maxw_full = d.total, max(d.weights.values())
+    w_geq = total  # the weight of this part and the later ones
     k = len(d.domain[0])
-    for part in parts:
-        if part.p_geq != p_geq:
-            return False, f"p_geq mismatch at part {part.index}"
-        p_geq -= part.prob
-        covered.extend(part.members)
+    for part in density_restoring_partition(d, delta, b):
         cond = d.condition(set(part.members))
-        for i, v in zip(part.coords, part.value):
-            if any(t[i] != v for t in cond.support()):
-                return False, f"part {part.index} does not fix its block set"
+        if part.p_geq.numerator * total != w_geq * part.p_geq.denominator:
+            return False, f"p_geq mismatch at part {part.index}"
+        if part.prob.numerator * total != cond.total * part.prob.denominator:
+            return False, f"part {part.index} probability mismatch"
+        covered.extend(part.members)
+        fixed = tuple(zip(part.coords, part.value))
+        if any(t[i] != v for t in cond.support() for i, v in fixed):
+            return False, f"part {part.index} does not fix its block set"
         rest = tuple(i for i in range(k) if i not in part.coords)
         reduced = project(cond, rest) if rest else None
         if reduced is not None and not is_dense(reduced, delta, b).dense:
             return False, f"part {part.index} remainder is not dense"
-        # entropy bound: maxprob(rest | part) <= maxp_full * 2^(delta*b*|I|) / p_geq_j
-        mp = reduced.maxprob() if reduced is not None else Fraction(1)
-        lhs = mp * part.p_geq
-        if cmp_products(lhs, (), maxp_full, [(2, delta * b * len(part.coords))]) > 0:
+        # entropy bound: maxprob(rest | part) * p_geq_j <= maxp_full * 2^(delta*b*|I|),
+        # on weights: heavy/w_j * w_geq/total <= maxw_full/total * 2^(delta*b*|I|)
+        heavy = max(reduced.weights.values()) if reduced is not None else cond.total
+        if cmp_pow2_ratio(heavy * w_geq, cond.total * maxw_full,
+                          -delta * b * len(part.coords)) > 0:
             return False, f"part {part.index} violates the entropy bound"
+        w_geq -= cond.total
     if sorted(covered) != list(d.support()):
         return False, "parts do not partition the support"
-    if p_geq != 0:
-        return False, "part probabilities do not exhaust the distribution"
     return True, ""
 
 

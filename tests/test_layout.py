@@ -7,6 +7,10 @@ modules import it from there rather than spelling it out:
 * coordinate i of z is bit (n-1-i): ``dtrees.z_bits`` and ``dtrees.answer_index``;
 * subsets of coordinates in (size, lex) order: ``dist.subsets_by_size``;
 * the universe of block tuples: ``gadgets.block_table``.
+
+The lifting engines take a round's messages set-at-a-time, from
+``protocols.split_by_message``; the per-input walk ``round_message`` is
+called nowhere outside ``protocols.py``.
 """
 
 import ast
@@ -47,3 +51,8 @@ def test_combinations_imported_only_in_dist():
 def test_block_universe_only_from_block_table():
     found = _lines_with("product(range(1 <<")
     assert not found, f"build the block universe with gadgets.block_table: {found}"
+
+
+def test_round_message_only_in_protocols():
+    found = _lines_with("round_message(", home="protocols.py")
+    assert not found, f"split a set by message with protocols.split_by_message: {found}"

@@ -30,7 +30,10 @@ from liftsim.protocols import (
     RandomizedProtocol,
     canonical_protocol,
     complexity,
+    message_distribution,
+    round_message,
     run_protocol,
+    split_by_message,
 )
 from liftsim.simulate import (
     ERROR_K,
@@ -72,6 +75,14 @@ def rand_params(b, n, **kw):
 def canonical_instance(problem, g):
     _, tree = brute_force_Ddt(problem)
     return canonical_protocol(tree, g)
+
+
+def mirror(node):
+    """The same tree with the speakers swapped at every node."""
+    if isinstance(node, PLeaf):
+        return node
+    return PNode("B" if node.speaker == "A" else "A", node.bits,
+                 tuple(map(mirror, node.children)))
 
 
 def test_params_derivations():
@@ -380,7 +391,7 @@ def test_query_count_bookkeeping():
     # 2^((1-delta-2/b)*b*Q) <= product of per-round increase ratios, which
     # bounds total queries by the communication spent
     from liftsim.exact import cmp_products
-    from liftsim.simulate import _dval
+    from ledger_oracle import _dval
     params = det_params(2, 2)
     beta = (1 - params.delta - F(2, 2)) * 2  # (1-delta-2/b)*b
     for problem in (parity_problem(2), index_problem(2), find_one_problem(2)):
@@ -546,12 +557,6 @@ def test_shared_engine_cache_matches_fresh_caches(monkeypatch):
             if hasattr(value, "cache_info"):
                 setattr(cache, name, value.__wrapped__)
         return cache
-
-    def mirror(node):
-        if isinstance(node, PLeaf):
-            return node
-        return PNode("B" if node.speaker == "A" else "A", node.bits,
-                     tuple(map(mirror, node.children)))
 
     def runs(protocols, g, det, rnd, det_cache, rnd_cache):
         out = []
@@ -732,3 +737,83 @@ def test_ip3_enumeration_pinned():
     assert (len(items), dist.total) == (343, 343)
     digest = hashlib.sha256(repr((items, dist.total)).encode()).hexdigest()
     assert digest == IP3_ENUMERATION_PIN
+
+
+def _round_starts(node, speaker=None):
+    """The nodes of a protocol tree where a round begins, in preorder."""
+    if isinstance(node, PLeaf):
+        return []
+    here = [node] if node.speaker != speaker else []
+    return here + [start for child in node.children for start in _round_starts(child, node.speaker)]
+
+
+STEP_CASES = ((IP2, parity_problem(2)), (IP2, parity_problem(3)),
+              (gadgets._ip_gadget(3), parity_problem(3)))
+
+
+def test_message_split_matches_per_input_walks():
+    # split_by_message walks each node of a round once with the inputs that
+    # reach it.  The oracle walks the round once per input (round_message),
+    # groups the inputs by message in set order, as take_message's filter
+    # kept them, and message_distribution gives the same messages, weights
+    # and end nodes.  The mirrored protocols put B's rounds first.
+    rng = random.Random(15)
+    shapes = Counter()
+    for g, problem in STEP_CASES:
+        proto = canonical_instance(problem, g)
+        size = proto.input_size
+        for root in (proto.root, mirror(proto.root)):
+            starts = _round_starts(root)
+            for node in rng.sample(starts, min(10, len(starts))):
+                for count in (1, 3, size // 3, size):
+                    inputs = tuple(rng.sample(range(size), count))
+                    parts, ends = split_by_message(node, inputs)
+                    want, want_ends = {}, {}
+                    for v in inputs:
+                        message, end = round_message(node, v)
+                        want.setdefault(message, []).append(v)
+                        want_ends[message] = end
+                    assert {w: list(vs) for w, vs in parts.items()} == want
+                    assert all(ends[w] is want_ends[w] for w in want) and ends.keys() == want.keys()
+                    table, table_ends = message_distribution(
+                        proto, node, DistributionTable.uniform(inputs))
+                    assert table.weights == {w: len(vs) for w, vs in want.items()}
+                    assert all(table_ends[w] is ends[w] for w in want)
+                    shapes[node.speaker, "one message" if len(want) == 1 else "split"] += 1
+    assert set(shapes) == {(s, m) for s in "AB" for m in ("one message", "split")}, shapes
+
+
+def test_preimage_conditioning_matches_per_input_eval():
+    # query_and_condition keeps a silent input iff each of its queried blocks
+    # lies in the preimage set of (side, fixed block, z-bit).  The oracle
+    # evaluates the speaker's gadget on every input's blocks, with the
+    # speaker's block first (the transpose when B speaks); rand:2:2 is the
+    # asymmetric gadget.  A step that would empty the silent side leaves it.
+    rng = random.Random(15)
+    outcomes = Counter()
+    cases = [(g, problem.n) for g, problem in STEP_CASES] + [(builtin_gadget("rand:2:2"), 2)]
+    for g, n in cases:
+        params = det_params(g.b, n)
+        cache = simulate._EngineCache(g, params)
+        size = 1 << (g.b * n)
+        for _ in range(60):
+            side = rng.randrange(2)
+            gad = g.transpose() if side else g
+            eng = simulate._Engine(ProtocolTree(n, g.b, PLeaf(0)), g, rng.randrange(1 << n),
+                                   params, cache)
+            silent = tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
+            eng.sets = (eng.sets[0], silent) if side == 0 else (silent, eng.sets[1])
+            coords = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            rec = RoundRecord(1, "AB"[side], tuple(range(n)), query_coords=coords,
+                              fixed_value=tuple(rng.randrange(g.side) for _ in coords))
+            checks = list(zip(coords, rec.fixed_value, simulate.z_bits(eng.z, n, coords)))
+            want = tuple(w for w in silent
+                         if all(gad.eval(xb, blocks_of(w, n, g.b)[i]) == bit
+                                for i, xb, bit in checks))
+            assert eng.query_and_condition(rec) == bool(want)
+            assert eng.sets[1 - side] == (want or silent)
+            assert rec.step5_prob == F(len(want), len(silent))
+            outcomes[side, "emptied" if not want else "kept all" if want == silent
+                     else "cut"] += 1
+    assert set(outcomes) == {(s, o) for s in (0, 1) for o in ("emptied", "kept all", "cut")}, \
+        outcomes

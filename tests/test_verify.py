@@ -14,7 +14,7 @@ from liftsim.errors import DomainError, LiftsimError
 from liftsim.gadgets import builtin_gadget, discrepancy
 from liftsim.protocols import canonical_protocol
 from liftsim.simulate import LiftingParams, enumerate_output_distribution, lift_randomized
-from liftsim.structure import Restriction
+from liftsim.structure import DensityPart, Restriction
 from liftsim.verify import (
     CorpusSpec,
     all_prefix_free_codes,
@@ -296,3 +296,34 @@ def test_stored_complexity_leaves_randomized_lifts_unchanged(monkeypatch):
     got = outputs()
     monkeypatch.setattr(simulate, "complexity", oracle_complexity)
     assert outputs() == got
+
+
+def test_density_postconditions_fail_on_broken_partitions(monkeypatch):
+    # The density section checks the partition it is handed, so each broken
+    # partition below trips the one postcondition named.  Halving on block 0
+    # is a valid fix-and-carve partition of `skew` at delta = 1 (not the
+    # greedy one), and each case breaks one field of it; at delta = 1/2 the
+    # same halves of the uniform table break only the entropy bound.
+    skew = DistributionTable.from_weights({(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1})
+    flat = DistributionTable.uniform(list(product(range(2), repeat=2)))
+    left, right = ((0, 0), (0, 1)), ((1, 0), (1, 1))
+
+    def halves(p1=F(2, 3), v2=(1,), p_geq2=F(1, 3), c1=(0,), v1=(0,)):
+        return [DensityPart(1, c1, v1, left, p1, F(1)),
+                DensityPart(2, (0,), v2, right, 1 - p1, p_geq2)]
+
+    cases = [
+        (skew, F(1), halves(), ""),
+        (skew, F(1), halves(p_geq2=F(1, 2)), "p_geq mismatch at part 2"),
+        (skew, F(1), halves(p1=F(1, 2)), "part 1 probability mismatch"),
+        (skew, F(1), halves(v2=(0,)), "part 2 does not fix its block set"),
+        (skew, F(1), halves(c1=(), v1=()), "part 1 remainder is not dense"),
+        (flat, F(1, 2), halves(p1=F(1, 2), p_geq2=F(1, 2)),
+         "part 1 violates the entropy bound"),
+        (skew, F(1), halves()[:1] + [DensityPart(2, (0, 1), (1, 0), ((1, 0),), F(1, 6),
+                                                 F(1, 3))],
+         "parts do not partition the support"),
+    ]
+    for d, delta, parts, detail in cases:
+        monkeypatch.setattr(verify, "density_restoring_partition", lambda *_: parts)
+        assert verify._density_postconditions(d, delta, 1) == (not detail, detail)
