@@ -127,16 +127,16 @@ def split_by_message(node: PNode, inputs: Sequence[int]):
     """The speaker's inputs split by the message they send in the round that
     starts at `node`, walking each of the round's nodes once with the inputs
     that reach it: ({message: those inputs, in `inputs` order}, {message: end node})."""
-    speaker, parts, ends = node.speaker, {}, {}
+    parts, ends = {}, {}
 
     def walk(cur, msg: str, vs) -> None:
-        if not (isinstance(cur, PNode) and cur.speaker == speaker):
+        if isinstance(cur, PNode) and cur.speaker == node.speaker:
+            bits = cur.bits
+            for bit, part in enumerate(([v for v in vs if not bits[v]], [v for v in vs if bits[v]])):
+                if part:
+                    walk(cur.children[bit], msg + "01"[bit], part)
+        else:
             parts[msg], ends[msg] = tuple(vs), cur
-            return
-        bits = cur.bits
-        for bit, part in enumerate(([v for v in vs if not bits[v]], [v for v in vs if bits[v]])):
-            if part:
-                walk(cur.children[bit], msg + "01"[bit], part)
 
     walk(node, "", inputs)
     return parts, ends
@@ -154,9 +154,8 @@ def message_distribution(p: ProtocolTree, node: PNode, x: DistributionTable):
     if not parts:
         raise DomainError("empty support at this node")
     assert_prefix_free(list(parts))
-    weight = x.weights.__getitem__
     return DistributionTable.from_weights(
-        {w: sum(map(weight, vs)) for w, vs in parts.items()}), ends
+        {w: sum(map(x.weights.__getitem__, vs)) for w, vs in parts.items()}), ends
 
 
 def kraft_heavy_message(d: DistributionTable) -> str:

@@ -34,7 +34,7 @@ from itertools import compress
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .dist import DistributionTable, ZERO, _places, project
+from .dist import DistributionTable, ZERO, _places, _table, project
 from .errors import BudgetError, DomainError, LiftsimError
 from .exact import cmp_pow2, cmp_pow2_ratio, exact_log2, frac_str
 from .gadgets import Gadget, block_table, blocks_of
@@ -441,9 +441,9 @@ class _Engine:
     def message_table(self, node: PNode):
         """(message distribution, {message: the speaker's inputs sending it},
         {message: end node}) of the round starting at `node`."""
-        parts, ends = split_by_message(node, self.sets[_side(node.speaker)])
-        return DistributionTable.from_weights(
-            {w: len(vs) for w, vs in parts.items()}), parts, ends
+        inputs = self.sets[_side(node.speaker)]
+        parts, ends = split_by_message(node, inputs)
+        return _table({w: len(parts[w]) for w in sorted(parts)}, len(inputs)), parts, ends
 
     def take_message(self, rec: RoundRecord, message: str, p_message: Fraction,
                      inputs: Tuple[int, ...]):
