@@ -287,7 +287,8 @@ class _EngineCache:
       context(side, silent, free):    the silent side's density witness and its
                                       DangerScan against the speaker's gadget
       verdicts(side, silent, free):   that scan's dangerous(x_free), memoised per x_free
-      preimage(side, xb, bit):        the silent blocks (yb,) with gadget(xb, yb) = bit
+      preimage(side, coord, xb, bit): the silent inputs whose block y at coord
+                                      has gadget(xb, y) = bit
     """
 
     def __init__(self, g: Gadget, params: LiftingParams):
@@ -330,9 +331,10 @@ class _EngineCache:
     def verdicts(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
         return lru_cache(maxsize=None)(self.context(side, silent, free)[1].dangerous)
 
-    def preimage(self, side: int, xb: int, bit: int) -> frozenset:
-        g = self.gadgets[side]
-        return frozenset((yb,) for yb in range(g.side) if g.eval(xb, yb) == bit)
+    def preimage(self, side: int, coord: int, xb: int, bit: int) -> frozenset:
+        g, p = self.gadgets[side], self.params
+        blocks = {(y,) for y in range(g.side) if g.eval(xb, y) == bit}
+        return frozenset(v for v, key in enumerate(_free_keys(p.n, p.b, (coord,))) if key in blocks)
 
 
 def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
@@ -494,8 +496,7 @@ class _Engine:
         kept = self.sets[1 - side]
         silent_size = len(kept)
         for coord, xb, bit in zip(abs_coords, rec.fixed_value, zbits):
-            kept = _select(kept, _free_keys(self.params.n, self.params.b, (coord,)),
-                           self.cache.preimage(side, xb, bit))
+            kept = tuple(filter(self.cache.preimage(side, coord, xb, bit).__contains__, kept))
         ok = self.restrict(1 - side, kept)
         rec.step5_prob = Fraction(len(kept), silent_size)
         rec.flags["nonleaking_event"] = len(kept) << (len(abs_coords) + 1) >= silent_size

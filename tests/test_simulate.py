@@ -784,11 +784,12 @@ def test_message_split_matches_per_input_walks():
 
 
 def test_preimage_conditioning_matches_per_input_eval():
-    # query_and_condition keeps a silent input iff each of its queried blocks
-    # lies in the preimage set of (side, fixed block, z-bit).  The oracle
-    # evaluates the speaker's gadget on every input's blocks, with the
-    # speaker's block first (the transpose when B speaks); rand:2:2 is the
-    # asymmetric gadget.  A step that would empty the silent side leaves it.
+    # query_and_condition keeps a silent input iff it lies in the preimage
+    # set of (side, coordinate, fixed block, z-bit) for each queried
+    # coordinate.  The oracle evaluates the speaker's gadget on every input's
+    # blocks, with the speaker's block first (the transpose when B speaks);
+    # rand:2:2 is the asymmetric gadget.  A step that would empty the silent
+    # side leaves it.
     rng = random.Random(15)
     outcomes = Counter()
     cases = [(g, problem.n) for g, problem in STEP_CASES] + [(builtin_gadget("rand:2:2"), 2)]
