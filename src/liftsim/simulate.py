@@ -333,8 +333,7 @@ class _EngineCache:
 
     def preimage(self, side: int, coord: int, xb: int, bit: int) -> frozenset:
         g, p = self.gadgets[side], self.params
-        blocks = {(y,) for y in range(g.side) if g.eval(xb, y) == bit}
-        return frozenset(v for v, key in enumerate(_free_keys(p.n, p.b, (coord,))) if key in blocks)
+        return frozenset(v for v, t in enumerate(block_table(p.n, p.b)) if g.eval(xb, t[coord]) == bit)
 
 
 def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
