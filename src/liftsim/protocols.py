@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .dist import DistributionTable
@@ -188,22 +187,11 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
 
     For every queried coordinate i, Alice announces her block x_i (b bits,
     most significant first) and Bob answers with the gadget output (1 bit);
-    leaf labels are copied from the decision tree.  Equal bit maps are one
-    shared tuple: Alice's depends only on (coordinate, depth), Bob's only on
-    (coordinate, x_coordinate).
+    leaf labels are copied from the decision tree.
     """
     n, b = tree.n, g.b
     size = 1 << (b * n)
     x_blocks = y_blocks = block_table(n, b)
-
-    @lru_cache(maxsize=None)
-    def alice_bits(coord: int, depth: int) -> Tuple[int, ...]:
-        return tuple((x_blocks[v][coord] >> (b - 1 - depth)) & 1 for v in range(size))
-
-    @lru_cache(maxsize=None)
-    def bob_bits(coord: int, x_coord: int) -> Tuple[int, ...]:
-        row = x_coord * g.side
-        return tuple(g.table[row + y_blocks[v][coord]] for v in range(size))
 
     def _query_chain(dnode: DNode, coords, k: int, partial: Tuple[int, ...]):
         if not coords:  # degenerate pass-through node, communicates nothing
@@ -216,6 +204,9 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
 
         def alice_level(depth: int, xi_prefix: int):
             if depth == b:
+                row = xi_prefix * g.side
+                bits = tuple(g.table[row + y_blocks[v][coord]] for v in range(size))
+
                 def after(zbit: int):
                     new_partial = partial + (zbit,)
                     if k + 1 < len(coords):
@@ -228,10 +219,11 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
                         return PLeaf(child.output)
                     return _query_chain(child, child.queries, 0, ())
 
-                return PNode("B", bob_bits(coord, xi_prefix), (after(0), after(1)))
+                return PNode("B", bits, (after(0), after(1)))
+            bits = tuple((x_blocks[v][coord] >> (b - 1 - depth)) & 1 for v in range(size))
             return PNode(
                 "A",
-                alice_bits(coord, depth),
+                bits,
                 (alice_level(depth + 1, xi_prefix << 1),
                  alice_level(depth + 1, (xi_prefix << 1) | 1)),
             )

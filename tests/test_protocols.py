@@ -1,22 +1,12 @@
 import random
 from fractions import Fraction as F
-from typing import Tuple
 
 import pytest
 
 from liftsim.dist import DistributionTable
-from liftsim.dtrees import (
-    DLeaf,
-    DNode,
-    ParallelDecisionTree,
-    brute_force_Ddt,
-    find_one_problem,
-    first_bit_problem,
-    index_problem,
-    parity_problem,
-)
+from liftsim.dtrees import brute_force_Ddt, parity_problem, first_bit_problem
 from liftsim.errors import DomainError, InvariantError
-from liftsim.gadgets import Gadget, _ip_gadget, block_table, builtin_gadget
+from liftsim.gadgets import builtin_gadget
 from liftsim.protocols import (
     PLeaf,
     PNode,
@@ -148,90 +138,6 @@ def test_canonical_protocol_solves_composed_problems():
                 _, out, _ = run_protocol(proto, x, y)
                 z = compose_eval(g, x, y, n)
                 assert problem.allows(z, out)
-
-
-def oracle_canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
-    """canonical_protocol as it was before equal bit maps were shared: every
-    node builds its own bit tuple.
-
-    For every queried coordinate i, Alice announces her block x_i (b bits,
-    most significant first) and Bob answers with the gadget output (1 bit);
-    leaf labels are copied from the decision tree.
-    """
-    n, b = tree.n, g.b
-    size = 1 << (b * n)
-    x_blocks = y_blocks = block_table(n, b)
-
-    def _query_chain(dnode: DNode, coords, k: int, partial: Tuple[int, ...]):
-        if not coords:  # degenerate pass-through node, communicates nothing
-            child = dnode.children[0]
-            if isinstance(child, DLeaf):
-                return PLeaf(child.output)
-            return _query_chain(child, child.queries, 0, ())
-        # announce coordinate coords[k]: b Alice bits then one Bob bit
-        coord = coords[k]
-
-        def alice_level(depth: int, xi_prefix: int):
-            if depth == b:
-                row = xi_prefix * g.side
-                bits = tuple(g.table[row + y_blocks[v][coord]] for v in range(size))
-
-                def after(zbit: int):
-                    new_partial = partial + (zbit,)
-                    if k + 1 < len(coords):
-                        return _query_chain(dnode, coords, k + 1, new_partial)
-                    idx = 0
-                    for bitv in new_partial:
-                        idx = (idx << 1) | bitv
-                    child = dnode.children[idx]
-                    if isinstance(child, DLeaf):
-                        return PLeaf(child.output)
-                    return _query_chain(child, child.queries, 0, ())
-
-                return PNode("B", bits, (after(0), after(1)))
-            bits = tuple((x_blocks[v][coord] >> (b - 1 - depth)) & 1 for v in range(size))
-            return PNode(
-                "A",
-                bits,
-                (alice_level(depth + 1, xi_prefix << 1),
-                 alice_level(depth + 1, (xi_prefix << 1) | 1)),
-            )
-
-        return alice_level(0, 0)
-
-    root = tree.root
-    if isinstance(root, DLeaf):
-        return ProtocolTree(n, b, PLeaf(root.output))
-    return ProtocolTree(n, b, _query_chain(root, root.queries, 0, ()))
-
-
-def _internal_nodes(node):
-    if isinstance(node, PLeaf):
-        return []
-    return [node] + [m for child in node.children for m in _internal_nodes(child)]
-
-
-def test_canonical_protocol_matches_unshared_builder():
-    # Sharing equal bit maps keeps the protocol equal as a value to the one
-    # whose nodes each build their own tuple, for every b*n <= 9 below; the
-    # tree holds at most n*b Alice maps and n*2^b Bob maps.
-    gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip1", "ip2", "rand:2:5")]
-    gadgets += [g.transpose() for g in gadgets[-2:]] + [_ip_gadget(3), builtin_gadget("rand:3:1")]
-    problems = [maker(n) for n in (1, 2, 3)
-                for maker in (parity_problem, first_bit_problem, index_problem, find_one_problem)]
-    shared = 0
-    for g in gadgets:
-        for problem in problems:
-            if g.b * problem.n > 9:
-                continue
-            tree = brute_force_Ddt(problem)[1]
-            proto = canonical_protocol(tree, g)
-            assert proto == oracle_canonical_protocol(tree, g)
-            nodes = _internal_nodes(proto.root)
-            maps = {id(node.bits) for node in nodes}
-            assert len(maps) <= problem.n * (g.b + g.side)
-            shared += len(maps) < len(nodes)
-    assert shared > 20, shared
 
 
 def test_protocol_json_roundtrip():
