@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .dist import DistributionTable
+from .dist import DistributionTable, _table
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .errors import DomainError, FormatError, InvariantError, malformed
 from .gadgets import Gadget, block_table
@@ -26,7 +26,6 @@ __all__ = [
     "RandomizedProtocol",
     "run_protocol",
     "round_message",
-    "split_by_message",
     "message_distribution",
     "assert_prefix_free",
     "kraft_heavy_message",
@@ -123,10 +122,17 @@ def round_message(node: PNode, v: int):
     return "".join(msg), cur
 
 
-def split_by_message(node: PNode, inputs: Sequence[int]):
-    """The speaker's inputs split by the message they send in the round that
-    starts at `node`, walking each of the round's nodes once with the inputs
-    that reach it: ({message: those inputs, in `inputs` order}, {message: end node})."""
+def message_distribution(node: PNode, inputs: Sequence[int]):
+    """The messages the speaker of `node` sends in the round starting there,
+    on the uniform distribution over `inputs` (each of which must reach
+    `node`): (table over message strings, {message: its inputs, in `inputs`
+    order}, {message: end node}).  Each node of the round is walked once,
+    with the inputs that reach it, zero branch first, so the messages come
+    in lexicographic order."""
+    if not isinstance(node, PNode):
+        raise DomainError("message distribution needs an internal node")
+    if not inputs:
+        raise DomainError("empty support at this node")
     parts, ends = {}, {}
 
     def walk(cur, msg: str, vs) -> None:
@@ -139,23 +145,7 @@ def split_by_message(node: PNode, inputs: Sequence[int]):
             parts[msg], ends[msg] = tuple(vs), cur
 
     walk(node, "", inputs)
-    return parts, ends
-
-
-def message_distribution(p: ProtocolTree, node: PNode, x: DistributionTable):
-    """Distribution over the speaker's maximal same-speaker messages from `node`.
-
-    `x` must be the speaker's input distribution restricted to inputs that
-    reach `node`.  Returns (table over message strings, message -> end node).
-    """
-    if not isinstance(node, PNode):
-        raise DomainError("message distribution needs an internal node")
-    parts, ends = split_by_message(node, x.support())
-    if not parts:
-        raise DomainError("empty support at this node")
-    assert_prefix_free(list(parts))
-    return DistributionTable.from_weights(
-        {w: sum(map(x.weights.__getitem__, vs)) for w, vs in parts.items()}), ends
+    return _table({w: len(vs) for w, vs in parts.items()}, len(inputs)), parts, ends
 
 
 def kraft_heavy_message(d: DistributionTable) -> str:

@@ -34,7 +34,7 @@ from itertools import compress
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .dist import DistributionTable, ZERO, _places, _table, project
+from .dist import DistributionTable, ZERO, _places, project
 from .errors import BudgetError, DomainError, LiftsimError
 from .exact import cmp_pow2, cmp_pow2_ratio, exact_log2, frac_str
 from .gadgets import Gadget, block_table, blocks_of
@@ -45,8 +45,8 @@ from .protocols import (
     RandomizedProtocol,
     complexity,
     kraft_heavy_message,
+    message_distribution,
     run_protocol,
-    split_by_message,
 )
 from .dtrees import DLeaf, DNode, ParallelDecisionTree, answer_index, z_bits
 from .structure import (
@@ -280,8 +280,7 @@ class _EngineCache:
     cache_info() counts its hits:
 
       marginal(inputs, free):         the inputs' marginal on the free coordinates
-      _maxprob(inputs, free):         its maxprob, which maxprob reads when
-                                      some coordinate is free (1 otherwise)
+      maxprob(inputs, free):          its maxprob
       dense(inputs, free, delta):     whether it is delta-dense
       partition(inputs, free):        its density-restoring partition
       context(side, silent, free):    the silent side's density witness and its
@@ -297,7 +296,7 @@ class _EngineCache:
         self.params = params
         self.key = _cache_key(g, params)
         memo = lru_cache(maxsize=None)
-        self.marginal, self._maxprob = memo(self.marginal), memo(self._maxprob)
+        self.marginal, self.maxprob = memo(self.marginal), memo(self.maxprob)
         self.dense, self.partition = memo(self.dense), memo(self.partition)
         self.context, self.verdicts = memo(self.context), memo(self.verdicts)
         self.preimage = memo(self.preimage)
@@ -307,9 +306,6 @@ class _EngineCache:
         return DistributionTable.from_weights(Counter(map(keys.__getitem__, inputs)))
 
     def maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
-        return self._maxprob(inputs, free) if free else ONE
-
-    def _maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
         return self.marginal(inputs, free).maxprob()
 
     def dense(self, inputs: Tuple[int, ...], free: Tuple[int, ...], delta: Fraction) -> bool:
@@ -341,18 +337,6 @@ def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
     return g.table, params.eps, params.delta, params.b, params.n
 
 
-def _cache_for(g: Gadget, params: LiftingParams,
-               cache: Optional[_EngineCache]) -> _EngineCache:
-    """`cache`, or a new one when None; a cache built for another gadget or
-    other (eps, delta, b, n) is refused, since its entries would be wrong."""
-    if cache is None:
-        return _EngineCache(g, params)
-    if cache.key != _cache_key(g, params):
-        raise DomainError("the engine cache was built for another gadget "
-                          "or other (eps, delta, b, n)")
-    return cache
-
-
 class _Engine:
     """State and steps of one simulation run; `fork` copies it for another branch."""
 
@@ -364,7 +348,10 @@ class _Engine:
             raise DomainError(f"z must be an {p.n}-bit value")
         self.z = z
         self.params = params
-        self.cache = _cache_for(g, params, cache)
+        if cache is not None and cache.key != _cache_key(g, params):  # its entries would be wrong
+            raise DomainError("the engine cache was built for another gadget "
+                              "or other (eps, delta, b, n)")
+        self.cache = cache or _EngineCache(g, params)
         full = tuple(range(p.input_size))
         self.sets = (full, full)
         self.rho = Restriction.all_free(p.n)
@@ -404,20 +391,17 @@ class _Engine:
         return rec
 
     def snapshot(self, free: Tuple[int, ...]):
+        """(free count, maxp_x, maxp_y); with nothing free, each maxprob is 1."""
+        if not free:
+            return 0, ONE, ONE
         xset, yset = self.sets
-        return (len(free), self.cache.maxprob(xset, free), self.cache.maxprob(yset, free))
+        return len(free), self.cache.maxprob(xset, free), self.cache.maxprob(yset, free)
 
     def _density_invariant(self, rec: RoundRecord) -> None:
-        free = rec.free_before
-        if not free:
-            rec.flags["invariant_speaker_dense"] = True
-            rec.flags["invariant_silent_dense"] = True
-            return
-        pr = self.params
-        side = _side(rec.speaker)
-        rec.flags["invariant_speaker_dense"] = self.cache.dense(
+        free, pr, side = rec.free_before, self.params, _side(rec.speaker)
+        rec.flags["invariant_speaker_dense"] = not free or self.cache.dense(
             self.sets[side], free, pr.delta - pr.eps)
-        rec.flags["invariant_silent_dense"] = self.cache.dense(
+        rec.flags["invariant_silent_dense"] = not free or self.cache.dense(
             self.sets[1 - side], free, pr.delta)
 
     def discard_dangerous(self, rec: RoundRecord) -> bool:
@@ -439,13 +423,6 @@ class _Engine:
         rec.snapshots["after_discard"] = self.snapshot(free)
         return ok
 
-    def message_table(self, node: PNode):
-        """(message distribution, {message: the speaker's inputs sending it},
-        {message: end node}) of the round starting at `node`."""
-        inputs = self.sets[_side(node.speaker)]
-        parts, ends = split_by_message(node, inputs)
-        return _table({w: len(parts[w]) for w in sorted(parts)}, len(inputs)), parts, ends
-
     def take_message(self, rec: RoundRecord, message: str, p_message: Fraction,
                      inputs: Tuple[int, ...]):
         """Step 2: the speaker keeps `inputs`, the ones sending `message`."""
@@ -456,28 +433,19 @@ class _Engine:
         self.restrict(_side(rec.speaker), inputs)
         rec.snapshots["after_message"] = self.snapshot(rec.free_before)
 
-    def fix_blocks(self, rec: RoundRecord, rel_coords, value) -> None:
-        """Condition the speaker on a block assignment inside the free part."""
-        free = rec.free_before
-        abs_coords = tuple(free[i] for i in rel_coords)
-        rec.query_coords = abs_coords
-        rec.fixed_value = tuple(value)
-        if abs_coords:
-            side = _side(rec.speaker)
-            keys = _free_keys(self.params.n, self.params.b, abs_coords)
-            self.restrict(side, _select(self.sets[side], keys, {rec.fixed_value}))
-        rec.snapshots["after_fix"] = self.snapshot(free)
-
-    def apply_class(self, rec: RoundRecord, part) -> None:
-        """Rand step 4: condition the speaker on a density-restoring class."""
-        rec.class_index = part.index
-        rec.p_class = part.prob
-        rec.p_geq = part.p_geq
+    def fix_blocks(self, rec: RoundRecord, rel_coords, value, members=None) -> None:
+        """Condition the speaker on the block assignment `value` at the free
+        coordinates `rel_coords` or, for a density-restoring class (rand step
+        4), on the class's `members`, values of all the free coordinates."""
         free, side = rec.free_before, _side(rec.speaker)
-        keys = _free_keys(self.params.n, self.params.b, free)
-        self.restrict(side, _select(self.sets[side], keys, set(part.members)))
-        rec.query_coords = tuple(free[i] for i in part.coords)
-        rec.fixed_value = tuple(part.value)
+        rec.query_coords = tuple(free[i] for i in rel_coords)
+        rec.fixed_value = tuple(value)
+        if members is not None:
+            keys = _free_keys(self.params.n, self.params.b, free)
+            self.restrict(side, _select(self.sets[side], keys, set(members)))
+        elif rel_coords:
+            keys = _free_keys(self.params.n, self.params.b, rec.query_coords)
+            self.restrict(side, _select(self.sets[side], keys, {rec.fixed_value}))
         rec.snapshots["after_fix"] = self.snapshot(free)
 
     def query_and_condition(self, rec: RoundRecord):
@@ -522,7 +490,7 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
         if not eng.discard_dangerous(rec):
             return eng.result("invariant_violation",
                               "step1: every surviving value is dangerous")
-        table, senders, ends = eng.message_table(node)
+        table, senders, ends = message_distribution(node, eng.sets[_side(node.speaker)])
         message = kraft_heavy_message(table)
         eng.take_message(rec, message, table.prob(message), senders[message])
         node = ends[message]
@@ -580,7 +548,7 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
             yield prob, eng.result("invariant_violation",
                                    "step1: every surviving value is dangerous", k_product=k_product)
             return
-        table, senders, ends = eng.message_table(node)
+        table, senders, ends = message_distribution(node, eng.sets[_side(node.speaker)])
         messages = pick([(w, table.prob(w)) for w in table.support()])
         for i, (message, p_msg) in enumerate(messages):
             m_eng = eng.fork() if i < len(messages) - 1 else eng
@@ -603,7 +571,8 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                 rec = c_eng.rounds[-1]
                 p_cls = p_run if part is None else p_run * p_part
                 if part is not None:
-                    c_eng.apply_class(rec, part)
+                    rec.class_index, rec.p_class, rec.p_geq = part.index, part.prob, part.p_geq
+                    c_eng.fix_blocks(rec, part.coords, part.value, part.members)
                     if params.trunc_cmp(part.p_geq) < 0:
                         rec.flags["trunc_halt"] = True
                         yield p_cls, c_eng.result(
@@ -763,14 +732,9 @@ class LedgerReport:
         return self.deficiency_nonnegative and all(r.ok for r in self.rounds)
 
 
-def _over(da, db, e) -> int:
-    """Sign of da/db - 2**e, for deficiency values held as int (num, den) pairs."""
-    return cmp_pow2_ratio(da[0] * db[1], da[1] * db[0], -e)
-
-
-def _times(d, p: Fraction):
-    """The (num, den) pair d times p."""
-    return d[0] * p.numerator, d[1] * p.denominator
+def _over(da, db, e, p: Fraction = ONE) -> int:
+    """Sign of p*da/db - 2**e, for deficiency values held as int (num, den) pairs."""
+    return cmp_pow2_ratio(p.numerator * da[0] * db[1], p.denominator * da[1] * db[0], -e)
 
 
 @lru_cache(maxsize=256)
@@ -815,17 +779,16 @@ def ledger_assertions(result: SimResult, params: LiftingParams) -> LedgerReport:
                 _over(d1, d0, 1) <= 0 if pre["discard_at_most_half"] else None)
         if "after_message" in dvals and "after_discard" in dvals:
             d1, d2 = dvals["after_discard"], dvals["after_message"]
-            d2p = _times(d2, rec.p_message)
             if params.mode == "det":
                 pre["kraft_heavy"] = bool(rec.flags.get("kraft_heavy"))
                 checks["message_increase_le_len"] = (
                     _over(d2, d1, len(rec.message)) <= 0 if pre["kraft_heavy"] else None)
             else:
-                checks["message_increase_le_log"] = _over(d2p, d1, 0) <= 0
+                checks["message_increase_le_log"] = _over(d2, d1, 0, rec.p_message) <= 0
             if "start" in dvals:
                 d0 = dvals["start"]
                 if pre.get("discard_at_most_half"):
-                    checks["steps12_increase_le_log_plus_1"] = _over(d2p, d0, 1) <= 0
+                    checks["steps12_increase_le_log_plus_1"] = _over(d2, d0, 1, rec.p_message) <= 0
         if rec.query_coords and "after_message" in dvals and "end" in dvals:
             isize = len(rec.query_coords)
             fix, det_bound, rand_bound, slack_ok, alt_bound = _ledger_bounds(
@@ -841,7 +804,7 @@ def ledger_assertions(result: SimResult, params: LiftingParams) -> LedgerReport:
                         _over(d3, d2, fix) < 0 if pre["heavy_value"] else None)
                 else:
                     checks["partition_increase_bound"] = (
-                        _over(_times(d3, rec.p_geq), d2, fix) <= 0
+                        _over(d3, d2, fix, rec.p_geq) <= 0
                         if rec.p_geq is not None else None)
             if "after_query" in dvals and "after_fix" in dvals:
                 d3 = dvals["after_fix"]

@@ -9,7 +9,7 @@ modules import it from there rather than spelling it out:
 * the universe of block tuples: ``gadgets.block_table``.
 
 The lifting engines take a round's messages set-at-a-time, from
-``protocols.split_by_message``; the per-input walk ``round_message`` is
+``protocols.message_distribution``; the per-input walk ``round_message`` is
 called nowhere outside ``protocols.py``.
 """
 
@@ -55,4 +55,4 @@ def test_block_universe_only_from_block_table():
 
 def test_round_message_only_in_protocols():
     found = _lines_with("round_message(", home="protocols.py")
-    assert not found, f"split a set by message with protocols.split_by_message: {found}"
+    assert not found, f"split a set by message with protocols.message_distribution: {found}"

@@ -63,13 +63,17 @@ def test_message_distribution_and_prefix_freeness():
     # messages 0, 10, 11, 10 for the four inputs of a 2-bit Alice round
     inner = PNode("A", (0, 0, 1, 0), (PLeaf("m10"), PLeaf("m11")))
     root = PNode("A", (0, 1, 1, 1), (PLeaf("m0"), inner))
-    p = ProtocolTree(1, 2, root)
-    table, ends = message_distribution(p, root, DistributionTable.uniform(range(4)))
+    ProtocolTree(1, 2, root)  # the round is a valid protocol
+    table, senders, ends = message_distribution(root, range(4))
     assert table.mass == {"0": F(1, 4), "10": F(1, 2), "11": F(1, 4)}
+    assert senders == {"0": (0,), "10": (1, 3), "11": (2,)}
     assert isinstance(ends["0"], PLeaf) and ends["0"].output == "m0"
-    # constant speaker bits on the support give a single certain message
-    table, _ = message_distribution(p, root, DistributionTable.point(0, domain=range(4)))
-    assert table.mass == {"0": F(1)}
+    # constant speaker bits on the inputs give a single certain message
+    table, senders, _ = message_distribution(root, (0,))
+    assert table.mass == {"0": F(1)} and senders == {"0": (0,)}
+    for node, inputs in ((root, ()), (PLeaf("m0"), (0,))):
+        with pytest.raises(DomainError):
+            message_distribution(node, inputs)
 
 
 def test_assert_prefix_free():

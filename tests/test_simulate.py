@@ -33,7 +33,6 @@ from liftsim.protocols import (
     message_distribution,
     round_message,
     run_protocol,
-    split_by_message,
 )
 from liftsim.simulate import (
     ERROR_K,
@@ -752,11 +751,12 @@ STEP_CASES = ((IP2, parity_problem(2)), (IP2, parity_problem(3)),
 
 
 def test_message_split_matches_per_input_walks():
-    # split_by_message walks each node of a round once with the inputs that
-    # reach it.  The oracle walks the round once per input (round_message),
-    # groups the inputs by message in set order, as take_message's filter
-    # kept them, and message_distribution gives the same messages, weights
-    # and end nodes.  The mirrored protocols put B's rounds first.
+    # message_distribution walks each node of a round once with the inputs
+    # that reach it.  The oracle walks the round once per input
+    # (round_message) and groups the inputs by message in set order, as
+    # take_message's filter kept them; the table weighs each message by its
+    # inputs, in lexicographic order.  The mirrored protocols put B's rounds
+    # first.
     rng = random.Random(15)
     shapes = Counter()
     for g, problem in STEP_CASES:
@@ -767,7 +767,7 @@ def test_message_split_matches_per_input_walks():
             for node in rng.sample(starts, min(10, len(starts))):
                 for count in (1, 3, size // 3, size):
                     inputs = tuple(rng.sample(range(size), count))
-                    parts, ends = split_by_message(node, inputs)
+                    table, parts, ends = message_distribution(node, inputs)
                     want, want_ends = {}, {}
                     for v in inputs:
                         message, end = round_message(node, v)
@@ -775,10 +775,8 @@ def test_message_split_matches_per_input_walks():
                         want_ends[message] = end
                     assert {w: list(vs) for w, vs in parts.items()} == want
                     assert all(ends[w] is want_ends[w] for w in want) and ends.keys() == want.keys()
-                    table, table_ends = message_distribution(
-                        proto, node, DistributionTable.uniform(inputs))
-                    assert table.weights == {w: len(vs) for w, vs in want.items()}
-                    assert all(table_ends[w] is ends[w] for w in want)
+                    assert table.weights == {w: len(want[w]) for w in sorted(want)}
+                    assert list(table.weights) == sorted(want) and table.total == len(inputs)
                     shapes[node.speaker, "one message" if len(want) == 1 else "split"] += 1
     assert set(shapes) == {(s, m) for s in "AB" for m in ("one message", "split")}, shapes
 
