@@ -133,18 +133,16 @@ def message_distribution(node: PNode, inputs: Sequence[int]):
         raise DomainError("message distribution needs an internal node")
     if not inputs:
         raise DomainError("empty support at this node")
-    parts, ends = {}, {}
-
-    def walk(cur, msg: str, vs) -> None:
+    parts, ends, todo = {}, {}, [(node, "", inputs)]
+    while todo:
+        cur, msg, vs = todo.pop()
         if isinstance(cur, PNode) and cur.speaker == node.speaker:
             bits = cur.bits
-            for bit, part in enumerate(([v for v in vs if not bits[v]], [v for v in vs if bits[v]])):
-                if part:
-                    walk(cur.children[bit], msg + "01"[bit], part)
+            for bit, part in ((1, [v for v in vs if bits[v]]), (0, [v for v in vs if not bits[v]])):
+                if part:  # the one branch is stacked first, so the zero branch is taken first
+                    todo.append((cur.children[bit], msg + "01"[bit], part))
         else:
             parts[msg], ends[msg] = tuple(vs), cur
-
-    walk(node, "", inputs)
     return _table({w: len(vs) for w, vs in parts.items()}, len(inputs)), parts, ends
 
 

@@ -33,6 +33,7 @@ from functools import lru_cache
 from itertools import compress
 from math import lcm
 from typing import Dict, List, Optional, Tuple
+from weakref import proxy
 
 from .dist import DistributionTable, ZERO, _places, project
 from .errors import BudgetError, DomainError, LiftsimError
@@ -277,7 +278,8 @@ class _EngineCache:
     lives as long as its holder (there is no process-wide cache), and the
     engines refuse one built for another gadget or other (eps, delta, b, n).
     These methods are memoised per cache by lru_cache, so each one's
-    cache_info() counts its hits:
+    cache_info() counts its hits.  The memos reach the cache through a weak
+    proxy, so no reference cycle keeps a run's own cache alive after it:
 
       marginal(inputs, free):         the inputs' marginal on the free coordinates
       maxprob(inputs, free):          its maxprob
@@ -295,11 +297,9 @@ class _EngineCache:
         self.gadgets = (g, g.transpose())
         self.params = params
         self.key = _cache_key(g, params)
-        memo = lru_cache(maxsize=None)
-        self.marginal, self.maxprob = memo(self.marginal), memo(self.maxprob)
-        self.dense, self.partition = memo(self.dense), memo(self.partition)
-        self.context, self.verdicts = memo(self.context), memo(self.verdicts)
-        self.preimage = memo(self.preimage)
+        memo, me = lru_cache(maxsize=None), proxy(self)
+        for name in ("marginal", "maxprob", "dense", "partition", "context", "verdicts", "preimage"):
+            setattr(self, name, memo(getattr(_EngineCache, name).__get__(me)))
 
     def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
         keys = _free_keys(self.params.n, self.params.b, free)

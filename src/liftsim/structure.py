@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
 from typing import Dict, List, Optional, Sequence, Tuple
+from weakref import proxy
 
 from .dist import DistributionTable, _places, _sums, project, subsets_by_size
 from .dtrees import z_bits
@@ -440,8 +441,8 @@ class DangerScan:
         memo = lru_cache(maxsize=None)
         self._sparsifies = memo(
             lambda heavy, weight, size: cmp_pow2_ratio(heavy, weight, level * size) > 0)
-        self._table, self._split = memo(self._table), memo(self._split)
         self._reads: Dict[tuple, object] = {}
+        self._table, self._split = self._read("table"), self._read("split")
 
     def _table(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> dict:
         """{pattern: {y_rest: weight}} of x_C = xs on C = coords: the table of C
@@ -541,13 +542,13 @@ class DangerScan:
         return self._read("leaking")(coords, xs) or self._read("sparsifying")(coords, xs)
 
     def _read(self, name: str, *args):
-        """The method _<name> with args bound first, memoised, made at its first
-        use: a scan's function of (C, x_C) (biasing's one per (c, n)), or the
-        biasing size bound and its sized marginals."""
+        """The method _<name> on a weak proxy of the scan, args bound next,
+        memoised, made at first use: a table or scan of (C, x_C), or biasing's
+        size bound and sized marginals."""
         read = self._reads.get((name, *args))
         if read is None:
             read = self._reads[name, *args] = lru_cache(maxsize=None)(
-                partial(getattr(self, "_" + name), *args))
+                partial(getattr(type(self), "_" + name), proxy(self), *args))
         return read
 
     def witness(self, scan: str, x_val: Tuple[int, ...], *args) -> Optional[tuple]:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -590,6 +591,30 @@ def test_shared_engine_cache_matches_fresh_caches(monkeypatch):
         assert all(info.hits > 0 for info in contexts), contexts
         assert fresh_scans > 10 * built["scans"], (fresh_scans, built)
         assert scanned == {name, name + "^T"}
+
+
+def test_deterministic_runs_leave_no_reference_cycles():
+    # The engine cache's memos and a danger scan's memos hold their owner
+    # through a weak proxy, so everything a run builds, its own cache
+    # included, is freed when the run returns rather than at the next cyclic
+    # collection.  A shared cache still answers after the run that built it.
+    proto = canonical_instance(parity_problem(3), IP2)
+    params = det_params(2, 3)
+    shared = simulate._EngineCache(IP2, params)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for z in range(8):
+            ledger_assertions(lift_deterministic(proto, IP2, z, params), params)
+            lift_deterministic(proto, IP2, z, params, cache=shared)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert shared.context.cache_info().hits > 0
+    inputs, free = tuple(range(64)), (0, 1, 2)
+    assert shared.maxprob(inputs, free) == shared.marginal(inputs, free).maxprob()
 
 
 def test_engine_cache_entries_match_direct_computation():
