@@ -16,24 +16,27 @@ identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .dtrees import brute_force_Ddt, problem_from_json, tree_to_json
+from .dtrees import DTREE_N_LIMIT, brute_force_Ddt, problem_from_json, tree_to_json
 from .errors import LiftsimError, malformed
 from .exact import frac_decimal, frac_str, parse_frac
 from .gadgets import (
     BUILTIN_NAMES,
+    RECT_SIDE_LIMIT,
     builtin_gadget,
     check_xor_lemma,
     discrepancy,
     gadget_from_json,
     gadget_to_json,
 )
-from .protocols import protocol_from_json, randomized_protocol_from_json
+from .protocols import _protocol_from_obj, _randomized_protocol_from_obj
 from .simulate import (
     DENSITY_WITNESS_BITS,
+    ENUM_BRANCH_LIMIT,
     ERROR_K,
     ERROR_TRUNCATION,
     TRUNC_SCALED_BY_B,
@@ -81,11 +84,13 @@ def _load_gadget(spec: str):
 
 
 def _parse_protocol(text: str):
-    """(mixture or None, protocol run first) from a protocol file of either kind."""
-    if '"components"' in text:
-        mixture = randomized_protocol_from_json(text)
+    """(mixture or None, protocol run first) from a protocol file of either
+    kind, told apart by the keys of its top-level object."""
+    doc = json.loads(text)
+    if "components" in doc:
+        mixture = _randomized_protocol_from_obj(doc)
         return mixture, mixture.components[0][1]
-    return None, protocol_from_json(text)
+    return None, _protocol_from_obj(doc)
 
 
 def _print_frac(label: str, value: Fraction) -> None:
@@ -177,8 +182,6 @@ def cmd_lift(args) -> int:
             a, bb = align_domains(dist, ref)
             _print_frac("TV distance to reference transcripts", statistical_distance(a, bb))
     if args.out:
-        import json
-
         doc = json.loads(res.to_json())
         doc["params"] = {
             "mode": params.mode,
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"builtin ({', '.join(BUILTIN_NAMES)}, rand:<b>:<seed>) or a JSON file")
     ga.add_argument("--xor-power", type=int, nargs="*", default=[],
                     metavar="M", help="check the sandwich at these powers")
-    ga.add_argument("--budget-rect-side", type=int, default=16)
+    ga.add_argument("--budget-rect-side", type=int, default=RECT_SIDE_LIMIT)
     ga.add_argument("--out", help="write the gadget table as JSON")
     ga.set_defaults(func=cmd_gadget_analyze)
 
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--enumerate", action="store_true",
                    help="exact output distribution, error-halt mass, TV to reference")
-    l.add_argument("--budget-branches", type=int, default=10 ** 6)
+    l.add_argument("--budget-branches", type=int, default=ENUM_BRANCH_LIMIT)
     l.add_argument("--out", help="write the run trace as JSON")
     l.set_defaults(func=cmd_lift)
 
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = o.add_subparsers(dest="subcommand", required=True)
     od = osub.add_parser("dt", help="exact deterministic query complexity")
     od.add_argument("--problem", required=True, help="search problem JSON file")
-    od.add_argument("--budget-n", type=int, default=4)
+    od.add_argument("--budget-n", type=int, default=DTREE_N_LIMIT)
     od.add_argument("--out", help="write the optimal tree as JSON")
     od.set_defaults(func=cmd_oracle_dt)
 

@@ -260,10 +260,14 @@ def problem_from_json(text: str) -> SearchProblem:
     as problem_to_json writes them."""
     with malformed("search problem file"):
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-        n = int(doc["n"])
+        n, keys = int(doc["n"]), doc["table"]
+        if n < 0:
+            raise FormatError(f"n must be nonnegative, got {n}")
+        if len(keys).bit_length() <= n:  # checked before the 2^n-entry table is built
+            raise FormatError(f"table has {len(keys)} keys, fewer than the 2^{n} inputs")
         outputs = list(doc["outputs"])
         table = [frozenset()] * (1 << n)
-        for key, vals in doc["table"].items():
+        for key, vals in keys.items():
             # the key problem_to_json writes: n binary digits (one "0" at n = 0)
             if not key or key.strip("01") or format(int(key, 2), f"0{n}b") != key:
                 raise FormatError(f"table key {key!r} is not a {n}-bit string")

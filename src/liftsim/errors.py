@@ -38,5 +38,6 @@ def malformed(what: str):
     """Re-raise what parsing `what` raises for bad input as a FormatError."""
     try:
         yield
-    except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as e:
+    except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError,
+            OverflowError, RecursionError) as e:
         raise FormatError(f"malformed {what}: {type(e).__name__}: {e}") from None

@@ -37,6 +37,7 @@ __all__ = [
     "discrepancy",
     "check_xor_lemma",
     "XorLemmaReport",
+    "CorollaryReport",
     "extractor_check",
     "sampling_check",
     "random_gadget",
@@ -287,11 +288,14 @@ def check_xor_lemma(g: Gadget, m: int, side_limit: int = RECT_SIDE_LIMIT) -> Xor
 # -- extractor / sampling checks ---------------------------------------------
 
 @dataclass
-class ExtractorReport:
+class CorollaryReport:
+    """One extractor or sampling verdict: the conclusion compares `measured`
+    (the XOR bias, or the X-mass of biased values) with 2**(-bound_bits)."""
+
     disc_ok: bool
     entropy_ok: bool
-    bias: Fraction
-    bound_bits: Fraction  # conclusion threshold is 2**(-bound_bits)
+    measured: Fraction
+    bound_bits: Fraction
     conclusion: bool
 
     @property
@@ -354,7 +358,7 @@ def extractor_check(
     lam: Fraction,
     m: int = 1,
     disc_value: Fraction | None = None,
-) -> ExtractorReport:
+) -> CorollaryReport:
     """Low discrepancy of g plus joint min-entropy (2-eta+lam)*b*m forces
     bias(g^xor m(X,Y)) <= 2^(-lam*b*m); all quantities exact.
 
@@ -369,26 +373,9 @@ def extractor_check(
     w0 = sum(w * _zero_weight(gx, a, y) for a, w in x.weights.items() if w)
     total = x.total * y.total
     gap = abs(2 * w0 - total)  # bias = gap / total
-    return ExtractorReport(_disc_ok(_ratio(disc), eta, b), _entropy_ok(x, y, entropy_bits),
+    return CorollaryReport(_disc_ok(_ratio(disc), eta, b), _entropy_ok(x, y, entropy_bits),
                            Fraction(gap, total), bound_bits,
                            cmp_pow2_ratio(gap, total, bound_bits) <= 0)
-
-
-@dataclass
-class SamplingReport:
-    disc_ok: bool
-    entropy_ok: bool
-    bad_mass: Fraction
-    bound_bits: Fraction
-    conclusion: bool
-
-    @property
-    def hypothesis(self) -> bool:
-        return self.disc_ok and self.entropy_ok
-
-    @property
-    def implication_holds(self) -> bool:
-        return (not self.hypothesis) or self.conclusion
 
 
 def sampling_check(
@@ -400,7 +387,7 @@ def sampling_check(
     eta: Fraction,
     m: int = 1,
     disc_value: Fraction | None = None,
-) -> SamplingReport:
+) -> CorollaryReport:
     """Bounds the X-mass of values whose conditional bias under g^xor m
     exceeds the extractor threshold 2^(-lam*b*m); the bad mass must stay
     strictly below 2^(-gamma*b*m).
@@ -417,9 +404,9 @@ def sampling_check(
     bad = sum(w for a, w in x.weights.items()
               if w and cmp_pow2_ratio(abs(2 * _zero_weight(gx, a, y) - y_total),
                                       y_total, bias_bits) > 0)
-    return SamplingReport(_disc_ok(_ratio(disc), eta, b), _entropy_ok(x, y, entropy_bits),
-                          Fraction(bad, x.total), bound_bits,
-                          cmp_pow2_ratio(bad, x.total, bound_bits) < 0)
+    return CorollaryReport(_disc_ok(_ratio(disc), eta, b), _entropy_ok(x, y, entropy_bits),
+                           Fraction(bad, x.total), bound_bits,
+                           cmp_pow2_ratio(bad, x.total, bound_bits) < 0)
 
 
 # -- construction -------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "ProtocolTree",
     "RandomizedProtocol",
     "run_protocol",
-    "round_message",
     "message_distribution",
     "assert_prefix_free",
     "kraft_heavy_message",
@@ -108,18 +107,6 @@ def assert_prefix_free(messages: Sequence[str]) -> None:
     for a, b in zip(seen, seen[1:]):
         if b.startswith(a):
             raise InvariantError(f"message set is not prefix-free: {a!r} prefixes {b!r}")
-
-
-def round_message(node: PNode, v: int):
-    """(bits the speaker of `node` sends on input v in this round, end node)."""
-    speaker = node.speaker
-    cur = node
-    msg = []
-    while isinstance(cur, PNode) and cur.speaker == speaker:
-        bit = cur.bits[v]
-        msg.append(str(bit))
-        cur = cur.children[bit]
-    return "".join(msg), cur
 
 
 def message_distribution(node: PNode, inputs: Sequence[int]):
@@ -267,12 +254,20 @@ def _node_from_obj(obj, size: int):
     return PNode(speaker, bits, tuple(_node_from_obj(c, size) for c in children))
 
 
+def _protocol_from_obj(doc) -> ProtocolTree:
+    n, b = int(doc["n"]), int(doc["b"])
+    return ProtocolTree(n, b, _node_from_obj(doc["tree"], 1 << (b * n)))
+
+
+def _randomized_protocol_from_obj(doc) -> RandomizedProtocol:
+    return RandomizedProtocol(tuple(
+        (Fraction(item["weight"]), _protocol_from_obj(item["protocol"]))
+        for item in doc["components"]))
+
+
 def protocol_from_json(text: str) -> ProtocolTree:
     with malformed("protocol file"):
-        doc = json.loads(text)
-        n, b = int(doc["n"]), int(doc["b"])
-        root = _node_from_obj(doc["tree"], 1 << (b * n))
-    return ProtocolTree(n, b, root)
+        return _protocol_from_obj(json.loads(text))
 
 
 def randomized_protocol_to_json(rp: RandomizedProtocol) -> str:
@@ -285,10 +280,4 @@ def randomized_protocol_to_json(rp: RandomizedProtocol) -> str:
 
 def randomized_protocol_from_json(text: str) -> RandomizedProtocol:
     with malformed("randomized protocol file"):
-        doc = json.loads(text)
-        comps = []
-        for item in doc["components"]:
-            w = Fraction(item["weight"])
-            p = protocol_from_json(json.dumps(item["protocol"]))
-            comps.append((w, p))
-    return RandomizedProtocol(tuple(comps))
+        return _randomized_protocol_from_obj(json.loads(text))

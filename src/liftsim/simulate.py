@@ -278,8 +278,9 @@ class _EngineCache:
     lives as long as its holder (there is no process-wide cache), and the
     engines refuse one built for another gadget or other (eps, delta, b, n).
     These methods are memoised per cache by lru_cache, so each one's
-    cache_info() counts its hits.  The memos reach the cache through a weak
-    proxy, so no reference cycle keeps a run's own cache alive after it:
+    cache_info() counts its hits, and each DangerScan memoises its own
+    per-value verdicts.  The memos reach the cache through a weak proxy, so
+    no reference cycle keeps a run's own cache alive after it:
 
       marginal(inputs, free):         the inputs' marginal on the free coordinates
       maxprob(inputs, free):          its maxprob
@@ -287,7 +288,6 @@ class _EngineCache:
       partition(inputs, free):        its density-restoring partition
       context(side, silent, free):    the silent side's density witness and its
                                       DangerScan against the speaker's gadget
-      verdicts(side, silent, free):   that scan's dangerous(x_free), memoised per x_free
       preimage(side, coord, xb, bit): the silent inputs whose block y at coord
                                       has gadget(xb, y) = bit
     """
@@ -298,7 +298,7 @@ class _EngineCache:
         self.params = params
         self.key = _cache_key(g, params)
         memo, me = lru_cache(maxsize=None), proxy(self)
-        for name in ("marginal", "maxprob", "dense", "partition", "context", "verdicts", "preimage"):
+        for name in ("marginal", "maxprob", "dense", "partition", "context", "preimage"):
             setattr(self, name, memo(getattr(_EngineCache, name).__get__(me)))
 
     def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
@@ -323,9 +323,6 @@ class _EngineCache:
         delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
         return delta_w, DangerScan(silent_free, self.gadgets[side], delta_w, p.eps, p.b,
                                    coord_limit=len(free))
-
-    def verdicts(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
-        return lru_cache(maxsize=None)(self.context(side, silent, free)[1].dangerous)
 
     def preimage(self, side: int, coord: int, xb: int, bit: int) -> frozenset:
         g, p = self.gadgets[side], self.params
@@ -412,10 +409,10 @@ class _Engine:
             return True
         side = _side(rec.speaker)
         spk_set, silent = self.sets[side], self.sets[1 - side]
-        rec.delta_witness = self.cache.context(side, silent, free)[0]
+        rec.delta_witness, scan = self.cache.context(side, silent, free)
         keys = _free_keys(self.params.n, self.params.b, free)
         vals = set(map(keys.__getitem__, spk_set))
-        bad = set(filter(self.cache.verdicts(side, silent, free), vals))
+        bad = set(filter(scan.dangerous, vals))
         kept = _select(spk_set, keys, vals - bad)
         rec.dangerous_values = tuple(sorted(bad))
         rec.discarded_mass = Fraction(len(spk_set) - len(kept), len(spk_set))
@@ -533,23 +530,25 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
     if params.mode != "rand":
         raise DomainError("the randomized simulation needs randomized-mode parameters")
     cap = complexity(p)[0] + params.b
+    # (engine, node it enters, K product, run probability), the next branch last
+    todo = [(_Engine(p, g, z, params, cache=cache), p.root, ONE, ONE)]
     branches = 0
-
-    def walk(eng: _Engine, node, k_product: Fraction, prob: Fraction):
-        nonlocal branches
+    while todo:
+        eng, node, k_product, prob = todo.pop()
         branches += 1
         if branches > branch_limit:
             raise BudgetError("randomized enumeration branches", branches, branch_limit)
         if isinstance(node, PLeaf):
             yield prob, eng.result("done", output=node.output, k_product=k_product)
-            return
+            continue
         rec = eng.begin_round(node)
         if not eng.discard_dangerous(rec):
             yield prob, eng.result("invariant_violation",
                                    "step1: every surviving value is dangerous", k_product=k_product)
-            return
+            continue
         table, senders, ends = message_distribution(node, eng.sets[_side(node.speaker)])
         messages = pick([(w, table.prob(w)) for w in table.support()])
+        children = []
         for i, (message, p_msg) in enumerate(messages):
             m_eng = eng.fork() if i < len(messages) - 1 else eng
             rec = m_eng.rounds[-1]
@@ -584,9 +583,8 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                         "invariant_violation",
                         "step7: conditioning emptied the silent side", k_product=k_msg)
                     continue
-                yield from walk(c_eng, ends[message], k_msg, p_cls)
-
-    yield from walk(_Engine(p, g, z, params, cache=cache), p.root, ONE, ONE)
+                children.append((c_eng, ends[message], k_msg, p_cls))
+        todo += reversed(children)  # the first branch is entered first
 
 
 def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
@@ -638,12 +636,11 @@ def enumerate_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
         for w, proto in rp.components)
 
 
-def reference_distribution(p: ProtocolTree, g: Gadget, z: int,
-                           fiber_limit_bits: int = FIBER_LIMIT_BITS) -> DistributionTable:
+def reference_distribution(p: ProtocolTree, g: Gadget, z: int) -> DistributionTable:
     """Transcript distribution of the protocol on uniform preimages of z."""
     n, b = p.n, p.b
-    if 2 * b * n > fiber_limit_bits:
-        raise BudgetError("preimage enumeration input bits", 2 * b * n, fiber_limit_bits)
+    if 2 * b * n > FIBER_LIMIT_BITS:
+        raise BudgetError("preimage enumeration input bits", 2 * b * n, FIBER_LIMIT_BITS)
     size = p.input_size
     counts: Dict[str, int] = {}
     for x in range(size):

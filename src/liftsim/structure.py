@@ -10,11 +10,12 @@ The four dangerous-value scans (leaking, sparsifying, skewing, biasing) have
 one implementation, DangerScan: each is a function of (C, x_C) that reads
 Y's weights contracted with the gadget's output rows of x_C and returns its
 first witness on the set C; a query walks the sets C in (size, lex) order.
-Everything is memoised per (C, x_C), so classifying many x against one Y
-shares their common work, and the per-value is_* functions read one scan
-each.  No scan is pruned.  Density questions read integer counts per
-coordinate set, which the density-restoring partition builds once and carves
-down part by part; max_density and the structure search need the worst one.
+Everything is memoised per (C, x_C), and dangerous verdicts per x, so
+classifying many x against one Y shares their common work, and the per-value
+is_* functions read one scan each.  No scan is pruned.  Density questions
+read integer counts per coordinate set, which the density-restoring partition
+builds once and carves down part by part; max_density and the structure
+search need the worst one.
 """
 
 from __future__ import annotations
@@ -422,7 +423,8 @@ class DangerScan:
     of the definitions: C, then patterns in product order, then J in (size,
     lex) order, then y_J sorted.  Tables, witnesses, Y's marginals and the
     biasing size bound are memoised, so many x share the work of their
-    common (C, x_C).
+    common (C, x_C); `dangerous` is memoised per x.  Every memo reaches the
+    scan through a weak proxy, so none keeps it alive.
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
@@ -441,6 +443,7 @@ class DangerScan:
         memo = lru_cache(maxsize=None)
         self._sparsifies = memo(
             lambda heavy, weight, size: cmp_pow2_ratio(heavy, weight, level * size) > 0)
+        self.dangerous = memo(type(self).dangerous.__get__(proxy(self)))
         self._reads: Dict[tuple, object] = {}
         self._table, self._split = self._read("table"), self._read("split")
 
@@ -582,51 +585,49 @@ class DangerScan:
         return self.witness("biasing", x_val, c, n) is not None
 
     def dangerous(self, x_val: Tuple[int, ...]) -> bool:
-        """Leaking or sparsifying; the set the simulation discards."""
+        """Leaking or sparsifying; the set the simulation discards (memoised per x)."""
         return self.witness("dangerous", x_val) is not None
 
 
 def _verdict(scan: str, x_val: Tuple[int, ...], y: DistributionTable, g: Gadget,
-             delta_y: Fraction, eps: Fraction, b: int, coord_limit: int, *args) -> Verdict:
+             delta_y: Fraction, eps: Fraction, b: int, *args) -> Verdict:
     """A per-value call: one DangerScan of Y read for x, after the call's checks
-    in order: the budget on len(x) (a dangerous scan's is the leaking scan's),
-    x's length against Y's, then the ranges."""
+    in order: SCAN_COORD_LIMIT on len(x) (a dangerous scan's budget is the
+    leaking scan's), x's length against Y's, then the ranges."""
     what = "leaking" if scan == "dangerous" else scan
-    _guard(len(x_val), coord_limit, f"{what} scan free coordinates")
+    _guard(len(x_val), SCAN_COORD_LIMIT, f"{what} scan free coordinates")
     _check_x(x_val, len(next(t for t, w in y.weights.items() if w)), g.side)
-    found = DangerScan(y, g, delta_y, eps, b, coord_limit).witness(scan, x_val, *args)
+    found = DangerScan(y, g, delta_y, eps, b).witness(scan, x_val, *args)
     return Verdict(found is not None, found)
 
 
-def is_leaking(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget,
-               coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+def is_leaking(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget) -> Verdict:
     """Some output pattern is less than half as likely as uniform would allow."""
-    return _verdict("leaking", x_val, y, g, 0, 0, g.b, coord_limit)
+    return _verdict("leaking", x_val, y, g, 0, 0, g.b)
 
 
 def is_sparsifying(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-                   eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+                   eps: Fraction, b: int) -> Verdict:
     """Conditioning on some output pattern destroys more density than eps allows.
 
     The witness is (coords, bits, violating set relative to the remaining
     coordinates, its conditioned max-probability), as is_dense reports it.
     """
-    return _verdict("sparsifying", x_val, y, g, delta_y, eps, b, coord_limit)
+    return _verdict("sparsifying", x_val, y, g, delta_y, eps, b)
 
 
 def is_skewing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-               eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+               eps: Fraction, b: int) -> Verdict:
     """Conditioning on some Y_J value skews the gadget outputs on I.
 
     The witness is (I, J, y_J, maxprob(g^I(x_I, Y_I) | Y_J = y_J),
     Pr[Y_J = y_J]).
     """
-    return _verdict("skewing", x_val, y, g, delta_y, eps, b, coord_limit)
+    return _verdict("skewing", x_val, y, g, delta_y, eps, b)
 
 
 def is_biasing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-               eps: Fraction, b: int, c: Fraction, n: int,
-               coord_limit: int = SCAN_COORD_LIMIT) -> Verdict:
+               eps: Fraction, b: int, c: Fraction, n: int) -> Verdict:
     """Some qualifying (S, J, y_J) has a conditional XOR bias above threshold.
 
     The size bound is tested in the fully cleared form
@@ -635,13 +636,13 @@ def is_biasing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y:
     is (S, J, y_J, bias, bound).
     """
     _check_ambient(n)
-    return _verdict("biasing", x_val, y, g, delta_y, eps, b, coord_limit, c, n)
+    return _verdict("biasing", x_val, y, g, delta_y, eps, b, c, n)
 
 
 def is_dangerous(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-                 eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT) -> bool:
+                 eps: Fraction, b: int) -> bool:
     """Leaking or sparsifying; the set the simulation discards."""
-    return _verdict("dangerous", x_val, y, g, delta_y, eps, b, coord_limit).flagged
+    return _verdict("dangerous", x_val, y, g, delta_y, eps, b).flagged
 
 
 def dangerous_probability(
@@ -651,9 +652,8 @@ def dangerous_probability(
     delta_y: Fraction,
     eps: Fraction,
     b: int,
-    coord_limit: int = SCAN_COORD_LIMIT,
 ) -> Fraction:
     """Exact X-mass of dangerous values."""
-    scan = DangerScan(y, g, delta_y, eps, b, coord_limit)
+    scan = DangerScan(y, g, delta_y, eps, b)
     weight = sum(w for x_val, w in x.weights.items() if w and scan.dangerous(x_val))
     return Fraction(weight, x.total)

@@ -46,6 +46,7 @@ from .dtrees import (
 from .errors import DomainError, FormatError, InvariantError, LiftsimError, malformed
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_str
 from .gadgets import (
+    CorollaryReport,
     Gadget,
     block_table,
     builtin_gadget,
@@ -625,15 +626,11 @@ def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[Sectio
     return [rep_e, rep_s]
 
 
-def _record_ext(rep: SectionReport, tag: str, r) -> None:
+def _record_ext(rep: SectionReport, tag: str, r: CorollaryReport) -> None:
     """One extractor or sampling verdict; measured and bound are rendered
     only for a FAIL."""
     def render() -> LemmaInstance:
-        measured = getattr(r, "bias", None)
-        if measured is None:
-            measured = getattr(r, "bad_mass", None)
-        return LemmaInstance(tag, "FAIL",
-                             measured=frac_str(measured) if measured is not None else None,
+        return LemmaInstance(tag, "FAIL", measured=frac_str(r.measured),
                              bound=f"2^-({frac_str(r.bound_bits)})")
 
     rep.count(_verdict(r.hypothesis, r.conclusion), render)

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 from liftsim.dist import DistributionTable, subsets_by_size, xor_bias
 from liftsim.errors import DomainError, InvariantError
 from liftsim.exact import cmp_pow2, cmp_products
-from liftsim.gadgets import ExtractorReport, SamplingReport, discrepancy, xor_power
+from liftsim.gadgets import CorollaryReport, discrepancy, xor_power
 from liftsim.protocols import assert_prefix_free
 from liftsim.verify import LemmaInstance, SectionReport, all_prefix_free_codes
 
@@ -40,7 +40,7 @@ def oracle_extractor_check(g, x, y, eta, lam, m=1, disc_value=None):
     total = x.total * y.total
     bv = F(abs(2 * w0 - total), total)
     bound_bits = lam * b * m
-    return ExtractorReport(disc_ok, entropy_ok, bv, bound_bits, cmp_pow2(bv, bound_bits) <= 0)
+    return CorollaryReport(disc_ok, entropy_ok, bv, bound_bits, cmp_pow2(bv, bound_bits) <= 0)
 
 
 def oracle_sampling_check(g, x, y, gamma, lam, eta, m=1, disc_value=None):
@@ -59,7 +59,7 @@ def oracle_sampling_check(g, x, y, gamma, lam, eta, m=1, disc_value=None):
     bad = F(sum(w for a, w in x.weights.items()
                 if w and cmp_pow2(conditional_bias(a), bias_bits) > 0), x.total)
     bound_bits = gamma * b * m
-    return SamplingReport(disc_ok, entropy_ok, bad, bound_bits, cmp_pow2(bad, bound_bits) < 0)
+    return CorollaryReport(disc_ok, entropy_ok, bad, bound_bits, cmp_pow2(bad, bound_bits) < 0)
 
 
 def oracle_vazirani_uniformity_check(d, m, eps):

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from liftsim.cli import main
-from liftsim.dtrees import (brute_force_Ddt, parity_problem, problem_from_json,
+from liftsim.cli import build_parser, main
+from liftsim.dtrees import (DTREE_N_LIMIT, brute_force_Ddt, parity_problem, problem_from_json,
                             problem_to_json, tree_from_json)
 from liftsim.errors import FormatError
-from liftsim.gadgets import builtin_gadget, gadget_from_json
+from liftsim.gadgets import RECT_SIDE_LIMIT, builtin_gadget, gadget_from_json
 from liftsim.protocols import (canonical_protocol, protocol_from_json, protocol_to_json,
                                randomized_protocol_from_json)
+from liftsim.simulate import ENUM_BRANCH_LIMIT
 from liftsim.verify import CorpusSpec
 
 
@@ -115,6 +116,24 @@ def test_lift_randomized_protocol_file(files, capsys):
     assert code == 2 and "--mode rand" in err
 
 
+def test_lift_protocol_with_a_leaf_named_components(files, capsys):
+    # a file's kind is read off its top-level keys: a deterministic protocol
+    # whose leaf output is the string "components" is not a mixture
+    path = files / "components_leaf.json"
+    path.write_text(json.dumps({"n": 1, "b": 1, "tree": {"leaf": "components"}}))
+    code, out, err = run_cli(["lift", "--protocol", str(path), "--gadget", "xor1",
+                              "--z", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert "status: done" in out and "sampled component" not in out
+
+
+def _nested_protocol(depth):
+    """A protocol file nested `depth` nodes deep (n = b = 1), written as text."""
+    node = '{"speaker": "A", "bit_map": [0, 0], "children": ['
+    return ('{"n": 1, "b": 1, "tree": ' + node * depth + '{"leaf": 0}'
+            + ', {"leaf": 1}]}' * depth + '}')
+
+
 def _no_b_protocol(root):
     doc = json.loads((root / "proto.json").read_text())
     del doc["b"]
@@ -180,6 +199,22 @@ MALFORMED = {
     "problem-key-not-n-bits": lambda root: [
         "oracle", "dt", "--problem", str(_spec(root, "short_key", {
             "n": 2, "outputs": [0], "table": {"00": [0], "1": [0], "0010": [0], "11": [0]}}))],
+    "protocol-n-overflows-input-size": lambda root: [
+        "lift", "--protocol", str(_spec(root, "huge_n", {
+            "n": 2 ** 70, "b": 1, "tree": {"leaf": 0}})), "--gadget", "xor1", "--z", "0"],
+    "protocol-nested-too-deep": lambda root: [
+        "lift", "--protocol", str(_text(root, "deep", _nested_protocol(900))),
+        "--gadget", "xor1", "--z", "0"],
+    "problem-n-negative": lambda root: [
+        "oracle", "dt", "--problem", str(_spec(root, "negative_n", {
+            "n": -1, "outputs": [0], "table": {"0": [0]}}))],
+    # refused on the key count, before a 2^n-entry table is allocated
+    "problem-table-shorter-than-2^n": lambda root: [
+        "oracle", "dt", "--problem", str(_spec(root, "n40", {
+            "n": 40, "outputs": [0], "table": {"0" * 40: [0]}}))],
+    "problem-n-overflows": lambda root: [
+        "oracle", "dt", "--problem", str(_spec(root, "n70", {
+            "n": 2 ** 70, "outputs": [0], "table": {"0": [0]}}))],
     "problem-key-duplicate": lambda root: [
         "oracle", "dt", "--problem", str(_text(root, "dup_key", '{"n": 1, "outputs": [0, 1], '
                                                '"table": {"0": [0], "1": [0], "1": [1]}}'))],
@@ -219,7 +254,9 @@ def test_xor_power_refused_before_its_table(capsys, monkeypatch):
 LOADER_INPUTS = {
     "problem_from_json": (problem_from_json, (
         "{}", "not json", '{"n": 1, "outputs": [0], "table": []}',
-        '{"n": "x", "outputs": [], "table": {}}')),
+        '{"n": "x", "outputs": [], "table": {}}',
+        '{"n": -1, "outputs": [0], "table": {}}',
+        '{"n": 40, "outputs": [0], "table": {"0": [0]}}')),
     "tree_from_json": (tree_from_json, (
         "{}", "[1]", '{"n": 1, "tree": {"queries": ["q"], "children": []}}',
         '{"n": 1, "tree": {"queries": [0], "children": [{"leaf": 0}]}}',
@@ -230,10 +267,12 @@ LOADER_INPUTS = {
         '[{"leaf": 0}, {"leaf": 1}, {"leaf": 1}, {"leaf": 0}]}}')),
     "protocol_from_json": (protocol_from_json, (
         "{}", "not json", '{"n": 1, "b": 1, "tree": {"speaker": "A"}}',
-        '{"n": 1, "b": 1, "tree": {"speaker": "C"}}')),
+        '{"n": 1, "b": 1, "tree": {"speaker": "C"}}',
+        '{"n": 1180591620717411303424, "b": 1, "tree": {"leaf": 0}}', _nested_protocol(900))),
     "randomized_protocol_from_json": (randomized_protocol_from_json, (
         "{}", "not json", '{"components": [{"weight": "x"}]}',
-        '{"components": [{"weight": "1", "protocol": {}}]}')),
+        '{"components": [{"weight": "1", "protocol": {}}]}',
+        '{"components": [{"weight": "1", "protocol": ' + _nested_protocol(900) + '}]}')),
     "CorpusSpec.from_json": (CorpusSpec.from_json, (
         "not json", "[]", '{"fourier": {"cnt": 5}}')),
     "gadget_from_json": (gadget_from_json, (
@@ -247,6 +286,14 @@ def test_library_loaders_raise_format_error(loader):
     for text in texts:
         with pytest.raises(FormatError):
             parse(text)
+
+
+def test_budget_options_default_to_the_library_budgets():
+    parse = build_parser().parse_args
+    assert parse(["gadget", "analyze", "--gadget", "xor1"]).budget_rect_side == RECT_SIDE_LIMIT
+    assert parse(["lift", "--protocol", "p.json", "--gadget", "ip2",
+                  "--z", "01"]).budget_branches == ENUM_BRANCH_LIMIT
+    assert parse(["oracle", "dt", "--problem", "p.json"]).budget_n == DTREE_N_LIMIT
 
 
 def test_lift_dimension_mismatch(files, capsys):

@@ -322,11 +322,11 @@ def test_extractor_check_examples():
 def test_sampling_check_examples():
     u = DistributionTable.uniform(range(2))
     r = sampling_check(XOR, u, u, F(1, 4), F(1, 4), F(1, 2))
-    assert r.bad_mass == 0  # xor against uniform is unbiased for every x
+    assert r.measured == 0  # xor against uniform is unbiased for every x
     # AND with lam = 1: bias(AND(0, Y)) = 1 > 2^-1, bias(AND(1, Y)) = 0
     x = DistributionTable({0: F(1, 3), 1: F(2, 3)})
     r = sampling_check(AND, x, u, F(1, 4), F(1), F(1, 2))
-    assert r.bad_mass == F(1, 3)
+    assert r.measured == F(1, 3)
 
 
 def test_extractor_sampling_implications_exhaustive_b1():

@@ -29,6 +29,7 @@ from liftsim.structure import (
     Restriction,
     StructureCertificate,
     StructureRefusal,
+    Verdict,
     dangerous_probability,
     density_restoring_choice,
     density_restoring_fix,
@@ -376,6 +377,23 @@ _LEVELS = ((F(1), F(1, 4)), (F(1, 2), F(1, 4)), (F(2, 3), F(1, 4)),
            (F(1), F(1, 3)), (F(1, 2), F(1, 2)), (F(1, 3), F(1, 2)))
 
 
+def _per_value(name, x, y, g, *levels):
+    """is_<name>(x, y, g, *levels).  Past SCAN_COORD_LIMIT, where is_<name>
+    refuses x (checked here, with the unchanged BudgetError), the verdict it
+    reads off a DangerScan whose budget is raised to len(x)."""
+    call = {"leaking": is_leaking, "sparsifying": is_sparsifying,
+            "dangerous": is_dangerous}[name]
+    if len(x) <= SCAN_COORD_LIMIT:
+        return call(x, y, g, *levels)
+    with pytest.raises(BudgetError) as refused:
+        call(x, y, g, *levels)
+    what = "leaking" if name == "dangerous" else name
+    assert (refused.value.what, refused.value.size, refused.value.limit) == \
+        (f"{what} scan free coordinates", len(x), SCAN_COORD_LIMIT)
+    found = DangerScan(y, g, *(levels or (0, 0, g.b)), len(x)).witness(name, x)
+    return found is not None if name == "dangerous" else Verdict(found is not None, found)
+
+
 def test_dangerous_scans_match_oracle():
     rng = random.Random(2)
     gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip2")]
@@ -390,13 +408,13 @@ def test_dangerous_scans_match_oracle():
             y = _weighted_table(rng, universe)
             xs = universe if len(universe) <= 8 else rng.sample(universe, 6)
             for x in xs:
-                leak = is_leaking(x, y, g, limit)
+                leak = _per_value("leaking", x, y, g)
                 assert leak == oracle_is_leaking(x, y, g, limit), (g, x, y)
                 for delta_y, eps in _LEVELS:
-                    args = (x, y, g, delta_y, eps, g.b, limit)
-                    spars = is_sparsifying(*args)
-                    assert spars == oracle_is_sparsifying(*args), (g, x, y, delta_y, eps)
-                    assert is_dangerous(*args) == (leak.flagged or spars.flagged)
+                    args = (x, y, g, delta_y, eps, g.b)
+                    spars = _per_value("sparsifying", *args)
+                    assert spars == oracle_is_sparsifying(*args, limit), (g, x, y, delta_y, eps)
+                    assert _per_value("dangerous", *args) == (leak.flagged or spars.flagged)
                     seen["leaking" if leak.flagged else
                          "sparsifying" if spars.flagged else "safe"] += 1
                     compared += 1
@@ -462,14 +480,14 @@ def test_danger_scan_matches_oracles():
             for delta_y, eps in _LEVELS[::2] if k == 4 else _LEVELS:
                 scan = DangerScan(y, g, delta_y, eps, g.b, limit)
                 for x in xs:
-                    args = (x, y, g, delta_y, eps, g.b, limit)
+                    args = (x, y, g, delta_y, eps, g.b)
                     leak, spars = scan.leaking(x), scan.sparsifying(x)
                     want_leak = oracle_is_leaking(x, y, g, limit)
-                    want_spars = oracle_is_sparsifying(*args)
+                    want_spars = oracle_is_sparsifying(*args, limit)
                     assert leak == want_leak.flagged, (g, x, y)
                     assert spars == want_spars.flagged, (g, x, y, delta_y, eps)
                     dangerous = want_leak.flagged or want_spars.flagged
-                    assert scan.dangerous(x) == is_dangerous(*args) == dangerous
+                    assert scan.dangerous(x) == _per_value("dangerous", *args) == dangerous
                     # the first leaking or sparsifying witness by set
                     found = scan.witness("dangerous", x)
                     assert (found is not None) == dangerous
