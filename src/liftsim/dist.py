@@ -18,7 +18,6 @@ throughout the library:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -27,6 +26,7 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DomainError, NullEventError
 from .exact import _rational, cmp_pow2
+from .records import Record
 
 __all__ = [
     "DistributionTable",
@@ -309,11 +309,11 @@ def subsets_by_size(k: int, nonempty: bool = False):
         yield from combinations(range(k), r)
 
 
-@dataclass
-class VaziraniReport:
-    hypothesis: bool
-    conclusion: bool
-    worst_witness: tuple | None = None
+class VaziraniReport(Record):
+    def __init__(self, hypothesis: bool, conclusion: bool, worst_witness: tuple | None = None):
+        self.hypothesis = hypothesis
+        self.conclusion = conclusion
+        self.worst_witness = worst_witness
 
     @property
     def implication_holds(self) -> bool:

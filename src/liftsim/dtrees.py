@@ -7,11 +7,11 @@ numeric order on inputs equals lexicographic order on bitstrings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import BudgetError, DomainError, FormatError, malformed
+from .records import Record
 
 __all__ = [
     "DLeaf",
@@ -38,21 +38,21 @@ __all__ = [
 DTREE_N_LIMIT = 4
 
 
-@dataclass(frozen=True)
-class DLeaf:
-    output: object
+class DLeaf(Record, frozen=True):
+    def __init__(self, output: object):
+        object.__setattr__(self, "output", output)
 
 
-@dataclass(frozen=True)
-class DNode:
-    queries: Tuple[int, ...]          # sorted coordinate set queried in parallel
-    children: Tuple[object, ...]      # 2^{|queries|} children, indexed by answers
+class DNode(Record, frozen=True):
+    def __init__(self, queries: Tuple[int, ...], children: Tuple[object, ...]):
+        object.__setattr__(self, "queries", queries)    # sorted coordinate set queried in parallel
+        object.__setattr__(self, "children", children)  # 2^{|queries|} children, indexed by answers
 
 
-@dataclass(frozen=True)
-class ParallelDecisionTree:
-    n: int
-    root: object
+class ParallelDecisionTree(Record, frozen=True):
+    def __init__(self, n: int, root: object):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "root", root)
 
     def depth(self) -> int:
         def go(node) -> int:
@@ -134,12 +134,10 @@ def solves(tree: ParallelDecisionTree, problem: SearchProblem):
     return True, None
 
 
-@dataclass(frozen=True)
-class RandomizedTree:
-    components: Tuple[Tuple[Fraction, ParallelDecisionTree], ...]
-
-    def __post_init__(self):
-        if sum((w for w, _ in self.components), Fraction(0)) != 1:
+class RandomizedTree(Record, frozen=True):
+    def __init__(self, components: Tuple[Tuple[Fraction, ParallelDecisionTree], ...]):
+        object.__setattr__(self, "components", components)
+        if sum((w for w, _ in components), Fraction(0)) != 1:
             raise DomainError("component weights must sum to 1")
 
 

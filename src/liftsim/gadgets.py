@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import random
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
@@ -25,6 +24,7 @@ from typing import Iterable, Sequence, Tuple
 from .dist import DistributionTable
 from .errors import BudgetError, DomainError, FormatError, LiftsimError, malformed
 from .exact import _rational, cmp_pow2_ratio
+from .records import Record
 
 __all__ = [
     "Gadget",
@@ -94,12 +94,12 @@ class Gadget:
         return f"Gadget({label})"
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Record, frozen=True):
     """A combinatorial rectangle given by sorted tuples of domain indices."""
 
-    a: Tuple[int, ...]
-    b: Tuple[int, ...]
+    def __init__(self, a: Tuple[int, ...], b: Tuple[int, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def blocks_of(v: int, n: int, b: int) -> Tuple[int, ...]:
@@ -152,10 +152,10 @@ def rectangle_discrepancy(g: Gadget, rect: Rectangle) -> Fraction:
     return Fraction(abs(total), g.side * g.side)
 
 
-@dataclass(frozen=True)
-class DiscrepancyResult:
-    value: Fraction
-    argmax: Rectangle
+class DiscrepancyResult(Record, frozen=True):
+    def __init__(self, value: Fraction, argmax: Rectangle):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "argmax", argmax)
 
 
 def _mask_to_tuple(mask: int) -> Tuple[int, ...]:
@@ -263,14 +263,15 @@ def _discrepancy(b: int, table: Tuple[int, ...]) -> DiscrepancyResult:
     return DiscrepancyResult(Fraction(best, n * n), rect)
 
 
-@dataclass
-class XorLemmaReport:
-    m: int
-    disc_base: Fraction
-    lower: Fraction
-    value: Fraction
-    upper: Fraction
-    sandwich_holds: bool
+class XorLemmaReport(Record):
+    def __init__(self, m: int, disc_base: Fraction, lower: Fraction, value: Fraction,
+                 upper: Fraction, sandwich_holds: bool):
+        self.m = m
+        self.disc_base = disc_base
+        self.lower = lower
+        self.value = value
+        self.upper = upper
+        self.sandwich_holds = sandwich_holds
 
 
 def check_xor_lemma(g: Gadget, m: int, side_limit: int = RECT_SIDE_LIMIT) -> XorLemmaReport:
@@ -287,16 +288,17 @@ def check_xor_lemma(g: Gadget, m: int, side_limit: int = RECT_SIDE_LIMIT) -> Xor
 
 # -- extractor / sampling checks ---------------------------------------------
 
-@dataclass
-class CorollaryReport:
+class CorollaryReport(Record):
     """One extractor or sampling verdict: the conclusion compares `measured`
     (the XOR bias, or the X-mass of biased values) with 2**(-bound_bits)."""
 
-    disc_ok: bool
-    entropy_ok: bool
-    measured: Fraction
-    bound_bits: Fraction
-    conclusion: bool
+    def __init__(self, disc_ok: bool, entropy_ok: bool, measured: Fraction,
+                 bound_bits: Fraction, conclusion: bool):
+        self.disc_ok = disc_ok
+        self.entropy_ok = entropy_ok
+        self.measured = measured
+        self.bound_bits = bound_bits
+        self.conclusion = conclusion
 
     @property
     def hypothesis(self) -> bool:

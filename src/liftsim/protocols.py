@@ -10,7 +10,6 @@ first block most significant (numeric order = lexicographic order).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -18,6 +17,7 @@ from .dist import DistributionTable, _table
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .errors import DomainError, FormatError, InvariantError, malformed
 from .gadgets import Gadget, block_table
+from .records import Record
 
 __all__ = [
     "PLeaf",
@@ -38,44 +38,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PLeaf:
-    output: object
+class PLeaf(Record, frozen=True):
+    def __init__(self, output: object):
+        object.__setattr__(self, "output", output)
 
 
-@dataclass(frozen=True)
-class PNode:
-    speaker: str                     # 'A' or 'B'
-    bits: Tuple[int, ...]            # transmitted bit per speaker input
-    children: Tuple[object, object]  # child 0, child 1
+class PNode(Record, frozen=True):
+    def __init__(self, speaker: str, bits: Tuple[int, ...], children: Tuple[object, object]):
+        object.__setattr__(self, "speaker", speaker)    # 'A' or 'B'
+        object.__setattr__(self, "bits", bits)          # transmitted bit per speaker input
+        object.__setattr__(self, "children", children)  # child 0, child 1
 
 
-@dataclass(frozen=True)
-class ProtocolTree:
-    n: int
-    b: int
-    root: object
-
-    def __post_init__(self):
-        size = self.input_size
-
-        def walk(node, speaker) -> Tuple[int, int]:
-            """Check every bit map below node; (communication, round) complexity."""
-            if isinstance(node, PLeaf):
-                return 0, 0
-            if len(node.bits) != size:
-                raise DomainError(
-                    f"bit map has {len(node.bits)} entries, expected {size}")
-            s, (zero, one) = node.speaker, node.children
-            (c0, r0), (c1, r1) = walk(zero, s), walk(one, s)
-            return 1 + (c0 if c0 > c1 else c1), (s != speaker) + (r0 if r0 > r1 else r1)
-
+class ProtocolTree(Record, frozen=True):
+    def __init__(self, n: int, b: int, root: object):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "root", root)
         # the tree's one walk: complexity(p) reads it, however often it is asked
-        object.__setattr__(self, "_complexity", walk(self.root, None))
+        object.__setattr__(self, "_complexity", _checked_complexity(root, self.input_size))
 
     @property
     def input_size(self) -> int:
         return 1 << (self.b * self.n)
+
+
+def _checked_complexity(root, size: int) -> Tuple[int, int]:
+    """Check that every bit map below root has `size` entries; (communication,
+    round) complexity of the tree."""
+
+    def walk(node, speaker) -> Tuple[int, int]:
+        if isinstance(node, PLeaf):
+            return 0, 0
+        if len(node.bits) != size:
+            raise DomainError(
+                f"bit map has {len(node.bits)} entries, expected {size}")
+        s, (zero, one) = node.speaker, node.children
+        (c0, r0), (c1, r1) = walk(zero, s), walk(one, s)
+        return 1 + (c0 if c0 > c1 else c1), (s != speaker) + (r0 if r0 > r1 else r1)
+
+    return walk(root, None)
 
 
 def run_protocol(p: ProtocolTree, x: int, y: int):
@@ -211,14 +213,12 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
     return ProtocolTree(n, b, _query_chain(root, root.queries, 0, ()))
 
 
-@dataclass(frozen=True)
-class RandomizedProtocol:
-    components: Tuple[Tuple[Fraction, ProtocolTree], ...]
-
-    def __post_init__(self):
-        if sum((w for w, _ in self.components), Fraction(0)) != 1:
+class RandomizedProtocol(Record, frozen=True):
+    def __init__(self, components: Tuple[Tuple[Fraction, ProtocolTree], ...]):
+        object.__setattr__(self, "components", components)
+        if sum((w for w, _ in components), Fraction(0)) != 1:
             raise DomainError("component weights must sum to 1")
-        dims = {(p.n, p.b) for _, p in self.components}
+        dims = {(p.n, p.b) for _, p in components}
         if len(dims) > 1:
             raise DomainError(f"components disagree on dimensions: {sorted(dims)}")
 

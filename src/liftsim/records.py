@@ -1,0 +1,44 @@
+"""The base of liftsim's record classes (internal).
+
+A record's fields are the parameters of its own ``__init__``, in order, read
+once when the class is created.  From that list the base gives ``==`` field
+by field between two records of one class (``NotImplemented`` for any other
+class) and the repr ``Name(field=value, ...)``.  A class declared with
+``frozen=True`` is also hashable, by the tuple of its fields, and refuses
+assignment with an ``AttributeError``; its ``__init__`` sets its fields with
+``object.__setattr__``.  Mutable records are unhashable.
+"""
+
+
+class Record:
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        if frozen:
+            cls.__hash__ = Record._hash
+            cls.__setattr__ = Record._refuse_set
+            cls.__delattr__ = Record._refuse_delete
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def _refuse_set(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _refuse_delete(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

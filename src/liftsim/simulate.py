@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -50,6 +49,7 @@ from .protocols import (
     run_protocol,
 )
 from .dtrees import DLeaf, DNode, ParallelDecisionTree, answer_index, z_bits
+from .records import Record
 from .structure import (
     DangerScan,
     Restriction,
@@ -91,8 +91,7 @@ ONE = Fraction(1)
 TRUNC_SCALED_BY_B = True
 
 
-@dataclass
-class LiftingParams:
+class LiftingParams(Record):
     """Simulation parameters; the derived trio follows the standard recipe.
 
     deterministic: eps = h/(c*eta);  randomized: eps = h*log2(c)/(c*eta),
@@ -101,42 +100,35 @@ class LiftingParams:
     combinations must be flagged explicitly.
     """
 
-    eta: Fraction
-    c: Fraction
-    h: Fraction
-    b: int
-    n: int
-    mode: str = "det"
-    eps: Optional[Fraction] = None
-    delta: Optional[Fraction] = None
-    nonstandard: bool = False
-
-    def __post_init__(self):
-        self.eta = Fraction(self.eta)
-        self.c = Fraction(self.c)
-        self.h = Fraction(self.h)
-        if self.mode not in ("det", "rand"):
+    def __init__(self, eta: Fraction, c: Fraction, h: Fraction, b: int, n: int,
+                 mode: str = "det", eps: Optional[Fraction] = None,
+                 delta: Optional[Fraction] = None, nonstandard: bool = False):
+        self.eta = eta = Fraction(eta)
+        self.c = c = Fraction(c)
+        self.h = h = Fraction(h)
+        self.b = b
+        self.n = n
+        self.mode = mode
+        self.nonstandard = nonstandard
+        if mode not in ("det", "rand"):
             raise DomainError("mode must be 'det' or 'rand'")
-        if self.eta <= 0 or self.c <= 0:
+        if eta <= 0 or c <= 0:
             raise DomainError("eta and c must be positive")
-        overridden = self.eps is not None or self.delta is not None
-        if overridden and not self.nonstandard:
+        if (eps is not None or delta is not None) and not nonstandard:
             raise DomainError("explicit eps/delta require nonstandard=True")
-        if self.eps is None:
-            if self.mode == "det":
-                self.eps = self.h / (self.c * self.eta)
+        if eps is None:
+            if mode == "det":
+                eps = h / (c * eta)
             else:
-                log2c = exact_log2(self.c)
+                log2c = exact_log2(c)
                 if log2c is None:
                     raise DomainError(
                         "randomized eps needs log2(c) rational; use a power-of-two c "
                         "or pass eps explicitly with nonstandard=True"
                     )
-                self.eps = self.h * log2c / (self.c * self.eta)
-        self.eps = Fraction(self.eps)
-        if self.delta is None:
-            self.delta = 1 - self.eta / 4 + self.eps / 2
-        self.delta = Fraction(self.delta)
+                eps = h * log2c / (c * eta)
+        self.eps = eps = Fraction(eps)
+        self.delta = Fraction(1 - eta / 4 + eps / 2 if delta is None else delta)
 
     @property
     def tau(self) -> Fraction:
@@ -161,41 +153,52 @@ def _trunc_threshold(eta: Fraction, b: int, n: int, scaled_by_b: bool) -> Tuple[
     return 16 * n * b, (eta * b if scaled_by_b else eta) / 8
 
 
-@dataclass
-class RoundRecord:
-    index: int
-    speaker: str
-    free_before: Tuple[int, ...]
-    delta_witness: Optional[Fraction] = None
-    dangerous_values: Tuple = ()
-    discarded_mass: Fraction = ZERO
-    message: str = ""
-    p_message: Fraction = ONE
-    heavy_value_prob: Optional[Fraction] = None   # det step 3 conditioning prob
-    class_index: Optional[int] = None             # rand step 4 (1-based)
-    p_class: Optional[Fraction] = None
-    p_geq: Optional[Fraction] = None
-    query_coords: Tuple[int, ...] = ()
-    fixed_value: Tuple[int, ...] = ()
-    step5_prob: Optional[Fraction] = None
-    snapshots: Dict[str, Tuple[int, Fraction, Fraction]] = field(default_factory=dict)
-    flags: Dict[str, bool] = field(default_factory=dict)
+class RoundRecord(Record):
+    def __init__(self, index: int, speaker: str, free_before: Tuple[int, ...],
+                 delta_witness: Optional[Fraction] = None, dangerous_values: Tuple = (),
+                 discarded_mass: Fraction = ZERO, message: str = "", p_message: Fraction = ONE,
+                 heavy_value_prob: Optional[Fraction] = None, class_index: Optional[int] = None,
+                 p_class: Optional[Fraction] = None, p_geq: Optional[Fraction] = None,
+                 query_coords: Tuple[int, ...] = (), fixed_value: Tuple[int, ...] = (),
+                 step5_prob: Optional[Fraction] = None,
+                 snapshots: Optional[Dict[str, Tuple[int, Fraction, Fraction]]] = None,
+                 flags: Optional[Dict[str, bool]] = None):
+        self.index = index
+        self.speaker = speaker
+        self.free_before = free_before
+        self.delta_witness = delta_witness
+        self.dangerous_values = dangerous_values
+        self.discarded_mass = discarded_mass
+        self.message = message
+        self.p_message = p_message
+        self.heavy_value_prob = heavy_value_prob  # det step 3 conditioning prob
+        self.class_index = class_index            # rand step 4 (1-based)
+        self.p_class = p_class
+        self.p_geq = p_geq
+        self.query_coords = query_coords
+        self.fixed_value = fixed_value
+        self.step5_prob = step5_prob
+        self.snapshots = {} if snapshots is None else snapshots
+        self.flags = {} if flags is None else flags
 
 
-@dataclass
-class SimResult:
-    status: str
-    violation: Optional[str]
-    transcript: str
-    output: object
-    rho: str
-    queries: Tuple[Tuple[int, ...], ...]
-    depth: int
-    xset: Tuple[int, ...]
-    yset: Tuple[int, ...]
-    rounds: List[RoundRecord]
-    k_product: Optional[Fraction] = None
-    component: Optional[int] = None  # sampled index, randomized mixtures only
+class SimResult(Record):
+    def __init__(self, status: str, violation: Optional[str], transcript: str, output: object,
+                 rho: str, queries: Tuple[Tuple[int, ...], ...], depth: int,
+                 xset: Tuple[int, ...], yset: Tuple[int, ...], rounds: List[RoundRecord],
+                 k_product: Optional[Fraction] = None, component: Optional[int] = None):
+        self.status = status
+        self.violation = violation
+        self.transcript = transcript
+        self.output = output
+        self.rho = rho
+        self.queries = queries
+        self.depth = depth
+        self.xset = xset
+        self.yset = yset
+        self.rounds = rounds
+        self.k_product = k_product
+        self.component = component  # sampled index, randomized mixtures only
 
     @property
     def total_queries(self) -> int:
@@ -362,8 +365,7 @@ class _Engine:
         twin.__dict__.update(self.__dict__)
         twin.transcript = self.transcript.copy()
         twin.queries = self.queries.copy()
-        rec = object.__new__(RoundRecord)
-        rec.__dict__.update(self.rounds[-1].__dict__)
+        rec = RoundRecord(*self.rounds[-1]._values())
         rec.snapshots = dict(rec.snapshots)
         rec.flags = dict(rec.flags)
         twin.rounds = self.rounds[:-1] + [rec]
@@ -708,21 +710,22 @@ def extract_parallel_tree(p: ProtocolTree, g: Gadget, params: LiftingParams) -> 
 
 # -- deficiency ledger -----------------------------------------------------------
 
-@dataclass
-class RoundLedger:
-    index: int
-    checks: Dict[str, Optional[bool]]
-    preconditions: Dict[str, bool]
+class RoundLedger(Record):
+    def __init__(self, index: int, checks: Dict[str, Optional[bool]],
+                 preconditions: Dict[str, bool]):
+        self.index = index
+        self.checks = checks
+        self.preconditions = preconditions
 
     @property
     def ok(self) -> bool:
         return all(v is not False for v in self.checks.values())
 
 
-@dataclass
-class LedgerReport:
-    rounds: List[RoundLedger]
-    deficiency_nonnegative: bool
+class LedgerReport(Record):
+    def __init__(self, rounds: List[RoundLedger], deficiency_nonnegative: bool):
+        self.rounds = rounds
+        self.deficiency_nonnegative = deficiency_nonnegative
 
     @property
     def ok(self) -> bool:

@@ -21,7 +21,6 @@ search need the worst one.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
@@ -33,6 +32,7 @@ from .dtrees import z_bits
 from .errors import BudgetError, DomainError
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, exact_log2, log2_bounds
 from .gadgets import Gadget
+from .records import Record
 
 __all__ = [
     "Restriction",
@@ -110,11 +110,12 @@ def _guard(k: int, limit: int, what: str) -> None:
         raise BudgetError(what, k, limit)
 
 
-@dataclass
-class DensityWitness:
-    delta: Fraction
-    violating_set: Optional[Tuple[int, ...]] = None
-    witness_maxprob: Optional[Fraction] = None
+class DensityWitness(Record):
+    def __init__(self, delta: Fraction, violating_set: Optional[Tuple[int, ...]] = None,
+                 witness_maxprob: Optional[Fraction] = None):
+        self.delta = delta
+        self.violating_set = violating_set
+        self.witness_maxprob = witness_maxprob
 
     @property
     def dense(self) -> bool:
@@ -205,18 +206,18 @@ def max_density(
     return _density_bracket(_worst_marginal(x), b, resolution_bits)
 
 
-@dataclass
-class StructureCertificate:
-    rho: Restriction
-    delta_x: Fraction
-    delta_y: Fraction
-    tau: Fraction
+class StructureCertificate(Record):
+    def __init__(self, rho: Restriction, delta_x: Fraction, delta_y: Fraction, tau: Fraction):
+        self.rho = rho
+        self.delta_x = delta_x
+        self.delta_y = delta_y
+        self.tau = tau
 
 
-@dataclass
-class StructureRefusal:
-    reason: str
-    detail: str = ""
+class StructureRefusal(Record):
+    def __init__(self, reason: str, detail: str = ""):
+        self.reason = reason
+        self.detail = detail
 
 
 def is_structured(
@@ -338,14 +339,15 @@ def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
     return coords, value, reduced
 
 
-@dataclass
-class DensityPart:
-    index: int                       # 1-based part number j
-    coords: Tuple[int, ...]          # I_j
-    value: Tuple[int, ...]           # x_j
-    members: Tuple[Tuple[int, ...], ...]
-    prob: Fraction                   # Pr[X in part j]
-    p_geq: Fraction                  # Pr[X in part j or later]
+class DensityPart(Record):
+    def __init__(self, index: int, coords: Tuple[int, ...], value: Tuple[int, ...],
+                 members: Tuple[Tuple[int, ...], ...], prob: Fraction, p_geq: Fraction):
+        self.index = index      # 1-based part number j
+        self.coords = coords    # I_j
+        self.value = value      # x_j
+        self.members = members
+        self.prob = prob        # Pr[X in part j]
+        self.p_geq = p_geq      # Pr[X in part j or later]
 
 
 def density_restoring_partition(
@@ -385,10 +387,10 @@ def density_restoring_partition(
 
 # -- dangerous values ----------------------------------------------------------
 
-@dataclass
-class Verdict:
-    flagged: bool
-    witness: tuple | None = None
+class Verdict(Record):
+    def __init__(self, flagged: bool, witness: tuple | None = None):
+        self.flagged = flagged
+        self.witness = witness
 
 
 @lru_cache(maxsize=None)

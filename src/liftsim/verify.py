@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,9 +42,10 @@ from .dtrees import (
     solves,
     z_bits,
 )
-from .errors import DomainError, FormatError, InvariantError, LiftsimError, malformed
+from .errors import BudgetError, DomainError, FormatError, InvariantError, LiftsimError, malformed
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_str
 from .gadgets import (
+    RECT_SIDE_LIMIT,
     CorollaryReport,
     Gadget,
     block_table,
@@ -56,6 +56,7 @@ from .gadgets import (
     sampling_check,
 )
 from .protocols import assert_prefix_free, canonical_protocol, complexity, kraft_heavy_pick
+from .records import Record
 from .simulate import (
     ERROR_K,
     LiftingParams,
@@ -104,13 +105,14 @@ H_MAIN = Fraction(8)
 
 # -- structure-lemma checkers ---------------------------------------------------
 
-@dataclass
-class LemmaInstance:
-    instance: str
-    verdict: str                     # 'pass' | 'vacuous' | 'FAIL'
-    measured: Optional[str] = None
-    bound: Optional[str] = None
-    detail: str = ""
+class LemmaInstance(Record):
+    def __init__(self, instance: str, verdict: str, measured: Optional[str] = None,
+                 bound: Optional[str] = None, detail: str = ""):
+        self.instance = instance
+        self.verdict = verdict  # 'pass' | 'vacuous' | 'FAIL'
+        self.measured = measured
+        self.bound = bound
+        self.detail = detail
 
 
 def _verdict(hypothesis: bool, conclusion: bool) -> str:
@@ -332,15 +334,17 @@ def all_prefix_free_codes(max_len: int):
 
 # -- corpus ----------------------------------------------------------------------
 
-@dataclass
-class SectionReport:
-    name: str
-    total: int = 0
-    passes: int = 0
-    vacuous: int = 0
-    fails: int = 0
-    counterexamples: List[dict] = field(default_factory=list)
-    info: Dict[str, object] = field(default_factory=dict)
+class SectionReport(Record):
+    def __init__(self, name: str, total: int = 0, passes: int = 0, vacuous: int = 0,
+                 fails: int = 0, counterexamples: Optional[List[dict]] = None,
+                 info: Optional[Dict[str, object]] = None):
+        self.name = name
+        self.total = total
+        self.passes = passes
+        self.vacuous = vacuous
+        self.fails = fails
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.info = {} if info is None else info
 
     @property
     def all_vacuous(self) -> bool:
@@ -380,10 +384,10 @@ class SectionReport:
         }
 
 
-@dataclass
-class CorpusReport:
-    seed: int
-    sections: List[SectionReport]
+class CorpusReport(Record):
+    def __init__(self, seed: int, sections: List[SectionReport]):
+        self.seed = seed
+        self.sections = sections
 
     @property
     def ok(self) -> bool:
@@ -405,21 +409,26 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-@dataclass
-class CorpusSpec:
+class CorpusSpec(Record):
     """Which sections to run and how large; omitted sections are skipped."""
 
-    seed: int = 2024
-    fourier: Optional[dict] = None
-    vazirani: Optional[dict] = None
-    xor_lemma: Optional[dict] = None
-    extractor_sampling: Optional[dict] = None
-    kraft: Optional[dict] = None
-    density: Optional[dict] = None
-    claims: Optional[dict] = None
-    structure_lemmas: Optional[dict] = None
-    lifting: Optional[dict] = None
-    fixture_planted_violation: bool = False
+    def __init__(self, seed: int = 2024, fourier: Optional[dict] = None,
+                 vazirani: Optional[dict] = None, xor_lemma: Optional[dict] = None,
+                 extractor_sampling: Optional[dict] = None, kraft: Optional[dict] = None,
+                 density: Optional[dict] = None, claims: Optional[dict] = None,
+                 structure_lemmas: Optional[dict] = None, lifting: Optional[dict] = None,
+                 fixture_planted_violation: bool = False):
+        self.seed = seed
+        self.fourier = fourier
+        self.vazirani = vazirani
+        self.xor_lemma = xor_lemma
+        self.extractor_sampling = extractor_sampling
+        self.kraft = kraft
+        self.density = density
+        self.claims = claims
+        self.structure_lemmas = structure_lemmas
+        self.lifting = lifting
+        self.fixture_planted_violation = fixture_planted_violation
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
@@ -429,8 +438,7 @@ class CorpusSpec:
             doc = json.loads(text)
         if not isinstance(doc, dict):
             raise FormatError("corpus spec must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls._fields)
         if unknown:
             raise FormatError(f"unknown corpus spec keys: {sorted(unknown)}")
         if type(doc.get("seed", 0)) is not int:
@@ -450,7 +458,49 @@ class CorpusSpec:
                     raise FormatError(f"corpus spec value {section}.{key} = "
                                       f"{json.dumps(value)} does not have the shipped "
                                       f"form {json.dumps(template[key])}")
+                for size in _ints(value):
+                    lo, hi = SPEC_BUDGETS[f"{section}.{key}"]
+                    if not lo <= size <= hi:
+                        raise BudgetError(f"corpus spec value {section}.{key}", size,
+                                          f"{lo}..{hi}")
+            if section == "xor_lemma":
+                jobs = (len(params.get("gadgets", _XOR_GADGETS))
+                        * len(params.get("powers", _XOR_POWERS)) + len(params.get("extra", ())))
+                if jobs > XOR_LEMMA_JOB_LIMIT:
+                    raise BudgetError("corpus spec xor_lemma jobs", jobs, XOR_LEMMA_JOB_LIMIT)
         return cls(**doc)
+
+
+# The range of every integer size in a corpus spec, checked by
+# CorpusSpec.from_json before any section runs.  At its upper end a section
+# takes at most about half a minute on a 2-CPU desk machine; kraft.max_len = 5
+# alone would enumerate more prefix-free codes than any run can.  An XOR power
+# past RECT_SIDE_LIMIT.bit_length() - 1 fits the rectangle budget at no b.
+SPEC_BUDGETS = {
+    "fourier.count": (0, 100_000),
+    "vazirani.count": (0, 100_000),
+    "xor_lemma.powers": (1, RECT_SIDE_LIMIT.bit_length() - 1),
+    "xor_lemma.extra": (1, RECT_SIDE_LIMIT.bit_length() - 1),
+    "extractor_sampling.samples_b2": (0, 20_000),
+    "kraft.max_len": (0, 4),
+    "kraft.assignments": (0, 10_000),
+    "density.count": (0, 20_000),
+    "claims.supports": (0, 2_000),
+    "structure_lemmas.count": (0, 4_000),
+    "lifting.rand_seeds": (0, 300),
+}
+# Gadget and power pairs of the xor_lemma section: len(gadgets) * len(powers)
+# + len(extra).
+XOR_LEMMA_JOB_LIMIT = 1_000
+
+
+def _ints(value):
+    """The ints in a spec value, within lists at any depth (bools excluded)."""
+    if type(value) is int:
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _ints(item)
 
 
 def _fits(value, template) -> bool:
@@ -474,7 +524,7 @@ def default_corpus_spec(scale: int = 1) -> CorpusSpec:
         seed=2024,
         fourier={"count": max(1000 // scale, 50)},
         vazirani={"count": max(1000 // scale, 50)},
-        xor_lemma={"gadgets": ["and1", "or1", "xor1", "ip1"], "powers": [1, 2, 3],
+        xor_lemma={"gadgets": list(_XOR_GADGETS), "powers": list(_XOR_POWERS),
                    "extra": [["ip2", 1]]},
         extractor_sampling={"samples_b2": max(200 // scale, 20)},
         kraft={"max_len": 4 if scale == 1 else 3, "assignments": 100 // scale + 1},
@@ -552,7 +602,12 @@ def _section_vazirani(seed: int, count: int = 1000) -> SectionReport:
     return rep
 
 
-def _section_xor_lemma(gadgets: Sequence[str], powers: Sequence[int],
+_XOR_GADGETS = ("and1", "or1", "xor1", "ip1")
+_XOR_POWERS = (1, 2, 3)
+
+
+def _section_xor_lemma(gadgets: Sequence[str] = _XOR_GADGETS,
+                       powers: Sequence[int] = _XOR_POWERS,
                        extra: Sequence = ()) -> SectionReport:
     rep = SectionReport("xor_lemma_sandwich")
     jobs = [(name, m) for name in gadgets for m in powers]

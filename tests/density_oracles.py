@@ -6,8 +6,8 @@ residual onto each nonempty coordinate set through dist.project, and every
 carved part conditions the residual again.  They share only
 DistributionTable, project, subsets_by_size and the exact kernel with the
 counts core in liftsim.structure, so comparing the two is a cross-check.
-DensityPart is a copy too; compare parts from the two modules with
-dataclasses.astuple, since instances of two classes never compare equal.
+DensityPart is a copy too; compare parts from the two modules field by
+field with vars(), since instances of two classes never compare equal.
 """
 
 from dataclasses import dataclass

@@ -174,6 +174,11 @@ MALFORMED = {
         "verify", str(_spec(root, "unknown_param", {"fourier": {"cnt": 5}}))],
     "verify-spec-seed-not-int": lambda root: [
         "verify", str(_spec(root, "seed_not_int", {"seed": "1"}))],
+    # corpus-spec sizes are refused on the parsed value, before any section runs
+    "verify-spec-count-over-budget": lambda root: [
+        "verify", str(_spec(root, "count_over", {"fourier": {"count": 2 ** 70}}))],
+    "verify-spec-count-negative": lambda root: [
+        "verify", str(_spec(root, "count_negative", {"vazirani": {"count": -1}}))],
     "out-dir-missing": lambda root: [
         "gadget", "analyze", "--gadget", "xor1", "--out", str(root / "absent" / "x.json")],
     "verify-scale-zero": lambda root: ["verify", "--scale", "0"],

@@ -11,9 +11,16 @@ modules import it from there rather than spelling it out:
 The lifting engines take a round's messages set-at-a-time, from
 ``protocols.message_distribution``; the per-input walk ``round_message`` is
 its test oracle and appears in no source module.
+
+Records are plain classes on ``liftsim.records.Record``: no source module
+imports ``dataclasses`` or calls ``exec``/``eval``, and importing liftsim
+loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "liftsim").glob("*.py"))
@@ -56,3 +63,28 @@ def test_block_universe_only_from_block_table():
 def test_round_message_in_no_source_module():
     found = _lines_with("round_message(")
     assert not found, f"split a set by message with protocols.message_distribution: {found}"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # records are plain classes on liftsim.records, so importing the library,
+    # the verifier and the CLI leaves both modules (and what they pull in,
+    # ast, dis and tokenize) unloaded
+    code = ("import sys, liftsim, liftsim.verify, liftsim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_no_source_module_imports_dataclasses_or_calls_exec():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"records derive from liftsim.records.Record: {found}"

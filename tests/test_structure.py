@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from collections import Counter
@@ -228,8 +227,7 @@ def test_density_core_matches_reprojecting_oracles():
         for delta in deltas:
             parts = density_restoring_partition(d, delta, b)
             oracle = oracle_density_restoring_partition(d, delta, b)
-            assert [dataclasses.astuple(p) for p in parts] == [
-                dataclasses.astuple(p) for p in oracle], (d, delta, b)
+            assert [vars(p) for p in parts] == [vars(p) for p in oracle], (d, delta, b)
             choice = density_restoring_choice(d, delta, b)
             assert choice == oracle_density_restoring_choice(d, delta, b)
             w = is_dense(d, delta, b)

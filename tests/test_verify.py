@@ -10,7 +10,7 @@ import liftsim.simulate as simulate
 import liftsim.verify as verify
 from liftsim.dist import DistributionTable
 from liftsim.dtrees import brute_force_Ddt
-from liftsim.errors import DomainError, LiftsimError
+from liftsim.errors import BudgetError, DomainError, LiftsimError
 from liftsim.gadgets import builtin_gadget, discrepancy
 from liftsim.protocols import canonical_protocol
 from liftsim.simulate import LiftingParams, enumerate_output_distribution, lift_randomized
@@ -205,6 +205,47 @@ def test_default_spec_shape():
     assert spec.kraft["max_len"] == 4
 
 
+def test_shipped_specs_fit_their_budgets():
+    # every integer of the shipped spec has a budget, and the budget admits it
+    for scale in (1, 10, 1000):
+        doc = vars(default_corpus_spec(scale))
+        assert vars(CorpusSpec.from_json(json.dumps(doc))) == doc
+    assert {f"{section}.{key}" for section, params in vars(default_corpus_spec()).items()
+            if isinstance(params, dict) for key, value in params.items()
+            if list(verify._ints(value))} == set(verify.SPEC_BUDGETS)
+
+
+# Each refused before any section runs, on the parsed value alone.
+OVER_BUDGET = {
+    '{"fourier": {"count": 1000000}}': ("fourier.count", 1000000, "0..100000"),
+    '{"lifting": {"rand_seeds": 1000000}}': ("lifting.rand_seeds", 1000000, "0..300"),
+    '{"kraft": {"max_len": 5}}': ("kraft.max_len", 5, "0..4"),
+    '{"density": {"count": -1}}': ("density.count", -1, "0..20000"),
+    '{"xor_lemma": {"powers": [1, 0]}}': ("xor_lemma.powers", 0, "1..4"),
+    '{"xor_lemma": {"extra": [["ip2", 1180591620717411303424]]}}': (
+        "xor_lemma.extra", 2 ** 70, "1..4"),
+    '{"fourier": {"count": 5}, "claims": {"supports": 2001}}': ("claims.supports", 2001, "0..2000"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(OVER_BUDGET))
+def test_spec_sizes_over_budget_refused(text):
+    key, size, limit = OVER_BUDGET[text]
+    with pytest.raises(BudgetError) as err:
+        CorpusSpec.from_json(text)
+    assert (err.value.what, err.value.size, err.value.limit) == (
+        f"corpus spec value {key}", size, limit)
+
+
+def test_xor_lemma_job_count_refused():
+    text = json.dumps({"xor_lemma": {"gadgets": ["xor1"] * 251, "powers": [1, 2, 3, 4]}})
+    with pytest.raises(BudgetError, match="xor_lemma jobs: size 1004 exceeds budget 1000"):
+        CorpusSpec.from_json(text)
+    # omitted keys take the section's defaults: 4 gadgets x 3 powers
+    spec = CorpusSpec.from_json('{"xor_lemma": {"extra": [["ip2", 1]]}}')
+    assert run_corpus(spec).sections[0].total == 13
+
+
 # The scale-10 default corpus report at seed 2024, pinned byte for byte (the
 # same digest and FAIL count as the verify_corpus entry of
 # perfbench/golden.json).  A refactor that changes any verdict, measured value
@@ -259,18 +300,27 @@ def oracle_complexity(p):
 
 
 def test_lifting_section_walks_each_protocol_once(monkeypatch):
+    walked = []
+    walk = protocols._checked_complexity
+
+    def counted(root, size):
+        walked.append(root)
+        return walk(root, size)
+
     built = []
-    post_init = protocols.ProtocolTree.__post_init__
+    init = protocols.ProtocolTree.__init__
 
-    def counted(self):
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(protocols.ProtocolTree, "__post_init__", counted)
+    monkeypatch.setattr(protocols, "_checked_complexity", counted)
+    monkeypatch.setattr(protocols.ProtocolTree, "__init__", recorded)
     verify._section_lifting(2024)
     # one protocol per shipped problem, walked once when it is built; every
     # later complexity() call reads that walk's result
-    assert len(built) == len(verify.shipped_problems())
+    assert len(walked) == len(verify.shipped_problems())
+    assert [p.root for p in built] == walked
     proto = built[0]
     cost = protocols.complexity(proto)
     assert cost == oracle_complexity(proto)
