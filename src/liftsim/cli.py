@@ -79,7 +79,7 @@ def _write(what: str, path: str, text: str) -> None:
 
 def _load_gadget(spec: str):
     if spec in BUILTIN_NAMES or spec.startswith("rand:"):
-        return _parse("gadget spec", builtin_gadget, spec)
+        return builtin_gadget(spec)
     return _load("gadget file", gadget_from_json, spec)
 
 

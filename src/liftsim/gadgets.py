@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
 from .dist import DistributionTable
-from .errors import BudgetError, DomainError, FormatError, LiftsimError, malformed
+from .errors import BudgetError, DomainError, FormatError, malformed
 from .exact import _rational, cmp_pow2_ratio
 from .records import Record
 
@@ -443,7 +443,9 @@ BUILTIN_NAMES = ("and1", "or1", "xor1", "ip1", "ip2")
 
 
 def builtin_gadget(name: str) -> Gadget:
-    """Named gadget: and1, or1, xor1, ip1, ip2, or rand:<b>:<seed>."""
+    """Named gadget: and1, or1, xor1, ip1, ip2, or rand:<b>:<seed>.  Any other
+    name, or a rand name whose b or seed is not an integer or whose b is
+    negative, is a FormatError."""
     if name == "and1":
         return _bit_op_gadget("and1", lambda x, y: x & y)
     if name == "or1":
@@ -455,11 +457,15 @@ def builtin_gadget(name: str) -> Gadget:
     if name == "ip2":
         return _ip_gadget(2)
     if name.startswith("rand:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise LiftsimError(f"bad random gadget spec {name!r}, expected rand:<b>:<seed>")
-        return random_gadget(int(parts[1]), int(parts[2]))
-    raise LiftsimError(f"unknown gadget {name!r}")
+        try:
+            b, seed = map(int, name.split(":")[1:])
+            if b < 0:
+                raise ValueError
+        except ValueError:
+            raise FormatError(f"bad random gadget name {name!r}, expected rand:<b>:<seed> "
+                              f"with integers b >= 0 and seed") from None
+        return random_gadget(b, seed)
+    raise FormatError(f"unknown gadget {name!r}")
 
 
 # -- file format --------------------------------------------------------------

@@ -165,52 +165,44 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
     For every queried coordinate i, Alice announces her block x_i (b bits,
     most significant first) and Bob answers with the gadget output (1 bit);
     leaf labels are copied from the decision tree.
+
+    Each distinct part is built once and shared: Alice's bit map per
+    (coordinate, depth), Bob's per (coordinate, block x_i), and the pair of
+    subtrees below Bob's answer per (query position, answers so far), which
+    all 2^b Bob nodes of a query share, since nothing below the answer
+    depends on x_i.  Nodes are frozen, so the result equals the expanded
+    tree as a value; no caller may rely on node identity.
     """
     n, b = tree.n, g.b
-    size = 1 << (b * n)
-    x_blocks = y_blocks = block_table(n, b)
+    blocks = block_table(n, b)
+    alice, bob = {}, {}  # bit maps by (coordinate, depth) and by (coordinate, x_i)
 
-    def _query_chain(dnode: DNode, coords, k: int, partial: Tuple[int, ...]):
-        if not coords:  # degenerate pass-through node, communicates nothing
-            child = dnode.children[0]
-            if isinstance(child, DLeaf):
-                return PLeaf(child.output)
-            return _query_chain(child, child.queries, 0, ())
-        # announce coordinate coords[k]: b Alice bits then one Bob bit
-        coord = coords[k]
+    def down(dnode):
+        while isinstance(dnode, DNode) and not dnode.queries:  # communicates nothing
+            dnode = dnode.children[0]
+        if isinstance(dnode, DLeaf):
+            return PLeaf(dnode.output)
+        return ask(dnode, 0, 0)
 
-        def alice_level(depth: int, xi_prefix: int):
-            if depth == b:
-                row = xi_prefix * g.side
-                bits = tuple(g.table[row + y_blocks[v][coord]] for v in range(size))
+    def ask(dnode: DNode, k: int, idx: int):
+        # announce dnode.queries[k:]; idx spells the answers so far, first most significant
+        if k == len(dnode.queries):
+            return down(dnode.children[idx])
+        answers = (ask(dnode, k + 1, 2 * idx), ask(dnode, k + 1, 2 * idx + 1))
+        return speak(dnode.queries[k], 0, 0, answers)
 
-                def after(zbit: int):
-                    new_partial = partial + (zbit,)
-                    if k + 1 < len(coords):
-                        return _query_chain(dnode, coords, k + 1, new_partial)
-                    idx = 0
-                    for bitv in new_partial:
-                        idx = (idx << 1) | bitv
-                    child = dnode.children[idx]
-                    if isinstance(child, DLeaf):
-                        return PLeaf(child.output)
-                    return _query_chain(child, child.queries, 0, ())
+    def speak(c: int, d: int, xi: int, answers):
+        # Alice has sent d bits of x_c, spelling xi; after b of them Bob answers
+        if d < b:
+            if (c, d) not in alice:
+                alice[c, d] = tuple((blk[c] >> (b - 1 - d)) & 1 for blk in blocks)
+            return PNode("A", alice[c, d], (speak(c, d + 1, 2 * xi, answers),
+                                            speak(c, d + 1, 2 * xi + 1, answers)))
+        if (c, xi) not in bob:
+            bob[c, xi] = tuple(g.table[xi * g.side + blk[c]] for blk in blocks)
+        return PNode("B", bob[c, xi], answers)
 
-                return PNode("B", bits, (after(0), after(1)))
-            bits = tuple((x_blocks[v][coord] >> (b - 1 - depth)) & 1 for v in range(size))
-            return PNode(
-                "A",
-                bits,
-                (alice_level(depth + 1, xi_prefix << 1),
-                 alice_level(depth + 1, (xi_prefix << 1) | 1)),
-            )
-
-        return alice_level(0, 0)
-
-    root = tree.root
-    if isinstance(root, DLeaf):
-        return ProtocolTree(n, b, PLeaf(root.output))
-    return ProtocolTree(n, b, _query_chain(root, root.queries, 0, ()))
+    return ProtocolTree(n, b, down(tree.root))
 
 
 class RandomizedProtocol(Record, frozen=True):

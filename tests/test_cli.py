@@ -179,6 +179,15 @@ MALFORMED = {
         "verify", str(_spec(root, "count_over", {"fourier": {"count": 2 ** 70}}))],
     "verify-spec-count-negative": lambda root: [
         "verify", str(_spec(root, "count_negative", {"vazirani": {"count": -1}}))],
+    # gadget names and the lifting gadget's block length, refused on parsing
+    "verify-spec-gadget-part-not-int": lambda root: [
+        "verify", str(_spec(root, "rand_x", {"lifting": {"gadget": "rand:x:1"}}))],
+    "verify-spec-gadget-b-negative": lambda root: [
+        "verify", str(_spec(root, "rand_neg", {"xor_lemma": {"gadgets": ["rand:-1:1"]}}))],
+    "verify-spec-gadget-parts-missing": lambda root: [
+        "verify", str(_spec(root, "rand_short", {"xor_lemma": {"extra": [["rand:1", 1]]}}))],
+    "verify-spec-lifting-block-over-budget": lambda root: [
+        "verify", str(_spec(root, "lift_b6", {"lifting": {"gadget": "rand:6:1"}}))],
     "out-dir-missing": lambda root: [
         "gadget", "analyze", "--gadget", "xor1", "--out", str(root / "absent" / "x.json")],
     "verify-scale-zero": lambda root: ["verify", "--scale", "0"],

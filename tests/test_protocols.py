@@ -4,9 +4,19 @@ from fractions import Fraction as F
 import pytest
 
 from liftsim.dist import DistributionTable
-from liftsim.dtrees import brute_force_Ddt, parity_problem, first_bit_problem
+from liftsim import gadgets
+from liftsim.dtrees import (
+    DLeaf,
+    ParallelDecisionTree,
+    brute_force_Ddt,
+    find_one_problem,
+    first_bit_problem,
+    index_problem,
+    parity_problem,
+    tree_from_json,
+)
 from liftsim.errors import DomainError, InvariantError
-from liftsim.gadgets import builtin_gadget
+from liftsim.gadgets import BUILTIN_NAMES, builtin_gadget
 from liftsim.protocols import (
     PLeaf,
     PNode,
@@ -24,6 +34,8 @@ from liftsim.protocols import (
     run_protocol,
 )
 from liftsim.simulate import compose_eval
+
+from protocol_oracle import canonical_protocol as oracle_protocol
 
 XOR = builtin_gadget("xor1")
 IP2 = builtin_gadget("ip2")
@@ -114,7 +126,6 @@ def test_kraft_heavy_message_fuzz():
 
 def test_canonical_protocol_examples():
     # zero-query tree
-    from liftsim.dtrees import DLeaf, ParallelDecisionTree
     t0 = ParallelDecisionTree(2, DLeaf("c"))
     p0 = canonical_protocol(t0, XOR)
     assert complexity(p0) == (0, 0)
@@ -142,6 +153,57 @@ def test_canonical_protocol_solves_composed_problems():
                 _, out, _ = run_protocol(proto, x, y)
                 z = compose_eval(g, x, y, n)
                 assert problem.allows(z, out)
+
+
+def _oracle_cases():
+    """(label, tree, gadget): every brute-force tree of the shipped problems at
+    n <= 3 with each builtin gadget where b*n <= 9, and three special trees."""
+    for n in (1, 2, 3):
+        for make in (parity_problem, index_problem, first_bit_problem, find_one_problem):
+            _, tree = brute_force_Ddt(make(n))
+            for name in BUILTIN_NAMES:
+                g = builtin_gadget(name)
+                if g.b * n <= 9:
+                    yield f"{make.__name__}({n})/{name}", tree, g
+    yield "leaf-root", ParallelDecisionTree(2, DLeaf("c")), IP2
+    # an empty query set at the root and inside, and two coordinates asked at once
+    yield "empty-queries", tree_from_json(
+        '{"n": 3, "tree": {"queries": [], "children": [{"queries": [2, 0], "children": ['
+        '{"leaf": "a"}, {"queries": [], "children": [{"leaf": "b"}]}, '
+        '{"queries": [1], "children": [{"leaf": "c"}, {"leaf": "d"}]}, {"leaf": "e"}]}]}}'), IP2
+    yield "ip3-parity3", brute_force_Ddt(parity_problem(3))[1], gadgets._ip_gadget(3)
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("label, tree, g", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_canonical_protocol_equals_expanded_oracle(label, tree, g):
+    p, q = canonical_protocol(tree, g), oracle_protocol(tree, g)
+    assert p == q and complexity(p) == complexity(q)
+    assert protocol_to_json(p) == protocol_to_json(q)
+
+
+def _distinct_parts(p: ProtocolTree):
+    """Distinct PNode objects and distinct bit-map objects below p's root,
+    each shared node walked once."""
+    nodes, maps, todo = {}, set(), [p.root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, PNode) and id(node) not in nodes:
+            nodes[id(node)] = node
+            maps.add(id(node.bits))
+            todo.extend(node.children)
+    return len(nodes), len(maps)
+
+
+def test_canonical_protocol_builds_each_part_once():
+    # ip3, n=3, parity: 7 queries of 7 Alice and 8 Bob nodes each (4,095 when
+    # every node was built afresh), from n*b Alice maps and n*2^b Bob maps
+    g = gadgets._ip_gadget(3)
+    p = canonical_protocol(brute_force_Ddt(parity_problem(3))[1], g)
+    nodes, maps = _distinct_parts(p)
+    assert nodes == 105 and maps <= 3 * 3 + 3 * 8
 
 
 def test_protocol_json_roundtrip():

@@ -10,7 +10,7 @@ import liftsim.simulate as simulate
 import liftsim.verify as verify
 from liftsim.dist import DistributionTable
 from liftsim.dtrees import brute_force_Ddt
-from liftsim.errors import BudgetError, DomainError, LiftsimError
+from liftsim.errors import BudgetError, DomainError, FormatError, LiftsimError
 from liftsim.gadgets import builtin_gadget, discrepancy
 from liftsim.protocols import canonical_protocol
 from liftsim.simulate import LiftingParams, enumerate_output_distribution, lift_randomized
@@ -244,6 +244,20 @@ def test_xor_lemma_job_count_refused():
     # omitted keys take the section's defaults: 4 gadgets x 3 powers
     spec = CorpusSpec.from_json('{"xor_lemma": {"extra": [["ip2", 1]]}}')
     assert run_corpus(spec).sections[0].total == 13
+
+
+def test_spec_gadget_names_resolved_when_parsed():
+    for text in ('{"lifting": {"gadget": "rand:x:1"}}', '{"lifting": {"gadget": "ip9"}}',
+                 '{"xor_lemma": {"gadgets": ["xor1", "rand:-1:1"]}}',
+                 '{"xor_lemma": {"extra": [["rand:1", 1]]}}'):
+        with pytest.raises(FormatError):
+            CorpusSpec.from_json(text)
+    # the lifting gadget's block length has its own budget
+    with pytest.raises(BudgetError) as err:
+        CorpusSpec.from_json('{"lifting": {"gadget": "rand:6:1"}}')
+    assert (err.value.size, err.value.limit) == (6, verify.LIFTING_BLOCK_LIMIT) == (6, 5)
+    assert CorpusSpec.from_json('{"lifting": {"gadget": "rand:5:1"}}').lifting == {
+        "gadget": "rand:5:1"}
 
 
 # The scale-10 default corpus report at seed 2024, pinned byte for byte (the
