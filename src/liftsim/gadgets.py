@@ -5,11 +5,13 @@ rectangles.  Sides are subsets of the 2^s-element input domain, represented
 as bitmasks (bit i = i-th domain element in lexicographic order); rectangles
 are ordered by (A mask, B mask) and the reported witness is the first
 maximizer in that order.  The scan is word-parallel and integer-only: the
-column sums of every subset of the first rows are packed one byte per
-column into a single int, so one big-int step per subset of the remaining
-rows scores all of them at once (bytes.translate splits each sum into its
-positive and negative part, shift-and-add folds sum the fields, one
-struct.unpack reads them out).
+biased column sums of every subset of the first rows are packed one byte per
+column into a single int, and one step per subset of the remaining rows
+scores all of them at once without leaving the int.  A sign mask keeps each
+sum's positive part, one pair-and-multiply folds every field's parts into a
+field total, and one packed threshold test asks whether any total, or the
+matching negative part, beats the best so far; only then are the totals
+unpacked to find the first maximizer.
 """
 
 from __future__ import annotations
@@ -169,14 +171,15 @@ def _mask_to_tuple(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-# Rows split: the first _LO rows form the subsets scored together in one
-# packed word, the remaining rows are walked one subset per step.
-_LO = 10
-# Column sums are stored biased by 64, one byte each; after bytes.translate a
-# byte holds max(c, 0) (_POS) or max(-c, 0) (_NEG).
-_BIAS = 64
-_POS = bytes(max(c - _BIAS, 0) for c in range(256))
-_NEG = bytes(max(_BIAS - c, 0) for c in range(256))
+# Rows split: the first _LO rows form the low subsets scored together in one
+# packed word of 2^_LO * side bytes (so _LO bounds the scan's memory); each
+# subset of the remaining high rows is one step.
+_LO = 7
+# A column sum c sits in one byte biased by 128, so bit 7 is set exactly when
+# c >= 0.  |c| <= side keeps the byte in [64, 192] up to side _EXACT_SIDE;
+# past it the byte lanes would carry into each other.
+_BIAS = 128
+_EXACT_SIDE = 64
 
 
 def discrepancy(g: Gadget, side_limit: int = RECT_SIDE_LIMIT) -> DiscrepancyResult:
@@ -188,62 +191,87 @@ def discrepancy(g: Gadget, side_limit: int = RECT_SIDE_LIMIT) -> DiscrepancyResu
     (A mask, B mask) order: the smallest maximizing A, with B the columns of
     the larger of pos and neg, or the smaller of the two masks on a tie.
     Results are memoised by (b, table); the budget check is made every call.
+    A side past 64 is refused whatever side_limit allows: the packed scan is
+    exact only up to there.
     """
-    if g.side > side_limit:
-        raise BudgetError("rectangle enumeration side domain", g.side, side_limit)
+    limit = min(side_limit, _EXACT_SIDE)
+    if g.side > limit:
+        raise BudgetError("rectangle enumeration side domain", g.side, limit)
     return _discrepancy(g.b, g.table)
 
 
 @lru_cache(maxsize=32)
 def _discrepancy(b: int, table: Tuple[int, ...]) -> DiscrepancyResult:
     n = 1 << b
-    # signed column-sum word of each row: sum over y of (+-1) * 256**y
+    # each row's signed column-sum word, sum over y of (+-1) * 256**y, and its
+    # signed total
     row_word = [sum((1 - 2 * table[x * n + y]) << (8 * y) for y in range(n))
                 for x in range(n)]
+    row_sum = [n - 2 * sum(table[x * n:(x + 1) * n]) for x in range(n)]
     lo = min(_LO, n)
     count = 1 << lo
+    size = count * n
 
     # One n-byte field per low subset L (field L at byte L*n) holding the
-    # biased column sums over L: the bias in every field plus, for each low
-    # row x, its word in the fields whose L contains x.  |c| <= n keeps every
-    # byte in [0, 255] for n <= 64, so adding a high subset's signed word to
-    # each field never carries across bytes.
+    # biased column sums over L: the bias in every byte plus, for each low row
+    # x, its word in the fields whose L contains x.  The byte range keeps
+    # every later sum of a high subset's signed word inside its byte.
     field = b"\1" + bytes(n - 1)
-    rep = int.from_bytes(field * count, "little")
-    lo_all = sum(_BIAS << (8 * y) for y in range(n)) * rep
+    rep = int.from_bytes(field * count, "little")  # 1 in the low byte of every field
+    top = rep << (8 * n - 16)  # 1 in the top 16-bit lane of every field
+    low = _BIAS * int.from_bytes(b"\1" * size, "little")
+    low_sum = 0  # S(L), the signed total over L, in every top lane
     for x in range(lo):
         run = 1 << x
         member = int.from_bytes((bytes(n * run) + field * run) * (count >> (x + 1)), "little")
-        lo_all += row_word[x] * member
-    size = count * n
-    # Field sums: add byte pairs into 16-bit lanes, then fold lanes (each sum
-    # is at most n*n, well inside 16 bits) until lane 0 holds the field total.
-    pairs = int.from_bytes(b"\xff\0" * (size // 2), "little")
-    folds = [s for s in (16, 32, 64, 128, 256) if s < 8 * n]
-    totals = struct.Struct("<" + f"H{n - 2}x" * count).unpack
+        low += row_word[x] * member
+        low_sum += row_sum[x] * member
+    low_sum <<= 8 * n - 16
 
-    def field_sums(raw: bytes, signs: bytes) -> Tuple[int, ...]:
-        v = int.from_bytes(raw.translate(signs), "little")
-        v = (v & pairs) + ((v >> 8) & pairs)
-        for s in folds:
-            v += v >> s
-        return totals(v.to_bytes(size, "little"))
+    # Scoring a step's word v, every field at once: the sign bits mark each
+    # byte with c >= 0, sign - (sign >> 7) turns each mark into a 0x7f mask,
+    # and v under that mask holds max(c, 0) per byte.  Byte pairs add into
+    # 16-bit lanes, and a multiplication by a 1 in each of a field's n/2
+    # lanes leaves the field's sum P(A) of positive parts in its top lane.
+    # No lane exceeds n*n, so none carries.  The negative parts sum to
+    # P(A) - S(A), where S(A) = S(L) + s_h is the signed total over A.
+    signs = int.from_bytes(b"\x80" * size, "little")
+    pairs = int.from_bytes(b"\xff\0" * (size // 2), "little")
+    lanes = int.from_bytes(b"\1\0" * (n // 2), "little")
+    totals = struct.Struct("<" + f"{n - 2}xH" * count).unpack_from
+    # The threshold test adds K = 0x7fff - best to every top lane: bit 15 of
+    # a lane is then set exactly when its value beats best.  Only then are
+    # the totals unpacked.
+    above = 0x8000 * top
 
     # A mask = (h << lo) | L, so h then L ascending is A-mask order and the
-    # first index of the best value in the first h reaching it is the
-    # smallest maximizing A.
-    best, best_a = -1, 0
+    # first index of the best value in the first h beating the best so far
+    # is the smallest maximizing A.  As h counts up, the high row of its
+    # lowest set bit joins A and the high rows below that one leave it.
+    steps = [((row_word[x] - sum(row_word[lo:x])) * rep, row_sum[x] - sum(row_sum[lo:x]))
+             for x in range(lo, n)]
+    v, s_h = low, 0  # the step's word, and the signed total over its high rows
+    best, best_a, over = -1, 0, above
     for h in range(1 << (n - lo)):
-        word = sum(row_word[lo + i] for i in range(n - lo) if h >> i & 1)
-        raw = (lo_all + word * rep).to_bytes(size, "little")
-        pos, neg = field_sums(raw, _POS), field_sums(raw, _NEG)
-        top_pos, top_neg = max(pos), max(neg)
-        top = max(top_pos, top_neg)
-        if top > best:
-            best = top
-            first = min(pos.index(top) if top_pos == top else count,
-                        neg.index(top) if top_neg == top else count)
-            best_a = (h << lo) | first
+        if h:
+            word, total = steps[(h & -h).bit_length() - 1]
+            v += word
+            s_h += total
+        sign = v & signs
+        pos = v & (sign - (sign >> 7))
+        fields = ((pos + (pos >> 8)) & pairs) * lanes
+        beat = fields + over
+        if not (beat | (beat - low_sum - s_h * top)) & above:
+            continue
+        neg = fields - low_sum - s_h * top
+        pos_t = totals(fields.to_bytes(size + n, "little"))
+        neg_t = totals(neg.to_bytes(size + n, "little"))
+        max_pos, max_neg = max(pos_t), max(neg_t)
+        best = max(max_pos, max_neg)
+        first = min(pos_t.index(best) if max_pos == best else count,
+                    neg_t.index(best) if max_neg == best else count)
+        best_a = (h << lo) | first
+        over = (0x7FFF - best) * top
 
     # Each A is scored once, so B is built only for the winning A.
     pos_sum = neg_sum = pos_mask = neg_mask = 0
@@ -277,9 +305,10 @@ class XorLemmaReport(Record):
 def check_xor_lemma(g: Gadget, m: int, side_limit: int = RECT_SIDE_LIMIT) -> XorLemmaReport:
     """disc(g)^m <= disc(xor-power) <= (64*disc(g))^m, upper clamped at 1."""
     base = discrepancy(g, side_limit).value
-    # 2^(b*m) > side_limit: refuse the power's side before building its table
-    if m >= 1 and g.b * m >= side_limit.bit_length():
-        raise BudgetError("rectangle enumeration side domain", f"2^{g.b * m}", side_limit)
+    # 2^(b*m) > limit: refuse the power's side before building its table
+    limit = min(side_limit, _EXACT_SIDE)
+    if m >= 1 and g.b * m >= limit.bit_length():
+        raise BudgetError("rectangle enumeration side domain", f"2^{g.b * m}", limit)
     value = discrepancy(xor_power(g, m), side_limit).value
     lower = base ** m
     upper = min(Fraction(1), (64 * base) ** m)

@@ -65,19 +65,29 @@ class ProtocolTree(Record, frozen=True):
 
 def _checked_complexity(root, size: int) -> Tuple[int, int]:
     """Check that every bit map below root has `size` entries; (communication,
-    round) complexity of the tree."""
+    round) complexity of the tree.
 
-    def walk(node, speaker) -> Tuple[int, int]:
-        if isinstance(node, PLeaf):
-            return 0, 0
+    Each distinct internal node is walked once, however many parents share
+    it: it keeps its (communication, rounds) with its own round counted as a
+    new one, and a parent of the same speaker takes that round back.  Nodes
+    are told apart by identity, which the tree holds fixed during the walk.
+    """
+    costs = {}
+
+    def walk(node: PNode) -> Tuple[int, int]:
         if len(node.bits) != size:
             raise DomainError(
                 f"bit map has {len(node.bits)} entries, expected {size}")
-        s, (zero, one) = node.speaker, node.children
-        (c0, r0), (c1, r1) = walk(zero, s), walk(one, s)
-        return 1 + (c0 if c0 > c1 else c1), (s != speaker) + (r0 if r0 > r1 else r1)
+        comm = rounds = 0  # a leaf child adds nothing
+        for child in node.children:
+            if isinstance(child, PNode):
+                c, r = costs.get(id(child)) or walk(child)
+                comm = max(comm, c)
+                rounds = max(rounds, r - (child.speaker == node.speaker))
+        cost = costs[id(node)] = (1 + comm, 1 + rounds)
+        return cost
 
-    return walk(root, None)
+    return walk(root) if isinstance(root, PNode) else (0, 0)
 
 
 def run_protocol(p: ProtocolTree, x: int, y: int):

@@ -2,12 +2,15 @@
 shared its parts: the oracle the shared builder is compared with.
 
 Every node is built afresh, with its own bit map, so the tree it returns is
-the expanded tree that the shared builder must equal as a value.
+the expanded tree that the shared builder must equal as a value.  The
+validating walk is kept as protocols._checked_complexity made it before it
+walked each shared node once: it visits every node of the expanded tree.
 """
 
 from typing import Tuple
 
 from liftsim.dtrees import DLeaf, DNode, ParallelDecisionTree
+from liftsim.errors import DomainError
 from liftsim.gadgets import Gadget, block_table
 from liftsim.protocols import PLeaf, PNode, ProtocolTree
 
@@ -64,3 +67,20 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
     if isinstance(root, DLeaf):
         return ProtocolTree(n, b, PLeaf(root.output))
     return ProtocolTree(n, b, _query_chain(root, root.queries, 0, ()))
+
+
+def checked_complexity(root, size: int) -> Tuple[int, int]:
+    """Check that every bit map below root has `size` entries; (communication,
+    round) complexity of the tree."""
+
+    def walk(node, speaker) -> Tuple[int, int]:
+        if isinstance(node, PLeaf):
+            return 0, 0
+        if len(node.bits) != size:
+            raise DomainError(
+                f"bit map has {len(node.bits)} entries, expected {size}")
+        s, (zero, one) = node.speaker, node.children
+        (c0, r0), (c1, r1) = walk(zero, s), walk(one, s)
+        return 1 + (c0 if c0 > c1 else c1), (s != speaker) + (r0 if r0 > r1 else r1)
+
+    return walk(root, None)

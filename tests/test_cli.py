@@ -193,6 +193,9 @@ MALFORMED = {
     "verify-scale-zero": lambda root: ["verify", "--scale", "0"],
     "verify-scale-negative": lambda root: ["verify", "--scale", "-3"],
     "gadget-block-too-long": lambda root: ["gadget", "analyze", "--gadget", "rand:40:1"],
+    # side 128 is past the exact packed scan, however far the budget is raised
+    "gadget-side-past-exact-range": lambda root: [
+        "gadget", "analyze", "--gadget", "rand:7:1", "--budget-rect-side", "128"],
     "gadget-file-block-too-long": lambda root: [
         "gadget", "analyze", "--gadget", str(_spec(root, "long_block", {"b": 40, "rows": []}))],
     "lift-eta-zero": lambda root: [

@@ -6,6 +6,8 @@ from itertools import permutations, product
 
 import pytest
 
+import disc_oracle
+
 from liftsim import gadgets
 from liftsim.dist import DistributionTable
 from liftsim.errors import BudgetError, DomainError, LiftsimError
@@ -155,6 +157,59 @@ def test_discrepancy_matches_gray_code_oracle():
     gadgets += [builtin_gadget(f"rand:4:{s}") for s in (5, 77, 150, 254)]
     for g in gadgets:
         assert discrepancy(g) == gray_code_discrepancy(g), g
+
+
+def last_step_gadget():
+    """A b=4 table whose maximum first appears in the kernel's last step: the
+    rows from gadgets._LO on (the high rows) are all 0, so every maximizing A
+    holds all of them, while the low rows are seeded bits."""
+    rng, lo = random.Random(19), gadgets._LO
+    rows = [[rng.getrandbits(1) for _ in range(16)] if x < lo else [0] * 16
+            for x in range(16)]
+    return Gadget(4, [bit for row in rows for bit in row])
+
+
+def test_discrepancy_matches_unpacking_oracle():
+    # exact DiscrepancyResult equality with the kernel that unpacked every
+    # step's field totals (tests/disc_oracle.py)
+    rng = random.Random(19)
+    cases = [builtin_gadget(name) for name in BUILTIN_NAMES]
+    cases += [random_gadget(b, s) for b in (1, 2, 3) for s in range(6)]
+    cases += [builtin_gadget(f"rand:4:{s}") for s in range(0, 256, 8)]
+    # b=4 tables full of ties: constant, nearly constant, and ip4
+    cases += [constant_gadget(4, 0), constant_gadget(4, 1), xor_power(IP2, 2)]
+    cases += [Gadget(4, [int(rng.random() < p) for _ in range(256)]) for p in (0.1, 0.9)]
+    cases.append(last_step_gadget())
+    for g in cases:
+        assert gadgets._discrepancy.__wrapped__(g.b, g.table) == \
+            disc_oracle._discrepancy.__wrapped__(g.b, g.table), g
+    # the last step both scans past earlier ones and beats their best
+    high = set(range(gadgets._LO, 16))
+    assert high <= set(discrepancy(last_step_gadget()).argmax.a)
+
+
+def test_discrepancy_refuses_sides_past_exact_range(monkeypatch):
+    # the packed byte lanes are exact up to side 64, so a larger side is
+    # refused before its packed words or its XOR power's table are built,
+    # whatever side_limit allows
+    scan = gadgets._discrepancy
+
+    def checked_scan(b, table):
+        assert b <= 6, f"packed scan started at b={b}"
+        return scan(b, table)
+
+    def never(g, m):
+        raise AssertionError(f"xor_power table built for m={m}")
+
+    monkeypatch.setattr(gadgets, "_discrepancy", checked_scan)
+    monkeypatch.setattr(gadgets, "xor_power", never)
+    g = random_gadget(7, 1)
+    for call in (lambda: discrepancy(g, side_limit=128),
+                 lambda: check_xor_lemma(g, 1, side_limit=128),
+                 lambda: check_xor_lemma(random_gadget(2, 1), 4, side_limit=1 << 12)):
+        with pytest.raises(BudgetError) as err:
+            call()
+        assert err.value.limit == 64
 
 
 # (value, witness) sha256 of discrepancy(rand:4:s), as pinned for the

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from liftsim.dist import DistributionTable
-from liftsim import gadgets
+from liftsim import gadgets, protocols
 from liftsim.dtrees import (
     DLeaf,
     ParallelDecisionTree,
@@ -35,6 +36,7 @@ from liftsim.protocols import (
 )
 from liftsim.simulate import compose_eval
 
+from protocol_oracle import checked_complexity as oracle_complexity
 from protocol_oracle import canonical_protocol as oracle_protocol
 
 XOR = builtin_gadget("xor1")
@@ -181,6 +183,7 @@ ORACLE_CASES = list(_oracle_cases())
 def test_canonical_protocol_equals_expanded_oracle(label, tree, g):
     p, q = canonical_protocol(tree, g), oracle_protocol(tree, g)
     assert p == q and complexity(p) == complexity(q)
+    assert complexity(p) == oracle_complexity(q.root, q.input_size)
     assert protocol_to_json(p) == protocol_to_json(q)
 
 
@@ -204,6 +207,47 @@ def test_canonical_protocol_builds_each_part_once():
     p = canonical_protocol(brute_force_Ddt(parity_problem(3))[1], g)
     nodes, maps = _distinct_parts(p)
     assert nodes == 105 and maps <= 3 * 3 + 3 * 8
+
+
+def _walk_calls(check, root, size):
+    """(check's result, the number of calls to the function named walk in
+    check's module)."""
+    module, calls = check.__code__.co_filename, []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "walk" and code.co_filename == module:
+            calls.append(1)
+
+    sys.setprofile(count)
+    try:
+        result = check(root, size)
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def test_validating_walk_visits_each_distinct_node_once():
+    # ip2, n=3, parity: 49 distinct internal nodes; the expanded tree the
+    # walk visited before has 511 internal nodes and 512 leaves
+    tree, g = brute_force_Ddt(parity_problem(3))[1], IP2
+    p, q = canonical_protocol(tree, g), oracle_protocol(tree, g)
+    fast = _walk_calls(protocols._checked_complexity, p.root, p.input_size)
+    slow = _walk_calls(oracle_complexity, q.root, q.input_size)
+    assert fast == (complexity(p), 49) and slow == (complexity(p), 1023)
+
+
+def test_validating_walk_refuses_short_bit_map_in_shared_subtree():
+    # a short bit map two levels down a subtree shared by both children of
+    # the root is refused with the message of the expanded walk
+    short = PNode("B", (0, 1, 1), (PLeaf(0), PLeaf(1)))
+    shared = PNode("B", (0, 1, 1, 0), (PLeaf(2), short))
+    root = PNode("A", (0, 0, 1, 1), (shared, shared))
+    with pytest.raises(DomainError) as expanded:
+        oracle_complexity(root, 4)
+    with pytest.raises(DomainError) as err:
+        ProtocolTree(1, 2, root)
+    assert str(err.value) == str(expanded.value) == "bit map has 3 entries, expected 4"
 
 
 def test_protocol_json_roundtrip():
