@@ -183,7 +183,8 @@ def test_discrepancy_matches_unpacking_oracle():
     for g in cases:
         assert gadgets._discrepancy.__wrapped__(g.b, g.table) == \
             disc_oracle._discrepancy.__wrapped__(g.b, g.table), g
-    # the last step both scans past earlier ones and beats their best
+    # its witness holds every high row: the maximum first appears in the
+    # last step, after steps that skip the unpack
     high = set(range(gadgets._LO, 16))
     assert high <= set(discrepancy(last_step_gadget()).argmax.a)
 
