@@ -39,7 +39,6 @@ from .simulate import (
     ENUM_BRANCH_LIMIT,
     ERROR_K,
     ERROR_TRUNCATION,
-    TRUNC_SCALED_BY_B,
     LiftingParams,
     certify_transcript,
     enumerate_output_distribution,
@@ -182,16 +181,9 @@ def cmd_lift(args) -> int:
             a, bb = align_domains(dist, ref)
             _print_frac("TV distance to reference transcripts", statistical_distance(a, bb))
     if args.out:
-        doc = json.loads(res.to_json())
-        doc["params"] = {
-            "mode": params.mode,
-            "eta": frac_str(params.eta), "c": frac_str(params.c),
-            "h": frac_str(params.h), "eps": frac_str(params.eps),
-            "delta": frac_str(params.delta), "tau": frac_str(params.tau),
-            "b": params.b, "n": params.n,
-            "trunc_scaled_by_b": TRUNC_SCALED_BY_B,
-            "density_witness_bits": DENSITY_WITNESS_BITS,
-        }
+        doc = res.to_obj()
+        doc["params"] = dict(params.fields_obj("nonstandard"), tau=frac_str(params.tau),
+                             trunc_scaled_by_b=True, density_witness_bits=DENSITY_WITNESS_BITS)
         _write("trace", args.out, json.dumps(doc, sort_keys=True, indent=2))
         print(f"trace written to {args.out}")
     return 0

@@ -237,8 +237,12 @@ def _node_to_obj(node):
     }
 
 
+def _protocol_to_obj(p: ProtocolTree) -> dict:
+    return {"n": p.n, "b": p.b, "tree": _node_to_obj(p.root)}
+
+
 def protocol_to_json(p: ProtocolTree) -> str:
-    return json.dumps({"n": p.n, "b": p.b, "tree": _node_to_obj(p.root)}, sort_keys=True)
+    return json.dumps(_protocol_to_obj(p), sort_keys=True)
 
 
 def _node_from_obj(obj, size: int):
@@ -273,11 +277,9 @@ def protocol_from_json(text: str) -> ProtocolTree:
 
 
 def randomized_protocol_to_json(rp: RandomizedProtocol) -> str:
-    comps = [
-        {"weight": f"{w.numerator}/{w.denominator}", "protocol": json.loads(protocol_to_json(p))}
-        for w, p in rp.components
-    ]
-    return json.dumps({"components": comps}, sort_keys=True)
+    return json.dumps({"components": [
+        {"weight": f"{w.numerator}/{w.denominator}", "protocol": _protocol_to_obj(p)}
+        for w, p in rp.components]}, sort_keys=True)
 
 
 def randomized_protocol_from_json(text: str) -> RandomizedProtocol:

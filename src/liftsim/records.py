@@ -7,7 +7,27 @@ class) and the repr ``Name(field=value, ...)``.  A class declared with
 ``frozen=True`` is also hashable, by the tuple of its fields, and refuses
 assignment with an ``AttributeError``; its ``__init__`` sets its fields with
 ``object.__setattr__``.  Mutable records are unhashable.
+
+The same list writes a record as JSON data: ``fields_obj`` maps each field's
+name to its value through ``json_data``, which renders each Fraction as its
+exact ``num/den`` string while the object is built.
 """
+
+from fractions import Fraction
+
+from .exact import frac_str
+
+
+def json_data(value):
+    """`value` as JSON data: a Fraction as its num/den string (frac_str), a
+    record as its to_obj(), a list item by item, anything else as it is."""
+    if value.__class__ is Fraction:  # exact type tests: isinstance on Fraction is slow
+        return frac_str(value)
+    if value.__class__ is list:
+        return [json_data(v) for v in value]
+    if isinstance(value, Record):
+        return value.to_obj()
+    return value
 
 
 class Record:
@@ -24,6 +44,10 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
+
+    def fields_obj(self, *omit) -> dict:
+        """The fields by name, but those named in `omit`, as JSON data."""
+        return {f: json_data(getattr(self, f)) for f in self._fields if f not in omit}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -87,8 +87,6 @@ ENUM_BRANCH_LIMIT = 10 ** 6
 FIBER_LIMIT_BITS = 18
 DENSITY_WITNESS_BITS = 12
 ONE = Fraction(1)
-# The step-5 truncation threshold exponent is eta*b/8 (eta/8 when False).
-TRUNC_SCALED_BY_B = True
 
 
 class LiftingParams(Record):
@@ -97,7 +95,7 @@ class LiftingParams(Record):
     deterministic: eps = h/(c*eta);  randomized: eps = h*log2(c)/(c*eta),
     which is rational only when c is a power of two.  Either way
     delta = 1 - eta/4 + eps/2 and tau = 2*delta - eps.  Nonstandard
-    combinations must be flagged explicitly.
+    combinations must be flagged explicitly; eta, c, h and eps must be positive.
     """
 
     def __init__(self, eta: Fraction, c: Fraction, h: Fraction, b: int, n: int,
@@ -112,8 +110,8 @@ class LiftingParams(Record):
         self.nonstandard = nonstandard
         if mode not in ("det", "rand"):
             raise DomainError("mode must be 'det' or 'rand'")
-        if eta <= 0 or c <= 0:
-            raise DomainError("eta and c must be positive")
+        if eta <= 0 or c <= 0 or h <= 0:
+            raise DomainError("eta, c and h must be positive")
         if (eps is not None or delta is not None) and not nonstandard:
             raise DomainError("explicit eps/delta require nonstandard=True")
         if eps is None:
@@ -128,6 +126,8 @@ class LiftingParams(Record):
                     )
                 eps = h * log2c / (c * eta)
         self.eps = eps = Fraction(eps)
+        if eps <= 0:
+            raise DomainError(f"eps must be positive, got {frac_str(eps)}")
         self.delta = Fraction(1 - eta / 4 + eps / 2 if delta is None else delta)
 
     @property
@@ -141,16 +141,9 @@ class LiftingParams(Record):
 
     def trunc_cmp(self, p_geq: Fraction) -> int:
         """Sign of p_geq minus the step-5 truncation threshold
-        2**(-exponent) / (16*n*b), exact: p_geq * 16*n*b against 2**(-exponent)."""
-        scale, exponent = _trunc_threshold(self.eta, self.b, self.n, TRUNC_SCALED_BY_B)
-        return cmp_pow2_ratio(scale * p_geq.numerator, p_geq.denominator, exponent)
-
-
-@lru_cache(maxsize=64)
-def _trunc_threshold(eta: Fraction, b: int, n: int, scaled_by_b: bool) -> Tuple[int, Fraction]:
-    """trunc_cmp's (16*n*b, exponent), keyed by the values it reads, so a
-    params object changed after a call never reads a stale entry."""
-    return 16 * n * b, (eta * b if scaled_by_b else eta) / 8
+        2**(-eta*b/8) / (16*n*b), exact: p_geq * 16*n*b against 2**(-eta*b/8)."""
+        return cmp_pow2_ratio(16 * self.n * self.b * p_geq.numerator, p_geq.denominator,
+                              self.eta * self.b / 8)
 
 
 class RoundRecord(Record):
@@ -181,6 +174,13 @@ class RoundRecord(Record):
         self.snapshots = {} if snapshots is None else snapshots
         self.flags = {} if flags is None else flags
 
+    def to_obj(self) -> dict:
+        """The round's trace: its fields, with the snapshots written as
+        deficiency_snapshots {name: {free, maxp_x, maxp_y}}."""
+        return dict(self.fields_obj("snapshots"), deficiency_snapshots={
+            name: {"free": free, "maxp_x": frac_str(mx), "maxp_y": frac_str(my)}
+            for name, (free, mx, my) in self.snapshots.items()})
+
 
 class SimResult(Record):
     def __init__(self, status: str, violation: Optional[str], transcript: str, output: object,
@@ -204,48 +204,14 @@ class SimResult(Record):
     def total_queries(self) -> int:
         return sum(len(q) for q in self.queries)
 
-    def to_json(self) -> str:
-        def fr(v):
-            return None if v is None else frac_str(v)
+    def to_obj(self) -> dict:
+        """The run trace: the fields but the rectangle's inputs and the sampled
+        component, plus total_queries and the rectangle's size."""
+        return dict(self.fields_obj("xset", "yset", "component"), total_queries=self.total_queries,
+                    final_rectangle={"x_size": len(self.xset), "y_size": len(self.yset)})
 
-        rounds = []
-        for r in self.rounds:
-            rounds.append({
-                "index": r.index,
-                "speaker": r.speaker,
-                "free_before": list(r.free_before),
-                "delta_witness": fr(r.delta_witness),
-                "discarded_mass": fr(r.discarded_mass),
-                "dangerous_values": [list(v) for v in r.dangerous_values],
-                "message": r.message,
-                "p_message": fr(r.p_message),
-                "heavy_value_prob": fr(r.heavy_value_prob),
-                "class_index": r.class_index,
-                "p_class": fr(r.p_class),
-                "p_geq": fr(r.p_geq),
-                "query_coords": list(r.query_coords),
-                "fixed_value": list(r.fixed_value),
-                "step5_prob": fr(r.step5_prob),
-                "deficiency_snapshots": {
-                    k: {"free": v[0], "maxp_x": fr(v[1]), "maxp_y": fr(v[2])}
-                    for k, v in r.snapshots.items()
-                },
-                "flags": dict(sorted(r.flags.items())),
-            })
-        doc = {
-            "status": self.status,
-            "violation": self.violation,
-            "transcript": self.transcript,
-            "output": self.output,
-            "rho": self.rho,
-            "queries": [list(q) for q in self.queries],
-            "depth": self.depth,
-            "total_queries": self.total_queries,
-            "k_product": fr(self.k_product),
-            "final_rectangle": {"x_size": len(self.xset), "y_size": len(self.yset)},
-            "rounds": rounds,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
 
 
 def compose_eval(g: Gadget, x: int, y: int, n: int) -> int:

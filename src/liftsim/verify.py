@@ -360,28 +360,15 @@ class SectionReport(Record):
         if verdict == "FAIL":
             inst = render()
             self.fails += 1
-            self.counterexamples.append({
-                "instance": inst.instance,
-                "measured": inst.measured,
-                "bound": inst.bound,
-                "detail": inst.detail,
-            })
+            self.counterexamples.append(inst.fields_obj("verdict"))
         elif verdict == "vacuous":
             self.vacuous += 1
         else:
             self.passes += 1
 
     def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "total": self.total,
-            "passes": self.passes,
-            "vacuous": self.vacuous,
-            "fails": self.fails,
-            "all_vacuous": self.all_vacuous,
-            "counterexamples": self.counterexamples,
-            "info": self.info,
-        }
+        # its fields (it sets no other attribute), JSON data as they are
+        return dict(vars(self), all_vacuous=self.all_vacuous)
 
 
 class CorpusReport(Record):
@@ -394,10 +381,7 @@ class CorpusReport(Record):
         return all(s.fails == 0 for s in self.sections)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"seed": self.seed, "ok": self.ok,
-             "sections": [s.to_obj() for s in self.sections]},
-            sort_keys=True, indent=2)
+        return json.dumps(dict(self.fields_obj(), ok=self.ok), sort_keys=True, indent=2)
 
     def to_table(self) -> str:
         lines = [f"{'section':32} {'total':>7} {'pass':>7} {'vacuous':>8} {'FAIL':>6}  note"]
@@ -628,12 +612,8 @@ def _section_xor_lemma(gadgets: Sequence[str] = _XOR_GADGETS,
     for name, m in jobs:
         g = builtin_gadget(name)
         r = check_xor_lemma(g, m)
-        archived[f"{name}/m={m}"] = {
-            "disc": frac_str(r.disc_base),
-            "lower": frac_str(r.lower),
-            "value": frac_str(r.value),
-            "upper": frac_str(r.upper),
-        }
+        archived[f"{name}/m={m}"] = dict(r.fields_obj("m", "disc_base", "sandwich_holds"),
+                                         disc=frac_str(r.disc_base))
         rep.record(LemmaInstance(
             f"xor-lemma/{name}/m={m}",
             "pass" if r.sandwich_holds else "FAIL",

@@ -161,6 +161,6 @@ def oracle_section_kraft(seed, max_len, assignments):
     return rep
 
 
-def oracle_trunc_cmp(params, p_geq, scaled_by_b=True):
-    exponent = params.eta * params.b / 8 if scaled_by_b else params.eta / 8
+def oracle_trunc_cmp(params, p_geq):
+    exponent = params.eta * params.b / 8
     return cmp_products(p_geq, (), F(1, 16 * params.n * params.b), [(2, -exponent)])

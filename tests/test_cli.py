@@ -210,6 +210,22 @@ MALFORMED = {
     "lift-c-negative-rand": lambda root: [
         "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
         "--mode", "rand", "--c", "-2"],
+    "lift-h-zero": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--h", "0"],
+    "lift-h-negative": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--h", "-1"],
+    "lift-eps-zero": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--eps", "0"],
+    "lift-eps-negative": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--eps", "-3"],
+    # derived eps = h*log2(c)/(c*eta) is 0 at c = 1
+    "lift-eps-derived-zero-rand": lambda root: [
+        "lift", "--protocol", str(root / "proto.json"), "--gadget", "ip2", "--z", "01",
+        "--mode", "rand", "--c", "1"],
     "problem-table-not-object": lambda root: [
         "oracle", "dt", "--problem", str(_spec(root, "problem", {"n": 1, "outputs": [0],
                                                                  "table": []}))],

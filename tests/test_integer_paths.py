@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 
 import liftsim.dist as dist
-import liftsim.simulate as simulate
 import liftsim.structure as structure
 from fraction_oracles import (
     oracle_extractor_check,
@@ -265,7 +264,7 @@ def test_seeded_distribution_wraps_the_int_draw():
         seeded_weights(random.Random(0), 3, 0)
 
 
-def test_trunc_cmp_matches_fraction_oracle(monkeypatch):
+def test_trunc_cmp_matches_fraction_oracle():
     rng = random.Random(4)
     signs = set()
     for eta, b, n in product((F(1), F(1, 2), F(3), F(8), F(1, 3)), (1, 2, 4), (2, 3)):
@@ -285,10 +284,6 @@ def test_trunc_cmp_matches_fraction_oracle(monkeypatch):
     before = params.trunc_cmp(p)
     params.eta, params.b, params.n = F(8), 1, 2
     assert params.trunc_cmp(p) == oracle_trunc_cmp(params, p) != before
-    monkeypatch.setattr(simulate, "TRUNC_SCALED_BY_B", False)
-    params = LiftingParams.standard(b=4, n=2, eta=F(8))
-    for p in (F(1, 256), F(1, 257), F(1, 255), F(1, 3)):
-        assert params.trunc_cmp(p) == oracle_trunc_cmp(params, p, scaled_by_b=False)
 
 
 def test_randomized_lifts_unchanged_under_the_fraction_trunc_cmp(monkeypatch):

@@ -15,6 +15,10 @@ its test oracle and appears in no source module.
 Records are plain classes on ``liftsim.records.Record``: no source module
 imports ``dataclasses`` or calls ``exec``/``eval``, and importing liftsim
 loads neither ``dataclasses`` nor ``inspect``.
+
+A writer builds its document as an object first (``to_obj``,
+``_protocol_to_obj``), and a caller that needs the object takes it from
+there: no source module passes a ``*to_json`` writer's text to ``json.loads``.
 """
 
 import ast
@@ -88,3 +92,20 @@ def test_no_source_module_imports_dataclasses_or_calls_exec():
                     and node.func.id in ("exec", "eval")):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"records derive from liftsim.records.Record: {found}"
+
+
+def _called(node) -> str:
+    """The name a call node calls (``f(...)`` or ``x.f(...)``), else ''."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def test_no_source_module_parses_its_own_json_output():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if _called(node) == "loads"
+             and any(_called(inner).endswith("to_json")
+                     for arg in node.args for inner in ast.walk(arg))]
+    assert not found, f"use the writer's object (to_obj, _protocol_to_obj): {found}"

@@ -103,6 +103,19 @@ def test_params_derivations():
         LiftingParams(eta=1, c=2, h=1, b=1, n=2, mode="det", eps=F(1, 3))
 
 
+def test_params_refuse_nonpositive_h_and_eps():
+    for h in (0, -1):
+        with pytest.raises(DomainError, match="eta, c and h must be positive"):
+            LiftingParams(eta=1, c=2, h=h, b=1, n=2)
+    for eps, text in ((F(0), "0"), (F(-3), "-3"), (F(-1, 2), "-1/2")):
+        with pytest.raises(DomainError, match=f"eps must be positive, got {text}$"):
+            LiftingParams(eta=1, c=2, h=1, b=1, n=2, eps=eps, nonstandard=True)
+    # derived: h*log2(c)/(c*eta) is 0 at c = 1 and negative below it
+    for c, text in ((1, "0"), (F(1, 2), "-2")):
+        with pytest.raises(DomainError, match=f"eps must be positive, got {text}$"):
+            LiftingParams(eta=1, c=c, h=1, b=1, n=2, mode="rand")
+
+
 def test_zero_communication_protocol():
     p = ProtocolTree(2, 1, PLeaf("out"))
     params = det_params(1, 2)
@@ -421,6 +434,33 @@ def test_trace_json():
     assert len(doc["rounds"]) == res.depth
     assert doc["rounds"][0]["message"] == res.rounds[0].message
     assert doc["rounds"][0]["p_message"]
+
+
+# A trace's keys: SimResult's fields but xset, yset and component, plus
+# total_queries and final_rectangle; a round's are RoundRecord's fields, its
+# snapshots written as deficiency_snapshots.
+TRACE_KEYS = ["depth", "final_rectangle", "k_product", "output", "queries", "rho", "rounds",
+              "status", "total_queries", "transcript", "violation"]
+ROUND_KEYS = ["class_index", "dangerous_values", "deficiency_snapshots", "delta_witness",
+              "discarded_mass", "fixed_value", "flags", "free_before", "heavy_value_prob",
+              "index", "message", "p_class", "p_geq", "p_message", "query_coords", "speaker",
+              "step5_prob"]
+
+
+def test_trace_keys_pinned():
+    proto = canonical_instance(parity_problem(2), IP2)
+    det = lift_deterministic(proto, IP2, 2, det_params(2, 2))
+    rand = lift_randomized(proto, IP2, 1, rand_params(2, 2), seed=0)
+    assert rand.rounds[0].class_index == 2  # the run drew a partition class
+    for res in (det, rand):
+        doc = json.loads(res.to_json())
+        assert sorted(doc) == TRACE_KEYS
+        assert sorted(doc["final_rectangle"]) == ["x_size", "y_size"]
+        assert len(doc["rounds"]) == 4
+        for rnd in doc["rounds"]:
+            assert sorted(rnd) == ROUND_KEYS
+            for snap in rnd["deficiency_snapshots"].values():
+                assert sorted(snap) == ["free", "maxp_x", "maxp_y"]
 
 
 def test_k_halt_positive_mass_still_below_bound():
