@@ -74,7 +74,6 @@ from .structure import (
     DangerScan,
     Restriction,
     dangerous_probability,
-    density_restoring_choice,
     density_restoring_fix,
     density_restoring_partition,
     is_biasing,

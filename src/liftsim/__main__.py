@@ -1,0 +1,5 @@
+"""``python -m liftsim``: the command line of liftsim.cli."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

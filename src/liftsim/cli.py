@@ -26,7 +26,6 @@ from .errors import LiftsimError, malformed
 from .exact import frac_decimal, frac_str, parse_frac
 from .gadgets import (
     BUILTIN_NAMES,
-    RECT_SIDE_LIMIT,
     builtin_gadget,
     check_xor_lemma,
     discrepancy,
@@ -99,13 +98,13 @@ def _print_frac(label: str, value: Fraction) -> None:
 def cmd_gadget_analyze(args) -> int:
     g = _load_gadget(args.gadget)
     print(f"gadget: {g.name or args.gadget}  b={g.b}  domain side={g.side}")
-    res = discrepancy(g, side_limit=args.budget_rect_side)
+    res = discrepancy(g)
     _print_frac("discrepancy", res.value)
     fmt = lambda idx: format(idx, f"0{g.b}b")
     print(f"witness rectangle: A={{{', '.join(map(fmt, res.argmax.a))}}} "
           f"B={{{', '.join(map(fmt, res.argmax.b))}}}")
     for m in args.xor_power:
-        r = check_xor_lemma(g, m, side_limit=args.budget_rect_side)
+        r = check_xor_lemma(g, m)
         print(f"xor power m={m}: disc^m={frac_str(r.lower)} <= "
               f"disc(g^xor{m})={frac_str(r.value)} <= {frac_str(r.upper)}  "
               f"sandwich={'holds' if r.sandwich_holds else 'VIOLATED'}")
@@ -116,13 +115,10 @@ def cmd_gadget_analyze(args) -> int:
 
 
 def _params_from_args(args, b: int, n: int) -> LiftingParams:
-    kw = {}
-    if args.eps is not None:
-        kw["eps"] = _parse("--eps", parse_frac, args.eps)
-        kw["nonstandard"] = True
+    eps = None if args.eps is None else _parse("--eps", parse_frac, args.eps)
     return LiftingParams(
         eta=_parse("--eta", parse_frac, args.eta), c=_parse("--c", parse_frac, args.c),
-        h=_parse("--h", parse_frac, args.h), b=b, n=n, mode=args.mode, **kw)
+        h=_parse("--h", parse_frac, args.h), b=b, n=n, mode=args.mode, eps=eps)
 
 
 def cmd_lift(args) -> int:
@@ -182,7 +178,7 @@ def cmd_lift(args) -> int:
             _print_frac("TV distance to reference transcripts", statistical_distance(a, bb))
     if args.out:
         doc = res.to_obj()
-        doc["params"] = dict(params.fields_obj("nonstandard"), tau=frac_str(params.tau),
+        doc["params"] = dict(params.fields_obj(), tau=frac_str(params.tau),
                              trunc_scaled_by_b=True, density_witness_bits=DENSITY_WITNESS_BITS)
         _write("trace", args.out, json.dumps(doc, sort_keys=True, indent=2))
         print(f"trace written to {args.out}")
@@ -228,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"builtin ({', '.join(BUILTIN_NAMES)}, rand:<b>:<seed>) or a JSON file")
     ga.add_argument("--xor-power", type=int, nargs="*", default=[],
                     metavar="M", help="check the sandwich at these powers")
-    ga.add_argument("--budget-rect-side", type=int, default=RECT_SIDE_LIMIT)
     ga.add_argument("--out", help="write the gadget table as JSON")
     ga.set_defaults(func=cmd_gadget_analyze)
 
@@ -240,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--eta", default="1")
     l.add_argument("--c", default="2")
     l.add_argument("--h", default="1")
-    l.add_argument("--eps", default=None, help="override eps (marks parameters nonstandard)")
+    l.add_argument("--eps", default=None, help="override the derived eps")
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--enumerate", action="store_true",
                    help="exact output distribution, error-halt mass, TV to reference")

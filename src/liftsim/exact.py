@@ -224,7 +224,7 @@ def _cmp_products_cleared(num: int, den: int, terms, d: int) -> int:
 # -- rendering / parsing ----------------------------------------------------
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    x = _rational(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -176,13 +176,12 @@ def _mask_to_tuple(mask: int) -> Tuple[int, ...]:
 # subset of the remaining high rows is one step.
 _LO = 7
 # A column sum c sits in one byte biased by 128, so bit 7 is set exactly when
-# c >= 0.  |c| <= side keeps the byte in [64, 192] up to side _EXACT_SIDE;
-# past it the byte lanes would carry into each other.
+# c >= 0.  |c| <= side keeps the byte in [64, 192] up to side 64, past
+# RECT_SIDE_LIMIT; beyond that the byte lanes would carry into each other.
 _BIAS = 128
-_EXACT_SIDE = 64
 
 
-def discrepancy(g: Gadget, side_limit: int = RECT_SIDE_LIMIT) -> DiscrepancyResult:
+def discrepancy(g: Gadget) -> DiscrepancyResult:
     """Exact maximum rectangle discrepancy with a canonical witness.
 
     For a side A the best opposing side B is the set of columns whose sums
@@ -191,12 +190,11 @@ def discrepancy(g: Gadget, side_limit: int = RECT_SIDE_LIMIT) -> DiscrepancyResu
     (A mask, B mask) order: the smallest maximizing A, with B the columns of
     the larger of pos and neg, or the smaller of the two masks on a tie.
     Results are memoised by (b, table); the budget check is made every call.
-    A side past 64 is refused whatever side_limit allows: the packed scan is
-    exact only up to there.
+    A side past RECT_SIDE_LIMIT is refused before any scan: a side-16 scan is
+    2^9 steps of a 2 KiB word, and side 32 would be 2^25 steps of a 4 KiB word.
     """
-    limit = min(side_limit, _EXACT_SIDE)
-    if g.side > limit:
-        raise BudgetError("rectangle enumeration side domain", g.side, limit)
+    if g.side > RECT_SIDE_LIMIT:
+        raise BudgetError("rectangle enumeration side domain", g.side, RECT_SIDE_LIMIT)
     return _discrepancy(g.b, g.table)
 
 
@@ -302,14 +300,13 @@ class XorLemmaReport(Record):
         self.sandwich_holds = sandwich_holds
 
 
-def check_xor_lemma(g: Gadget, m: int, side_limit: int = RECT_SIDE_LIMIT) -> XorLemmaReport:
+def check_xor_lemma(g: Gadget, m: int) -> XorLemmaReport:
     """disc(g)^m <= disc(xor-power) <= (64*disc(g))^m, upper clamped at 1."""
-    base = discrepancy(g, side_limit).value
-    # 2^(b*m) > limit: refuse the power's side before building its table
-    limit = min(side_limit, _EXACT_SIDE)
-    if m >= 1 and g.b * m >= limit.bit_length():
-        raise BudgetError("rectangle enumeration side domain", f"2^{g.b * m}", limit)
-    value = discrepancy(xor_power(g, m), side_limit).value
+    base = discrepancy(g).value
+    # 2^(b*m) > RECT_SIDE_LIMIT: refuse the power's side before building its table
+    if m >= 1 and g.b * m >= RECT_SIDE_LIMIT.bit_length():
+        raise BudgetError("rectangle enumeration side domain", f"2^{g.b * m}", RECT_SIDE_LIMIT)
+    value = discrepancy(xor_power(g, m)).value
     lower = base ** m
     upper = min(Fraction(1), (64 * base) ** m)
     return XorLemmaReport(m, base, lower, value, upper, lower <= value <= upper)

@@ -34,7 +34,7 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple
 from weakref import proxy
 
-from .dist import DistributionTable, ZERO, _places, project
+from .dist import DistributionTable, ZERO, _places
 from .errors import BudgetError, DomainError, LiftsimError
 from .exact import cmp_pow2, cmp_pow2_ratio, exact_log2, frac_str
 from .gadgets import Gadget, block_table, blocks_of
@@ -52,8 +52,9 @@ from .dtrees import DLeaf, DNode, ParallelDecisionTree, answer_index, z_bits
 from .records import Record
 from .structure import (
     DangerScan,
+    DensityPart,
     Restriction,
-    density_restoring_choice,
+    _density_parts,
     density_restoring_partition,
     is_dense,
     max_density,
@@ -94,26 +95,23 @@ class LiftingParams(Record):
 
     deterministic: eps = h/(c*eta);  randomized: eps = h*log2(c)/(c*eta),
     which is rational only when c is a power of two.  Either way
-    delta = 1 - eta/4 + eps/2 and tau = 2*delta - eps.  Nonstandard
-    combinations must be flagged explicitly; eta, c, h and eps must be positive.
+    delta = 1 - eta/4 + eps/2 and tau = 2*delta - eps.  An explicit eps or
+    delta replaces the derived one; eta, c, h and eps must be positive.
     """
 
     def __init__(self, eta: Fraction, c: Fraction, h: Fraction, b: int, n: int,
                  mode: str = "det", eps: Optional[Fraction] = None,
-                 delta: Optional[Fraction] = None, nonstandard: bool = False):
+                 delta: Optional[Fraction] = None):
         self.eta = eta = Fraction(eta)
         self.c = c = Fraction(c)
         self.h = h = Fraction(h)
         self.b = b
         self.n = n
         self.mode = mode
-        self.nonstandard = nonstandard
         if mode not in ("det", "rand"):
             raise DomainError("mode must be 'det' or 'rand'")
         if eta <= 0 or c <= 0 or h <= 0:
             raise DomainError("eta, c and h must be positive")
-        if (eps is not None or delta is not None) and not nonstandard:
-            raise DomainError("explicit eps/delta require nonstandard=True")
         if eps is None:
             if mode == "det":
                 eps = h / (c * eta)
@@ -122,7 +120,7 @@ class LiftingParams(Record):
                 if log2c is None:
                     raise DomainError(
                         "randomized eps needs log2(c) rational; use a power-of-two c "
-                        "or pass eps explicitly with nonstandard=True"
+                        "or pass eps explicitly"
                     )
                 eps = h * log2c / (c * eta)
         self.eps = eps = Fraction(eps)
@@ -398,19 +396,16 @@ class _Engine:
         self.restrict(_side(rec.speaker), inputs)
         rec.snapshots["after_message"] = self.snapshot(rec.free_before)
 
-    def fix_blocks(self, rec: RoundRecord, rel_coords, value, members=None) -> None:
-        """Condition the speaker on the block assignment `value` at the free
-        coordinates `rel_coords` or, for a density-restoring class (rand step
-        4), on the class's `members`, values of all the free coordinates."""
+    def fix_blocks(self, rec: RoundRecord, part: Optional[DensityPart]) -> None:
+        """Step 3 (det) / 4 (rand): condition the speaker on a density-restoring
+        class's members, values of all the free coordinates, and record the
+        coordinates it fixes; `part` is None when no coordinate is free."""
         free, side = rec.free_before, _side(rec.speaker)
-        rec.query_coords = tuple(free[i] for i in rel_coords)
-        rec.fixed_value = tuple(value)
-        if members is not None:
+        if part is not None:
+            rec.query_coords = tuple(free[i] for i in part.coords)
+            rec.fixed_value = part.value
             keys = _free_keys(self.params.n, self.params.b, free)
-            self.restrict(side, _select(self.sets[side], keys, set(members)))
-        elif rel_coords:
-            keys = _free_keys(self.params.n, self.params.b, rec.query_coords)
-            self.restrict(side, _select(self.sets[side], keys, {rec.fixed_value}))
+            self.restrict(side, _select(self.sets[side], keys, set(part.members)))
         rec.snapshots["after_fix"] = self.snapshot(free)
 
     def query_and_condition(self, rec: RoundRecord):
@@ -459,16 +454,15 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
         message = kraft_heavy_message(table)
         eng.take_message(rec, message, table.prob(message), senders[message])
         node = ends[message]
-        rel_coords = value = ()
-        if rec.free_before:
+        part = None
+        if rec.free_before:  # step 3: the first class of the speaker's partition
             marg = eng.cache.marginal(eng.sets[_side(rec.speaker)], rec.free_before)
-            rel_coords, value = density_restoring_choice(marg, params.delta, params.b)
-            if rel_coords:
-                rec.heavy_value_prob = project(marg, rel_coords).prob(tuple(value))
+            part = next(_density_parts(marg, params.delta, params.b))
+            if part.coords:
+                rec.heavy_value_prob = part.prob
                 rec.flags["heavy_value"] = cmp_pow2(
-                    rec.heavy_value_prob,
-                    params.delta * params.b * len(rel_coords)) > 0
-        eng.fix_blocks(rec, rel_coords, value)
+                    part.prob, params.delta * params.b * len(part.coords)) > 0
+        eng.fix_blocks(rec, part)
         if not eng.query_and_condition(rec):
             return eng.result("invariant_violation",
                               "step5: conditioning emptied the silent side")
@@ -531,7 +525,7 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                 parts = m_eng.cache.partition(m_eng.sets[_side(rec.speaker)], rec.free_before)
                 classes = pick([(part, part.prob) for part in parts])
             else:  # no free coordinates: nothing to fix or draw
-                m_eng.fix_blocks(rec, (), ())
+                m_eng.fix_blocks(rec, None)
                 classes = [(None, None)]
             for j, (part, p_part) in enumerate(classes):
                 c_eng = m_eng.fork() if j < len(classes) - 1 else m_eng
@@ -539,7 +533,7 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                 p_cls = p_run if part is None else p_run * p_part
                 if part is not None:
                     rec.class_index, rec.p_class, rec.p_geq = part.index, part.prob, part.p_geq
-                    c_eng.fix_blocks(rec, part.coords, part.value, part.members)
+                    c_eng.fix_blocks(rec, part)
                     if params.trunc_cmp(part.p_geq) < 0:
                         rec.flags["trunc_halt"] = True
                         yield p_cls, c_eng.result(

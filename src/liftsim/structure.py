@@ -14,17 +14,17 @@ Everything is memoised per (C, x_C), and dangerous verdicts per x, so
 classifying many x against one Y shares their common work, and the per-value
 is_* functions read one scan each.  No scan is pruned.  Density questions
 read integer counts per coordinate set, which the density-restoring partition
-builds once and carves down part by part; max_density and the structure
-search need the worst one.
+(whose first part is the fix) builds as it reads them and carves down part by
+part; max_density and the structure search need the worst one.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import chain, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import chain, count, product
+from typing import Iterator, List, Optional, Sequence, Tuple
 from weakref import proxy
 
 from .dist import DistributionTable, _places, _sums, project, subsets_by_size
@@ -43,7 +43,6 @@ __all__ = [
     "is_dense",
     "max_density",
     "is_structured",
-    "density_restoring_choice",
     "density_restoring_fix",
     "density_restoring_partition",
     "is_leaking",
@@ -127,7 +126,7 @@ def _marginal_counts(x: DistributionTable, largest_first: bool = False):
     tuple; DomainError if their lengths differ), rows its nonzero (t, w) in
     domain order, and marginals lazily yields (coords, key, {key(t): weight})
     per nonempty coordinate set in (size, lex) order or largest first, one
-    pass over the rows each; key(t) is project's tuple."""
+    pass over the rows list as it is then; key(t) is project's tuple."""
     shapes = {len(t) if isinstance(t, tuple) else -1 for t in x.domain}
     if len(shapes) > 1:
         raise DomainError(f"elements of different block counts: {sorted(shapes)}")
@@ -312,33 +311,6 @@ def _inconsistent_pair(x_full: DistributionTable, y_full: DistributionTable,
 
 # -- density restoration -------------------------------------------------------
 
-def density_restoring_choice(x: DistributionTable, delta: Fraction, b: int):
-    """(coords, value) of density_restoring_fix, without the conditioned
-    remainder: ((), ()) when x is delta-dense."""
-    k, _, marginals = _marginal_counts(x, largest_first=True)
-    hit = _violation(marginals, x.total, [Fraction(delta) * b * s for s in range(k + 1)])
-    return ((), ()) if hit is None else (hit[0], hit[2])
-
-
-def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
-    """Pick a maximal density-violating set and its heavy value.
-
-    Returns (coords, value, conditioned table over the remaining coordinates).
-    Tie-breaks: violating set of maximum cardinality, lexicographically first;
-    then the heaviest value, lexicographically first.  The conditioned
-    remainder is delta-dense (asserted by the caller's tests).
-    """
-    coords, value = density_restoring_choice(x, delta, b)
-    if not coords:
-        return (), (), x
-    k = len(x.domain[0])
-    rest = tuple(i for i in range(k) if i not in coords)
-    sel = dict(zip(coords, value))
-    cond = x.condition(lambda t: all(t[i] == v for i, v in sel.items()))
-    reduced = project(cond, rest) if rest else DistributionTable.point(())
-    return coords, value, reduced
-
-
 class DensityPart(Record):
     def __init__(self, index: int, coords: Tuple[int, ...], value: Tuple[int, ...],
                  members: Tuple[Tuple[int, ...], ...], prob: Fraction, p_geq: Fraction):
@@ -350,6 +322,53 @@ class DensityPart(Record):
         self.p_geq = p_geq      # Pr[X in part j or later]
 
 
+def _density_parts(x: DistributionTable, delta: Fraction, b: int) -> Iterator[DensityPart]:
+    """The parts of density_restoring_partition, one at a time: part j fixes a
+    maximal density-violating block set of the residual to its heavy value
+    (the largest set, lexicographically first; then the heaviest value, least
+    first), or is all of the residual once that is delta-dense.  The residual
+    is carved in place, so a marginal first read at a later part is built
+    already carved; the marginals read before are carved with it."""
+    k, residual, unread = _marginal_counts(x, largest_first=True)
+    qs = [Fraction(delta) * b * s for s in range(k + 1)]
+    read: list = []  # the marginals built so far
+    weight = x.total  # the residual's
+    for index in count(1):
+        hit = _violation(chain(read, (read.append(m) or m for m in unread)), weight, qs)
+        if hit is None:
+            coords, value, members = (), (), residual[:]
+        else:
+            coords, key, value, _ = hit
+            members = [r for r in residual if key(r[0]) == value]
+        carved = sum(w for _, w in members)
+        yield DensityPart(index, coords, value, tuple(t for t, _ in members),
+                          Fraction(carved, x.total), Fraction(weight, x.total))
+        weight -= carved
+        if not weight:
+            return
+        residual[:] = [r for r in residual if key(r[0]) != value]
+        for _, marginal_key, counts in read:
+            for t, w in members:
+                counts[marginal_key(t)] -= w
+
+
+def density_restoring_fix(x: DistributionTable, delta: Fraction, b: int):
+    """The partition's first class, and x conditioned on it.
+
+    Returns (coords, value, conditioned table over the remaining coordinates):
+    ((), (), x) when x is delta-dense.  The conditioned remainder is
+    delta-dense (asserted by the caller's tests).
+    """
+    first = next(_density_parts(x, delta, b))
+    if not first.coords:
+        return (), (), x
+    rest = tuple(i for i in range(len(x.domain[0])) if i not in first.coords)
+    key = _places(first.coords)
+    cond = x.condition(lambda t: key(t) == first.value)
+    reduced = project(cond, rest) if rest else DistributionTable.point(())
+    return first.coords, first.value, reduced
+
+
 def density_restoring_partition(
     x: DistributionTable, delta: Fraction, b: int
 ) -> List[DensityPart]:
@@ -357,32 +376,10 @@ def density_restoring_partition(
 
     Every part fixes a block set to a heavy value and leaves the remaining
     coordinates delta-dense; the entropy loss of part j is bounded through
-    p_{>=j}, which starts at 1 and strictly decreases.
+    p_{>=j}, the residual weight before it over the total, which starts at 1
+    and strictly decreases.
     """
-    k, residual, marginals = _marginal_counts(x, largest_first=True)
-    marginals = list(marginals)  # built once, carved down with the residual
-    qs = [Fraction(delta) * b * s for s in range(k + 1)]
-    weight, p_geq = x.total, Fraction(1)
-    parts: List[DensityPart] = []
-    while True:
-        hit = _violation(marginals, weight, qs)
-        if hit is None:
-            coords, value, members, residual = (), (), residual, []
-        else:
-            coords, key, value, _ = hit
-            members = [r for r in residual if key(r[0]) == value]
-            residual = [r for r in residual if key(r[0]) != value]
-        carved = sum(w for _, w in members)
-        prob = Fraction(carved, x.total)
-        parts.append(DensityPart(len(parts) + 1, coords, value,
-                                 tuple(t for t, _ in members), prob, p_geq))
-        if not residual:
-            return parts
-        p_geq -= prob
-        weight -= carved
-        for _, key, counts in marginals:
-            for t, w in members:
-                counts[key(t)] -= w
+    return list(_density_parts(x, delta, b))
 
 
 # -- dangerous values ----------------------------------------------------------
@@ -424,9 +421,9 @@ class DangerScan:
     (size, lex) order to the first witness, so witnesses come in the order
     of the definitions: C, then patterns in product order, then J in (size,
     lex) order, then y_J sorted.  Tables, witnesses, Y's marginals and the
-    biasing size bound are memoised, so many x share the work of their
-    common (C, x_C); `dangerous` is memoised per x.  Every memo reaches the
-    scan through a weak proxy, so none keeps it alive.
+    biasing size bound are memoised per scan by lru_cache, so many x share
+    the work of their common (C, x_C); `dangerous` is memoised per x.  Every
+    memo reaches the scan through a weak proxy, so none keeps it alive.
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
@@ -440,14 +437,12 @@ class DangerScan:
         self.total = y.total
         self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
         self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), b
-        self.level = level = (self.delta_y - self.eps) * b
+        self.level = (self.delta_y - self.eps) * b
         self.sets = list(subsets_by_size(k, nonempty=True))
-        memo = lru_cache(maxsize=None)
-        self._sparsifies = memo(
-            lambda heavy, weight, size: cmp_pow2_ratio(heavy, weight, level * size) > 0)
-        self.dangerous = memo(type(self).dangerous.__get__(proxy(self)))
-        self._reads: Dict[tuple, object] = {}
-        self._table, self._split = self._read("table"), self._read("split")
+        memo, me = lru_cache(maxsize=None), proxy(self)
+        for name in ("_table", "_split", "_sparsifies", "_fits", "_sized", "_leaking",
+                     "_sparsifying", "_skewing", "_biasing", "_dangerous", "dangerous"):
+            setattr(self, name, memo(getattr(type(self), name).__get__(me)))
 
     def _table(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> dict:
         """{pattern: {y_rest: weight}} of x_C = xs on C = coords: the table of C
@@ -473,6 +468,10 @@ class DangerScan:
         return [(pat, [(yr[at], yr[:at] + yr[at + 1:], w) for yr, w in ws.items()])
                 for pat, ws in self._table(coords[:-1], prefix).items()]
 
+    def _sparsifies(self, heavy: int, weight: int, size: int) -> bool:
+        """heavy/weight > 2**-((delta_y - eps)*b*size)."""
+        return cmp_pow2_ratio(heavy, weight, self.level * size) > 0
+
     def _fits(self, c: Fraction, n: int, s_size: int, j_size: int, wj: int) -> bool:
         """Biasing's size bound n**|S| * 2**(delta_y*b*|J|) * w_J/total
         >= 4 * n**(c*eps*|J|)."""
@@ -482,9 +481,9 @@ class DangerScan:
 
     def _sized(self, c: Fraction, n: int, s_size: int, coords_j: Tuple[int, ...]) -> List[tuple]:
         """The (y_J, w_J) of Y on J = coords_j, y_J sorted, that pass the size bound."""
-        marg, fits = _sums(self.rows.items(), _places(coords_j)), self._read("fits")
+        marg = _sums(self.rows.items(), _places(coords_j))
         return [(yj, wj) for yj, wj in sorted(marg.items())
-                if fits(c, n, s_size, len(coords_j), wj)]
+                if self._fits(c, n, s_size, len(coords_j), wj)]
 
     def _leaking(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
         """(C, bits) of the first pattern with Pr < 2**-(|C|+1), null ones included."""
@@ -531,10 +530,10 @@ class DangerScan:
         J first) and y_J that pass the size bound with bias = |w_J - 2*odd| / w_J
         > bound = 1/(2(2n)^|S|), odd the weight given y_J of the rows whose
         pattern on S has odd parity."""
-        scale, sized_on = 2 * (2 * n) ** len(coords), self._read("sized", c, n)
+        scale = 2 * (2 * n) ** len(coords)
         odd = [ws.items() for pat, ws in self._table(coords, xs).items() if sum(pat) & 1]
         for _, key, coords_j in _others(self.k, coords):
-            sized = sized_on(len(coords), coords_j)
+            sized = self._sized(c, n, len(coords), coords_j)
             odd_j = _sums(chain.from_iterable(odd), key) if sized else {}
             for yj, wj in sized:
                 gap = abs(wj - 2 * odd_j.get(yj, 0))
@@ -544,17 +543,7 @@ class DangerScan:
 
     def _dangerous(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
         """The leaking witness on C, else the sparsifying one."""
-        return self._read("leaking")(coords, xs) or self._read("sparsifying")(coords, xs)
-
-    def _read(self, name: str, *args):
-        """The method _<name> on a weak proxy of the scan, args bound next,
-        memoised, made at first use: a table or scan of (C, x_C), or biasing's
-        size bound and sized marginals."""
-        read = self._reads.get((name, *args))
-        if read is None:
-            read = self._reads[name, *args] = lru_cache(maxsize=None)(
-                partial(getattr(type(self), "_" + name), proxy(self), *args))
-        return read
+        return self._leaking(coords, xs) or self._sparsifying(coords, xs)
 
     def witness(self, scan: str, x_val: Tuple[int, ...], *args) -> Optional[tuple]:
         """The first witness of `scan` for x, as is_<scan> reports it, or None:
@@ -567,9 +556,9 @@ class DangerScan:
             _check_ambient(n)
             args = Fraction(c), n
         _check_x(x_val, self.k, self.side)
-        read = self._read(scan, *args)
+        read = getattr(self, "_" + scan)
         for coords in self.sets:
-            found = read(coords, tuple(map(x_val.__getitem__, coords)))
+            found = read(*args, coords, tuple(map(x_val.__getitem__, coords)))
             if found is not None:
                 return found
         return None

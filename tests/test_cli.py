@@ -11,7 +11,7 @@ from liftsim.cli import build_parser, main
 from liftsim.dtrees import (DTREE_N_LIMIT, brute_force_Ddt, parity_problem, problem_from_json,
                             problem_to_json, tree_from_json)
 from liftsim.errors import FormatError
-from liftsim.gadgets import RECT_SIDE_LIMIT, builtin_gadget, gadget_from_json
+from liftsim.gadgets import builtin_gadget, gadget_from_json
 from liftsim.protocols import (canonical_protocol, protocol_from_json, protocol_to_json,
                                randomized_protocol_from_json)
 from liftsim.simulate import ENUM_BRANCH_LIMIT
@@ -193,9 +193,9 @@ MALFORMED = {
     "verify-scale-zero": lambda root: ["verify", "--scale", "0"],
     "verify-scale-negative": lambda root: ["verify", "--scale", "-3"],
     "gadget-block-too-long": lambda root: ["gadget", "analyze", "--gadget", "rand:40:1"],
-    # side 128 is past the exact packed scan, however far the budget is raised
+    # side 128 is past the rectangle budget, and past the exact packed scan
     "gadget-side-past-exact-range": lambda root: [
-        "gadget", "analyze", "--gadget", "rand:7:1", "--budget-rect-side", "128"],
+        "gadget", "analyze", "--gadget", "rand:7:1"],
     "gadget-file-block-too-long": lambda root: [
         "gadget", "analyze", "--gadget", str(_spec(root, "long_block", {"b": 40, "rows": []}))],
     "lift-eta-zero": lambda root: [
@@ -323,7 +323,6 @@ def test_library_loaders_raise_format_error(loader):
 
 def test_budget_options_default_to_the_library_budgets():
     parse = build_parser().parse_args
-    assert parse(["gadget", "analyze", "--gadget", "xor1"]).budget_rect_side == RECT_SIDE_LIMIT
     assert parse(["lift", "--protocol", "p.json", "--gadget", "ip2",
                   "--z", "01"]).budget_branches == ENUM_BRANCH_LIMIT
     assert parse(["oracle", "dt", "--problem", "p.json"]).budget_n == DTREE_N_LIMIT
@@ -396,3 +395,18 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "discrepancy: 1/2" in proc.stdout
+
+
+def test_module_entry_point(tmp_path):
+    # python -m liftsim is the same command line: --help exits 0, and a
+    # missing problem file is a named error with exit code 2
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "liftsim", *args],
+                              capture_output=True, text=True)
+
+    proc = run("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: liftsim")
+    proc = run("oracle", "dt", "--problem", str(tmp_path / "absent.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read search problem file")
+    assert "Traceback" not in proc.stderr

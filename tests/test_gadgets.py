@@ -190,13 +190,14 @@ def test_discrepancy_matches_unpacking_oracle():
 
 
 def test_discrepancy_refuses_sides_past_exact_range(monkeypatch):
-    # the packed byte lanes are exact up to side 64, so a larger side is
-    # refused before its packed words or its XOR power's table are built,
-    # whatever side_limit allows
+    # a side past RECT_SIDE_LIMIT (16) is refused before its packed words or
+    # its XOR power's table are built: side 128 is far past even the 64 up to
+    # which the packed byte lanes are exact, and a power of side 64 is refused
+    # as its base's side 4 is scanned
     scan = gadgets._discrepancy
 
     def checked_scan(b, table):
-        assert b <= 6, f"packed scan started at b={b}"
+        assert b <= 4, f"packed scan started at b={b}"
         return scan(b, table)
 
     def never(g, m):
@@ -205,12 +206,12 @@ def test_discrepancy_refuses_sides_past_exact_range(monkeypatch):
     monkeypatch.setattr(gadgets, "_discrepancy", checked_scan)
     monkeypatch.setattr(gadgets, "xor_power", never)
     g = random_gadget(7, 1)
-    for call in (lambda: discrepancy(g, side_limit=128),
-                 lambda: check_xor_lemma(g, 1, side_limit=128),
-                 lambda: check_xor_lemma(random_gadget(2, 1), 4, side_limit=1 << 12)):
+    for call in (lambda: discrepancy(g),
+                 lambda: check_xor_lemma(g, 1),
+                 lambda: check_xor_lemma(random_gadget(2, 1), 3)):
         with pytest.raises(BudgetError) as err:
             call()
-        assert err.value.limit == 64
+        assert err.value.limit == gadgets.RECT_SIDE_LIMIT == 16
 
 
 # (value, witness) sha256 of discrepancy(rand:4:s), as pinned for the
@@ -236,7 +237,7 @@ def test_discrepancy_b4_witness_digests_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == pinned, s
 
 
-def test_discrepancy_memoised_by_table():
+def test_discrepancy_memoised_by_table(monkeypatch):
     gadgets._discrepancy.cache_clear()
     g = random_gadget(3, 4)
     first = discrepancy(g)
@@ -247,8 +248,9 @@ def test_discrepancy_memoised_by_table():
     info = gadgets._discrepancy.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     # the budget is checked on every call, cached or not
+    monkeypatch.setattr(gadgets, "RECT_SIDE_LIMIT", 4)
     with pytest.raises(BudgetError):
-        discrepancy(g, side_limit=4)
+        discrepancy(g)
 
 
 def test_discrepancy_permutation_invariance():
@@ -265,9 +267,9 @@ def test_discrepancy_permutation_invariance():
 
 
 def test_discrepancy_budget():
-    g = random_gadget(3, 0)  # side 8 is fine, but a tighter budget refuses
-    with pytest.raises(BudgetError):
-        discrepancy(g, side_limit=4)
+    discrepancy(random_gadget(4, 0))  # side 16 is scanned, side 32 refused
+    with pytest.raises(BudgetError, match="size 32 exceeds budget 16"):
+        discrepancy(random_gadget(5, 0))
 
 
 def test_block_length_budget_before_any_table():

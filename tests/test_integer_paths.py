@@ -45,7 +45,6 @@ from liftsim.simulate import (
     lift_randomized,
 )
 from liftsim.structure import (
-    density_restoring_choice,
     density_restoring_fix,
     density_restoring_partition,
 )
@@ -295,7 +294,7 @@ def test_randomized_lifts_unchanged_under_the_fraction_trunc_cmp(monkeypatch):
     split = ProtocolTree(2, 4, PNode("A", bits, (PLeaf("big"), PLeaf("small"))))
     runs = [(parity2, ip2, LiftingParams.standard(b=2, n=2, mode="rand"), range(4)),
             (split, parity4, LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode="rand",
-                                           delta=F(2), nonstandard=True), (0,))]
+                                           delta=F(2)), (0,))]
     signs = []
 
     def outputs():
@@ -346,13 +345,13 @@ def test_density_partition_neither_conditions_nor_projects(monkeypatch):
     for d, b in tables:
         for delta in (F(1, 2), F(3, 4), F(1)):
             coords, value, rest = density_restoring_fix(d, delta, b)
-            assert density_restoring_choice(d, delta, b) == (coords, value)
             fixes += bool(coords)
             with monkeypatch.context() as m:
                 m.setattr(DistributionTable, "condition", counted_condition)
                 m.setattr(structure, "project", counted_project)
                 m.setattr(dist, "project", counted_project)
                 parts = density_restoring_partition(d, delta, b)
+            assert (parts[0].coords, parts[0].value) == (coords, value)
             multi_part += len(parts) > 1
     assert calls == {"condition": 0, "project": 0}
     assert fixes > 20 and multi_part > 20

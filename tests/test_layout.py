@@ -16,6 +16,10 @@ Records are plain classes on ``liftsim.records.Record``: no source module
 imports ``dataclasses`` or calls ``exec``/``eval``, and importing liftsim
 loads neither ``dataclasses`` nor ``inspect``.
 
+A density-restoring class is made in one place: only ``structure`` builds a
+``DensityPart``, and the engines' deterministic fix is its partition's first
+class.
+
 A writer builds its document as an object first (``to_obj``,
 ``_protocol_to_obj``), and a caller that needs the object takes it from
 there: no source module passes a ``*to_json`` writer's text to ``json.loads``.
@@ -109,3 +113,11 @@ def test_no_source_module_parses_its_own_json_output():
              and any(_called(inner).endswith("to_json")
                      for arg in node.args for inner in ast.walk(arg))]
     assert not found, f"use the writer's object (to_obj, _protocol_to_obj): {found}"
+
+
+def test_density_parts_built_only_in_structure():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "structure.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _called(node) == "DensityPart"]
+    assert not found, f"take density-restoring classes from structure._density_parts: {found}"

@@ -54,7 +54,7 @@ def _traces(monkeypatch):
     split = ProtocolTree(2, 4, PNode("A", tuple(0 if v < 241 else 1 for v in range(256)),
                                      (PLeaf("big"), PLeaf("small"))))
     traces += _all_runs(split, parity4, LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode="rand",
-                                                      delta=F(2), nonstandard=True), (0,))
+                                                      delta=F(2)), (0,))
     parity2 = Gadget(2, [(x ^ y).bit_count() & 1 for x in range(4) for y in range(4)])
     rare = ProtocolTree(2, 2, PNode("A", tuple(1 if v == 15 else 0 for v in range(16)),
                                     (PLeaf("common"), PLeaf("rare"))))
@@ -62,7 +62,7 @@ def _traces(monkeypatch):
     step1 = ProtocolTree(2, 1, PNode("B", (1, 0, 0, 1), (
         PNode("A", (0, 0, 1, 1), (PLeaf(0), PLeaf(0))), PLeaf(1))))
     traces += _all_runs(step1, builtin_gadget("xor1"), LiftingParams(
-        eta=1, c=2, h=1, b=1, n=2, mode="rand", eps=F(1, 8), delta=F(1, 4), nonstandard=True),
+        eta=1, c=2, h=1, b=1, n=2, mode="rand", eps=F(1, 8), delta=F(1, 4)),
         range(4))
     return traces
 

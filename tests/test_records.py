@@ -115,7 +115,6 @@ class LiftingParams:
     mode: str = "det"
     eps: Optional[F] = None
     delta: Optional[F] = None
-    nonstandard: bool = False
 
     def __post_init__(self):
         self.eta, self.c, self.h = F(self.eta), F(self.c), F(self.h)
@@ -289,8 +288,8 @@ CALLS = [
     (simulate, LiftingParams, [
         ((1, 2, 1, 2, 2), {}),
         ((), {"eta": F(1, 2), "c": 4, "h": 1, "b": 2, "n": 3, "mode": "rand"}),
-        ((1, 2, 1, 1, 2, "det", F(1, 3)), {"nonstandard": True}),
-        ((1, 2, 1, 4, 2), {"mode": "rand", "delta": F(2), "nonstandard": True}),
+        ((1, 2, 1, 1, 2, "det", F(1, 3)), {}),
+        ((1, 2, 1, 4, 2), {"mode": "rand", "delta": F(2)}),
     ]),
     (simulate, RoundRecord, [
         ((1, "A", (0, 1)), {}),

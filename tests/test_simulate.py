@@ -94,13 +94,11 @@ def test_params_derivations():
     with pytest.raises(DomainError):
         LiftingParams(eta=1, c=3, h=1, b=1, n=2, mode="rand")
     q = LiftingParams(eta=1, c=3, h=1, b=1, n=2, mode="rand",
-                      eps=F(1, 3), nonstandard=True)
+                      eps=F(1, 3))
     assert q.eps == F(1, 3)
     assert q.tau == 2 * q.delta - F(1, 3)         # tau is derived, never set
     with pytest.raises(AttributeError):
         q.tau = F(1)
-    with pytest.raises(DomainError, match="explicit eps/delta require nonstandard=True"):
-        LiftingParams(eta=1, c=2, h=1, b=1, n=2, mode="det", eps=F(1, 3))
 
 
 def test_params_refuse_nonpositive_h_and_eps():
@@ -109,7 +107,7 @@ def test_params_refuse_nonpositive_h_and_eps():
             LiftingParams(eta=1, c=2, h=h, b=1, n=2)
     for eps, text in ((F(0), "0"), (F(-3), "-3"), (F(-1, 2), "-1/2")):
         with pytest.raises(DomainError, match=f"eps must be positive, got {text}$"):
-            LiftingParams(eta=1, c=2, h=1, b=1, n=2, eps=eps, nonstandard=True)
+            LiftingParams(eta=1, c=2, h=1, b=1, n=2, eps=eps)
     # derived: h*log2(c)/(c*eta) is 0 at c = 1 and negative below it
     for c, text in ((1, "0"), (F(1, 2), "-2")):
         with pytest.raises(DomainError, match=f"eps must be positive, got {text}$"):
@@ -362,7 +360,7 @@ def test_step7_violation_leaves_rectangle_unchanged(monkeypatch):
                                      (PLeaf("big"), PLeaf("small"))))
 
     def split_params(mode):
-        return LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode=mode, delta=F(2), nonstandard=True)
+        return LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode=mode, delta=F(2))
 
     cases = [(rare, parity2, rand_params(2, 2), det_params(2, 2)),
              (split, parity4, split_params("rand"), split_params("det"))]
@@ -494,7 +492,7 @@ def test_truncation_halt_positive_mass():
     bits = tuple(0 if v < 241 else 1 for v in range(256))
     p = ProtocolTree(2, 4, PNode("A", bits, (PLeaf("big"), PLeaf("small"))))
     params = LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode="rand",
-                           delta=F(2), nonstandard=True)
+                           delta=F(2))
     dist = enumerate_output_distribution(p, parity4, 0b00, params)
     assert dist.prob(ERROR_TRUNCATION) == F(1, 256)
     assert dist.prob(ERROR_K) == 0
@@ -511,7 +509,7 @@ def test_step1_violation_leaves_rectangle_unchanged():
 
     def params(mode):
         return LiftingParams(eta=1, c=2, h=1, b=1, n=2, mode=mode,
-                             eps=F(1, 8), delta=F(1, 4), nonstandard=True)
+                             eps=F(1, 8), delta=F(1, 4))
 
     def assert_step1_violation(res):
         assert res.status == "invariant_violation"
@@ -561,7 +559,7 @@ def test_discard_step_matches_per_value_scans(monkeypatch):
         PNode("B", _bits("0110011100011000"), (PLeaf(1), PLeaf(0))),
         PNode("B", _bits("0111001000101011"), (PLeaf(1), PLeaf(1))))))
     params = LiftingParams(eta=1, c=2, h=1, b=2, n=2, mode="det",
-                           eps=F(1, 4), delta=F(1, 4), nonstandard=True)
+                           eps=F(1, 4), delta=F(1, 4))
     res = lift_deterministic(p, IP2, 0b01, params)
     assert res.status == "done"
     assert {(1, 2), (3, 3)} <= set(res.rounds[1].dangerous_values)
@@ -747,7 +745,7 @@ def test_fix_on_a_proper_subset_of_the_free_blocks():
     # alone (the free set is (0, 1)), keeping the three whose block 1 is 3.
     p = ProtocolTree(2, 2, PNode("B", _bits("0000010100011101"), (PLeaf(1), PLeaf(0))))
     params = LiftingParams(eta=1, c=2, h=1, b=2, n=2, mode="det",
-                           eps=F(1, 4), delta=F(1, 2), nonstandard=True)
+                           eps=F(1, 4), delta=F(1, 2))
     for z in range(4):
         res = lift_deterministic(p, IP2, z, params)
         rec = res.rounds[0]
@@ -794,7 +792,7 @@ def test_randomized_engines_pinned():
     split = ProtocolTree(2, 4, PNode("A", tuple(0 if v < 241 else 1 for v in range(256)),
                                      (PLeaf("big"), PLeaf("small"))))
     runs(split, parity4, LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode="rand",
-                                       delta=F(2), nonstandard=True), (0,), (0, 68))
+                                       delta=F(2)), (0,), (0, 68))
     parity2 = Gadget(2, [(x ^ y).bit_count() & 1 for x in range(4) for y in range(4)])
     rare = ProtocolTree(2, 2, PNode("A", tuple(1 if v == 15 else 0 for v in range(16)),
                                     (PLeaf("common"), PLeaf("rare"))))
@@ -802,7 +800,7 @@ def test_randomized_engines_pinned():
     alice = PNode("A", (0, 0, 1, 1), (PLeaf(0), PLeaf(0)))
     step1 = ProtocolTree(2, 1, PNode("B", (1, 0, 0, 1), (alice, PLeaf(1))))
     runs(step1, XOR, LiftingParams(eta=1, c=2, h=1, b=1, n=2, mode="rand", eps=F(1, 8),
-                                   delta=F(1, 4), nonstandard=True), range(4), (0, 1))
+                                   delta=F(1, 4)), range(4), (0, 1))
     mix = RandomizedProtocol(((F(1, 3), shipped[0]), (F(2, 3), shipped[3])))
     for z in range(4):
         enumerated(enumerate_randomized_protocol(mix, IP2, z, rand_params(2, 2)))

@@ -18,10 +18,14 @@ from scan_oracles import (
     oracle_subsets,
 )
 
+from liftsim import simulate
 from liftsim.dist import DistributionTable, project
+from liftsim.dtrees import brute_force_Ddt, parity_problem
 from liftsim.errors import BudgetError, DomainError
 from liftsim.exact import cmp_pow2, cmp_products, exact_log2
 from liftsim.gadgets import Gadget, builtin_gadget, random_gadget
+from liftsim.protocols import canonical_protocol
+from liftsim.simulate import LiftingParams
 from liftsim.structure import (
     SCAN_COORD_LIMIT,
     DangerScan,
@@ -29,8 +33,8 @@ from liftsim.structure import (
     StructureCertificate,
     StructureRefusal,
     Verdict,
+    _density_parts,
     dangerous_probability,
-    density_restoring_choice,
     density_restoring_fix,
     density_restoring_partition,
     is_biasing,
@@ -228,13 +232,58 @@ def test_density_core_matches_reprojecting_oracles():
             parts = density_restoring_partition(d, delta, b)
             oracle = oracle_density_restoring_partition(d, delta, b)
             assert [vars(p) for p in parts] == [vars(p) for p in oracle], (d, delta, b)
-            choice = density_restoring_choice(d, delta, b)
+            choice = parts[0].coords, parts[0].value
             assert choice == oracle_density_restoring_choice(d, delta, b)
             w = is_dense(d, delta, b)
             got = None if w.dense else (w.violating_set, w.witness_maxprob)
             assert got == oracle_density_witness(d, delta, b)
             seen["multi-part" if len(parts) > 1 else "one part"] += 1
             seen["full set" if len(choice[0]) == len(d.domain[0]) else "partial set"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _det_lift_marginals(n):
+    """Every free marginal that the deterministic lifts of the parity-n
+    protocol with ip2 build, over all z, with the lifts' params."""
+    built = []
+    marginal = simulate._EngineCache.marginal
+
+    def recorded(cache, inputs, free):
+        built.append(marginal(cache, inputs, free))
+        return built[-1]
+
+    params = LiftingParams.standard(b=2, n=n)
+    proto = canonical_protocol(brute_force_Ddt(parity_problem(n))[1], IP2)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulate._EngineCache, "marginal", recorded)
+        cache = simulate._EngineCache(IP2, params)
+        for z in range(1 << n):
+            assert simulate.lift_deterministic(proto, IP2, z, params, cache).status == "done"
+    return built, params.delta
+
+
+def test_density_parts_match_the_choice_they_replace():
+    # The partition's first class is the deterministic step-3 fix: the
+    # oracle's (coords, value), with the oracle's projected probability of
+    # that value; each part's p_geq is the weight not yet carved before it.
+    cases = [(d, b, delta) for d, b in _density_sweep()
+             for delta in (F(1, 4), F(1, 2), F(3, 4), F(1))]
+    for n in (3, 4):
+        marginals, delta = _det_lift_marginals(n)
+        assert len(marginals) >= 4
+        cases += [(d, 2, delta) for d in marginals]
+    seen = Counter()
+    for d, b, delta in cases:
+        parts = list(_density_parts(d, delta, b))
+        first = parts[0]
+        coords, value = oracle_density_restoring_choice(d, delta, b)
+        assert (first.coords, first.value) == (coords, value), (d, delta, b)
+        assert first.prob == (project(d, coords).prob(value) if coords else 1)
+        weights = [sum(d.weights[t] for t in part.members) for part in parts]
+        assert [part.p_geq for part in parts] == [
+            F(sum(weights[j:]), d.total) for j in range(len(parts))]
+        seen["fixed" if coords else "dense"] += 1
+        seen["multi-part" if len(parts) > 1 else "one part"] += 1
     assert min(seen.values()) >= 20, seen
 
 
@@ -246,7 +295,7 @@ def test_density_refuses_mixed_length_tuples(call):
     run = {
         "is_dense": lambda: [is_dense(d, 1, 1) for d in (short_last, long_last)],
         "max_density": lambda: max_density(short_last, 1),
-        "choice": lambda: density_restoring_choice(three, F(1, 2), 1),
+        "choice": lambda: density_restoring_fix(three, F(1, 2), 1),
         "partition": lambda: density_restoring_partition(three, F(1, 2), 1),
     }[call]
     with pytest.raises(DomainError, match="block counts"):
