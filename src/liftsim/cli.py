@@ -32,7 +32,7 @@ from .gadgets import (
     gadget_from_json,
     gadget_to_json,
 )
-from .protocols import _protocol_from_obj, _randomized_protocol_from_obj
+from .protocols import RandomizedProtocol, _protocol_from_obj, _randomized_protocol_from_obj
 from .simulate import (
     DENSITY_WITNESS_BITS,
     ENUM_BRANCH_LIMIT,
@@ -40,7 +40,6 @@ from .simulate import (
     ERROR_TRUNCATION,
     LiftingParams,
     certify_transcript,
-    enumerate_output_distribution,
     enumerate_randomized_protocol,
     ledger_assertions,
     lift_deterministic,
@@ -157,23 +156,17 @@ def cmd_lift(args) -> int:
     if args.enumerate:
         if args.mode != "rand":
             print("(--enumerate applies to --mode rand only)")
-        else:
-            if mixture is not None:
-                dist = enumerate_randomized_protocol(
-                    mixture, g, z, params, branch_limit=args.budget_branches)
-            else:
-                dist = enumerate_output_distribution(
-                    proto, g, z, params, branch_limit=args.budget_branches)
+        else:  # a plain protocol is the mixture of itself alone
+            mixture = mixture or RandomizedProtocol(((Fraction(1), proto),))
+            dist = enumerate_randomized_protocol(
+                mixture, g, z, params, branch_limit=args.budget_branches)
             err_k = dist.prob(ERROR_K)
             err_t = dist.prob(ERROR_TRUNCATION)
             _print_frac("error-halt mass (K)", err_k)
             _print_frac("error-halt mass (truncation)", err_t)
             _print_frac("2^-b bound", Fraction(1, 1 << proto.b))
-            if mixture is not None:
-                ref = DistributionTable.mixture(
-                    (w, reference_distribution(comp, g, z)) for w, comp in mixture.components)
-            else:
-                ref = reference_distribution(proto, g, z)
+            ref = DistributionTable.mixture(
+                (w, reference_distribution(comp, g, z)) for w, comp in mixture.components)
             a, bb = align_domains(dist, ref)
             _print_frac("TV distance to reference transcripts", statistical_distance(a, bb))
     if args.out:

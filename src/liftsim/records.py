@@ -6,7 +6,8 @@ by field between two records of one class (``NotImplemented`` for any other
 class) and the repr ``Name(field=value, ...)``.  A class declared with
 ``frozen=True`` is also hashable, by the tuple of its fields, and refuses
 assignment with an ``AttributeError``; its ``__init__`` sets its fields with
-``object.__setattr__``.  Mutable records are unhashable.
+``object.__setattr__``.  Its hash is computed once and kept on the instance
+(outside the fields).  Mutable records are unhashable.
 
 The same list writes a record as JSON data: ``fields_obj`` maps each field's
 name to its value through ``json_data``, which renders each Fraction as its
@@ -59,7 +60,13 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def _hash(self) -> int:
-        return hash(self._values())
+        """The hash of the fields, kept on the instance: a subtree shared by
+        many parents is hashed once."""
+        kept = self.__dict__.get("_hash_value")
+        if kept is None:
+            kept = hash(self._values())
+            object.__setattr__(self, "_hash_value", kept)
+        return kept
 
     def _refuse_set(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -86,6 +86,7 @@ ERROR_TRUNCATION = "<ERROR:TRUNCATION>"
 VIOLATION_PREFIX = "<VIOLATION:"
 ENUM_BRANCH_LIMIT = 10 ** 6
 FIBER_LIMIT_BITS = 18
+ENGINE_INPUT_BITS = 16  # b*n of ip4 at n=4: each side holds 2^16 inputs
 DENSITY_WITNESS_BITS = 12
 ONE = Fraction(1)
 
@@ -310,6 +311,8 @@ class _Engine:
             raise DomainError("protocol, gadget and parameter dimensions disagree")
         if not 0 <= z < (1 << p.n):
             raise DomainError(f"z must be an {p.n}-bit value")
+        if p.b * p.n > ENGINE_INPUT_BITS:
+            raise BudgetError("lifting engine input bits", p.b * p.n, ENGINE_INPUT_BITS)
         self.z = z
         self.params = params
         if cache is not None and cache.key != _cache_key(g, params):  # its entries would be wrong

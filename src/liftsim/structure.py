@@ -9,10 +9,11 @@ sizes are guarded by explicit budgets.
 The four dangerous-value scans (leaking, sparsifying, skewing, biasing) have
 one implementation, DangerScan: each is a function of (C, x_C) that reads
 Y's weights contracted with the gadget's output rows of x_C and returns its
-first witness on the set C; a query walks the sets C in (size, lex) order.
-Everything is memoised per (C, x_C), and dangerous verdicts per x, so
-classifying many x against one Y shares their common work, and the per-value
-is_* functions read one scan each.  No scan is pruned.  Density questions
+first witness on the set C; its one query, `witness`, walks the sets C in
+(size, lex) order.  What many x reuse is memoised per (C, x_C), and
+dangerous verdicts per x, so classifying many x against one Y shares their
+common work, and the per-value is_* functions read one scan each.  No scan
+is pruned.  Density questions
 read integer counts per coordinate set, which the density-restoring partition
 (whose first part is the fix) builds as it reads them and carves down part by
 part; max_density and the structure search need the worst one.
@@ -59,15 +60,13 @@ SCAN_COORD_LIMIT = 3
 DENSITY_RESOLUTION_BITS = 20
 
 
-class Restriction:
+class Restriction(Record, frozen=True):
     """A partial assignment in {0,1,*}^n tracking queried coordinates."""
-
-    __slots__ = ("cells",)
 
     def __init__(self, cells: str):
         if any(ch not in "01*" for ch in cells):
             raise DomainError("restriction cells must be '0', '1' or '*'")
-        self.cells = cells
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def all_free(cls, n: int) -> "Restriction":
@@ -75,12 +74,6 @@ class Restriction:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Restriction) and self.cells == other.cells
-
-    def __repr__(self) -> str:
-        return f"Restriction({self.cells!r})"
 
     def free(self) -> Tuple[int, ...]:
         return tuple(i for i, ch in enumerate(self.cells) if ch == "*")
@@ -399,6 +392,12 @@ def _others(k: int, coords: Tuple[int, ...]) -> List[tuple]:
             for sub in subsets_by_size(len(rest))]
 
 
+def _on(ws: dict, sub: Tuple[int, ...], key, width: int) -> dict:
+    """{key(y_rest): weight} of a pattern's {y_rest: weight}, whose y_rest have
+    `width` places: ws itself when the places `sub` are all of them."""
+    return ws if len(sub) == width else _sums(ws.items(), key)
+
+
 def _check_x(x_val: Tuple[int, ...], k: int, side: int) -> None:
     if len(x_val) != k:
         raise DomainError(f"x has {len(x_val)} coordinates, Y has {k}")
@@ -417,13 +416,15 @@ class DangerScan:
     Each scan is one function of (C, x_C) that returns its first witness on
     the set C, or None.  It reads one table, Y's weights contracted with the
     gadget's output rows of x_C: {pattern on C: {y_rest: weight}}, built from
-    the table of C minus its last coordinate.  `witness` walks the sets C in
-    (size, lex) order to the first witness, so witnesses come in the order
-    of the definitions: C, then patterns in product order, then J in (size,
-    lex) order, then y_J sorted.  Tables, witnesses, Y's marginals and the
-    biasing size bound are memoised per scan by lru_cache, so many x share
-    the work of their common (C, x_C); `dangerous` is memoised per x.  Every
-    memo reaches the scan through a weak proxy, so none keeps it alive.
+    the table of C minus its last coordinate.  `witness`, the one query,
+    walks the sets C in (size, lex) order to the first witness, so witnesses
+    come in the order of the definitions: C, then patterns in product order,
+    then J in (size, lex) order, then y_J sorted; `dangerous` is its
+    predicate, memoised per x.  What many x reuse is memoised per scan by
+    lru_cache: the tables, the leaking, biasing and dangerous witnesses (the
+    engines read a sparsifying one only through the dangerous one), the
+    sparsifying test, Y's marginals and the size bound.  Every memo reaches
+    the scan through a weak proxy, so none keeps it alive.
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
@@ -441,7 +442,7 @@ class DangerScan:
         self.sets = list(subsets_by_size(k, nonempty=True))
         memo, me = lru_cache(maxsize=None), proxy(self)
         for name in ("_table", "_split", "_sparsifies", "_fits", "_sized", "_leaking",
-                     "_sparsifying", "_skewing", "_biasing", "_dangerous", "dangerous"):
+                     "_biasing", "_dangerous", "dangerous"):
             setattr(self, name, memo(getattr(type(self), name).__get__(me)))
 
     def _table(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> dict:
@@ -498,10 +499,11 @@ class DangerScan:
         """(C, bits, J, p) of the first pattern that, conditioned on, leaves a set J
         of the other coordinates (as places among them) with maxprob
         p > 2**-((delta_y - eps)*b*|J|)."""
+        width = self.k - len(coords)
         for pat, ws in self._table(coords, xs).items():
             weight = sum(ws.values())
             for sub, key, _ in _others(self.k, coords)[1:]:
-                heavy = max(_sums(ws.items(), key).values())
+                heavy = max(_on(ws, sub, key, width).values())
                 if self._sparsifies(heavy, weight, len(sub)):
                     return coords, pat, sub, Fraction(heavy, weight)
         return None
@@ -511,11 +513,11 @@ class DangerScan:
         the first nonempty J avoiding I = coords and y_J with maxprob * Pr[y_J]
         > 2**(-|I| + eps*b*|J| - 1 - delta_y*b*|J|): the defining inequality
         with the excess-entropy term of y_J cleared."""
-        table = self._table(coords, xs)
+        table, width = self._table(coords, xs), self.k - len(coords)
         for sub, key, coords_j in _others(self.k, coords)[1:]:
             heavy, whole = {}, defaultdict(int)  # per y_J: the heaviest pattern's weight, w_J
             for ws in table.values():
-                for yj, w in _sums(ws.items(), key).items():
+                for yj, w in _on(ws, sub, key, width).items():
                     heavy[yj], whole[yj] = max(heavy.get(yj, 0), w), whole[yj] + w
             q = len(coords) + 1 + self.level * len(sub)
             for yj, wj in sorted(whole.items()):
@@ -562,18 +564,6 @@ class DangerScan:
             if found is not None:
                 return found
         return None
-
-    def leaking(self, x_val: Tuple[int, ...]) -> bool:
-        return self.witness("leaking", x_val) is not None
-
-    def sparsifying(self, x_val: Tuple[int, ...]) -> bool:
-        return self.witness("sparsifying", x_val) is not None
-
-    def skewing(self, x_val: Tuple[int, ...]) -> bool:
-        return self.witness("skewing", x_val) is not None
-
-    def biasing(self, x_val: Tuple[int, ...], c: Fraction, n: int) -> bool:
-        return self.witness("biasing", x_val, c, n) is not None
 
     def dangerous(self, x_val: Tuple[int, ...]) -> bool:
         """Leaking or sparsifying; the set the simulation discards (memoised per x)."""

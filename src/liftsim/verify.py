@@ -789,18 +789,18 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
             for eps in eps_grid:
                 scan = DangerScan(y, g, delta_y, eps, b)
                 for x_val in universe:
-                    leak, dangerous = scan.leaking(x_val), scan.dangerous(x_val)
+                    leak, dangerous = scan.witness("leaking", x_val), scan.dangerous(x_val)
                     tag = f"{gname}/supp{s_idx}/eps={eps}/x={x_val}"
                     # claim 1: dangerous and not leaking => skewing
                     if dangerous and not leak:
-                        skew = scan.skewing(x_val)
+                        skew = scan.witness("skewing", x_val)
                         rep_skew.record(LemmaInstance(
                             f"skewing/{tag}", "pass" if skew else "FAIL",
                             detail="sparsifying but not skewing" if not skew else ""))
                     else:
                         rep_skew.record(LemmaInstance(f"skewing/{tag}", "vacuous"))
                     # claim 2: not biasing => not dangerous
-                    biasing = scan.biasing(x_val, c_param, n)
+                    biasing = scan.witness("biasing", x_val, c_param, n)
                     if not biasing:
                         rep_bias.record(LemmaInstance(
                             f"biasing/{tag}",

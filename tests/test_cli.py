@@ -97,6 +97,22 @@ def test_lift_rand_enumerate(files, capsys):
     assert "TV distance" in out
 
 
+# sha256 of the stdout of `lift --mode rand --enumerate --seed 4` on the
+# fixture protocol at z = 00, 01, 10 and 11, concatenated in that order
+ENUMERATE_STDOUT_SHA256 = "02b7ebe479944426b50bdb7555d5fb58501facbbd152effb5167465ab1e63d01"
+
+
+def test_lift_rand_enumerate_stdout_pinned(files, capsys):
+    digest = hashlib.sha256()
+    for z in ("00", "01", "10", "11"):
+        code, out, _ = run_cli(["lift", "--protocol", str(files / "proto.json"),
+                                "--gadget", "ip2", "--z", z, "--mode", "rand",
+                                "--enumerate", "--seed", "4"], capsys)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == ENUMERATE_STDOUT_SHA256
+
+
 def test_lift_randomized_protocol_file(files, capsys):
     import json as _json
     from fractions import Fraction
@@ -326,6 +342,15 @@ def test_budget_options_default_to_the_library_budgets():
     assert parse(["lift", "--protocol", "p.json", "--gadget", "ip2",
                   "--z", "01"]).budget_branches == ENUM_BRANCH_LIMIT
     assert parse(["oracle", "dt", "--problem", "p.json"]).budget_n == DTREE_N_LIMIT
+
+
+def test_lift_past_the_engine_input_budget_exits_2(files, capsys):
+    path = files / "wide_leaf.json"
+    path.write_text(json.dumps({"n": 17, "b": 1, "tree": {"leaf": 0}}))
+    code, out, err = run_cli(["lift", "--protocol", str(path), "--gadget", "xor1",
+                              "--z", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "lifting engine input bits: size 17 exceeds budget 16" in err
 
 
 def test_lift_dimension_mismatch(files, capsys):

@@ -186,6 +186,11 @@ class DensityWitness:
     witness_maxprob: Optional[F] = None
 
 
+@dataclass(frozen=True)
+class Restriction:
+    cells: str
+
+
 @dataclass
 class StructureCertificate:
     rho: object
@@ -304,6 +309,7 @@ CALLS = [
     (simulate, RoundLedger, [((1, {"a": True, "b": None}, {"p": False}), {})]),
     (simulate, LedgerReport, [(([LEDGER], True), {})]),
     (structure, DensityWitness, [((F(1, 2),), {}), ((F(1, 2), (0,), F(1, 4)), {})]),
+    (structure, Restriction, [(("0*1",), {}), (("",), {})]),
     (structure, StructureCertificate, [
         ((structure.Restriction.all_free(2), F(1), F(1, 2), F(2)), {})]),
     (structure, StructureRefusal, [(("empty",), {}), (("empty", "detail"), {})]),
@@ -330,7 +336,7 @@ def test_every_record_has_a_twin():
                if isinstance(obj, type) and issubclass(obj, Record)
                and obj.__module__ == module.__name__}
     assert records == {(module.__name__, twin.__name__) for module, twin, _ in CALLS}
-    assert len(records) == 27
+    assert len(records) == 28
 
 
 @pytest.mark.parametrize("record, twin", list(_pairs()),
@@ -381,3 +387,23 @@ def test_deepcopy_keeps_a_record_equal():
     twin_proto = copy.deepcopy(proto)
     assert twin_proto == proto and hash(twin_proto) == hash(proto)
     assert protocols.complexity(twin_proto) == protocols.complexity(proto)
+
+
+def test_a_frozen_record_keeps_its_hash(monkeypatch):
+    # the shared-part protocol of ip3, n=3 parity: hashing its root reads each
+    # distinct node's fields once, not once per occurrence in the expanded tree
+    root = protocols.canonical_protocol(dtrees.brute_force_Ddt(dtrees.parity_problem(3))[1],
+                                        gadgets._ip_gadget(3)).root
+    nodes, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            todo.extend(getattr(node, "children", ()))
+    calls, values = [], Record._values
+    monkeypatch.setattr(Record, "_values", lambda self: calls.append(1) or values(self))
+    first = hash(root)
+    assert 0 < len(calls) <= len(nodes)
+    assert hash(root) == first and len(calls) <= len(nodes)
+    monkeypatch.undo()
+    assert first == hash(root._values())

@@ -332,6 +332,30 @@ def test_enumeration_branch_budget():
         enumerate_output_distribution(proto, IP2, z, params, branch_limit=nodes)
 
 
+def test_engine_input_budget():
+    # b*n past ENGINE_INPUT_BITS is refused before a side's 2^(b*n) inputs are
+    # built; a leaf root keeps both the refused and the accepted instance cheap
+    import tracemalloc
+    from liftsim.errors import BudgetError
+    wide = ProtocolTree(17, 1, PLeaf(0))
+    calls = (lambda: lift_deterministic(wide, XOR, 0, det_params(1, 17)),
+             lambda: lift_randomized(wide, XOR, 0, rand_params(1, 17)),
+             lambda: enumerate_output_distribution(wide, XOR, 0, rand_params(1, 17)))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.what, err.value.size, err.value.limit) == \
+            ("lifting engine input bits", 17, simulate.ENGINE_INPUT_BITS)
+        assert peak < 64 * 1024, peak  # a 2^17-tuple alone is 1 MiB
+    res = lift_deterministic(ProtocolTree(16, 1, PLeaf(0)), XOR, 0, det_params(1, 16))
+    assert (res.status, res.output) == ("done", 0)
+
+
 def test_randomized_engines_refuse_deterministic_params():
     proto = canonical_instance(parity_problem(2), IP2)
     mix = RandomizedProtocol(((F(1, 2), proto), (F(1, 2), proto)))
@@ -920,3 +944,33 @@ def test_preimage_conditioning_matches_per_input_eval():
                      else "cut"] += 1
     assert set(outcomes) == {(s, o) for s in (0, 1) for o in ("emptied", "kept all", "cut")}, \
         outcomes
+
+
+def test_every_lifting_core_memo_is_reused(monkeypatch):
+    # each lru_cache memo of DangerScan and _EngineCache is hit on the scale-10
+    # corpus or on one ip2 n=3 parity lift: a memo no traffic reuses only costs
+    from liftsim.verify import default_corpus_spec, run_corpus
+    made = []
+    for cls in (DangerScan, simulate._EngineCache):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    def hits():
+        out = Counter()
+        for obj in made:
+            for name, memo in vars(obj).items():
+                if hasattr(memo, "cache_info"):
+                    out[type(obj).__name__, name] += memo.cache_info().hits
+        made.clear()
+        return out
+
+    run_corpus(default_corpus_spec(scale=10))
+    corpus = hits()
+    proto = canonical_instance(parity_problem(3), IP2)
+    lift_deterministic(proto, IP2, 0b101, det_params(2, 3))
+    lift = hits()
+    memos = set(corpus) | set(lift)
+    assert {cls for cls, _ in memos} == {"DangerScan", "_EngineCache"}
+    assert [m for m in sorted(memos) if not corpus[m] and not lift[m]] == []

@@ -528,7 +528,8 @@ def test_danger_scan_matches_oracles():
                 scan = DangerScan(y, g, delta_y, eps, g.b, limit)
                 for x in xs:
                     args = (x, y, g, delta_y, eps, g.b)
-                    leak, spars = scan.leaking(x), scan.sparsifying(x)
+                    leak = scan.witness("leaking", x) is not None
+                    spars = scan.witness("sparsifying", x) is not None
                     want_leak = oracle_is_leaking(x, y, g, limit)
                     want_spars = oracle_is_sparsifying(*args, limit)
                     assert leak == want_leak.flagged, (g, x, y)
@@ -552,9 +553,11 @@ def test_danger_scan_errors_match_the_scans():
     y = DistributionTable.uniform(list(product(range(4), repeat=2)))
     scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
     for x in ((4, 0), (0, -1), (0,), (0, 0, 0)):
-        for query in (scan.leaking, scan.sparsifying, scan.dangerous):
+        for query in ("leaking", "sparsifying", "dangerous"):
             with pytest.raises(DomainError):
-                query(x)
+                scan.witness(query, x)
+        with pytest.raises(DomainError):
+            scan.dangerous(x)
     with pytest.raises(DomainError):
         scan.witness("table", (0, 0))
     y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
@@ -565,8 +568,8 @@ def test_danger_scan_errors_match_the_scans():
     # a zero-weight element is not in Y's support, whatever its value
     y_zero = DistributionTable.from_weights({(0, 0): 1, (0, 1): 1, (2, 1): 0})
     for x in product((0, 1), repeat=2):
-        assert DangerScan(y_zero, AND, F(1), F(1, 4), 1).leaking(x) == \
-            is_leaking(x, y_zero, AND).flagged
+        assert DangerScan(y_zero, AND, F(1), F(1, 4), 1).witness("leaking", x) == \
+            is_leaking(x, y_zero, AND).witness
     # the budget refusal of is_dangerous, raised when the scan is built
     big = DistributionTable.uniform(list(product((0, 1), repeat=4)))
     with pytest.raises(BudgetError) as got:
@@ -577,7 +580,7 @@ def test_danger_scan_errors_match_the_scans():
         (want.value.what, want.value.size, want.value.limit)
     with pytest.raises(BudgetError):
         dangerous_probability(big, big, AND, F(1), F(1, 4), 1)
-    assert DangerScan(big, AND, F(1), F(1, 4), 1, coord_limit=4).leaking((0, 0, 0, 0))
+    assert DangerScan(big, AND, F(1), F(1, 4), 1, coord_limit=4).witness("leaking", (0, 0, 0, 0))
 
 
 def test_danger_scan_biasing_matches_is_biasing():
@@ -596,8 +599,8 @@ def test_danger_scan_biasing_matches_is_biasing():
                 for c, n in product((F(1, 2), F(2), F(16)), (2, 3, 4)):
                     for x in xs:
                         want = oracle_is_biasing(x, y, g, delta_y, eps, g.b, c, n, limit)
-                        assert scan.biasing(x, c, n) == want.flagged, (g, x, y, delta_y, eps, c, n)
-                        assert scan.witness("biasing", x, c, n) == want.witness
+                        assert scan.witness("biasing", x, c, n) == want.witness, \
+                            (g, x, y, delta_y, eps, c, n)
                         seen["biasing" if want.flagged else "not biasing"] += 1
     # both verdicts are exercised, so agreement is not vacuous
     assert min(seen.values()) >= 100, seen
@@ -606,24 +609,24 @@ def test_danger_scan_biasing_matches_is_biasing():
     y = DistributionTable.from_weights({(0, 0): 17, (0, 1): 16, (1, 0): 15, (1, 1): 16})
     scan = DangerScan(y, XOR, F(1), F(1, 4), 1)
     for x in product((0, 1), repeat=2):
-        assert not scan.biasing(x, F(2), 2)
+        assert scan.witness("biasing", x, F(2), 2) is None
         assert not is_biasing(x, y, XOR, F(1), F(1, 4), 1, F(2), 2).flagged
     # at n = 3 the empty J fails the size bound for |S| = 1 and J = {1} passes it
     y = DistributionTable.from_weights({(0, 0): 1, (0, 1): 3, (1, 0): 0, (1, 1): 4})
-    assert DangerScan(y, AND, F(1), F(1, 4), 1).biasing((1, 0), F(1, 2), 3)
+    assert DangerScan(y, AND, F(1), F(1, 4), 1).witness("biasing", (1, 0), F(1, 2), 3)
     assert is_biasing((1, 0), y, AND, F(1), F(1, 4), 1, F(1, 2), 3).witness[:2] == ((0,), (1,))
     # the errors of is_biasing: n < 2, then x's length and range
     y = DistributionTable.uniform(list(product(range(4), repeat=2)))
     scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
     for x, n in (((0, 0), 1), ((4, 0), 2), ((0, -1), 2), ((4, 0), 1)):
         with pytest.raises(DomainError) as got:
-            scan.biasing(x, F(2), n)
+            scan.witness("biasing", x, F(2), n)
         with pytest.raises(DomainError) as want:
             is_biasing(x, y, IP2, F(1), F(1, 4), 2, F(2), n)
         assert str(got.value) == str(want.value)
     for x in ((0,), (0, 0, 0)):
         with pytest.raises(DomainError):
-            scan.biasing(x, F(2), 2)
+            scan.witness("biasing", x, F(2), 2)
     big = DistributionTable.uniform(list(product((0, 1), repeat=4)))
     with pytest.raises(BudgetError):
         DangerScan(big, AND, F(1), F(1, 4), 1)
@@ -671,8 +674,7 @@ def test_skewing_and_biasing_match_oracle():
                         skew = is_skewing(*args)
                         assert skew == oracle_is_skewing(*args), (g, x, y, delta_y, eps)
                         scan = DangerScan(y, g, delta_y, eps, g.b)
-                        assert scan.skewing(x) == skew.flagged, (g, x, y, delta_y, eps)
-                        assert scan.witness("skewing", x) == skew.witness
+                        assert scan.witness("skewing", x) == skew.witness, (g, x, y, delta_y, eps)
                         bias = is_biasing(*args, c, 2 + k % 2)
                         assert bias == oracle_is_biasing(*args, c, 2 + k % 2), (g, x, y, c)
                         seen["skewing" if skew.flagged else "not skewing"] += 1
