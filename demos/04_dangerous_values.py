@@ -35,7 +35,7 @@ Y = DistributionTable.uniform(list(product((0, 1), repeat=2)))
 delta_y = max_density(Y, b)[0]
 for x in product((0, 1), repeat=2):
     leak = is_leaking(x, Y, AND)
-    spars = is_sparsifying(x, Y, AND, delta_y, eps, b)
+    spars = is_sparsifying(x, Y, AND, delta_y, eps)
     marks = []
     if leak.flagged:
         marks.append(f"leaking (witness I={leak.witness[0]}, z={leak.witness[1]})")
@@ -43,7 +43,7 @@ for x in product((0, 1), repeat=2):
         marks.append("sparsifying")
     print(f"  x={x}: {', '.join(marks) if marks else 'safe'}")
 
-mass = dangerous_probability(Y, Y, AND, delta_y, eps, b)
+mass = dangerous_probability(Y, Y, AND, delta_y, eps)
 print(f"dangerous mass under uniform X: {frac_str(mass)}")
 print("(every x with a zero block makes AND(0, .) constant, hence leaking)")
 
@@ -53,10 +53,10 @@ d2 = max_density(Y2, b)[0]
 hits = 0
 for x in product((0, 1), repeat=2):
     leak = is_leaking(x, Y2, AND).flagged
-    spars = is_sparsifying(x, Y2, AND, d2, eps, b).flagged
+    spars = is_sparsifying(x, Y2, AND, d2, eps).flagged
     if spars and not leak:
         hits += 1
-        assert is_skewing(x, Y2, AND, d2, eps, b).flagged
+        assert is_skewing(x, Y2, AND, d2, eps).flagged
         print(f"  x={x}: sparsifying, not leaking -> skewing confirmed")
 if not hits:
     print("  (no sparsifying-but-not-leaking value on this support)")
@@ -68,6 +68,6 @@ x = (0, 1)
 print(f"  Y uniform on {{00, 11}} (density witness {frac_str(dce)}), x = {x}")
 print(f"  leaking: {is_leaking(x, Yce, AND).flagged} "
       f"(AND(0, .) never outputs 1)")
-print(f"  biasing: {is_biasing(x, Yce, AND, dce, eps, b, Fraction(2), n).flagged}")
+print(f"  biasing: {is_biasing(x, Yce, AND, dce, eps, Fraction(2), n).flagged}")
 print("  at n=2 the size bound admits only S={1,2} with empty J, whose")
 print("  conditional xor is Y_2 with bias 0 -- the implication needs n >= 4")

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .dtrees import DTREE_N_LIMIT, brute_force_Ddt, problem_from_json, tree_to_json
+from .dtrees import brute_force_Ddt, problem_from_json, tree_to_json
 from .errors import LiftsimError, malformed
 from .exact import frac_decimal, frac_str, parse_frac
 from .gadgets import (
@@ -35,7 +35,6 @@ from .gadgets import (
 from .protocols import RandomizedProtocol, _protocol_from_obj, _randomized_protocol_from_obj
 from .simulate import (
     DENSITY_WITNESS_BITS,
-    ENUM_BRANCH_LIMIT,
     ERROR_K,
     ERROR_TRUNCATION,
     LiftingParams,
@@ -158,8 +157,7 @@ def cmd_lift(args) -> int:
             print("(--enumerate applies to --mode rand only)")
         else:  # a plain protocol is the mixture of itself alone
             mixture = mixture or RandomizedProtocol(((Fraction(1), proto),))
-            dist = enumerate_randomized_protocol(
-                mixture, g, z, params, branch_limit=args.budget_branches)
+            dist = enumerate_randomized_protocol(mixture, g, z, params)
             err_k = dist.prob(ERROR_K)
             err_t = dist.prob(ERROR_TRUNCATION)
             _print_frac("error-halt mass (K)", err_k)
@@ -195,7 +193,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_dt(args) -> int:
     problem = _load("search problem file", problem_from_json, args.problem)
-    depth, tree = brute_force_Ddt(problem, n_limit=args.budget_n)
+    depth, tree = brute_force_Ddt(problem)
     print(f"deterministic query complexity: {depth}")
     print(f"tree depth: {tree.depth()}  query complexity: {tree.query_complexity()}")
     if args.out:
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--enumerate", action="store_true",
                    help="exact output distribution, error-halt mass, TV to reference")
-    l.add_argument("--budget-branches", type=int, default=ENUM_BRANCH_LIMIT)
     l.add_argument("--out", help="write the run trace as JSON")
     l.set_defaults(func=cmd_lift)
 
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     osub = o.add_subparsers(dest="subcommand", required=True)
     od = osub.add_parser("dt", help="exact deterministic query complexity")
     od.add_argument("--problem", required=True, help="search problem JSON file")
-    od.add_argument("--budget-n", type=int, default=DTREE_N_LIMIT)
     od.add_argument("--out", help="write the optimal tree as JSON")
     od.set_defaults(func=cmd_oracle_dt)
 

@@ -40,6 +40,7 @@ __all__ = [
     "vazirani_uniformity_check",
     "vazirani_minentropy_check",
     "VaziraniReport",
+    "check_mixture_weights",
 ]
 
 ZERO = Fraction(0)
@@ -72,6 +73,16 @@ def _table(weights: dict, total: int) -> "DistributionTable":
     d.weights = weights
     d.total = total
     return d
+
+
+def check_mixture_weights(weights: Iterable) -> None:
+    """Refuse, with a DomainError, mixture weights that are not a probability
+    vector: one is negative (zeros are allowed) or they do not sum to 1 exactly."""
+    weights = [Fraction(w) for w in weights]
+    if any(w < 0 for w in weights):
+        raise DomainError(f"mixture weights must be nonnegative, got {min(weights)}")
+    if sum(weights) != 1:
+        raise DomainError(f"mixture weights must sum to 1 exactly, got {sum(weights)}")
 
 
 class DistributionTable:
@@ -123,18 +134,17 @@ class DistributionTable:
     @classmethod
     def mixture(cls, components: Iterable) -> "DistributionTable":
         """sum_i w_i * d_i over the union of the domains, for (w_i, d_i)
-        pairs whose exact weights w_i sum to 1."""
-        parts = [(Fraction(w) / d.total, d) for w, d in components]
+        pairs whose exact weights w_i are mixture weights."""
+        parts = [(Fraction(w), d) for w, d in components]
+        check_mixture_weights(w for w, _ in parts)
+        parts = [(w / d.total, d) for w, d in parts]
         scale = lcm(*(f.denominator for f, _ in parts))
         weights: dict = {}
         for f, d in parts:
             k = f.numerator * (scale // f.denominator)
             for x, w in d.weights.items():
                 weights[x] = weights.get(x, 0) + k * w
-        table = cls.from_weights(weights)
-        if table.total != scale:
-            raise DomainError("mixture weights must sum to 1 exactly")
-        return table
+        return cls.from_weights(weights)
 
     @property
     def mass(self) -> dict:
@@ -369,7 +379,7 @@ def vazirani_minentropy_check(d: DistributionTable, m: int, t: int) -> VaziraniR
     maxprob * 2**(m-1) <= m**t (exact integers).
     """
     if t < 1:
-        raise ValueError("t must be at least 1")
+        raise DomainError("t must be at least 1")
     total = d.total
     worst = _biased_set(_signed_weights(d, m), m, total, Fraction(1), t)
     conclusion = max(d.weights.values()) << (m - 1) <= m ** t * total

@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
+from .dist import check_mixture_weights
 from .errors import BudgetError, DomainError, FormatError, malformed
 from .records import Record
 
@@ -137,8 +138,7 @@ def solves(tree: ParallelDecisionTree, problem: SearchProblem):
 class RandomizedTree(Record, frozen=True):
     def __init__(self, components: Tuple[Tuple[Fraction, ParallelDecisionTree], ...]):
         object.__setattr__(self, "components", components)
-        if sum((w for w, _ in components), Fraction(0)) != 1:
-            raise DomainError("component weights must sum to 1")
+        check_mixture_weights(w for w, _ in components)
 
 
 def randomized_error(rt: RandomizedTree, problem: SearchProblem) -> Fraction:
@@ -154,7 +154,7 @@ def randomized_error(rt: RandomizedTree, problem: SearchProblem) -> Fraction:
     return worst
 
 
-def brute_force_Ddt(problem: SearchProblem, n_limit: int = DTREE_N_LIMIT):
+def brute_force_Ddt(problem: SearchProblem):
     """Exact deterministic query complexity with a witnessing serial tree.
 
     Memoized minimax over restrictions (subcubes of consistent inputs).
@@ -162,8 +162,8 @@ def brute_force_Ddt(problem: SearchProblem, n_limit: int = DTREE_N_LIMIT):
     the witness tree is canonical.
     """
     n = problem.n
-    if n > n_limit:
-        raise BudgetError("decision tree search dimension", n, n_limit)
+    if n > DTREE_N_LIMIT:
+        raise BudgetError("decision tree search dimension", n, DTREE_N_LIMIT)
     memo: Dict[Tuple[int, int], Tuple[int, object]] = {}
     full = (1 << n) - 1
 

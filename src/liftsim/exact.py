@@ -228,13 +228,13 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def frac_decimal(x: Fraction, digits: int = 12) -> str:
-    """Approximate decimal rendering with `digits` significant digits.
+def frac_decimal(x: Fraction) -> str:
+    """Approximate decimal rendering with 12 significant digits.
 
     Deterministic (pure integer arithmetic); always labeled approximate by
     callers that print it.
     """
-    x = Fraction(x)
+    digits, x = 12, Fraction(x)
     if x == 0:
         return "0"
     neg = x < 0

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .dist import DistributionTable, _table
+from .dist import DistributionTable, _table, check_mixture_weights
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .errors import DomainError, FormatError, InvariantError, malformed
 from .gadgets import Gadget, block_table
@@ -218,8 +218,7 @@ def canonical_protocol(tree: ParallelDecisionTree, g: Gadget) -> ProtocolTree:
 class RandomizedProtocol(Record, frozen=True):
     def __init__(self, components: Tuple[Tuple[Fraction, ProtocolTree], ...]):
         object.__setattr__(self, "components", components)
-        if sum((w for w, _ in components), Fraction(0)) != 1:
-            raise DomainError("component weights must sum to 1")
+        check_mixture_weights(w for w, _ in components)
         dims = {(p.n, p.b) for _, p in components}
         if len(dims) > 1:
             raise DomainError(f"components disagree on dimensions: {sorted(dims)}")

@@ -289,7 +289,7 @@ class _EngineCache:
         p = self.params
         silent_free = self.marginal(silent, free)
         delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
-        return delta_w, DangerScan(silent_free, self.gadgets[side], delta_w, p.eps, p.b,
+        return delta_w, DangerScan(silent_free, self.gadgets[side], delta_w, p.eps,
                                    coord_limit=len(free))
 
     def preimage(self, side: int, coord: int, xb: int, bit: int) -> frozenset:
@@ -486,12 +486,12 @@ def _sample(rng: random.Random, items):
 
 
 def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
-                     cache: Optional[_EngineCache], pick, branch_limit: int):
+                     cache: Optional[_EngineCache], pick):
     """(probability, SimResult) for each run of the randomized simulation
     that `pick` follows, depth first.  At each message step and each class
     step, `pick` gets the step's (key, exact probability) items in canonical
     order and returns the ones to follow; the engine is forked for all but
-    the last of them.  `branch_limit` caps the protocol nodes entered."""
+    the last of them.  ENUM_BRANCH_LIMIT caps the protocol nodes entered."""
     if params.mode != "rand":
         raise DomainError("the randomized simulation needs randomized-mode parameters")
     cap = complexity(p)[0] + params.b
@@ -501,8 +501,8 @@ def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
     while todo:
         eng, node, k_product, prob = todo.pop()
         branches += 1
-        if branches > branch_limit:
-            raise BudgetError("randomized enumeration branches", branches, branch_limit)
+        if branches > ENUM_BRANCH_LIMIT:
+            raise BudgetError("randomized enumeration branches", branches, ENUM_BRANCH_LIMIT)
         if isinstance(node, PLeaf):
             yield prob, eng.result("done", output=node.output, k_product=k_product)
             continue
@@ -557,8 +557,7 @@ def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
     """Sampled randomized simulation (messages and partition classes drawn
     from a deterministic seeded source); K is tracked as an exact product."""
     rng = random.Random(seed)
-    [(_, res)] = _randomized_runs(p, g, z, params, cache, lambda items: [_sample(rng, items)],
-                                  ENUM_BRANCH_LIMIT)
+    [(_, res)] = _randomized_runs(p, g, z, params, cache, lambda items: [_sample(rng, items)])
     return res
 
 
@@ -574,7 +573,6 @@ def lift_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
 
 def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
                                   params: LiftingParams,
-                                  branch_limit: int = ENUM_BRANCH_LIMIT,
                                   cache: Optional[_EngineCache] = None) -> DistributionTable:
     """Exact output distribution of the randomized simulation: every run,
     with its exact probability, keyed by its transcript, one of the two
@@ -582,7 +580,7 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
     emptied a rectangle (the desk-scale regime)."""
     markers = {"error_halt_k": ERROR_K, "error_halt_truncation": ERROR_TRUNCATION}
     outcomes: Dict[str, Fraction] = {}
-    for prob, res in _randomized_runs(p, g, z, params, cache, list, branch_limit):
+    for prob, res in _randomized_runs(p, g, z, params, cache, list):
         if res.status == "invariant_violation":
             key = f"{VIOLATION_PREFIX}{res.violation.split(':')[0]}>"
         else:
@@ -592,12 +590,11 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
 
 
 def enumerate_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
-                                  params: LiftingParams,
-                                  branch_limit: int = ENUM_BRANCH_LIMIT) -> DistributionTable:
+                                  params: LiftingParams) -> DistributionTable:
     """Exact mixture of per-component enumerations."""
     cache = _EngineCache(g, params)
     return DistributionTable.mixture(
-        (w, enumerate_output_distribution(proto, g, z, params, branch_limit, cache))
+        (w, enumerate_output_distribution(proto, g, z, params, cache))
         for w, proto in rp.components)
 
 

@@ -428,7 +428,7 @@ class DangerScan:
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
-                 eps: Fraction, b: int, coord_limit: int = SCAN_COORD_LIMIT):
+                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
         self.rows = rows = {t: w for t, w in y.weights.items() if w}
         self.k = k = len(next(iter(rows)))
         _guard(k, coord_limit, "leaking scan free coordinates")
@@ -437,8 +437,8 @@ class DangerScan:
             raise DomainError(f"inputs must lie in [0, {side})")
         self.total = y.total
         self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
-        self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), b
-        self.level = (self.delta_y - self.eps) * b
+        self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), g.b
+        self.level = (self.delta_y - self.eps) * g.b
         self.sets = list(subsets_by_size(k, nonempty=True))
         memo, me = lru_cache(maxsize=None), proxy(self)
         for name in ("_table", "_split", "_sparsifies", "_fits", "_sized", "_leaking",
@@ -571,44 +571,44 @@ class DangerScan:
 
 
 def _verdict(scan: str, x_val: Tuple[int, ...], y: DistributionTable, g: Gadget,
-             delta_y: Fraction, eps: Fraction, b: int, *args) -> Verdict:
+             delta_y: Fraction, eps: Fraction, *args) -> Verdict:
     """A per-value call: one DangerScan of Y read for x, after the call's checks
     in order: SCAN_COORD_LIMIT on len(x) (a dangerous scan's budget is the
     leaking scan's), x's length against Y's, then the ranges."""
     what = "leaking" if scan == "dangerous" else scan
     _guard(len(x_val), SCAN_COORD_LIMIT, f"{what} scan free coordinates")
     _check_x(x_val, len(next(t for t, w in y.weights.items() if w)), g.side)
-    found = DangerScan(y, g, delta_y, eps, b).witness(scan, x_val, *args)
+    found = DangerScan(y, g, delta_y, eps).witness(scan, x_val, *args)
     return Verdict(found is not None, found)
 
 
 def is_leaking(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget) -> Verdict:
     """Some output pattern is less than half as likely as uniform would allow."""
-    return _verdict("leaking", x_val, y, g, 0, 0, g.b)
+    return _verdict("leaking", x_val, y, g, 0, 0)
 
 
 def is_sparsifying(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-                   eps: Fraction, b: int) -> Verdict:
+                   eps: Fraction) -> Verdict:
     """Conditioning on some output pattern destroys more density than eps allows.
 
     The witness is (coords, bits, violating set relative to the remaining
     coordinates, its conditioned max-probability), as is_dense reports it.
     """
-    return _verdict("sparsifying", x_val, y, g, delta_y, eps, b)
+    return _verdict("sparsifying", x_val, y, g, delta_y, eps)
 
 
 def is_skewing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-               eps: Fraction, b: int) -> Verdict:
+               eps: Fraction) -> Verdict:
     """Conditioning on some Y_J value skews the gadget outputs on I.
 
     The witness is (I, J, y_J, maxprob(g^I(x_I, Y_I) | Y_J = y_J),
     Pr[Y_J = y_J]).
     """
-    return _verdict("skewing", x_val, y, g, delta_y, eps, b)
+    return _verdict("skewing", x_val, y, g, delta_y, eps)
 
 
 def is_biasing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-               eps: Fraction, b: int, c: Fraction, n: int) -> Verdict:
+               eps: Fraction, c: Fraction, n: int) -> Verdict:
     """Some qualifying (S, J, y_J) has a conditional XOR bias above threshold.
 
     The size bound is tested in the fully cleared form
@@ -617,24 +617,18 @@ def is_biasing(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y:
     is (S, J, y_J, bias, bound).
     """
     _check_ambient(n)
-    return _verdict("biasing", x_val, y, g, delta_y, eps, b, c, n)
+    return _verdict("biasing", x_val, y, g, delta_y, eps, c, n)
 
 
 def is_dangerous(x_val: Tuple[int, ...], y: DistributionTable, g: Gadget, delta_y: Fraction,
-                 eps: Fraction, b: int) -> bool:
+                 eps: Fraction) -> bool:
     """Leaking or sparsifying; the set the simulation discards."""
-    return _verdict("dangerous", x_val, y, g, delta_y, eps, b).flagged
+    return _verdict("dangerous", x_val, y, g, delta_y, eps).flagged
 
 
-def dangerous_probability(
-    x: DistributionTable,
-    y: DistributionTable,
-    g: Gadget,
-    delta_y: Fraction,
-    eps: Fraction,
-    b: int,
-) -> Fraction:
+def dangerous_probability(x: DistributionTable, y: DistributionTable, g: Gadget,
+                          delta_y: Fraction, eps: Fraction) -> Fraction:
     """Exact X-mass of dangerous values."""
-    scan = DangerScan(y, g, delta_y, eps, b)
+    scan = DangerScan(y, g, delta_y, eps)
     weight = sum(w for x_val, w in x.weights.items() if w and scan.dangerous(x_val))
     return Fraction(weight, x.total)

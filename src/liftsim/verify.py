@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .dist import (
@@ -42,7 +42,7 @@ from .dtrees import (
     solves,
     z_bits,
 )
-from .errors import BudgetError, DomainError, FormatError, InvariantError, LiftsimError, malformed
+from .errors import BudgetError, FormatError, InvariantError, LiftsimError, malformed
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_str
 from .gadgets import (
     RECT_SIDE_LIMIT,
@@ -96,11 +96,11 @@ __all__ = [
 ]
 
 # Universal constants as fixed in the proofs of the two uniformity results;
-# the main lemma's constant is only known to be "large enough", so the same
-# default is used and remains configurable.
+# the main lemma's is only known to be "large enough", and is checked at 8.
 H_MULTIPLICATIVE = Fraction(8)
 H_UNIFORM_MARGINALS = Fraction(10)
 H_MAIN = Fraction(8)
+SEED_MAX_WEIGHT = 16  # the seeded generators draw weights in [0, SEED_MAX_WEIGHT]
 
 
 # -- structure-lemma checkers ---------------------------------------------------
@@ -161,14 +161,13 @@ def check_multiplicative_uniformity(
     gamma: Fraction,
     eta: Fraction,
     c: Fraction,
-    h: Fraction = H_MULTIPLICATIVE,
     disc_value: Optional[Fraction] = None,
 ) -> LemmaInstance:
     """Structured inputs make every free output pattern multiplicatively close
     to uniform: Pr[g^I(X_I, Y_I) = z_I] in (1 +- 2^(-gamma*b)) * 2^(-|I|)."""
     gamma, eta, c = Fraction(gamma), Fraction(eta), Fraction(c)
-    xf, yf, cert, regime = _structured(x, y, rho, g, c, eta, 2 + h / c - eta + gamma,
-                                       disc_value)
+    xf, yf, cert, regime = _structured(x, y, rho, g, c, eta,
+                                       2 + H_MULTIPLICATIVE / c - eta + gamma, disc_value)
     hypothesis = regime and rho.consistent_with(z) and isinstance(cert, StructureCertificate)
     worst = ZERO
     size = len(rho.free())
@@ -196,7 +195,6 @@ def check_uniform_marginals(
     gamma: Fraction,
     eta: Fraction,
     c: Fraction,
-    h: Fraction = H_UNIFORM_MARGINALS,
     disc_value: Optional[Fraction] = None,
 ) -> LemmaInstance:
     """Structured uniform X, Y are close to the marginals of the uniform
@@ -204,8 +202,8 @@ def check_uniform_marginals(
     gamma, eta, c = Fraction(gamma), Fraction(eta), Fraction(c)
     x = DistributionTable.uniform(sorted(x_support))
     y = DistributionTable.uniform(sorted(y_support))
-    _, _, cert, regime = _structured(x, y, rho, g, c, eta, 2 + h / c - eta + gamma,
-                                     disc_value)
+    _, _, cert, regime = _structured(x, y, rho, g, c, eta,
+                                     2 + H_UNIFORM_MARGINALS / c - eta + gamma, disc_value)
     hypothesis = regime and rho.consistent_with(z) and isinstance(cert, StructureCertificate)
     n = len(rho)
     zb = z_bits(z, n, range(n))
@@ -237,22 +235,21 @@ def check_main_lemma(
     eps: Fraction,
     eta: Fraction,
     c: Fraction,
-    h: Fraction = H_MAIN,
     disc_value: Optional[Fraction] = None,
 ) -> LemmaInstance:
     """Structured inputs give dangerous values at most 2^(-gamma*b) mass."""
     gamma, eps, eta, c = Fraction(gamma), Fraction(eps), Fraction(eta), Fraction(c)
     b, free = g.b, rho.free()
-    xf, yf, cert, regime = _structured(x, y, rho, g, c, eta, 2 + h / (c * eps) - eta - gamma,
-                                       disc_value)
+    xf, yf, cert, regime = _structured(x, y, rho, g, c, eta,
+                                       2 + H_MAIN / (c * eps) - eta - gamma, disc_value)
     hypothesis = (regime and 0 < gamma <= 1 and 0 < eps <= 1 and eps * b >= 4
                   and isinstance(cert, StructureCertificate))
     if free and isinstance(cert, StructureCertificate):
-        measured = dangerous_probability(xf, yf, g, cert.delta_y, eps, b)
+        measured = dangerous_probability(xf, yf, g, cert.delta_y, eps)
     elif free:
         # no certificate: classify against the actual density witness
         delta_w = max_density(yf, b)[0]
-        measured = dangerous_probability(xf, yf, g, delta_w, eps, b)
+        measured = dangerous_probability(xf, yf, g, delta_w, eps)
     else:
         measured = ZERO
     return _bounded_instance(hypothesis, measured, gamma * b)
@@ -260,13 +257,11 @@ def check_main_lemma(
 
 # -- seeded generators -----------------------------------------------------------
 
-def seeded_weights(rng: random.Random, count: int, max_weight: int = 16) -> List[int]:
-    """`count` int weights in [0, max_weight], not all zero: each is
-    ``rng.randrange(max_weight + 1)``, drawn by randrange's own getrandbits
-    loop, and an all-zero draw is redrawn whole."""
-    if max_weight < 1:
-        raise DomainError("max_weight must be at least 1")
-    bound = max_weight + 1
+def seeded_weights(rng: random.Random, count: int) -> List[int]:
+    """`count` int weights in [0, SEED_MAX_WEIGHT], not all zero: each is
+    ``rng.randrange(SEED_MAX_WEIGHT + 1)``, drawn by randrange's own
+    getrandbits loop, and an all-zero draw is redrawn whole."""
+    bound = SEED_MAX_WEIGHT + 1
     bits, getrandbits = bound.bit_length(), rng.getrandbits
     while True:
         weights = []
@@ -279,10 +274,10 @@ def seeded_weights(rng: random.Random, count: int, max_weight: int = 16) -> List
             return weights
 
 
-def seeded_distribution(rng: random.Random, domain: Sequence, max_weight: int = 16) -> DistributionTable:
+def seeded_distribution(rng: random.Random, domain: Sequence) -> DistributionTable:
     """Random rational masses (zeros allowed, not all zero): the table of
     ``seeded_weights`` over the domain, in its order."""
-    weights = seeded_weights(rng, len(domain), max_weight)
+    weights = seeded_weights(rng, len(domain))
     return DistributionTable.from_weights(dict(zip(domain, weights)))
 
 
@@ -448,14 +443,20 @@ class CorpusSpec(Record):
                         raise BudgetError(f"corpus spec value {section}.{key}", size,
                                           f"{lo}..{hi}")
             if section == "xor_lemma":
-                jobs = (len(params.get("gadgets", _XOR_GADGETS))
-                        * len(params.get("powers", _XOR_POWERS)) + len(params.get("extra", ())))
+                gadgets = params.get("gadgets", _XOR_GADGETS)
+                powers = params.get("powers", _XOR_POWERS)
+                extra = params.get("extra", ())
+                jobs = len(gadgets) * len(powers) + len(extra)
                 if jobs > XOR_LEMMA_JOB_LIMIT:
                     raise BudgetError("corpus spec xor_lemma jobs", jobs, XOR_LEMMA_JOB_LIMIT)
-                for name in params.get("gadgets", ()):
-                    builtin_gadget(name)  # a bad name is a FormatError here, not in the section
-                for name, _ in params.get("extra", ()):
-                    builtin_gadget(name)
+                # a bad name is a FormatError here, not in the section
+                blocks = {name: builtin_gadget(name).b
+                          for name in [*gadgets, *(name for name, _ in extra)]}
+                for name, m in chain(product(gadgets, powers), extra):
+                    # check_xor_lemma's side test: 2^(b*m) > RECT_SIDE_LIMIT
+                    if blocks[name] * m >= RECT_SIDE_LIMIT.bit_length():
+                        raise BudgetError(f"corpus spec xor_lemma side of {name} at m={m}",
+                                          f"2^{blocks[name] * m}", RECT_SIDE_LIMIT)
             if section == "lifting" and "gadget" in params:
                 b = builtin_gadget(params["gadget"]).b
                 if b > LIFTING_BLOCK_LIMIT:
@@ -787,7 +788,7 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
             y = DistributionTable.uniform(supp)
             delta_y = max_density(y, b)[0]
             for eps in eps_grid:
-                scan = DangerScan(y, g, delta_y, eps, b)
+                scan = DangerScan(y, g, delta_y, eps)
                 for x_val in universe:
                     leak, dangerous = scan.witness("leaking", x_val), scan.dangerous(x_val)
                     tag = f"{gname}/supp{s_idx}/eps={eps}/x={x_val}"

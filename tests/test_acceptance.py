@@ -306,10 +306,10 @@ def test_criterion_07a_claim_skewing():
     for gname, g, b, supp, y, delta_y, eps, x in _claims_corpus():
         total += 1
         leak = is_leaking(x, y, g).flagged
-        spars = is_sparsifying(x, y, g, delta_y, eps, b).flagged
+        spars = is_sparsifying(x, y, g, delta_y, eps).flagged
         if (leak or spars) and not leak:
             exercised += 1
-            if not is_skewing(x, y, g, delta_y, eps, b).flagged:
+            if not is_skewing(x, y, g, delta_y, eps).flagged:
                 fails += 1
     ok = fails == 0 and exercised > 0
     verdict("07a claim: dangerous/non-leaking is skewing", ok,
@@ -336,10 +336,10 @@ def test_criterion_07b_claim_biasing():
     examples = []
     for gname, g, b, supp, y, delta_y, eps, x in _claims_corpus():
         total += 1
-        if not is_biasing(x, y, g, delta_y, eps, b, F(2), 2).flagged:
+        if not is_biasing(x, y, g, delta_y, eps, F(2), 2).flagged:
             exercised += 1
             leak = is_leaking(x, y, g).flagged
-            spars = leak or is_sparsifying(x, y, g, delta_y, eps, b).flagged
+            spars = leak or is_sparsifying(x, y, g, delta_y, eps).flagged
             if leak or spars:
                 fails += 1
                 if len(examples) < 3:

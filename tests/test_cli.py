@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -14,7 +15,6 @@ from liftsim.errors import FormatError
 from liftsim.gadgets import builtin_gadget, gadget_from_json
 from liftsim.protocols import (canonical_protocol, protocol_from_json, protocol_to_json,
                                randomized_protocol_from_json)
-from liftsim.simulate import ENUM_BRANCH_LIMIT
 from liftsim.verify import CorpusSpec
 
 
@@ -130,6 +130,18 @@ def test_lift_randomized_protocol_file(files, capsys):
     code, _, err = run_cli(["lift", "--protocol", str(files / "rproto.json"),
                             "--gadget", "ip2", "--z", "11"], capsys)
     assert code == 2 and "--mode rand" in err
+
+
+def test_lift_refuses_a_negative_mixture_weight(files, capsys):
+    # weights -1/2 and 3/2 sum to 1 but are no mixture: refused when loaded
+    doc = json.loads((files / "proto.json").read_text())
+    path = files / "negative_weight.json"
+    path.write_text(json.dumps({"components": [{"weight": "-1/2", "protocol": doc},
+                                               {"weight": "3/2", "protocol": doc}]}))
+    code, out, err = run_cli(["lift", "--protocol", str(path), "--gadget", "ip2",
+                              "--z", "11", "--mode", "rand", "--enumerate"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: mixture weights must be nonnegative, got -1/2\n"
 
 
 def test_lift_protocol_with_a_leaf_named_components(files, capsys):
@@ -337,11 +349,26 @@ def test_library_loaders_raise_format_error(loader):
             parse(text)
 
 
-def test_budget_options_default_to_the_library_budgets():
-    parse = build_parser().parse_args
-    assert parse(["lift", "--protocol", "p.json", "--gadget", "ip2",
-                  "--z", "01"]).budget_branches == ENUM_BRANCH_LIMIT
-    assert parse(["oracle", "dt", "--problem", "p.json"]).budget_n == DTREE_N_LIMIT
+def _subcommand(parser, *names):
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+def test_no_budget_options(capsys):
+    # every budget is a library constant: no option overrides one
+    for names in (("lift",), ("oracle", "dt")):
+        options = [s for a in _subcommand(build_parser(), *names)._actions
+                   for s in a.option_strings]
+        assert "--out" in options and not [s for s in options if s.startswith("--budget")]
+    for argv in (["lift", "--protocol", "p.json", "--gadget", "ip2", "--z", "01",
+                  "--budget-branches", "5"],
+                 ["oracle", "dt", "--problem", "p.json", "--budget-n", "2"]):
+        with pytest.raises(SystemExit) as exit:
+            build_parser().parse_args(argv)
+        assert exit.value.code == 2
+    assert "unrecognized arguments: --budget-" in capsys.readouterr().err
 
 
 def test_lift_past_the_engine_input_budget_exits_2(files, capsys):
@@ -369,9 +396,13 @@ def test_oracle_dt(files, capsys):
     tree = tree_from_json((files / "tree.json").read_text())
     assert tree.query_complexity() == 3
     assert run_tree(tree, 0b101)[0] == "0"
-    code, _, err = run_cli(["oracle", "dt", "--problem", str(files / "parity3.json"),
-                            "--budget-n", "2"], capsys)
-    assert code == 2 and "budget" in err
+    # past DTREE_N_LIMIT the search is refused before any work
+    big = files / f"parity{DTREE_N_LIMIT + 1}.json"
+    big.write_text(problem_to_json(parity_problem(DTREE_N_LIMIT + 1)))
+    code, out, err = run_cli(["oracle", "dt", "--problem", str(big)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: decision tree search dimension: size {DTREE_N_LIMIT + 1} "
+                   f"exceeds budget {DTREE_N_LIMIT}\n")
 
 
 def test_gadget_out_roundtrip(files, capsys):

@@ -184,6 +184,14 @@ def test_vazirani_minentropy():
     assert r.hypothesis and r.conclusion
 
 
+def test_vazirani_minentropy_refuses_t_below_1():
+    # a domain error like every other check in dist, so a LiftsimError
+    u = DistributionTable.uniform(range(4))
+    for t in (0, -1):
+        with pytest.raises(DomainError, match="t must be at least 1"):
+            vazirani_minentropy_check(u, 2, t)
+
+
 def test_vazirani_implications_never_fail():
     rng = random.Random(31)
     for k in range(400):

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from liftsim.dtrees import (
+    DTREE_N_LIMIT,
     DLeaf,
     DNode,
     ParallelDecisionTree,
@@ -184,8 +185,9 @@ def test_brute_force_matches_naive_oracle():
 
 
 def test_brute_force_budget():
-    with pytest.raises(BudgetError):
-        brute_force_Ddt(parity_problem(3), n_limit=2)
+    with pytest.raises(BudgetError) as err:
+        brute_force_Ddt(parity_problem(DTREE_N_LIMIT + 1))
+    assert (err.value.size, err.value.limit) == (DTREE_N_LIMIT + 1, DTREE_N_LIMIT)
 
 
 def test_problem_json_roundtrip():

@@ -13,6 +13,7 @@ import pytest
 
 import liftsim.dist as dist
 import liftsim.structure as structure
+import liftsim.verify as verify
 from fraction_oracles import (
     oracle_extractor_check,
     oracle_fourier_inversion,
@@ -249,18 +250,17 @@ def test_kraft_sweep_fails_every_draw_of_a_code_that_is_not_prefix_free():
     assert (rep.total, rep.passes, rep.counterexamples) == (3, 3, [])
 
 
-def test_seeded_distribution_wraps_the_int_draw():
+def test_seeded_distribution_wraps_the_int_draw(monkeypatch):
     for seed in (0, 2024, "x/kraft"):
         for max_weight in (1, 3, 16):
+            monkeypatch.setattr(verify, "SEED_MAX_WEIGHT", max_weight)
             for domain in (["0"], ["0", "10", "11"], list(range(7))):
                 a, b, c = (random.Random(seed) for _ in range(3))
-                weights = seeded_weights(a, len(domain), max_weight)
-                d = seeded_distribution(b, domain, max_weight)
+                weights = seeded_weights(a, len(domain))
+                d = seeded_distribution(b, domain)
                 assert [d.weights[v] for v in domain] == weights
                 assert d == oracle_seeded_distribution(c, domain, max_weight)
                 assert a.getstate() == b.getstate() == c.getstate()
-    with pytest.raises(DomainError):
-        seeded_weights(random.Random(0), 3, 0)
 
 
 def test_trunc_cmp_matches_fraction_oracle():

@@ -23,6 +23,9 @@ class.
 A writer builds its document as an object first (``to_obj``,
 ``_protocol_to_obj``), and a caller that needs the object takes it from
 there: no source module passes a ``*to_json`` writer's text to ``json.loads``.
+
+A gadget fixes its block length: no source function takes both a gadget
+``g`` and a ``b``, and a function given ``g`` reads ``g.b``.
 """
 
 import ast
@@ -121,3 +124,15 @@ def test_density_parts_built_only_in_structure():
              for node in ast.walk(ast.parse(path.read_text()))
              if _called(node) == "DensityPart"]
     assert not found, f"take density-restoring classes from structure._density_parts: {found}"
+
+
+def test_no_function_takes_both_a_gadget_and_b():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                if {"g", "b"} <= names:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"read b from the gadget, g.b: {found}"

@@ -27,8 +27,8 @@ IP2 = builtin_gadget("ip2")
 def _all_runs(proto, g, params, zs):
     """Every run of the randomized walk for each z, each sampled run among them."""
     cache = simulate._EngineCache(g, params)
-    return [(res, params) for z in zs for _, res in simulate._randomized_runs(
-        proto, g, z, params, cache, list, simulate.ENUM_BRANCH_LIMIT)]
+    return [(res, params) for z in zs
+            for _, res in simulate._randomized_runs(proto, g, z, params, cache, list)]
 
 
 def _traces(monkeypatch):

@@ -9,6 +9,7 @@ from liftsim import gadgets, protocols
 from liftsim.dtrees import (
     DLeaf,
     ParallelDecisionTree,
+    RandomizedTree,
     brute_force_Ddt,
     find_one_problem,
     first_bit_problem,
@@ -16,7 +17,7 @@ from liftsim.dtrees import (
     parity_problem,
     tree_from_json,
 )
-from liftsim.errors import DomainError, InvariantError
+from liftsim.errors import DomainError, InvariantError, LiftsimError
 from liftsim.gadgets import BUILTIN_NAMES, builtin_gadget
 from liftsim.protocols import (
     PLeaf,
@@ -262,3 +263,27 @@ def test_protocol_json_roundtrip():
     assert randomized_protocol_to_json(rp2) == text2
     with pytest.raises(DomainError):
         RandomizedProtocol(((F(1, 2), p),))
+
+
+def test_mixture_weights_are_a_probability_vector():
+    # the weights sum to 1 and none is negative; a zero weight is allowed
+    _, tree = brute_force_Ddt(parity_problem(2))
+    p = canonical_protocol(tree, IP2)
+    t = ParallelDecisionTree(1, DLeaf("0"))
+    point, coin = DistributionTable.point(0), DistributionTable.uniform([0, 1])
+    for w in ((F(-1, 2), F(3, 2)), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2))):
+        for make in (lambda: DistributionTable.mixture(zip(w, (point, coin))),
+                     lambda: RandomizedProtocol(tuple(zip(w, (p, p)))),
+                     lambda: RandomizedTree(tuple(zip(w, (t, t))))):
+            with pytest.raises(DomainError, match="mixture weights must"):
+                make()
+    # a loaded file is checked the same way
+    text = randomized_protocol_to_json(RandomizedProtocol(((F(1, 2), p), (F(1, 2), p))))
+    bad = text.replace('"weight": "1/2"', '"weight": "-1/2"', 1).replace(
+        '"weight": "1/2"', '"weight": "3/2"', 1)
+    assert bad.count("-1/2") == bad.count("3/2") == 1
+    with pytest.raises(LiftsimError, match="nonnegative"):
+        randomized_protocol_from_json(bad)
+    assert DistributionTable.mixture([(0, point), (1, coin)]) == coin
+    assert RandomizedProtocol(((F(0), p), (F(1), p))).components[0][0] == 0
+    assert RandomizedTree(((F(0), t), (F(1), t))).components[1][0] == 1

@@ -318,18 +318,21 @@ def test_ledger_deficiency_clause_fails_on_one_snapshot():
     assert ledger_assertions(res, params).ok
 
 
-def test_enumeration_branch_budget():
+def test_enumeration_branch_budget(monkeypatch):
     # The budget counts the protocol nodes the enumeration enters, leaves
-    # included: 37 for parity on z = 00 and 19 for find-one on z = 10.
+    # included: 37 for parity on z = 00 and 19 for find-one on z = 10.  It is
+    # read when the walk runs, so a lowered constant is refused cheaply.
     from liftsim.errors import BudgetError
     params = rand_params(2, 2)
     for problem, z, nodes in ((parity_problem(2), 0b00, 37), (find_one_problem(2), 0b10, 19)):
         proto = canonical_instance(problem, IP2)
         for limit in (3, nodes - 1):
+            monkeypatch.setattr(simulate, "ENUM_BRANCH_LIMIT", limit)
             with pytest.raises(BudgetError) as err:
-                enumerate_output_distribution(proto, IP2, z, params, branch_limit=limit)
+                enumerate_output_distribution(proto, IP2, z, params)
             assert (err.value.size, err.value.limit) == (limit + 1, limit)
-        enumerate_output_distribution(proto, IP2, z, params, branch_limit=nodes)
+        monkeypatch.setattr(simulate, "ENUM_BRANCH_LIMIT", nodes)
+        enumerate_output_distribution(proto, IP2, z, params)
 
 
 def test_engine_input_budget():
@@ -565,15 +568,15 @@ def test_discard_step_matches_per_value_scans(monkeypatch):
     seen = Counter()
 
     class Checked(DangerScan):
-        def __init__(self, y, g, delta_y, eps, b, coord_limit):
-            super().__init__(y, g, delta_y, eps, b, coord_limit)
-            self.args = (y, g, delta_y, eps, b, coord_limit)
+        def __init__(self, y, g, delta_y, eps, *, coord_limit):
+            super().__init__(y, g, delta_y, eps, coord_limit=coord_limit)
+            self.args = (y, g, delta_y, eps, coord_limit)
 
         def dangerous(self, x_val):
             got = super().dangerous(x_val)
-            y, g, delta_y, eps, b, limit = self.args
+            y, g, delta_y, eps, limit = self.args
             leak = oracle_is_leaking(x_val, y, g, limit).flagged
-            spars = oracle_is_sparsifying(x_val, y, g, delta_y, eps, b, limit).flagged
+            spars = oracle_is_sparsifying(x_val, y, g, delta_y, eps, g.b, limit).flagged
             assert got == (leak or spars), x_val
             seen["leaking" if leak else "sparsifying only" if got else "safe"] += 1
             return got
@@ -735,7 +738,7 @@ def test_engine_cache_entries_match_direct_computation():
         assert witness == max_density(marg, 2, simulate.DENSITY_WITNESS_BITS)[0]
         gad = g.transpose() if side else g
         for x in product(range(4), repeat=len(free)):
-            assert scan.dangerous(x) == is_dangerous(x, marg, gad, witness, params.eps, 2)
+            assert scan.dangerous(x) == is_dangerous(x, marg, gad, witness, params.eps)
         seen["dense" if dense else "not dense"] += 1
     assert min(seen.values()) >= 30, seen
 

@@ -10,6 +10,7 @@ from density_oracles import (
     oracle_density_restoring_partition,
     oracle_density_witness,
 )
+from fraction_oracles import oracle_seeded_distribution
 from scan_oracles import (
     oracle_is_biasing,
     oracle_is_leaking,
@@ -46,7 +47,6 @@ from liftsim.structure import (
     is_structured,
     max_density,
 )
-from liftsim.verify import seeded_distribution
 
 AND = builtin_gadget("and1")
 XOR = builtin_gadget("xor1")
@@ -219,7 +219,7 @@ def _density_sweep():
             domain = universe
             if len(universe) > 64 and j:
                 domain = sorted(rng.sample(universe, rng.randrange(8, 65)))
-            d = seeded_distribution(rng, domain, max_weight=2 if j % 2 else 16)
+            d = oracle_seeded_distribution(rng, domain, 2 if j % 2 else 16)
             yield d, b
             yield d.condition(d.support()), b
 
@@ -315,13 +315,13 @@ def test_is_sparsifying_examples():
     uy = DistributionTable.uniform(list(product((0, 1), repeat=2)))
     # eps >= delta_y: the reduced level is <= 0, never sparsifying
     for x in product((0, 1), repeat=2):
-        assert not is_sparsifying(x, uy, AND, F(1), F(1), 1).flagged
+        assert not is_sparsifying(x, uy, AND, F(1), F(1)).flagged
     # xor keeps conditioned marginals uniform
     for x in product((0, 1), repeat=2):
-        assert not is_sparsifying(x, uy, XOR, F(1), F(1, 4), 1).flagged
+        assert not is_sparsifying(x, uy, XOR, F(1), F(1, 4)).flagged
     # single free coordinate: no room for a violating set after conditioning
     y1 = DistributionTable.uniform([(0,), (1,)])
-    assert not is_sparsifying((0,), y1, AND, F(1), F(1, 4), 1).flagged
+    assert not is_sparsifying((0,), y1, AND, F(1), F(1, 4)).flagged
 
 
 def test_is_skewing_examples():
@@ -331,34 +331,34 @@ def test_is_skewing_examples():
     # even for the xor gadget against uniform inputs.
     uy = DistributionTable.uniform(list(product((0, 1), repeat=2)))
     for x in product((0, 1), repeat=2):
-        assert is_skewing(x, uy, XOR, F(1), F(1, 4), 1).flagged
-        assert not is_skewing(x, uy, XOR, F(1), F(1), 1).flagged
+        assert is_skewing(x, uy, XOR, F(1), F(1, 4)).flagged
+        assert not is_skewing(x, uy, XOR, F(1), F(1)).flagged
     # at b=2 the slack closes already at eps = 1/2
     uy2 = DistributionTable.uniform(list(product(range(4), repeat=2)))
     for x in ((1, 2), (3, 3)):
-        assert not is_skewing(x, uy2, IP2, F(1), F(1, 2), 2).flagged
+        assert not is_skewing(x, uy2, IP2, F(1), F(1, 2)).flagged
     # a collapsed conditional output (and with a zero block) is always skewing
-    v = is_skewing((0, 0), uy, AND, F(1), F(1, 8), 1)
+    v = is_skewing((0, 0), uy, AND, F(1), F(1, 8))
     assert v.flagged
 
 
 def test_is_biasing_examples():
     uy = DistributionTable.uniform(list(product((0, 1), repeat=2)))
     for x in product((0, 1), repeat=2):
-        assert not is_biasing(x, uy, XOR, F(1), F(1, 4), 1, F(2), 2).flagged
+        assert not is_biasing(x, uy, XOR, F(1), F(1, 4), F(2), 2).flagged
     # and with x = (0,0): the xor over S={1,2} is constant zero, bias 1
-    assert is_biasing((0, 0), uy, AND, F(1), F(1, 4), 1, F(2), 2).flagged
+    assert is_biasing((0, 0), uy, AND, F(1), F(1, 4), F(2), 2).flagged
     with pytest.raises(DomainError):
         is_biasing((0,), DistributionTable.uniform([(0,), (1,)]), AND,
-                   F(1), F(1, 4), 1, F(2), 1)
+                   F(1), F(1, 4), F(2), 1)
 
 
 def test_dangerous_probability_examples():
     uy = DistributionTable.uniform(list(product((0, 1), repeat=2)))
     ux = DistributionTable.uniform(list(product((0, 1), repeat=2)))
-    assert dangerous_probability(ux, uy, XOR, F(1), F(1, 4), 1) == 0
+    assert dangerous_probability(ux, uy, XOR, F(1), F(1, 4)) == 0
     # x values with a zero block are leaking for AND; mass 3/4 under uniform
-    p = dangerous_probability(ux, uy, AND, F(1), F(1, 4), 1)
+    p = dangerous_probability(ux, uy, AND, F(1), F(1, 4))
     assert p >= F(3, 4)
 
 
@@ -384,9 +384,9 @@ def test_skewing_condition_claim_exhaustive():
             for eps in (F(1, 4), F(1, 2)):
                 for x in universe:
                     leak = is_leaking(x, y, g).flagged
-                    spars = is_sparsifying(x, y, g, delta_y, eps, b).flagged
+                    spars = is_sparsifying(x, y, g, delta_y, eps).flagged
                     if spars and not leak:
-                        assert is_skewing(x, y, g, delta_y, eps, b).flagged, (gname, x, supp, eps)
+                        assert is_skewing(x, y, g, delta_y, eps).flagged, (gname, x, supp, eps)
 
 
 def test_biasing_condition_counterexample_documented():
@@ -405,7 +405,7 @@ def test_biasing_condition_counterexample_documented():
     assert is_leaking(x, y, AND).flagged
     for eps in (F(1, 4), F(1, 2)):
         for c in (F(1, 2), F(2), F(16)):
-            assert not is_biasing(x, y, AND, delta_y, eps, 1, c, 2).flagged
+            assert not is_biasing(x, y, AND, delta_y, eps, c, 2).flagged
 
 
 # -- oracle sweep: leaking and sparsifying against the brute-force oracles ----
@@ -437,7 +437,7 @@ def _per_value(name, x, y, g, *levels):
     what = "leaking" if name == "dangerous" else name
     assert (refused.value.what, refused.value.size, refused.value.limit) == \
         (f"{what} scan free coordinates", len(x), SCAN_COORD_LIMIT)
-    found = DangerScan(y, g, *(levels or (0, 0, g.b)), len(x)).witness(name, x)
+    found = DangerScan(y, g, *(levels or (0, 0)), coord_limit=len(x)).witness(name, x)
     return found is not None if name == "dangerous" else Verdict(found is not None, found)
 
 
@@ -458,9 +458,9 @@ def test_dangerous_scans_match_oracle():
                 leak = _per_value("leaking", x, y, g)
                 assert leak == oracle_is_leaking(x, y, g, limit), (g, x, y)
                 for delta_y, eps in _LEVELS:
-                    args = (x, y, g, delta_y, eps, g.b)
+                    args = (x, y, g, delta_y, eps)
                     spars = _per_value("sparsifying", *args)
-                    assert spars == oracle_is_sparsifying(*args, limit), (g, x, y, delta_y, eps)
+                    assert spars == oracle_is_sparsifying(*args, g.b, limit), (g, x, y, delta_y, eps)
                     assert _per_value("dangerous", *args) == (leak.flagged or spars.flagged)
                     seen["leaking" if leak.flagged else
                          "sparsifying" if spars.flagged else "safe"] += 1
@@ -475,9 +475,9 @@ def test_dangerous_scans_reject_out_of_range_values():
         with pytest.raises(DomainError):
             is_leaking(x, y, IP2)
         with pytest.raises(DomainError):
-            is_sparsifying(x, y, IP2, F(1), F(1, 4), 2)
+            is_sparsifying(x, y, IP2, F(1), F(1, 4))
         with pytest.raises(DomainError):
-            is_dangerous(x, y, IP2, F(1), F(1, 4), 2)
+            is_dangerous(x, y, IP2, F(1), F(1, 4))
     y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
     with pytest.raises(DomainError):
         is_leaking((0, 1), y_bad, XOR)
@@ -487,8 +487,8 @@ def test_dangerous_scans_reject_a_wrong_length_x():
     # every per-value scan raises DangerScan's error for an x shorter or
     # longer than Y; a short x used to get a verdict, a long one an IndexError
     y = DistributionTable.uniform(list(product(range(4), repeat=2)))
-    scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
-    levels = (F(1), F(1, 4), 2)
+    scan = DangerScan(y, IP2, F(1), F(1, 4))
+    levels = (F(1), F(1, 4))
     for x in ((1,), (1, 1, 1)):
         with pytest.raises(DomainError) as want:
             scan.dangerous(x)
@@ -525,13 +525,13 @@ def test_danger_scan_matches_oracles():
             y = make(rng, universe)
             xs = universe if len(universe) <= 6 else rng.sample(universe, 6)
             for delta_y, eps in _LEVELS[::2] if k == 4 else _LEVELS:
-                scan = DangerScan(y, g, delta_y, eps, g.b, limit)
+                scan = DangerScan(y, g, delta_y, eps, coord_limit=limit)
                 for x in xs:
-                    args = (x, y, g, delta_y, eps, g.b)
+                    args = (x, y, g, delta_y, eps)
                     leak = scan.witness("leaking", x) is not None
                     spars = scan.witness("sparsifying", x) is not None
                     want_leak = oracle_is_leaking(x, y, g, limit)
-                    want_spars = oracle_is_sparsifying(*args, limit)
+                    want_spars = oracle_is_sparsifying(*args, g.b, limit)
                     assert leak == want_leak.flagged, (g, x, y)
                     assert spars == want_spars.flagged, (g, x, y, delta_y, eps)
                     dangerous = want_leak.flagged or want_spars.flagged
@@ -551,7 +551,7 @@ def test_danger_scan_matches_oracles():
 
 def test_danger_scan_errors_match_the_scans():
     y = DistributionTable.uniform(list(product(range(4), repeat=2)))
-    scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
+    scan = DangerScan(y, IP2, F(1), F(1, 4))
     for x in ((4, 0), (0, -1), (0,), (0, 0, 0)):
         for query in ("leaking", "sparsifying", "dangerous"):
             with pytest.raises(DomainError):
@@ -562,25 +562,25 @@ def test_danger_scan_errors_match_the_scans():
         scan.witness("table", (0, 0))
     y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
     with pytest.raises(DomainError):
-        DangerScan(y_bad, XOR, F(1), F(1, 4), 1)
+        DangerScan(y_bad, XOR, F(1), F(1, 4))
     with pytest.raises(DomainError):
-        dangerous_probability(y_bad, y_bad, XOR, F(1), F(1, 4), 1)
+        dangerous_probability(y_bad, y_bad, XOR, F(1), F(1, 4))
     # a zero-weight element is not in Y's support, whatever its value
     y_zero = DistributionTable.from_weights({(0, 0): 1, (0, 1): 1, (2, 1): 0})
     for x in product((0, 1), repeat=2):
-        assert DangerScan(y_zero, AND, F(1), F(1, 4), 1).witness("leaking", x) == \
+        assert DangerScan(y_zero, AND, F(1), F(1, 4)).witness("leaking", x) == \
             is_leaking(x, y_zero, AND).witness
     # the budget refusal of is_dangerous, raised when the scan is built
     big = DistributionTable.uniform(list(product((0, 1), repeat=4)))
     with pytest.raises(BudgetError) as got:
-        DangerScan(big, AND, F(1), F(1, 4), 1)
+        DangerScan(big, AND, F(1), F(1, 4))
     with pytest.raises(BudgetError) as want:
-        is_dangerous((0, 0, 0, 0), big, AND, F(1), F(1, 4), 1)
+        is_dangerous((0, 0, 0, 0), big, AND, F(1), F(1, 4))
     assert (got.value.what, got.value.size, got.value.limit) == \
         (want.value.what, want.value.size, want.value.limit)
     with pytest.raises(BudgetError):
-        dangerous_probability(big, big, AND, F(1), F(1, 4), 1)
-    assert DangerScan(big, AND, F(1), F(1, 4), 1, coord_limit=4).witness("leaking", (0, 0, 0, 0))
+        dangerous_probability(big, big, AND, F(1), F(1, 4))
+    assert DangerScan(big, AND, F(1), F(1, 4), coord_limit=4).witness("leaking", (0, 0, 0, 0))
 
 
 def test_danger_scan_biasing_matches_is_biasing():
@@ -595,7 +595,7 @@ def test_danger_scan_biasing_matches_is_biasing():
             y = _weighted_table(rng, universe)
             xs = universe if len(universe) <= 4 else rng.sample(universe, 4)
             for delta_y, eps in _LEVELS[::2]:
-                scan = DangerScan(y, g, delta_y, eps, g.b, limit)
+                scan = DangerScan(y, g, delta_y, eps, coord_limit=limit)
                 for c, n in product((F(1, 2), F(2), F(16)), (2, 3, 4)):
                     for x in xs:
                         want = oracle_is_biasing(x, y, g, delta_y, eps, g.b, c, n, limit)
@@ -607,31 +607,31 @@ def test_danger_scan_biasing_matches_is_biasing():
     # on the threshold: for S = {0, 1} and the empty J, |w - 2 odd| * 2(2n)^|S|
     # = 2 * 32 = 64 = w, and no other (S, J) passes the size bound: not biasing
     y = DistributionTable.from_weights({(0, 0): 17, (0, 1): 16, (1, 0): 15, (1, 1): 16})
-    scan = DangerScan(y, XOR, F(1), F(1, 4), 1)
+    scan = DangerScan(y, XOR, F(1), F(1, 4))
     for x in product((0, 1), repeat=2):
         assert scan.witness("biasing", x, F(2), 2) is None
-        assert not is_biasing(x, y, XOR, F(1), F(1, 4), 1, F(2), 2).flagged
+        assert not is_biasing(x, y, XOR, F(1), F(1, 4), F(2), 2).flagged
     # at n = 3 the empty J fails the size bound for |S| = 1 and J = {1} passes it
     y = DistributionTable.from_weights({(0, 0): 1, (0, 1): 3, (1, 0): 0, (1, 1): 4})
-    assert DangerScan(y, AND, F(1), F(1, 4), 1).witness("biasing", (1, 0), F(1, 2), 3)
-    assert is_biasing((1, 0), y, AND, F(1), F(1, 4), 1, F(1, 2), 3).witness[:2] == ((0,), (1,))
+    assert DangerScan(y, AND, F(1), F(1, 4)).witness("biasing", (1, 0), F(1, 2), 3)
+    assert is_biasing((1, 0), y, AND, F(1), F(1, 4), F(1, 2), 3).witness[:2] == ((0,), (1,))
     # the errors of is_biasing: n < 2, then x's length and range
     y = DistributionTable.uniform(list(product(range(4), repeat=2)))
-    scan = DangerScan(y, IP2, F(1), F(1, 4), 2)
+    scan = DangerScan(y, IP2, F(1), F(1, 4))
     for x, n in (((0, 0), 1), ((4, 0), 2), ((0, -1), 2), ((4, 0), 1)):
         with pytest.raises(DomainError) as got:
             scan.witness("biasing", x, F(2), n)
         with pytest.raises(DomainError) as want:
-            is_biasing(x, y, IP2, F(1), F(1, 4), 2, F(2), n)
+            is_biasing(x, y, IP2, F(1), F(1, 4), F(2), n)
         assert str(got.value) == str(want.value)
     for x in ((0,), (0, 0, 0)):
         with pytest.raises(DomainError):
             scan.witness("biasing", x, F(2), 2)
     big = DistributionTable.uniform(list(product((0, 1), repeat=4)))
     with pytest.raises(BudgetError):
-        DangerScan(big, AND, F(1), F(1, 4), 1)
+        DangerScan(big, AND, F(1), F(1, 4))
     with pytest.raises(BudgetError):
-        is_biasing((0, 0, 0, 0), big, AND, F(1), F(1, 4), 1, F(2), 2)
+        is_biasing((0, 0, 0, 0), big, AND, F(1), F(1, 4), F(2), 2)
 
 
 def test_danger_scan_ip6_mass():
@@ -639,8 +639,8 @@ def test_danger_scan_ip6_mass():
     # zero block), and a sample of the values against the brute-force oracles
     ip6 = Gadget(6, [(x & y).bit_count() & 1 for x in range(64) for y in range(64)])
     u = DistributionTable.uniform(list(product(range(64), repeat=2)))
-    assert dangerous_probability(u, u, ip6, F(1), F(1, 2), 6) == F(127, 4096)
-    scan = DangerScan(u, ip6, F(1), F(1, 2), 6)
+    assert dangerous_probability(u, u, ip6, F(1), F(1, 2)) == F(127, 4096)
+    scan = DangerScan(u, ip6, F(1), F(1, 2))
     for x in [(0, 0), (0, 63), (63, 63)] + random.Random(6).sample(u.domain, 5):
         want = (oracle_is_leaking(x, u, ip6).flagged
                 or oracle_is_sparsifying(x, u, ip6, F(1), F(1, 2), 6).flagged)
@@ -670,13 +670,13 @@ def test_skewing_and_biasing_match_oracle():
             for y in tables:
                 for x in rng.sample(universe, min(len(universe), 4)):
                     for delta_y, eps, c in _BIAS_LEVELS:
-                        args = (x, y, g, delta_y, eps, g.b)
+                        args = (x, y, g, delta_y, eps)
                         skew = is_skewing(*args)
-                        assert skew == oracle_is_skewing(*args), (g, x, y, delta_y, eps)
-                        scan = DangerScan(y, g, delta_y, eps, g.b)
+                        assert skew == oracle_is_skewing(*args, g.b), (g, x, y, delta_y, eps)
+                        scan = DangerScan(y, g, delta_y, eps)
                         assert scan.witness("skewing", x) == skew.witness, (g, x, y, delta_y, eps)
                         bias = is_biasing(*args, c, 2 + k % 2)
-                        assert bias == oracle_is_biasing(*args, c, 2 + k % 2), (g, x, y, c)
+                        assert bias == oracle_is_biasing(*args, g.b, c, 2 + k % 2), (g, x, y, c)
                         seen["skewing" if skew.flagged else "not skewing"] += 1
                         seen["biasing" if bias.flagged else "not biasing"] += 1
     # every verdict class of both scans is exercised, so agreement is not vacuous

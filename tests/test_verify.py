@@ -10,7 +10,7 @@ import liftsim.simulate as simulate
 import liftsim.verify as verify
 from liftsim.dist import DistributionTable
 from liftsim.dtrees import brute_force_Ddt
-from liftsim.errors import BudgetError, DomainError, FormatError, LiftsimError
+from liftsim.errors import BudgetError, FormatError, LiftsimError
 from liftsim.gadgets import builtin_gadget, discrepancy
 from liftsim.protocols import canonical_protocol
 from liftsim.simulate import LiftingParams, enumerate_output_distribution, lift_randomized
@@ -106,11 +106,12 @@ def test_seeded_distribution_deterministic():
     assert d1 == d2
 
 
-def test_seeded_distribution_draws_match_randrange():
+def test_seeded_distribution_draws_match_randrange(monkeypatch):
     # the inlined rejection loop draws what Random.randrange(max_weight + 1)
     # draws, all-zero redraws included, and leaves the generator in the same state
     for seed in (0, 1, 2024, "x/kraft", 77):
         for max_weight in (1, 2, 3, 7, 16, 31, 100):
+            monkeypatch.setattr(verify, "SEED_MAX_WEIGHT", max_weight)
             for size in (1, 2, 12):
                 domain = list(range(size))
                 ref = random.Random(seed)
@@ -119,12 +120,9 @@ def test_seeded_distribution_draws_match_randrange():
                     if any(want):
                         break
                 rng = random.Random(seed)
-                d = seeded_distribution(rng, domain, max_weight)
+                d = seeded_distribution(rng, domain)
                 assert [d.weights[v] for v in domain] == want, (seed, max_weight, size)
                 assert rng.getstate() == ref.getstate()
-    for max_weight in (0, -1):
-        with pytest.raises(DomainError):
-            seeded_distribution(random.Random(0), [0, 1], max_weight)
 
 
 def test_small_corpus_runs_and_is_deterministic():
@@ -185,9 +183,8 @@ def test_counterexamples_reverify_from_raw_inputs():
                     recorded = any(ce["instance"] == tag
                                    for ce in bias_sec.counterexamples)
                     if recorded:
-                        assert not is_biasing(x, y, g, delta_y, eps, b,
-                                              F(2), 2).flagged
-                        assert is_dangerous(x, y, g, delta_y, eps, b)
+                        assert not is_biasing(x, y, g, delta_y, eps, F(2), 2).flagged
+                        assert is_dangerous(x, y, g, delta_y, eps)
                         reverified += 1
     assert reverified == bias_sec.fails > 0
 
@@ -244,6 +241,24 @@ def test_xor_lemma_job_count_refused():
     # omitted keys take the section's defaults: 4 gadgets x 3 powers
     spec = CorpusSpec.from_json('{"xor_lemma": {"extra": [["ip2", 1]]}}')
     assert run_corpus(spec).sections[0].total == 13
+
+
+def test_xor_lemma_side_refused_when_parsed():
+    # every job's side 2^(b*m) is checked before any section runs, defaults
+    # and extra jobs included, with check_xor_lemma's test b*m >= 5
+    for text, job, bits in (
+            ('{"fourier": {"count": 50}, "xor_lemma": {"gadgets": ["ip2"], "powers": [3], '
+             '"extra": []}}', "ip2 at m=3", 6),
+            ('{"xor_lemma": {"extra": [["ip2", 3]]}}', "ip2 at m=3", 6),
+            ('{"xor_lemma": {"gadgets": ["rand:5:1"], "powers": [1]}}', "rand:5:1 at m=1", 5)):
+        with pytest.raises(BudgetError) as err:
+            CorpusSpec.from_json(text)
+        assert (err.value.what, err.value.size, err.value.limit) == (
+            f"corpus spec xor_lemma side of {job}", f"2^{bits}", 16)
+    # at the budget itself the spec parses: sides 2^4
+    for text in ('{"xor_lemma": {"gadgets": ["ip2"], "powers": [2], "extra": [["rand:4:1", 1]]}}',
+                 '{"xor_lemma": {"powers": [4]}}'):
+        CorpusSpec.from_json(text)
 
 
 def test_spec_gadget_names_resolved_when_parsed():
