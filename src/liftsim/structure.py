@@ -13,15 +13,22 @@ first witness on the set C; its one query, `witness`, walks the sets C in
 (size, lex) order.  What many x reuse is memoised per (C, x_C), and
 dangerous verdicts per x, so classifying many x against one Y shares their
 common work, and the per-value is_* functions read one scan each.  No scan
-is pruned.  Density questions
-read integer counts per coordinate set, which the density-restoring partition
-(whose first part is the fix) builds as it reads them and carves down part by
-part; max_density and the structure search need the worst one.
+is pruned.  A table holds, per output pattern on C, the rows of Y's support
+with that pattern: as one row bitmask, split by AND and weighed by popcount,
+when Y has at most MASK_ROW_LIMIT = 2^12 support rows, and past that as a
+{y_rest: weight} dict split row by row, since a popcount reads all of Y's
+rows where a dict reads only its own.  With masks at every size, the ip4
+n=4 deterministic lift at z=0 (a first scan over 65,536 rows) took 54.7 s
+against 14.4 s with dicts there; at 64 to 4,096 rows masks were as fast or
+faster.  Density questions read integer counts per coordinate set, which the
+density-restoring partition (whose first part is the fix) builds as it reads
+them and carves down part by part; max_density and the structure search
+need the worst one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, product
@@ -54,9 +61,13 @@ __all__ = [
     "DangerScan",
     "dangerous_probability",
     "SCAN_COORD_LIMIT",
+    "MASK_ROW_LIMIT",
 ]
 
 SCAN_COORD_LIMIT = 3
+# A danger scan over at most this many Y rows holds its table parts as row
+# bitmasks, past it as dicts (the crossover is measured in the docstring above).
+MASK_ROW_LIMIT = 1 << 12
 DENSITY_RESOLUTION_BITS = 20
 
 
@@ -114,16 +125,23 @@ class DensityWitness(Record):
         return self.violating_set is None
 
 
+def _block_count(x: DistributionTable, tuples: bool = False) -> int:
+    """x's block count: k when its elements are all k-tuples, 0 when none is
+    a tuple (refused if `tuples`, as a danger scan's Y is); else DomainError
+    naming the lengths found, -1 standing for an element that is not a tuple."""
+    shapes = {len(t) if isinstance(t, tuple) else -1 for t in x.domain}
+    if len(shapes) > 1 or (tuples and -1 in shapes):
+        raise DomainError(f"elements of different block counts: {sorted(shapes)}")
+    return max(shapes.pop(), 0)
+
+
 def _marginal_counts(x: DistributionTable, largest_first: bool = False):
     """(k, rows, marginals): x's elements are k-tuples (k = 0 if none is a
     tuple; DomainError if their lengths differ), rows its nonzero (t, w) in
     domain order, and marginals lazily yields (coords, key, {key(t): weight})
     per nonempty coordinate set in (size, lex) order or largest first, one
     pass over the rows list as it is then; key(t) is project's tuple."""
-    shapes = {len(t) if isinstance(t, tuple) else -1 for t in x.domain}
-    if len(shapes) > 1:
-        raise DomainError(f"elements of different block counts: {sorted(shapes)}")
-    k, rows = max(shapes.pop(), 0), [(t, w) for t, w in x.weights.items() if w]
+    k, rows = _block_count(x), [(t, w) for t, w in x.weights.items() if w]
     sets = sorted(subsets_by_size(k, nonempty=True), key=len, reverse=largest_first)
     return k, rows, ((c, key, _sums(rows, key)) for c in sets for key in (_places(c),))
 
@@ -386,16 +404,11 @@ class Verdict(Record):
 @lru_cache(maxsize=None)
 def _others(k: int, coords: Tuple[int, ...]) -> List[tuple]:
     """(J as places among the coordinates outside C, their getter, J) for
-    every J avoiding C = coords, in (size, lex) order, the empty J first."""
+    every J avoiding C = coords, in (size, lex) order, the empty J first; the
+    getter is None for the J that is all of them."""
     rest = tuple(i for i in range(k) if i not in coords)
-    return [(sub, _places(sub), tuple(rest[i] for i in sub))
+    return [(sub, None if len(sub) == len(rest) else _places(sub), tuple(rest[i] for i in sub))
             for sub in subsets_by_size(len(rest))]
-
-
-def _on(ws: dict, sub: Tuple[int, ...], key, width: int) -> dict:
-    """{key(y_rest): weight} of a pattern's {y_rest: weight}, whose y_rest have
-    `width` places: ws itself when the places `sub` are all of them."""
-    return ws if len(sub) == width else _sums(ws.items(), key)
 
 
 def _check_x(x_val: Tuple[int, ...], k: int, side: int) -> None:
@@ -410,40 +423,15 @@ def _check_ambient(n: int) -> None:
         raise DomainError("the ambient dimension must be at least 2")
 
 
-class DangerScan:
-    """The leaking, sparsifying, skewing and biasing scans of every x against one Y.
+class _RowDicts:
+    """Table parts as {y_rest: weight}, y_rest a row of Y's support outside C:
+    the tables of a DangerScan over more than MASK_ROW_LIMIT rows.  Its
+    functions are the scan's methods, bound to it when it is built."""
 
-    Each scan is one function of (C, x_C) that returns its first witness on
-    the set C, or None.  It reads one table, Y's weights contracted with the
-    gadget's output rows of x_C: {pattern on C: {y_rest: weight}}, built from
-    the table of C minus its last coordinate.  `witness`, the one query,
-    walks the sets C in (size, lex) order to the first witness, so witnesses
-    come in the order of the definitions: C, then patterns in product order,
-    then J in (size, lex) order, then y_J sorted; `dangerous` is its
-    predicate, memoised per x.  What many x reuse is memoised per scan by
-    lru_cache: the tables, the leaking, biasing and dangerous witnesses (the
-    engines read a sparsifying one only through the dangerous one), the
-    sparsifying test, Y's marginals and the size bound.  Every memo reaches
-    the scan through a weak proxy, so none keeps it alive.
-    """
+    memos = ("_table", "_split")
 
-    def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
-                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
-        self.rows = rows = {t: w for t, w in y.weights.items() if w}
-        self.k = k = len(next(iter(rows)))
-        _guard(k, coord_limit, "leaking scan free coordinates")
-        self.side = side = g.side
-        if any(not 0 <= v < side for t in rows for v in t):
-            raise DomainError(f"inputs must lie in [0, {side})")
-        self.total = y.total
-        self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
-        self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), g.b
-        self.level = (self.delta_y - self.eps) * g.b
-        self.sets = list(subsets_by_size(k, nonempty=True))
-        memo, me = lru_cache(maxsize=None), proxy(self)
-        for name in ("_table", "_split", "_sparsifies", "_fits", "_sized", "_leaking",
-                     "_biasing", "_dangerous", "dangerous"):
-            setattr(self, name, memo(getattr(type(self), name).__get__(me)))
+    def index(self) -> None:
+        """Nothing: the parts are read off Y's rows as they are."""
 
     def _table(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> dict:
         """{pattern: {y_rest: weight}} of x_C = xs on C = coords: the table of C
@@ -469,6 +457,137 @@ class DangerScan:
         return [(pat, [(yr[at], yr[:at] + yr[at + 1:], w) for yr, w in ws.items()])
                 for pat, ws in self._table(coords[:-1], prefix).items()]
 
+    def _weight(self, ws: dict) -> int:
+        return sum(ws.values())
+
+    def _marginal(self, ws: dict, key, coords_j: Tuple[int, ...]) -> dict:
+        """{y_J: weight} of a part, J read by `key` off y_rest; the part itself
+        when J is all of y_rest (key None)."""
+        return ws if key is None else _sums(ws.items(), key)
+
+    def _heaviest(self, ws: dict, key, coords_j: Tuple[int, ...]) -> int:
+        return max(self._marginal(ws, key, coords_j).values())
+
+    def _odd(self, table: dict) -> dict:
+        """The union of the parts whose pattern has odd parity."""
+        odd: Counter = Counter()
+        for pat, ws in table.items():
+            if sum(pat) & 1:
+                odd.update(ws)
+        return odd
+
+
+class _RowMasks:
+    """Table parts as row bitmasks, bit i of a part standing for the i-th row
+    of Y's support: the tables of a DangerScan over at most MASK_ROW_LIMIT
+    rows.  A child table is one AND and one XOR per parent part, and a weight
+    one popcount per bit-plane of Y's weights.  Its functions are the scan's
+    methods, bound to it when it is built."""
+
+    memos = ("_table", "_groups")
+
+    def index(self) -> None:
+        """Build all the rows (`_all`), the rows whose output is 1 under each x
+        value at each coordinate (`_ones`, the sum of the coordinate's disjoint
+        row groups where it is 1) and the bit-planes of the weights
+        (`_planes`, (shift, rows) pairs)."""
+        self._all = (1 << len(self.rows)) - 1
+        self._ones = [[sum(rows for (v,), rows in self._groups((c,)).items() if out[v])
+                       for out in self.outputs] for c in range(self.k)]
+        weights = self.rows.values()
+        self._planes = [(s, sum(1 << i for i, w in enumerate(weights) if w >> s & 1))
+                        for s in range(max(weights).bit_length())]
+        if self._planes == [(0, self._all)]:
+            self._weight = int.bit_count  # every weight is 1
+
+    def _table(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> dict:
+        """{pattern: mask of its rows} of x_C = xs on C = coords: the table of C
+        minus its last coordinate c, split by the rows where x_c's output on c
+        is 1 (patterns are bit tuples in C order, in product order)."""
+        if not coords:
+            return {(): self._all}
+        ones, table = self._ones[coords[-1]][xs[-1]], {}
+        for pat, m in self._table(coords[:-1], xs[:-1]).items():
+            one = m & ones
+            zero = m ^ one
+            if zero:
+                table[pat + (0,)] = zero
+            if one:
+                table[pat + (1,)] = one
+        return table
+
+    def _groups(self, coords_j: Tuple[int, ...]) -> dict:
+        """{y_J: mask of the rows with that y_J} over J = coords_j, in one pass
+        over the rows."""
+        key, groups = _places(coords_j), defaultdict(int)
+        for i, t in enumerate(self.rows):
+            groups[key(t)] |= 1 << i
+        return dict(groups)
+
+    def _weight(self, m: int) -> int:
+        return sum((m & rows).bit_count() << s for s, rows in self._planes)
+
+    def _marginal(self, m: int, key, coords_j: Tuple[int, ...]) -> dict:
+        """{y_J: weight} of a part, zeros included for the y_J it misses."""
+        weight = self._weight
+        return {yj: weight(m & rows) for yj, rows in self._groups(coords_j).items()}
+
+    def _heaviest(self, m: int, key, coords_j: Tuple[int, ...]) -> int:
+        return max(map(self._weight, map(m.__and__, self._groups(coords_j).values())))
+
+    def _odd(self, table: dict) -> int:
+        """The union of the parts whose pattern has odd parity (they are disjoint)."""
+        return sum(m for pat, m in table.items() if sum(pat) & 1)
+
+
+class DangerScan:
+    """The leaking, sparsifying, skewing and biasing scans of every x against one Y.
+
+    Each scan is one function of (C, x_C) that returns its first witness on
+    the set C, or None.  It reads one table, Y's weights contracted with the
+    gadget's output rows of x_C: {pattern on C: part}, the part being the
+    rows of Y's support with that output pattern, built from the table of C
+    minus its last coordinate.  A scan reads a part only through its weight,
+    its marginal on a set J of the other coordinates (or that marginal's
+    heaviest weight) and the union of the odd-parity parts, which both
+    representations provide: over at most MASK_ROW_LIMIT rows a part is a row
+    bitmask (_RowMasks), past it a {y_rest: weight} dict (_RowDicts).
+    `witness`, the one query, walks the sets C in (size, lex) order to the
+    first witness, so witnesses come in the order of the definitions: C, then
+    patterns in product order, then J in (size, lex) order, then y_J sorted;
+    `dangerous` is its predicate, memoised per x.  What many x reuse is
+    memoised per scan by lru_cache: the tables and what builds them (`_split`
+    for dicts, the row groups of each J for masks), the leaking, biasing and
+    dangerous witnesses (the engines read a sparsifying one only through the
+    dangerous one), the dangerous verdicts, the sparsifying test, Y's
+    marginals and the size bound.  Every memo and table function reaches the
+    scan through a weak proxy, so none keeps it alive.
+    """
+
+    def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
+                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
+        self.k = k = _block_count(y, tuples=True)
+        _guard(k, coord_limit, "leaking scan free coordinates")
+        self.rows = rows = {t: w for t, w in y.weights.items() if w}
+        self.side = side = g.side
+        if any(not 0 <= v < side for t in rows for v in t):
+            raise DomainError(f"inputs must lie in [0, {side})")
+        self.total = y.total
+        self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
+        self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), g.b
+        self.level = (self.delta_y - self.eps) * g.b
+        self.sets = list(subsets_by_size(k, nonempty=True))
+        memo, me = lru_cache(maxsize=None), proxy(self)
+        parts = _RowMasks if len(rows) <= MASK_ROW_LIMIT else _RowDicts
+        for name in ("_weight", "_marginal", "_heaviest", "_odd"):
+            setattr(self, name, getattr(parts, name).__get__(me))
+        for name in parts.memos:
+            setattr(self, name, memo(getattr(parts, name).__get__(me)))
+        for name in ("_sparsifies", "_fits", "_sized", "_leaking", "_biasing",
+                     "_dangerous", "_flagged"):
+            setattr(self, name, memo(getattr(type(self), name).__get__(me)))
+        parts.index(self)
+
     def _sparsifies(self, heavy: int, weight: int, size: int) -> bool:
         """heavy/weight > 2**-((delta_y - eps)*b*size)."""
         return cmp_pow2_ratio(heavy, weight, self.level * size) > 0
@@ -488,10 +607,10 @@ class DangerScan:
 
     def _leaking(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> Optional[tuple]:
         """(C, bits) of the first pattern with Pr < 2**-(|C|+1), null ones included."""
-        table = self._table(coords, xs)
+        table, weight, total = self._table(coords, xs), self._weight, self.total
         for bits in product((0, 1), repeat=len(coords)):
-            ws = table.get(bits)
-            if ws is None or sum(ws.values()) << (len(coords) + 1) < self.total:
+            part = table.get(bits)
+            if part is None or weight(part) << (len(coords) + 1) < total:
                 return coords, bits
         return None
 
@@ -499,12 +618,13 @@ class DangerScan:
         """(C, bits, J, p) of the first pattern that, conditioned on, leaves a set J
         of the other coordinates (as places among them) with maxprob
         p > 2**-((delta_y - eps)*b*|J|)."""
-        width = self.k - len(coords)
-        for pat, ws in self._table(coords, xs).items():
-            weight = sum(ws.values())
-            for sub, key, _ in _others(self.k, coords)[1:]:
-                heavy = max(_on(ws, sub, key, width).values())
-                if self._sparsifies(heavy, weight, len(sub)):
+        others = _others(self.k, coords)[1:]
+        heaviest, sparsifies = self._heaviest, self._sparsifies
+        for pat, part in self._table(coords, xs).items():
+            weight = self._weight(part)
+            for sub, key, coords_j in others:
+                heavy = heaviest(part, key, coords_j)
+                if sparsifies(heavy, weight, len(sub)):
                     return coords, pat, sub, Fraction(heavy, weight)
         return None
 
@@ -513,11 +633,11 @@ class DangerScan:
         the first nonempty J avoiding I = coords and y_J with maxprob * Pr[y_J]
         > 2**(-|I| + eps*b*|J| - 1 - delta_y*b*|J|): the defining inequality
         with the excess-entropy term of y_J cleared."""
-        table, width = self._table(coords, xs), self.k - len(coords)
+        table = self._table(coords, xs)
         for sub, key, coords_j in _others(self.k, coords)[1:]:
             heavy, whole = {}, defaultdict(int)  # per y_J: the heaviest pattern's weight, w_J
-            for ws in table.values():
-                for yj, w in _on(ws, sub, key, width).items():
+            for part in table.values():
+                for yj, w in self._marginal(part, key, coords_j).items():
                     heavy[yj], whole[yj] = max(heavy.get(yj, 0), w), whole[yj] + w
             q = len(coords) + 1 + self.level * len(sub)
             for yj, wj in sorted(whole.items()):
@@ -533,10 +653,10 @@ class DangerScan:
         > bound = 1/(2(2n)^|S|), odd the weight given y_J of the rows whose
         pattern on S has odd parity."""
         scale = 2 * (2 * n) ** len(coords)
-        odd = [ws.items() for pat, ws in self._table(coords, xs).items() if sum(pat) & 1]
+        odd = self._odd(self._table(coords, xs))
         for _, key, coords_j in _others(self.k, coords):
             sized = self._sized(c, n, len(coords), coords_j)
-            odd_j = _sums(chain.from_iterable(odd), key) if sized else {}
+            odd_j = self._marginal(odd, key, coords_j) if sized else {}
             for yj, wj in sized:
                 gap = abs(wj - 2 * odd_j.get(yj, 0))
                 if gap * scale > wj:
@@ -565,19 +685,23 @@ class DangerScan:
                 return found
         return None
 
+    def _flagged(self, x_val: Tuple[int, ...]) -> bool:
+        return self.witness("dangerous", x_val) is not None
+
     def dangerous(self, x_val: Tuple[int, ...]) -> bool:
         """Leaking or sparsifying; the set the simulation discards (memoised per x)."""
-        return self.witness("dangerous", x_val) is not None
+        return self._flagged(x_val)
 
 
 def _verdict(scan: str, x_val: Tuple[int, ...], y: DistributionTable, g: Gadget,
              delta_y: Fraction, eps: Fraction, *args) -> Verdict:
     """A per-value call: one DangerScan of Y read for x, after the call's checks
     in order: SCAN_COORD_LIMIT on len(x) (a dangerous scan's budget is the
-    leaking scan's), x's length against Y's, then the ranges."""
+    leaking scan's), Y's elements all tuples of one length, x's length against
+    theirs, then the ranges."""
     what = "leaking" if scan == "dangerous" else scan
     _guard(len(x_val), SCAN_COORD_LIMIT, f"{what} scan free coordinates")
-    _check_x(x_val, len(next(t for t, w in y.weights.items() if w)), g.side)
+    _check_x(x_val, _block_count(y, tuples=True), g.side)
     found = DangerScan(y, g, delta_y, eps).witness(scan, x_val, *args)
     return Verdict(found is not None, found)
 

@@ -22,7 +22,7 @@ from liftsim.dtrees import (
     solves,
 )
 from liftsim.errors import DomainError, LiftsimError
-from liftsim import gadgets, simulate
+from liftsim import gadgets, simulate, structure
 from liftsim.gadgets import blocks_of, builtin_gadget
 from liftsim.protocols import (
     PLeaf,
@@ -678,7 +678,7 @@ def test_deterministic_runs_leave_no_reference_cycles():
             gc.enable()
     assert shared.context.cache_info().hits > 0
     inputs, free = tuple(range(64)), (0, 1, 2)
-    assert shared.context(0, inputs, free)[1].dangerous.cache_info().hits > 0
+    assert shared.context(0, inputs, free)[1]._flagged.cache_info().hits > 0
     assert shared.maxprob(inputs, free) == shared.marginal(inputs, free).maxprob()
 
 
@@ -710,7 +710,7 @@ def test_randomized_runs_leave_no_reference_cycles():
         if enabled:
             gc.enable()
     scan = shared.context(0, tuple(range(16)), (0, 1))[1]
-    assert scan.dangerous.cache_info().hits > 0
+    assert scan._flagged.cache_info().hits > 0
 
 
 def test_engine_cache_entries_match_direct_computation():
@@ -856,6 +856,27 @@ def test_ip3_enumeration_pinned():
     assert (len(items), dist.total) == (343, 343)
     digest = hashlib.sha256(repr((items, dist.total)).encode()).hexdigest()
     assert digest == IP3_ENUMERATION_PIN
+
+
+IP4_DET_TRACES_PIN = "7ec992db581b4cc89fca1069ffd83af6d482f1af86313a458baf577783167ce4"
+
+
+def test_ip4_deterministic_traces_pinned():
+    # The largest danger scan held as row bitmasks: parity-3 composed with
+    # ip4, n=3, every z through one engine cache.  The first round scans all
+    # 16^3 = 4,096 silent inputs, MASK_ROW_LIMIT rows.  The traces are
+    # hashed in z order.
+    g = gadgets._ip_gadget(4)
+    params = det_params(4, 3)
+    proto = canonical_instance(parity_problem(3), g)
+    cache = simulate._EngineCache(g, params)
+    traces = [lift_deterministic(proto, g, z, params, cache=cache).to_json() for z in range(8)]
+    hits = cache.context.cache_info().hits
+    scan = cache.context(0, tuple(range(4096)), (0, 1, 2))[1]  # the first round's
+    assert cache.context.cache_info().hits == hits + 1
+    assert len(scan.rows) == structure.MASK_ROW_LIMIT and hasattr(scan, "_groups")
+    digest = hashlib.sha256("\n".join(traces).encode()).hexdigest()
+    assert digest == IP4_DET_TRACES_PIN
 
 
 def _round_starts(node, speaker=None):

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from collections import Counter
@@ -19,7 +20,7 @@ from scan_oracles import (
     oracle_subsets,
 )
 
-from liftsim import simulate
+from liftsim import simulate, structure
 from liftsim.dist import DistributionTable, project
 from liftsim.dtrees import brute_force_Ddt, parity_problem
 from liftsim.errors import BudgetError, DomainError
@@ -512,7 +513,20 @@ def _zero_weight_table(rng, universe):
     return DistributionTable.from_weights(weights)
 
 
-def test_danger_scan_matches_oracles():
+def _heavy_table(rng, universe):
+    """Weights in [0, 16] on the whole universe, at least one positive: five
+    bit-planes of row masks."""
+    weights = {t: rng.randrange(17) for t in universe}
+    weights[rng.choice(universe)] += 1
+    return DistributionTable.from_weights(weights)
+
+
+def _held_as(scan):
+    """How a scan holds its table parts: "masks" (row bitmasks) or "dicts"."""
+    return "masks" if hasattr(scan, "_groups") else "dicts"
+
+
+def _leaking_and_sparsifying_sweep(kind):
     rng = random.Random(11)
     gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip2", "rand:2:5", "rand:3:4")]
     cases = [(g, k) for g in gadgets for k in range(4) if g.b < 3 or k < 3]
@@ -521,25 +535,26 @@ def test_danger_scan_matches_oracles():
     for g, k in cases:
         universe = list(product(range(g.side), repeat=k))
         limit = max(k, SCAN_COORD_LIMIT)
-        for make in (_weighted_table, _zero_weight_table):
+        for make in (_weighted_table, _zero_weight_table, _heavy_table):
             y = make(rng, universe)
             xs = universe if len(universe) <= 6 else rng.sample(universe, 6)
             for delta_y, eps in _LEVELS[::2] if k == 4 else _LEVELS:
                 scan = DangerScan(y, g, delta_y, eps, coord_limit=limit)
+                assert _held_as(scan) == kind
                 for x in xs:
                     args = (x, y, g, delta_y, eps)
-                    leak = scan.witness("leaking", x) is not None
-                    spars = scan.witness("sparsifying", x) is not None
+                    leak = scan.witness("leaking", x)
+                    spars = scan.witness("sparsifying", x)
                     want_leak = oracle_is_leaking(x, y, g, limit)
                     want_spars = oracle_is_sparsifying(*args, g.b, limit)
-                    assert leak == want_leak.flagged, (g, x, y)
-                    assert spars == want_spars.flagged, (g, x, y, delta_y, eps)
+                    assert leak == want_leak.witness, (g, x, y)
+                    assert spars == want_spars.witness, (g, x, y, delta_y, eps)
                     dangerous = want_leak.flagged or want_spars.flagged
                     assert scan.dangerous(x) == _per_value("dangerous", *args) == dangerous
                     # the first leaking or sparsifying witness by set
                     found = scan.witness("dangerous", x)
                     assert (found is not None) == dangerous
-                    assert found in (None, want_leak.witness, want_spars.witness)
+                    assert found in (None, leak, spars)
                     seen["leaking" if leak else "not leaking"] += 1
                     seen["sparsifying" if spars else "not sparsifying"] += 1
                     seen[f"k={k}"] += 1
@@ -547,6 +562,61 @@ def test_danger_scan_matches_oracles():
     assert min(seen[c] for c in ("leaking", "not leaking", "sparsifying",
                                  "not sparsifying")) >= 100, seen
     assert min(seen[f"k={k}"] for k in range(5)) >= 30, seen
+
+
+def test_danger_scan_matches_oracles():
+    _leaking_and_sparsifying_sweep("masks")
+
+
+def test_dict_tables_match_the_oracles(monkeypatch):
+    # Past MASK_ROW_LIMIT rows a scan holds its tables as dicts; with the
+    # limit at 0 every scan here does, and gives the oracles' witnesses.
+    monkeypatch.setattr(structure, "MASK_ROW_LIMIT", 0)
+    _leaking_and_sparsifying_sweep("dicts")
+    _biasing_sweep("dicts")
+    _skewing_and_biasing_sweep("dicts")
+
+
+def test_a_temporary_scan_answers():
+    # a scan nobody holds answers, and so does its `dangerous` kept past it
+    y = DistributionTable.uniform(list(product(range(4), repeat=2)))
+    want = [is_dangerous(x, y, IP2, F(1), F(1, 4)) for x in y.domain]
+    assert [DangerScan(y, IP2, F(1), F(1, 4)).dangerous(x) for x in y.domain] == want
+    kept = DangerScan(y, IP2, F(1), F(1, 4)).dangerous
+    gc.collect()
+    assert list(map(kept, y.domain)) == want
+    assert any(want) and not all(want)
+
+
+_MALFORMED = {"mixed lengths": ({(0, 1): 1, (2,): 1}, (0, 1), "[1, 2]"),
+              "ints": ({0: 1, 1: 1}, (0,), "[-1]")}
+
+
+@pytest.mark.parametrize("entry", ["DangerScan", "is_leaking", "is_sparsifying", "is_skewing",
+                                   "is_biasing", "is_dangerous", "dangerous_probability"])
+@pytest.mark.parametrize("malformed", sorted(_MALFORMED))
+def test_a_malformed_y_is_refused_before_any_table(entry, malformed, monkeypatch):
+    # a Y whose elements are not all tuples of one length is refused as the
+    # density functions refuse it, before any table is built; the scans used
+    # to return a verdict or raise an IndexError on the mixed lengths, and to
+    # raise a TypeError on the ints
+    weights, x, lengths = _MALFORMED[malformed]
+    y = DistributionTable.from_weights(weights)
+    for parts in (structure._RowMasks, structure._RowDicts):
+        monkeypatch.setattr(parts, "index", None)
+    levels = (F(1), F(1, 4))
+    call = {
+        "DangerScan": lambda: DangerScan(y, IP2, *levels),
+        "is_leaking": lambda: is_leaking(x, y, IP2),
+        "is_sparsifying": lambda: is_sparsifying(x, y, IP2, *levels),
+        "is_skewing": lambda: is_skewing(x, y, IP2, *levels),
+        "is_biasing": lambda: is_biasing(x, y, IP2, *levels, F(2), 2),
+        "is_dangerous": lambda: is_dangerous(x, y, IP2, *levels),
+        "dangerous_probability": lambda: dangerous_probability(y, y, IP2, *levels),
+    }[entry]
+    with pytest.raises(DomainError) as got:
+        call()
+    assert str(got.value) == f"elements of different block counts: {lengths}"
 
 
 def test_danger_scan_errors_match_the_scans():
@@ -583,7 +653,7 @@ def test_danger_scan_errors_match_the_scans():
     assert DangerScan(big, AND, F(1), F(1, 4), coord_limit=4).witness("leaking", (0, 0, 0, 0))
 
 
-def test_danger_scan_biasing_matches_is_biasing():
+def _biasing_sweep(kind):
     rng = random.Random(13)
     gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip1", "ip2", "rand:2:5")]
     cases = [(g, k, SCAN_COORD_LIMIT) for g in gadgets for k in (2, 3)]
@@ -591,11 +661,12 @@ def test_danger_scan_biasing_matches_is_biasing():
     seen = Counter()
     for g, k, limit in cases:
         universe = list(product(range(g.side), repeat=k))
-        for _ in range(2):
-            y = _weighted_table(rng, universe)
+        for make in (_weighted_table, _weighted_table, _heavy_table):
+            y = make(rng, universe)
             xs = universe if len(universe) <= 4 else rng.sample(universe, 4)
             for delta_y, eps in _LEVELS[::2]:
                 scan = DangerScan(y, g, delta_y, eps, coord_limit=limit)
+                assert _held_as(scan) == kind
                 for c, n in product((F(1, 2), F(2), F(16)), (2, 3, 4)):
                     for x in xs:
                         want = oracle_is_biasing(x, y, g, delta_y, eps, g.b, c, n, limit)
@@ -604,6 +675,10 @@ def test_danger_scan_biasing_matches_is_biasing():
                         seen["biasing" if want.flagged else "not biasing"] += 1
     # both verdicts are exercised, so agreement is not vacuous
     assert min(seen.values()) >= 100, seen
+
+
+def test_danger_scan_biasing_matches_is_biasing():
+    _biasing_sweep("masks")
     # on the threshold: for S = {0, 1} and the empty J, |w - 2 odd| * 2(2n)^|S|
     # = 2 * 32 = 64 = w, and no other (S, J) passes the size bound: not biasing
     y = DistributionTable.from_weights({(0, 0): 17, (0, 1): 16, (1, 0): 15, (1, 1): 16})
@@ -655,7 +730,7 @@ _BIAS_LEVELS = ((F(1), F(1, 4), F(2)), (F(1, 2), F(1, 8), F(1, 2)),
                 (F(3, 4), F(1, 16), F(1, 4)), (F(1, 2), F(1), F(4)))
 
 
-def test_skewing_and_biasing_match_oracle():
+def _skewing_and_biasing_sweep(kind):
     rng = random.Random(6)
     gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "or1", "ip1", "ip2")]
     gadgets += [builtin_gadget(f"rand:2:{s}") for s in (3, 8)]
@@ -667,6 +742,7 @@ def test_skewing_and_biasing_match_oracle():
             tables = [DistributionTable.uniform(universe),
                       DistributionTable.uniform(rng.sample(universe, len(universe) // 2))]
             tables += [_weighted_table(rng, universe) for _ in range(2)]
+            tables.append(_heavy_table(rng, universe))
             for y in tables:
                 for x in rng.sample(universe, min(len(universe), 4)):
                     for delta_y, eps, c in _BIAS_LEVELS:
@@ -674,6 +750,7 @@ def test_skewing_and_biasing_match_oracle():
                         skew = is_skewing(*args)
                         assert skew == oracle_is_skewing(*args, g.b), (g, x, y, delta_y, eps)
                         scan = DangerScan(y, g, delta_y, eps)
+                        assert _held_as(scan) == kind
                         assert scan.witness("skewing", x) == skew.witness, (g, x, y, delta_y, eps)
                         bias = is_biasing(*args, c, 2 + k % 2)
                         assert bias == oracle_is_biasing(*args, g.b, c, 2 + k % 2), (g, x, y, c)
@@ -681,6 +758,10 @@ def test_skewing_and_biasing_match_oracle():
                         seen["biasing" if bias.flagged else "not biasing"] += 1
     # every verdict class of both scans is exercised, so agreement is not vacuous
     assert min(seen.values()) >= 100, seen
+
+
+def test_skewing_and_biasing_match_oracle():
+    _skewing_and_biasing_sweep("masks")
 
 
 # -- oracle sweep: max_density and is_structured from the worst marginal ------
