@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .dist import check_mixture_weights
-from .errors import BudgetError, DomainError, FormatError, malformed
+from .errors import BudgetError, DomainError, FormatError, json_int, malformed
 from .records import Record
 
 __all__ = [
@@ -258,7 +258,7 @@ def problem_from_json(text: str) -> SearchProblem:
     as problem_to_json writes them."""
     with malformed("search problem file"):
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-        n, keys = int(doc["n"]), doc["table"]
+        n, keys = json_int(doc["n"], "n"), doc["table"]
         if n < 0:
             raise FormatError(f"n must be nonnegative, got {n}")
         if len(keys).bit_length() <= n:  # checked before the 2^n-entry table is built
@@ -269,7 +269,7 @@ def problem_from_json(text: str) -> SearchProblem:
             # the key problem_to_json writes: n binary digits (one "0" at n = 0)
             if not key or key.strip("01") or format(int(key, 2), f"0{n}b") != key:
                 raise FormatError(f"table key {key!r} is not a {n}-bit string")
-            table[int(key, 2)] = frozenset(int(v) for v in vals)
+            table[int(key, 2)] = frozenset(json_int(v, "output index") for v in vals)
     return SearchProblem(n, outputs, table)
 
 
@@ -289,7 +289,7 @@ def tree_to_json(tree: ParallelDecisionTree) -> str:
 def _tree_node_from_obj(obj, n: int):
     if "leaf" in obj:
         return DLeaf(obj["leaf"])
-    queries = tuple(int(q) for q in obj["queries"])
+    queries = tuple(json_int(q, "query") for q in obj["queries"])
     if any(not 0 <= q < n for q in queries) or len(set(queries)) != len(queries):
         raise FormatError(f"decision tree node queries {list(queries)} are not "
                           f"distinct coordinates in [0, {n})")
@@ -302,5 +302,5 @@ def _tree_node_from_obj(obj, n: int):
 def tree_from_json(text: str) -> ParallelDecisionTree:
     with malformed("decision tree file"):
         doc = json.loads(text)
-        n = int(doc["n"])
+        n = json_int(doc["n"], "n")
         return ParallelDecisionTree(n, _tree_node_from_obj(doc["tree"], n))

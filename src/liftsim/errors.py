@@ -33,6 +33,14 @@ class InvariantError(LiftsimError):
     """An internal invariant that is a theorem was violated; indicates a bug or bad input."""
 
 
+def json_int(value, what: str) -> int:
+    """value, if it is a JSON integer (an int but not a bool); else a
+    FormatError, so that no loader rounds 1.9 or true to an int."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @contextmanager
 def malformed(what: str):
     """Re-raise what parsing `what` raises for bad input as a FormatError."""

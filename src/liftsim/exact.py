@@ -64,12 +64,8 @@ def exact_log2(x: Fraction):
 def _floor_log2(x: Fraction) -> int:
     a, b = x.numerator, x.denominator
     e = a.bit_length() - b.bit_length()
-    # adjust so that 2^e <= a/b < 2^(e+1)
-    while (b << e if e >= 0 else b) > (a if e >= 0 else a << -e):
-        e -= 1
-    while (b << (e + 1) if e + 1 >= 0 else b) <= (a if e + 1 >= 0 else a << -(e + 1)):
-        e += 1
-    return e
+    # 2^(e-1) < a/b < 2^(e+1), so the floor is e - 1 exactly when a/b < 2^e
+    return e - (a << max(-e, 0) < b << max(e, 0))
 
 
 def log2_bounds(x: Fraction, frac_bits: int) -> Tuple[Fraction, Fraction]:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
 from .dist import DistributionTable
-from .errors import BudgetError, DomainError, FormatError, malformed
+from .errors import BudgetError, DomainError, FormatError, json_int, malformed
 from .exact import _rational, cmp_pow2_ratio
 from .records import Record
 
@@ -508,7 +508,7 @@ def gadget_from_json(text: str) -> Gadget:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "b" not in doc or "rows" not in doc:
             raise FormatError("gadget file must be an object with keys 'b' and 'rows'")
-        b = int(doc["b"])
+        b = json_int(doc["b"], "b")
         _check_block_length(b)
         side = 1 << b
         rows = doc["rows"]

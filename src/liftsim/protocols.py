@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .dist import DistributionTable, _table, check_mixture_weights
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
-from .errors import DomainError, FormatError, InvariantError, malformed
+from .errors import DomainError, FormatError, InvariantError, json_int, malformed
 from .gadgets import Gadget, block_table
 from .records import Record
 
@@ -250,7 +250,7 @@ def _node_from_obj(obj, size: int):
     speaker = obj["speaker"]
     if speaker not in ("A", "B"):
         raise FormatError(f"speaker must be 'A' or 'B', got {speaker!r}")
-    bits = tuple(int(v) for v in obj["bit_map"])
+    bits = tuple(json_int(v, "bit_map entry") for v in obj["bit_map"])
     if len(bits) != size or any(v not in (0, 1) for v in bits):
         raise FormatError(f"bit_map must list {size} bits")
     children = obj["children"]
@@ -260,7 +260,7 @@ def _node_from_obj(obj, size: int):
 
 
 def _protocol_from_obj(doc) -> ProtocolTree:
-    n, b = int(doc["n"]), int(doc["b"])
+    n, b = json_int(doc["n"], "n"), json_int(doc["b"], "b")
     return ProtocolTree(n, b, _node_from_obj(doc["tree"], 1 << (b * n)))
 
 

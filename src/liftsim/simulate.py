@@ -54,10 +54,10 @@ from .structure import (
     DangerScan,
     DensityPart,
     Restriction,
+    _density_bracket,
     _density_parts,
+    _worst_marginal,
     density_restoring_partition,
-    is_dense,
-    max_density,
 )
 
 __all__ = [
@@ -250,14 +250,12 @@ class _EngineCache:
     per-value verdicts.  The memos reach the cache through a weak proxy, so
     no reference cycle keeps a run's own cache alive after it:
 
-      marginal(inputs, free):         the inputs' marginal on the free coordinates
-      maxprob(inputs, free):          its maxprob
-      dense(inputs, free, delta):     whether it is delta-dense
-      partition(inputs, free):        its density-restoring partition
-      context(side, silent, free):    the silent side's density witness and its
-                                      DangerScan against the speaker's gadget
-      preimage(side, coord, xb, bit): the silent inputs whose block y at coord
-                                      has gadget(xb, y) = bit
+      marginal(inputs, free):       the inputs' marginal on the free coordinates
+      maxprob(inputs, free):        its maxprob
+      worst(inputs, free):          its worst marginal, which decides its density
+      partition(inputs, free):      its density-restoring partition
+      context(side, silent, free):  the silent side's density witness and its
+                                    DangerScan against the speaker's gadget
     """
 
     def __init__(self, g: Gadget, params: LiftingParams):
@@ -266,7 +264,7 @@ class _EngineCache:
         self.params = params
         self.key = _cache_key(g, params)
         memo, me = lru_cache(maxsize=None), proxy(self)
-        for name in ("marginal", "maxprob", "dense", "partition", "context", "preimage"):
+        for name in ("marginal", "maxprob", "worst", "partition", "context"):
             setattr(self, name, memo(getattr(_EngineCache, name).__get__(me)))
 
     def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
@@ -276,8 +274,13 @@ class _EngineCache:
     def maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
         return self.marginal(inputs, free).maxprob()
 
+    def worst(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
+        return _worst_marginal(self.marginal(inputs, free))
+
     def dense(self, inputs: Tuple[int, ...], free: Tuple[int, ...], delta: Fraction) -> bool:
-        return is_dense(self.marginal(inputs, free), delta, self.params.b).dense
+        """Whether the marginal is delta-dense: iff its worst one (p, s) is."""
+        p, s = self.worst(inputs, free)
+        return cmp_pow2(p, delta * self.params.b * s) <= 0
 
     def partition(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
         """The partition depends on the marginal alone, not on whose it is."""
@@ -287,14 +290,9 @@ class _EngineCache:
     def context(self, side: int, silent: Tuple[int, ...], free: Tuple[int, ...]):
         """(density witness of the silent side, its DangerScan)."""
         p = self.params
-        silent_free = self.marginal(silent, free)
-        delta_w = max_density(silent_free, p.b, DENSITY_WITNESS_BITS)[0]
-        return delta_w, DangerScan(silent_free, self.gadgets[side], delta_w, p.eps,
-                                   coord_limit=len(free))
-
-    def preimage(self, side: int, coord: int, xb: int, bit: int) -> frozenset:
-        g, p = self.gadgets[side], self.params
-        return frozenset(v for v, t in enumerate(block_table(p.n, p.b)) if g.eval(xb, t[coord]) == bit)
+        delta_w = _density_bracket(self.worst(silent, free), p.b, DENSITY_WITNESS_BITS)[0]
+        return delta_w, DangerScan(self.marginal(silent, free), self.gadgets[side], delta_w,
+                                   p.eps, coord_limit=len(free))
 
 
 def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
@@ -380,7 +378,7 @@ class _Engine:
         spk_set, silent = self.sets[side], self.sets[1 - side]
         rec.delta_witness, scan = self.cache.context(side, silent, free)
         keys = _free_keys(self.params.n, self.params.b, free)
-        vals = set(map(keys.__getitem__, spk_set))
+        vals = self.cache.marginal(spk_set, free).weights.keys()
         bad = set(filter(scan.dangerous, vals))
         kept = _select(spk_set, keys, vals - bad)
         rec.dangerous_values = tuple(sorted(bad))
@@ -423,10 +421,12 @@ class _Engine:
         free = self.rho.free()
         rec.snapshots["after_query"] = self.snapshot(free)
         side = _side(rec.speaker)
-        kept = self.sets[1 - side]
+        g, kept = self.cache.gadgets[side], self.sets[1 - side]
         silent_size = len(kept)
         for coord, xb, bit in zip(abs_coords, rec.fixed_value, zbits):
-            kept = tuple(filter(self.cache.preimage(side, coord, xb, bit).__contains__, kept))
+            # the blocks y with g(xb, y) = bit, read off the speaker's row of xb
+            allowed = {(y,) for y in range(g.side) if g.table[xb * g.side + y] == bit}
+            kept = _select(kept, _free_keys(self.params.n, self.params.b, (coord,)), allowed)
         ok = self.restrict(1 - side, kept)
         rec.step5_prob = Fraction(len(kept), silent_size)
         rec.flags["nonleaking_event"] = len(kept) << (len(abs_coords) + 1) >= silent_size

@@ -42,7 +42,7 @@ from .dtrees import (
     solves,
     z_bits,
 )
-from .errors import BudgetError, FormatError, InvariantError, LiftsimError, malformed
+from .errors import BudgetError, FormatError, InvariantError, LiftsimError, json_int, malformed
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_str
 from .gadgets import (
     RECT_SIDE_LIMIT,
@@ -420,8 +420,7 @@ class CorpusSpec(Record):
         unknown = set(doc) - set(cls._fields)
         if unknown:
             raise FormatError(f"unknown corpus spec keys: {sorted(unknown)}")
-        if type(doc.get("seed", 0)) is not int:
-            raise FormatError("corpus spec key 'seed' must be an integer")
+        json_int(doc.get("seed", 0), "corpus spec key 'seed'")
         shipped = default_corpus_spec()
         for section, params in doc.items():
             template = getattr(shipped, section)

@@ -349,6 +349,48 @@ def test_library_loaders_raise_format_error(loader):
             parse(text)
 
 
+# Integer fields take JSON integers only: int() used to round a float or a
+# boolean down (n = 1.9 loaded as 1, bit 0.7 as 0, b = true as 1).
+_ONE_BIT_PROTOCOL = {"speaker": "A", "bit_map": [0, 1], "children": [{"leaf": 0}, {"leaf": 1}]}
+INTEGER_FIELDS = {
+    "gadget_from_json": (gadget_from_json, {"b": 1, "rows": ["01", "10"]}, [("b",)]),
+    "protocol_from_json": (protocol_from_json, {"n": 1, "b": 1, "tree": _ONE_BIT_PROTOCOL},
+                           [("n",), ("b",), ("tree", "bit_map", 0), ("tree", "bit_map", 1)]),
+    "problem_from_json": (problem_from_json,
+                          {"n": 1, "outputs": ["a", "b"], "table": {"0": [0], "1": [1]}},
+                          [("n",), ("table", "1", 0)]),
+    "tree_from_json": (tree_from_json, {"n": 1, "tree": {
+        "queries": [0], "children": [{"leaf": 0}, {"leaf": 1}]}}, [("n",), ("tree", "queries", 0)]),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(INTEGER_FIELDS))
+def test_loaders_refuse_non_integer_numbers(loader):
+    parse, doc, fields = INTEGER_FIELDS[loader]
+    parse(json.dumps(doc))
+    for *at, key in fields:
+        for value in (1.9, 0.7, 1.0, True, False, "1"):
+            bad = json.loads(json.dumps(doc))
+            parent = bad
+            for step in at:
+                parent = parent[step]
+            parent[key] = value
+            with pytest.raises(FormatError, match="must be an integer"):
+                parse(json.dumps(bad))
+
+
+def test_cli_refuses_non_integer_numbers(files, capsys):
+    proto = files / "fractional_n.json"
+    tree = dict(_ONE_BIT_PROTOCOL, bit_map=[0.7, 1.2])
+    proto.write_text(json.dumps({"n": 1.9, "b": 1, "tree": tree}))
+    problem = files / "fractional_problem.json"
+    problem.write_text(json.dumps({"n": 1.9, "outputs": ["a"], "table": {"0": [0], "1": [0]}}))
+    for argv in (["lift", "--protocol", str(proto), "--gadget", "xor1", "--z", "0"],
+                 ["oracle", "dt", "--problem", str(problem)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and "n must be an integer, got 1.9" in err
+
+
 def _subcommand(parser, *names):
     for name in names:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -13,6 +13,7 @@ from liftsim.exact import (
     log2_bounds,
     parse_frac,
     _cmp_pow2_cleared,
+    _floor_log2,
 )
 
 
@@ -104,6 +105,28 @@ def test_log2_bounds_certified():
     for e in range(-12, 13):
         lo, hi = log2_bounds(F(2) ** e, 8)
         assert lo == hi == e
+
+
+def _floor_log2_brute(x):
+    """floor(log2 x) on integer quotients: floor(x) has bit length floor + 1
+    when x >= 1; below 1 it is minus the least k with 2^k * x >= 1, that is
+    minus the bit length of ceil(1/x) - 1."""
+    a, b = x.numerator, x.denominator
+    if a >= b:
+        return (a // b).bit_length() - 1
+    return -(-(-b // a) - 1).bit_length()
+
+
+def test_floor_log2_matches_brute_force():
+    # one comparison against 2^e, e the bit-length difference, decides the floor
+    rng = random.Random(25)
+
+    def draw():
+        return rng.randrange(1, 1 << rng.randrange(1, 80))
+    xs = [F(draw(), draw()) for _ in range(200_000)]
+    tiny = F(1, 1 << 90)
+    xs += [F(2) ** e + d for e in range(-69, 70) for d in (-tiny, 0, tiny)]
+    assert [_floor_log2(x) for x in xs] == [_floor_log2_brute(x) for x in xs]
 
 
 def test_cmp_products_mixed_bases():

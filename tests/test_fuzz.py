@@ -4,7 +4,8 @@ Each case starts from a valid gadget, protocol, randomized-protocol, problem,
 decision-tree or corpus-spec document, sets one or two of its fields (a dict
 value or a list element, at any depth) to null, -1, 2**70, 1.5, "x" or [], or
 deletes a key, and runs the command that reads that file kind through
-``liftsim.cli.main`` in process.  Every case must end with exit code 0, 1 or
+``liftsim.cli.main`` in process.  Each kind's valid document is run first and
+must be accepted.  Every case must end with exit code 0, 1 or
 2 and no traceback, and exit code 1 ("counterexamples found") only from
 ``verify``.  No CLI command reads a decision tree, so tree files go through
 ``tree_from_json``, which must return a tree or raise a ``LiftsimError``.
@@ -99,33 +100,41 @@ def _run(argv):
     return code, out.getvalue() + err.getvalue()
 
 
+def _outcome(kind, text, path, where):
+    """The exit code that reading `text` as a `kind` file ends with; a tree
+    file goes through tree_from_json, and a refused one counts as 2."""
+    command = KINDS[kind][1]
+    if command is None:
+        try:
+            tree_from_json(text)
+            return 0
+        except LiftsimError:
+            return 2
+    path.write_text(text)
+    code, printed = _run(command(str(path)))
+    assert code in ((0, 1, 2) if kind == "corpus_spec" else (0, 2)), where
+    assert "Traceback" not in printed, where
+    return code
+
+
 def test_mutated_inputs_exit_cleanly(tmp_path):
     rng = random.Random(SEED)
     names = sorted(KINDS)
+    # the valid spec's corpus holds the documented n=2 biasing
+    # counterexamples, so an accepted spec exits 1
+    accepted = {kind: 1 if kind == "corpus_spec" else 0 for kind in KINDS}
     outcomes = set()
     start = time.perf_counter()
+    for kind in names:  # each kind's document as it is
+        code = _outcome(kind, json.dumps(KINDS[kind][0]), tmp_path / f"{kind}.json", kind)
+        assert code == accepted[kind], kind
+        outcomes.add((kind, code))
     for case in range(CASES):
         kind = names[case % len(names)]
-        base, command = KINDS[kind]
-        doc = json.loads(json.dumps(base))
+        doc = json.loads(json.dumps(KINDS[kind][0]))
         changes = _mutate(rng, doc)
-        text = json.dumps(doc)
         where = f"case {case}, {kind}, {changes}"
-        if command is None:
-            try:
-                tree_from_json(text)
-                outcomes.add((kind, 0))
-            except LiftsimError:
-                outcomes.add((kind, 2))
-            continue
-        path = tmp_path / f"{case}.json"
-        path.write_text(text)
-        code, printed = _run(command(str(path)))
-        assert code in ((0, 1, 2) if kind == "corpus_spec" else (0, 2)), where
-        assert "Traceback" not in printed, where
-        outcomes.add((kind, code))
+        outcomes.add((kind, _outcome(kind, json.dumps(doc), tmp_path / f"{case}.json", where)))
     assert time.perf_counter() - start < 5
-    # every kind is both accepted and refused; the valid spec's corpus holds
-    # the documented n=2 biasing counterexamples, so an accepted spec exits 1
-    assert outcomes == {(kind, code) for kind in KINDS
-                        for code in ((1, 2) if kind == "corpus_spec" else (0, 2))}
+    # every kind is both accepted and refused
+    assert outcomes == {(kind, code) for kind in KINDS for code in (accepted[kind], 2)}

@@ -26,6 +26,11 @@ there: no source module passes a ``*to_json`` writer's text to ``json.loads``.
 
 A gadget fixes its block length: no source function takes both a gadget
 ``g`` and a ``b``, and a function given ``g`` reads ``g.b``.
+
+The engines ask each question of a side once, through their cache: the
+simulation calls neither ``is_dense`` nor ``max_density`` (a side's density
+is its cached worst marginal's), and it evaluates the gadget only in
+``compose_eval`` (conditioning selects blocks off the gadget's rows).
 """
 
 import ast
@@ -136,3 +141,15 @@ def test_no_function_takes_both_a_gadget_and_b():
                 if {"g", "b"} <= names:
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert not found, f"read b from the gadget, g.b: {found}"
+
+
+def test_simulate_reads_density_and_gadget_through_its_cache():
+    tree = ast.parse((SOURCES[0].parent / "simulate.py").read_text())
+    composed = {id(node) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "compose_eval"
+                for node in ast.walk(f)}
+    found = [f"simulate.py:{node.lineno} {_called(node)}"
+             for node in ast.walk(tree) if id(node) not in composed
+             and (_called(node) in ("is_dense", "max_density")
+                  or _called(node) == "eval" and isinstance(node.func, ast.Attribute))]
+    assert not found, f"read density off _EngineCache.worst, select blocks off g.table: {found}"

@@ -729,7 +729,8 @@ def test_engine_cache_entries_match_direct_computation():
         got = cache.marginal(inputs, free)
         assert (got.weights, got.total) == (marg.weights, marg.total)
         assert cache.maxprob(inputs, free) == marg.maxprob()
-        delta = rng.choice([F(1, 4), F(1, 2), F(1)])
+        # at levels <= 0 every marginal is dense
+        delta = rng.choice([F(-1), F(0), F(1, 4), F(1, 2), F(1)])
         dense = cache.dense(inputs, free, delta)
         assert dense == is_dense(marg, delta, 2).dense
         assert cache.partition(inputs, free) == density_restoring_partition(marg, params.delta, 2)
@@ -858,24 +859,42 @@ def test_ip3_enumeration_pinned():
     assert digest == IP3_ENUMERATION_PIN
 
 
+def _det_traces_digest(g, n):
+    """(sha256 of the deterministic traces of parity-n composed with g, every
+    z in order through one engine cache, that cache)."""
+    params = det_params(g.b, n)
+    proto = canonical_instance(parity_problem(n), g)
+    cache = simulate._EngineCache(g, params)
+    traces = [lift_deterministic(proto, g, z, params, cache=cache).to_json()
+              for z in range(1 << n)]
+    return hashlib.sha256("\n".join(traces).encode()).hexdigest(), cache
+
+
+IP2_DET_TRACES_PINS = {
+    3: "ac76414f4da8f350fc895c87e588c4536749bb686109aa7b17ad5793578799ab",
+    4: "67c248546d07c2fd8709823f80a70de0aa111af4098640ecd0a4ca6d4045aeea",
+}
+
+
+@pytest.mark.parametrize("n", sorted(IP2_DET_TRACES_PINS))
+def test_ip2_deterministic_traces_pinned(n):
+    # the lift_det_n3 bench workload's traces, and at n=4 a first round with
+    # four free coordinates
+    assert _det_traces_digest(IP2, n)[0] == IP2_DET_TRACES_PINS[n]
+
+
 IP4_DET_TRACES_PIN = "7ec992db581b4cc89fca1069ffd83af6d482f1af86313a458baf577783167ce4"
 
 
 def test_ip4_deterministic_traces_pinned():
     # The largest danger scan held as row bitmasks: parity-3 composed with
-    # ip4, n=3, every z through one engine cache.  The first round scans all
-    # 16^3 = 4,096 silent inputs, MASK_ROW_LIMIT rows.  The traces are
-    # hashed in z order.
-    g = gadgets._ip_gadget(4)
-    params = det_params(4, 3)
-    proto = canonical_instance(parity_problem(3), g)
-    cache = simulate._EngineCache(g, params)
-    traces = [lift_deterministic(proto, g, z, params, cache=cache).to_json() for z in range(8)]
+    # ip4, n=3.  The first round scans all 16^3 = 4,096 silent inputs,
+    # MASK_ROW_LIMIT rows.
+    digest, cache = _det_traces_digest(gadgets._ip_gadget(4), 3)
     hits = cache.context.cache_info().hits
     scan = cache.context(0, tuple(range(4096)), (0, 1, 2))[1]  # the first round's
     assert cache.context.cache_info().hits == hits + 1
     assert len(scan.rows) == structure.MASK_ROW_LIMIT and hasattr(scan, "_groups")
-    digest = hashlib.sha256("\n".join(traces).encode()).hexdigest()
     assert digest == IP4_DET_TRACES_PIN
 
 
@@ -934,9 +953,9 @@ def test_message_split_matches_per_input_walks():
 
 
 def test_preimage_conditioning_matches_per_input_eval():
-    # query_and_condition keeps a silent input iff it lies in the preimage
-    # set of (side, coordinate, fixed block, z-bit) for each queried
-    # coordinate.  The oracle evaluates the speaker's gadget on every input's
+    # query_and_condition keeps a silent input iff, at each queried
+    # coordinate, its block is one the speaker's gadget row of the fixed
+    # block maps to the z-bit.  The oracle evaluates the gadget on every input's
     # blocks, with the speaker's block first (the transpose when B speaks);
     # rand:2:2 is the asymmetric gadget.  A step that would empty the silent
     # side leaves it.
@@ -968,6 +987,33 @@ def test_preimage_conditioning_matches_per_input_eval():
                      else "cut"] += 1
     assert set(outcomes) == {(s, o) for s in (0, 1) for o in ("emptied", "kept all", "cut")}, \
         outcomes
+
+
+def test_density_is_read_off_one_worst_marginal_per_side(monkeypatch):
+    # A lift decides both density questions of a round, the invariant flags
+    # and the danger scan's level, from the cache's one worst marginal per
+    # (inputs, free): it calls neither is_dense nor max_density, and runs
+    # _worst_marginal once per (inputs, free) it asks about.
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in ("is_dense", "max_density", "_worst_marginal"):
+        wrapper = counted(name, getattr(structure, name))
+        for module in (structure, simulate):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    params = det_params(2, 3)
+    cache = simulate._EngineCache(IP2, params)
+    res = lift_deterministic(canonical_instance(parity_problem(3), IP2), IP2, 0b101, params,
+                             cache=cache)
+    assert res.status == "done" and len(res.rounds) > 1
+    assert (calls["is_dense"], calls["max_density"]) == (0, 0)
+    asked = cache.worst.cache_info()
+    assert calls["_worst_marginal"] == asked.currsize > 0 and asked.hits > 0
 
 
 def test_every_lifting_core_memo_is_reused(monkeypatch):
