@@ -263,7 +263,9 @@ def problem_from_json(text: str) -> SearchProblem:
             raise FormatError(f"n must be nonnegative, got {n}")
         if len(keys).bit_length() <= n:  # checked before the 2^n-entry table is built
             raise FormatError(f"table has {len(keys)} keys, fewer than the 2^{n} inputs")
-        outputs = list(doc["outputs"])
+        outputs = doc["outputs"]
+        if not isinstance(outputs, list):
+            raise FormatError(f"outputs must be a list, got {outputs!r}")
         table = [frozenset()] * (1 << n)
         for key, vals in keys.items():
             # the key problem_to_json writes: n binary digits (one "0" at n = 0)

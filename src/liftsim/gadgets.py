@@ -67,11 +67,11 @@ class Gadget:
         if b < 1:
             raise DomainError("block length must be at least 1")
         side = 1 << b
-        table = tuple(int(v) for v in table)
+        table = tuple(table)
         if len(table) != side * side:
             raise DomainError(f"table must have {side * side} entries, got {len(table)}")
-        if any(v not in (0, 1) for v in table):
-            raise DomainError("table entries must be bits")
+        if any(type(v) is not int or v not in (0, 1) for v in table):
+            raise DomainError("table entries must be the ints 0 and 1")
         self.b = b
         self.side = side
         self.table = table
@@ -108,6 +108,15 @@ def blocks_of(v: int, n: int, b: int) -> Tuple[int, ...]:
     """The n b-bit blocks of v, first block most significant."""
     mask = (1 << b) - 1
     return tuple((v >> (b * (n - 1 - i))) & mask for i in range(n))
+
+
+def inputs_with_blocks(choices: Sequence[Sequence[int]], b: int) -> Tuple[int, ...]:
+    """Every input whose block i lies in choices[i], the first block most
+    significant: ascending when each choice is, in O(their count) steps."""
+    inputs = [0]
+    for choice in choices:
+        inputs = [v << b | y for v in inputs for y in choice]
+    return tuple(inputs)
 
 
 @lru_cache(maxsize=16)

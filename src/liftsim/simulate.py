@@ -37,7 +37,7 @@ from weakref import proxy
 from .dist import DistributionTable, ZERO, _places
 from .errors import BudgetError, DomainError, LiftsimError
 from .exact import cmp_pow2, cmp_pow2_ratio, exact_log2, frac_str
-from .gadgets import Gadget, block_table, blocks_of
+from .gadgets import Gadget, block_table, blocks_of, inputs_with_blocks
 from .protocols import (
     PLeaf,
     PNode,
@@ -423,10 +423,18 @@ class _Engine:
         side = _side(rec.speaker)
         g, kept = self.cache.gadgets[side], self.sets[1 - side]
         silent_size = len(kept)
-        for coord, xb, bit in zip(abs_coords, rec.fixed_value, zbits):
-            # the blocks y with g(xb, y) = bit, read off the speaker's row of xb
-            allowed = {(y,) for y in range(g.side) if g.table[xb * g.side + y] == bit}
-            kept = _select(kept, _free_keys(self.params.n, self.params.b, (coord,)), allowed)
+        # per queried coordinate, the blocks y with g(xb, y) = bit, read off
+        # the speaker's row of xb
+        allowed = {coord: [y for y in range(g.side) if g.table[xb * g.side + y] == bit]
+                   for coord, xb, bit in zip(abs_coords, rec.fixed_value, zbits)}
+        if silent_size == 1 << (self.params.b * self.params.n):
+            # the whole universe: the product of each coordinate's allowed blocks
+            kept = inputs_with_blocks([allowed.get(i, range(g.side))
+                                       for i in range(self.params.n)], g.b)
+        else:
+            for coord, blocks in allowed.items():
+                keys = _free_keys(self.params.n, self.params.b, (coord,))
+                kept = _select(kept, keys, {(y,) for y in blocks})
         ok = self.restrict(1 - side, kept)
         rec.step5_prob = Fraction(len(kept), silent_size)
         rec.flags["nonleaking_event"] = len(kept) << (len(abs_coords) + 1) >= silent_size

@@ -13,25 +13,29 @@ first witness on the set C; its one query, `witness`, walks the sets C in
 (size, lex) order.  What many x reuse is memoised per (C, x_C), and
 dangerous verdicts per x, so classifying many x against one Y shares their
 common work, and the per-value is_* functions read one scan each.  No scan
-is pruned.  A table holds, per output pattern on C, the rows of Y's support
-with that pattern: as one row bitmask, split by AND and weighed by popcount,
-when Y has at most MASK_ROW_LIMIT = 2^12 support rows, and past that as a
-{y_rest: weight} dict split row by row, since a popcount reads all of Y's
-rows where a dict reads only its own.  With masks at every size, the ip4
-n=4 deterministic lift at z=0 (a first scan over 65,536 rows) took 54.7 s
-against 14.4 s with dicts there; at 64 to 4,096 rows masks were as fast or
-faster.  Density questions read integer counts per coordinate set, which the
-density-restoring partition (whose first part is the fix) builds as it reads
-them and carves down part by part; max_density and the structure search
-need the worst one.
+is pruned.  When Y is the product of its coordinate marginals, as the whole
+universe a lift's first round scans is, the dangerous verdict has a closed
+form in per-coordinate weights (DangerScan._product_form), and no table is
+built for it.  A table holds, per output pattern on C, the rows of Y's
+support with that pattern: as one row bitmask, split by AND and weighed by
+popcount, when Y has at most MASK_ROW_LIMIT = 2^12 support rows, and past
+that as a {y_rest: weight} dict split row by row, since a popcount reads all
+of Y's rows where a dict reads only its own: a table walk over 65,536 rows
+(the ip4 n=4 lift's first scan, which now takes the closed form) took 54.7 s
+with masks against 14.4 s with dicts, while at 64 to 4,096 rows masks were
+as fast or faster.  Density questions read integer counts per coordinate
+set, which the density-restoring partition (whose first part is the fix)
+builds as it reads them and carves down part by part; max_density and the
+structure search need the worst one.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, count, product
+from math import prod
 from typing import Iterator, List, Optional, Sequence, Tuple
 from weakref import proxy
 
@@ -555,12 +559,14 @@ class DangerScan:
     `witness`, the one query, walks the sets C in (size, lex) order to the
     first witness, so witnesses come in the order of the definitions: C, then
     patterns in product order, then J in (size, lex) order, then y_J sorted;
-    `dangerous` is its predicate, memoised per x.  What many x reuse is
-    memoised per scan by lru_cache: the tables and what builds them (`_split`
-    for dicts, the row groups of each J for masks), the leaking, biasing and
-    dangerous witnesses (the engines read a sparsifying one only through the
-    dangerous one), the dangerous verdicts, the sparsifying test, Y's
-    marginals and the size bound.  Every memo and table function reaches the
+    `dangerous` is its predicate, memoised per x, read in closed form when Y
+    is a product (`_product_form`).  The tables are indexed when one is first
+    read, so a scan that only answers `dangerous` in closed form builds none.
+    What many x reuse is memoised per scan by lru_cache: the tables and what
+    builds them (`_split` for dicts, the row groups of each J for masks), the
+    leaking, biasing and dangerous witnesses (a sparsifying one is read only
+    through the dangerous one), the dangerous verdicts, the sparsifying test,
+    Y's marginals and the size bound.  Every memo and table function reaches the
     scan through a weak proxy, so none keeps it alive.
     """
 
@@ -586,7 +592,7 @@ class DangerScan:
         for name in ("_sparsifies", "_fits", "_sized", "_leaking", "_biasing",
                      "_dangerous", "_flagged"):
             setattr(self, name, memo(getattr(type(self), name).__get__(me)))
-        parts.index(self)
+        self._index = parts.index  # None once the tables are indexed
 
     def _sparsifies(self, heavy: int, weight: int, size: int) -> bool:
         """heavy/weight > 2**-((delta_y - eps)*b*size)."""
@@ -678,6 +684,9 @@ class DangerScan:
             _check_ambient(n)
             args = Fraction(c), n
         _check_x(x_val, self.k, self.side)
+        if self._index is not None:
+            self._index, index = None, self._index
+            index(self)
         read = getattr(self, "_" + scan)
         for coords in self.sets:
             found = read(*args, coords, tuple(map(x_val.__getitem__, coords)))
@@ -685,8 +694,47 @@ class DangerScan:
                 return found
         return None
 
+    @cached_property
+    def _product_form(self) -> Optional[tuple]:
+        """(light, bound, sparse) when Y is the product of its coordinate
+        marginals m_c, else None: iff Y's support has prod_c |supp m_c| rows
+        and w(t) * T^(k-1) == prod_c m_c(t_c) on each, T being the total.  The
+        part of pattern p on C then weighs T * prod_{c in C} m_c(p_c)/T,
+        m_c(p_c) being the weight under m_c of the blocks where x_c's output
+        is p_c, and given the part, Y outside C is still the product of its
+        marginals.  So dangerous(x) needs no table:
+          leaking: (C, p) leaks iff prod_{c in C} 2*m_c(p_c)/T < 1/2.  Each
+        factor is least at l_c(x_c) = light[c][x_c], the lighter of x_c's two
+        outputs, and is then at most 1, so the least product is the one on
+        all k coordinates: x leaks iff 2^(k+1) * prod_c l_c(x_c) < T^k = bound;
+          sparsifying: given any part, J's heaviest marginal is
+        prod_{j in J} maxw_j/T, which exceeds 2^-(level*|J|) for some J with
+        1 <= |J| <= k-1 iff k >= 2 and maxw_j/T > 2^-level for a single j (a
+        product of factors each at most 1 is at most 1).  Then `sparse`
+        holds, for every x."""
+        k, total, rows = self.k, self.total, self.rows
+        keys = [_places((c,)) for c in range(k)]
+        margs = [_sums(rows.items(), key) for key in keys]
+        if not k or len(rows) != prod(map(len, margs)):  # k = 0: no set to flag on
+            return None
+        scale = total ** (k - 1)
+        if any(w * scale != prod(m[key(t)] for m, key in zip(margs, keys))
+               for t, w in rows.items()):
+            return None
+        light = []
+        for m in margs:
+            ones = [sum(w for (y,), w in m.items() if out[y]) for out in self.outputs]
+            light.append([min(w, total - w) for w in ones])
+        sparse = k >= 2 and any(self._sparsifies(max(m.values()), total, 1) for m in margs)
+        return light, total ** k, sparse
+
     def _flagged(self, x_val: Tuple[int, ...]) -> bool:
-        return self.witness("dangerous", x_val) is not None
+        form = self._product_form
+        if form is None:
+            return self.witness("dangerous", x_val) is not None
+        _check_x(x_val, self.k, self.side)
+        light, bound, sparse = form
+        return sparse or prod(map(list.__getitem__, light, x_val)) << (self.k + 1) < bound
 
     def dangerous(self, x_val: Tuple[int, ...]) -> bool:
         """Leaking or sparsifying; the set the simulation discards (memoised per x)."""

@@ -391,6 +391,20 @@ def test_cli_refuses_non_integer_numbers(files, capsys):
         assert (code, out) == (2, "") and "n must be an integer, got 1.9" in err
 
 
+def test_problem_outputs_must_be_a_list(files, capsys):
+    # outputs used to be read with list(...), so a string loaded as its
+    # characters and `oracle dt` exited 0 on it
+    doc = {"n": 1, "outputs": ["a", "b"], "table": {"0": [0], "1": [1]}}
+    assert problem_from_json(json.dumps(doc)).outputs == ("a", "b")
+    for outputs in ("ab", {"a": 0, "b": 1}, 2, None):
+        with pytest.raises(FormatError, match="outputs must be a list"):
+            problem_from_json(json.dumps(dict(doc, outputs=outputs)))
+    path = files / "string_outputs.json"
+    path.write_text(json.dumps(dict(doc, outputs="ab")))
+    code, out, err = run_cli(["oracle", "dt", "--problem", str(path)], capsys)
+    assert (code, out) == (2, "") and "outputs must be a list, got 'ab'" in err
+
+
 def _subcommand(parser, *names):
     for name in names:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -66,6 +66,17 @@ def test_eval_examples():
         AND.eval(2, 0)
 
 
+def test_gadget_table_entries_must_be_int_bits():
+    # entries used to be rounded with int(), so [0.7, 1.2, True, 1] made the
+    # table (0, 1, 1, 1)
+    assert Gadget(1, [0, 1, 1, 1]).table == (0, 1, 1, 1)
+    for entry in (0.7, 1.2, 1.0, True, False, "1", 2, -1, None):
+        with pytest.raises(DomainError, match="table entries must be the ints 0 and 1"):
+            Gadget(1, [0, 1, entry, 1])
+    with pytest.raises(DomainError):
+        Gadget(1, [0.7, 1.2, True, 1])
+
+
 def test_rectangle_discrepancy_examples():
     assert rectangle_discrepancy(AND, Rectangle((), (0, 1))) == 0
     assert rectangle_discrepancy(AND, Rectangle((0, 1), (0, 1))) == F(1, 2)

@@ -34,10 +34,15 @@ is its cached worst marginal's), and it evaluates the gadget only in
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import liftsim
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "liftsim").glob("*.py"))
 
@@ -91,6 +96,25 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_package_names_load_only_their_home_modules():
+    # the package's public names resolve on first use, so a caller of the
+    # gadgets layer pays for neither the simulation nor the structure layer;
+    # every name still resolves, to its home module's object
+    code = ("import sys; from liftsim import discrepancy; "
+            "print(sorted({'liftsim.simulate', 'liftsim.structure'} & set(sys.modules)), "
+            "'liftsim.gadgets' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[] True\n"
+    for name in liftsim.__all__:
+        home = importlib.import_module(f"liftsim.{liftsim._HOMES[name]}")
+        assert getattr(liftsim, name) is getattr(home, name), name
+    assert set(liftsim.__all__) <= set(dir(liftsim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        liftsim.no_such_name
 
 
 def test_no_source_module_imports_dataclasses_or_calls_exec():

@@ -889,13 +889,39 @@ IP4_DET_TRACES_PIN = "7ec992db581b4cc89fca1069ffd83af6d482f1af86313a458baf577783
 def test_ip4_deterministic_traces_pinned():
     # The largest danger scan held as row bitmasks: parity-3 composed with
     # ip4, n=3.  The first round scans all 16^3 = 4,096 silent inputs,
-    # MASK_ROW_LIMIT rows.
+    # MASK_ROW_LIMIT rows.  That Y is uniform, a product, so the lift reads
+    # its verdicts in closed form; the masks' table walk, asked through
+    # `witness`, gives the same verdict on every x.
     digest, cache = _det_traces_digest(gadgets._ip_gadget(4), 3)
     hits = cache.context.cache_info().hits
     scan = cache.context(0, tuple(range(4096)), (0, 1, 2))[1]  # the first round's
     assert cache.context.cache_info().hits == hits + 1
     assert len(scan.rows) == structure.MASK_ROW_LIMIT and hasattr(scan, "_groups")
+    assert scan._product_form is not None
+    verdicts = Counter()
+    for x in product(range(16), repeat=3):
+        assert scan.dangerous(x) == (scan.witness("dangerous", x) is not None), x
+        verdicts[scan.dangerous(x)] += 1
+    assert set(verdicts) == {False, True}, verdicts
     assert digest == IP4_DET_TRACES_PIN
+
+
+IP4_N4_DET_TRACE_PIN = "a75c707af39a71633dff0ea86a08c583ed70efa6f601411f0a30275687f9621a"
+
+
+def test_ip4_n4_deterministic_trace_pinned():
+    # parity-4 composed with ip4, n=4, z=0: the first round's silent side
+    # holds all 16^4 = 65,536 inputs, past MASK_ROW_LIMIT.  Its verdicts are
+    # read in closed form, so no table is built, and conditioning the whole
+    # universe builds the kept inputs block by block.  The digest was computed
+    # on the table walk, which took about 17 s a run.
+    g = gadgets._ip_gadget(4)
+    params = det_params(4, 4)
+    cache = simulate._EngineCache(g, params)
+    res = lift_deterministic(canonical_instance(parity_problem(4), g), g, 0, params, cache=cache)
+    scan = cache.context(0, tuple(range(1 << 16)), (0, 1, 2, 3))[1]
+    assert scan._product_form is not None and scan._index is not None  # no table indexed
+    assert hashlib.sha256(res.to_json().encode()).hexdigest() == IP4_N4_DET_TRACE_PIN
 
 
 def _round_starts(node, speaker=None):
@@ -958,7 +984,9 @@ def test_preimage_conditioning_matches_per_input_eval():
     # block maps to the z-bit.  The oracle evaluates the gadget on every input's
     # blocks, with the speaker's block first (the transpose when B speaks);
     # rand:2:2 is the asymmetric gadget.  A step that would empty the silent
-    # side leaves it.
+    # side leaves it.  The last 30 trials of each case condition the whole
+    # universe, which the engine builds as a product of allowed blocks; there
+    # selecting one queried coordinate at a time (_select) is a second oracle.
     rng = random.Random(15)
     outcomes = Counter()
     cases = [(g, problem.n) for g, problem in STEP_CASES] + [(builtin_gadget("rand:2:2"), 2)]
@@ -966,12 +994,14 @@ def test_preimage_conditioning_matches_per_input_eval():
         params = det_params(g.b, n)
         cache = simulate._EngineCache(g, params)
         size = 1 << (g.b * n)
-        for _ in range(60):
+        for trial in range(90):
             side = rng.randrange(2)
             gad = g.transpose() if side else g
             eng = simulate._Engine(ProtocolTree(n, g.b, PLeaf(0)), g, rng.randrange(1 << n),
                                    params, cache)
-            silent = tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
+            whole = trial >= 60
+            silent = (tuple(range(size)) if whole
+                      else tuple(sorted(rng.sample(range(size), rng.randint(1, size)))))
             eng.sets = (eng.sets[0], silent) if side == 0 else (silent, eng.sets[1])
             coords = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
             rec = RoundRecord(1, "AB"[side], tuple(range(n)), query_coords=coords,
@@ -983,10 +1013,17 @@ def test_preimage_conditioning_matches_per_input_eval():
             assert eng.query_and_condition(rec) == bool(want)
             assert eng.sets[1 - side] == (want or silent)
             assert rec.step5_prob == F(len(want), len(silent))
+            if whole:
+                selected = silent
+                for i, xb, bit in checks:
+                    allowed = {(y,) for y in range(g.side) if gad.table[xb * g.side + y] == bit}
+                    selected = simulate._select(selected, simulate._free_keys(n, g.b, (i,)),
+                                                allowed)
+                assert selected == want
             outcomes[side, "emptied" if not want else "kept all" if want == silent
-                     else "cut"] += 1
-    assert set(outcomes) == {(s, o) for s in (0, 1) for o in ("emptied", "kept all", "cut")}, \
-        outcomes
+                     else "cut", whole] += 1
+    assert set(outcomes) == {(s, o, whole) for s in (0, 1) for o in ("emptied", "kept all", "cut")
+                             for whole in (False, True)}, outcomes
 
 
 def test_density_is_read_off_one_worst_marginal_per_side(monkeypatch):

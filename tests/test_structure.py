@@ -4,6 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 
 import pytest
 from density_oracles import (
@@ -720,6 +721,64 @@ def test_danger_scan_ip6_mass():
         want = (oracle_is_leaking(x, u, ip6).flagged
                 or oracle_is_sparsifying(x, u, ip6, F(1), F(1, 2), 6).flagged)
         assert scan.dangerous(x) == want, x
+
+
+# -- the product closed form against the table walk ----------------------------
+
+def _product_table(rng, g, k, uniform):
+    """A seeded product of k coordinate marginals, each on a random nonempty
+    set of blocks, uniform or with weights in [1, 5]; every other block
+    tuple stays in the domain with weight 0."""
+    margs = []
+    for _ in range(k):
+        support = rng.sample(range(g.side), rng.randint(1, g.side))
+        margs.append({y: 1 if uniform else rng.randint(1, 5) for y in support})
+    return DistributionTable.from_weights(
+        {t: prod(m.get(v, 0) for m, v in zip(margs, t))
+         for t in product(range(g.side), repeat=k)})
+
+
+def _is_product(y):
+    """Whether Pr[t] equals the product of t's coordinate marginals at every
+    t of the product of their supports, in Fractions."""
+    k = len(y.domain[0])
+    margs = [project(y, (c,)) for c in range(k)]
+    return all(y.prob(t) == prod(m.prob((v,)) for m, v in zip(margs, t))
+               for t in product(*(sorted(v for (v,) in m.support()) for m in margs)))
+
+
+def test_product_form_matches_the_table_walk():
+    # On a product Y, DangerScan.dangerous reads the closed form: sparsifying
+    # for every x iff some coordinate's heaviest block is too heavy (k >= 2),
+    # else leaking iff 2^(k+1) * prod_c l_c(x_c) < T^k.  The walk over every
+    # (C, pattern, J) is the oracle, asked through `witness` on the same scan;
+    # a non-product Y keeps the walk for both.
+    rng = random.Random(26)
+    ip3 = Gadget(3, [(x & y).bit_count() & 1 for x in range(8) for y in range(8)])
+    gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "or1", "ip1", "ip2",
+                                                 "rand:1:3", "rand:2:5", "rand:3:4")] + [ip3]
+    seen = Counter()
+    for g in gadgets:
+        for k in (1, 2, 3):
+            universe = list(product(range(g.side), repeat=k))
+            tables = [_product_table(rng, g, k, uniform) for uniform in (True, False, False)]
+            tables += [_weighted_table(rng, universe), _zero_weight_table(rng, universe)]
+            for y in tables:
+                kind = "product" if _is_product(y) else "not product"
+                xs = universe if len(universe) <= 16 else rng.sample(universe, 16)
+                for delta_y, eps in _LEVELS[::2] if g is ip3 else _LEVELS:
+                    scan = DangerScan(y, g, delta_y, eps)
+                    form = scan._product_form
+                    assert (form is not None) == (kind == "product"), (g, y)
+                    for x in xs:
+                        dangerous = scan.dangerous(x)
+                        assert dangerous == (scan.witness("dangerous", x) is not None), \
+                            (g, y, x, delta_y, eps)
+                        # on a product Y, which half of the closed form decided
+                        why = ("sparse" if form and form[2] else "leaking") if dangerous else "safe"
+                        seen[kind, why if form else dangerous] += 1
+    # each kind of Y, each verdict on it and each half of the closed form is exercised
+    assert len(seen) == 5 and min(seen.values()) >= 100, seen
 
 
 # -- oracle sweep: skewing and biasing against the brute-force oracles --------
