@@ -428,9 +428,10 @@ class _Engine:
         allowed = {coord: [y for y in range(g.side) if g.table[xb * g.side + y] == bit]
                    for coord, xb, bit in zip(abs_coords, rec.fixed_value, zbits)}
         if silent_size == 1 << (self.params.b * self.params.n):
-            # the whole universe: the product of each coordinate's allowed blocks
-            kept = inputs_with_blocks([allowed.get(i, range(g.side))
-                                       for i in range(self.params.n)], g.b)
+            # the whole universe: the product of each coordinate's allowed
+            # blocks, read off the universe (input v is kept[v]) to share its ints
+            kept = tuple(map(kept.__getitem__, inputs_with_blocks(
+                [allowed.get(i, range(g.side)) for i in range(self.params.n)], g.b)))
         else:
             for coord, blocks in allowed.items():
                 keys = _free_keys(self.params.n, self.params.b, (coord,))

@@ -685,8 +685,8 @@ class DangerScan:
             args = Fraction(c), n
         _check_x(x_val, self.k, self.side)
         if self._index is not None:
-            self._index, index = None, self._index
-            index(self)
+            self._index(self)
+            self._index = None
         read = getattr(self, "_" + scan)
         for coords in self.sets:
             found = read(*args, coords, tuple(map(x_val.__getitem__, coords)))
