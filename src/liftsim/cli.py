@@ -10,7 +10,8 @@ Subcommands
 
 Every exact rational is printed as num/den; decimal renderings carry 12
 significant digits and are labeled approximate.  Identical invocations with
-identical seeds produce byte-identical output.
+identical seeds produce byte-identical output.  Each subcommand imports the
+engine it runs when it runs, so `gadget analyze` loads no simulation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .dtrees import brute_force_Ddt, problem_from_json, tree_to_json
 from .errors import LiftsimError, malformed
 from .exact import frac_decimal, frac_str, parse_frac
 from .gadgets import (
@@ -32,22 +32,6 @@ from .gadgets import (
     gadget_from_json,
     gadget_to_json,
 )
-from .protocols import RandomizedProtocol, _protocol_from_obj, _randomized_protocol_from_obj
-from .simulate import (
-    DENSITY_WITNESS_BITS,
-    ERROR_K,
-    ERROR_TRUNCATION,
-    LiftingParams,
-    certify_transcript,
-    enumerate_randomized_protocol,
-    ledger_assertions,
-    lift_deterministic,
-    lift_randomized,
-    lift_randomized_protocol,
-    reference_distribution,
-)
-from .dist import DistributionTable, align_domains, statistical_distance
-from .verify import CorpusSpec, default_corpus_spec, run_corpus
 
 
 def _parse(what: str, parse, text: str):
@@ -82,6 +66,8 @@ def _load_gadget(spec: str):
 def _parse_protocol(text: str):
     """(mixture or None, protocol run first) from a protocol file of either
     kind, told apart by the keys of its top-level object."""
+    from .protocols import _protocol_from_obj, _randomized_protocol_from_obj
+
     doc = json.loads(text)
     if "components" in doc:
         mixture = _randomized_protocol_from_obj(doc)
@@ -112,7 +98,9 @@ def cmd_gadget_analyze(args) -> int:
     return 0
 
 
-def _params_from_args(args, b: int, n: int) -> LiftingParams:
+def _params_from_args(args, b: int, n: int):
+    from .simulate import LiftingParams
+
     eps = None if args.eps is None else _parse("--eps", parse_frac, args.eps)
     return LiftingParams(
         eta=_parse("--eta", parse_frac, args.eta), c=_parse("--c", parse_frac, args.c),
@@ -120,6 +108,21 @@ def _params_from_args(args, b: int, n: int) -> LiftingParams:
 
 
 def cmd_lift(args) -> int:
+    from .dist import DistributionTable, align_domains, statistical_distance
+    from .protocols import RandomizedProtocol
+    from .simulate import (
+        DENSITY_WITNESS_BITS,
+        ERROR_K,
+        ERROR_TRUNCATION,
+        certify_transcript,
+        enumerate_randomized_protocol,
+        ledger_assertions,
+        lift_deterministic,
+        lift_randomized,
+        lift_randomized_protocol,
+        reference_distribution,
+    )
+
     mixture, proto = _load("protocol file", _parse_protocol, args.protocol)
     g = _load_gadget(args.gadget)
     if g.b != proto.b:
@@ -177,6 +180,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import CorpusSpec, default_corpus_spec, run_corpus
+
     if args.spec:
         spec = _load("corpus spec", CorpusSpec.from_json, args.spec)
     else:
@@ -192,6 +197,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_dt(args) -> int:
+    from .dtrees import brute_force_Ddt, problem_from_json, tree_to_json
+
     problem = _load("search problem file", problem_from_json, args.problem)
     depth, tree = brute_force_Ddt(problem)
     print(f"deterministic query complexity: {depth}")

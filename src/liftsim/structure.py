@@ -17,21 +17,20 @@ is pruned.  When Y is the product of its coordinate marginals, as the whole
 universe a lift's first round scans is, the dangerous verdict has a closed
 form in per-coordinate weights (DangerScan._product_form), and no table is
 built for it.  A table holds, per output pattern on C, the rows of Y's
-support with that pattern: as one row bitmask, split by AND and weighed by
-popcount, when Y has at most MASK_ROW_LIMIT = 2^12 support rows, and past
-that as a {y_rest: weight} dict split row by row, since a popcount reads all
-of Y's rows where a dict reads only its own: a table walk over 65,536 rows
-(the ip4 n=4 lift's first scan, which now takes the closed form) took 54.7 s
-with masks against 14.4 s with dicts, while at 64 to 4,096 rows masks were
-as fast or faster.  Density questions read integer counts per coordinate
-set, which the density-restoring partition (whose first part is the fix)
-builds as it reads them and carves down part by part; max_density and the
-structure search need the worst one.
+support with that pattern as one row bitmask, split by AND and weighed by
+popcount.  A popcount reads all of Y's rows, not just the part's, so a walk
+slows as Y grows: the dangerous witnesses of 8 x over all 65,536 rows of
+ip4 at k=4 take 2.0-2.7 s on a uniform Y and 4.1-4.6 s with weights in
+[1, 4] (2 CPUs, Python 3.11.7).  No lift walks a table that large, since the
+whole universe its first round scans is a product.  Density questions read
+integer counts per coordinate set, which the density-restoring partition
+(whose first part is the fix) builds as it reads them and carves down part by
+part; max_density and the structure search need the worst one.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, count, product
@@ -65,13 +64,9 @@ __all__ = [
     "DangerScan",
     "dangerous_probability",
     "SCAN_COORD_LIMIT",
-    "MASK_ROW_LIMIT",
 ]
 
 SCAN_COORD_LIMIT = 3
-# A danger scan over at most this many Y rows holds its table parts as row
-# bitmasks, past it as dicts (the crossover is measured in the docstring above).
-MASK_ROW_LIMIT = 1 << 12
 DENSITY_RESOLUTION_BITS = 20
 
 
@@ -407,12 +402,10 @@ class Verdict(Record):
 
 @lru_cache(maxsize=None)
 def _others(k: int, coords: Tuple[int, ...]) -> List[tuple]:
-    """(J as places among the coordinates outside C, their getter, J) for
-    every J avoiding C = coords, in (size, lex) order, the empty J first; the
-    getter is None for the J that is all of them."""
+    """(J as places among the coordinates outside C, J) for every J avoiding
+    C = coords, in (size, lex) order, the empty J first."""
     rest = tuple(i for i in range(k) if i not in coords)
-    return [(sub, None if len(sub) == len(rest) else _places(sub), tuple(rest[i] for i in sub))
-            for sub in subsets_by_size(len(rest))]
+    return [(sub, tuple(rest[i] for i in sub)) for sub in subsets_by_size(len(rest))]
 
 
 def _check_x(x_val: Tuple[int, ...], k: int, side: int) -> None:
@@ -427,74 +420,55 @@ def _check_ambient(n: int) -> None:
         raise DomainError("the ambient dimension must be at least 2")
 
 
-class _RowDicts:
-    """Table parts as {y_rest: weight}, y_rest a row of Y's support outside C:
-    the tables of a DangerScan over more than MASK_ROW_LIMIT rows.  Its
-    functions are the scan's methods, bound to it when it is built."""
+class DangerScan:
+    """The leaking, sparsifying, skewing and biasing scans of every x against one Y.
 
-    memos = ("_table", "_split")
+    Each scan is one function of (C, x_C) that returns its first witness on
+    the set C, or None.  It reads one table, Y's weights contracted with the
+    gadget's output rows of x_C: {pattern on C: part}, the part being the
+    rows of Y's support with that output pattern, built from the table of C
+    minus its last coordinate.  A part is a row bitmask, bit i standing for
+    the i-th row of Y's support: a child table is one AND and one XOR per
+    parent part, and a weight one popcount per bit-plane of Y's weights.  A
+    scan reads a part only through its weight, its marginal on a set J of the
+    other coordinates (or that marginal's heaviest weight) and the union of
+    the odd-parity parts.  `witness`, the one query, walks the sets C in
+    (size, lex) order to the first witness, so witnesses come in the order of
+    the definitions: C, then patterns in product order, then J in (size, lex)
+    order, then y_J sorted; `dangerous` is its predicate, memoised per x, read
+    in closed form when Y is a product (`_product_form`).  The rows are
+    indexed (`index`) when a table is first read, so a scan that only answers
+    `dangerous` in closed form builds no mask.  What many x reuse is memoised
+    per scan by lru_cache: the index, the tables, the row groups of each J
+    (Y's marginals among them), the leaking, biasing and dangerous witnesses
+    (a sparsifying one is read only through the dangerous one), the dangerous
+    verdicts, the sparsifying test and the size bound.  Every memo reaches the
+    scan through a weak proxy, so none keeps it alive.
+    """
 
-    def index(self) -> None:
-        """Nothing: the parts are read off Y's rows as they are."""
-
-    def _table(self, coords: Tuple[int, ...], xs: Tuple[int, ...]) -> dict:
-        """{pattern: {y_rest: weight}} of x_C = xs on C = coords: the table of C
-        minus its last coordinate c, contracted on c with x_c's output row
-        (patterns are bit tuples in C order, in product order)."""
-        if not coords:
-            return {(): self.rows}
-        out, table = self.outputs[xs[-1]], {}
-        for pat, split in self._split(coords, xs[:-1]):
-            parts: Tuple[dict, dict] = ({}, {})
-            for yc, rest, w in split:
-                part = parts[out[yc]]
-                part[rest] = part.get(rest, 0) + w
-            for bit, part in enumerate(parts):
-                if part:
-                    table[pat + (bit,)] = part
-        return table
-
-    def _split(self, coords: Tuple[int, ...], prefix: Tuple[int, ...]) -> List[tuple]:
-        """The table of (coords[:-1], prefix) as [(pattern, [(y_c, y_rest
-        without y_c, weight)])], c = coords[-1]; shared by every x_c."""
-        at = coords[-1] - len(coords) + 1  # c's place among y_rest
-        return [(pat, [(yr[at], yr[:at] + yr[at + 1:], w) for yr, w in ws.items()])
-                for pat, ws in self._table(coords[:-1], prefix).items()]
-
-    def _weight(self, ws: dict) -> int:
-        return sum(ws.values())
-
-    def _marginal(self, ws: dict, key, coords_j: Tuple[int, ...]) -> dict:
-        """{y_J: weight} of a part, J read by `key` off y_rest; the part itself
-        when J is all of y_rest (key None)."""
-        return ws if key is None else _sums(ws.items(), key)
-
-    def _heaviest(self, ws: dict, key, coords_j: Tuple[int, ...]) -> int:
-        return max(self._marginal(ws, key, coords_j).values())
-
-    def _odd(self, table: dict) -> dict:
-        """The union of the parts whose pattern has odd parity."""
-        odd: Counter = Counter()
-        for pat, ws in table.items():
-            if sum(pat) & 1:
-                odd.update(ws)
-        return odd
-
-
-class _RowMasks:
-    """Table parts as row bitmasks, bit i of a part standing for the i-th row
-    of Y's support: the tables of a DangerScan over at most MASK_ROW_LIMIT
-    rows.  A child table is one AND and one XOR per parent part, and a weight
-    one popcount per bit-plane of Y's weights.  Its functions are the scan's
-    methods, bound to it when it is built."""
-
-    memos = ("_table", "_groups")
+    def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
+                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
+        self.k = k = _block_count(y, tuples=True)
+        _guard(k, coord_limit, "leaking scan free coordinates")
+        self.rows = rows = {t: w for t, w in y.weights.items() if w}
+        self.side = side = g.side
+        if any(not 0 <= v < side for t in rows for v in t):
+            raise DomainError(f"inputs must lie in [0, {side})")
+        self.total = y.total
+        self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
+        self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), g.b
+        self.level = (self.delta_y - self.eps) * g.b
+        self.sets = list(subsets_by_size(k, nonempty=True))
+        memo, me = lru_cache(maxsize=None), proxy(self)
+        for name in ("index", "_table", "_groups", "_sparsifies", "_fits", "_sized",
+                     "_leaking", "_biasing", "_dangerous", "_flagged"):
+            setattr(self, name, memo(getattr(type(self), name).__get__(me)))
 
     def index(self) -> None:
         """Build all the rows (`_all`), the rows whose output is 1 under each x
         value at each coordinate (`_ones`, the sum of the coordinate's disjoint
         row groups where it is 1) and the bit-planes of the weights
-        (`_planes`, (shift, rows) pairs)."""
+        (`_planes`, (shift, rows) pairs); run once, by the first `witness`."""
         self._all = (1 << len(self.rows)) - 1
         self._ones = [[sum(rows for (v,), rows in self._groups((c,)).items() if out[v])
                        for out in self.outputs] for c in range(self.k)]
@@ -531,68 +505,17 @@ class _RowMasks:
     def _weight(self, m: int) -> int:
         return sum((m & rows).bit_count() << s for s, rows in self._planes)
 
-    def _marginal(self, m: int, key, coords_j: Tuple[int, ...]) -> dict:
+    def _marginal(self, m: int, coords_j: Tuple[int, ...]) -> dict:
         """{y_J: weight} of a part, zeros included for the y_J it misses."""
         weight = self._weight
         return {yj: weight(m & rows) for yj, rows in self._groups(coords_j).items()}
 
-    def _heaviest(self, m: int, key, coords_j: Tuple[int, ...]) -> int:
+    def _heaviest(self, m: int, coords_j: Tuple[int, ...]) -> int:
         return max(map(self._weight, map(m.__and__, self._groups(coords_j).values())))
 
     def _odd(self, table: dict) -> int:
         """The union of the parts whose pattern has odd parity (they are disjoint)."""
         return sum(m for pat, m in table.items() if sum(pat) & 1)
-
-
-class DangerScan:
-    """The leaking, sparsifying, skewing and biasing scans of every x against one Y.
-
-    Each scan is one function of (C, x_C) that returns its first witness on
-    the set C, or None.  It reads one table, Y's weights contracted with the
-    gadget's output rows of x_C: {pattern on C: part}, the part being the
-    rows of Y's support with that output pattern, built from the table of C
-    minus its last coordinate.  A scan reads a part only through its weight,
-    its marginal on a set J of the other coordinates (or that marginal's
-    heaviest weight) and the union of the odd-parity parts, which both
-    representations provide: over at most MASK_ROW_LIMIT rows a part is a row
-    bitmask (_RowMasks), past it a {y_rest: weight} dict (_RowDicts).
-    `witness`, the one query, walks the sets C in (size, lex) order to the
-    first witness, so witnesses come in the order of the definitions: C, then
-    patterns in product order, then J in (size, lex) order, then y_J sorted;
-    `dangerous` is its predicate, memoised per x, read in closed form when Y
-    is a product (`_product_form`).  The tables are indexed when one is first
-    read, so a scan that only answers `dangerous` in closed form builds none.
-    What many x reuse is memoised per scan by lru_cache: the tables and what
-    builds them (`_split` for dicts, the row groups of each J for masks), the
-    leaking, biasing and dangerous witnesses (a sparsifying one is read only
-    through the dangerous one), the dangerous verdicts, the sparsifying test,
-    Y's marginals and the size bound.  Every memo and table function reaches the
-    scan through a weak proxy, so none keeps it alive.
-    """
-
-    def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
-                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
-        self.k = k = _block_count(y, tuples=True)
-        _guard(k, coord_limit, "leaking scan free coordinates")
-        self.rows = rows = {t: w for t, w in y.weights.items() if w}
-        self.side = side = g.side
-        if any(not 0 <= v < side for t in rows for v in t):
-            raise DomainError(f"inputs must lie in [0, {side})")
-        self.total = y.total
-        self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
-        self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), g.b
-        self.level = (self.delta_y - self.eps) * g.b
-        self.sets = list(subsets_by_size(k, nonempty=True))
-        memo, me = lru_cache(maxsize=None), proxy(self)
-        parts = _RowMasks if len(rows) <= MASK_ROW_LIMIT else _RowDicts
-        for name in ("_weight", "_marginal", "_heaviest", "_odd"):
-            setattr(self, name, getattr(parts, name).__get__(me))
-        for name in parts.memos:
-            setattr(self, name, memo(getattr(parts, name).__get__(me)))
-        for name in ("_sparsifies", "_fits", "_sized", "_leaking", "_biasing",
-                     "_dangerous", "_flagged"):
-            setattr(self, name, memo(getattr(type(self), name).__get__(me)))
-        self._index = parts.index  # None once the tables are indexed
 
     def _sparsifies(self, heavy: int, weight: int, size: int) -> bool:
         """heavy/weight > 2**-((delta_y - eps)*b*size)."""
@@ -607,7 +530,7 @@ class DangerScan:
 
     def _sized(self, c: Fraction, n: int, s_size: int, coords_j: Tuple[int, ...]) -> List[tuple]:
         """The (y_J, w_J) of Y on J = coords_j, y_J sorted, that pass the size bound."""
-        marg = _sums(self.rows.items(), _places(coords_j))
+        marg = self._marginal(self._all, coords_j)
         return [(yj, wj) for yj, wj in sorted(marg.items())
                 if self._fits(c, n, s_size, len(coords_j), wj)]
 
@@ -628,8 +551,8 @@ class DangerScan:
         heaviest, sparsifies = self._heaviest, self._sparsifies
         for pat, part in self._table(coords, xs).items():
             weight = self._weight(part)
-            for sub, key, coords_j in others:
-                heavy = heaviest(part, key, coords_j)
+            for sub, coords_j in others:
+                heavy = heaviest(part, coords_j)
                 if sparsifies(heavy, weight, len(sub)):
                     return coords, pat, sub, Fraction(heavy, weight)
         return None
@@ -640,10 +563,10 @@ class DangerScan:
         > 2**(-|I| + eps*b*|J| - 1 - delta_y*b*|J|): the defining inequality
         with the excess-entropy term of y_J cleared."""
         table = self._table(coords, xs)
-        for sub, key, coords_j in _others(self.k, coords)[1:]:
+        for sub, coords_j in _others(self.k, coords)[1:]:
             heavy, whole = {}, defaultdict(int)  # per y_J: the heaviest pattern's weight, w_J
             for part in table.values():
-                for yj, w in self._marginal(part, key, coords_j).items():
+                for yj, w in self._marginal(part, coords_j).items():
                     heavy[yj], whole[yj] = max(heavy.get(yj, 0), w), whole[yj] + w
             q = len(coords) + 1 + self.level * len(sub)
             for yj, wj in sorted(whole.items()):
@@ -660,9 +583,9 @@ class DangerScan:
         pattern on S has odd parity."""
         scale = 2 * (2 * n) ** len(coords)
         odd = self._odd(self._table(coords, xs))
-        for _, key, coords_j in _others(self.k, coords):
+        for _, coords_j in _others(self.k, coords):
             sized = self._sized(c, n, len(coords), coords_j)
-            odd_j = self._marginal(odd, key, coords_j) if sized else {}
+            odd_j = self._marginal(odd, coords_j) if sized else {}
             for yj, wj in sized:
                 gap = abs(wj - 2 * odd_j.get(yj, 0))
                 if gap * scale > wj:
@@ -684,9 +607,7 @@ class DangerScan:
             _check_ambient(n)
             args = Fraction(c), n
         _check_x(x_val, self.k, self.side)
-        if self._index is not None:
-            self._index(self)
-            self._index = None
+        self.index()
         read = getattr(self, "_" + scan)
         for coords in self.sets:
             found = read(*args, coords, tuple(map(x_val.__getitem__, coords)))

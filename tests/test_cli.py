@@ -509,6 +509,18 @@ def test_console_entry_point():
     assert "discrepancy: 1/2" in proc.stdout
 
 
+def test_gadget_analyze_loads_no_engine():
+    # each subcommand imports its engine when it runs, so analysing a gadget
+    # loads neither the simulation, the structure layer nor the verifier
+    code = ("import sys; from liftsim.cli import main; "
+            "main(['gadget', 'analyze', '--gadget', 'ip2']); "
+            "print(sorted({'liftsim.simulate', 'liftsim.structure', 'liftsim.verify'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "discrepancy: " in proc.stdout and proc.stdout.endswith("\n[]\n")
+
+
 def test_module_entry_point(tmp_path):
     # python -m liftsim is the same command line: --help exits 0, and a
     # missing problem file is a named error with exit code 2

@@ -887,16 +887,15 @@ IP4_DET_TRACES_PIN = "7ec992db581b4cc89fca1069ffd83af6d482f1af86313a458baf577783
 
 
 def test_ip4_deterministic_traces_pinned():
-    # The largest danger scan held as row bitmasks: parity-3 composed with
-    # ip4, n=3.  The first round scans all 16^3 = 4,096 silent inputs,
-    # MASK_ROW_LIMIT rows.  That Y is uniform, a product, so the lift reads
-    # its verdicts in closed form; the masks' table walk, asked through
-    # `witness`, gives the same verdict on every x.
+    # Parity-3 composed with ip4, n=3.  The first round scans all 16^3 =
+    # 4,096 silent inputs.  That Y is uniform, a product, so the lift reads
+    # its verdicts in closed form; the table walk over row bitmasks, asked
+    # through `witness`, gives the same verdict on every x.
     digest, cache = _det_traces_digest(gadgets._ip_gadget(4), 3)
     hits = cache.context.cache_info().hits
     scan = cache.context(0, tuple(range(4096)), (0, 1, 2))[1]  # the first round's
     assert cache.context.cache_info().hits == hits + 1
-    assert len(scan.rows) == structure.MASK_ROW_LIMIT and hasattr(scan, "_groups")
+    assert len(scan.rows) == 1 << 12
     assert scan._product_form is not None
     verdicts = Counter()
     for x in product(range(16), repeat=3):
@@ -911,16 +910,16 @@ IP4_N4_DET_TRACE_PIN = "a75c707af39a71633dff0ea86a08c583ed70efa6f601411f0a302756
 
 def test_ip4_n4_deterministic_trace_pinned():
     # parity-4 composed with ip4, n=4, z=0: the first round's silent side
-    # holds all 16^4 = 65,536 inputs, past MASK_ROW_LIMIT.  Its verdicts are
-    # read in closed form, so no table is built, and conditioning the whole
-    # universe builds the kept inputs block by block.  The digest was computed
-    # on the table walk, which took about 17 s a run.
+    # holds all 16^4 = 65,536 inputs.  Its verdicts are read in closed form,
+    # so no table is indexed, and conditioning the whole universe builds the
+    # kept inputs block by block.  The digest was computed on the table walk,
+    # which took about 17 s a run.
     g = gadgets._ip_gadget(4)
     params = det_params(4, 4)
     cache = simulate._EngineCache(g, params)
     res = lift_deterministic(canonical_instance(parity_problem(4), g), g, 0, params, cache=cache)
     scan = cache.context(0, tuple(range(1 << 16)), (0, 1, 2, 3))[1]
-    assert scan._product_form is not None and scan._index is not None  # no table indexed
+    assert scan._product_form is not None and scan.index.cache_info().misses == 0
     assert hashlib.sha256(res.to_json().encode()).hexdigest() == IP4_N4_DET_TRACE_PIN
 
 
