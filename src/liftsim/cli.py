@@ -26,6 +26,7 @@ from .errors import LiftsimError, malformed
 from .exact import frac_decimal, frac_str, parse_frac
 from .gadgets import (
     BUILTIN_NAMES,
+    _check_xor_power,
     builtin_gadget,
     check_xor_lemma,
     discrepancy,
@@ -81,8 +82,11 @@ def _print_frac(label: str, value: Fraction) -> None:
 
 def cmd_gadget_analyze(args) -> int:
     g = _load_gadget(args.gadget)
-    print(f"gadget: {g.name or args.gadget}  b={g.b}  domain side={g.side}")
+    # every power is refused before the first scan or printed line
+    for m in args.xor_power:
+        _check_xor_power(g, m)
     res = discrepancy(g)
+    print(f"gadget: {g.name or args.gadget}  b={g.b}  domain side={g.side}")
     _print_frac("discrepancy", res.value)
     fmt = lambda idx: format(idx, f"0{g.b}b")
     print(f"witness rectangle: A={{{', '.join(map(fmt, res.argmax.a))}}} "

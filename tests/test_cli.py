@@ -187,6 +187,12 @@ def _text(root, name, text):
 # "error:" line), never a traceback with exit 1, which means "counterexamples".
 MALFORMED = {
     "gadget-spec-field": lambda root: ["gadget", "analyze", "--gadget", "rand:x:1"],
+    # int() reads these as rand:4:1 or rand:4:10, which used to be analysed
+    "gadget-spec-space": lambda root: ["gadget", "analyze", "--gadget", "rand: 4:1"],
+    "gadget-spec-plus": lambda root: ["gadget", "analyze", "--gadget", "rand:+4:1"],
+    "gadget-spec-arabic-indic-digit": lambda root: [
+        "gadget", "analyze", "--gadget", "rand:\u0664:1"],
+    "gadget-spec-underscore": lambda root: ["gadget", "analyze", "--gadget", "rand:4:1_0"],
     "verify-spec-not-json": lambda root: ["verify", str(_bad_json(root))],
     "protocol-missing-key": lambda root: [
         "lift", "--protocol", str(_no_b_protocol(root)), "--gadget", "ip2", "--z", "01"],
@@ -308,6 +314,19 @@ def test_xor_power_refused_before_its_table(capsys, monkeypatch):
     # side 2^4 is the budget itself: still analysed
     code, out, _ = run_cli(["gadget", "analyze", "--gadget", "xor1", "--xor-power", "4"], capsys)
     assert code == 0 and "disc(g^xor4)=1/4" in out
+
+
+def test_xor_power_checked_before_any_output():
+    # every --xor-power is refused before the gadget line, its discrepancy
+    # and witness are printed: m < 1 and a side past RECT_SIDE_LIMIT
+    for powers, message in ((["0"], "xor power needs m >= 1"),
+                            (["3"], "rectangle enumeration side domain: "
+                                    "size 2^6 exceeds budget 16"),
+                            (["1", "-2"], "xor power needs m >= 1")):
+        proc = subprocess.run([sys.executable, "-m", "liftsim", "gadget", "analyze",
+                               "--gadget", "ip2", "--xor-power", *powers],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 # Called as a library, every loader reports malformed text as a FormatError

@@ -10,7 +10,7 @@ import disc_oracle
 
 from liftsim import gadgets
 from liftsim.dist import DistributionTable
-from liftsim.errors import BudgetError, DomainError, LiftsimError
+from liftsim.errors import BudgetError, DomainError, FormatError, LiftsimError
 from liftsim.gadgets import (
     BUILTIN_NAMES,
     DiscrepancyResult,
@@ -193,11 +193,85 @@ def test_discrepancy_matches_unpacking_oracle():
     cases.append(last_step_gadget())
     for g in cases:
         assert gadgets._discrepancy.__wrapped__(g.b, g.table) == \
-            disc_oracle._discrepancy.__wrapped__(g.b, g.table), g
+            disc_oracle.unpacking_discrepancy(g.b, g.table), g
     # its witness holds every high row: the maximum first appears in the
     # last step, after steps that skip the unpack
     high = set(range(gadgets._LO, 16))
     assert high <= set(discrepancy(last_step_gadget()).argmax.a)
+
+
+def pool_and_power_cases():
+    """The 256 gadget_disc_b4 pool gadgets, then ip4, ip3 and the side-16
+    XOR powers of the builtins."""
+    cases = [builtin_gadget(f"rand:4:{s}") for s in range(256)]
+    cases += [xor_power(IP2, 2), gadgets._ip_gadget(3)]
+    cases += [xor_power(builtin_gadget(name), 4) for name in ("and1", "or1", "xor1", "ip1")]
+    return cases
+
+
+def test_discrepancy_matches_sign_mask_oracle_on_the_whole_pool():
+    # exact DiscrepancyResult equality with the kernel that scored every
+    # step (tests/disc_oracle.py) on every gadget of the pool
+    for g in pool_and_power_cases():
+        assert gadgets._discrepancy.__wrapped__(g.b, g.table) == \
+            disc_oracle.sign_mask_discrepancy(g.b, g.table), g
+
+
+def step_profile(g):
+    """Per high-row step h of the side-16 scan, from plain column sums:
+    (the largest val(A) over the step's A = H + L, the scan's bound
+    max(P(H) + max_p, N(H) + max_n), the best value of the steps before)."""
+    n, lo = g.side, gadgets._LO
+    rows = [[1 - 2 * g.table[x * n + y] for y in range(n)] for x in range(n)]
+
+    def sums(mask):
+        return [sum(rows[x][y] for x in range(n) if mask >> x & 1) for y in range(n)]
+
+    def parts(c):
+        return sum(v for v in c if v > 0), -sum(v for v in c if v < 0)
+
+    low = [sums(L) for L in range(1 << lo)]
+    max_p = max(parts(c)[0] for c in low)
+    max_n = max(parts(c)[1] for c in low)
+    out, best = [], -1
+    for h in range(1 << (n - lo)):
+        high = sums(h << lo)
+        p_h, n_h = parts(high)
+        top = max(max(parts([a + c for a, c in zip(high, cs)])) for cs in low)
+        out.append((top, max(p_h + max_p, n_h + max_n), best))
+        best = max(best, top)
+    return out
+
+
+# A seeded b=4 table (row x as an int, bit y = g(x, y)) whose winning step's
+# bound is tight: it equals the maximum and beats the best before by 1.
+TIGHT_ROWS = (0xc1d3, 0x3ce6, 0xbc24, 0x8444, 0x3553, 0x0b1b, 0xefb5, 0xc424,
+              0xf0f2, 0xd470, 0xb5e5, 0x9b9e, 0x372e, 0xda1a, 0x3bf0, 0xb847)
+
+
+def test_skipped_steps_at_the_edges_of_the_bound():
+    # % 255 reads P(H) exactly: its bytes sum to at most (n - _LO) * n
+    side = gadgets.RECT_SIDE_LIMIT
+    assert (side - gadgets._LO) * side < 255
+    # parity(x) xor parity(y): a step after the winning one holds a tie of
+    # the maximum and is skipped with its bound equal to best
+    tie = xor_power(XOR, 4)
+    # the winning step's bound is tight and beats the best before it by 1
+    tight = Gadget(4, [row >> y & 1 for row in TIGHT_ROWS for y in range(16)])
+    for g in (tie, tight):
+        profile = step_profile(g)
+        assert all(top <= bound for top, bound, _ in profile)  # the bound holds
+        final = max(top for top, _, _ in profile)
+        res = gadgets._discrepancy.__wrapped__(g.b, g.table)
+        win = sum(1 << x for x in res.argmax.a) >> gadgets._LO
+        assert res.value == F(final, 256) and profile[win][0] == final
+        assert all(top < final for top, _, _ in profile[:win])
+        assert res == disc_oracle.sign_mask_discrepancy(g.b, g.table)
+        assert res == disc_oracle.unpacking_discrepancy(g.b, g.table)
+        if g is tie:
+            assert any(row == (final, final, final) for row in profile[win + 1:])
+        else:
+            assert profile[win] == (final, final, final - 1)
 
 
 def test_discrepancy_refuses_sides_past_exact_range(monkeypatch):
@@ -281,6 +355,20 @@ def test_discrepancy_budget():
     discrepancy(random_gadget(4, 0))  # side 16 is scanned, side 32 refused
     with pytest.raises(BudgetError, match="size 32 exceeds budget 16"):
         discrepancy(random_gadget(5, 0))
+
+
+def test_rand_names_in_ascii_digits_only():
+    # int() reads each of these, and they used to load as rand:4:1 or
+    # rand:4:10: a rand name is read only as random_gadget writes it
+    for name in ("rand: 4:1", "rand:+4:1", "rand:\u0664:1", "rand:4:1_0", "rand:4:\uff11",
+                 "rand:04:1", "rand:4:01", "rand:4:-0", "rand:4:1 ", "rand:4:+1",
+                 "rand:-1:1", "rand:4", "rand:4:1:2", "rand::1"):
+        with pytest.raises(FormatError, match="bad random gadget name"):
+            builtin_gadget(name)
+    # negative seeds stay allowed
+    assert builtin_gadget("rand:2:-3") == random_gadget(2, -3)
+    assert builtin_gadget("rand:2:-3").name == "rand:2:-3"
+    assert builtin_gadget("rand:4:10").table == random_gadget(4, 10).table
 
 
 def test_block_length_budget_before_any_table():
