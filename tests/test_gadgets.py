@@ -243,8 +243,9 @@ def step_profile(g):
     return out
 
 
-# A seeded b=4 table (row x as an int, bit y = g(x, y)) whose winning step's
-# bound is tight: it equals the maximum and beats the best before by 1.
+# A b=4 table from a seeded search (row x as an int, bit y = g(x, y)) whose
+# winning step's bound is tight: it equals the maximum and beats the best
+# before by 1.
 TIGHT_ROWS = (0xc1d3, 0x3ce6, 0xbc24, 0x8444, 0x3553, 0x0b1b, 0xefb5, 0xc424,
               0xf0f2, 0xd470, 0xb5e5, 0x9b9e, 0x372e, 0xda1a, 0x3bf0, 0xb847)
 
@@ -358,7 +359,7 @@ def test_discrepancy_budget():
 
 
 def test_rand_names_in_ascii_digits_only():
-    # int() reads each of these, and they used to load as rand:4:1 or
+    # int() reads most of these, which used to load as rand:4:1 or
     # rand:4:10: a rand name is read only as random_gadget writes it
     for name in ("rand: 4:1", "rand:+4:1", "rand:\u0664:1", "rand:4:1_0", "rand:4:\uff11",
                  "rand:04:1", "rand:4:01", "rand:4:-0", "rand:4:1 ", "rand:4:+1",
