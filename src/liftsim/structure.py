@@ -168,11 +168,37 @@ def is_dense(x: DistributionTable, delta: Fraction, b: int) -> DensityWitness:
     return DensityWitness(delta, hit[0], Fraction(hit[3], x.total))
 
 
+def _product_marginals(k: int, rows, total: int) -> Optional[List[dict]]:
+    """The coordinate marginals m_c ({(v,): weight}, c < k) of a table of
+    k-tuples with total T, from its nonzero (t, w) `rows`, when the table is
+    their product; else None, and None for k = 0.  It is iff its support has
+    prod_c |supp m_c| rows, and so is their product set, and w(t) * T^(k-1)
+    == prod_c m_c(t_c) on each row, which holds when every weight is equal."""
+    keys = [_places((c,)) for c in range(k)]
+    margs = [_sums(rows, key) for key in keys]
+    if not k or len(rows) != prod(map(len, margs)):
+        return None
+    weights = [w for _, w in rows]
+    if min(weights) == max(weights):
+        return margs
+    scale = total ** (k - 1)
+    if any(w * scale != prod(m[key(t)] for m, key in zip(margs, keys)) for t, w in rows):
+        return None
+    return margs
+
+
 def _worst_marginal(x: DistributionTable):
     """The (maxprob, |I|) pair minimizing log2(1/p)/(b|I|), compared exactly;
-    the first such pair in subsets_by_size order, or None for k = 0."""
+    the first such pair in subsets_by_size order, or None for k = 0.  On a
+    product table the marginal on I has maxprob prod_{c in I} p_c, the p_c
+    its singletons', whose log2(1/p)/|I| is their mean: no set beats the
+    heaviest singleton, so it alone is read."""
+    k, rows, marginals = _marginal_counts(x)
     total, worst = x.total, None  # worst: (heaviest count, |I|)
-    for coords, _, counts in _marginal_counts(x)[2]:
+    margs = _product_marginals(k, rows, total)
+    if margs is not None:
+        return Fraction(max(max(m.values()) for m in margs), total), 1
+    for coords, _, counts in marginals:
         h, s = max(counts.values()), len(coords)
         # p = h/total: p^ws > wp^s  <=>  log(1/p)/s < log(1/wp)/ws
         if worst is None or h ** worst[1] * total ** s > worst[0] ** s * total ** worst[1]:
@@ -618,8 +644,7 @@ class DangerScan:
     @cached_property
     def _product_form(self) -> Optional[tuple]:
         """(light, bound, sparse) when Y is the product of its coordinate
-        marginals m_c, else None: iff Y's support has prod_c |supp m_c| rows
-        and w(t) * T^(k-1) == prod_c m_c(t_c) on each, T being the total.  The
+        marginals m_c (`_product_marginals`), else None, T being the total.  The
         part of pattern p on C then weighs T * prod_{c in C} m_c(p_c)/T,
         m_c(p_c) being the weight under m_c of the blocks where x_c's output
         is p_c, and given the part, Y outside C is still the product of its
@@ -633,14 +658,9 @@ class DangerScan:
         1 <= |J| <= k-1 iff k >= 2 and maxw_j/T > 2^-level for a single j (a
         product of factors each at most 1 is at most 1).  Then `sparse`
         holds, for every x."""
-        k, total, rows = self.k, self.total, self.rows
-        keys = [_places((c,)) for c in range(k)]
-        margs = [_sums(rows.items(), key) for key in keys]
-        if not k or len(rows) != prod(map(len, margs)):  # k = 0: no set to flag on
-            return None
-        scale = total ** (k - 1)
-        if any(w * scale != prod(m[key(t)] for m, key in zip(margs, keys))
-               for t, w in rows.items()):
+        k, total = self.k, self.total
+        margs = _product_marginals(k, self.rows.items(), total)
+        if margs is None:  # k = 0: no set to flag on
             return None
         light = []
         for m in margs:

@@ -48,6 +48,7 @@ from .gadgets import (
     RECT_SIDE_LIMIT,
     CorollaryReport,
     Gadget,
+    _check_xor_power,
     block_table,
     builtin_gadget,
     check_xor_lemma,
@@ -449,13 +450,11 @@ class CorpusSpec(Record):
                 if jobs > XOR_LEMMA_JOB_LIMIT:
                     raise BudgetError("corpus spec xor_lemma jobs", jobs, XOR_LEMMA_JOB_LIMIT)
                 # a bad name is a FormatError here, not in the section
-                blocks = {name: builtin_gadget(name).b
-                          for name in [*gadgets, *(name for name, _ in extra)]}
+                named = {name: builtin_gadget(name)
+                         for name in [*gadgets, *(name for name, _ in extra)]}
                 for name, m in chain(product(gadgets, powers), extra):
-                    # check_xor_lemma's side test: 2^(b*m) > RECT_SIDE_LIMIT
-                    if blocks[name] * m >= RECT_SIDE_LIMIT.bit_length():
-                        raise BudgetError(f"corpus spec xor_lemma side of {name} at m={m}",
-                                          f"2^{blocks[name] * m}", RECT_SIDE_LIMIT)
+                    _check_xor_power(named[name], m,
+                                     f"corpus spec xor_lemma side of {name} at m={m}")
             if section == "lifting" and "gadget" in params:
                 b = builtin_gadget(params["gadget"]).b
                 if b > LIFTING_BLOCK_LIMIT:

@@ -1,5 +1,9 @@
 """Earlier forms of the exact discrepancy scan in gadgets._discrepancy: the
-oracles the skipping kernel is compared with, value and witness.
+oracles the floored kernel is compared with, value and witness.
+
+`skipping_discrepancy` is the kernel as it ran before a side-16 scan started
+from a best-response floor: the best so far starts at -1, and a step whose
+subadditivity bound cannot beat it is skipped.
 
 `sign_mask_discrepancy` is the kernel as it ran before steps were skipped by
 the subadditivity bound: every high row subset's packed word is scored in
@@ -10,7 +14,7 @@ sums stayed in one int: each step's packed word is written out as bytes,
 bytes.translate splits every biased column sum into its positive and
 negative part, and each part is folded and read back with struct.unpack.
 
-Both visit every A in (A mask) order and keep the first maximizer; the B of
+All three visit every A in (A mask) order and keep the first maximizer; the B of
 the witness is built by `_witness` for the winning A only.
 """
 
@@ -108,6 +112,75 @@ def sign_mask_discrepancy(b: int, table: Tuple[int, ...]) -> DiscrepancyResult:
         pos_t = totals(fields.to_bytes(size + n, "little"))
         neg_t = totals(neg.to_bytes(size + n, "little"))
         max_pos, max_neg = max(pos_t), max(neg_t)
+        best = max(max_pos, max_neg)
+        first = min(pos_t.index(best) if max_pos == best else count,
+                    neg_t.index(best) if max_neg == best else count)
+        best_a = (h << lo) | first
+        over = (0x7FFF - best) * top
+    return _witness(n, table, best, best_a)
+
+
+# -- the skipping kernel, best so far from -1 ----------------------------------
+
+def skipping_discrepancy(b: int, table: Tuple[int, ...]) -> DiscrepancyResult:
+    n, row_word = _row_words(b, table)
+    row_sum = [n - 2 * sum(table[x * n:(x + 1) * n]) for x in range(n)]
+    lo = min(_SM_LO, n)
+    count = 1 << lo
+    size = count * n
+
+    field = b"\1" + bytes(n - 1)
+    rep = int.from_bytes(field * count, "little")
+    top = rep << (8 * n - 16)
+    low = _SM_BIAS * int.from_bytes(b"\1" * size, "little")
+    low_sum = 0
+    for x in range(lo):
+        run = 1 << x
+        member = int.from_bytes((bytes(n * run) + field * run) * (count >> (x + 1)), "little")
+        low += row_word[x] * member
+        low_sum += row_sum[x] * member
+    low_sum <<= 8 * n - 16
+
+    signs = int.from_bytes(b"\x80" * size, "little")
+    pairs = int.from_bytes(b"\xff\0" * (size // 2), "little")
+    lanes = int.from_bytes(b"\1\0" * (n // 2), "little")
+    totals = struct.Struct("<" + f"{n - 2}xH" * count).unpack_from
+    above = 0x8000 * top
+
+    # A step is skipped when max(P(H) + max_p, N(H) + max_n) <= best, max_p
+    # and max_n the field maxima of step 0, which is always scored: with
+    # best = -1 every field of step 0 beats it.  P(H) is read from one n-byte
+    # word of H's biased column sums by the sign mask and % 255.
+    steps = []
+    for x in range(lo, n):
+        word = row_word[x] - sum(row_word[lo:x])
+        steps.append((word * rep, word, row_sum[x] - sum(row_sum[lo:x])))
+    hsigns = int.from_bytes(b"\x80" * n, "little")
+    v, s_h = low, 0
+    hv = _SM_BIAS * int.from_bytes(b"\1" * n, "little")
+    best, best_a, over = -1, 0, above
+    for h in range(1 << (n - lo)):
+        if h:
+            word, h_word, total = steps[(h & -h).bit_length() - 1]
+            v += word
+            hv += h_word
+            s_h += total
+            sign = hv & hsigns
+            p_h = (hv & (sign - (sign >> 7))) % 255
+            if p_h + max_p <= best and p_h - s_h + max_n <= best:
+                continue
+        sign = v & signs
+        pos = v & (sign - (sign >> 7))
+        fields = ((pos + (pos >> 8)) & pairs) * lanes
+        beat = fields + over
+        if not (beat | (beat - low_sum - s_h * top)) & above:
+            continue
+        neg = fields - low_sum - s_h * top
+        pos_t = totals(fields.to_bytes(size + n, "little"))
+        neg_t = totals(neg.to_bytes(size + n, "little"))
+        max_pos, max_neg = max(pos_t), max(neg_t)
+        if not h:
+            max_p, max_n = max_pos, max_neg
         best = max(max_pos, max_neg)
         first = min(pos_t.index(best) if max_pos == best else count,
                     neg_t.index(best) if max_neg == best else count)

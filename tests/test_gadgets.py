@@ -201,20 +201,60 @@ def test_discrepancy_matches_unpacking_oracle():
 
 
 def pool_and_power_cases():
-    """The 256 gadget_disc_b4 pool gadgets, then ip4, ip3 and the side-16
-    XOR powers of the builtins."""
+    """The 256 gadget_disc_b4 pool gadgets, then ip4, ip3, the side-16 XOR
+    powers of the builtins and 16 seeded rand:3 gadgets."""
     cases = [builtin_gadget(f"rand:4:{s}") for s in range(256)]
     cases += [xor_power(IP2, 2), gadgets._ip_gadget(3)]
     cases += [xor_power(builtin_gadget(name), 4) for name in ("and1", "or1", "xor1", "ip1")]
+    cases += [random_gadget(3, s) for s in range(16)]
     return cases
 
 
 def test_discrepancy_matches_sign_mask_oracle_on_the_whole_pool():
     # exact DiscrepancyResult equality with the kernel that scored every
-    # step (tests/disc_oracle.py) on every gadget of the pool
+    # step and with the one that skipped steps from a best of -1, without a
+    # floor (tests/disc_oracle.py), on every gadget of the pool
     for g in pool_and_power_cases():
+        res = gadgets._discrepancy.__wrapped__(g.b, g.table)
+        assert res == disc_oracle.sign_mask_discrepancy(g.b, g.table), g
+        assert res == disc_oracle.skipping_discrepancy(g.b, g.table), g
+
+
+def floor_rectangle(g):
+    """(W, the rectangle of the best-response floor)."""
+    w, a, b = gadgets._response_floor(g.b, g.table)
+    return w, Rectangle(gadgets._mask_to_tuple(a), gadgets._mask_to_tuple(b))
+
+
+def test_floor_is_a_rectangle_and_keeps_the_first_maximizer(monkeypatch):
+    # W is |sum of +-1 entries| of the search's own rectangle, so at most
+    # the maximum, on every side-16 case (the only side the scan searches)
+    for g in (g for g in pool_and_power_cases() if g.side == 16):
+        w, rect = floor_rectangle(g)
+        assert F(w, 256) == rectangle_discrepancy(g, rect) <= discrepancy(g).value, g
+    # g(x, y) = 1 iff x and y share their lowest bit: the maximum 64 is
+    # reached at A = the even rows (the first maximizer) and at A = the odd
+    # rows, where the search stops
+    lowest = Gadget(4, [int((x ^ y) & 1 == 0) for x in range(16) for y in range(16)])
+    odd, even = tuple(range(1, 16, 2)), tuple(range(0, 16, 2))
+    assert floor_rectangle(lowest) == (64, Rectangle(odd, even))
+    # the floors of rand:4:0 and rand:4:6 are 1 and 4 below their maxima
+    below = [builtin_gadget("rand:4:0"), builtin_gadget("rand:4:6")]
+    assert [256 * discrepancy(g).value - floor_rectangle(g)[0] for g in below] == [1, 4]
+    for g in [lowest, *below]:
+        res = gadgets._discrepancy.__wrapped__(g.b, g.table)
+        assert res == disc_oracle.skipping_discrepancy(g.b, g.table)
+        assert res == disc_oracle.unpacking_discrepancy(g.b, g.table)
+    assert discrepancy(lowest).argmax == Rectangle(even, even)
+
+    # a side-8 scan (2 steps) runs no search
+    def never(b, table):
+        raise AssertionError(f"floor searched at b={b}")
+
+    monkeypatch.setattr(gadgets, "_response_floor", never)
+    for g in (random_gadget(3, 0), gadgets._ip_gadget(3), IP2):
         assert gadgets._discrepancy.__wrapped__(g.b, g.table) == \
-            disc_oracle.sign_mask_discrepancy(g.b, g.table), g
+            disc_oracle.skipping_discrepancy(g.b, g.table)
 
 
 def step_profile(g):

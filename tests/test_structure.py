@@ -22,7 +22,7 @@ from scan_oracles import (
     oracle_subsets,
 )
 
-from liftsim import simulate
+from liftsim import simulate, structure
 from liftsim.dist import DistributionTable, project
 from liftsim.dtrees import brute_force_Ddt, parity_problem
 from liftsim.errors import BudgetError, DomainError
@@ -796,6 +796,30 @@ def test_product_form_matches_the_table_walk():
                         seen[kind, why if form else dangerous] += 1
     # each kind of Y, each verdict on it and each half of the closed form is exercised
     assert len(seen) == 5 and min(seen.values()) >= 100, seen
+
+
+def test_worst_marginal_of_a_product_is_its_heaviest_singleton():
+    # A product table's worst marginal is read off its coordinate marginals
+    # (structure._product_marginals) as the heaviest singleton; the
+    # enumeration of every coordinate set is the oracle.  Seeded product
+    # tables (equal weights or not) and non-product ones: weighted, with
+    # zero weights, and equal weights on a support that is no product set.
+    rng = random.Random(29)
+    seen = Counter()
+    for g in (builtin_gadget("xor1"), builtin_gadget("ip2"), builtin_gadget("rand:3:4")):
+        for k in (1, 2, 3) if g.side < 8 else (1, 2):
+            universe = list(product(range(g.side), repeat=k))
+            tables = [_product_table(rng, g, k, uniform) for uniform in (True, False, False)]
+            tables += [_weighted_table(rng, universe), _zero_weight_table(rng, universe),
+                       DistributionTable.uniform(rng.sample(universe, len(universe) // 2 + 1))]
+            for y in tables:
+                rows = [(t, w) for t, w in y.weights.items() if w]
+                is_product = structure._product_marginals(k, rows, y.total) is not None
+                assert is_product == _is_product(y), (g, k, y)
+                assert structure._worst_marginal(y) == _oracle_worst_marginal(y, k), (g, k, y)
+                seen[is_product, len({w for _, w in rows}) == 1] += 1
+    # products with equal and with unequal weights, and non-products of both
+    assert len(seen) == 4 and min(seen.values()) >= 3, seen
 
 
 # -- oracle sweep: skewing and biasing against the brute-force oracles --------

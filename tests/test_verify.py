@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import liftsim.gadgets as gadgets
 import liftsim.protocols as protocols
 import liftsim.simulate as simulate
 import liftsim.verify as verify
@@ -255,9 +256,23 @@ def test_xor_lemma_side_refused_when_parsed():
             CorpusSpec.from_json(text)
         assert (err.value.what, err.value.size, err.value.limit) == (
             f"corpus spec xor_lemma side of {job}", f"2^{bits}", 16)
+        assert str(err.value) == f"corpus spec xor_lemma side of {job}: size 2^{bits} " \
+            "exceeds budget 16"
     # at the budget itself the spec parses: sides 2^4
     for text in ('{"xor_lemma": {"gadgets": ["ip2"], "powers": [2], "extra": [["rand:4:1", 1]]}}',
                  '{"xor_lemma": {"powers": [4]}}'):
+        CorpusSpec.from_json(text)
+
+
+def test_xor_lemma_side_is_the_gadget_layer_rule(monkeypatch):
+    # the spec's side test is gadgets._check_xor_power, the one that
+    # `liftsim gadget analyze` and check_xor_lemma apply: a lower side limit
+    # there refuses a side-16 job that parses at RECT_SIDE_LIMIT = 16
+    text = '{"xor_lemma": {"gadgets": ["ip2"], "powers": [2], "extra": []}}'
+    CorpusSpec.from_json(text)
+    monkeypatch.setattr(gadgets, "RECT_SIDE_LIMIT", 8)
+    with pytest.raises(BudgetError, match=r"^corpus spec xor_lemma side of ip2 at m=2: "
+                                          r"size 2\^4 exceeds budget 8$"):
         CorpusSpec.from_json(text)
 
 
