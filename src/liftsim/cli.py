@@ -114,6 +114,7 @@ def _params_from_args(args, b: int, n: int):
 def cmd_lift(args) -> int:
     from .dist import DistributionTable, align_domains, statistical_distance
     from .protocols import RandomizedProtocol
+    from .records import dump_json
     from .simulate import (
         DENSITY_WITNESS_BITS,
         ERROR_K,
@@ -178,7 +179,7 @@ def cmd_lift(args) -> int:
         doc = res.to_obj()
         doc["params"] = dict(params.fields_obj(), tau=frac_str(params.tau),
                              trunc_scaled_by_b=True, density_witness_bits=DENSITY_WITNESS_BITS)
-        _write("trace", args.out, json.dumps(doc, sort_keys=True, indent=2))
+        _write("trace", args.out, dump_json(doc))
         print(f"trace written to {args.out}")
     return 0
 

@@ -11,12 +11,17 @@ assignment with an ``AttributeError``; its ``__init__`` sets its fields with
 
 The same list writes a record as JSON data: ``fields_obj`` maps each field's
 name to its value through ``json_data``, which renders each Fraction as its
-exact ``num/den`` string while the object is built.
+exact ``num/den`` string while the object is built.  ``dump_json`` writes such
+data as text, byte for byte as ``json.dumps(data, sort_keys=True, indent=2)``.
 """
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .exact import frac_str
+
+_WORDS = {None: "null", True: "true", False: "false"}
+_SCALARS = {str: _quote, int: int.__repr__}
 
 
 def json_data(value):
@@ -29,6 +34,40 @@ def json_data(value):
     if isinstance(value, Record):
         return value.to_obj()
     return value
+
+
+def dump_json(data) -> str:
+    """`data` as json.dumps(data, sort_keys=True, indent=2) writes it: JSON
+    data of dicts with str keys, lists, tuples, str, int, bool and None (a
+    TypeError for anything else, floats and other keys included).  A list
+    whose items are all str or all int is written by one join."""
+    return _dump(data, "\n")
+
+
+def _dump(value, newline: str) -> str:
+    """`value` written at the indent that `newline` (a newline and the
+    indent) ends in."""
+    cls = value.__class__
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is bool or value is None:
+        return _WORDS[value]
+    inner = newline + "  "
+    if cls is dict:
+        if not value:
+            return "{}"
+        items = (f"{_quote(k)}: {_dump(value[k], inner)}" for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(write, value) if write else (_dump(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 class Record:

@@ -24,7 +24,6 @@ trace instead of refusing.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -49,13 +48,14 @@ from .protocols import (
     run_protocol,
 )
 from .dtrees import DLeaf, DNode, ParallelDecisionTree, answer_index, z_bits
-from .records import Record
+from .records import Record, dump_json
 from .structure import (
     DangerScan,
     DensityPart,
     Restriction,
     _density_bracket,
     _density_parts,
+    _product_test,
     _worst_marginal,
     density_restoring_partition,
 )
@@ -210,7 +210,7 @@ class SimResult(Record):
                     final_rectangle={"x_size": len(self.xset), "y_size": len(self.yset)})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
+        return dump_json(self.to_obj())
 
 
 def compose_eval(g: Gadget, x: int, y: int, n: int) -> int:
@@ -247,11 +247,13 @@ class _EngineCache:
     engines refuse one built for another gadget or other (eps, delta, b, n).
     These methods are memoised per cache by lru_cache, so each one's
     cache_info() counts its hits, and each DangerScan memoises its own
-    per-value verdicts.  The memos reach the cache through a weak proxy, so
-    no reference cycle keeps a run's own cache alive after it:
+    per-(C, x_C) witnesses.  The memos reach the cache through a weak proxy,
+    so no reference cycle keeps a run's own cache alive after it:
 
       marginal(inputs, free):       the inputs' marginal on the free coordinates
       maxprob(inputs, free):        its maxprob
+      product(inputs, free):        its product test (`_product_test`), which
+                                    worst and the DangerScan both read
       worst(inputs, free):          its worst marginal, which decides its density
       partition(inputs, free):      its density-restoring partition
       context(side, silent, free):  the silent side's density witness and its
@@ -264,7 +266,7 @@ class _EngineCache:
         self.params = params
         self.key = _cache_key(g, params)
         memo, me = lru_cache(maxsize=None), proxy(self)
-        for name in ("marginal", "maxprob", "worst", "partition", "context"):
+        for name in ("marginal", "maxprob", "product", "worst", "partition", "context"):
             setattr(self, name, memo(getattr(_EngineCache, name).__get__(me)))
 
     def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
@@ -274,8 +276,11 @@ class _EngineCache:
     def maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
         return self.marginal(inputs, free).maxprob()
 
+    def product(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
+        return _product_test(self.marginal(inputs, free))
+
     def worst(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
-        return _worst_marginal(self.marginal(inputs, free))
+        return _worst_marginal(self.marginal(inputs, free), self.product(inputs, free))
 
     def dense(self, inputs: Tuple[int, ...], free: Tuple[int, ...], delta: Fraction) -> bool:
         """Whether the marginal is delta-dense: iff its worst one (p, s) is."""
@@ -292,7 +297,8 @@ class _EngineCache:
         p = self.params
         delta_w = _density_bracket(self.worst(silent, free), p.b, DENSITY_WITNESS_BITS)[0]
         return delta_w, DangerScan(self.marginal(silent, free), self.gadgets[side], delta_w,
-                                   p.eps, coord_limit=len(free))
+                                   p.eps, coord_limit=len(free),
+                                   marginals=self.product(silent, free))
 
 
 def _cache_key(g: Gadget, params: LiftingParams) -> tuple:
@@ -379,7 +385,7 @@ class _Engine:
         rec.delta_witness, scan = self.cache.context(side, silent, free)
         keys = _free_keys(self.params.n, self.params.b, free)
         vals = self.cache.marginal(spk_set, free).weights.keys()
-        bad = set(filter(scan.dangerous, vals))
+        bad = scan.dangerous_among(vals)
         kept = _select(spk_set, keys, vals - bad)
         rec.dangerous_values = tuple(sorted(bad))
         rec.discarded_mass = Fraction(len(spk_set) - len(kept), len(spk_set))

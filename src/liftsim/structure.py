@@ -10,16 +10,17 @@ The four dangerous-value scans (leaking, sparsifying, skewing, biasing) have
 one implementation, DangerScan: each is a function of (C, x_C) that reads
 Y's weights contracted with the gadget's output rows of x_C and returns its
 first witness on the set C; its one query, `witness`, walks the sets C in
-(size, lex) order.  What many x reuse is memoised per (C, x_C), and
-dangerous verdicts per x, so classifying many x against one Y shares their
-common work, and the per-value is_* functions read one scan each.  No scan
-is pruned.  When Y is the product of its coordinate marginals, as the whole
-universe a lift's first round scans is, the dangerous verdict has a closed
-form in per-coordinate weights (DangerScan._product_form), and no table is
-built for it.  A table holds, per output pattern on C, the rows of Y's
-support with that pattern as one row bitmask, split by AND and weighed by
-popcount.  A popcount reads all of Y's rows, not just the part's, so a walk
-slows as Y grows: the dangerous witnesses of 8 x over all 65,536 rows of
+(size, lex) order.  What many x reuse is memoised per (C, x_C), so
+classifying many x against one Y shares their common work, and the
+per-value is_* functions read one scan each.  No scan is pruned.  When Y is
+the product of its coordinate marginals, as the whole universe a lift's
+first round scans is, the dangerous verdict has a closed form in
+per-coordinate weights (DangerScan._product_form), no table is built for
+it, and `dangerous_among` reads a whole batch of x off it in one pass.  A
+table holds, per output pattern on C, the rows of Y's support with that
+pattern as one row bitmask, split by AND and weighed by popcount.  A
+popcount reads all of Y's rows, not just the part's, so a walk slows as Y
+grows: the dangerous witnesses of 8 x over all 65,536 rows of
 ip4 at k=4 take 2.0-2.7 s on a uniform Y and 4.1-4.6 s with weights in
 [1, 4] (2 CPUs, Python 3.11.7).  No lift walks a table that large, since the
 whole universe its first round scans is a product.  Density questions read
@@ -187,15 +188,27 @@ def _product_marginals(k: int, rows, total: int) -> Optional[List[dict]]:
     return margs
 
 
-def _worst_marginal(x: DistributionTable):
+_UNTESTED = object()  # no product test run yet (a product test gives a list or None)
+
+
+def _product_test(x: DistributionTable) -> Optional[List[dict]]:
+    """`_product_marginals` of table x: its coordinate marginals when x is
+    their product, else None."""
+    k, rows, _ = _marginal_counts(x)
+    return _product_marginals(k, rows, x.total)
+
+
+def _worst_marginal(x: DistributionTable, margs=_UNTESTED):
     """The (maxprob, |I|) pair minimizing log2(1/p)/(b|I|), compared exactly;
     the first such pair in subsets_by_size order, or None for k = 0.  On a
     product table the marginal on I has maxprob prod_{c in I} p_c, the p_c
     its singletons', whose log2(1/p)/|I| is their mean: no set beats the
-    heaviest singleton, so it alone is read."""
+    heaviest singleton, so it alone is read.  `margs` is x's product test
+    (`_product_test`) when the caller has run it."""
     k, rows, marginals = _marginal_counts(x)
     total, worst = x.total, None  # worst: (heaviest count, |I|)
-    margs = _product_marginals(k, rows, total)
+    if margs is _UNTESTED:
+        margs = _product_marginals(k, rows, total)
     if margs is not None:
         return Fraction(max(max(m.values()) for m in margs), total), 1
     for coords, _, counts in marginals:
@@ -461,19 +474,22 @@ class DangerScan:
     the odd-parity parts.  `witness`, the one query, walks the sets C in
     (size, lex) order to the first witness, so witnesses come in the order of
     the definitions: C, then patterns in product order, then J in (size, lex)
-    order, then y_J sorted; `dangerous` is its predicate, memoised per x, read
-    in closed form when Y is a product (`_product_form`).  The rows are
-    indexed (`index`) when a table is first read, so a scan that only answers
-    `dangerous` in closed form builds no mask.  What many x reuse is memoised
-    per scan by lru_cache: the index, the tables, the row groups of each J
-    (Y's marginals among them), the leaking, biasing and dangerous witnesses
-    (a sparsifying one is read only through the dangerous one), the dangerous
-    verdicts, the sparsifying test and the size bound.  Every memo reaches the
-    scan through a weak proxy, so none keeps it alive.
+    order, then y_J sorted; `dangerous` is its predicate, read in closed
+    form when Y is a product (`_product_form`), and `dangerous_among` the
+    set it flags among many x, the engines' query.  Whoever built Y may pass
+    its product test as `marginals` (`_product_test`), so that it is not run
+    again.  The rows are indexed (`index`) when a table is first read, so a
+    scan that only answers `dangerous` in closed form builds no mask.  What
+    many x reuse is memoised per scan by lru_cache: the index, the tables,
+    the row groups of each J (Y's marginals among them), the leaking,
+    biasing and dangerous witnesses (a sparsifying one is read only through
+    the dangerous one), the sparsifying test and the size bound.  Every memo
+    reaches the scan through a weak proxy, so none keeps it alive.
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
-                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
+                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT,
+                 marginals=_UNTESTED):
         self.k = k = _block_count(y, tuples=True)
         _guard(k, coord_limit, "leaking scan free coordinates")
         self.rows = rows = {t: w for t, w in y.weights.items() if w}
@@ -485,9 +501,10 @@ class DangerScan:
         self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), g.b
         self.level = (self.delta_y - self.eps) * g.b
         self.sets = list(subsets_by_size(k, nonempty=True))
+        self._marginals = marginals  # Y's product test, when whoever built Y ran it
         memo, me = lru_cache(maxsize=None), proxy(self)
         for name in ("index", "_table", "_groups", "_sparsifies", "_fits", "_sized",
-                     "_leaking", "_biasing", "_dangerous", "_flagged"):
+                     "_leaking", "_biasing", "_dangerous"):
             setattr(self, name, memo(getattr(type(self), name).__get__(me)))
 
     def index(self) -> None:
@@ -658,8 +675,9 @@ class DangerScan:
         1 <= |J| <= k-1 iff k >= 2 and maxw_j/T > 2^-level for a single j (a
         product of factors each at most 1 is at most 1).  Then `sparse`
         holds, for every x."""
-        k, total = self.k, self.total
-        margs = _product_marginals(k, self.rows.items(), total)
+        k, total, margs = self.k, self.total, self._marginals
+        if margs is _UNTESTED:
+            margs = _product_marginals(k, self.rows.items(), total)
         if margs is None:  # k = 0: no set to flag on
             return None
         light = []
@@ -669,17 +687,32 @@ class DangerScan:
         sparse = k >= 2 and any(self._sparsifies(max(m.values()), total, 1) for m in margs)
         return light, total ** k, sparse
 
-    def _flagged(self, x_val: Tuple[int, ...]) -> bool:
+    def dangerous(self, x_val: Tuple[int, ...]) -> bool:
+        """Leaking or sparsifying; the set the simulation discards.  Read in
+        closed form on a product Y, else off `witness`."""
+        if self._product_form is None:
+            return self.witness("dangerous", x_val) is not None
+        return x_val in self.dangerous_among((x_val,))
+
+    def dangerous_among(self, values) -> set:
+        """The dangerous values in the collection `values`.  The first value
+        that `dangerous` would refuse is refused with the same error.  On a
+        product Y every value is checked at once and the verdicts are read
+        off the closed form in one pass; otherwise each value is asked of
+        `dangerous`."""
         form = self._product_form
         if form is None:
-            return self.witness("dangerous", x_val) is not None
-        _check_x(x_val, self.k, self.side)
+            return set(filter(self.dangerous, values))
+        k, side = self.k, self.side
+        if set(map(len, values)) - {k} or values and not (
+                min(map(min, values)) >= 0 and max(map(max, values)) < side):
+            for x_val in values:  # the first bad value, with its first error
+                _check_x(x_val, k, side)
         light, bound, sparse = form
-        return sparse or prod(map(list.__getitem__, light, x_val)) << (self.k + 1) < bound
-
-    def dangerous(self, x_val: Tuple[int, ...]) -> bool:
-        """Leaking or sparsifying; the set the simulation discards (memoised per x)."""
-        return self._flagged(x_val)
+        if sparse:
+            return set(values)
+        shift = k + 1
+        return {x for x in values if prod(map(list.__getitem__, light, x)) << shift < bound}
 
 
 def _verdict(scan: str, x_val: Tuple[int, ...], y: DistributionTable, g: Gadget,
@@ -743,5 +776,5 @@ def dangerous_probability(x: DistributionTable, y: DistributionTable, g: Gadget,
                           delta_y: Fraction, eps: Fraction) -> Fraction:
     """Exact X-mass of dangerous values."""
     scan = DangerScan(y, g, delta_y, eps)
-    weight = sum(w for x_val, w in x.weights.items() if w and scan.dangerous(x_val))
-    return Fraction(weight, x.total)
+    bad = scan.dangerous_among([x_val for x_val, w in x.weights.items() if w])
+    return Fraction(sum(map(x.weights.__getitem__, bad)), x.total)

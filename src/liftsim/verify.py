@@ -57,7 +57,7 @@ from .gadgets import (
     sampling_check,
 )
 from .protocols import assert_prefix_free, canonical_protocol, complexity, kraft_heavy_pick
-from .records import Record
+from .records import Record, dump_json
 from .simulate import (
     ERROR_K,
     LiftingParams,
@@ -377,7 +377,7 @@ class CorpusReport(Record):
         return all(s.fails == 0 for s in self.sections)
 
     def to_json(self) -> str:
-        return json.dumps(dict(self.fields_obj(), ok=self.ok), sort_keys=True, indent=2)
+        return dump_json(dict(self.fields_obj(), ok=self.ok))
 
     def to_table(self) -> str:
         lines = [f"{'section':32} {'total':>7} {'pass':>7} {'vacuous':>8} {'FAIL':>6}  note"]

@@ -83,9 +83,12 @@ def test_lift_trace_digest_pinned(files, capsys, mode):
     code, _, _ = run_cli(["lift", "--protocol", str(files / "proto.json"),
                           "--gadget", "ip2", *args, "--out", str(out)], capsys)
     assert code == 0
-    params = json.loads(out.read_text())["params"]
+    doc = json.loads(out.read_text())
+    params = doc["params"]
     assert params["trunc_scaled_by_b"] is True and params["density_witness_bits"] == 12
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # the trace doc as json.dumps writes it (the doc holds no float, so it reads back exactly)
+    assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_lift_rand_enumerate(files, capsys):

@@ -1,4 +1,5 @@
-"""liftsim's records keep the semantics of the dataclasses they replaced.
+"""liftsim's records keep the semantics of the dataclasses they replaced,
+and records.dump_json writes JSON data as json.dumps does.
 
 Each record has a ``@dataclass`` twin here with the former fields, defaults,
 ``frozen`` flag and, for ``LiftingParams``, the former ``__post_init__``
@@ -8,6 +9,9 @@ equal to each other (equality holds within one class only).
 """
 
 import copy
+import json
+import random
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction as F
 from typing import Optional
@@ -16,7 +20,7 @@ import pytest
 
 from liftsim import dist, dtrees, gadgets, protocols, simulate, structure, verify
 from liftsim.exact import exact_log2
-from liftsim.records import Record
+from liftsim.records import Record, dump_json
 
 
 # -- the former dataclasses ------------------------------------------------------
@@ -407,3 +411,74 @@ def test_a_frozen_record_keeps_its_hash(monkeypatch):
     assert hash(root) == first and len(calls) <= len(nodes)
     monkeypatch.undo()
     assert first == hash(root._values())
+
+
+# -- dump_json against json.dumps ------------------------------------------------
+
+# characters json escapes (quote, backslash, controls, DEL is not one), ASCII
+# it keeps, and non-ASCII ones: accented, CJK, a line separator, an astral
+# emoji and a lone surrogate
+_CHARS = ['"', "\\", "\n", "\t", "\r", "\b", "\f", "\x00", "\x1f", "\x7f", "/", " ",
+          "a", "Z", "0", "\u00e9", "\u65e5", "\u2028", "\U0001f600", "\ud800"]
+_INTS = (0, 1, -1, 2 ** 63, -(2 ** 64) - 1, 10 ** 40, -(10 ** 40))
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(4)))
+
+
+def _random_scalar(rng, kinds):
+    kind = rng.choice(("str", "int", "bool", "none"))
+    kinds[kind] += 1
+    if kind == "str":
+        return _random_text(rng)
+    if kind == "int":
+        return rng.choice((rng.choice(_INTS), rng.randint(-10 ** 30, 10 ** 30)))
+    return {"bool": rng.random() < 0.5, "none": None}[kind]
+
+
+def _random_data(rng, depth, kinds):
+    """Seeded JSON data: dicts with str keys, lists and tuples nested to
+    `depth`, an empty container possible at every depth, and lists of one
+    scalar type (the writer's one-join path) or of bools next to ints."""
+    kind = "scalar" if depth == 0 else rng.choice(
+        ("scalar", "dict", "list", "tuple", "empty", "ints", "strs", "bools and ints"))
+    kinds[kind, depth] += 1
+    if kind == "scalar":
+        return _random_scalar(rng, kinds)
+    if kind == "empty":
+        return rng.choice(({}, [], ()))
+    if kind == "ints":
+        return [rng.choice(_INTS) for _ in range(rng.randint(1, 5))]
+    if kind == "strs":
+        return tuple(_random_text(rng) for _ in range(rng.randint(1, 5)))
+    if kind == "bools and ints":
+        return [rng.choice((True, False, 0, 1)) for _ in range(rng.randint(2, 6))]
+    items = [_random_data(rng, depth - 1, kinds) for _ in range(rng.randint(1, 4))]
+    if kind == "dict":
+        return {_random_text(rng): item for item in items}
+    return items if kind == "list" else tuple(items)
+
+
+def test_dump_json_matches_json_dumps_on_seeded_data():
+    rng = random.Random(30)
+    kinds = Counter()
+    for _ in range(400):
+        data = _random_data(rng, 4, kinds)
+        assert dump_json(data) == json.dumps(data, sort_keys=True, indent=2), data
+    # every container kind at every depth, and every scalar kind
+    assert min(kinds[kind, depth] for depth in range(1, 5) for kind in (
+        "scalar", "dict", "list", "tuple", "empty", "ints", "strs", "bools and ints")) >= 10
+    assert min(kinds[kind] for kind in ("str", "int", "bool", "none")) >= 50, kinds
+
+
+@pytest.mark.parametrize("data", [
+    1.5, [0, 0.5], {"a": {"b": float("nan")}}, (1, 2.0),
+    {1: "one"}, {"a": {None: 1}}, {"a": 1, 2: 3}, {True: 1},
+    F(1, 2), {"a", "b"}, b"bytes", [1, {(0,): 3}],
+], ids=repr)
+def test_dump_json_refuses_values_outside_its_types(data):
+    # a float or a key that is not a str is a TypeError, not text; json.dumps
+    # would write 1.5 and the key "1"
+    with pytest.raises(TypeError):
+        dump_json(data)

@@ -559,6 +559,17 @@ def _bits(text):
     return tuple(int(ch) for ch in text)
 
 
+def _two_rounds():
+    """(protocol, params): an ip2 n=2 protocol, found by a seeded search over
+    random two-round protocols, whose second round scans a marginal that is
+    no product; at z = 01 the values (1, 2) and (3, 3) are sparsifying there
+    but not leaking."""
+    p = ProtocolTree(2, 2, PNode("A", _bits("0100000111100101"), (
+        PNode("B", _bits("0110011100011000"), (PLeaf(1), PLeaf(0))),
+        PNode("B", _bits("0111001000101011"), (PLeaf(1), PLeaf(1))))))
+    return p, LiftingParams(eta=1, c=2, h=1, b=2, n=2, mode="det", eps=F(1, 4), delta=F(1, 4))
+
+
 def test_discard_step_matches_per_value_scans(monkeypatch):
     # Every value the engines classify gets the verdict of the brute-force
     # per-value oracles against the same silent marginal.  In round 2 of the ip2
@@ -568,25 +579,23 @@ def test_discard_step_matches_per_value_scans(monkeypatch):
     seen = Counter()
 
     class Checked(DangerScan):
-        def __init__(self, y, g, delta_y, eps, *, coord_limit):
-            super().__init__(y, g, delta_y, eps, coord_limit=coord_limit)
-            self.args = (y, g, delta_y, eps, coord_limit)
+        def __init__(self, y, g, delta_y, eps, **kw):
+            super().__init__(y, g, delta_y, eps, **kw)
+            self.args = (y, g, delta_y, eps, kw["coord_limit"])
 
-        def dangerous(self, x_val):
-            got = super().dangerous(x_val)
+        def dangerous_among(self, values):
+            got = super().dangerous_among(values)
+            assert got <= set(values)
             y, g, delta_y, eps, limit = self.args
-            leak = oracle_is_leaking(x_val, y, g, limit).flagged
-            spars = oracle_is_sparsifying(x_val, y, g, delta_y, eps, g.b, limit).flagged
-            assert got == (leak or spars), x_val
-            seen["leaking" if leak else "sparsifying only" if got else "safe"] += 1
+            for x_val in values:
+                leak = oracle_is_leaking(x_val, y, g, limit).flagged
+                spars = oracle_is_sparsifying(x_val, y, g, delta_y, eps, g.b, limit).flagged
+                assert (x_val in got) == (leak or spars), x_val
+                seen["leaking" if leak else "sparsifying only" if spars else "safe"] += 1
             return got
 
     monkeypatch.setattr(simulate, "DangerScan", Checked)
-    p = ProtocolTree(2, 2, PNode("A", _bits("0100000111100101"), (
-        PNode("B", _bits("0110011100011000"), (PLeaf(1), PLeaf(0))),
-        PNode("B", _bits("0111001000101011"), (PLeaf(1), PLeaf(1))))))
-    params = LiftingParams(eta=1, c=2, h=1, b=2, n=2, mode="det",
-                           eps=F(1, 4), delta=F(1, 4))
+    p, params = _two_rounds()
     res = lift_deterministic(p, IP2, 0b01, params)
     assert res.status == "done"
     assert {(1, 2), (3, 3)} <= set(res.rounds[1].dangerous_values)
@@ -661,7 +670,8 @@ def test_deterministic_runs_leave_no_reference_cycles():
     # The engine cache's memos and a danger scan's memos hold their owner
     # through a weak proxy, so everything a run builds, its own cache
     # included, is freed when the run returns rather than at the next cyclic
-    # collection.  A shared cache still answers after the run that built it.
+    # collection.  A shared cache still answers after the run that built it,
+    # and its first-round scan keeps the closed form the runs read.
     proto = canonical_instance(parity_problem(3), IP2)
     params = det_params(2, 3)
     shared = simulate._EngineCache(IP2, params)
@@ -676,9 +686,13 @@ def test_deterministic_runs_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
-    assert shared.context.cache_info().hits > 0
+    assert shared.context.cache_info().hits > 0 and shared.product.cache_info().hits > 0
     inputs, free = tuple(range(64)), (0, 1, 2)
-    assert shared.context(0, inputs, free)[1]._flagged.cache_info().hits > 0
+    scan = shared.context(0, inputs, free)[1]
+    assert vars(scan)["_product_form"] is not None
+    values = shared.marginal(inputs, free).domain
+    assert scan.dangerous_among(values) == {
+        x for x in values if scan.witness("dangerous", x) is not None}
     assert shared.maxprob(inputs, free) == shared.marginal(inputs, free).maxprob()
 
 
@@ -687,8 +701,8 @@ def test_randomized_runs_leave_no_reference_cycles():
     # a sampled run or an enumeration frees what it builds when it returns.
     # A recursive walk generator that referred to itself through its closure
     # left 48 objects in cycles over the four sampled runs below and 32 over
-    # the four enumerations.  The scans of a shared cache memoise their
-    # per-value verdicts across runs.
+    # the four enumerations.  The scans of a shared cache keep their closed
+    # form across runs, and still answer after them.
     proto = canonical_instance(parity_problem(2), IP2)
     params = rand_params(2, 2)
     shared = simulate._EngineCache(IP2, params)
@@ -709,8 +723,13 @@ def test_randomized_runs_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+    hits = shared.context.cache_info().hits
     scan = shared.context(0, tuple(range(16)), (0, 1))[1]
-    assert scan._flagged.cache_info().hits > 0
+    assert shared.context.cache_info().hits == hits + 1
+    assert vars(scan)["_product_form"] is not None
+    values = list(product(range(4), repeat=2))
+    assert scan.dangerous_among(values) == {
+        x for x in values if scan.witness("dangerous", x) is not None}
 
 
 def test_engine_cache_entries_match_direct_computation():
@@ -797,7 +816,7 @@ def test_randomized_engines_pinned():
 
     def record(res, params):
         statuses[res.status] += 1
-        lines.extend((res.to_json(), repr((res.xset, res.yset, res.component)),
+        lines.extend((_checked_json(res), repr((res.xset, res.yset, res.component)),
                       repr(ledger_assertions(res, params))))
 
     def enumerated(dist):
@@ -865,9 +884,28 @@ def _det_traces_digest(g, n):
     params = det_params(g.b, n)
     proto = canonical_instance(parity_problem(n), g)
     cache = simulate._EngineCache(g, params)
-    traces = [lift_deterministic(proto, g, z, params, cache=cache).to_json()
+    traces = [_checked_json(lift_deterministic(proto, g, z, params, cache=cache))
               for z in range(1 << n)]
     return hashlib.sha256("\n".join(traces).encode()).hexdigest(), cache
+
+
+def _checked_json(res):
+    """res.to_json(), checked byte for byte against json.dumps of its trace."""
+    text = res.to_json()
+    assert text == json.dumps(res.to_obj(), sort_keys=True, indent=2)
+    return text
+
+
+@pytest.mark.parametrize("name, n", [("ip2", 2), ("ip3", 3)])
+def test_trace_writer_matches_json_dumps(name, n):
+    # the traces of the ip2 n=2 and ip3 n=3 parity lifts, deterministic for
+    # every z and sampled for two seeds, as json.dumps writes them
+    g = builtin_gadget(name) if name == "ip2" else gadgets._ip_gadget(3)
+    proto = canonical_instance(parity_problem(n), g)
+    for z in range(1 << n):
+        _checked_json(lift_deterministic(proto, g, z, det_params(g.b, n)))
+        for seed in (0, 1):
+            _checked_json(lift_randomized(proto, g, z, rand_params(g.b, n), seed=seed))
 
 
 IP2_DET_TRACES_PINS = {
@@ -920,7 +958,7 @@ def test_ip4_n4_deterministic_trace_pinned():
     res = lift_deterministic(canonical_instance(parity_problem(4), g), g, 0, params, cache=cache)
     scan = cache.context(0, tuple(range(1 << 16)), (0, 1, 2, 3))[1]
     assert scan._product_form is not None and scan.index.cache_info().misses == 0
-    assert hashlib.sha256(res.to_json().encode()).hexdigest() == IP4_N4_DET_TRACE_PIN
+    assert hashlib.sha256(_checked_json(res).encode()).hexdigest() == IP4_N4_DET_TRACE_PIN
 
 
 def _round_starts(node, speaker=None):
@@ -1050,6 +1088,32 @@ def test_density_is_read_off_one_worst_marginal_per_side(monkeypatch):
     assert (calls["is_dense"], calls["max_density"]) == (0, 0)
     asked = cache.worst.cache_info()
     assert calls["_worst_marginal"] == asked.currsize > 0 and asked.hits > 0
+
+
+def test_product_test_runs_once_per_marginal(monkeypatch):
+    # The engine cache runs the product test once per (inputs, free) it
+    # asks about: the worst marginal and the danger scan built on that
+    # marginal read the one result, whether the marginal is a product (the
+    # whole universe of round one, read in closed form) or not.
+    results = Counter()
+
+    def counted(k, rows, total, _test=structure._product_marginals):
+        margs = _test(k, rows, total)
+        results[margs is not None] += 1
+        return margs
+
+    monkeypatch.setattr(structure, "_product_marginals", counted)
+    asked = 0
+    for proto, params in (_two_rounds(),
+                          (canonical_instance(parity_problem(3), IP2), det_params(2, 3))):
+        cache = simulate._EngineCache(IP2, params)
+        for z in range(1 << proto.n):
+            assert lift_deterministic(proto, IP2, z, params, cache=cache).status == "done"
+        info = cache.product.cache_info()
+        assert info.hits >= cache.context.cache_info().currsize > 0
+        asked += info.currsize
+    assert sum(results.values()) == asked
+    assert results[True] > 0 and results[False] > 0, results
 
 
 def test_every_lifting_core_memo_is_reused(monkeypatch):

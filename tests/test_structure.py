@@ -798,6 +798,65 @@ def test_product_form_matches_the_table_walk():
     assert len(seen) == 5 and min(seen.values()) >= 100, seen
 
 
+def test_batch_verdicts_match_the_per_value_ones():
+    # DangerScan.dangerous_among returns exactly the values that `dangerous`
+    # flags, asked one at a time of a fresh scan, and the brute-force
+    # oracles agree: on product Ys, where the closed form is read once for
+    # the batch, and on non-product ones, where each value is asked of
+    # `dangerous`.  dangerous_probability weighs the same set.
+    rng = random.Random(30)
+    seen = Counter()
+    for g in [builtin_gadget(name) for name in ("xor1", "and1", "ip2", "rand:2:5")]:
+        for k in (1, 2, 3):
+            universe = list(product(range(g.side), repeat=k))
+            tables = [_product_table(rng, g, k, uniform) for uniform in (True, False)]
+            tables += [_weighted_table(rng, universe), _zero_weight_table(rng, universe)]
+            if k > 1:  # all but one block tuple: close to uniform, and no product
+                tables.append(DistributionTable.uniform(universe[1:]))
+            for y in tables:
+                values = universe if len(universe) <= 8 else rng.sample(universe, 8)
+                values += values[:2]  # a value asked twice is one member
+                x = _weighted_table(rng, universe)
+                for delta_y, eps in _LEVELS[::3]:
+                    scan = DangerScan(y, g, delta_y, eps)
+                    got = scan.dangerous_among(values)
+                    fresh = DangerScan(y, g, delta_y, eps)
+                    assert got == {v for v in values if fresh.dangerous(v)}, (g, y, values)
+                    assert got == {v for v in values if oracle_is_leaking(v, y, g).flagged
+                                   or oracle_is_sparsifying(v, y, g, delta_y, eps, g.b).flagged}
+                    bad = [v for v, w in x.weights.items() if w and fresh.dangerous(v)]
+                    assert dangerous_probability(x, y, g, delta_y, eps) == \
+                        F(sum(map(x.weights.__getitem__, bad)), x.total)
+                    seen[scan._product_form is not None,
+                         "none" if not got else "all" if got == set(values) else "some"] += 1
+    # product and non-product Ys, each with batches flagged in full and in
+    # part, and on a product Y batches with nothing flagged (every sampled
+    # batch on a non-product Y here holds a dangerous value)
+    assert set(seen) == {(True, "all"), (True, "some"), (True, "none"),
+                         (False, "all"), (False, "some")}, seen
+    assert min(seen.values()) >= 5, seen
+
+
+def test_batch_verdicts_refuse_a_bad_value_as_dangerous_does():
+    # a wrong-length or out-of-range value in a batch is refused with the
+    # error `dangerous` gives it, and the first bad value in the batch is
+    # the one refused, on a product Y and on a non-product one
+    product_y = DistributionTable.uniform(list(product(range(4), repeat=2)))
+    other_y = DistributionTable.uniform([(0, 0), (1, 1), (2, 3), (3, 2), (0, 1)])
+    for y in (product_y, other_y):
+        scan = DangerScan(y, IP2, F(1), F(1, 4))
+        assert (scan._product_form is None) == (y is other_y)
+        good = [(0, 0), (3, 3)]
+        for bad in ((4, 0), (0, -1), (1,), (1, 1, 1), ()):
+            with pytest.raises(DomainError) as want:
+                scan.dangerous(bad)
+            for values in ([bad], good + [bad], good + [bad, (0, 5)], good + [bad, (2,)]):
+                with pytest.raises(DomainError) as got:
+                    scan.dangerous_among(values)
+                assert str(got.value) == str(want.value), (y, values)
+        assert scan.dangerous_among([]) == set()
+
+
 def test_worst_marginal_of_a_product_is_its_heaviest_singleton():
     # A product table's worst marginal is read off its coordinate marginals
     # (structure._product_marginals) as the heaviest singleton; the

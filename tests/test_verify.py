@@ -290,6 +290,13 @@ def test_spec_gadget_names_resolved_when_parsed():
         "gadget": "rand:5:1"}
 
 
+def _checked_json(report):
+    """report.to_json(), checked byte for byte against json.dumps of its data."""
+    text = report.to_json()
+    assert text == json.dumps(dict(report.fields_obj(), ok=report.ok), sort_keys=True, indent=2)
+    return text
+
+
 # The scale-10 default corpus report at seed 2024, pinned byte for byte (the
 # same digest and FAIL count as the verify_corpus entry of
 # perfbench/golden.json).  A refactor that changes any verdict, measured value
@@ -304,7 +311,7 @@ def test_default_corpus_report_digest_pinned():
     spec = default_corpus_spec(scale=10)
     spec.seed = 2024
     report = run_corpus(spec)
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == SCALE10_REPORT_SHA256
+    assert hashlib.sha256(_checked_json(report).encode()).hexdigest() == SCALE10_REPORT_SHA256
     fails = {s.name: s.fails for s in report.sections if s.fails}
     assert fails == {"claim_biasing_condition": SCALE10_BIASING_FAILS}
 
@@ -320,7 +327,7 @@ def test_full_default_corpus_report_digest_pinned():
     import hashlib
 
     report = run_corpus(default_corpus_spec())
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == FULL_REPORT_SHA256
+    assert hashlib.sha256(_checked_json(report).encode()).hexdigest() == FULL_REPORT_SHA256
     fails = {s.name: s.fails for s in report.sections if s.fails}
     assert fails == {"claim_biasing_condition": FULL_BIASING_FAILS}
 
