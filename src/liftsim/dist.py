@@ -93,7 +93,8 @@ class DistributionTable:
     the same probabilities, whatever their totals.
     """
 
-    __slots__ = ("domain", "weights", "total")
+    # product_test: structure._product_test's result, kept once it is run
+    __slots__ = ("domain", "weights", "total", "product_test")
 
     def __init__(self, masses: Mapping):
         """From exact rational masses summing to 1 (ints, Fractions, or

@@ -17,7 +17,7 @@ from .dist import DistributionTable, _table, check_mixture_weights
 from .dtrees import DLeaf, DNode, ParallelDecisionTree
 from .errors import DomainError, FormatError, InvariantError, json_int, malformed
 from .gadgets import Gadget, block_table
-from .records import Record
+from .records import Record, dump_json
 
 __all__ = [
     "PLeaf",
@@ -244,9 +244,20 @@ def protocol_to_json(p: ProtocolTree) -> str:
     return json.dumps(_protocol_to_obj(p), sort_keys=True)
 
 
+def _leaf_from_obj(output) -> PLeaf:
+    """A leaf whose output a run trace can carry: JSON data that
+    records.dump_json writes, so no float at any depth (a FormatError)."""
+    try:
+        dump_json(output)
+    except TypeError:
+        raise FormatError("leaf output must be a string, an integer, true, false, null, "
+                          f"or a list or object of these, got {output!r}") from None
+    return PLeaf(output)
+
+
 def _node_from_obj(obj, size: int):
     if "leaf" in obj:
-        return PLeaf(obj["leaf"])
+        return _leaf_from_obj(obj["leaf"])
     speaker = obj["speaker"]
     if speaker not in ("A", "B"):
         raise FormatError(f"speaker must be 'A' or 'B', got {speaker!r}")

@@ -55,7 +55,6 @@ from .structure import (
     Restriction,
     _density_bracket,
     _density_parts,
-    _product_test,
     _worst_marginal,
     density_restoring_partition,
 )
@@ -252,8 +251,6 @@ class _EngineCache:
 
       marginal(inputs, free):       the inputs' marginal on the free coordinates
       maxprob(inputs, free):        its maxprob
-      product(inputs, free):        its product test (`_product_test`), which
-                                    worst and the DangerScan both read
       worst(inputs, free):          its worst marginal, which decides its density
       partition(inputs, free):      its density-restoring partition
       context(side, silent, free):  the silent side's density witness and its
@@ -266,7 +263,7 @@ class _EngineCache:
         self.params = params
         self.key = _cache_key(g, params)
         memo, me = lru_cache(maxsize=None), proxy(self)
-        for name in ("marginal", "maxprob", "product", "worst", "partition", "context"):
+        for name in ("marginal", "maxprob", "worst", "partition", "context"):
             setattr(self, name, memo(getattr(_EngineCache, name).__get__(me)))
 
     def marginal(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> DistributionTable:
@@ -276,11 +273,8 @@ class _EngineCache:
     def maxprob(self, inputs: Tuple[int, ...], free: Tuple[int, ...]) -> Fraction:
         return self.marginal(inputs, free).maxprob()
 
-    def product(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
-        return _product_test(self.marginal(inputs, free))
-
     def worst(self, inputs: Tuple[int, ...], free: Tuple[int, ...]):
-        return _worst_marginal(self.marginal(inputs, free), self.product(inputs, free))
+        return _worst_marginal(self.marginal(inputs, free))
 
     def dense(self, inputs: Tuple[int, ...], free: Tuple[int, ...], delta: Fraction) -> bool:
         """Whether the marginal is delta-dense: iff its worst one (p, s) is."""
@@ -297,8 +291,7 @@ class _EngineCache:
         p = self.params
         delta_w = _density_bracket(self.worst(silent, free), p.b, DENSITY_WITNESS_BITS)[0]
         return delta_w, DangerScan(self.marginal(silent, free), self.gadgets[side], delta_w,
-                                   p.eps, coord_limit=len(free),
-                                   marginals=self.product(silent, free))
+                                   p.eps, coord_limit=len(free))
 
 
 def _cache_key(g: Gadget, params: LiftingParams) -> tuple:

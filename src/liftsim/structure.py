@@ -188,30 +188,29 @@ def _product_marginals(k: int, rows, total: int) -> Optional[List[dict]]:
     return margs
 
 
-_UNTESTED = object()  # no product test run yet (a product test gives a list or None)
-
-
 def _product_test(x: DistributionTable) -> Optional[List[dict]]:
     """`_product_marginals` of table x: its coordinate marginals when x is
-    their product, else None."""
-    k, rows, _ = _marginal_counts(x)
-    return _product_marginals(k, rows, x.total)
+    their product, else None.  Run once per table and kept on it (its
+    `product_test` slot), so every reader of one table shares the one run."""
+    try:
+        return x.product_test
+    except AttributeError:
+        k, rows, _ = _marginal_counts(x)
+        x.product_test = margs = _product_marginals(k, rows, x.total)
+        return margs
 
 
-def _worst_marginal(x: DistributionTable, margs=_UNTESTED):
+def _worst_marginal(x: DistributionTable):
     """The (maxprob, |I|) pair minimizing log2(1/p)/(b|I|), compared exactly;
     the first such pair in subsets_by_size order, or None for k = 0.  On a
     product table the marginal on I has maxprob prod_{c in I} p_c, the p_c
     its singletons', whose log2(1/p)/|I| is their mean: no set beats the
-    heaviest singleton, so it alone is read.  `margs` is x's product test
-    (`_product_test`) when the caller has run it."""
-    k, rows, marginals = _marginal_counts(x)
+    heaviest singleton, so it alone is read, off x's product test."""
     total, worst = x.total, None  # worst: (heaviest count, |I|)
-    if margs is _UNTESTED:
-        margs = _product_marginals(k, rows, total)
+    margs = _product_test(x)
     if margs is not None:
         return Fraction(max(max(m.values()) for m in margs), total), 1
-    for coords, _, counts in marginals:
+    for coords, _, counts in _marginal_counts(x)[2]:
         h, s = max(counts.values()), len(coords)
         # p = h/total: p^ws > wp^s  <=>  log(1/p)/s < log(1/wp)/ws
         if worst is None or h ** worst[1] * total ** s > worst[0] ** s * total ** worst[1]:
@@ -476,20 +475,20 @@ class DangerScan:
     the definitions: C, then patterns in product order, then J in (size, lex)
     order, then y_J sorted; `dangerous` is its predicate, read in closed
     form when Y is a product (`_product_form`), and `dangerous_among` the
-    set it flags among many x, the engines' query.  Whoever built Y may pass
-    its product test as `marginals` (`_product_test`), so that it is not run
-    again.  The rows are indexed (`index`) when a table is first read, so a
-    scan that only answers `dangerous` in closed form builds no mask.  What
-    many x reuse is memoised per scan by lru_cache: the index, the tables,
-    the row groups of each J (Y's marginals among them), the leaking,
-    biasing and dangerous witnesses (a sparsifying one is read only through
-    the dangerous one), the sparsifying test and the size bound.  Every memo
-    reaches the scan through a weak proxy, so none keeps it alive.
+    set it flags among many x, the engines' query; it reads Y's product test
+    (`_product_test`), run once and kept on Y.  The rows are indexed
+    (`index`) when a table is first read, so a scan that only answers
+    `dangerous` in closed form builds no mask.  What many x reuse is
+    memoised per scan by lru_cache: the index, the tables, the row groups of
+    each J (Y's marginals among them), the leaking, biasing and dangerous
+    witnesses (a sparsifying one is read only through the dangerous one),
+    the sparsifying test and the size bound.  Every memo reaches the scan
+    through a weak proxy, so none keeps it alive.
     """
 
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
-                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT,
-                 marginals=_UNTESTED):
+                 eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
+        self.y = y
         self.k = k = _block_count(y, tuples=True)
         _guard(k, coord_limit, "leaking scan free coordinates")
         self.rows = rows = {t: w for t, w in y.weights.items() if w}
@@ -501,7 +500,6 @@ class DangerScan:
         self.delta_y, self.eps, self.b = Fraction(delta_y), Fraction(eps), g.b
         self.level = (self.delta_y - self.eps) * g.b
         self.sets = list(subsets_by_size(k, nonempty=True))
-        self._marginals = marginals  # Y's product test, when whoever built Y ran it
         memo, me = lru_cache(maxsize=None), proxy(self)
         for name in ("index", "_table", "_groups", "_sparsifies", "_fits", "_sized",
                      "_leaking", "_biasing", "_dangerous"):
@@ -675,9 +673,7 @@ class DangerScan:
         1 <= |J| <= k-1 iff k >= 2 and maxw_j/T > 2^-level for a single j (a
         product of factors each at most 1 is at most 1).  Then `sparse`
         holds, for every x."""
-        k, total, margs = self.k, self.total, self._marginals
-        if margs is _UNTESTED:
-            margs = _product_marginals(k, self.rows.items(), total)
+        k, total, margs = self.k, self.total, _product_test(self.y)
         if margs is None:  # k = 0: no set to flag on
             return None
         light = []

@@ -158,6 +158,38 @@ def test_lift_protocol_with_a_leaf_named_components(files, capsys):
     assert "status: done" in out and "sampled component" not in out
 
 
+# A leaf output is carried into the run trace, whose writer takes no float:
+# a protocol with one anywhere in a leaf is refused when it is loaded.
+FLOAT_LEAVES = ("0.5", '{"v": 1.5}', "[1, 2.0]", "1e400", "NaN")
+
+
+@pytest.mark.parametrize("leaf", FLOAT_LEAVES)
+def test_lift_refuses_a_float_leaf_output(files, capsys, leaf):
+    tree = '{"speaker": "A", "bit_map": [0, 1, 0, 1], "children": [{"leaf": 0}, {"leaf": %s}]}'
+    path = files / "float_leaf.json"
+    path.write_text('{"n": 1, "b": 2, "tree": %s}' % (tree % leaf))
+    out_path = files / "float_leaf_trace.json"
+    code, out, err = run_cli(["lift", "--protocol", str(path), "--gadget", "ip2", "--z", "1",
+                              "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: leaf output must be a string, an integer, true, false, null")
+    assert not out_path.exists()
+
+
+def test_lift_trace_carries_a_nested_leaf_output(files, capsys):
+    output = {"v": [1, "a", None, True], "w": {}}
+    path = files / "nested_leaf.json"
+    path.write_text(json.dumps({"n": 1, "b": 2, "tree": {
+        "speaker": "A", "bit_map": [0, 1, 0, 1], "children": [{"leaf": output}, {"leaf": output}]}}))
+    out_path = files / "nested_leaf_trace.json"
+    code, _, err = run_cli(["lift", "--protocol", str(path), "--gadget", "ip2", "--z", "0",
+                            "--out", str(out_path)], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out_path.read_text())
+    assert doc["output"] == output
+    assert out_path.read_text() == json.dumps(doc, sort_keys=True, indent=2)
+
+
 def _nested_protocol(depth):
     """A protocol file nested `depth` nodes deep (n = b = 1), written as text."""
     node = '{"speaker": "A", "bit_map": [0, 0], "children": ['
@@ -351,11 +383,13 @@ LOADER_INPUTS = {
     "protocol_from_json": (protocol_from_json, (
         "{}", "not json", '{"n": 1, "b": 1, "tree": {"speaker": "A"}}',
         '{"n": 1, "b": 1, "tree": {"speaker": "C"}}',
-        '{"n": 1180591620717411303424, "b": 1, "tree": {"leaf": 0}}', _nested_protocol(900))),
+        '{"n": 1180591620717411303424, "b": 1, "tree": {"leaf": 0}}', _nested_protocol(900),
+        '{"n": 1, "b": 1, "tree": {"leaf": 0.5}}')),
     "randomized_protocol_from_json": (randomized_protocol_from_json, (
         "{}", "not json", '{"components": [{"weight": "x"}]}',
         '{"components": [{"weight": "1", "protocol": {}}]}',
-        '{"components": [{"weight": "1", "protocol": ' + _nested_protocol(900) + '}]}')),
+        '{"components": [{"weight": "1", "protocol": ' + _nested_protocol(900) + '}]}',
+        '{"components": [{"weight": "1", "protocol": {"n": 1, "b": 1, "tree": {"leaf": [0.5]}}}]}')),
     "CorpusSpec.from_json": (CorpusSpec.from_json, (
         "not json", "[]", '{"fourier": {"cnt": 5}}')),
     "gadget_from_json": (gadget_from_json, (
