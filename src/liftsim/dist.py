@@ -18,11 +18,12 @@ throughout the library:
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import DomainError, NullEventError
 from .exact import _rational, cmp_pow2
@@ -148,10 +149,10 @@ class DistributionTable:
         return cls.from_weights(weights)
 
     @property
-    def mass(self) -> dict:
-        """element -> probability as a Fraction; a new dict on every read."""
-        total = self.total
-        return {x: Fraction(w, total) for x, w in self.weights.items()}
+    def mass(self) -> "_Mass":
+        """element -> probability, a read-only view that builds the Fraction
+        of an element when it is read."""
+        return _Mass(self.weights, self.total)
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -187,6 +188,29 @@ class DistributionTable:
         if total == 0:
             raise NullEventError("conditioning on null event")
         return _table(kept, total)
+
+
+class _Mass(Mapping):
+    """A table's probabilities as a read-only Mapping over its weights, in
+    domain order; equal to any Mapping with the same items, and written as
+    the dict of them is."""
+
+    __slots__ = ("_weights", "_total")
+
+    def __init__(self, weights: dict, total: int):
+        self._weights, self._total = weights, total
+
+    def __getitem__(self, x) -> Fraction:
+        return Fraction(self._weights[x], self._total)
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def _places(places: Tuple[int, ...]):

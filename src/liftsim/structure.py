@@ -489,11 +489,16 @@ class DangerScan:
     def __init__(self, y: DistributionTable, g: Gadget, delta_y: Fraction,
                  eps: Fraction, *, coord_limit: int = SCAN_COORD_LIMIT):
         self.y = y
-        self.k = k = _block_count(y, tuples=True)
-        _guard(k, coord_limit, "leaking scan free coordinates")
-        self.rows = rows = {t: w for t, w in y.weights.items() if w}
         self.side = side = g.side
-        if any(not 0 <= v < side for t in rows for v in t):
+        margs = getattr(y, "product_test", None)
+        if margs is None:
+            self.k = k = _block_count(y, tuples=True)
+            values = (v for t in self.rows for v in t)
+        else:  # a kept product test: its marginals, of the same rows, hold k and the values
+            self.k = k = len(margs)
+            values = (v for m in margs for (v,) in m)
+        _guard(k, coord_limit, "leaking scan free coordinates")
+        if any(not 0 <= v < side for v in values):
             raise DomainError(f"inputs must lie in [0, {side})")
         self.total = y.total
         self.outputs = [g.table[v * side:(v + 1) * side] for v in range(side)]
@@ -504,6 +509,11 @@ class DangerScan:
         for name in ("index", "_table", "_groups", "_sparsifies", "_fits", "_sized",
                      "_leaking", "_biasing", "_dangerous"):
             setattr(self, name, memo(getattr(type(self), name).__get__(me)))
+
+    @cached_property
+    def rows(self) -> dict:
+        """Y's nonzero rows, {t: weight} in domain order."""
+        return {t: w for t, w in self.y.weights.items() if w}
 
     def index(self) -> None:
         """Build all the rows (`_all`), the rows whose output is 1 under each x

@@ -16,7 +16,10 @@ across runs.
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -530,29 +533,126 @@ def default_corpus_spec(scale: int = 1) -> CorpusSpec:
     )
 
 
+# The corpus's sections, each a job from the spec to its reports.  Every
+# section draws from its own random.Random(f"{seed}/<section>"), so any
+# process can run any of them, and the report lists them in CorpusSpec._fields
+# order whoever ran them.  run_corpus deals the jobs out round-robin in this
+# order, chosen by timing on 2 CPUs: the two shares of the scale-10 corpus
+# took about the same CPU time, and the full corpus's Kraft sweep (about 80%
+# of that run) shares its process with the lighter half of the other sections.
+_SECTION_JOBS: Dict[str, Callable[[CorpusSpec], List[SectionReport]]] = {
+    "lifting": lambda spec: _section_lifting(spec.seed, **spec.lifting),
+    "claims": lambda spec: _section_claims(spec.seed, **spec.claims),
+    "kraft": lambda spec: [_section_kraft(spec.seed, **spec.kraft)],
+    "extractor_sampling": lambda spec: _section_extractor_sampling(
+        spec.seed, **spec.extractor_sampling),
+    "structure_lemmas": lambda spec: [_section_structure_lemmas(
+        spec.seed, **spec.structure_lemmas)],
+    "fourier": lambda spec: [_section_fourier(spec.seed, **spec.fourier)],
+    "vazirani": lambda spec: [_section_vazirani(spec.seed, **spec.vazirani)],
+    "density": lambda spec: [_section_density(spec.seed, **spec.density)],
+    "xor_lemma": lambda spec: [_section_xor_lemma(**spec.xor_lemma)],
+    "fixture_planted_violation": lambda spec: [_section_fixture()],
+}
+
+
 def run_corpus(spec: CorpusSpec) -> CorpusReport:
-    sections: List[SectionReport] = []
-    if spec.fourier:
-        sections.append(_section_fourier(spec.seed, **spec.fourier))
-    if spec.vazirani:
-        sections.append(_section_vazirani(spec.seed, **spec.vazirani))
-    if spec.xor_lemma:
-        sections.append(_section_xor_lemma(**spec.xor_lemma))
-    if spec.extractor_sampling:
-        sections.extend(_section_extractor_sampling(spec.seed, **spec.extractor_sampling))
-    if spec.kraft:
-        sections.append(_section_kraft(spec.seed, **spec.kraft))
-    if spec.density:
-        sections.append(_section_density(spec.seed, **spec.density))
-    if spec.claims:
-        sections.extend(_section_claims(spec.seed, **spec.claims))
-    if spec.structure_lemmas:
-        sections.append(_section_structure_lemmas(spec.seed, **spec.structure_lemmas))
-    if spec.lifting:
-        sections.extend(_section_lifting(spec.seed, **spec.lifting))
-    if spec.fixture_planted_violation:
-        sections.append(_section_fixture())
+    """The report of the spec's sections, in CorpusSpec._fields order.
+
+    The sections are dealt out round-robin, in `_SECTION_JOBS` order, over
+    `_process_count` processes: this one runs share 0 and a forked child each
+    other share.  A section whose reports do not come back from its child
+    (the child raised, crashed or was killed) runs again here, in spec order,
+    so it raises here what it raises in one process.  The split depends on
+    the spec alone and the report is byte for byte the one-process report."""
+    keys = [key for key in _SECTION_JOBS if getattr(spec, key)]
+    procs = _process_count(len(keys))
+    done = _run_shares(spec, keys, procs) if procs > 1 else {}
+    sections = []
+    for key in CorpusSpec._fields:
+        if key in keys:
+            sections.extend(done[key] if key in done else _SECTION_JOBS[key](spec))
     return CorpusReport(spec.seed, sections)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _process_count(jobs: int) -> int:
+    """One process per usable CPU, at most one per job; and one alone where
+    a fork is unsafe or would hide work: no os.fork, another live thread
+    (the child would hold only this one), or an active profiler or tracer
+    (it would not see a child's share)."""
+    if (jobs < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or sys.getprofile() is not None or sys.gettrace() is not None):
+        return 1
+    return min(_usable_cpus(), jobs)
+
+
+def _run_shares(spec: CorpusSpec, keys: List[str], procs: int) -> Dict[str, list]:
+    """{key: reports} of the sections that came back: share 0 of `keys` run
+    here and shares 1 .. procs-1 each in a forked child (`_fork`).  However
+    this returns or raises, every pipe is closed and every child reaped
+    first, killed if it still runs."""
+    import pickle
+    import signal
+
+    done, children = {}, []  # children: (pid, read end of its pipe)
+    try:
+        for rank in range(1, procs):
+            _fork(children, spec, keys[rank::procs])
+        for key in keys[::procs]:
+            done[key] = _SECTION_JOBS[key](spec)
+        for pid, pipe in children:
+            data = pipe.read()
+            if os.waitpid(pid, 0)[1] == 0:  # a clean exit: every byte was written
+                done.update(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped above
+    return done
+
+
+def _fork(children: list, spec: CorpusSpec, share: List[str]) -> None:
+    """Fork a child that pickles {key: reports} of the sections `share` to a
+    pipe and leaves by os._exit: with status 0 once every byte is written,
+    else 1.  Its pid and the pipe's read end join `children` before this
+    process can take a signal, and the child takes none before it is inside
+    its try, so it never returns into the caller's code.  When the fork
+    fails, nothing joins `children`."""
+    import pickle
+    import signal
+
+    read_end, write_end = os.pipe()
+    pipe = open(read_end, "rb")
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                pipe.close()
+                with open(write_end, "wb") as out:
+                    out.write(pickle.dumps({key: _SECTION_JOBS[key](spec) for key in share}))
+                status = 0
+            finally:
+                os._exit(status)
+        children.append((pid, pipe))
+    except OSError:  # no child: its share does not come back, so the caller runs it
+        pipe.close()
+    finally:
+        os.close(write_end)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _section_fourier(seed: int, count: int = 1000) -> SectionReport:
@@ -689,9 +789,9 @@ def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> Secti
     rep.info["codes"] = len(codes)
     for code in codes:
         _kraft_sweep(rep, rng, code, 1, "kraft")
-    for code in codes:
-        if max(len(w) for w in code) <= 3:
-            _kraft_sweep(rep, rng, code, assignments - 1, "kraft-small")
+    # the codes whose words are all of length <= 3, in the same order
+    for code in all_prefix_free_codes(min(max_len, 3)):
+        _kraft_sweep(rep, rng, code, assignments - 1, "kraft-small")
     return rep
 
 

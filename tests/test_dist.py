@@ -336,10 +336,34 @@ def test_mass_is_a_computed_view():
     d = DistributionTable.from_weights({0: 3, 1: 1, 2: 0})
     view = d.mass
     assert view == {0: F(3, 4), 1: F(1, 4), 2: F(0)}
-    view[0] = F(1)
+    with pytest.raises(TypeError):
+        view[0] = F(1)
     assert d.mass == {0: F(3, 4), 1: F(1, 4), 2: F(0)}
     assert d.mass is not d.mass
     assert repr(d) == "DistributionTable({0: 3/4, 1: 1/4, 2: 0})"
+
+
+def old_mass(d):
+    """The dict `mass` returned before it was a view: a Fraction per element."""
+    return {x: F(w, d.total) for x, w in d.weights.items()}
+
+
+def test_mass_view_matches_the_old_dict():
+    rng = random.Random(31)
+    for _ in range(200):
+        elems, weights = _random_case(rng, rng.randrange(4))
+        d = DistributionTable.from_weights(dict(zip(elems, weights)))
+        old, view = old_mass(d), d.mass
+        assert list(view) == list(old) == list(d.domain)
+        assert list(view.items()) == list(old.items())
+        assert view == old and old == view and not view != old
+        assert repr(view) == repr(old) and len(view) == len(old)
+        assert all(view[x] == old[x] and x in view for x in elems)
+        missing = (9, 9, 9, 9) if isinstance(elems[0], tuple) else -1
+        assert missing not in view and view.get(missing) is None
+        with pytest.raises(KeyError):
+            view[missing]
+        assert view != {**old, missing: F(0)}
 
 
 def test_mixture_matches_reference():

@@ -89,9 +89,10 @@ def test_round_message_in_no_source_module():
 def test_import_loads_neither_dataclasses_nor_inspect():
     # records are plain classes on liftsim.records, so importing the library,
     # the verifier and the CLI leaves both modules (and what they pull in,
-    # ast, dis and tokenize) unloaded
+    # ast, dis and tokenize) unloaded; and pickle is imported only when
+    # run_corpus forks, so it stays unloaded too
     code = ("import sys, liftsim, liftsim.verify, liftsim.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'pickle'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)

@@ -1119,8 +1119,10 @@ def test_product_test_runs_once_per_marginal(monkeypatch):
 
 def test_every_lifting_core_memo_is_reused(monkeypatch):
     # each lru_cache memo of DangerScan and _EngineCache is hit on the scale-10
-    # corpus or on one ip2 n=3 parity lift: a memo no traffic reuses only costs
-    from liftsim.verify import default_corpus_spec, run_corpus
+    # corpus or on one ip2 n=3 parity lift: a memo no traffic reuses only costs.
+    # The corpus runs one section at a time, each in this process (run_corpus
+    # forks no child for a single section), so every memo here is seen
+    from liftsim.verify import CorpusSpec, default_corpus_spec, run_corpus
     made = []
     for cls in (DangerScan, simulate._EngineCache):
         def init(self, *args, _init=cls.__init__, **kwargs):
@@ -1137,7 +1139,10 @@ def test_every_lifting_core_memo_is_reused(monkeypatch):
         made.clear()
         return out
 
-    run_corpus(default_corpus_spec(scale=10))
+    spec = default_corpus_spec(scale=10)
+    for key in CorpusSpec._fields[1:]:
+        if getattr(spec, key):
+            run_corpus(CorpusSpec(seed=spec.seed, **{key: getattr(spec, key)}))
     corpus = hits()
     proto = canonical_instance(parity_problem(3), IP2)
     lift_deterministic(proto, IP2, 0b101, det_params(2, 3))

@@ -635,6 +635,47 @@ def test_danger_scan_errors_match_the_scans():
     assert DangerScan(big, AND, F(1), F(1, 4), coord_limit=4).witness("leaking", (0, 0, 0, 0))
 
 
+def test_danger_scan_reads_a_kept_product_test(monkeypatch):
+    # A scan of a table whose product test is kept reads k and the value
+    # range off its coordinate marginals, built from the same nonzero rows,
+    # and walks no row; it refuses what the walk refuses, with the same
+    # error, and holds the same rows.  Product and non-product tables of
+    # k = 1..4 over values 0..4 (IP2's side is 4), zero rows included.
+    def outcome(y):
+        try:
+            scan = DangerScan(y, IP2, F(1), F(1, 4), coord_limit=3)
+        except (BudgetError, DomainError) as exc:
+            return type(exc), str(exc)
+        return scan.k, scan.rows, [scan.dangerous(x) for x in product(range(4), repeat=scan.k)]
+
+    walks = []
+    block_count = structure._block_count
+    monkeypatch.setattr(structure, "_block_count",
+                        lambda *args, **kw: walks.append(1) or block_count(*args, **kw))
+    rng, seen = random.Random(23), Counter()
+    for _ in range(300):
+        k = rng.choice((1, 2, 2, 3, 3, 4))
+        values = [rng.sample(range(4), rng.randrange(1, 4)) for _ in range(k)]
+        if rng.random() < 0.2:
+            values[-1].append(4)
+        if rng.random() < 0.5:  # a product of random marginals
+            margs = [{v: rng.randrange(1, 4) for v in vs} for vs in values]
+            weights = {t: prod(m[v] for m, v in zip(margs, t)) for t in product(*values)}
+        else:
+            weights = {t: rng.randrange(0, 3) for t in product(*values)}
+            if not any(weights.values()):
+                weights[next(iter(weights))] = 1
+        weights.setdefault(tuple(rng.randrange(6) for _ in range(k)), 0)
+        kept = DistributionTable.from_weights(weights)
+        is_product = structure._product_test(kept) is not None
+        del walks[:]
+        got = outcome(kept)
+        assert not (walks and is_product)
+        assert got == outcome(DistributionTable.from_weights(weights))
+        seen[is_product, got[0] in (BudgetError, DomainError)] += 1
+    assert min(seen[p, e] for p in (True, False) for e in (True, False)) >= 10, seen
+
+
 def _biasing_sweep():
     rng = random.Random(13)
     gadgets = [builtin_gadget(name) for name in ("xor1", "and1", "ip1", "ip2", "rand:2:5")]

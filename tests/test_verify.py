@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import signal
+import threading
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -16,8 +20,11 @@ from liftsim.gadgets import builtin_gadget, discrepancy
 from liftsim.protocols import canonical_protocol
 from liftsim.simulate import LiftingParams, enumerate_output_distribution, lift_randomized
 from liftsim.structure import DensityPart, Restriction
+from liftsim.cli import main as cli_main
 from liftsim.verify import (
+    SPEC_BUDGETS,
     CorpusSpec,
+    SectionReport,
     all_prefix_free_codes,
     check_main_lemma,
     check_multiplicative_uniformity,
@@ -99,6 +106,16 @@ def test_prefix_free_code_enumeration():
         for a, b in zip(s, s[1:]):
             assert not b.startswith(a)
     assert sum(1 for _ in all_prefix_free_codes(3)) == 26 ** 2 - 1
+
+
+@pytest.mark.parametrize("max_len", range(5))
+def test_short_codes_are_the_depth_3_enumeration(max_len):
+    # the Kraft section's second pass takes all_prefix_free_codes(min(max_len, 3))
+    # for the codes of all_prefix_free_codes(max_len) whose words are all of
+    # length <= 3: the same codes in the same order, for every max_len a spec allows
+    assert SPEC_BUDGETS["kraft.max_len"] == (0, 4)
+    short = [c for c in all_prefix_free_codes(max_len) if max(map(len, c)) <= 3]
+    assert short == list(all_prefix_free_codes(min(max_len, 3)))
 
 
 def test_seeded_distribution_deterministic():
@@ -428,3 +445,189 @@ def test_density_postconditions_fail_on_broken_partitions(monkeypatch):
     for d, delta, parts, detail in cases:
         monkeypatch.setattr(verify, "density_restoring_partition", lambda *_: parts)
         assert verify._density_postconditions(d, delta, 1) == (not detail, detail)
+
+
+# -- the corpus split over forked processes ------------------------------------
+
+def _shares(spec, procs=2):
+    """The section keys each process runs: share 0 is the caller's."""
+    keys = [key for key in verify._SECTION_JOBS if getattr(spec, key)]
+    return [keys[rank::procs] for rank in range(procs)]
+
+
+@pytest.fixture
+def split(monkeypatch, tmp_path):
+    """run_corpus over two processes whatever the CPUs, bounded by a 120 s
+    alarm.  Afterwards this process has no child left, and no child came back
+    out of run_corpus into the test (it would leave a file and exit)."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def run(spec):
+        try:
+            return run_corpus(spec)
+        finally:
+            if os.getpid() != caller:
+                (tmp_path / f"escaped-{os.getpid()}").touch()
+                os._exit(0)
+
+    def timeout(signum, frame):
+        raise TimeoutError("run_corpus took over 120 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(120)
+    try:
+        yield run
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(tmp_path.glob("escaped-*"))
+
+
+def _serial(spec, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_usable_cpus", lambda: 1)
+        return run_corpus(spec)
+
+
+@pytest.mark.parametrize("scale", [None, 10])
+def test_split_corpus_report_is_byte_identical(scale, split, monkeypatch):
+    spec = SMALL_SPEC if scale is None else default_corpus_spec(scale=scale)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    text = split(spec).to_json()
+    assert forks == [os.getpid()]
+    assert _serial(spec, monkeypatch).to_json() == text
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("case", ["one section", "one cpu", "profiler", "tracer", "thread",
+                                  "no fork"])
+def test_some_runs_stay_in_one_process(case, monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 8)
+    assert (verify._process_count(3), verify._process_count(9)) == (3, 8)
+    jobs, stop = 1 if case == "one section" else 9, threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "one cpu":
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    elif case == "profiler":
+        monkeypatch.setattr(verify.sys, "getprofile", lambda: print)
+    elif case == "tracer":
+        monkeypatch.setattr(verify.sys, "gettrace", lambda: print)
+    elif case == "thread":
+        thread.start()
+    elif case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    try:
+        assert verify._process_count(jobs) == 1
+    finally:
+        stop.set()
+    if case == "thread":
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_a_section_error_in_a_child_is_raised_by_the_caller(split, monkeypatch, tmp_path,
+                                                          capsys):
+    # the child's attempt fails and the caller runs the section again, which
+    # raises here what it raises in one process; the CLI exits 2 on it
+    assert "density" in _shares(SMALL_SPEC)[1]
+
+    def failing(seed, count):
+        (tmp_path / f"ran-{os.getpid()}").touch()
+        raise BudgetError("density test instances", count, 0)
+
+    monkeypatch.setattr(verify, "_section_density", failing)
+    with pytest.raises(BudgetError) as got:
+        split(SMALL_SPEC)
+    ran = sorted(p.name for p in tmp_path.glob("ran-*"))
+    assert len(ran) == 2 and f"ran-{os.getpid()}" in ran
+    with pytest.raises(BudgetError) as serial:
+        _serial(SMALL_SPEC, monkeypatch)
+    assert str(got.value) == str(serial.value)
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1, "fourier": {"count": 2}, "density": {"count": 3}}))
+    assert "density" in _shares(CorpusSpec.from_json(spec.read_text()))[1]
+    assert cli_main(["verify", str(spec)]) == 2
+    want = BudgetError("density test instances", 3, 0)
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("death", ["exit", "kill", "raise", "exit 1 after writing"])
+def test_a_child_that_fails_leaves_the_report_unchanged(death, split, monkeypatch, tmp_path):
+    # the child's reports count only after a clean exit, so here the caller
+    # runs the section again, whatever the child wrote
+    want = _serial(SMALL_SPEC, monkeypatch).to_json()
+    caller = os.getpid()
+    section = verify._section_density
+    assert "density" in _shares(SMALL_SPEC)[1]
+
+    def dying(seed, count):
+        (tmp_path / f"ran-{os.getpid()}").touch()
+        report = section(seed, count)
+        if os.getpid() != caller:
+            if death == "exit":
+                os._exit(1)
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if death == "raise":
+                raise BudgetError("density test instances", count, 0)
+        return report
+
+    monkeypatch.setattr(verify, "_section_density", dying)
+    if death == "exit 1 after writing":
+        monkeypatch.setattr(os, "_exit", lambda status, _exit=os._exit: _exit(1))
+    assert split(SMALL_SPEC).to_json() == want
+    assert len(list(tmp_path.glob("ran-*"))) == 2
+    assert (tmp_path / f"ran-{caller}").exists()
+
+
+def test_a_failed_fork_leaves_the_report_unchanged(split, monkeypatch):
+    # no child is made (the process limit, say): its share runs in the caller
+    want = _serial(SMALL_SPEC, monkeypatch).to_json()
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert split(SMALL_SPEC).to_json() == want
+
+
+BIG = SectionReport("big", info={"pad": "x" * (1 << 20)})  # past any pipe buffer
+
+
+def test_a_report_past_the_pipe_buffer_comes_back(split, monkeypatch):
+    spec = CorpusSpec(seed=1, density={"count": 2}, xor_lemma=default_corpus_spec().xor_lemma)
+    assert _shares(spec) == [["density"], ["xor_lemma"]]
+    monkeypatch.setattr(verify, "_section_xor_lemma", lambda **_: BIG)
+    got = split(spec)
+    assert [s.name for s in got.sections] == ["big", "density_restoring"]
+    assert got.to_json() == _serial(spec, monkeypatch).to_json()
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), BudgetError("test", 1, 0)])
+def test_a_caller_error_kills_and_reaps_a_blocked_child(error, split, monkeypatch):
+    # the child has written as much of its report as the pipe holds and
+    # waits for a reader when the caller's own section raises: the error
+    # leaves run_corpus at once, and the fixture finds no child left
+    spec = CorpusSpec(seed=1, density={"count": 2}, xor_lemma=default_corpus_spec().xor_lemma)
+    monkeypatch.setattr(verify, "_section_xor_lemma", lambda **_: BIG)
+
+    def failing(seed, count):
+        time.sleep(0.2)
+        raise error
+
+    monkeypatch.setattr(verify, "_section_density", failing)
+    start = time.monotonic()
+    with pytest.raises(type(error)):
+        split(spec)
+    assert time.monotonic() - start < 60
