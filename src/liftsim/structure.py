@@ -9,9 +9,11 @@ sizes are guarded by explicit budgets.
 The four dangerous-value scans (leaking, sparsifying, skewing, biasing) have
 one implementation, DangerScan: each is a function of (C, x_C) that reads
 Y's weights contracted with the gadget's output rows of x_C and returns its
-first witness on the set C; its one query, `witness`, walks the sets C in
-(size, lex) order.  What many x reuse is memoised per (C, x_C), so
-classifying many x against one Y shares their common work, and the
+first witness on the set C.  A scan answers two queries: `witness(scan, x)`
+walks the sets C in (size, lex) order to x's first witness, and
+`dangerous_among(values)` is the set of dangerous values among many, the
+set the simulation discards.  What many x reuse is memoised per (C, x_C),
+so classifying many x against one Y shares their common work, and the
 per-value is_* functions read one scan each.  No scan is pruned.  When Y is
 the product of its coordinate marginals, as the whole universe a lift's
 first round scans is, the dangerous verdict has a closed form in
@@ -20,13 +22,11 @@ it, and `dangerous_among` reads a whole batch of x off it in one pass.  A
 table holds, per output pattern on C, the rows of Y's support with that
 pattern as one row bitmask, split by AND and weighed by popcount.  A
 popcount reads all of Y's rows, not just the part's, so a walk slows as Y
-grows: the dangerous witnesses of 8 x over all 65,536 rows of
-ip4 at k=4 take 2.0-2.7 s on a uniform Y and 4.1-4.6 s with weights in
-[1, 4] (2 CPUs, Python 3.11.7).  No lift walks a table that large, since the
-whole universe its first round scans is a product.  Density questions read
-integer counts per coordinate set, which the density-restoring partition
-(whose first part is the fix) builds as it reads them and carves down part by
-part; max_density and the structure search need the worst one.
+grows; no lift walks a large table, since the whole universe its first
+round scans is a product.  Density questions read integer counts per
+coordinate set, which the density-restoring partition (whose first part is
+the fix) builds as it reads them and carves down part by part; max_density
+and the structure search need the worst one.
 """
 
 from __future__ import annotations
@@ -338,23 +338,10 @@ def is_structured(
 def _inconsistent_pair(x_full: DistributionTable, y_full: DistributionTable,
                        rho: Restriction, g: Gadget):
     """The first (x, y, i) with g(x_i, y_i) != rho_i, walking the support pairs
-    and then the fixed coordinates in order, or None.  Each fixed coordinate is
-    first tested on its distinct (x_i, y_i) values; pairs are walked only from
-    the first x that has a contradicting y_i, to name the same witness."""
-    xs, ys = x_full.support(), y_full.support()
-    fixed = [(i, int(rho.cells[i])) for i in rho.fixed()]
-    bad = []  # per fixed coordinate: the x_i some support y_i contradicts rho_i with
-    for i, bit in fixed:
-        y_vals = {yv[i] for yv in ys}
-        bad.append({a for a in {xv[i] for xv in xs}
-                    if any(g.eval(a, v) != bit for v in y_vals)})
-    for xv in xs:
-        if any(xv[i] in b for (i, _), b in zip(fixed, bad)):
-            for yv in ys:
-                for i, bit in fixed:
-                    if g.eval(xv[i], yv[i]) != bit:
-                        return xv, yv, i
-    return None
+    and then the fixed coordinates in order, or None."""
+    ys, fixed = y_full.support(), [(i, int(rho.cells[i])) for i in rho.fixed()]
+    return next(((xv, yv, i) for xv in x_full.support() for yv in ys for i, bit in fixed
+                 if g.eval(xv[i], yv[i]) != bit), None)
 
 
 # -- density restoration -------------------------------------------------------
@@ -470,15 +457,15 @@ class DangerScan:
     parent part, and a weight one popcount per bit-plane of Y's weights.  A
     scan reads a part only through its weight, its marginal on a set J of the
     other coordinates (or that marginal's heaviest weight) and the union of
-    the odd-parity parts.  `witness`, the one query, walks the sets C in
-    (size, lex) order to the first witness, so witnesses come in the order of
-    the definitions: C, then patterns in product order, then J in (size, lex)
-    order, then y_J sorted; `dangerous` is its predicate, read in closed
-    form when Y is a product (`_product_form`), and `dangerous_among` the
-    set it flags among many x, the engines' query; it reads Y's product test
-    (`_product_test`), run once and kept on Y.  The rows are indexed
-    (`index`) when a table is first read, so a scan that only answers
-    `dangerous` in closed form builds no mask.  What many x reuse is
+    the odd-parity parts.  It answers two queries.  `witness` walks the sets
+    C in (size, lex) order to the first witness, so witnesses come in the
+    order of the definitions: C, then patterns in product order, then J in
+    (size, lex) order, then y_J sorted.  `dangerous_among` is the set of
+    dangerous values among many x, the engines' query: it reads Y's product
+    test (`_product_test`), run once and kept on Y, and answers in closed
+    form when Y is a product (`_product_form`), else asks `witness` for each
+    x.  The rows are indexed (`index`) when a table is first read, so a scan
+    that answers only in closed form builds no mask.  What many x reuse is
     memoised per scan by lru_cache: the index, the tables, the row groups of
     each J (Y's marginals among them), the leaking, biasing and dangerous
     witnesses (a sparsifying one is read only through the dangerous one),
@@ -673,7 +660,7 @@ class DangerScan:
         part of pattern p on C then weighs T * prod_{c in C} m_c(p_c)/T,
         m_c(p_c) being the weight under m_c of the blocks where x_c's output
         is p_c, and given the part, Y outside C is still the product of its
-        marginals.  So dangerous(x) needs no table:
+        marginals.  So the dangerous verdict needs no table:
           leaking: (C, p) leaks iff prod_{c in C} 2*m_c(p_c)/T < 1/2.  Each
         factor is least at l_c(x_c) = light[c][x_c], the lighter of x_c's two
         outputs, and is then at most 1, so the least product is the one on
@@ -693,22 +680,16 @@ class DangerScan:
         sparse = k >= 2 and any(self._sparsifies(max(m.values()), total, 1) for m in margs)
         return light, total ** k, sparse
 
-    def dangerous(self, x_val: Tuple[int, ...]) -> bool:
-        """Leaking or sparsifying; the set the simulation discards.  Read in
-        closed form on a product Y, else off `witness`."""
-        if self._product_form is None:
-            return self.witness("dangerous", x_val) is not None
-        return x_val in self.dangerous_among((x_val,))
-
     def dangerous_among(self, values) -> set:
-        """The dangerous values in the collection `values`.  The first value
-        that `dangerous` would refuse is refused with the same error.  On a
-        product Y every value is checked at once and the verdicts are read
-        off the closed form in one pass; otherwise each value is asked of
-        `dangerous`."""
+        """The dangerous (leaking or sparsifying) values in the collection
+        `values`: the set the simulation discards.  The first value that
+        `witness` would refuse is refused with the same error.  On a product
+        Y every value is checked at once and the verdicts are read off the
+        closed form in one pass; otherwise each value is asked of
+        `witness("dangerous", x)`."""
         form = self._product_form
         if form is None:
-            return set(filter(self.dangerous, values))
+            return {x for x in values if self.witness("dangerous", x) is not None}
         k, side = self.k, self.side
         if set(map(len, values)) - {k} or values and not (
                 min(map(min, values)) >= 0 and max(map(max, values)) < side):

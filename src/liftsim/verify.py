@@ -393,7 +393,8 @@ class CorpusReport(Record):
 
 
 class CorpusSpec(Record):
-    """Which sections to run and how large; omitted sections are skipped."""
+    """Which sections to run and how large, one field per row of `SECTIONS`
+    after the seed; omitted sections are skipped."""
 
     def __init__(self, seed: int = 2024, fourier: Optional[dict] = None,
                  vazirani: Optional[dict] = None, xor_lemma: Optional[dict] = None,
@@ -416,7 +417,8 @@ class CorpusSpec(Record):
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
         """Parse a spec; each section must be an object whose keys and value
-        types are those of the same section in `default_corpus_spec()`."""
+        types are those of its row's shipped params at scale 1, and an opt-in
+        section's value true or false."""
         with malformed("corpus spec"):
             doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -425,13 +427,17 @@ class CorpusSpec(Record):
         if unknown:
             raise FormatError(f"unknown corpus spec keys: {sorted(unknown)}")
         json_int(doc.get("seed", 0), "corpus spec key 'seed'")
-        shipped = default_corpus_spec()
         for section, params in doc.items():
-            template = getattr(shipped, section)
-            if params is None or not isinstance(template, dict):
+            row = SECTIONS.get(section)
+            if row is None or params is None and row.shipped:  # the seed; a section left out
+                continue
+            if row.shipped is None:
+                if type(params) is not bool:
+                    raise FormatError(f"corpus spec key {section!r} must be true or false")
                 continue
             if not isinstance(params, dict):
                 raise FormatError(f"corpus spec section {section!r} must be an object")
+            template = row.shipped(1)
             for key, value in params.items():
                 if key not in template:
                     raise FormatError(f"unknown key {key!r} in corpus spec section "
@@ -441,7 +447,7 @@ class CorpusSpec(Record):
                                       f"{json.dumps(value)} does not have the shipped "
                                       f"form {json.dumps(template[key])}")
                 for size in _ints(value):
-                    lo, hi = SPEC_BUDGETS[f"{section}.{key}"]
+                    lo, hi = row.budgets[key]
                     if not lo <= size <= hi:
                         raise BudgetError(f"corpus spec value {section}.{key}", size,
                                           f"{lo}..{hi}")
@@ -466,24 +472,6 @@ class CorpusSpec(Record):
         return cls(**doc)
 
 
-# The range of every integer size in a corpus spec, checked by
-# CorpusSpec.from_json before any section runs.  At its upper end a section
-# takes at most about half a minute on a 2-CPU desk machine; kraft.max_len = 5
-# alone would enumerate more prefix-free codes than any run can.  An XOR power
-# past RECT_SIDE_LIMIT.bit_length() - 1 fits the rectangle budget at no b.
-SPEC_BUDGETS = {
-    "fourier.count": (0, 100_000),
-    "vazirani.count": (0, 100_000),
-    "xor_lemma.powers": (1, RECT_SIDE_LIMIT.bit_length() - 1),
-    "xor_lemma.extra": (1, RECT_SIDE_LIMIT.bit_length() - 1),
-    "extractor_sampling.samples_b2": (0, 20_000),
-    "kraft.max_len": (0, 4),
-    "kraft.assignments": (0, 10_000),
-    "density.count": (0, 20_000),
-    "claims.supports": (0, 2_000),
-    "structure_lemmas.count": (0, 4_000),
-    "lifting.rand_seeds": (0, 300),
-}
 # Gadget and power pairs of the xor_lemma section: len(gadgets) * len(powers)
 # + len(extra).
 XOR_LEMMA_JOB_LIMIT = 1_000
@@ -515,63 +503,41 @@ def _fits(value, template) -> bool:
 
 
 def default_corpus_spec(scale: int = 1) -> CorpusSpec:
-    """The shipped desk-scale corpus; scale > 1 shrinks the seeded sweeps."""
+    """The shipped desk-scale corpus: each section's shipped params at this
+    scale; scale > 1 shrinks the seeded sweeps.  Opt-in sections are off."""
     if scale < 1:
         raise LiftsimError(f"corpus scale must be at least 1, got {scale}")
-    return CorpusSpec(
-        seed=2024,
-        fourier={"count": max(1000 // scale, 50)},
-        vazirani={"count": max(1000 // scale, 50)},
-        xor_lemma={"gadgets": list(_XOR_GADGETS), "powers": list(_XOR_POWERS),
-                   "extra": [["ip2", 1]]},
-        extractor_sampling={"samples_b2": max(200 // scale, 20)},
-        kraft={"max_len": 4 if scale == 1 else 3, "assignments": 100 // scale + 1},
-        density={"count": max(200 // scale, 20)},
-        claims={"supports": max(20 // scale, 4)},
-        structure_lemmas={"count": max(40 // scale, 8)},
-        lifting={"gadget": "ip2", "rand_seeds": 3},
-    )
+    return CorpusSpec(seed=2024, **{key: row.shipped(scale)
+                                    for key, row in SECTIONS.items() if row.shipped})
 
 
-# The corpus's sections, each a job from the spec to its reports.  Every
-# section draws from its own random.Random(f"{seed}/<section>"), so any
-# process can run any of them, and the report lists them in CorpusSpec._fields
-# order whoever ran them.  run_corpus deals the jobs out round-robin in this
-# order, chosen by timing on 2 CPUs: the two shares of the scale-10 corpus
-# took about the same CPU time, and the full corpus's Kraft sweep (about 80%
-# of that run) shares its process with the lighter half of the other sections.
-_SECTION_JOBS: Dict[str, Callable[[CorpusSpec], List[SectionReport]]] = {
-    "lifting": lambda spec: _section_lifting(spec.seed, **spec.lifting),
-    "claims": lambda spec: _section_claims(spec.seed, **spec.claims),
-    "kraft": lambda spec: [_section_kraft(spec.seed, **spec.kraft)],
-    "extractor_sampling": lambda spec: _section_extractor_sampling(
-        spec.seed, **spec.extractor_sampling),
-    "structure_lemmas": lambda spec: [_section_structure_lemmas(
-        spec.seed, **spec.structure_lemmas)],
-    "fourier": lambda spec: [_section_fourier(spec.seed, **spec.fourier)],
-    "vazirani": lambda spec: [_section_vazirani(spec.seed, **spec.vazirani)],
-    "density": lambda spec: [_section_density(spec.seed, **spec.density)],
-    "xor_lemma": lambda spec: [_section_xor_lemma(**spec.xor_lemma)],
-    "fixture_planted_violation": lambda spec: [_section_fixture()],
-}
+def _run_section(spec: CorpusSpec, key: str) -> List[SectionReport]:
+    """The reports of the spec's section `key`: its row's job on the seed and
+    the section's params, none for an opt-in flag."""
+    params = getattr(spec, key)
+    return SECTIONS[key].job(spec.seed, **(params if isinstance(params, dict) else {}))
 
 
 def run_corpus(spec: CorpusSpec) -> CorpusReport:
     """The report of the spec's sections, in CorpusSpec._fields order.
 
-    The sections are dealt out round-robin, in `_SECTION_JOBS` order, over
-    `_process_count` processes: this one runs share 0 and a forked child each
-    other share.  A section whose reports do not come back from its child
-    (the child raised, crashed or was killed) runs again here, in spec order,
-    so it raises here what it raises in one process.  The split depends on
-    the spec alone and the report is byte for byte the one-process report."""
-    keys = [key for key in _SECTION_JOBS if getattr(spec, key)]
+    A section runs when its value is an object, an empty one included (a
+    param it leaves out takes the job's default), and an opt-in section when
+    its flag is true.  They are dealt out round-robin, in `SECTIONS` order,
+    over `_process_count` processes: this one runs share 0 and a forked
+    child each other share.  A section whose reports do not come back from
+    its child (the child raised, crashed or was killed) runs again here, in
+    spec order, so it raises here what it raises in one process.  The split
+    depends on the spec alone and the report is byte for byte the
+    one-process report."""
+    keys = [key for key in SECTIONS
+            if isinstance(getattr(spec, key), dict) or getattr(spec, key) is True]
     procs = _process_count(len(keys))
     done = _run_shares(spec, keys, procs) if procs > 1 else {}
     sections = []
     for key in CorpusSpec._fields:
         if key in keys:
-            sections.extend(done[key] if key in done else _SECTION_JOBS[key](spec))
+            sections.extend(done[key] if key in done else _run_section(spec, key))
     return CorpusReport(spec.seed, sections)
 
 
@@ -605,7 +571,7 @@ def _run_shares(spec: CorpusSpec, keys: List[str], procs: int) -> Dict[str, list
         for rank in range(1, procs):
             _fork(children, spec, keys[rank::procs])
         for key in keys[::procs]:
-            done[key] = _SECTION_JOBS[key](spec)
+            done[key] = _run_section(spec, key)
         for pid, pipe in children:
             data = pipe.read()
             if os.waitpid(pid, 0)[1] == 0:  # a clean exit: every byte was written
@@ -643,7 +609,7 @@ def _fork(children: list, spec: CorpusSpec, share: List[str]) -> None:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 pipe.close()
                 with open(write_end, "wb") as out:
-                    out.write(pickle.dumps({key: _SECTION_JOBS[key](spec) for key in share}))
+                    out.write(pickle.dumps({key: _run_section(spec, key) for key in share}))
                 status = 0
             finally:
                 os._exit(status)
@@ -655,7 +621,7 @@ def _fork(children: list, spec: CorpusSpec, share: List[str]) -> None:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _section_fourier(seed: int, count: int = 1000) -> SectionReport:
+def _section_fourier(seed: int, count: int = 1000) -> List[SectionReport]:
     rep = SectionReport("fourier_bias_identity")
     rng = random.Random(f"{seed}/fourier")
     for k in range(count):
@@ -673,10 +639,10 @@ def _section_fourier(seed: int, count: int = 1000) -> SectionReport:
         if fourier_inversion(coeffs, m) != d:  # d's domain is range(2^m)
             ok = False
         rep.count("pass" if ok else "FAIL", lambda: LemmaInstance(f"fourier/{k}/m={m}", "FAIL"))
-    return rep
+    return [rep]
 
 
-def _section_vazirani(seed: int, count: int = 1000) -> SectionReport:
+def _section_vazirani(seed: int, count: int = 1000) -> List[SectionReport]:
     rep = SectionReport("vazirani_checkers")
     rng = random.Random(f"{seed}/vazirani")
     eps_grid = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
@@ -694,21 +660,19 @@ def _section_vazirani(seed: int, count: int = 1000) -> SectionReport:
             r = vazirani_minentropy_check(d, m, t)
             rep.count(_verdict(r.hypothesis, r.conclusion), lambda: LemmaInstance(
                 f"vazirani-minentropy/{k}/m={m}/t={t}", "FAIL"))
-    return rep
+    return [rep]
 
 
 _XOR_GADGETS = ("and1", "or1", "xor1", "ip1")
 _XOR_POWERS = (1, 2, 3)
 
 
-def _section_xor_lemma(gadgets: Sequence[str] = _XOR_GADGETS,
+def _section_xor_lemma(seed: int, gadgets: Sequence[str] = _XOR_GADGETS,
                        powers: Sequence[int] = _XOR_POWERS,
-                       extra: Sequence = ()) -> SectionReport:
+                       extra: Sequence = ()) -> List[SectionReport]:
     rep = SectionReport("xor_lemma_sandwich")
-    jobs = [(name, m) for name in gadgets for m in powers]
-    jobs += [(name, m) for name, m in extra]
     archived = {}
-    for name, m in jobs:
+    for name, m in chain(product(gadgets, powers), extra):
         g = builtin_gadget(name)
         r = check_xor_lemma(g, m)
         archived[f"{name}/m={m}"] = dict(r.fields_obj("m", "disc_base", "sandwich_holds"),
@@ -719,7 +683,7 @@ def _section_xor_lemma(gadgets: Sequence[str] = _XOR_GADGETS,
             measured=frac_str(r.value),
             bound=f"[{frac_str(r.lower)}, {frac_str(r.upper)}]"))
     rep.info["values"] = archived
-    return rep
+    return [rep]
 
 
 def _flat_tables(universe_size: int):
@@ -782,7 +746,7 @@ def _record_ext(rep: SectionReport, tag: str, r: CorollaryReport) -> None:
     rep.count(_verdict(r.hypothesis, r.conclusion), render)
 
 
-def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> SectionReport:
+def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> List[SectionReport]:
     rep = SectionReport("kraft_heavy_message")
     rng = random.Random(f"{seed}/kraft")
     codes = list(all_prefix_free_codes(max_len))
@@ -792,7 +756,7 @@ def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> Secti
     # the codes whose words are all of length <= 3, in the same order
     for code in all_prefix_free_codes(min(max_len, 3)):
         _kraft_sweep(rep, rng, code, assignments - 1, "kraft-small")
-    return rep
+    return [rep]
 
 
 def _kraft_sweep(rep: SectionReport, rng: random.Random, code: Sequence[str],
@@ -816,7 +780,7 @@ def _kraft_sweep(rep: SectionReport, rng: random.Random, code: Sequence[str],
         rep.count("pass" if ok else "FAIL", render)
 
 
-def _section_density(seed: int, count: int = 200) -> SectionReport:
+def _section_density(seed: int, count: int = 200) -> List[SectionReport]:
     rep = SectionReport("density_restoring")
     rng = random.Random(f"{seed}/density")
     deltas = (Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -831,7 +795,7 @@ def _section_density(seed: int, count: int = 200) -> SectionReport:
         rep.record(LemmaInstance(
             f"density/{k}/n={n}/b={b}/delta={delta}", "pass" if ok else "FAIL",
             detail=detail))
-    return rep
+    return [rep]
 
 
 def _density_postconditions(d: DistributionTable, delta: Fraction, b: int):
@@ -887,8 +851,9 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
             delta_y = max_density(y, b)[0]
             for eps in eps_grid:
                 scan = DangerScan(y, g, delta_y, eps)
+                flagged = scan.dangerous_among(universe)
                 for x_val in universe:
-                    leak, dangerous = scan.witness("leaking", x_val), scan.dangerous(x_val)
+                    leak, dangerous = scan.witness("leaking", x_val), x_val in flagged
                     tag = f"{gname}/supp{s_idx}/eps={eps}/x={x_val}"
                     # claim 1: dangerous and not leaking => skewing
                     if dangerous and not leak:
@@ -910,7 +875,7 @@ def _section_claims(seed: int, supports: int = 20) -> List[SectionReport]:
     return [rep_skew, rep_bias]
 
 
-def _section_structure_lemmas(seed: int, count: int = 40) -> SectionReport:
+def _section_structure_lemmas(seed: int, count: int = 40) -> List[SectionReport]:
     rep = SectionReport("structure_lemmas")
     rng = random.Random(f"{seed}/structure")
     gamma = Fraction(1)
@@ -944,7 +909,7 @@ def _section_structure_lemmas(seed: int, count: int = 40) -> SectionReport:
                                 disc_value=disc_v)
         inst.instance = f"main-lemma/{k}/{gname}"
         rep.record(inst)
-    return rep
+    return [rep]
 
 
 def shipped_problems():
@@ -1015,11 +980,61 @@ def _section_lifting(seed: int, gadget: str = "ip2", rand_seeds: int = 3) -> Lis
     return [rep_det, rep_err, rep_led, rep_orc]
 
 
-def _section_fixture() -> SectionReport:
+def _section_fixture(seed: int) -> List[SectionReport]:
     """Self-test: a deliberately wrong bound must register as a FAIL."""
     rep = SectionReport("fixture_planted_violation")
     fair = DistributionTable.uniform([0, 1])
     wrong = xor_bias(fair, 1, (0,)) < 0  # bias is 0; the planted claim is 'negative'
     rep.record(LemmaInstance("fixture/planted", "pass" if wrong else "FAIL",
                              detail="planted violation (expected FAIL)"))
-    return rep
+    return [rep]
+
+
+# The corpus's sections, one row each: the job, (seed, **params) -> reports;
+# the params at a scale in the shipped corpus, none for an opt-in flag; and
+# the range of each integer param, checked by CorpusSpec.from_json before any
+# section runs.  At its upper end a section takes at most about half a minute
+# on 2 CPUs; kraft.max_len = 5 alone would enumerate more prefix-free codes
+# than any run can, and an XOR power past RECT_SIDE_LIMIT.bit_length() - 1
+# fits the rectangle budget at no b.  Each section draws from its own
+# random.Random(f"{seed}/<section>").  run_corpus deals them out round-robin
+# in this order, chosen by timing on 2 CPUs: the two shares of the scale-10
+# corpus took about the same CPU time, and the full corpus's Kraft sweep
+# (about 80% of that run) shares its process with the lighter half of the rest.
+class _Section(Record):
+    def __init__(self, job: Callable[..., List[SectionReport]],
+                 shipped: Optional[Callable[[int], dict]], budgets: Dict[str, Tuple[int, int]]):
+        self.job = job
+        self.shipped = shipped
+        self.budgets = budgets
+
+
+SECTIONS: Dict[str, _Section] = {
+    "lifting": _Section(_section_lifting, lambda scale: {"gadget": "ip2", "rand_seeds": 3},
+                        {"rand_seeds": (0, 300)}),
+    "claims": _Section(_section_claims, lambda scale: {"supports": max(20 // scale, 4)},
+                       {"supports": (0, 2_000)}),
+    "kraft": _Section(_section_kraft, lambda scale: {"max_len": 4 if scale == 1 else 3,
+                                                     "assignments": 100 // scale + 1},
+                      {"max_len": (0, 4), "assignments": (0, 10_000)}),
+    "extractor_sampling": _Section(_section_extractor_sampling,
+                                   lambda scale: {"samples_b2": max(200 // scale, 20)},
+                                   {"samples_b2": (0, 20_000)}),
+    "structure_lemmas": _Section(_section_structure_lemmas,
+                                 lambda scale: {"count": max(40 // scale, 8)},
+                                 {"count": (0, 4_000)}),
+    "fourier": _Section(_section_fourier, lambda scale: {"count": max(1000 // scale, 50)},
+                        {"count": (0, 100_000)}),
+    "vazirani": _Section(_section_vazirani, lambda scale: {"count": max(1000 // scale, 50)},
+                         {"count": (0, 100_000)}),
+    "density": _Section(_section_density, lambda scale: {"count": max(200 // scale, 20)},
+                        {"count": (0, 20_000)}),
+    "xor_lemma": _Section(_section_xor_lemma,
+                          lambda scale: {"gadgets": list(_XOR_GADGETS),
+                                         "powers": list(_XOR_POWERS), "extra": [["ip2", 1]]},
+                          dict.fromkeys(("powers", "extra"), (1, RECT_SIDE_LIMIT.bit_length() - 1))),
+    "fixture_planted_violation": _Section(_section_fixture, None, {}),
+}
+# "<section>.<param>": the range of that integer param, from the rows
+SPEC_BUDGETS = {f"{key}.{param}": bounds
+                for key, row in SECTIONS.items() for param, bounds in row.budgets.items()}

@@ -243,6 +243,11 @@ MALFORMED = {
         "verify", str(_spec(root, "unknown_param", {"fourier": {"cnt": 5}}))],
     "verify-spec-seed-not-int": lambda root: [
         "verify", str(_spec(root, "seed_not_int", {"seed": "1"}))],
+    # the fixture flag is a JSON boolean; any other value used to plant the FAIL (exit 1)
+    "verify-spec-fixture-flag-string": lambda root: [
+        "verify", str(_spec(root, "fixture_string", {"fixture_planted_violation": "no"}))],
+    "verify-spec-fixture-flag-object": lambda root: [
+        "verify", str(_spec(root, "fixture_object", {"fixture_planted_violation": {"a": 1}}))],
     # corpus-spec sizes are refused on the parsed value, before any section runs
     "verify-spec-count-over-budget": lambda root: [
         "verify", str(_spec(root, "count_over", {"fourier": {"count": 2 ** 70}}))],
@@ -391,7 +396,8 @@ LOADER_INPUTS = {
         '{"components": [{"weight": "1", "protocol": ' + _nested_protocol(900) + '}]}',
         '{"components": [{"weight": "1", "protocol": {"n": 1, "b": 1, "tree": {"leaf": [0.5]}}}]}')),
     "CorpusSpec.from_json": (CorpusSpec.from_json, (
-        "not json", "[]", '{"fourier": {"cnt": 5}}')),
+        "not json", "[]", '{"fourier": {"cnt": 5}}', '{"fixture_planted_violation": "no"}',
+        '{"fixture_planted_violation": {"a": 1}}')),
     "gadget_from_json": (gadget_from_json, (
         "not json", '{"b": "x", "rows": []}', '{"b": 1, "rows": 5}')),
 }

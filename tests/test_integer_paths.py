@@ -215,7 +215,7 @@ def test_fourier_inversion_matches_fraction_oracle():
 def test_kraft_section_matches_per_instance_oracle():
     for seed in (2024, 7, "x"):
         for max_len, assignments in ((1, 6), (2, 5), (3, 3)):
-            got = _section_kraft(seed, max_len, assignments)
+            [got] = _section_kraft(seed, max_len, assignments)
             want = oracle_section_kraft(seed, max_len, assignments)
             assert got.to_obj() == want.to_obj()
             assert got.total == want.total > 0

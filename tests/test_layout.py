@@ -31,6 +31,10 @@ The engines ask each question of a side once, through their cache: the
 simulation calls neither ``is_dense`` nor ``max_density`` (a side's density
 is its cached worst marginal's), and it evaluates the gadget only in
 ``compose_eval`` (conditioning selects blocks off the gadget's rows).
+
+A corpus section is written once, as a row of ``verify.SECTIONS``: its job,
+its shipped params and its integer ranges, which ``SPEC_BUDGETS`` collects.
+A danger scan answers two queries, ``witness`` and ``dangerous_among``.
 """
 
 import ast
@@ -178,3 +182,21 @@ def test_simulate_reads_density_and_gadget_through_its_cache():
              and (_called(node) in ("is_dense", "max_density")
                   or _called(node) == "eval" and isinstance(node.func, ast.Attribute))]
     assert not found, f"read density off _EngineCache.worst, select blocks off g.table: {found}"
+
+
+def test_each_corpus_section_is_one_row():
+    from liftsim.verify import SECTIONS, SPEC_BUDGETS, CorpusSpec
+    assert sorted(SECTIONS) == sorted(CorpusSpec._fields[1:])
+    # run_corpus deals the sections out in row order, the report lists them in field order
+    assert list(SECTIONS) == ["lifting", "claims", "kraft", "extractor_sampling",
+                              "structure_lemmas", "fourier", "vazirani", "density",
+                              "xor_lemma", "fixture_planted_violation"]
+    assert SPEC_BUDGETS == {f"{key}.{param}": bounds for key, row in SECTIONS.items()
+                            for param, bounds in row.budgets.items()}
+
+
+def test_a_danger_scan_answers_two_queries():
+    from liftsim.structure import DangerScan
+    assert not hasattr(DangerScan, "dangerous")
+    found = _lines_with(".dangerous(")
+    assert not found, f"ask DangerScan.dangerous_among or witness: {found}"

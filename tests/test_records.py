@@ -266,6 +266,13 @@ class CorpusSpec:
     fixture_planted_violation: bool = False
 
 
+@dataclass
+class _Section:
+    job: object
+    shipped: object
+    budgets: dict
+
+
 # -- the same constructor calls on both sides --------------------------------------
 
 P_LEAVES = (protocols.PLeaf(0), protocols.PLeaf(1))
@@ -323,6 +330,8 @@ CALLS = [
     (verify, SectionReport, [(("s",), {}), (("s", 3, 1, 1, 1), {"info": {"k": 1}})]),
     (verify, CorpusReport, [((1, [verify.SectionReport("s")]), {})]),
     (verify, CorpusSpec, [((), {}), ((), {"seed": 3, "fourier": {"count": 2}})]),
+    (verify, _Section, [((verify._section_fixture, None, {}), {}),
+                        ((verify._section_density, max, {"count": (0, 1)}), {})]),
 ]
 
 
@@ -340,7 +349,7 @@ def test_every_record_has_a_twin():
                if isinstance(obj, type) and issubclass(obj, Record)
                and obj.__module__ == module.__name__}
     assert records == {(module.__name__, twin.__name__) for module, twin, _ in CALLS}
-    assert len(records) == 28
+    assert len(records) == 29
 
 
 @pytest.mark.parametrize("record, twin", list(_pairs()),

@@ -494,7 +494,7 @@ def test_dangerous_scans_reject_a_wrong_length_x():
     levels = (F(1), F(1, 4))
     for x in ((1,), (1, 1, 1)):
         with pytest.raises(DomainError) as want:
-            scan.dangerous(x)
+            x in scan.dangerous_among((x,))
         assert str(want.value) == f"x has {len(x)} coordinates, Y has 2"
         for call in (lambda: is_leaking(x, y, IP2),
                      lambda: is_sparsifying(x, y, IP2, *levels),
@@ -546,7 +546,7 @@ def test_danger_scan_matches_oracles():
                     assert leak == want_leak.witness, (g, x, y)
                     assert spars == want_spars.witness, (g, x, y, delta_y, eps)
                     dangerous = want_leak.flagged or want_spars.flagged
-                    assert scan.dangerous(x) == _per_value("dangerous", *args) == dangerous
+                    assert (x in scan.dangerous_among((x,))) == _per_value("dangerous", *args) == dangerous
                     # the first leaking or sparsifying witness by set
                     found = scan.witness("dangerous", x)
                     assert (found is not None) == dangerous
@@ -561,13 +561,13 @@ def test_danger_scan_matches_oracles():
 
 
 def test_a_temporary_scan_answers():
-    # a scan nobody holds answers, and so does its `dangerous` kept past it
+    # a scan nobody holds answers, and so does its `dangerous_among` kept past it
     y = DistributionTable.uniform(list(product(range(4), repeat=2)))
     want = [is_dangerous(x, y, IP2, F(1), F(1, 4)) for x in y.domain]
-    assert [DangerScan(y, IP2, F(1), F(1, 4)).dangerous(x) for x in y.domain] == want
-    kept = DangerScan(y, IP2, F(1), F(1, 4)).dangerous
+    assert [x in DangerScan(y, IP2, F(1), F(1, 4)).dangerous_among((x,)) for x in y.domain] == want
+    kept = DangerScan(y, IP2, F(1), F(1, 4)).dangerous_among
     gc.collect()
-    assert list(map(kept, y.domain)) == want
+    assert [x in kept((x,)) for x in y.domain] == want
     assert any(want) and not all(want)
 
 
@@ -609,7 +609,7 @@ def test_danger_scan_errors_match_the_scans():
             with pytest.raises(DomainError):
                 scan.witness(query, x)
         with pytest.raises(DomainError):
-            scan.dangerous(x)
+            x in scan.dangerous_among((x,))
     with pytest.raises(DomainError):
         scan.witness("table", (0, 0))
     y_bad = DistributionTable.uniform([(0, 0), (2, 1)])
@@ -646,7 +646,7 @@ def test_danger_scan_reads_a_kept_product_test(monkeypatch):
             scan = DangerScan(y, IP2, F(1), F(1, 4), coord_limit=3)
         except (BudgetError, DomainError) as exc:
             return type(exc), str(exc)
-        return scan.k, scan.rows, [scan.dangerous(x) for x in product(range(4), repeat=scan.k)]
+        return scan.k, scan.rows, [x in scan.dangerous_among((x,)) for x in product(range(4), repeat=scan.k)]
 
     walks = []
     block_count = structure._block_count
@@ -741,7 +741,7 @@ def test_danger_scan_ip6_mass():
     for x in [(0, 0), (0, 63), (63, 63)] + random.Random(6).sample(u.domain, 5):
         want = (oracle_is_leaking(x, u, ip6).flagged
                 or oracle_is_sparsifying(x, u, ip6, F(1), F(1, 2), 6).flagged)
-        assert scan.dangerous(x) == want, x
+        assert (x in scan.dangerous_among((x,))) == want, x
 
 
 # -- table walks over thousands of rows: pinned witnesses ---------------------
@@ -751,7 +751,7 @@ LARGE_WALK_PIN = "522f77ef6e59e82c9ead739fc361c3a044eaab63083c362d949954f564c566
 
 def test_large_table_walks_pinned():
     # Two seeded non-product Ys: 5,000 rows of the ip4 k=4 universe and 6,000
-    # of rand:5:3 at k=3, weights in [1, 4].  Every witness and `dangerous`
+    # of rand:5:3 at k=3, weights in [1, 4].  Every witness and dangerous verdict
     # of four x each (the last with a zero block) at two levels, hashed.  The
     # digest was computed when a scan over more than 4,096 rows held its table
     # parts as {y_rest: weight} dicts; row bitmasks give the same results.
@@ -771,7 +771,7 @@ def test_large_table_walks_pinned():
             for x in xs:
                 got = [scan.witness(name, x, *((F(2), 4) if name == "biasing" else ()))
                        for name in scans]
-                got.append(scan.dangerous(x))
+                got.append(x in scan.dangerous_among((x,)))
                 results.append((x, delta_y, eps, got))
                 for name, found in zip(scans, got):
                     seen[name, found is not None] += 1
@@ -806,7 +806,7 @@ def _is_product(y):
 
 
 def test_product_form_matches_the_table_walk():
-    # On a product Y, DangerScan.dangerous reads the closed form: sparsifying
+    # On a product Y, DangerScan.dangerous_among reads the closed form: sparsifying
     # for every x iff some coordinate's heaviest block is too heavy (k >= 2),
     # else leaking iff 2^(k+1) * prod_c l_c(x_c) < T^k.  The walk over every
     # (C, pattern, J) is the oracle, asked through `witness` on the same scan;
@@ -829,7 +829,7 @@ def test_product_form_matches_the_table_walk():
                     form = scan._product_form
                     assert (form is not None) == (kind == "product"), (g, y)
                     for x in xs:
-                        dangerous = scan.dangerous(x)
+                        dangerous = x in scan.dangerous_among((x,))
                         assert dangerous == (scan.witness("dangerous", x) is not None), \
                             (g, y, x, delta_y, eps)
                         # on a product Y, which half of the closed form decided
@@ -840,11 +840,11 @@ def test_product_form_matches_the_table_walk():
 
 
 def test_batch_verdicts_match_the_per_value_ones():
-    # DangerScan.dangerous_among returns exactly the values that `dangerous`
-    # flags, asked one at a time of a fresh scan, and the brute-force
+    # DangerScan.dangerous_among returns exactly the values it flags when
+    # asked one value at a time of a fresh scan, and the brute-force
     # oracles agree: on product Ys, where the closed form is read once for
     # the batch, and on non-product ones, where each value is asked of
-    # `dangerous`.  dangerous_probability weighs the same set.
+    # `witness`.  dangerous_probability weighs the same set.
     rng = random.Random(30)
     seen = Counter()
     for g in [builtin_gadget(name) for name in ("xor1", "and1", "ip2", "rand:2:5")]:
@@ -862,10 +862,10 @@ def test_batch_verdicts_match_the_per_value_ones():
                     scan = DangerScan(y, g, delta_y, eps)
                     got = scan.dangerous_among(values)
                     fresh = DangerScan(y, g, delta_y, eps)
-                    assert got == {v for v in values if fresh.dangerous(v)}, (g, y, values)
+                    assert got == {v for v in values if v in fresh.dangerous_among((v,))}, (g, y, values)
                     assert got == {v for v in values if oracle_is_leaking(v, y, g).flagged
                                    or oracle_is_sparsifying(v, y, g, delta_y, eps, g.b).flagged}
-                    bad = [v for v, w in x.weights.items() if w and fresh.dangerous(v)]
+                    bad = [v for v, w in x.weights.items() if w and v in fresh.dangerous_among((v,))]
                     assert dangerous_probability(x, y, g, delta_y, eps) == \
                         F(sum(map(x.weights.__getitem__, bad)), x.total)
                     seen[scan._product_form is not None,
@@ -880,7 +880,7 @@ def test_batch_verdicts_match_the_per_value_ones():
 
 def test_batch_verdicts_refuse_a_bad_value_as_dangerous_does():
     # a wrong-length or out-of-range value in a batch is refused with the
-    # error `dangerous` gives it, and the first bad value in the batch is
+    # error a batch of it alone gives it, and the first bad value in the batch is
     # the one refused, on a product Y and on a non-product one
     product_y = DistributionTable.uniform(list(product(range(4), repeat=2)))
     other_y = DistributionTable.uniform([(0, 0), (1, 1), (2, 3), (3, 2), (0, 1)])
@@ -890,7 +890,7 @@ def test_batch_verdicts_refuse_a_bad_value_as_dangerous_does():
         good = [(0, 0), (3, 3)]
         for bad in ((4, 0), (0, -1), (1,), (1, 1, 1), ()):
             with pytest.raises(DomainError) as want:
-                scan.dangerous(bad)
+                bad in scan.dangerous_among((bad,))
             for values in ([bad], good + [bad], good + [bad, (0, 5)], good + [bad, (2,)]):
                 with pytest.raises(DomainError) as got:
                     scan.dangerous_among(values)

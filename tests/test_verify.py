@@ -230,6 +230,37 @@ def test_shipped_specs_fit_their_budgets():
             if list(verify._ints(value))} == set(verify.SPEC_BUDGETS)
 
 
+def test_an_empty_section_object_runs_its_job_defaults():
+    # a section given {} runs with every param at its job's default, as a
+    # section that names some params takes the default for the rest
+    [xor] = run_corpus(CorpusSpec.from_json('{"xor_lemma": {}}')).sections
+    assert (xor.name, xor.total) == ("xor_lemma_sandwich", 12)  # 4 gadgets x 3 powers
+    [fourier] = run_corpus(CorpusSpec.from_json('{"fourier": {}}')).sections
+    assert (fourier.name, fourier.total) == ("fourier_bias_identity", 1000)
+
+
+def test_an_omitted_key_takes_the_job_default_not_the_shipped_size():
+    # kraft.assignments defaults to 100 in the job, while the shipped corpus
+    # runs 101: the 3 codes of length <= 1 once, then 99 more draws each
+    assert default_corpus_spec().kraft["assignments"] == 101
+    [kraft] = run_corpus(CorpusSpec.from_json('{"kraft": {"max_len": 1}}')).sections
+    assert (kraft.name, kraft.total) == ("kraft_heavy_message", 300)
+    assert default_corpus_spec().xor_lemma["extra"] == [["ip2", 1]]
+
+
+def test_the_fixture_flag_is_a_json_boolean():
+    # true plants the FAIL and false runs nothing; any other value is refused
+    # with a FormatError before any section runs
+    for flag, sections in (("true", ["fixture_planted_violation"]), ("false", [])):
+        spec = CorpusSpec.from_json(f'{{"fixture_planted_violation": {flag}}}')
+        assert [s.name for s in run_corpus(spec).sections] == sections
+    for value in ('"no"', '{"a": 1}', "1", "null", "[]"):
+        with pytest.raises(FormatError, match="^corpus spec key 'fixture_planted_violation' "
+                                              "must be true or false$"):
+            CorpusSpec.from_json(f'{{"fourier": {{"count": 2}}, '
+                                 f'"fixture_planted_violation": {value}}}')
+
+
 # Each refused before any section runs, on the parsed value alone.
 OVER_BUDGET = {
     '{"fourier": {"count": 1000000}}': ("fourier.count", 1000000, "0..100000"),
@@ -451,7 +482,8 @@ def test_density_postconditions_fail_on_broken_partitions(monkeypatch):
 
 def _shares(spec, procs=2):
     """The section keys each process runs: share 0 is the caller's."""
-    keys = [key for key in verify._SECTION_JOBS if getattr(spec, key)]
+    keys = [key for key in verify.SECTIONS
+            if isinstance(getattr(spec, key), dict) or getattr(spec, key) is True]
     return [keys[rank::procs] for rank in range(procs)]
 
 
@@ -545,7 +577,7 @@ def test_a_section_error_in_a_child_is_raised_by_the_caller(split, monkeypatch, 
         (tmp_path / f"ran-{os.getpid()}").touch()
         raise BudgetError("density test instances", count, 0)
 
-    monkeypatch.setattr(verify, "_section_density", failing)
+    monkeypatch.setattr(verify.SECTIONS["density"], "job", failing)
     with pytest.raises(BudgetError) as got:
         split(SMALL_SPEC)
     ran = sorted(p.name for p in tmp_path.glob("ran-*"))
@@ -583,7 +615,7 @@ def test_a_child_that_fails_leaves_the_report_unchanged(death, split, monkeypatc
                 raise BudgetError("density test instances", count, 0)
         return report
 
-    monkeypatch.setattr(verify, "_section_density", dying)
+    monkeypatch.setattr(verify.SECTIONS["density"], "job", dying)
     if death == "exit 1 after writing":
         monkeypatch.setattr(os, "_exit", lambda status, _exit=os._exit: _exit(1))
     assert split(SMALL_SPEC).to_json() == want
@@ -608,7 +640,7 @@ BIG = SectionReport("big", info={"pad": "x" * (1 << 20)})  # past any pipe buffe
 def test_a_report_past_the_pipe_buffer_comes_back(split, monkeypatch):
     spec = CorpusSpec(seed=1, density={"count": 2}, xor_lemma=default_corpus_spec().xor_lemma)
     assert _shares(spec) == [["density"], ["xor_lemma"]]
-    monkeypatch.setattr(verify, "_section_xor_lemma", lambda **_: BIG)
+    monkeypatch.setattr(verify.SECTIONS["xor_lemma"], "job", lambda seed, **_: [BIG])
     got = split(spec)
     assert [s.name for s in got.sections] == ["big", "density_restoring"]
     assert got.to_json() == _serial(spec, monkeypatch).to_json()
@@ -620,13 +652,13 @@ def test_a_caller_error_kills_and_reaps_a_blocked_child(error, split, monkeypatc
     # waits for a reader when the caller's own section raises: the error
     # leaves run_corpus at once, and the fixture finds no child left
     spec = CorpusSpec(seed=1, density={"count": 2}, xor_lemma=default_corpus_spec().xor_lemma)
-    monkeypatch.setattr(verify, "_section_xor_lemma", lambda **_: BIG)
+    monkeypatch.setattr(verify.SECTIONS["xor_lemma"], "job", lambda seed, **_: [BIG])
 
     def failing(seed, count):
         time.sleep(0.2)
         raise error
 
-    monkeypatch.setattr(verify, "_section_density", failing)
+    monkeypatch.setattr(verify.SECTIONS["density"], "job", failing)
     start = time.monotonic()
     with pytest.raises(type(error)):
         split(spec)
