@@ -22,6 +22,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import chain, product
+from operator import lshift
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .dist import (
@@ -45,21 +46,24 @@ from .dtrees import (
     solves,
     z_bits,
 )
-from .errors import BudgetError, FormatError, InvariantError, LiftsimError, json_int, malformed
+from .errors import BudgetError, FormatError, LiftsimError, json_int, malformed
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_str
 from .gadgets import (
     RECT_SIDE_LIMIT,
-    CorollaryReport,
     Gadget,
     _check_xor_power,
+    _disc_ok,
+    _extractor_bits,
+    _ratio,
+    _sampling_bits,
+    _zero_weight,
     block_table,
     builtin_gadget,
     check_xor_lemma,
     discrepancy,
-    extractor_check,
-    sampling_check,
+    xor_power,
 )
-from .protocols import assert_prefix_free, canonical_protocol, complexity, kraft_heavy_pick
+from .protocols import canonical_protocol, complexity
 from .records import Record, dump_json
 from .simulate import (
     ERROR_K,
@@ -352,18 +356,19 @@ class SectionReport(Record):
     def record(self, inst: LemmaInstance) -> None:
         self.count(inst.verdict, lambda: inst)
 
-    def count(self, verdict: str, render: Callable[[], LemmaInstance]) -> None:
-        """Record one verdict; `render` builds its LemmaInstance (names and
-        measured/bound strings), called only for a FAIL."""
-        self.total += 1
+    def count(self, verdict: str, render: Optional[Callable[[], LemmaInstance]],
+              times: int = 1) -> None:
+        """Record `times` instances of one verdict; `render` builds a FAIL's
+        LemmaInstance (names and measured/bound strings), called only for a
+        FAIL, once per instance."""
+        self.total += times
         if verdict == "FAIL":
-            inst = render()
-            self.fails += 1
-            self.counterexamples.append(inst.fields_obj("verdict"))
+            self.fails += times
+            self.counterexamples.extend(render().fields_obj("verdict") for _ in range(times))
         elif verdict == "vacuous":
-            self.vacuous += 1
+            self.vacuous += times
         else:
-            self.passes += 1
+            self.passes += times
 
     def to_obj(self) -> dict:
         # its fields (it sets no other attribute), JSON data as they are
@@ -418,7 +423,9 @@ class CorpusSpec(Record):
     def from_json(cls, text: str) -> "CorpusSpec":
         """Parse a spec; each section must be an object whose keys and value
         types are those of its row's shipped params at scale 1, and an opt-in
-        section's value true or false."""
+        section's value true or false.  The job counts, sides and block
+        lengths are checked on the params the job will run with: the spec's,
+        and the job's defaults for the keys it leaves out."""
         with malformed("corpus spec"):
             doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -451,10 +458,9 @@ class CorpusSpec(Record):
                     if not lo <= size <= hi:
                         raise BudgetError(f"corpus spec value {section}.{key}", size,
                                           f"{lo}..{hi}")
+            args = {**_job_defaults(row.job), **params}
             if section == "xor_lemma":
-                gadgets = params.get("gadgets", _XOR_GADGETS)
-                powers = params.get("powers", _XOR_POWERS)
-                extra = params.get("extra", ())
+                gadgets, powers, extra = args["gadgets"], args["powers"], args["extra"]
                 jobs = len(gadgets) * len(powers) + len(extra)
                 if jobs > XOR_LEMMA_JOB_LIMIT:
                     raise BudgetError("corpus spec xor_lemma jobs", jobs, XOR_LEMMA_JOB_LIMIT)
@@ -464,8 +470,8 @@ class CorpusSpec(Record):
                 for name, m in chain(product(gadgets, powers), extra):
                     _check_xor_power(named[name], m,
                                      f"corpus spec xor_lemma side of {name} at m={m}")
-            if section == "lifting" and "gadget" in params:
-                b = builtin_gadget(params["gadget"]).b
+            if section == "lifting":
+                b = builtin_gadget(args["gadget"]).b
                 if b > LIFTING_BLOCK_LIMIT:
                     raise BudgetError("corpus spec lifting gadget block length", b,
                                       LIFTING_BLOCK_LIMIT)
@@ -478,6 +484,14 @@ XOR_LEMMA_JOB_LIMIT = 1_000
 # The block length b of the lifting section's gadget: at rand_seeds = 300 the
 # section took 9.4 s at b = 5, and at b = 6 it took 33 s with 3 seeds.
 LIFTING_BLOCK_LIMIT = 5
+
+
+def _job_defaults(job: Callable) -> dict:
+    """{param: default} of a job's params that have a default, read off the
+    function: its __code__ names the params, its __defaults__ ends them."""
+    code, defaults = job.__code__, job.__defaults__ or ()
+    return dict(zip(code.co_varnames[code.co_argcount - len(defaults):code.co_argcount],
+                    defaults))
 
 
 def _ints(value):
@@ -563,7 +577,7 @@ def _run_shares(spec: CorpusSpec, keys: List[str], procs: int) -> Dict[str, list
     here and shares 1 .. procs-1 each in a forked child (`_fork`).  However
     this returns or raises, every pipe is closed and every child reaped
     first, killed if it still runs."""
-    import pickle
+    import marshal
     import signal
 
     done, children = {}, []  # children: (pid, read end of its pipe)
@@ -575,7 +589,8 @@ def _run_shares(spec: CorpusSpec, keys: List[str], procs: int) -> Dict[str, list
         for pid, pipe in children:
             data = pipe.read()
             if os.waitpid(pid, 0)[1] == 0:  # a clean exit: every byte was written
-                done.update(pickle.loads(data))
+                done.update({key: [SectionReport(**fields) for fields in reports]
+                             for key, reports in marshal.loads(data).items()})
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -589,13 +604,14 @@ def _run_shares(spec: CorpusSpec, keys: List[str], procs: int) -> Dict[str, list
 
 
 def _fork(children: list, spec: CorpusSpec, share: List[str]) -> None:
-    """Fork a child that pickles {key: reports} of the sections `share` to a
-    pipe and leaves by os._exit: with status 0 once every byte is written,
-    else 1.  Its pid and the pipe's read end join `children` before this
-    process can take a signal, and the child takes none before it is inside
-    its try, so it never returns into the caller's code.  When the fork
-    fails, nothing joins `children`."""
-    import pickle
+    """Fork a child that writes {key: each report's fields} of the sections
+    `share` to a pipe by marshal (the fields are JSON data) and leaves by
+    os._exit: with status 0 once every byte is written, else 1.  Its pid and
+    the pipe's read end join `children` before this process can take a
+    signal, and the child takes none before it is inside its try, so it
+    never returns into the caller's code.  When the fork fails, nothing
+    joins `children`."""
+    import marshal
     import signal
 
     read_end, write_end = os.pipe()
@@ -609,7 +625,8 @@ def _fork(children: list, spec: CorpusSpec, share: List[str]) -> None:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 pipe.close()
                 with open(write_end, "wb") as out:
-                    out.write(pickle.dumps({key: _run_section(spec, key) for key in share}))
+                    out.write(marshal.dumps({key: list(map(vars, _run_section(spec, key)))
+                                             for key in share}))
                 status = 0
             finally:
                 os._exit(status)
@@ -686,98 +703,166 @@ def _section_xor_lemma(seed: int, gadgets: Sequence[str] = _XOR_GADGETS,
     return [rep]
 
 
-def _flat_tables(universe_size: int):
-    for supp in subsets_by_size(universe_size, nonempty=True):
-        yield DistributionTable.uniform(supp)
+def _flat_tables(universe_size: int) -> Dict[tuple, DistributionTable]:
+    """{support: its uniform table} for each nonempty subset of range(universe_size)."""
+    return {supp: DistributionTable.uniform(supp)
+            for supp in subsets_by_size(universe_size, nonempty=True)}
+
+
+# The values of eta, lam and gamma in the extractor/sampling section.
+_COROLLARY_GRID = (Fraction(1, 4), Fraction(1, 2))
 
 
 def _section_extractor_sampling(seed: int, samples_b2: int = 200) -> List[SectionReport]:
-    rep_e = SectionReport("discrepancy_extractor")
-    rep_s = SectionReport("discrepancy_sampling")
-    quarter, half = grid = (Fraction(1, 4), Fraction(1, 2))
+    """extractor_check's and sampling_check's verdicts on flat tables: at b=1
+    every pair over the whole grid, at b=1 with two copies every pair, and
+    seeded pairs at b=2, each decided by _corollary_sweep."""
+    reps = SectionReport("discrepancy_extractor"), SectionReport("discrepancy_sampling")
+    quarter, half = grid = _COROLLARY_GRID
     b1_gadgets = [builtin_gadget(n) for n in ("and1", "or1", "xor1", "ip1")]
-    flats1 = list(_flat_tables(2))
+    flats1 = list(_flat_tables(2).values())
+    points = [((eta, lam), [(gam, lam, eta) for gam in grid]) for eta in grid for lam in grid]
     for g in b1_gadgets:
-        disc_v = discrepancy(g).value
-        for x in flats1:
-            for y in flats1:
-                for eta in grid:
-                    for lam in grid:
-                        r = extractor_check(g, x, y, eta, lam, disc_value=disc_v)
-                        _record_ext(rep_e, f"b1/{g.name}", r)
-                        for gam in grid:
-                            rs = sampling_check(g, x, y, gam, lam, eta, disc_value=disc_v)
-                            _record_ext(rep_s, f"b1/{g.name}", rs)
+        _corollary_sweep(reps, f"b1/{g.name}", g, 1, product(flats1, repeat=2), points)
     # xor-power corollaries at b=1, two copies, exhaustive flat pairs
-    flats2 = list(_flat_tables(4))
+    flats2 = _flat_tables(4)
     for g in b1_gadgets:
-        disc_v = discrepancy(g).value
-        for x in flats2:
-            for y in flats2:
-                r = extractor_check(g, x, y, half, quarter, m=2, disc_value=disc_v)
-                _record_ext(rep_e, f"b1-xor2/{g.name}", r)
-                rs = sampling_check(g, x, y, quarter, quarter, half, m=2, disc_value=disc_v)
-                _record_ext(rep_s, f"b1-xor2/{g.name}", rs)
+        _corollary_sweep(reps, f"b1-xor2/{g.name}", g, 2, product(flats2.values(), repeat=2),
+                         [((half, quarter), [(quarter, quarter, half)])])
     # seeded flat pairs at b=2
     rng = random.Random(f"{seed}/extractor-b2")
     ip2 = builtin_gadget("ip2")
-    disc_v = discrepancy(ip2).value
     universe = list(range(4))
     for k in range(samples_b2):
-        xs = seeded_support(rng, universe)
-        ys = seeded_support(rng, universe)
-        x = DistributionTable.uniform(xs)
-        y = DistributionTable.uniform(ys)
+        x = flats2[seeded_support(rng, universe)]
+        y = flats2[seeded_support(rng, universe)]
         eta, lam, gam = (rng.choice(grid) for _ in range(3))
-        r = extractor_check(ip2, x, y, eta, lam, disc_value=disc_v)
-        _record_ext(rep_e, f"b2/{k}", r)
-        rs = sampling_check(ip2, x, y, gam, lam, eta, disc_value=disc_v)
-        _record_ext(rep_s, f"b2/{k}", rs)
-    return [rep_e, rep_s]
+        _corollary_sweep(reps, f"b2/{k}", ip2, 1, [(x, y)], [((eta, lam), [(gam, lam, eta)])])
+    return list(reps)
 
 
-def _record_ext(rep: SectionReport, tag: str, r: CorollaryReport) -> None:
-    """One extractor or sampling verdict; measured and bound are rendered
-    only for a FAIL."""
-    def render() -> LemmaInstance:
-        return LemmaInstance(tag, "FAIL", measured=frac_str(r.measured),
-                             bound=f"2^-({frac_str(r.bound_bits)})")
+def _corollary_sweep(reps: Tuple[SectionReport, SectionReport], tag: str, g: Gadget, m: int,
+                     pairs, points: list) -> None:
+    """extractor_check's and sampling_check's verdicts for g^xor m on each
+    (X, Y) of `pairs`, in order, at each of `points`: ((eta, lam), [(gamma,
+    lam, eta), ...]), an extractor grid point and the sampling points that
+    follow it.  Each point's exponents and _disc_ok are computed once per
+    call.  A conclusion, and the zero weights it reads, is computed only
+    where its hypothesis holds, since a vacuous verdict reads nothing else;
+    all on ints, with measured and bound rendered only for a FAIL."""
+    rep_e, rep_s = reps
+    b, gx = g.b, xor_power(g, m)
+    disc = _ratio(discrepancy(g).value)
+    grid = [((_disc_ok(disc, _ratio(eta), b), *_extractor_bits(_ratio(eta), _ratio(lam), m, b)),
+             [(_disc_ok(disc, _ratio(eta), b),
+               *_sampling_bits(_ratio(gam), _ratio(lam), _ratio(eta), m, b))
+              for gam, lam, eta in samplings])
+            for (eta, lam), samplings in points]
+    for x, y in pairs:
+        total = x.total * y.total
+        top = max(x.weights.values()) * max(y.weights.values())
+        for (disc_ok, entropy_bits, bound_bits), samplings in grid:
+            if disc_ok and cmp_pow2_ratio(top, total, entropy_bits) <= 0:
+                gap = abs(2 * sum(w * _zero_weight(gx, a, y) for a, w in x.weights.items())
+                          - total)
+                _count_corollary(rep_e, tag, gap, total, bound_bits,
+                                 cmp_pow2_ratio(gap, total, bound_bits) <= 0)
+            else:
+                rep_e.count("vacuous", None)
+            for disc_ok, entropy_bits, bias_bits, bound_bits in samplings:
+                if disc_ok and cmp_pow2_ratio(top, total, entropy_bits) <= 0:
+                    y_total = y.total
+                    bad = sum(w for a, w in x.weights.items()
+                              if cmp_pow2_ratio(abs(2 * _zero_weight(gx, a, y) - y_total),
+                                                y_total, bias_bits) > 0)
+                    _count_corollary(rep_s, tag, bad, x.total, bound_bits,
+                                     cmp_pow2_ratio(bad, x.total, bound_bits) < 0)
+                else:
+                    rep_s.count("vacuous", None)
 
-    rep.count(_verdict(r.hypothesis, r.conclusion), render)
+
+def _count_corollary(rep: SectionReport, tag: str, num: int, den: int, bound_bits: Fraction,
+                     conclusion: bool) -> None:
+    """One extractor or sampling verdict whose hypothesis holds: a FAIL
+    shows num/den as measured against 2^-(bound_bits)."""
+    rep.count("pass" if conclusion else "FAIL", lambda: LemmaInstance(
+        tag, "FAIL", measured=frac_str(Fraction(num, den)), bound=f"2^-({frac_str(bound_bits)})"))
 
 
 def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> List[SectionReport]:
+    """A seeded weighting of every prefix-free code of words up to max_len
+    long, and assignments - 1 more (none at 0) of each code of words up to 3
+    long, all drawn from one _weight_stream."""
     rep = SectionReport("kraft_heavy_message")
-    rng = random.Random(f"{seed}/kraft")
+    draw = _weight_stream(random.Random(f"{seed}/kraft"))
     codes = list(all_prefix_free_codes(max_len))
     rep.info["codes"] = len(codes)
-    for code in codes:
-        _kraft_sweep(rep, rng, code, 1, "kraft")
+    _kraft_sweep(rep, draw, codes, 1, "kraft")
     # the codes whose words are all of length <= 3, in the same order
-    for code in all_prefix_free_codes(min(max_len, 3)):
-        _kraft_sweep(rep, rng, code, assignments - 1, "kraft-small")
+    _kraft_sweep(rep, draw, all_prefix_free_codes(min(max_len, 3)), max(assignments - 1, 0),
+                 "kraft-small")
     return [rep]
 
 
-def _kraft_sweep(rep: SectionReport, rng: random.Random, code: Sequence[str],
-                 draws: int, label: str) -> None:
-    """`draws` seeded weightings of one code, each a pass iff some message is
-    Kraft-heavy.  Prefix-freeness is asserted once for the code, since every
-    support drawn on it is a subset; a code that is not prefix-free makes every
-    draw a FAIL."""
-    messages = sorted(code)
-    try:
-        assert_prefix_free(messages)
-        prefix_free = True
-    except InvariantError:
-        prefix_free = False
-    def render() -> LemmaInstance:
-        return LemmaInstance(f"{label}/{'|'.join(code)}", "FAIL")
+# 32-bit words per getrandbits block of a _weight_stream: about 2,200 weights
+# at SEED_MAX_WEIGHT = 16.
+_KRAFT_BLOCK_WORDS = 1 << 12
 
-    for _ in range(draws):
-        weights = seeded_weights(rng, len(messages))
-        ok = prefix_free and kraft_heavy_pick(zip(messages, weights), sum(weights)) is not None
-        rep.count("pass" if ok else "FAIL", render)
+
+def _weight_stream(rng: random.Random) -> Callable[[int], bytes]:
+    """draw(size): the weights seeded_weights(rng, size) gives, as bytes,
+    one call after another, drawn in blocks.  getrandbits(32*N) is the N
+    32-bit outputs that N getrandbits(bits) calls would take the top bits
+    of, the first least significant, so the top byte of each word, shifted
+    right, is one call's value.  One translate maps each top byte to that
+    value, or to 0xff past SEED_MAX_WEIGHT, and the rejects are removed.
+    A draw is the next `size` values of that stream, skipped when all are
+    zero as seeded_weights redraws it.  The rng is drawn past the last
+    weight used, so it must have no other reader."""
+    bound = SEED_MAX_WEIGHT + 1
+    bits = bound.bit_length()  # at most 8: SEED_MAX_WEIGHT is below 255
+    table = bytes(v >> (8 - bits) if v >> (8 - bits) < bound else 0xff for v in range(256))
+    getrandbits = rng.getrandbits
+    buf, pos = b"", 0
+
+    def draw(size: int) -> bytes:
+        nonlocal buf, pos
+        while True:
+            end = pos + size
+            if end > len(buf):
+                buf, pos, end = buf[pos:], 0, size
+                while len(buf) < size:
+                    words = getrandbits(32 * _KRAFT_BLOCK_WORDS)
+                    top = words.to_bytes(4 * _KRAFT_BLOCK_WORDS, "little")[3::4]
+                    buf += top.translate(table).replace(b"\xff", b"")
+            weights = buf[pos:end]
+            pos = end
+            if any(weights):
+                return weights
+
+    return draw
+
+
+def _kraft_sweep(rep: SectionReport, draw: Callable[[int], bytes], codes, draws: int,
+                 label: str) -> None:
+    """`draws` weightings of each code (a tuple of sorted words) from `draw`,
+    each a pass iff some message is Kraft-heavy, as kraft_heavy_pick tests
+    it: weight << len(word) >= total.  Prefix-freeness is checked once per
+    code, since every support drawn on it is a subset: sorted words are
+    prefix-free iff none starts the next.  A code that is not prefix-free
+    makes every draw a FAIL."""
+    for code in codes:
+        prefix_free = not any(map(str.startswith, code[1:], code))
+        lens = list(map(len, code))
+        size = len(code)
+        fails = 0
+        for _ in range(draws):
+            weights = draw(size)
+            if not (prefix_free and max(map(lshift, weights, lens)) >= sum(weights)):
+                fails += 1
+        rep.count("pass", None, draws - fails)
+        if fails:
+            rep.count("FAIL", lambda: LemmaInstance(f"{label}/{'|'.join(code)}", "FAIL"), fails)
 
 
 def _section_density(seed: int, count: int = 200) -> List[SectionReport]:
@@ -998,9 +1083,12 @@ def _section_fixture(seed: int) -> List[SectionReport]:
 # than any run can, and an XOR power past RECT_SIDE_LIMIT.bit_length() - 1
 # fits the rectangle budget at no b.  Each section draws from its own
 # random.Random(f"{seed}/<section>").  run_corpus deals them out round-robin
-# in this order, chosen by timing on 2 CPUs: the two shares of the scale-10
-# corpus took about the same CPU time, and the full corpus's Kraft sweep
-# (about 80% of that run) shares its process with the lighter half of the rest.
+# in this order, chosen by timing on 2 CPUs, and kept since.  With the Kraft
+# and extractor/sampling sweeps as batch kernels (2 CPUs, Python 3.11.7), the
+# scale-10 shares take about 47 ms (lifting, kraft, structure_lemmas,
+# vazirani, xor_lemma: the caller's) and 39 ms (claims, extractor_sampling,
+# fourier, density: the child's); in the full corpus the Kraft sweep, 1.7 of
+# 2.2 s, shares its process with the lighter half of the rest.
 class _Section(Record):
     def __init__(self, job: Callable[..., List[SectionReport]],
                  shipped: Optional[Callable[[int], dict]], budgets: Dict[str, Tuple[int, int]]):

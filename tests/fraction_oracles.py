@@ -6,17 +6,28 @@ Kraft pick and the corpus's per-instance Kraft sweep, the seeded weight draw
 and the truncation threshold.  They build every probability, bias and bound
 as a Fraction and compare those, so a test that compares an integer path with
 its oracle checks the cleared arithmetic against the definition it clears.
+The corpus's extractor/sampling section keeps its per-instance body here
+too, one extractor_check and one sampling_check call per instance, as the
+oracle of the section's batch kernel.
 """
 
 import random
 from fractions import Fraction as F
 
+from liftsim import verify
 from liftsim.dist import DistributionTable, subsets_by_size, xor_bias
 from liftsim.errors import DomainError, InvariantError
-from liftsim.exact import cmp_pow2, cmp_products
-from liftsim.gadgets import CorollaryReport, discrepancy, xor_power
+from liftsim.exact import cmp_pow2, cmp_products, frac_str
+from liftsim.gadgets import (
+    CorollaryReport,
+    builtin_gadget,
+    discrepancy,
+    extractor_check,
+    sampling_check,
+    xor_power,
+)
 from liftsim.protocols import assert_prefix_free
-from liftsim.verify import LemmaInstance, SectionReport, all_prefix_free_codes
+from liftsim.verify import LemmaInstance, SectionReport, all_prefix_free_codes, seeded_support
 
 
 def _zero_weight(g, a, y):
@@ -134,7 +145,7 @@ def oracle_seeded_distribution(rng, domain, max_weight=16):
             return DistributionTable.from_weights(dict(zip(domain, weights)))
 
 
-def oracle_section_kraft(seed, max_len, assignments):
+def oracle_section_kraft(seed, max_len, assignments, max_weight=16):
     """The corpus's Kraft section, one table and one kraft_heavy_message call
     (with its own prefix-free check) per instance."""
     rep = SectionReport("kraft_heavy_message")
@@ -142,6 +153,16 @@ def oracle_section_kraft(seed, max_len, assignments):
     codes = list(all_prefix_free_codes(max_len))
     rep.info["codes"] = len(codes)
     small = [c for c in codes if max(len(w) for w in c) <= 3]
+    for code in codes:
+        oracle_kraft_sweep(rep, rng, code, 1, "kraft", max_weight)
+    for code in small:
+        oracle_kraft_sweep(rep, rng, code, assignments - 1, "kraft-small", max_weight)
+    return rep
+
+
+def oracle_kraft_sweep(rep, rng, code, draws, label, max_weight=16):
+    """`draws` instances of one code: a seeded table on its sorted words, a
+    pass iff kraft_heavy_message finds a message of mass at least 2^-len."""
 
     def ok(d):
         try:
@@ -150,15 +171,67 @@ def oracle_section_kraft(seed, max_len, assignments):
             return False
         return d.prob(w) >= F(1, 1 << len(w))
 
-    for code in codes:
-        d = oracle_seeded_distribution(rng, sorted(code))
-        rep.record(LemmaInstance(f"kraft/{'|'.join(code)}", "pass" if ok(d) else "FAIL"))
-    for code in small:
-        for _ in range(assignments - 1):
-            d = oracle_seeded_distribution(rng, sorted(code))
-            rep.record(LemmaInstance(f"kraft-small/{'|'.join(code)}",
-                                     "pass" if ok(d) else "FAIL"))
-    return rep
+    for _ in range(draws):
+        d = oracle_seeded_distribution(rng, sorted(code), max_weight)
+        rep.record(LemmaInstance(f"{label}/{'|'.join(code)}", "pass" if ok(d) else "FAIL"))
+
+
+def _flat_tables(universe_size):
+    for supp in subsets_by_size(universe_size, nonempty=True):
+        yield DistributionTable.uniform(supp)
+
+
+def oracle_section_extractor_sampling(seed, samples_b2=200):
+    """The corpus's extractor/sampling section, one extractor_check and one
+    sampling_check call per instance, on the grid verify._COROLLARY_GRID."""
+    rep_e = SectionReport("discrepancy_extractor")
+    rep_s = SectionReport("discrepancy_sampling")
+    quarter, half = grid = verify._COROLLARY_GRID
+    b1_gadgets = [builtin_gadget(n) for n in ("and1", "or1", "xor1", "ip1")]
+    flats1 = list(_flat_tables(2))
+    for g in b1_gadgets:
+        disc_v = discrepancy(g).value
+        for x in flats1:
+            for y in flats1:
+                for eta in grid:
+                    for lam in grid:
+                        r = extractor_check(g, x, y, eta, lam, disc_value=disc_v)
+                        _record_ext(rep_e, f"b1/{g.name}", r)
+                        for gam in grid:
+                            rs = sampling_check(g, x, y, gam, lam, eta, disc_value=disc_v)
+                            _record_ext(rep_s, f"b1/{g.name}", rs)
+    # xor-power corollaries at b=1, two copies, exhaustive flat pairs
+    flats2 = list(_flat_tables(4))
+    for g in b1_gadgets:
+        disc_v = discrepancy(g).value
+        for x in flats2:
+            for y in flats2:
+                r = extractor_check(g, x, y, half, quarter, m=2, disc_value=disc_v)
+                _record_ext(rep_e, f"b1-xor2/{g.name}", r)
+                rs = sampling_check(g, x, y, quarter, quarter, half, m=2, disc_value=disc_v)
+                _record_ext(rep_s, f"b1-xor2/{g.name}", rs)
+    # seeded flat pairs at b=2
+    rng = random.Random(f"{seed}/extractor-b2")
+    ip2 = builtin_gadget("ip2")
+    disc_v = discrepancy(ip2).value
+    universe = list(range(4))
+    for k in range(samples_b2):
+        xs = seeded_support(rng, universe)
+        ys = seeded_support(rng, universe)
+        x = DistributionTable.uniform(xs)
+        y = DistributionTable.uniform(ys)
+        eta, lam, gam = (rng.choice(grid) for _ in range(3))
+        r = extractor_check(ip2, x, y, eta, lam, disc_value=disc_v)
+        _record_ext(rep_e, f"b2/{k}", r)
+        rs = sampling_check(ip2, x, y, gam, lam, eta, disc_value=disc_v)
+        _record_ext(rep_s, f"b2/{k}", rs)
+    return [rep_e, rep_s]
+
+
+def _record_ext(rep, tag, r):
+    verdict = "vacuous" if not r.hypothesis else "pass" if r.conclusion else "FAIL"
+    rep.record(LemmaInstance(tag, verdict, measured=frac_str(r.measured),
+                             bound=f"2^-({frac_str(r.bound_bits)})"))
 
 
 def oracle_trunc_cmp(params, p_geq):

@@ -18,7 +18,9 @@ from fraction_oracles import (
     oracle_extractor_check,
     oracle_fourier_inversion,
     oracle_kraft_heavy_message,
+    oracle_kraft_sweep,
     oracle_sampling_check,
+    oracle_section_extractor_sampling,
     oracle_section_kraft,
     oracle_seeded_distribution,
     oracle_trunc_cmp,
@@ -34,8 +36,9 @@ from liftsim.dist import (
 )
 from liftsim.errors import DomainError, InvariantError
 from liftsim.exact import cmp_pow2, cmp_pow2_ratio
-from liftsim.gadgets import builtin_gadget, extractor_check, sampling_check
+from liftsim.gadgets import DiscrepancyResult, builtin_gadget, extractor_check, sampling_check
 from liftsim.protocols import kraft_heavy_message, kraft_heavy_pick
+from liftsim.records import dump_json
 from liftsim.dtrees import brute_force_Ddt, parity_problem
 from liftsim.gadgets import Gadget
 from liftsim.protocols import PLeaf, PNode, ProtocolTree, canonical_protocol
@@ -52,7 +55,9 @@ from liftsim.structure import (
 from liftsim.verify import (
     SectionReport,
     _kraft_sweep,
+    _section_extractor_sampling,
     _section_kraft,
+    _weight_stream,
     all_prefix_free_codes,
     seeded_distribution,
     seeded_weights,
@@ -212,13 +217,54 @@ def test_fourier_inversion_matches_fraction_oracle():
     assert fourier_inversion({(): 1}, 0).weights == {0: 1}
 
 
-def test_kraft_section_matches_per_instance_oracle():
-    for seed in (2024, 7, "x"):
-        for max_len, assignments in ((1, 6), (2, 5), (3, 3)):
+def test_kraft_section_matches_per_instance_oracle(monkeypatch):
+    for seed in (2024, 7, "x", 0, 99):
+        for max_len, assignments in ((1, 6), (2, 5), (3, 3), (1, 1), (2, 0), (3, 12), (2, 40)):
             [got] = _section_kraft(seed, max_len, assignments)
             want = oracle_section_kraft(seed, max_len, assignments)
             assert got.to_obj() == want.to_obj()
             assert got.total == want.total > 0
+    [got] = _section_kraft(5, 0, 7)
+    assert got.to_obj() == oracle_section_kraft(5, 0, 7).to_obj()
+    assert (got.total, got.info) == (0, {"codes": 0})
+    # at weights in [0, 1] a third of the two-word draws are redrawn
+    monkeypatch.setattr(verify, "SEED_MAX_WEIGHT", 1)
+    for seed in (2024, 3):
+        [got] = _section_kraft(seed, 3, 4)
+        assert got.to_obj() == oracle_section_kraft(seed, 3, 4, max_weight=1).to_obj()
+
+
+@pytest.mark.parametrize("max_weight", [1, 3, 16, 254])
+@pytest.mark.parametrize("block_words", [1, 3, verify._KRAFT_BLOCK_WORDS])
+def test_weight_stream_draws_what_seeded_weights_draws(max_weight, block_words, monkeypatch):
+    # one draw per size, in order, with all-zero redraws, across block refills
+    # (one word gives at most one weight, so at one word a block holds less
+    # than a draw), at acceptance rates from 1/2 to 255/256 and up to the
+    # largest weight a byte table holds
+    monkeypatch.setattr(verify, "SEED_MAX_WEIGHT", max_weight)
+    monkeypatch.setattr(verify, "_KRAFT_BLOCK_WORDS", block_words)
+    sizes = [1 + (k * 7) % 9 for k in range(400)] + [1] * 200 + [16, 2, 40, 1] + [40] * 60
+    for seed in (0, 2024, "x/kraft"):
+        blocks, ref, raw = _CountingRandom(seed), random.Random(seed), random.Random(seed)
+        draw, redraws = _weight_stream(blocks), 0
+        for size in sizes:
+            want = seeded_weights(ref, size)
+            while not any(got := [raw.randrange(max_weight + 1) for _ in range(size)]):
+                redraws += 1
+            assert got == want
+            assert list(draw(size)) == want, (seed, size)
+        assert redraws > 0 or max_weight == 254  # there one size-1 draw in 255 is zero
+        assert blocks.calls >= 2  # at least one refill, also at the shipped block size
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
 
 
 def test_kraft_pick_matches_fraction_oracle():
@@ -242,12 +288,64 @@ def test_kraft_pick_matches_fraction_oracle():
 
 def test_kraft_sweep_fails_every_draw_of_a_code_that_is_not_prefix_free():
     rep = SectionReport("kraft_heavy_message")
-    _kraft_sweep(rep, random.Random(0), ("0", "01"), 3, "kraft")
+    _kraft_sweep(rep, _weight_stream(random.Random(0)), [("0", "01")], 3, "kraft")
     assert (rep.total, rep.fails) == (3, 3)
     assert rep.counterexamples[0]["instance"] == "kraft/0|01"
     rep = SectionReport("kraft_heavy_message")
-    _kraft_sweep(rep, random.Random(0), ("0", "10", "11"), 3, "kraft")
+    _kraft_sweep(rep, _weight_stream(random.Random(0)), [("0", "10", "11")], 3, "kraft")
     assert (rep.total, rep.passes, rep.counterexamples) == (3, 3, [])
+    # a code that is not prefix-free fails every draw with its own name, and
+    # its draws are still made: the stream stays in step with seeded_weights
+    codes = [("0", "01"), ("0", "10", "11"), ("00", "001", "1"), ("0", "0"),
+             ("01", "010", "0101", "1"), ("1",)]
+    bad = [code for code in codes if code not in (("0", "10", "11"), ("1",))]
+    for draws in (1, 4):
+        rep, draw, ref = SectionReport("x"), _weight_stream(random.Random(7)), random.Random(7)
+        _kraft_sweep(rep, draw, codes, draws, "kraft-small")
+        assert (rep.total, rep.passes, rep.fails) == (6 * draws, 2 * draws, 4 * draws)
+        assert rep.counterexamples == [
+            {"instance": f"kraft-small/{'|'.join(code)}", "measured": None, "bound": None,
+             "detail": ""} for code in bad for _ in range(draws)]
+        for code in codes:
+            for _ in range(draws):
+                seeded_weights(ref, len(code))
+        assert list(draw(5)) == seeded_weights(ref, 5)
+    # on prefix-free codes the verdicts are the per-instance path's
+    codes = list(all_prefix_free_codes(2))
+    got, want, rng = SectionReport("x"), SectionReport("x"), random.Random(3)
+    _kraft_sweep(got, _weight_stream(random.Random(3)), codes, 3, "kraft")
+    for code in codes:
+        oracle_kraft_sweep(want, rng, code, 3, "kraft")
+    assert got.to_obj() == want.to_obj()
+
+
+def test_extractor_sampling_section_matches_per_instance_oracle():
+    for seed in (2024, 7, "x"):
+        for samples_b2 in (0, 20, 200):
+            got = _section_extractor_sampling(seed, samples_b2)
+            want = oracle_section_extractor_sampling(seed, samples_b2)
+            assert [r.to_obj() for r in got] == [r.to_obj() for r in want]
+            assert [r.total for r in got] == [1044 + samples_b2, 1188 + samples_b2]
+
+
+def test_extractor_sampling_section_fails_as_the_oracle_does(monkeypatch):
+    # plant FAILs: every gadget claims discrepancy 0, so disc_ok holds at
+    # eta = 2, where (eta, lam) = (2, 2) makes and1 and or1 fail the
+    # extractor bound and (eta, lam, gamma) = (2, 1/2, 1/2) makes ip2 fail
+    # the sampling bound; the counterexamples agree byte for byte
+    import fraction_oracles
+
+    zero = DiscrepancyResult(F(0), None)
+    for module in (verify, fraction_oracles):
+        monkeypatch.setattr(module, "discrepancy", lambda g: zero)
+    monkeypatch.setattr(verify, "_COROLLARY_GRID", (F(1, 2), F(2)))
+    got = _section_extractor_sampling(2024, 200)
+    want = oracle_section_extractor_sampling(2024, 200)
+    assert dump_json([r.to_obj() for r in got]) == dump_json([r.to_obj() for r in want])
+    assert [r.fails for r in got] == [19, 1]
+    assert {c["instance"] for c in got[0].counterexamples} >= {"b1/and1", "b1/or1"}
+    assert got[1].counterexamples == [
+        {"instance": "b2/33", "measured": "1/2", "bound": "2^-(1)", "detail": ""}]
 
 
 def test_seeded_distribution_wraps_the_int_draw(monkeypatch):

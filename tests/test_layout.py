@@ -93,14 +93,19 @@ def test_round_message_in_no_source_module():
 def test_import_loads_neither_dataclasses_nor_inspect():
     # records are plain classes on liftsim.records, so importing the library,
     # the verifier and the CLI leaves both modules (and what they pull in,
-    # ast, dis and tokenize) unloaded; and pickle is imported only when
-    # run_corpus forks, so it stays unloaded too
-    code = ("import sys, liftsim, liftsim.verify, liftsim.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'pickle'} & set(sys.modules)))")
+    # ast, dis and tokenize) unloaded; and a split run_corpus sends its
+    # reports back by marshal, so pickle stays unloaded after one too
+    code = ("import sys, liftsim, liftsim.verify as v, liftsim.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'pickle'} & set(sys.modules))); "
+            "v._usable_cpus = lambda: 2; "
+            "spec = v.CorpusSpec(seed=1, fourier={'count': 2}, density={'count': 2}); "
+            "n = len(v.run_corpus(spec).sections); "
+            "print(n, v._process_count(2), sorted({'dataclasses', 'inspect', 'pickle'} "
+            "& set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n2 2 []\n"
 
 
 def test_package_names_load_only_their_home_modules():

@@ -118,6 +118,13 @@ def test_short_codes_are_the_depth_3_enumeration(max_len):
     assert short == list(all_prefix_free_codes(min(max_len, 3)))
 
 
+def test_every_code_is_a_tuple_of_sorted_words():
+    # the Kraft sweep weights a code's words in their given order and checks
+    # prefix-freeness on neighbours, as the per-instance path did on sorted(code)
+    for code in all_prefix_free_codes(4):
+        assert type(code) is tuple and list(code) == sorted(code), code
+
+
 def test_seeded_distribution_deterministic():
     d1 = seeded_distribution(random.Random("x"), [0, 1, 2])
     d2 = seeded_distribution(random.Random("x"), [0, 1, 2])
@@ -310,6 +317,36 @@ def test_xor_lemma_side_refused_when_parsed():
     for text in ('{"xor_lemma": {"gadgets": ["ip2"], "powers": [2], "extra": [["rand:4:1", 1]]}}',
                  '{"xor_lemma": {"powers": [4]}}'):
         CorpusSpec.from_json(text)
+
+
+def test_a_changed_job_default_reaches_the_spec_checks(monkeypatch):
+    # the parser reads the job's own defaults for the keys a spec leaves out,
+    # so a default changed in the job is budgeted and side-checked as given
+    row = verify.SECTIONS["xor_lemma"]
+
+    def xor_job(seed, gadgets=("xor1",) * 251, powers=(1, 2, 3, 4), extra=()):
+        return verify._section_xor_lemma(seed, gadgets, powers, extra)
+
+    monkeypatch.setattr(row, "job", xor_job)
+    with pytest.raises(BudgetError, match="xor_lemma jobs: size 1004 exceeds budget 1000"):
+        CorpusSpec.from_json('{"xor_lemma": {}}')
+    CorpusSpec.from_json('{"xor_lemma": {"gadgets": ["xor1"]}}')  # 4 jobs
+    xor_job.__defaults__ = (("and1",), (1,), (("ip2", 3),))
+    with pytest.raises(BudgetError, match=r"^corpus spec xor_lemma side of ip2 at m=3: "):
+        CorpusSpec.from_json('{"xor_lemma": {"powers": [2]}}')
+    with pytest.raises(FormatError):  # a default gadget name is resolved too
+        xor_job.__defaults__ = (("no-such-gadget",), (1,), ())
+        CorpusSpec.from_json('{"xor_lemma": {"extra": []}}')
+    # and the lifting section's default gadget meets its block-length limit
+    lifting = verify.SECTIONS["lifting"]
+
+    def lifting_job(seed, gadget="rand:6:1", rand_seeds=3):
+        return verify._section_lifting(seed, gadget, rand_seeds)
+
+    monkeypatch.setattr(lifting, "job", lifting_job)
+    with pytest.raises(BudgetError, match="lifting gadget block length: size 6 exceeds"):
+        CorpusSpec.from_json('{"lifting": {"rand_seeds": 1}}')
+    CorpusSpec.from_json('{"lifting": {"gadget": "ip2"}}')
 
 
 def test_xor_lemma_side_is_the_gadget_layer_rule(monkeypatch):
@@ -539,6 +576,24 @@ def test_split_corpus_report_is_byte_identical(scale, split, monkeypatch):
     assert forks == [os.getpid()]
     assert _serial(spec, monkeypatch).to_json() == text
     assert len(forks) == 1
+
+
+def test_a_child_report_is_used_not_run_again(split, monkeypatch, tmp_path):
+    # a child's reports come back as their fields (marshal) and are rebuilt
+    # here: the caller does not run the child's sections again
+    section = verify._section_density
+    assert "density" in _shares(SMALL_SPEC)[1]
+
+    def density(seed, count):
+        (tmp_path / f"ran-{os.getpid()}").touch()
+        return section(seed, count)
+
+    monkeypatch.setattr(verify.SECTIONS["density"], "job", density)
+    got = split(SMALL_SPEC)
+    ran = [p.name for p in tmp_path.glob("ran-*")]
+    assert len(ran) == 1 and ran != [f"ran-{os.getpid()}"]
+    assert got.to_json() == _serial(SMALL_SPEC, monkeypatch).to_json()
+    assert all(type(s) is SectionReport for s in got.sections)
 
 
 @pytest.mark.parametrize("case", ["one section", "one cpu", "profiler", "tracer", "thread",
