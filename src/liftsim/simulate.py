@@ -15,7 +15,8 @@ A step that would empty its side leaves the rectangle as it was.  The steps:
   partition class instead, tracks the information total K as an exact
   product of message probabilities, and halts with an error when K exceeds
   C+b or a class falls below the truncation threshold.  The sampler follows
-  one exact seeded draw per step; the enumerator follows every branch.
+  one exact seeded draw per step; the enumerator follows every branch and
+  carries any seeded samplers along, each drawing at the picks on its path.
 
 Desk-scale parameters generally violate the asymptotic hypotheses; the
 engines run faithfully anyway and record every violated hypothesis in the
@@ -482,90 +483,103 @@ def lift_deterministic(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams
 
 # -- randomized engine ---------------------------------------------------------
 
-def _sample(rng: random.Random, items):
-    """Exact draw of one item from [(key, Fraction prob)] in canonical order."""
-    denom = lcm(*[p.denominator for _, p in items])
+def _draw(rng: random.Random, probs) -> int:
+    """Index of one exact draw from the Fraction probabilities `probs`, in order."""
+    denom = lcm(*[p.denominator for p in probs])
     r = rng.randrange(denom)
-    for item in items:
-        r -= item[1].numerator * (denom // item[1].denominator)
+    for i, p in enumerate(probs):
+        r -= p.numerator * (denom // p.denominator)
         if r < 0:
-            return item
-    return items[-1]
+            return i
+    return len(probs) - 1
 
 
 def _randomized_runs(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                      cache: Optional[_EngineCache], pick):
-    """(probability, SimResult) for each run of the randomized simulation
-    that `pick` follows, depth first.  At each message step and each class
-    step, `pick` gets the step's (key, exact probability) items in canonical
-    order and returns the ones to follow; the engine is forked for all but
-    the last of them.  ENUM_BRANCH_LIMIT caps the protocol nodes entered."""
+    """(probability, path, SimResult) for each run of the randomized
+    simulation that `pick` follows, depth first.  At each message step and
+    each class step, `pick(path, probs)` gets the branch's path and the
+    step's exact probabilities in canonical order, and returns the indices
+    of the items to follow; the engine is forked for all but the last of
+    them.  A path is the tuple of item indices followed at the picks above
+    it, so each branch has its own, and a run that ends at a branch is
+    yielded with that branch's path.  ENUM_BRANCH_LIMIT caps the protocol
+    nodes entered."""
     if params.mode != "rand":
         raise DomainError("the randomized simulation needs randomized-mode parameters")
     cap = complexity(p)[0] + params.b
-    # (engine, node it enters, K product, run probability), the next branch last
-    todo = [(_Engine(p, g, z, params, cache=cache), p.root, ONE, ONE)]
+    # (engine, node it enters, K product, run probability, path), the next branch last
+    todo = [(_Engine(p, g, z, params, cache=cache), p.root, ONE, ONE, ())]
     branches = 0
     while todo:
-        eng, node, k_product, prob = todo.pop()
+        eng, node, k_product, prob, path = todo.pop()
         branches += 1
         if branches > ENUM_BRANCH_LIMIT:
             raise BudgetError("randomized enumeration branches", branches, ENUM_BRANCH_LIMIT)
         if isinstance(node, PLeaf):
-            yield prob, eng.result("done", output=node.output, k_product=k_product)
+            yield prob, path, eng.result("done", output=node.output, k_product=k_product)
             continue
         rec = eng.begin_round(node)
         if not eng.discard_dangerous(rec):
-            yield prob, eng.result("invariant_violation",
-                                   "step1: every surviving value is dangerous", k_product=k_product)
+            yield prob, path, eng.result("invariant_violation",
+                                         "step1: every surviving value is dangerous",
+                                         k_product=k_product)
             continue
         table, senders, ends = message_distribution(node, eng.sets[_side(node.speaker)])
-        messages = pick([(w, table.prob(w)) for w in table.support()])
+        support = table.support()
+        probs = [table.prob(w) for w in support]
+        picked = pick(path, probs)
         children = []
-        for i, (message, p_msg) in enumerate(messages):
-            m_eng = eng.fork() if i < len(messages) - 1 else eng
+        for i, mi in enumerate(picked):
+            message, p_msg, m_path = support[mi], probs[mi], path + (mi,)
+            m_eng = eng.fork() if i < len(picked) - 1 else eng
             rec = m_eng.rounds[-1]
             m_eng.take_message(rec, message, p_msg, senders[message])
             k_msg, p_run = k_product * p_msg, prob * p_msg
             # step 3: halt when K = sum log(1/p_M) exceeds C + b
             if cmp_pow2(k_msg, cap) < 0:
                 rec.flags["k_halt"] = True
-                yield p_run, m_eng.result("error_halt_k", "step3: K exceeded C+b", k_product=k_msg)
+                yield p_run, m_path, m_eng.result("error_halt_k", "step3: K exceeded C+b",
+                                                  k_product=k_msg)
                 continue
             if rec.free_before:  # step 4: the speaker's density-restoring partition
                 parts = m_eng.cache.partition(m_eng.sets[_side(rec.speaker)], rec.free_before)
-                classes = pick([(part, part.prob) for part in parts])
+                classes = [(parts[j], m_path + (j,))
+                           for j in pick(m_path, [part.prob for part in parts])]
             else:  # no free coordinates: nothing to fix or draw
                 m_eng.fix_blocks(rec, None)
-                classes = [(None, None)]
-            for j, (part, p_part) in enumerate(classes):
+                classes = [(None, m_path)]
+            for j, (part, c_path) in enumerate(classes):
                 c_eng = m_eng.fork() if j < len(classes) - 1 else m_eng
                 rec = c_eng.rounds[-1]
-                p_cls = p_run if part is None else p_run * p_part
+                p_cls = p_run if part is None else p_run * part.prob
                 if part is not None:
                     rec.class_index, rec.p_class, rec.p_geq = part.index, part.prob, part.p_geq
                     c_eng.fix_blocks(rec, part)
                     if params.trunc_cmp(part.p_geq) < 0:
                         rec.flags["trunc_halt"] = True
-                        yield p_cls, c_eng.result(
+                        yield p_cls, c_path, c_eng.result(
                             "error_halt_truncation",
                             "step5: sampled class below truncation threshold", k_product=k_msg)
                         continue
                 if not c_eng.query_and_condition(rec):
-                    yield p_cls, c_eng.result(
+                    yield p_cls, c_path, c_eng.result(
                         "invariant_violation",
                         "step7: conditioning emptied the silent side", k_product=k_msg)
                     continue
-                children.append((c_eng, ends[message], k_msg, p_cls))
+                children.append((c_eng, ends[message], k_msg, p_cls, c_path))
         todo += reversed(children)  # the first branch is entered first
 
 
 def lift_randomized(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
                     seed: int = 0, cache: Optional[_EngineCache] = None) -> SimResult:
     """Sampled randomized simulation (messages and partition classes drawn
-    from a deterministic seeded source); K is tracked as an exact product."""
+    from a deterministic seeded source); K is tracked as an exact product.
+    One path of the walk: the oracle of the seeded runs that `_enumerate`
+    carries through its whole walk."""
     rng = random.Random(seed)
-    [(_, res)] = _randomized_runs(p, g, z, params, cache, lambda items: [_sample(rng, items)])
+    [(_, _, res)] = _randomized_runs(p, g, z, params, cache,
+                                     lambda path, probs: (_draw(rng, probs),))
     return res
 
 
@@ -573,10 +587,45 @@ def lift_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,
                              params: LiftingParams, seed: int = 0) -> SimResult:
     """Sample a deterministic component by weight, then run the simulation."""
     rng = random.Random(seed)
-    (comp, proto), _ = _sample(rng, [((i, p), w) for i, (w, p) in enumerate(rp.components)])
-    res = lift_randomized(proto, g, z, params, seed=rng.randrange(2 ** 32))
+    comp = _draw(rng, [w for w, _ in rp.components])
+    res = lift_randomized(rp.components[comp][1], g, z, params, seed=rng.randrange(2 ** 32))
     res.component = comp
     return res
+
+
+def _enumerate(p: ProtocolTree, g: Gadget, z: int, params: LiftingParams,
+               cache: Optional[_EngineCache] = None,
+               seeds=()) -> Tuple[DistributionTable, List[SimResult]]:
+    """The exact output distribution, as enumerate_output_distribution gives
+    it, and lift_randomized's result for each seed, from one walk of every
+    branch.  Each seed's walker is a random.Random(seed) waiting at a path:
+    at the pick on that path it makes the draw lift_randomized(seed) makes
+    there and moves to the branch drawn, and the run that ends at its path
+    is its result.  The walk is depth first and a branch's picks come before
+    its children's, so a walker meets its picks in the order its one-path
+    walk makes them; nothing of the tree is stored."""
+    markers = {"error_halt_k": ERROR_K, "error_halt_truncation": ERROR_TRUNCATION}
+    outcomes: Dict[str, Fraction] = {}
+    samples: List[Optional[SimResult]] = [None] * len(seeds)
+    waiting: Dict[tuple, list] = {}  # path -> [(seed's index, its rng)] waiting there
+    if seeds:
+        waiting[()] = [(k, random.Random(seed)) for k, seed in enumerate(seeds)]
+
+    def pick(path, probs):
+        if waiting:  # once every walker has its run, no path is looked up
+            for k, rng in waiting.pop(path, ()):
+                waiting.setdefault(path + (_draw(rng, probs),), []).append((k, rng))
+        return range(len(probs))
+
+    for prob, path, res in _randomized_runs(p, g, z, params, cache, pick):
+        if res.status == "invariant_violation":
+            key = f"{VIOLATION_PREFIX}{res.violation.split(':')[0]}>"
+        else:
+            key = markers.get(res.status, res.transcript)
+        outcomes[key] = outcomes.get(key, ZERO) + prob
+        for k, _ in waiting.pop(path, ()):
+            samples[k] = res
+    return DistributionTable(outcomes), samples
 
 
 def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
@@ -586,15 +635,7 @@ def enumerate_output_distribution(p: ProtocolTree, g: Gadget, z: int,
     with its exact probability, keyed by its transcript, one of the two
     error markers, or a violation marker naming the step that would have
     emptied a rectangle (the desk-scale regime)."""
-    markers = {"error_halt_k": ERROR_K, "error_halt_truncation": ERROR_TRUNCATION}
-    outcomes: Dict[str, Fraction] = {}
-    for prob, res in _randomized_runs(p, g, z, params, cache, list):
-        if res.status == "invariant_violation":
-            key = f"{VIOLATION_PREFIX}{res.violation.split(':')[0]}>"
-        else:
-            key = markers.get(res.status, res.transcript)
-        outcomes[key] = outcomes.get(key, ZERO) + prob
-    return DistributionTable(outcomes)
+    return _enumerate(p, g, z, params, cache)[0]
 
 
 def enumerate_randomized_protocol(rp: RandomizedProtocol, g: Gadget, z: int,

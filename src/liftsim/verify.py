@@ -46,7 +46,7 @@ from .dtrees import (
     solves,
     z_bits,
 )
-from .errors import BudgetError, FormatError, LiftsimError, json_int, malformed
+from .errors import BudgetError, DomainError, FormatError, LiftsimError, json_int, malformed
 from .exact import cmp_pow2, cmp_pow2_ratio, cmp_products, frac_str
 from .gadgets import (
     RECT_SIDE_LIMIT,
@@ -69,11 +69,10 @@ from .simulate import (
     ERROR_K,
     LiftingParams,
     _EngineCache,
+    _enumerate,
     certify_transcript,
-    enumerate_output_distribution,
     ledger_assertions,
     lift_deterministic,
-    lift_randomized,
 )
 from .structure import (
     DangerScan,
@@ -265,10 +264,22 @@ def check_main_lemma(
 
 # -- seeded generators -----------------------------------------------------------
 
+def _refuse_empty_draw(count: int, max_weight: int) -> None:
+    """Every draw of `count` weights in [0, max_weight] is all zero when
+    either is below 1, so a redraw loop would never end: raise before
+    anything is drawn."""
+    if count < 1:
+        raise DomainError(f"a seeded weight draw needs at least one weight, got {count}")
+    if max_weight < 1:
+        raise DomainError(f"SEED_MAX_WEIGHT must be at least 1, got {max_weight}")
+
+
 def seeded_weights(rng: random.Random, count: int) -> List[int]:
     """`count` int weights in [0, SEED_MAX_WEIGHT], not all zero: each is
     ``rng.randrange(SEED_MAX_WEIGHT + 1)``, drawn by randrange's own
-    getrandbits loop, and an all-zero draw is redrawn whole."""
+    getrandbits loop, and an all-zero draw is redrawn whole.  A count or
+    SEED_MAX_WEIGHT below 1 is a DomainError."""
+    _refuse_empty_draw(count, SEED_MAX_WEIGHT)
     bound = SEED_MAX_WEIGHT + 1
     bits, getrandbits = bound.bit_length(), rng.getrandbits
     while True:
@@ -482,7 +493,8 @@ class CorpusSpec(Record):
 # + len(extra).
 XOR_LEMMA_JOB_LIMIT = 1_000
 # The block length b of the lifting section's gadget: at rand_seeds = 300 the
-# section took 9.4 s at b = 5, and at b = 6 it took 33 s with 3 seeds.
+# section takes 2.8 s at b = 5 (rand:5:1), and at b = 6 it takes 23 s with
+# 3 seeds (2 CPUs, Python 3.11.7).
 LIFTING_BLOCK_LIMIT = 5
 
 
@@ -818,7 +830,8 @@ def _weight_stream(rng: random.Random) -> Callable[[int], bytes]:
     value, or to 0xff past SEED_MAX_WEIGHT, and the rejects are removed.
     A draw is the next `size` values of that stream, skipped when all are
     zero as seeded_weights redraws it.  The rng is drawn past the last
-    weight used, so it must have no other reader."""
+    weight used, so it must have no other reader.  A size or
+    SEED_MAX_WEIGHT below 1 is a DomainError, as it is for seeded_weights."""
     bound = SEED_MAX_WEIGHT + 1
     bits = bound.bit_length()  # at most 8: SEED_MAX_WEIGHT is below 255
     table = bytes(v >> (8 - bits) if v >> (8 - bits) < bound else 0xff for v in range(256))
@@ -827,6 +840,8 @@ def _weight_stream(rng: random.Random) -> Callable[[int], bytes]:
 
     def draw(size: int) -> bytes:
         nonlocal buf, pos
+        if size < 1 or bound < 2:
+            _refuse_empty_draw(size, bound - 1)
         while True:
             end = pos + size
             if end > len(buf):
@@ -1050,14 +1065,14 @@ def _section_lifting(seed: int, gadget: str = "ip2", rand_seeds: int = 3) -> Lis
             rep_led.record(LemmaInstance(
                 f"ledger/{tag}", "pass" if led.ok else "FAIL"))
 
-            dist = enumerate_output_distribution(proto, g, z, rnd, cache=rnd_cache)
+            # the exact distribution and the seeded runs, from one walk
+            dist, runs = _enumerate(proto, g, z, rnd, rnd_cache, range(rand_seeds))
             err_mass = dist.prob(ERROR_K)
             bound = Fraction(1, 1 << b)
             rep_err.record(LemmaInstance(
                 f"rand/{pname}/z={z:02b}", "pass" if err_mass < bound else "FAIL",
                 measured=frac_str(err_mass), bound=frac_str(bound)))
-            for sd in range(rand_seeds):
-                rres = lift_randomized(proto, g, z, rnd, seed=sd, cache=rnd_cache)
+            for sd, rres in enumerate(runs):
                 rled = ledger_assertions(rres, rnd)
                 rep_led.record(LemmaInstance(
                     f"ledger/rand/{pname}/z={z:02b}/seed={sd}",
@@ -1083,12 +1098,12 @@ def _section_fixture(seed: int) -> List[SectionReport]:
 # than any run can, and an XOR power past RECT_SIDE_LIMIT.bit_length() - 1
 # fits the rectangle budget at no b.  Each section draws from its own
 # random.Random(f"{seed}/<section>").  run_corpus deals them out round-robin
-# in this order, chosen by timing on 2 CPUs, and kept since.  With the Kraft
-# and extractor/sampling sweeps as batch kernels (2 CPUs, Python 3.11.7), the
-# scale-10 shares take about 47 ms (lifting, kraft, structure_lemmas,
-# vazirani, xor_lemma: the caller's) and 39 ms (claims, extractor_sampling,
-# fourier, density: the child's); in the full corpus the Kraft sweep, 1.7 of
-# 2.2 s, shares its process with the lighter half of the rest.
+# in this order, chosen by timing on 2 CPUs, and kept since.  The scale-10
+# shares, each run alone in a fresh process (2 CPUs, Python 3.11.7), take
+# about 43 ms (lifting, kraft, structure_lemmas, vazirani, xor_lemma: the
+# caller's) and 42 ms (claims, extractor_sampling, fourier, density: the
+# child's); in the full corpus the Kraft sweep, 1.7 of 2.2 s, shares its
+# process with the lighter half of the rest.
 class _Section(Record):
     def __init__(self, job: Callable[..., List[SectionReport]],
                  shipped: Optional[Callable[[int], dict]], budgets: Dict[str, Tuple[int, int]]):

@@ -28,7 +28,8 @@ def _all_runs(proto, g, params, zs):
     """Every run of the randomized walk for each z, each sampled run among them."""
     cache = simulate._EngineCache(g, params)
     return [(res, params) for z in zs
-            for _, res in simulate._randomized_runs(proto, g, z, params, cache, list)]
+            for _, _, res in simulate._randomized_runs(proto, g, z, params, cache,
+                                                       lambda path, probs: range(len(probs)))]
 
 
 def _traces(monkeypatch):

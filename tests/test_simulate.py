@@ -555,6 +555,91 @@ def test_step1_violation_leaves_rectangle_unchanged():
         assert dist.mass == {"1": F(1, 2), "<VIOLATION:step1>": F(1, 2)}
 
 
+def random_protocol(rng, n, b, depth=5, leaf=0.15):
+    """A seeded protocol with random bit maps: each node is a leaf (a random
+    output bit) with probability `leaf`, and always at `depth`."""
+    size = 1 << (b * n)
+
+    def node(d):
+        if d == depth or rng.random() < leaf:
+            return PLeaf(rng.getrandbits(1))
+        return PNode(rng.choice("AB"), tuple(rng.getrandbits(1) for _ in range(size)),
+                     (node(d + 1), node(d + 1)))
+
+    return ProtocolTree(n, b, node(0))
+
+
+def _walker_runs(proto, g, params, cache, seeds):
+    """The seeded runs the enumeration carries, for every z, each checked
+    byte for byte against lift_randomized's run; the seeds must leave the
+    distribution as it is without them."""
+    out = []
+    for z in range(1 << proto.n):
+        dist, runs = simulate._enumerate(proto, g, z, params, cache, seeds)
+        assert dist == enumerate_output_distribution(proto, g, z, params, cache)
+        assert len(runs) == len(seeds)
+        for seed, res in zip(seeds, runs):
+            want = lift_randomized(proto, g, z, params, seed=seed, cache=cache)
+            assert res.to_json() == want.to_json(), (z, seed)
+        out += runs
+    return out
+
+
+def _ends(runs):
+    """Counter of (status, step of the violation or halt) over the runs."""
+    return Counter((r.status, (r.violation or "").split(":")[0]) for r in runs)
+
+
+def test_enumeration_walkers_match_the_one_path_walk():
+    # Differential fuzz: random protocols and random gadgets at b=3 n=2 and
+    # b=2 n=3, for every z and seeds 0-9.  The runs reach later rounds and
+    # classes other than the first, and some end in the step-1 violation.
+    rng, runs = random.Random(34), []
+    for b, n in ((3, 2), (2, 3)):
+        for c in (2, 4, 16):
+            g = gadgets.random_gadget(b, rng.randrange(1 << 16))
+            params = rand_params(b, n, c=c)
+            cache = simulate._EngineCache(g, params)
+            for _ in range(2):
+                runs += _walker_runs(random_protocol(rng, n, b), g, params, cache, range(10))
+    assert len(runs) == 3 * 2 * (4 + 8) * 10
+    ends = _ends(runs)
+    assert ends["done", ""] and ends["invariant_violation", "step1"]
+    assert any(len(r.rounds) > 2 for r in runs)
+    assert any((rec.class_index or 1) > 1 for r in runs for rec in r.rounds)
+
+
+def test_enumeration_walkers_match_at_the_halts():
+    # The K halt and the truncation halt, on the protocols that reach them:
+    # a 1/16 message at b=2, and a 1/241 class at b=4 with delta = 2.
+    from liftsim.gadgets import Gadget
+    parity2 = Gadget(2, [(x ^ y).bit_count() & 1 for x in range(4) for y in range(4)])
+    parity4 = Gadget(4, [(x ^ y).bit_count() & 1 for x in range(16) for y in range(16)])
+    rare = ProtocolTree(2, 2, PNode("A", tuple(1 if v == 15 else 0 for v in range(16)),
+                                    (PLeaf("common"), PLeaf("rare"))))
+    split = ProtocolTree(2, 4, PNode("A", tuple(0 if v < 241 else 1 for v in range(256)),
+                                     (PLeaf("big"), PLeaf("small"))))
+    split_params = LiftingParams(eta=1, c=2, h=1, b=4, n=2, mode="rand", delta=F(2))
+    ends = Counter()
+    for proto, g, params in ((rare, parity2, rand_params(2, 2)),
+                             (split, parity4, split_params)):
+        ends += _ends(_walker_runs(proto, g, params, simulate._EngineCache(g, params),
+                                   range(300)))
+    assert ends["error_halt_k", "step3"] and ends["error_halt_truncation", "step5"]
+
+
+def test_enumeration_walkers_share_a_branch_and_keep_seed_order():
+    # Seeds given twice, out of order, or past the first hundred each get
+    # their own run, in the order given.
+    proto = canonical_instance(parity_problem(2), IP2)
+    params = rand_params(2, 2)
+    for z in range(4):
+        _, runs = simulate._enumerate(proto, IP2, z, params, seeds=(5, 0, 5, 10 ** 6, "x"))
+        assert [r.to_json() for r in runs] == [
+            lift_randomized(proto, IP2, z, params, seed=s).to_json()
+            for s in (5, 0, 5, 10 ** 6, "x")]
+
+
 def _bits(text):
     return tuple(int(ch) for ch in text)
 

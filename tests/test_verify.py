@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from lifting_oracles import oracle_section_lifting
 
 import liftsim.gadgets as gadgets
 import liftsim.protocols as protocols
@@ -15,9 +16,10 @@ import liftsim.simulate as simulate
 import liftsim.verify as verify
 from liftsim.dist import DistributionTable
 from liftsim.dtrees import brute_force_Ddt
-from liftsim.errors import BudgetError, FormatError, LiftsimError
+from liftsim.errors import BudgetError, DomainError, FormatError, LiftsimError
 from liftsim.gadgets import builtin_gadget, discrepancy
 from liftsim.protocols import canonical_protocol
+from liftsim.records import dump_json
 from liftsim.simulate import LiftingParams, enumerate_output_distribution, lift_randomized
 from liftsim.structure import DensityPart, Restriction
 from liftsim.cli import main as cli_main
@@ -148,6 +150,35 @@ def test_seeded_distribution_draws_match_randrange(monkeypatch):
                 d = seeded_distribution(rng, domain)
                 assert [d.weights[v] for v in domain] == want, (seed, max_weight, size)
                 assert rng.getstate() == ref.getstate()
+
+
+def test_an_empty_seeded_draw_is_refused_before_drawing(monkeypatch):
+    # every draw of no weights, or of weights in [0, 0], is all zero, so its
+    # redraw loop would never end: each refuses it and leaves the rng as it was
+    def refused(call, rng):
+        state = rng.getstate()
+        with pytest.raises(DomainError):
+            call()
+        assert rng.getstate() == state
+
+    rng = random.Random(5)
+    for count in (0, -1):
+        refused(lambda: verify.seeded_weights(rng, count), rng)
+    refused(lambda: seeded_distribution(rng, []), rng)
+    # a stream refuses before and after its buffer holds weights, and the
+    # draws around the refusals are the ones it makes without them
+    stream_rng = random.Random(5)
+    draw, ref = verify._weight_stream(stream_rng), verify._weight_stream(random.Random(5))
+    refused(lambda: draw(0), stream_rng)
+    assert draw(3) == ref(3)
+    for size in (0, -2):
+        refused(lambda: draw(size), stream_rng)
+    assert draw(5) == ref(5)
+    for max_weight in (0, -1):
+        monkeypatch.setattr(verify, "SEED_MAX_WEIGHT", max_weight)
+        refused(lambda: verify.seeded_weights(rng, 3), rng)
+        refused(lambda: seeded_distribution(rng, [1, 2]), rng)
+        refused(lambda: verify._weight_stream(rng)(3), rng)
 
 
 def test_small_corpus_runs_and_is_deterministic():
@@ -462,6 +493,47 @@ def test_lifting_section_walks_each_protocol_once(monkeypatch):
     assert cost == oracle_complexity(proto)
     object.__setattr__(proto, "root", None)
     assert protocols.complexity(proto) == cost
+
+
+@pytest.mark.parametrize("gadget", ["ip1", "ip2"])
+def test_lifting_section_matches_the_per_seed_oracle(gadget, monkeypatch):
+    # The section's one walk per (problem, z) gives the reports of one
+    # enumeration plus one lift_randomized walk per seed, and hands the
+    # ledger the same runs in the same order; it makes no lift_randomized
+    # call and 16 walks, where the oracle makes 16 * (1 + rand_seeds).
+    calls = {"walks": 0, "lift_randomized": 0, "ledger": []}
+    walk, lift, ledger = simulate._randomized_runs, simulate.lift_randomized, verify.ledger_assertions
+
+    def walked(*args):
+        calls["walks"] += 1
+        return walk(*args)
+
+    def lifted(*args, **kwargs):
+        calls["lift_randomized"] += 1
+        return lift(*args, **kwargs)
+
+    def handed(res, params):
+        calls["ledger"].append(res.to_json())
+        return ledger(res, params)
+
+    monkeypatch.setattr(simulate, "_randomized_runs", walked)
+    monkeypatch.setattr(simulate, "lift_randomized", lifted)
+    monkeypatch.setattr(verify, "ledger_assertions", handed)
+
+    def run(job, rand_seeds):
+        calls.update(walks=0, lift_randomized=0, ledger=[])
+        reports = job(2024, gadget, rand_seeds)
+        return dump_json([r.to_obj() for r in reports]), dict(calls)
+
+    for rand_seeds in (0, 1, 3, 17):
+        want, oracle = run(oracle_section_lifting, rand_seeds)
+        got, section = run(verify._section_lifting, rand_seeds)
+        assert got == want
+        assert section["ledger"] == oracle["ledger"]
+        assert len(section["ledger"]) == 16 * (1 + rand_seeds)
+        assert (oracle["walks"], oracle["lift_randomized"]) == (16 * (1 + rand_seeds),
+                                                                16 * rand_seeds)
+        assert (section["walks"], section["lift_randomized"]) == (16, 0)
 
 
 def test_stored_complexity_leaves_randomized_lifts_unchanged(monkeypatch):
