@@ -21,20 +21,18 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import chain, product
-from operator import lshift
+from itertools import chain, compress, product
+from operator import lshift, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .dist import (
     DistributionTable,
     ZERO,
-    fourier_coefficient,
-    fourier_inversion,
+    _signed_weights,
+    _walsh,
     project,
     statistical_distance,
     subsets_by_size,
-    vazirani_minentropy_check,
-    vazirani_uniformity_check,
     xor_bias,
 )
 from .dtrees import (
@@ -651,44 +649,93 @@ def _fork(children: list, spec: CorpusSpec, share: List[str]) -> None:
 
 
 def _section_fourier(seed: int, count: int = 1000) -> List[SectionReport]:
+    """The Fourier-bias identity and Fourier inversion on `count` seeded
+    tables over {0,1}^m, m = 1 + k % 4, each decided on ints from one Walsh
+    transform: signed = _signed_weights(d, m) is 2^m * total times each
+    coefficient, so coefficient s is xor_bias(s) / 2^m in size iff
+    |signed[s]| is |2*w0 - total|, w0 the even-parity weight of z & s summed
+    directly; the empty set's is 2^-m iff signed[0] is the total; and the
+    coefficients invert to d iff d's domain is range(2^m) and the transform
+    applied again gives each weight times 2^m."""
     rep = SectionReport("fourier_bias_identity")
     rng = random.Random(f"{seed}/fourier")
+    # per m: each mask's (z & mask has even parity) flags, z in range(2^m)
+    evens = {m: [[not (z & s).bit_count() & 1 for z in range(1 << m)] for s in range(1 << m)]
+             for m in range(1, 5)}
+    passes = 0
     for k in range(count):
         m = 1 + (k % 4)
-        d = seeded_distribution(rng, list(range(1 << m)))
-        ok = True
-        coeffs = {}
-        for coords in subsets_by_size(m):
-            coef = fourier_coefficient(d, m, coords)
-            coeffs[coords] = coef
-            if abs(coef) * (1 << m) != xor_bias(d, m, coords):
-                ok = False
-            if coords == () and coef != Fraction(1, 1 << m):
-                ok = False
-        if fourier_inversion(coeffs, m) != d:  # d's domain is range(2^m)
-            ok = False
-        rep.count("pass" if ok else "FAIL", lambda: LemmaInstance(f"fourier/{k}/m={m}", "FAIL"))
+        cube = list(range(1 << m))
+        d = seeded_distribution(rng, cube)
+        total, weights = d.total, list(d.weights.values())
+        signed = _signed_weights(d, m)
+        if (signed[0] == total and d.domain == tuple(cube)
+                and all(abs(v) == abs(2 * sum(compress(weights, even)) - total)
+                        for v, even in zip(signed, evens[m]))
+                and _walsh(signed) == [w << m for w in weights]):
+            passes += 1
+        else:
+            rep.count("FAIL", lambda: LemmaInstance(f"fourier/{k}/m={m}", "FAIL"))
+    rep.count("pass", None, passes)
     return [rep]
 
 
+# The eps of the Vazirani uniformity check and the t of its min-entropy check.
+_VAZIRANI_EPS = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
+_VAZIRANI_T = (1, 2)
+
+
 def _section_vazirani(seed: int, count: int = 1000) -> List[SectionReport]:
+    """vazirani_uniformity_check's verdict at each eps of _VAZIRANI_EPS and
+    vazirani_minentropy_check's at each t of _VAZIRANI_T on `count` seeded
+    tables over {0,1}^m, m = 1 + k % 4, a near-uniform one at every third k.
+    All five hypotheses read one list, each nonempty mask's
+    |signed[mask]| * (2m)^|mask|, from one Walsh transform (_signed_weights),
+    and every verdict is the checks' cleared integer inequality: the
+    uniformity hypothesis at eps = num/den holds iff no gap times den
+    exceeds num * total, and its conclusion iff (w * den) << m lies in
+    [(den - num) * total, (den + num) * total] for the least and the
+    largest weight over range(2^m); the min-entropy hypothesis at t holds
+    iff no gap on a mask of t or more bits exceeds the total, and its
+    conclusion iff max weight << (m - 1) <= m^t * total."""
     rep = SectionReport("vazirani_checkers")
     rng = random.Random(f"{seed}/vazirani")
-    eps_grid = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
+    # per m: (2m)^|mask| per mask, and per t the nonempty masks of t or more bits
+    scales = {m: [(2 * m) ** s.bit_count() for s in range(1 << m)] for m in range(1, 5)}
+    wide = {m: [[s for s in range(1, 1 << m) if s.bit_count() >= t] for t in _VAZIRANI_T]
+            for m in range(1, 5)}
+    passes = vacuous = 0
     for k in range(count):
         m = 1 + (k % 4)
         if k % 3 == 0:
             d = near_uniform_distribution(rng, m)
         else:
             d = seeded_distribution(rng, list(range(1 << m)))
-        for eps in eps_grid:
-            r = vazirani_uniformity_check(d, m, eps)
-            rep.count(_verdict(r.hypothesis, r.conclusion), lambda: LemmaInstance(
-                f"vazirani-uniformity/{k}/m={m}/eps={eps}", "FAIL"))
-        for t in (1, 2):
-            r = vazirani_minentropy_check(d, m, t)
-            rep.count(_verdict(r.hypothesis, r.conclusion), lambda: LemmaInstance(
-                f"vazirani-minentropy/{k}/m={m}/t={t}", "FAIL"))
+        total, weights = d.total, d.weights
+        gaps = list(map(mul, map(abs, _signed_weights(d, m)), scales[m]))
+        cube = [weights.get(z, 0) for z in range(1 << m)]
+        least, most = min(cube) << m, max(cube) << m
+        top = max(gaps[1:])
+        verdicts = []
+        for eps in _VAZIRANI_EPS:
+            num, den = eps.numerator, eps.denominator
+            verdicts.append((top * den <= num * total,
+                             (den - num) * total <= least * den
+                             and most * den <= (den + num) * total, "uniformity", "eps", eps))
+        heaviest = max(weights.values()) << (m - 1)
+        for t, masks in zip(_VAZIRANI_T, wide[m]):
+            verdicts.append((max(map(gaps.__getitem__, masks), default=0) <= total,
+                             heaviest <= m ** t * total, "minentropy", "t", t))
+        for hypothesis, conclusion, check, key, value in verdicts:
+            if not hypothesis:
+                vacuous += 1
+            elif conclusion:
+                passes += 1
+            else:
+                rep.count("FAIL", lambda: LemmaInstance(
+                    f"vazirani-{check}/{k}/m={m}/{key}={value}", "FAIL"))
+    rep.count("pass", None, passes)
+    rep.count("vacuous", None, vacuous)
     return [rep]
 
 
@@ -819,6 +866,9 @@ def _section_kraft(seed: int, max_len: int = 4, assignments: int = 100) -> List[
 # 32-bit words per getrandbits block of a _weight_stream: about 2,200 weights
 # at SEED_MAX_WEIGHT = 16.
 _KRAFT_BLOCK_WORDS = 1 << 12
+# The largest SEED_MAX_WEIGHT a _weight_stream draws: with 0xff its reject
+# mark, a byte holds the values 0 .. 254.
+_STREAM_MAX_WEIGHT = 254
 
 
 def _weight_stream(rng: random.Random) -> Callable[[int], bytes]:
@@ -831,9 +881,14 @@ def _weight_stream(rng: random.Random) -> Callable[[int], bytes]:
     A draw is the next `size` values of that stream, skipped when all are
     zero as seeded_weights redraws it.  The rng is drawn past the last
     weight used, so it must have no other reader.  A size or
-    SEED_MAX_WEIGHT below 1 is a DomainError, as it is for seeded_weights."""
+    SEED_MAX_WEIGHT below 1 is a DomainError, as it is for seeded_weights,
+    and so is a SEED_MAX_WEIGHT past _STREAM_MAX_WEIGHT, whose values a
+    top byte cannot hold, raised when the stream is built."""
+    if SEED_MAX_WEIGHT > _STREAM_MAX_WEIGHT:
+        raise DomainError(f"a weight stream draws weights up to {_STREAM_MAX_WEIGHT}, "
+                          f"SEED_MAX_WEIGHT is {SEED_MAX_WEIGHT}")
     bound = SEED_MAX_WEIGHT + 1
-    bits = bound.bit_length()  # at most 8: SEED_MAX_WEIGHT is below 255
+    bits = bound.bit_length()  # at most 8
     table = bytes(v >> (8 - bits) if v >> (8 - bits) < bound else 0xff for v in range(256))
     getrandbits = rng.getrandbits
     buf, pos = b"", 0
@@ -1099,11 +1154,13 @@ def _section_fixture(seed: int) -> List[SectionReport]:
 # fits the rectangle budget at no b.  Each section draws from its own
 # random.Random(f"{seed}/<section>").  run_corpus deals them out round-robin
 # in this order, chosen by timing on 2 CPUs, and kept since.  The scale-10
-# shares, each run alone in a fresh process (2 CPUs, Python 3.11.7), take
-# about 43 ms (lifting, kraft, structure_lemmas, vazirani, xor_lemma: the
-# caller's) and 42 ms (claims, extractor_sampling, fourier, density: the
-# child's); in the full corpus the Kraft sweep, 1.7 of 2.2 s, shares its
-# process with the lighter half of the rest.
+# shares, each run alone in a fresh process (2 CPUs, Python 3.11.7, a quiet
+# spell of the host), take about 36 ms (lifting, kraft, structure_lemmas,
+# vazirani, xor_lemma: the caller's) and 31 ms (claims, extractor_sampling,
+# fourier, density: the child's); swapping fourier and structure_lemmas
+# evens them but read no faster in alternating bench pairs.  In the full
+# corpus the Kraft sweep, about 2.5 of 2.9 s, shares its process with the
+# lighter half of the rest.
 class _Section(Record):
     def __init__(self, job: Callable[..., List[SectionReport]],
                  shipped: Optional[Callable[[int], dict]], budgets: Dict[str, Tuple[int, int]]):

@@ -6,16 +6,29 @@ Kraft pick and the corpus's per-instance Kraft sweep, the seeded weight draw
 and the truncation threshold.  They build every probability, bias and bound
 as a Fraction and compare those, so a test that compares an integer path with
 its oracle checks the cleared arithmetic against the definition it clears.
-The corpus's extractor/sampling section keeps its per-instance body here
-too, one extractor_check and one sampling_check call per instance, as the
-oracle of the section's batch kernel.
+The corpus's extractor/sampling, Fourier and Vazirani sections keep their
+per-instance bodies here too, as the oracles of the sections' batch kernels:
+one extractor_check and one sampling_check call per instance; one
+fourier_coefficient and one xor_bias call per subset and one
+fourier_inversion per table; one vazirani_uniformity_check per eps and one
+vazirani_minentropy_check per t.  They draw their tables through the
+``verify`` module at call time, so a test that patches a draw there patches
+it for a section and its oracle alike.
 """
 
 import random
 from fractions import Fraction as F
 
 from liftsim import verify
-from liftsim.dist import DistributionTable, subsets_by_size, xor_bias
+from liftsim.dist import (
+    DistributionTable,
+    fourier_coefficient,
+    fourier_inversion,
+    subsets_by_size,
+    vazirani_minentropy_check,
+    vazirani_uniformity_check,
+    xor_bias,
+)
 from liftsim.errors import DomainError, InvariantError
 from liftsim.exact import cmp_pow2, cmp_products, frac_str
 from liftsim.gadgets import (
@@ -229,9 +242,59 @@ def oracle_section_extractor_sampling(seed, samples_b2=200):
 
 
 def _record_ext(rep, tag, r):
-    verdict = "vacuous" if not r.hypothesis else "pass" if r.conclusion else "FAIL"
-    rep.record(LemmaInstance(tag, verdict, measured=frac_str(r.measured),
+    rep.record(LemmaInstance(tag, _verdict(r.hypothesis, r.conclusion),
+                             measured=frac_str(r.measured),
                              bound=f"2^-({frac_str(r.bound_bits)})"))
+
+
+def oracle_section_fourier(seed, count=1000):
+    """The corpus's Fourier section, per subset: the coefficient against
+    2^-m times the XOR bias, the empty set's against 2^-m, and the
+    inversion of all 2^m coefficients against the table."""
+    rep = SectionReport("fourier_bias_identity")
+    rng = random.Random(f"{seed}/fourier")
+    for k in range(count):
+        m = 1 + (k % 4)
+        d = verify.seeded_distribution(rng, list(range(1 << m)))
+        ok = True
+        coeffs = {}
+        for coords in subsets_by_size(m):
+            coef = fourier_coefficient(d, m, coords)
+            coeffs[coords] = coef
+            if abs(coef) * (1 << m) != xor_bias(d, m, coords):
+                ok = False
+            if coords == () and coef != F(1, 1 << m):
+                ok = False
+        if fourier_inversion(coeffs, m) != d:
+            ok = False
+        rep.record(LemmaInstance(f"fourier/{k}/m={m}", "pass" if ok else "FAIL"))
+    return rep
+
+
+def oracle_section_vazirani(seed, count=1000):
+    """The corpus's Vazirani section, one vazirani_uniformity_check per eps
+    and one vazirani_minentropy_check per t on each table."""
+    rep = SectionReport("vazirani_checkers")
+    rng = random.Random(f"{seed}/vazirani")
+    for k in range(count):
+        m = 1 + (k % 4)
+        if k % 3 == 0:
+            d = verify.near_uniform_distribution(rng, m)
+        else:
+            d = verify.seeded_distribution(rng, list(range(1 << m)))
+        for eps in (F(1, 4), F(1, 2), F(1)):
+            r = vazirani_uniformity_check(d, m, eps)
+            rep.record(LemmaInstance(f"vazirani-uniformity/{k}/m={m}/eps={eps}",
+                                     _verdict(r.hypothesis, r.conclusion)))
+        for t in (1, 2):
+            r = vazirani_minentropy_check(d, m, t)
+            rep.record(LemmaInstance(f"vazirani-minentropy/{k}/m={m}/t={t}",
+                                     _verdict(r.hypothesis, r.conclusion)))
+    return rep
+
+
+def _verdict(hypothesis, conclusion):
+    return "vacuous" if not hypothesis else "pass" if conclusion else "FAIL"
 
 
 def oracle_trunc_cmp(params, p_geq):

@@ -21,7 +21,9 @@ from fraction_oracles import (
     oracle_kraft_sweep,
     oracle_sampling_check,
     oracle_section_extractor_sampling,
+    oracle_section_fourier,
     oracle_section_kraft,
+    oracle_section_vazirani,
     oracle_seeded_distribution,
     oracle_trunc_cmp,
     oracle_vazirani_minentropy_check,
@@ -54,9 +56,13 @@ from liftsim.structure import (
 )
 from liftsim.verify import (
     SectionReport,
+    _VAZIRANI_EPS,
+    _VAZIRANI_T,
     _kraft_sweep,
     _section_extractor_sampling,
+    _section_fourier,
     _section_kraft,
+    _section_vazirani,
     _weight_stream,
     all_prefix_free_codes,
     seeded_distribution,
@@ -346,6 +352,171 @@ def test_extractor_sampling_section_fails_as_the_oracle_does(monkeypatch):
     assert {c["instance"] for c in got[0].counterexamples} >= {"b1/and1", "b1/or1"}
     assert got[1].counterexamples == [
         {"instance": "b2/33", "measured": "1/2", "bound": "2^-(1)", "detail": ""}]
+
+
+@pytest.mark.parametrize("seed", [2024, 7, "x", 0])
+def test_fourier_and_vazirani_sections_match_per_instance_oracles(seed):
+    for count in (0, 1, 7, 50):
+        [got] = _section_fourier(seed, count)
+        want = oracle_section_fourier(seed, count)
+        assert dump_json(got.to_obj()) == dump_json(want.to_obj())
+        assert (got.total, got.passes) == (count, count)
+        [got] = _section_vazirani(seed, count)
+        want = oracle_section_vazirani(seed, count)
+        assert dump_json(got.to_obj()) == dump_json(want.to_obj())
+        assert got.total == 5 * count and got.fails == 0
+
+
+def _patched_calls(monkeypatch, name, changes):
+    """Patch verify.<name> so that its i-th call (from 0, counted since the
+    last reset) returns changes[i](result) for each i in `changes`;
+    returns reset."""
+    real, calls = getattr(verify, name), []
+
+    def patched(*args):
+        result = real(*args)
+        calls.append(None)
+        change = changes.get(len(calls) - 1)
+        return change(result) if change else result
+
+    monkeypatch.setattr(verify, name, patched)
+    return calls.clear
+
+
+@pytest.mark.parametrize("mask", range(4))
+def test_fourier_section_fails_a_corrupted_signed_weight(mask, monkeypatch):
+    # table 5 is at m=2: one more at any of its four signed weights breaks
+    # the identity at that mask (the empty mask's against the total), and
+    # one negated nonzero weight keeps every size and breaks the round trip
+    def plus_one(signed):
+        signed[mask] += 1
+        return signed
+
+    def negated(signed):
+        nonzero = [s for s, v in enumerate(signed) if v]
+        signed[nonzero[mask % len(nonzero)]] *= -1
+        return signed
+
+    for change in (plus_one, negated):
+        with monkeypatch.context() as patch:
+            _patched_calls(patch, "_signed_weights", {5: change})
+            [rep] = _section_fourier(2024, 12)
+        assert (rep.total, rep.passes, rep.fails) == (12, 11, 1)
+        assert [c["instance"] for c in rep.counterexamples] == ["fourier/5/m=2"]
+
+
+def _swapped(values):
+    if len(values) > 2:
+        values[1], values[3] = values[3], values[1]
+    return values
+
+
+# Transforms that, applied twice, give 2^m times the input, as Walsh's does,
+# and the tables whose section instances they FAIL, as k % 4 (m - 1):
+# conjugated by swapping entries 1 and 3 it still maps the empty mask to the
+# total, so only the direct parity sums tell it from Walsh's, at m >= 2 (at
+# m=1 it swaps nothing); negated it keeps every size, so only the empty
+# mask's check against the total tells it, at every m.
+SELF_INVERSE = {
+    "swapped": (lambda values: _swapped(dist._walsh(_swapped(values))), {1, 2, 3}),
+    "negated": (lambda values: [-v for v in dist._walsh(values)], {0, 1, 2, 3}),
+}
+
+
+@pytest.mark.parametrize("transform", sorted(SELF_INVERSE))
+def test_fourier_section_fails_a_transform_that_inverts_itself(transform, monkeypatch):
+    walsh, failing = SELF_INVERSE[transform]
+    monkeypatch.setattr(verify, "_walsh", walsh)
+    monkeypatch.setattr(verify, "_signed_weights", lambda d, m: walsh(
+        [d.weights.get(z, 0) for z in range(1 << m)]))
+    [rep] = _section_fourier(2024, 12)
+    assert [c["instance"] for c in rep.counterexamples] == [
+        f"fourier/{k}/m={1 + k % 4}" for k in range(12) if k % 4 in failing]
+
+
+@pytest.mark.parametrize("domain", [(0, 1, 3), (0, 1, 2, 3, 4), (0, 1, 2, 7)])
+def test_fourier_section_fails_a_table_off_the_cube(domain, monkeypatch):
+    # table 5 (m=2) drawn as it is, then moved onto a domain other than
+    # range(4): the kernel and the oracle FAIL it alike, and only it
+    def moved(d):
+        weights = dict(zip(domain, d.weights.values()))
+        return DistributionTable.from_weights({z: weights.get(z, 0) for z in domain})
+
+    reset = _patched_calls(monkeypatch, "seeded_distribution", {5: moved})
+    [got] = _section_fourier(2024, 12)
+    reset()
+    want = oracle_section_fourier(2024, 12)
+    assert dump_json(got.to_obj()) == dump_json(want.to_obj())
+    assert [c["instance"] for c in got.counterexamples] == ["fourier/5/m=2"]
+
+
+def test_vazirani_section_fails_as_the_oracle_does(monkeypatch):
+    # weights past 2^m fold onto the cube, so a table whose fold is uniform
+    # meets every hypothesis while its own masses on range(2^m) are not all
+    # near 2^-m: plant one at table 4 (m=1) and one at table 5 (m=2), the
+    # third and fourth seeded draws; both sections name the same FAILs
+    plants = {2: {0: 1, 1: 1, 2: 1, 3: 1}, 3: {1: 1, 2: 1, 3: 1, 4: 1}}
+    reset = _patched_calls(monkeypatch, "seeded_distribution", {
+        index: lambda d, w=weights: DistributionTable.from_weights(w)
+        for index, weights in plants.items()})
+    [got] = _section_vazirani(2024, 12)
+    reset()
+    want = oracle_section_vazirani(2024, 12)
+    assert dump_json(got.to_obj()) == dump_json(want.to_obj())
+    assert [c["instance"] for c in got.counterexamples] == [
+        "vazirani-uniformity/4/m=1/eps=1/4",
+        "vazirani-uniformity/5/m=2/eps=1/4", "vazirani-uniformity/5/m=2/eps=1/2"]
+    assert (got.total, got.fails) == (60, 3)
+
+
+def test_vazirani_section_decides_each_conclusion_on_its_own_weights(monkeypatch):
+    # signed weights of a uniform fold make every hypothesis hold, so each
+    # verdict is the conclusion's, and the FAILs are those the masses give
+    # as Fractions: a mass outside [1 - eps, 1 + eps] * 2^-m, or a largest
+    # mass above m^t * 2^-(m-1); table 7 (m=4, the fifth seeded draw) is
+    # planted as a point mass, the one table whose t=1 conclusion fails
+    monkeypatch.setattr(verify, "_signed_weights",
+                        lambda d, m: [d.total] + [0] * ((1 << m) - 1))
+    _patched_calls(monkeypatch, "seeded_distribution", {
+        4: lambda d: DistributionTable.point(0, range(16))})
+    tables = []
+    for name in ("seeded_distribution", "near_uniform_distribution"):
+        draw = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, draw=draw: tables.append(
+            draw(*args)) or tables[-1])
+    [rep] = _section_vazirani(2024, 60)
+    want = []
+    for k, d in enumerate(tables):
+        m, base = 1 + (k % 4), F(1, 1 << (1 + (k % 4)))
+        for eps in _VAZIRANI_EPS:
+            if not all((1 - eps) * base <= d.prob(z) <= (1 + eps) * base for z in range(1 << m)):
+                want.append(f"vazirani-uniformity/{k}/m={m}/eps={eps}")
+        for t in _VAZIRANI_T:
+            if d.maxprob() * (1 << (m - 1)) > m ** t:
+                want.append(f"vazirani-minentropy/{k}/m={m}/t={t}")
+    assert [c["instance"] for c in rep.counterexamples] == want
+    assert (len(tables), rep.total, rep.vacuous, rep.fails) == (60, 300, 0, len(want))
+    # FAILs above the upper bound alone (eps = 1 has no lower one), and at t=1
+    assert {name.split("/", 3)[3] for name in want} == {"eps=1/4", "eps=1/2", "eps=1", "t=1"}
+    assert "vazirani-minentropy/7/m=4/t=1" in want
+
+
+def test_near_uniform_draws_meet_every_vazirani_hypothesis():
+    # the section's every third table is near_uniform_distribution's, so its
+    # verdicts are never all vacuous: each such draw meets both hypotheses
+    # at every eps and t, and the section passes all five of its instances
+    rng = random.Random("near-uniform")
+    for k in range(4000):
+        m = 1 + k % 4
+        d = verify.near_uniform_distribution(rng, m)
+        for eps in _VAZIRANI_EPS:
+            assert vazirani_uniformity_check(d, m, eps).hypothesis, (k, eps)
+        for t in _VAZIRANI_T:
+            assert vazirani_minentropy_check(d, m, t).hypothesis, (k, t)
+    for seed in (2024, 7):
+        for count in (1, 2, 3, 4, 7, 50, 300):
+            [rep] = _section_vazirani(seed, count)
+            assert rep.passes >= 5 * -(-count // 3), (seed, count)
 
 
 def test_seeded_distribution_wraps_the_int_draw(monkeypatch):

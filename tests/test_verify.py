@@ -181,6 +181,26 @@ def test_an_empty_seeded_draw_is_refused_before_drawing(monkeypatch):
         refused(lambda: verify._weight_stream(rng)(3), rng)
 
 
+def test_a_weight_stream_past_a_byte_is_refused_when_built(monkeypatch):
+    # a stream holds its weights in bytes, 0xff marking a reject, so past
+    # 254 it refuses when it is built, names the limit and draws nothing;
+    # seeded_weights still draws such weights, one randrange call each
+    rng = random.Random(5)
+    for max_weight in (255, 256, 1000):
+        monkeypatch.setattr(verify, "SEED_MAX_WEIGHT", max_weight)
+        state = rng.getstate()
+        with pytest.raises(DomainError, match=f"up to 254, SEED_MAX_WEIGHT is {max_weight}$"):
+            verify._weight_stream(rng)
+        assert rng.getstate() == state
+        ref = random.Random(max_weight)
+        want = [ref.randrange(max_weight + 1) for _ in range(2000)]
+        assert verify.seeded_weights(random.Random(max_weight), 2000) == want
+        assert max(want) > 254
+    monkeypatch.setattr(verify, "SEED_MAX_WEIGHT", 254)
+    assert list(verify._weight_stream(random.Random(5))(400)) == verify.seeded_weights(
+        random.Random(5), 400)
+
+
 def test_small_corpus_runs_and_is_deterministic():
     rep1 = run_corpus(SMALL_SPEC)
     rep2 = run_corpus(SMALL_SPEC)
